@@ -43,6 +43,23 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "hermeticity guards passed"
 
+# --- Guard 3: one worker pool ----------------------------------------------
+# Cells run in exactly one place (`run_cells` in crates/workload/src/
+# campaign.rs): figures, campaigns and what-ifs hand it a cell list instead
+# of growing their own pool. So a `thread::scope(` call and an
+# `available_parallelism(` call (the "0 = all cores" resolution, and the one
+# simlint `ambient-env` allow) may each occur in exactly one file of the
+# crates that run simulations.
+for pat in 'thread::scope(' 'available_parallelism('; do
+    files=$(grep -rlF "$pat" crates/workload/src crates/experiments/src crates/queryd/src || true)
+    if [ "$(printf '%s' "$files" | grep -c .)" -ne 1 ]; then
+        echo "POOL VIOLATION: '$pat' must occur in exactly one file under crates/{workload,experiments,queryd}/src, found:" >&2
+        printf '%s\n' "${files:-<none>}" >&2
+        exit 1
+    fi
+done
+echo "one-worker-pool guard passed"
+
 # --- simlint: determinism & hot-path lints -------------------------------
 # The in-repo lint engine (crates/simlint): zero findings at Deny severity
 # across the simulation crates, or the build stops here. See DESIGN.md §11
@@ -175,3 +192,22 @@ $SWEEP_LONG_PATH_GOLDEN" ]; then
     exit 1
 fi
 echo "warm-start golden-hash gate passed ($CAMPAIGN_GOLDEN, $CAMPAIGN_2000_GOLDEN, 4 sweep hashes)"
+
+# --- Reference benchmark gate ----------------------------------------------
+# benchmark/ is a package of its own that consolidation PRs may not edit;
+# what they can do is break the API surface it imports (benchmark/README.md,
+# "API-surface manifest"). Build it offline against this tree, run every
+# workload once at smoke scale (each in a fresh child process; exits non-zero
+# on any failed operation or check) and run its unit tests (BENCHMARK.json ≡
+# spec.rs among them), so that shows up here and not in the pipeline.
+#
+# Cargo refreshes benchmark/Cargo.lock in place when a workspace crate's
+# dependency edges changed; that file belongs to benchmark PRs, so put it
+# back afterwards instead of leaving the tree dirty.
+bench_lock=$(mktemp)
+cp benchmark/Cargo.lock "$bench_lock"
+trap 'cp "$bench_lock" benchmark/Cargo.lock; rm -f "$bench_lock"' EXIT
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- run all --smoke >/dev/null
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+echo "reference benchmark gate passed (offline build, run all --smoke, unit tests)"

@@ -254,14 +254,12 @@ fn bench_mrai_arm(h: &Harness, report: &mut JsonReport) {
 }
 
 /// One data-plane observation tick on a converged 300-AS BGP network —
-/// the inner loop of every failure measurement. Two variants pin the
-/// redesign's satellite claim: `boxed` is the pre-redesign path (a fresh
-/// `Box<dyn ForwardingView>` per observation, dynamic dispatch into the
-/// tracker), `static` is the probe path (the view on the stack,
-/// `TransientTracker::observe` monomorphised over the concrete view).
+/// the inner loop of every failure measurement, as the probe path runs it:
+/// the view on the stack, `TransientTracker::observe` monomorphised over
+/// the concrete view.
 fn bench_observe_loop(h: &Harness, report: &mut JsonReport) {
     use stamp_bgp::types::PrefixId;
-    use stamp_forwarding::{BgpView, ForwardingView, TransientTracker};
+    use stamp_forwarding::{BgpView, TransientTracker};
     use stamp_workload::Sim;
 
     let g = generate(&GenConfig {
@@ -280,13 +278,6 @@ fn bench_observe_loop(h: &Harness, report: &mut JsonReport) {
     sim.converge();
     let e = sim.bgp().expect("default protocol is BGP");
     let reachable = vec![true; g.n()];
-
-    let mut tracker = TransientTracker::new(dest, reachable.clone());
-    report.bench(h, "observe_loop_boxed", || {
-        let view: Box<dyn ForwardingView + '_> = Box::new(BgpView { engine: e, prefix });
-        tracker.observe(view.as_ref());
-        black_box(tracker.observations);
-    });
 
     let mut tracker = TransientTracker::new(dest, reachable);
     report.bench(h, "observe_loop_static", || {
@@ -334,11 +325,10 @@ fn bench_checkpoint(h: &Harness, report: &mut JsonReport) {
 
     let mut rng = rng_stream(900, tags::WORKLOAD);
     let w = sample_canned(&g, FailureScenario::SingleLink, &mut rng).expect("scenario fits");
-    let removed = w.timeline.removed_links(&g).expect("timeline resolves");
-    let truth = StaticRoutes::compute(&g.without_links(&removed), w.dest);
-    let reachable: Vec<bool> = (0..g.n())
-        .map(|v| truth.reachable(AsId::from_usize(v)))
-        .collect();
+    let reachable = w
+        .timeline
+        .reachable_after(&g, w.dest)
+        .expect("timeline resolves");
     let params = RunParams::paper();
     let cache = BaselineCache::new();
     // First call converges cold and deposits the baseline; the benched

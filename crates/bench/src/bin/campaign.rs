@@ -140,11 +140,14 @@ fn print_report(run: &GridRun, protocols: &[Protocol]) {
     let tpw = cells as f64 / run.wall_warm_1;
     println!(
         "wall clock: {:.2} s at 1 worker ({tp1:.2} cells/s), {:.2} s at {} workers \
-         ({tpn:.2} cells/s) — speedup {:.2}×",
+         ({tpn:.2} cells/s) — speedup {}",
         run.wall_1,
         run.wall_n,
         run.threads_n,
-        run.wall_1 / run.wall_n
+        match parallel_speedup(run) {
+            Some(x) => format!("{x:.2}×"),
+            None => "n/a (1 core)".to_string(),
+        }
     );
     println!(
         "warm start: {:.2} s populate + {:.2} s at 1 worker ({tpw:.2} cells/s forked \
@@ -374,6 +377,13 @@ fn cores() -> usize {
         .unwrap_or(1)
 }
 
+/// Serial over parallel wall clock — `None` on a one-core host, where the
+/// "parallel" pass time-slices one CPU and the ratio is scheduler noise,
+/// not a result.
+fn parallel_speedup(run: &GridRun) -> Option<f64> {
+    (cores() > 1).then(|| run.wall_1 / run.wall_n)
+}
+
 fn json_object(s: &mut String, key: &str, run: &GridRun, protocols: &[Protocol]) {
     let rep = &run.report;
     let cells = rep.cells.len();
@@ -402,7 +412,12 @@ fn json_object(s: &mut String, key: &str, run: &GridRun, protocols: &[Protocol])
         "    \"throughput_cells_per_s_warm_1\": {:.3},",
         cells as f64 / run.wall_warm_1
     );
-    let _ = writeln!(s, "    \"speedup\": {:.3},", run.wall_1 / run.wall_n);
+    match parallel_speedup(run) {
+        Some(x) => {
+            let _ = writeln!(s, "    \"speedup\": {x:.3},");
+        }
+        None => s.push_str("    \"speedup\": null,\n"),
+    }
     let _ = writeln!(
         s,
         "    \"warm_speedup_vs_cold_1\": {:.3},",
@@ -600,10 +615,7 @@ fn main() {
     let threads_n = if args.threads > 0 {
         args.threads
     } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .max(4)
+        cores().max(4)
     };
 
     let run = run_twice(&g, &timelines, &dests, &mut cfg, threads_n);

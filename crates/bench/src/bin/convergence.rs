@@ -3,28 +3,16 @@
 
 #![forbid(unsafe_code)]
 
-use stamp_bench::parse_args;
+use stamp_bench::{failure_config, parse_args};
 use stamp_experiments::render::table;
-use stamp_experiments::{run_failure_experiment, FailureConfig, FailureScenario, Protocol};
-use stamp_topology::GenConfig;
+use stamp_experiments::{run_failure_experiment, FailureScenario, Protocol};
 
 fn main() {
     let args = parse_args(
         "convergence [--ases N] [--instances N] [--seed N] [--threads N]\n\
          Regenerates the Sec. 6.3 convergence delay comparison.",
     );
-    let seed = args.seed.unwrap_or(0xC0);
-    let mut cfg = FailureConfig {
-        seed,
-        gen: GenConfig {
-            n_ases: args.ases.unwrap_or(2000),
-            ..GenConfig::sim_scale(seed)
-        },
-        instances: args.instances.unwrap_or(20),
-        threads: args.threads,
-        ..FailureConfig::default()
-    };
-    cfg.gen.seed = seed;
+    let cfg = failure_config(&args, 0xC0, 20);
     let rep = run_failure_experiment(&cfg, FailureScenario::SingleLink, &Protocol::ALL);
     println!(
         "== Convergence delay after a single link failure (Sec. 6.3) — {} ASes, {} instances ==\n",

@@ -3,28 +3,14 @@
 
 #![forbid(unsafe_code)]
 
-use stamp_bench::parse_args;
-use stamp_experiments::render::render_failure_report;
-use stamp_experiments::{run_failure_experiment, FailureConfig, FailureScenario, Protocol};
-use stamp_topology::GenConfig;
+use stamp_bench::failure_figure_main;
+use stamp_experiments::FailureScenario;
 
 fn main() {
-    let args = parse_args(
+    failure_figure_main(
         "fig2 [--ases N] [--instances N] [--seed N] [--threads N]\n\
          Regenerates Figure 2 (single link failure).",
+        0xF162,
+        FailureScenario::SingleLink,
     );
-    let seed = args.seed.unwrap_or(0xF162);
-    let mut cfg = FailureConfig {
-        seed,
-        gen: GenConfig {
-            n_ases: args.ases.unwrap_or(2000),
-            ..GenConfig::sim_scale(seed)
-        },
-        instances: args.instances.unwrap_or(30),
-        threads: args.threads,
-        ..FailureConfig::default()
-    };
-    cfg.gen.seed = seed;
-    let report = run_failure_experiment(&cfg, FailureScenario::SingleLink, &Protocol::ALL);
-    println!("{}", render_failure_report(&report));
 }

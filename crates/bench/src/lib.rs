@@ -17,8 +17,12 @@
 
 pub mod harness;
 
+use stamp_experiments::render::render_failure_report;
+use stamp_experiments::{run_failure_experiment, FailureConfig, FailureScenario, Protocol};
+use stamp_topology::GenConfig;
+
 /// Parsed common options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CommonArgs {
     pub ases: Option<usize>,
     pub instances: Option<usize>,
@@ -55,21 +59,7 @@ pub struct CommonArgs {
 
 /// Parse `std::env::args`, exiting with usage on errors.
 pub fn parse_args(usage: &str) -> CommonArgs {
-    let mut out = CommonArgs {
-        ases: None,
-        instances: None,
-        seed: None,
-        threads: 0,
-        smart: false,
-        smoke: false,
-        dests: None,
-        seeds: None,
-        scn: Vec::new(),
-        protocols: None,
-        policy: None,
-        check: false,
-        adversarial: false,
-    };
+    let mut out = CommonArgs::default();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     let value = |i: &mut usize| -> String {
@@ -106,4 +96,34 @@ pub fn parse_args(usage: &str) -> CommonArgs {
         i += 1;
     }
     out
+}
+
+/// The failure-experiment configuration the figure binaries share: paper
+/// parameters on a `sim_scale` topology (2000 ASes unless `--ases`), with
+/// the binary's own default seed and instance count under `--seed` /
+/// `--instances`.
+pub fn failure_config(
+    args: &CommonArgs,
+    default_seed: u64,
+    default_instances: usize,
+) -> FailureConfig {
+    let seed = args.seed.unwrap_or(default_seed);
+    FailureConfig {
+        seed,
+        gen: GenConfig {
+            n_ases: args.ases.unwrap_or(2000),
+            ..GenConfig::sim_scale(seed)
+        },
+        instances: args.instances.unwrap_or(default_instances),
+        threads: args.threads,
+        ..FailureConfig::default()
+    }
+}
+
+/// `main` of `fig2` / `fig3a` / `fig3b` / `node_failure`: parse the common
+/// flags, run `scenario` for all four protocols, print the figure.
+pub fn failure_figure_main(usage: &str, default_seed: u64, scenario: FailureScenario) {
+    let cfg = failure_config(&parse_args(usage), default_seed, 30);
+    let report = run_failure_experiment(&cfg, scenario, &Protocol::ALL);
+    println!("{}", render_failure_report(&report));
 }

@@ -9,7 +9,7 @@
 use crate::patharena::{PathArena, PathId};
 use crate::rib::{DecisionOutcome, RibIn};
 use crate::types::{CauseInfo, PrefixId, ProcId, Route, UpdateKind, UpdateMsg, WithdrawInfo};
-use stamp_eventsim::FxHashMap;
+use stamp_eventsim::{Fnv1a, FxHashMap};
 use stamp_policy::CompiledRegime;
 use stamp_topology::{AsGraph, AsId, Relation, SessEntry};
 
@@ -173,14 +173,11 @@ impl StateFingerprint {
 
     /// FNV-1a digest of one state record (little-endian u64 words).
     pub fn digest(words: &[u64]) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for w in words {
-            for b in w.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
+        let mut h = Fnv1a::new();
+        for &w in words {
+            h.write_u64(w);
         }
-        h
+        h.finish()
     }
 
     /// Fold one record digest in (commutative).

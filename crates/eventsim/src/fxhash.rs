@@ -19,6 +19,11 @@
 //! The trade-off is the usual one: FxHash is not DoS-resistant. Every map
 //! keyed by simulation ids is fed by the simulator itself, never by
 //! untrusted input, so the trade is free.
+//!
+//! [`Fnv1a`] lives here too: where Fx hashes *keys* (any fast function
+//! will do), FNV-1a hashes *results* into fingerprints that are pinned in
+//! tests and CI, so it must be — and is tested to be — the standard
+//! function.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -107,6 +112,48 @@ impl Hasher for FxHasher {
     }
 }
 
+/// FNV-1a 64-bit: the workspace's one *fingerprint* hash (campaign
+/// aggregate hashes, policy-regime fingerprints, the convergence
+/// watchdog's state digests). Unlike [`FxHasher`] its output is a pinned
+/// value — goldens in `tests/determinism.rs` and `ci.sh` are FNV-1a words —
+/// so it is the standard function, byte for byte, checked against the
+/// reference vectors below.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a::new()
+    }
+}
+
+impl Fnv1a {
+    /// The empty hash (the FNV offset basis).
+    pub const fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Fold a byte string in.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    /// Fold one word in, little-endian.
+    #[inline]
+    pub fn write_u64(&mut self, x: u64) {
+        self.write(&x.to_le_bytes());
+    }
+
+    /// The hash of everything written so far.
+    pub const fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,5 +205,22 @@ mod tests {
         s.insert(42);
         assert!(s.contains(&42));
         assert!(!s.contains(&43));
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        // Standard FNV-1a 64 test vectors.
+        let of = |bytes: &[u8]| {
+            let mut h = Fnv1a::new();
+            h.write(bytes);
+            h.finish()
+        };
+        assert_eq!(of(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(of(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(of(b"foobar"), 0x8594_4171_f739_67e8);
+        // `write_u64` is `write` of the little-endian bytes.
+        let mut words = Fnv1a::new();
+        words.write_u64(0x0807_0605_0403_0201);
+        assert_eq!(words.finish(), of(&[1, 2, 3, 4, 5, 6, 7, 8]));
     }
 }

@@ -19,7 +19,8 @@
 //!   the others);
 //! * [`fxhash`] — a deterministic FxHash-style fast hasher for the
 //!   id-keyed maps that remain off the hot path (SipHash costs more than
-//!   the lookup it guards on small integer keys).
+//!   the lookup it guards on small integer keys), and [`Fnv1a`], the one
+//!   FNV-1a behind every pinned fingerprint.
 //!
 //! Following the smoltcp design ethos, the kernel is single-threaded and
 //! allocation-light; parallelism lives one level up (independent scenario
@@ -35,7 +36,7 @@ pub mod rng;
 pub mod time;
 
 pub use channel::{ChannelId, DelayModel, FifoChannel, LossModel};
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use fxhash::{Fnv1a, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use queue::Scheduler;
 pub use rng::{derive_seed, rng_stream, Rng};
 pub use time::{SimDuration, SimTime};

@@ -1,14 +1,16 @@
 //! The failure experiments behind Figures 2, 3(a), 3(b) and §6.2.2.
 //!
-//! For each of `instances` independently sampled workloads, the four
-//! protocols of the paper — BGP, R-BGP without RCI, R-BGP, STAMP — run the
-//! *identical* scenario: same topology, same destination, same failed
-//! links, same delay model and seeds. The workloads themselves are canned
-//! timelines ([`stamp_workload::canned`]) and each instance is driven by
-//! the shared cell machinery
-//! ([`stamp_workload::campaign::run_protocol_cell`], a thin wrapper over
-//! the `sim` facade: protocol construction is a `ProtocolSpec` registry
-//! lookup, observation a `MetricsProbe`):
+//! A figure is a **cell list**: `instances` independently sampled canned
+//! workloads ([`stamp_workload::canned`]), each one cell — a timeline, a
+//! destination and an engine seed — on which the four protocols of the
+//! paper (BGP, R-BGP without RCI, R-BGP, STAMP) run the *identical*
+//! scenario: same topology, same destination, same failed links, same
+//! delay model and seeds. The list goes to the workspace's one cell runner
+//! ([`stamp_workload::run_cells`] — validation, reachability masks, worker
+//! threads and in-order merge all live there, shared with campaigns), and
+//! the per-cell rows are transposed into per-protocol columns. Inside a
+//! cell ([`stamp_workload::run_protocol_cell`], a thin wrapper over the
+//! `sim` facade):
 //!
 //! 1. converge the network from cold start,
 //! 2. clear measurement state (STAMP instability flags),
@@ -20,22 +22,15 @@
 //! 5. report the number of ASes with transient problems, message counts
 //!    and convergence delay (the §6.3 metrics fall out of the same runs).
 
-use crate::stats;
 use stamp_eventsim::rng::tags;
 use stamp_eventsim::rng_stream;
 use stamp_topology::gen::{generate, GenConfig};
-use stamp_topology::{AsId, StaticRoutes};
-use stamp_workload::campaign::{run_protocol_cell, RunParams};
-use stamp_workload::canned::sample_canned;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use stamp_workload::campaign::RunParams;
+use stamp_workload::canned::{sample_canned, CannedWorkload};
+use stamp_workload::{run_cells, Cell};
 
 pub use stamp_workload::campaign::{InstanceMetrics, Protocol, PREFIX};
 pub use stamp_workload::canned::FailureScenario;
-
-/// One worker slot: the per-protocol metrics of one instance, `None`
-/// until that instance has run.
-type InstanceSlot = Option<Vec<(Protocol, InstanceMetrics)>>;
 
 /// Experiment configuration; defaults follow §6.2 where the paper is
 /// explicit (delays, MRAI, 100 instances) and DESIGN.md where it is not.
@@ -86,92 +81,48 @@ pub struct ProtocolResult {
 }
 
 impl ProtocolResult {
+    fn mean(&self, field: impl Fn(&InstanceMetrics) -> f64) -> f64 {
+        InstanceMetrics::mean_of(&self.per_instance, field)
+    }
+
     /// Mean number of affected ASes (the bar heights of Figures 2/3).
     pub fn affected_mean(&self) -> f64 {
-        stats::mean(
-            &self
-                .per_instance
-                .iter()
-                .map(|m| m.affected as f64)
-                .collect::<Vec<_>>(),
-        )
+        self.mean(|m| m.affected as f64)
     }
 
     /// Mean ASes that saw a transient loop.
     pub fn loops_mean(&self) -> f64 {
-        stats::mean(
-            &self
-                .per_instance
-                .iter()
-                .map(|m| m.affected_loops as f64)
-                .collect::<Vec<_>>(),
-        )
+        self.mean(|m| m.affected_loops as f64)
     }
 
     /// Mean ASes that saw a transient blackhole.
     pub fn blackholes_mean(&self) -> f64 {
-        stats::mean(
-            &self
-                .per_instance
-                .iter()
-                .map(|m| m.affected_blackholes as f64)
-                .collect::<Vec<_>>(),
-        )
+        self.mean(|m| m.affected_blackholes as f64)
     }
 
     /// Mean control-plane "affected in some ways" count.
     pub fn control_affected_mean(&self) -> f64 {
-        stats::mean(
-            &self
-                .per_instance
-                .iter()
-                .map(|m| m.control_affected as f64)
-                .collect::<Vec<_>>(),
-        )
+        self.mean(|m| m.control_affected as f64)
     }
 
     /// Mean updates during failure re-convergence.
     pub fn updates_failure_mean(&self) -> f64 {
-        stats::mean(
-            &self
-                .per_instance
-                .iter()
-                .map(|m| m.updates_failure as f64)
-                .collect::<Vec<_>>(),
-        )
+        self.mean(|m| m.updates_failure as f64)
     }
 
     /// Mean updates during initial convergence.
     pub fn updates_initial_mean(&self) -> f64 {
-        stats::mean(
-            &self
-                .per_instance
-                .iter()
-                .map(|m| m.updates_initial as f64)
-                .collect::<Vec<_>>(),
-        )
+        self.mean(|m| m.updates_initial as f64)
     }
 
     /// Mean convergence delay in simulated seconds.
     pub fn convergence_mean_s(&self) -> f64 {
-        stats::mean(
-            &self
-                .per_instance
-                .iter()
-                .map(|m| m.convergence_delay_s)
-                .collect::<Vec<_>>(),
-        )
+        self.mean(|m| m.convergence_delay_s)
     }
 
     /// Mean data-plane recovery delay in simulated seconds.
     pub fn data_recovery_mean_s(&self) -> f64 {
-        stats::mean(
-            &self
-                .per_instance
-                .iter()
-                .map(|m| m.data_recovery_s)
-                .collect::<Vec<_>>(),
-        )
+        self.mean(|m| m.data_recovery_s)
     }
 }
 
@@ -198,51 +149,6 @@ impl FailureReport {
     }
 }
 
-/// Run one instance (all requested protocols on the identical workload).
-fn run_instance(
-    g: &stamp_topology::AsGraph,
-    cfg: &FailureConfig,
-    scenario: FailureScenario,
-    instance: usize,
-    protocols: &[Protocol],
-) -> Vec<(Protocol, InstanceMetrics)> {
-    let instance_seed = cfg
-        .seed
-        .wrapping_add((instance as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let mut wl_rng = rng_stream(instance_seed, tags::WORKLOAD);
-    let w = sample_canned(g, scenario, &mut wl_rng)
-        // simlint::allow(panic, "the generator guarantees multi-homed hosts for every canned scenario")
-        .expect("generated topologies always host the paper's scenarios");
-    let removed = w
-        .timeline
-        .removed_links(g)
-        // simlint::allow(panic, "the canned timeline was built against this same graph")
-        .expect("canned timelines resolve against their own topology");
-    let g_after = g.without_links(&removed);
-    let truth = StaticRoutes::compute(&g_after, w.dest);
-    let reachable: Vec<bool> = (0..g.n())
-        .map(|v| truth.reachable(AsId::from_usize(v)))
-        .collect();
-
-    protocols
-        .iter()
-        .map(|&p| {
-            (
-                p,
-                run_protocol_cell(
-                    g,
-                    &cfg.params,
-                    &w.timeline,
-                    w.dest,
-                    &reachable,
-                    p,
-                    instance_seed,
-                ),
-            )
-        })
-        .collect()
-}
-
 /// Run a full figure experiment: `instances` workloads × the protocols.
 pub fn run_failure_experiment(
     cfg: &FailureConfig,
@@ -251,52 +157,40 @@ pub fn run_failure_experiment(
 ) -> FailureReport {
     // simlint::allow(panic, "experiment configs are validated constants")
     let g = generate(&cfg.gen).expect("valid generator config");
-    let threads = if cfg.threads == 0 {
-        // simlint::allow(ambient-env, "thread count only partitions instances; per-instance seeds fix the results")
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        cfg.threads
-    }
-    .min(cfg.instances.max(1));
-
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<InstanceSlot>> = Mutex::new(vec![None; cfg.instances]);
-
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cfg.instances {
-                    break;
-                }
-                let r = run_instance(&g, cfg, scenario, i, protocols);
-                // simlint::allow(panic, "a poisoned slot mutex means a sibling worker already panicked")
-                slots.lock().unwrap()[i] = Some(r);
-            });
-        }
-    });
-
-    let mut results: Vec<(Protocol, ProtocolResult)> = protocols
-        .iter()
-        .map(|&p| (p, ProtocolResult::default()))
+    // One sampled workload per instance; the instance seed draws the
+    // workload and is the cell's engine seed.
+    let sampled: Vec<(u64, CannedWorkload)> = (0..cfg.instances as u64)
+        .map(|i| {
+            let instance_seed = cfg.seed.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let mut wl_rng = rng_stream(instance_seed, tags::WORKLOAD);
+            let w = sample_canned(&g, scenario, &mut wl_rng)
+                // simlint::allow(panic, "the generator guarantees multi-homed hosts for every canned scenario")
+                .expect("generated topologies always host the paper's scenarios");
+            (instance_seed, w)
+        })
         .collect();
-    // simlint::allow(panic, "poison here means a worker already panicked")
-    for slot in slots.into_inner().expect("no worker panicked") {
-        // simlint::allow(panic, "the atomic counter hands out every index exactly once")
-        let instance = slot.expect("all instances ran");
-        for (p, m) in instance {
-            results
-                .iter_mut()
-                .find(|(q, _)| *q == p)
-                // simlint::allow(panic, "rows were created from this same protocol list")
-                .expect("protocol present")
-                .1
-                .per_instance
-                .push(m);
-        }
-    }
+    let cells: Vec<Cell<'_>> = sampled
+        .iter()
+        .map(|(seed, w)| Cell {
+            timeline: &w.timeline,
+            dest: w.dest,
+            seed: *seed,
+        })
+        .collect();
+    let rows = run_cells(&g, &cfg.params, protocols, cfg.threads, &cells, None)
+        // simlint::allow(panic, "canned timelines are built against this same graph")
+        .expect("canned timelines resolve against their own topology");
+
+    // Transpose: per-instance rows (protocols in request order) into
+    // per-protocol columns.
+    let results = protocols
+        .iter()
+        .enumerate()
+        .map(|(k, &p)| {
+            let per_instance = rows.iter().map(|row| row[k].1).collect();
+            (p, ProtocolResult { per_instance })
+        })
+        .collect();
     FailureReport {
         scenario,
         n_ases: g.n(),

@@ -2,8 +2,9 @@
 //!
 //! Each experiment in DESIGN.md §4 maps to a module here; `stamp-bench`
 //! wraps them in Criterion benches and standalone binaries. All experiments
-//! are deterministic given their seed and run independent scenario
-//! instances in parallel (`std::thread::scope` workers).
+//! are deterministic given their seed. The failure figures are cell lists
+//! handed to the workspace's one cell runner, `stamp_workload::run_cells`
+//! (worker threads and the in-order merge live there, not here).
 //!
 //! | Experiment | Module | Paper artefact |
 //! |---|---|---|
@@ -21,7 +22,6 @@ pub mod failure;
 pub mod partial_exp;
 pub mod phi_exp;
 pub mod render;
-pub mod stats;
 
 pub use failure::{run_failure_experiment, FailureConfig, FailureReport, Protocol, ProtocolResult};
 pub use partial_exp::{run_partial_deployment, PartialConfig, PartialReport};

@@ -44,26 +44,3 @@ pub use model::{
     learned_idx, rel_idx, Action, CommunityBits, CommunitySet, Matcher, PolicyList, PrefixSet, Rule,
 };
 pub use regime::{PolicyRegime, LEARNED_RELS, TO_RELS};
-
-/// FNV-1a over a byte string — the same function the workload crate's
-/// aggregate hashing uses, reproduced here (the dependency points the
-/// other way) for regime fingerprints.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn fnv1a_matches_the_reference_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(super::fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(super::fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(super::fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
-    }
-}

@@ -12,6 +12,7 @@
 
 use crate::compile::{CompileError, CompiledRegime};
 use crate::model::{learned_idx, rel_idx, Action, Matcher, PolicyList, Rule};
+use stamp_eventsim::Fnv1a;
 use stamp_topology::Relation;
 
 /// The relations in the canonical `.pol` order of the "toward" axis.
@@ -239,7 +240,9 @@ impl PolicyRegime {
     /// policy-sweep report key baselines by this, so two regimes share
     /// warm checkpoints iff they print identically.
     pub fn fingerprint(&self) -> u64 {
-        crate::fnv1a(self.to_pol().as_bytes())
+        let mut h = Fnv1a::new();
+        h.write(self.to_pol().as_bytes());
+        h.finish()
     }
 
     /// Lower to dense per-relation tables for the hot paths. Fails only

@@ -16,11 +16,11 @@ use crate::protocol::{
 };
 use stamp_eventsim::SimDuration;
 use stamp_topology::disjoint::{max_disjoint_uphill_paths, two_disjoint_uphill_paths};
-use stamp_topology::{AsGraph, AsId, StaticRoutes};
+use stamp_topology::{AsGraph, AsId};
 use stamp_workload::sim::{Sim, SimError};
 use stamp_workload::{
-    node_drain, run_protocol_cell_warm, single_link_failure, BaselineCache, CacheStats,
-    PolicyRegime, Protocol, RunParams, Timeline, TimelineError, PREFIX,
+    node_drain, reachability_mask, run_protocol_cell_warm, single_link_failure, BaselineCache,
+    CacheStats, PolicyRegime, Protocol, RunParams, Timeline, TimelineError, PREFIX,
 };
 use std::fmt;
 
@@ -279,8 +279,8 @@ impl QueryEngine {
         // the daemon. Converging cells never see the clamp.
         params.phase_deadline = params.phase_deadline.min(self.cfg.query_deadline);
         let timeline = self.timeline_of(shape);
-        let removed = timeline
-            .removed_links(&self.g)
+        let g_after = timeline
+            .graph_after(&self.g)
             .map_err(QueryError::Timeline)?;
         let protos: Vec<Protocol> = match proto {
             Some(p) if !self.cfg.protocols.contains(&p) => {
@@ -294,13 +294,9 @@ impl QueryEngine {
             Some(d) => vec![d],
             None => self.cfg.dests.clone(),
         };
-        let g_after = self.g.without_links(&removed);
         let mut rows = Vec::with_capacity(dests.len() * protos.len());
         for &d in &dests {
-            let truth = StaticRoutes::compute(&g_after, d);
-            let reachable: Vec<bool> = (0..self.g.n())
-                .map(|v| truth.reachable(AsId::from_usize(v)))
-                .collect();
+            let reachable = reachability_mask(&g_after, d);
             let unreachable = reachable.iter().filter(|r| !**r).count();
             let mut base_affected: Option<i64> = None;
             for &p in &protos {

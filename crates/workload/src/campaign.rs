@@ -1,194 +1,59 @@
-//! The sharded campaign runner: a `(timeline × destination × seed)` grid
-//! fanned across `std::thread::scope` workers.
+//! Cells and campaigns: the one place this workspace runs simulations in
+//! bulk.
 //!
-//! Each grid cell converges a fresh network (one [`Engine`] + `PathArena`
-//! per cell per protocol, nothing shared), plays the cell's timeline, and
-//! measures the paper's disruption/recovery metrics. Workers claim cells
-//! from an atomic counter and write results into a pre-sized slot vector,
-//! so the merged report is in *cell-index order no matter how the threads
-//! interleave* — a campaign's aggregate (and its [`CampaignReport::hash`])
-//! is byte-identical at any worker count. That is the whole determinism
+//! The unit of work is the **cell** — one `(timeline, destination, engine
+//! seed)` on which every requested protocol runs the *identical* scenario
+//! (the paper's whole evaluation method). [`run_cells`] is the one runner:
+//! it validates every cell's timeline, computes each cell's post-timeline
+//! reachability mask ([`Timeline::reachable_after`]), fans the list across
+//! scoped worker threads and returns the per-cell metrics **in input
+//! order**. Each cell converges a fresh network (one engine + `PathArena`
+//! per protocol, nothing shared but the optional warm-start
+//! [`BaselineCache`]), plays its timeline and measures the paper's
+//! disruption/recovery metrics ([`run_protocol_cell`]).
+//!
+//! Everything above is a way of *listing* cells: [`run_campaign`] lists the
+//! `(timeline × destination × seed)` cross product and hashes the result;
+//! the figure experiments (`stamp_experiments::failure`) list `instances`
+//! sampled canned workloads. Workers claim indices from one atomic counter
+//! and hand their `(index, result)` pairs back through their join handles,
+//! merged by index — so a report (and its [`CampaignReport::hash`]) is
+//! byte-identical at any worker count. That is the whole determinism
 //! argument: randomness is derived per cell from the cell's coordinates,
 //! never from worker identity or wall-clock.
 
 use crate::sim::{Sim, SimCheckpoint};
 use crate::timeline::{
     background_churn, choose_k, correlated_node_outage, flap_train, maintenance_windows,
-    policy_flip, prefix_hijack, prepend_hijack, provider_cone, random_attacker, route_leak,
-    single_link_failure, staggered_link_failures, NetEvent, Timeline, TimelineError,
+    policy_flip, prefix_hijack, prepend_hijack, provider_cone, random_attacker, reachability_mask,
+    route_leak, staggered_link_failures, Timeline, TimelineError,
 };
-use stamp_bgp::engine::{EngineConfig, RunOutcome, WatchdogConfig};
-use stamp_bgp::types::PrefixId;
+use stamp_bgp::engine::RunOutcome;
 use stamp_eventsim::fxhash::FxHashMap;
 use stamp_eventsim::rng::{tags, Rng};
-use stamp_eventsim::{derive_seed, DelayModel, LossModel, SimDuration};
+use stamp_eventsim::{derive_seed, SimDuration};
 use stamp_policy::PolicyRegime;
-use stamp_topology::{AsGraph, AsId, StaticRoutes};
-use std::fmt;
-use std::str::FromStr;
+use stamp_topology::{AsGraph, AsId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The prefix every run converges (one destination at a time, as in the
-/// paper).
-pub const PREFIX: PrefixId = PrefixId(0);
+// The shared vocabulary lives below this module (`params`, `sim`); these
+// re-exports keep the long-standing `stamp_workload::campaign::{..}` paths.
+pub use crate::params::{InstanceMetrics, RunParams, PREFIX};
+pub use crate::sim::{ParseProtocolError, Protocol};
 
-/// Protocols compared by campaigns and the figure experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Protocol {
-    Bgp,
-    RbgpNoRci,
-    Rbgp,
-    Stamp,
-}
+/// The campaign aggregate hash: FNV-1a's xor-then-multiply fold over
+/// little-endian words, but with the multiplier `2^48 + 0x1b3` — *not* the
+/// FNV prime (`2^40 + 0x1b3`, see `stamp_eventsim::Fnv1a`). The constant
+/// was mistyped when the campaign runner was written and every pinned
+/// campaign golden (`ci.sh`, `tests/determinism.rs`, the benchmark's
+/// `campaign_hash`) has depended on it since, so it stays its own four
+/// lines rather than joining the shared implementation.
+struct GridHash(u64);
 
-impl Protocol {
-    /// All four, in the paper's bar order.
-    pub const ALL: [Protocol; 4] = [
-        Protocol::Bgp,
-        Protocol::RbgpNoRci,
-        Protocol::Rbgp,
-        Protocol::Stamp,
-    ];
-
-    /// Paper's label (also the canonical [`fmt::Display`] form; round-trips
-    /// through [`Protocol::from_str`]). The string lives in the protocol's
-    /// registry row — one source of truth per variant.
-    pub fn label(&self) -> &'static str {
-        crate::sim::ProtocolSpec::of(*self).label
-    }
-
-    fn discriminant(&self) -> u64 {
-        match self {
-            Protocol::Bgp => 0,
-            Protocol::RbgpNoRci => 1,
-            Protocol::Rbgp => 2,
-            Protocol::Stamp => 3,
-        }
-    }
-}
-
-impl fmt::Display for Protocol {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // `pad`, not `write_str`: honour width/alignment specifiers so
-        // labels line up in report tables.
-        f.pad(self.label())
-    }
-}
-
-/// Error of [`Protocol::from_str`]: the input matched no label or alias.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseProtocolError {
-    input: String,
-}
-
-impl fmt::Display for ParseProtocolError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown protocol {:?} (expected one of: {})",
-            self.input,
-            crate::sim::REGISTRY
-                .iter()
-                .map(|s| s.aliases[0])
-                .collect::<Vec<_>>()
-                .join(", ")
-        )
-    }
-}
-
-impl std::error::Error for ParseProtocolError {}
-
-impl FromStr for Protocol {
-    type Err = ParseProtocolError;
-
-    /// Case-insensitive parse of a paper label ("R-BGP") or a CLI alias
-    /// ("rbgp") — the alias table lives in the protocol registry
-    /// ([`crate::sim::REGISTRY`]), so a new protocol parses the moment it
-    /// is registered.
-    fn from_str(s: &str) -> Result<Protocol, ParseProtocolError> {
-        let wanted = s.trim();
-        for spec in &crate::sim::REGISTRY {
-            if spec.label.eq_ignore_ascii_case(wanted)
-                || spec.aliases.iter().any(|a| a.eq_ignore_ascii_case(wanted))
-            {
-                return Ok(spec.protocol);
-            }
-        }
-        Err(ParseProtocolError {
-            input: s.to_string(),
-        })
-    }
-}
-
-/// Per-cell measurements of one protocol.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InstanceMetrics {
-    /// ASes with transient problems (the Figure 2/3 metric).
-    pub affected: usize,
-    /// ASes that saw a transient loop (subset of `affected`).
-    pub affected_loops: usize,
-    /// ASes that saw a transient blackhole (subset of `affected`).
-    pub affected_blackholes: usize,
-    /// Control-plane companion metric: ASes that adopted a selection
-    /// invalidated by the event ("affected in some ways", see DESIGN.md).
-    pub control_affected: usize,
-    /// Updates sent during initial convergence (E7 baseline).
-    pub updates_initial: u64,
-    /// Updates sent while re-converging after the timeline started (E7).
-    pub updates_failure: u64,
-    /// Seconds of simulated time from the timeline's *last* event to the
-    /// last FIB change (E8, control plane). For the paper's one-shot
-    /// workloads the last event is the injection instant.
-    pub convergence_delay_s: f64,
-    /// Seconds from the timeline's last event to the last observation that
-    /// still saw any forwarding problem (E8, data-plane recovery;
-    /// 0 = never disrupted after the final event).
-    pub data_recovery_s: f64,
-    /// Distinct AS paths interned by the engine's `PathArena` over the
-    /// whole run — deterministic (intern order is event order), so it
-    /// participates in the byte-identical regression checks.
-    pub interned_paths: usize,
-    /// How the cell's run ended: the first non-`Converged` outcome of its
-    /// phases (initial convergence, then the timeline phase). A diverging
-    /// cell is a *result*, not an error — campaigns keep running and the
-    /// outcome folds into the aggregate hash.
-    pub outcome: RunOutcome,
-}
-
-impl InstanceMetrics {
-    /// Feed every field into an FNV-1a accumulator (f64s by bit pattern),
-    /// so aggregate hashes detect any metric drift.
-    ///
-    /// The outcome contributes bytes **only when `Diverged`** — a marker
-    /// word plus the detected period and churn. Converged cells (and
-    /// deadline-truncated ones, which existed before outcomes were typed
-    /// and already shape the other metrics) write nothing, keeping every
-    /// pre-watchdog golden hash byte-identical.
-    fn fnv_into(&self, h: &mut Fnv1a) {
-        h.write_u64(self.affected as u64);
-        h.write_u64(self.affected_loops as u64);
-        h.write_u64(self.affected_blackholes as u64);
-        h.write_u64(self.control_affected as u64);
-        h.write_u64(self.updates_initial);
-        h.write_u64(self.updates_failure);
-        h.write_u64(self.convergence_delay_s.to_bits());
-        h.write_u64(self.data_recovery_s.to_bits());
-        h.write_u64(self.interned_paths as u64);
-        if let RunOutcome::Diverged { period, churn } = self.outcome {
-            h.write_u64(0xD1FE_D1FE_D1FE_D1FE);
-            h.write_u64(period.as_micros());
-            h.write_u64(churn);
-        }
-    }
-}
-
-/// FNV-1a 64-bit (hermetic; stable across platforms and runs).
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Fnv1a {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
+impl GridHash {
+    fn new() -> GridHash {
+        GridHash(0xcbf2_9ce4_8422_2325)
     }
 
     fn write_u64(&mut self, x: u64) {
@@ -197,94 +62,23 @@ impl Fnv1a {
             self.0 = self.0.wrapping_mul(0x1_0000_0000_01b3);
         }
     }
-}
 
-/// Engine and measurement knobs shared by every cell of a run; defaults
-/// follow §6.2 where the paper is explicit.
-#[derive(Debug, Clone)]
-pub struct RunParams {
-    /// Message delay model (paper: U[10 ms, 20 ms]).
-    pub delay: DelayModel,
-    /// MRAI base (paper: 30 s × U[0.75, 1.0] per session).
-    pub mrai_base: SimDuration,
-    /// Disable MRAI (fast tests only).
-    pub mrai_enabled: bool,
-    /// Rate-limit withdrawals too (paper-era simulator behaviour).
-    pub mrai_withdrawals: bool,
-    /// Delay between reaching quiescence and the timeline's epoch.
-    pub inject_delay: SimDuration,
-    /// Data-plane observation throttle (simulated time).
-    pub observe_interval: SimDuration,
-    /// Safety deadline per convergence phase (simulated time).
-    pub phase_deadline: SimDuration,
-    /// Message loss fault injection (zero in the paper's experiments; the
-    /// failover demo exposes the knob).
-    pub loss: LossModel,
-    /// Policy regime every router runs (default: `gao-rexford`, the
-    /// paper's hardwired prefer-customer + valley-free world). Compiled to
-    /// dense tables once per cell by [`RunParams::engine_config`].
-    pub policy: PolicyRegime,
-    /// Convergence-watchdog thresholds (oscillation detector + per-run
-    /// event budget) — see `stamp_bgp::engine::WatchdogConfig`.
-    pub watchdog: WatchdogConfig,
-}
-
-impl Default for RunParams {
-    fn default() -> Self {
-        RunParams {
-            delay: DelayModel::paper_default(),
-            mrai_base: SimDuration::from_secs(30),
-            mrai_enabled: true,
-            mrai_withdrawals: true,
-            inject_delay: SimDuration::from_secs(5),
-            observe_interval: SimDuration::from_millis(100),
-            phase_deadline: SimDuration::from_secs(4 * 3600),
-            loss: LossModel::none(),
-            policy: PolicyRegime::gao_rexford(),
-            watchdog: WatchdogConfig::default(),
+    /// Feed every field of `m` in (f64s by bit pattern), so aggregate
+    /// hashes detect any metric drift.
+    ///
+    /// The outcome contributes bytes **only when `Diverged`** — a marker
+    /// word plus the detected period and churn. Converged cells (and
+    /// deadline-truncated ones, which existed before outcomes were typed
+    /// and already shape the other metrics) write nothing, keeping every
+    /// pre-watchdog golden hash byte-identical.
+    fn write_metrics(&mut self, m: &InstanceMetrics) {
+        for w in m.words() {
+            self.write_u64(w);
         }
-    }
-}
-
-impl RunParams {
-    /// The paper's §6.2 parameters — an explicit name for
-    /// [`RunParams::default`].
-    pub fn paper() -> RunParams {
-        RunParams::default()
-    }
-
-    /// A configuration small enough for unit/integration tests: fixed 1 ms
-    /// delays, no MRAI.
-    pub fn fast() -> RunParams {
-        RunParams {
-            delay: DelayModel::fixed(SimDuration::from_millis(1)),
-            mrai_base: SimDuration::ZERO,
-            mrai_enabled: false,
-            mrai_withdrawals: false,
-            inject_delay: SimDuration::from_secs(1),
-            observe_interval: SimDuration::from_micros(1),
-            phase_deadline: SimDuration::from_secs(3600),
-            loss: LossModel::none(),
-            policy: PolicyRegime::gao_rexford(),
-            watchdog: WatchdogConfig::default(),
-        }
-    }
-
-    /// Engine configuration for one cell.
-    pub fn engine_config(&self, seed: u64) -> EngineConfig {
-        EngineConfig {
-            seed,
-            delay: self.delay,
-            mrai_base: self.mrai_base,
-            mrai_enabled: self.mrai_enabled,
-            mrai_withdrawals: self.mrai_withdrawals,
-            loss: self.loss,
-            policy: self
-                .policy
-                .compile()
-                // simlint::allow(panic, "builtins and parse_pol both bound community counts; only a hand-built regime can exceed them")
-                .expect("policy regime compiles"),
-            watchdog: self.watchdog,
+        if let RunOutcome::Diverged { period, churn } = m.outcome {
+            self.write_u64(0xD1FE_D1FE_D1FE_D1FE);
+            self.write_u64(period.as_micros());
+            self.write_u64(churn);
         }
     }
 }
@@ -294,14 +88,14 @@ impl RunParams {
 /// engine's delay/MRAI streams and STAMP's lock choices.
 ///
 /// `reachable[v]` must hold the post-timeline reachability of each AS
-/// (compute it from [`Timeline::removed_links`]). The timeline is injected
+/// ([`Timeline::reachable_after`]). The timeline is injected
 /// at an epoch `inject_delay` after initial quiescence; all offsets are
 /// absolute from that epoch, and recovery metrics are measured from the
 /// *last* event (the "settle point") — nothing is injected after it, so
 /// anything still broken later is a transient of the protocol, not of the
 /// workload.
 ///
-/// The protocol axis is a [`ProtocolSpec`] registry lookup inside the
+/// The protocol axis is a [`crate::sim::ProtocolSpec`] registry lookup inside the
 /// builder — no per-protocol code here; adding a protocol touches only the
 /// registry.
 pub fn run_protocol_cell(
@@ -346,25 +140,26 @@ pub fn run_protocol_cell_warm(
     )
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_protocol_cell_inner(
+/// A session for `(protocol, dest, seed)`. With a cache it comes back *at
+/// its converged baseline*: restored from the cached checkpoint, or
+/// converged cold and deposited for the next taker. Without one it is
+/// fresh (the first `measure`/`play` converges it).
+fn baseline_session(
     g: &AsGraph,
     params: &RunParams,
-    timeline: &Timeline,
     dest: AsId,
-    reachable: &[bool],
     protocol: Protocol,
     seed: u64,
     cache: Option<&BaselineCache>,
-) -> InstanceMetrics {
+) -> Sim {
     let mut sim = Sim::on(g)
         .protocol(protocol)
         .originate(dest, PREFIX)
         .seed(seed)
         .params(params.clone())
         .build()
-        // simlint::allow(panic, "destinations come from the campaign's own topology scan")
-        .expect("campaign destinations are in range");
+        // simlint::allow(panic, "destinations come from the caller's own topology scan")
+        .expect("cell destinations are in range");
     if let Some(cache) = cache {
         let fp = params.policy.fingerprint();
         match cache.get(protocol, dest, seed, fp) {
@@ -378,9 +173,24 @@ fn run_protocol_cell_inner(
             }
         }
     }
-    sim.measure(timeline, reachable)
+    sim
+}
+
+#[allow(clippy::too_many_arguments)]
+fn run_protocol_cell_inner(
+    g: &AsGraph,
+    params: &RunParams,
+    timeline: &Timeline,
+    dest: AsId,
+    reachable: &[bool],
+    protocol: Protocol,
+    seed: u64,
+    cache: Option<&BaselineCache>,
+) -> InstanceMetrics {
+    baseline_session(g, params, dest, protocol, seed, cache)
+        .measure(timeline, reachable)
         // simlint::allow(panic, "timelines are generated against this same graph")
-        .expect("timeline must resolve against the campaign topology")
+        .expect("timeline must resolve against the cell topology")
 }
 
 /// Point-in-time occupancy and traffic counters of a [`BaselineCache`]
@@ -668,25 +478,16 @@ pub fn adversarial_families(
         .unwrap_or(&hijacker);
     let la = dest(0);
     let lb = g.providers(la)[0];
+    let link_fails = || staggered_link_failures(&[(la, lb)], fail_at, s(0));
     let mut leak_events = route_leak(leaker, s(0));
-    leak_events.extend(single_link_failure(la, lb));
-    for e in &mut leak_events {
-        if matches!(e.ev, NetEvent::LinkDown(..)) {
-            e.at = fail_at;
-        }
-    }
+    leak_events.extend(link_fails());
     let leak = Timeline::from_events("route-leak", leak_events);
 
     let flip_idx = PolicyRegime::index_of("shortest-path")
         // simlint::allow(panic, "shortest-path is a built-in regime")
         .expect("shortest-path is a named regime");
     let mut flip_events = policy_flip(flip_idx, s(0));
-    flip_events.extend(single_link_failure(la, lb));
-    for e in &mut flip_events {
-        if matches!(e.ev, NetEvent::LinkDown(..)) {
-            e.at = fail_at;
-        }
-    }
+    flip_events.extend(link_fails());
     let flip = Timeline::from_events("policy-misconfig", flip_events);
 
     vec![hijack, prepend, leak, flip]
@@ -734,9 +535,7 @@ impl CampaignConfig {
     pub fn fast(seed: u64) -> CampaignConfig {
         CampaignConfig {
             params: RunParams::fast(),
-            protocols: Protocol::ALL.to_vec(),
-            seeds: vec![seed],
-            threads: 0,
+            ..CampaignConfig::paper(seed)
         }
     }
 }
@@ -783,41 +582,139 @@ pub struct CampaignReport {
     /// Every cell, in deterministic grid order (timeline-major, then
     /// destination, then seed) regardless of worker interleaving.
     pub cells: Vec<CellResult>,
-    /// FNV-1a over every metric of every cell in merge order — two
-    /// campaigns are byte-identical iff their hashes match.
+    /// Every metric of every cell folded in merge order (an FNV-1a-style
+    /// fold, see `GridHash`) — two campaigns are byte-identical iff their
+    /// hashes match.
     pub hash: u64,
 }
 
 impl CampaignReport {
     /// Aggregate one `(timeline, protocol)` slice of the grid.
     pub fn aggregate(&self, timeline: usize, p: Protocol) -> Aggregate {
-        let mut agg = Aggregate::default();
-        for c in self.cells.iter().filter(|c| c.cell.timeline == timeline) {
-            if let Some((_, m)) = c.metrics.iter().find(|(q, _)| *q == p) {
-                agg.cells += 1;
-                agg.affected_mean += m.affected as f64;
-                agg.loops_mean += m.affected_loops as f64;
-                agg.blackholes_mean += m.affected_blackholes as f64;
-                agg.updates_failure_mean += m.updates_failure as f64;
-                agg.convergence_mean_s += m.convergence_delay_s;
-                agg.data_recovery_mean_s += m.data_recovery_s;
-                if !m.outcome.is_converged() {
-                    agg.diverged += 1;
-                }
-            }
+        let ms: Vec<&InstanceMetrics> = self
+            .cells
+            .iter()
+            .filter(|c| c.cell.timeline == timeline)
+            .filter_map(|c| c.metrics.iter().find(|(q, _)| *q == p).map(|(_, m)| m))
+            .collect();
+        let mean = |field: fn(&InstanceMetrics) -> f64| {
+            InstanceMetrics::mean_of(ms.iter().copied(), field)
+        };
+        Aggregate {
+            cells: ms.len(),
+            affected_mean: mean(|m| m.affected as f64),
+            loops_mean: mean(|m| m.affected_loops as f64),
+            blackholes_mean: mean(|m| m.affected_blackholes as f64),
+            updates_failure_mean: mean(|m| m.updates_failure as f64),
+            convergence_mean_s: mean(|m| m.convergence_delay_s),
+            data_recovery_mean_s: mean(|m| m.data_recovery_s),
+            diverged: ms.iter().filter(|m| !m.outcome.is_converged()).count(),
         }
-        if agg.cells > 0 {
-            let n = agg.cells as f64;
-            agg.affected_mean /= n;
-            agg.loops_mean /= n;
-            agg.blackholes_mean /= n;
-            agg.updates_failure_mean /= n;
-            agg.convergence_mean_s /= n;
-            agg.data_recovery_mean_s /= n;
-        }
-        agg
     }
 }
+
+// ---------------------------------------------------------------------
+// The cell runner
+// ---------------------------------------------------------------------
+
+/// `f(0), f(1), … f(n-1)` computed on `threads` scoped workers (0 = all
+/// cores; never more workers than items), returned in index order. The one
+/// worker pool of the simulation crates: workers claim indices from an
+/// atomic counter, keep their own `(index, result)` pairs and return them
+/// through their join handles, so there is no shared result state to
+/// lock. A panicking worker's panic resumes on the caller.
+fn par_map<T: Send>(threads: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let threads = match threads {
+        // simlint::allow(ambient-env, "thread count only partitions work; results are merged by index and never depend on it")
+        0 => std::thread::available_parallelism().map_or(1, |c| c.get()),
+        t => t,
+    }
+    .min(n.max(1));
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, T)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break mine;
+                        }
+                        mine.push((i, f(i)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
+/// One unit of work for [`run_cells`]: a timeline played against one
+/// destination under one engine seed.
+#[derive(Debug, Clone, Copy)]
+pub struct Cell<'a> {
+    /// The scenario every protocol replays.
+    pub timeline: &'a Timeline,
+    /// The destination AS converged towards.
+    pub dest: AsId,
+    /// The *final* engine seed (delay/MRAI streams, STAMP's lock choices)
+    /// — callers derive it from their own coordinates; the runner adds
+    /// nothing.
+    pub seed: u64,
+}
+
+/// Run every cell for every protocol on `threads` workers (0 = all cores)
+/// and return the per-cell metrics, protocols in `protocols` order, cells
+/// **in input order** whatever the worker interleaving.
+///
+/// Before any thread spawns, each cell's timeline is resolved against `g`
+/// (an unresolvable one is the typed error, and nothing has run) and its
+/// reachability mask computed: a run of adjacent cells on one timeline
+/// shares that timeline's after-graph, and within it cells that differ
+/// only in seed share the mask. With a `cache`, cells fork cached
+/// baselines and deposit the ones they had to converge; results are
+/// bit-identical either way.
+pub fn run_cells(
+    g: &AsGraph,
+    params: &RunParams,
+    protocols: &[Protocol],
+    threads: usize,
+    cells: &[Cell<'_>],
+    cache: Option<&BaselineCache>,
+) -> Result<Vec<Vec<(Protocol, InstanceMetrics)>>, TimelineError> {
+    let mut masks: Vec<Arc<[bool]>> = Vec::with_capacity(cells.len());
+    for on_timeline in cells.chunk_by(|a, b| a.timeline == b.timeline) {
+        let timeline = on_timeline[0].timeline;
+        timeline.resolve(g)?;
+        let g_after = timeline.graph_after(g)?;
+        for to_dest in on_timeline.chunk_by(|a, b| a.dest == b.dest) {
+            let mask: Arc<[bool]> = reachability_mask(&g_after, to_dest[0].dest).into();
+            masks.extend(to_dest.iter().map(|_| mask.clone()));
+        }
+    }
+    Ok(par_map(threads, cells.len(), |i| {
+        let c = &cells[i];
+        protocols
+            .iter()
+            .map(|&p| {
+                let m = run_protocol_cell_inner(
+                    g, params, c.timeline, c.dest, &masks[i], p, c.seed, cache,
+                );
+                (p, m)
+            })
+            .collect()
+    }))
+}
+
+// ---------------------------------------------------------------------
+// Campaigns: the cross-product cell list
+// ---------------------------------------------------------------------
 
 /// Deterministic per-cell seed: a function of the cell's coordinates and
 /// the seed-axis value only — never of worker identity.
@@ -826,11 +723,28 @@ fn cell_seed(cell: &CampaignCell) -> u64 {
     derive_seed(derive_seed(cell.seed, tags::CAMPAIGN), coord)
 }
 
+/// The grid in merge order: timeline-major, then destination, then seed.
+fn grid_cells(n_timelines: usize, dests: &[AsId], seeds: &[u64]) -> Vec<CampaignCell> {
+    let mut grid = Vec::with_capacity(n_timelines * dests.len() * seeds.len());
+    for timeline in 0..n_timelines {
+        for &dest in dests {
+            for &seed in seeds {
+                grid.push(CampaignCell {
+                    timeline,
+                    dest,
+                    seed,
+                });
+            }
+        }
+    }
+    grid
+}
+
 /// Run a campaign: the full `timelines × dests × seeds` grid, sharded
 /// across `cfg.threads` workers (0 = all cores), merged in grid order.
 ///
-/// Fails fast (before spawning anything) if any timeline does not resolve
-/// against `g`.
+/// Fails fast (before spawning anything) if the timeline of any cell does
+/// not resolve against `g`.
 pub fn run_campaign(
     g: &AsGraph,
     timelines: &[Timeline],
@@ -842,8 +756,9 @@ pub fn run_campaign(
 
 /// Converge every baseline of the grid into `cache` without playing any
 /// timeline: afterwards a [`run_campaign_with_cache`] pass over the same
-/// grid forks every cell instead of converging it. Idempotent — already
-/// cached baselines are skipped.
+/// grid forks every cell instead of converging it. Idempotent — an already
+/// cached baseline costs a restore, not a convergence. Deliberately
+/// serial: the deposit order is what a bounded cache's FIFO eviction sees.
 pub fn populate_baselines(
     g: &AsGraph,
     n_timelines: usize,
@@ -851,32 +766,9 @@ pub fn populate_baselines(
     cfg: &CampaignConfig,
     cache: &BaselineCache,
 ) {
-    let fp = cfg.params.policy.fingerprint();
-    for t in 0..n_timelines {
-        for &dest in dests {
-            for &seed in &cfg.seeds {
-                let cell = CampaignCell {
-                    timeline: t,
-                    dest,
-                    seed,
-                };
-                let seed = cell_seed(&cell);
-                for &p in &cfg.protocols {
-                    if cache.get(p, dest, seed, fp).is_some() {
-                        continue;
-                    }
-                    let mut sim = Sim::on(g)
-                        .protocol(p)
-                        .originate(dest, PREFIX)
-                        .seed(seed)
-                        .params(cfg.params.clone())
-                        .build()
-                        // simlint::allow(panic, "destinations come from the campaign's own topology scan")
-                        .expect("campaign destinations are in range");
-                    sim.converge();
-                    cache.put(p, dest, seed, fp, sim.checkpoint());
-                }
-            }
+    for cell in grid_cells(n_timelines, dests, &cfg.seeds) {
+        for &p in &cfg.protocols {
+            baseline_session(g, &cfg.params, cell.dest, p, cell_seed(&cell), Some(cache));
         }
     }
 }
@@ -893,108 +785,29 @@ pub fn run_campaign_with_cache(
     cfg: &CampaignConfig,
     cache: Option<&BaselineCache>,
 ) -> Result<CampaignReport, TimelineError> {
-    // Validate the whole grid up front; workers may then expect().
-    let mut removed_per_timeline = Vec::with_capacity(timelines.len());
-    for t in timelines {
-        t.resolve(g)?;
-        removed_per_timeline.push(t.removed_links(g)?);
-    }
-    // Post-timeline reachability per (timeline, dest) — shared read-only.
-    let reachable: Vec<Vec<Vec<bool>>> = removed_per_timeline
+    let grid = grid_cells(timelines.len(), dests, &cfg.seeds);
+    let cells: Vec<Cell<'_>> = grid
         .iter()
-        .map(|removed| {
-            let g_after = g.without_links(removed);
-            dests
-                .iter()
-                .map(|&d| {
-                    let truth = StaticRoutes::compute(&g_after, d);
-                    (0..g.n())
-                        .map(|v| truth.reachable(AsId::from_usize(v)))
-                        .collect()
-                })
-                .collect()
+        .map(|c| Cell {
+            timeline: &timelines[c.timeline],
+            dest: c.dest,
+            seed: cell_seed(c),
         })
         .collect();
-
-    let mut cells = Vec::with_capacity(timelines.len() * dests.len() * cfg.seeds.len());
-    for t in 0..timelines.len() {
-        for (di, &dest) in dests.iter().enumerate() {
-            for &seed in &cfg.seeds {
-                cells.push((
-                    CampaignCell {
-                        timeline: t,
-                        dest,
-                        seed,
-                    },
-                    di,
-                ));
-            }
-        }
-    }
-
-    let threads = if cfg.threads == 0 {
-        // simlint::allow(ambient-env, "thread count only partitions work; cell results and the campaign hash are independent of it")
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        cfg.threads
-    }
-    .min(cells.len().max(1));
-
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<CellResult>>> = Mutex::new(vec![None; cells.len()]);
-
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cells.len() {
-                    break;
-                }
-                let (cell, di) = cells[i];
-                let seed = cell_seed(&cell);
-                let metrics: Vec<(Protocol, InstanceMetrics)> = cfg
-                    .protocols
-                    .iter()
-                    .map(|&p| {
-                        (
-                            p,
-                            run_protocol_cell_inner(
-                                g,
-                                &cfg.params,
-                                &timelines[cell.timeline],
-                                cell.dest,
-                                &reachable[cell.timeline][di],
-                                p,
-                                seed,
-                                cache,
-                            ),
-                        )
-                    })
-                    .collect();
-                // simlint::allow(panic, "a poisoned slot mutex means a sibling worker already panicked")
-                slots.lock().unwrap()[i] = Some(CellResult { cell, metrics });
-            });
-        }
-    });
-
-    let cells: Vec<CellResult> = slots
-        .into_inner()
-        // simlint::allow(panic, "poison here means a worker already panicked")
-        .expect("no worker panicked")
+    let metrics = run_cells(g, &cfg.params, &cfg.protocols, cfg.threads, &cells, cache)?;
+    let cells: Vec<CellResult> = grid
         .into_iter()
-        // simlint::allow(panic, "the atomic counter hands out every index exactly once")
-        .map(|slot| slot.expect("all cells ran"))
+        .zip(metrics)
+        .map(|(cell, metrics)| CellResult { cell, metrics })
         .collect();
-    let mut h = Fnv1a::new();
+    let mut h = GridHash::new();
     for c in &cells {
         h.write_u64(c.cell.timeline as u64);
         h.write_u64(c.cell.dest.0 as u64);
         h.write_u64(c.cell.seed);
         for (p, m) in &c.metrics {
-            h.write_u64(p.discriminant());
-            m.fnv_into(&mut h);
+            h.write_u64(*p as u64);
+            h.write_metrics(m);
         }
     }
     Ok(CampaignReport {
@@ -1009,7 +822,7 @@ pub fn run_campaign_with_cache(
 mod tests {
     use super::*;
     use crate::canned::{destination_candidates, sample_canned, FailureScenario};
-    use crate::timeline::{flap_train, maintenance_windows, Timeline};
+    use crate::timeline::{flap_train, maintenance_windows, single_link_failure};
     use stamp_eventsim::{rng_stream, SimDuration};
     use stamp_topology::gen::{generate, GenConfig};
 
@@ -1075,17 +888,103 @@ mod tests {
         let g = generate(&GenConfig::small(41)).unwrap();
         let mut rng = rng_stream(3, stamp_eventsim::rng::tags::WORKLOAD);
         let w = sample_canned(&g, FailureScenario::SingleLink, &mut rng).unwrap();
-        let removed = w.timeline.removed_links(&g).unwrap();
-        let g_after = g.without_links(&removed);
-        let truth = StaticRoutes::compute(&g_after, w.dest);
-        let reachable: Vec<bool> = (0..g.n() as u32)
-            .map(|v| truth.reachable(AsId(v)))
-            .collect();
+        let reachable = w.timeline.reachable_after(&g, w.dest).unwrap();
         let params = RunParams::fast();
         for p in Protocol::ALL {
             let m = run_protocol_cell(&g, &params, &w.timeline, w.dest, &reachable, p, 11);
             assert!(m.affected < g.n(), "{}", p.label());
             assert!(m.interned_paths > 0, "{}", p.label());
         }
+    }
+
+    /// Two seeds of every `(timeline, dest)` of `grid`, shuffled out of
+    /// grid order.
+    fn shuffled_cells<'a>(timelines: &'a [Timeline], dests: &[AsId]) -> Vec<Cell<'a>> {
+        let mut cells = Vec::new();
+        for (t, timeline) in timelines.iter().enumerate() {
+            for &dest in dests {
+                for seed in [derive_seed(3, t as u64), derive_seed(4, t as u64)] {
+                    cells.push(Cell {
+                        timeline,
+                        dest,
+                        seed,
+                    });
+                }
+            }
+        }
+        rng_stream(0x5AFF, tags::WORKLOAD).shuffle(&mut cells);
+        cells
+    }
+
+    #[test]
+    fn run_cells_keeps_input_order_with_or_without_a_cache() {
+        let (g, timelines, dests) = grid(27);
+        let params = RunParams::fast();
+        let protocols = [Protocol::Bgp, Protocol::Stamp];
+        let cells = shuffled_cells(&timelines, &dests);
+        // The reference: each cell on its own, through the single-cell API.
+        let want: Vec<Vec<(Protocol, InstanceMetrics)>> = cells
+            .iter()
+            .map(|c| {
+                let mask = c.timeline.reachable_after(&g, c.dest).unwrap();
+                let cell = |p| run_protocol_cell(&g, &params, c.timeline, c.dest, &mask, p, c.seed);
+                protocols.iter().map(|&p| (p, cell(p))).collect()
+            })
+            .collect();
+        assert!(
+            want.iter().any(|row| *row != want[0]),
+            "rows differ, so their order is observable"
+        );
+        let cache = BaselineCache::new();
+        for threads in [1, 2, 5] {
+            let run = |cache| run_cells(&g, &params, &protocols, threads, &cells, cache).unwrap();
+            assert_eq!(run(None), want, "cold, threads = {threads}");
+            assert_eq!(run(Some(&cache)), want, "cached, threads = {threads}");
+        }
+        let stats = cache.stats();
+        assert!(stats.misses > 0 && stats.hits > 0, "deposit, then fork");
+    }
+
+    #[test]
+    fn run_cells_rejects_an_unresolvable_timeline_before_running_anything() {
+        let (g, timelines, dests) = grid(31);
+        // A link between an AS and itself never exists.
+        let bogus = Timeline::from_events("bogus", single_link_failure(dests[0], dests[0]));
+        let cells = [&timelines[0], &bogus].map(|timeline| Cell {
+            timeline,
+            dest: dests[1],
+            seed: 1,
+        });
+        let cache = BaselineCache::new();
+        let params = RunParams::fast();
+        let err = run_cells(&g, &params, &[Protocol::Bgp], 2, &cells, Some(&cache));
+        assert_eq!(err, Err(TimelineError::NoSuchLink(dests[0], dests[0])));
+        assert_eq!(cache.stats().misses, 0, "the valid first cell never ran");
+    }
+
+    #[test]
+    fn run_cells_handles_empty_and_oversubscribed_lists() {
+        let (g, timelines, dests) = grid(33);
+        let run = |threads, cells: &[Cell<'_>]| {
+            run_cells(
+                &g,
+                &RunParams::fast(),
+                &[Protocol::Bgp],
+                threads,
+                cells,
+                None,
+            )
+            .unwrap()
+        };
+        for threads in [0, 1, 8] {
+            assert!(run(threads, &[]).is_empty());
+        }
+        let one = [Cell {
+            timeline: &timelines[1],
+            dest: dests[0],
+            seed: 9,
+        }];
+        assert_eq!(run(1, &one).len(), 1);
+        assert_eq!(run(1, &one), run(16, &one));
     }
 }

@@ -16,10 +16,16 @@
 //! * [`canned`] — the paper's Figure 2/3a/3b and §6.2.2 workloads expressed
 //!   as canned one-shot timelines (the figure experiments sample through
 //!   these);
-//! * [`campaign`] — the `(timeline × destination × seed)` grid runner:
-//!   `std::thread::scope` workers each own their engines and path arenas,
-//!   results merge in grid order, and the report carries an FNV-1a
-//!   aggregate hash that is byte-identical at any worker count;
+//! * [`campaign`] — where cells run. A cell is one `(timeline, destination,
+//!   engine seed)` on which every protocol replays the identical scenario;
+//!   [`run_cells`] is the workspace's one cell runner (validate, compute
+//!   reachability masks, fan out over scoped workers, merge in input
+//!   order). [`run_campaign`] feeds it the `(timeline × destination × seed)`
+//!   cross product and folds the result into an aggregate hash that is
+//!   byte-identical at any worker count; the figure experiments feed it
+//!   sampled canned workloads;
+//! * [`params`] — the vocabulary below all of the above: [`PREFIX`],
+//!   [`RunParams`], [`InstanceMetrics`];
 //! * [`sim`] — the unified session facade every consumer goes through:
 //!   the fluent [`sim::Sim`] builder, the per-protocol
 //!   [`sim::ProtocolSpec`] registry and the typed [`sim::Probe`]
@@ -34,26 +40,28 @@
 pub mod campaign;
 pub mod canned;
 pub mod dsl;
+pub mod params;
 pub mod sim;
 pub mod timeline;
 
 pub use campaign::{
     adversarial_families, adversarial_grid, populate_baselines, run_campaign,
-    run_campaign_with_cache, run_protocol_cell, run_protocol_cell_warm, smoke_grid,
+    run_campaign_with_cache, run_cells, run_protocol_cell, run_protocol_cell_warm, smoke_grid,
     standard_families, Aggregate, BaselineCache, CacheStats, CampaignCell, CampaignConfig,
-    CampaignReport, CellResult, InstanceMetrics, ParseProtocolError, Protocol, RunParams, PREFIX,
+    CampaignReport, Cell, CellResult,
 };
 pub use canned::{destination_candidates, sample_canned, CannedWorkload, FailureScenario};
 pub use dsl::{parse_scn, ScnError, ScnErrorKind};
+pub use params::{InstanceMetrics, RunParams, PREFIX};
 pub use sim::{
-    MetricsProbe, NullProbe, Phase, Played, Probe, ProtocolEngine, ProtocolSpec, Sim, SimBuilder,
-    SimCheckpoint, SimError, SimEvent, SnapshotCause,
+    MetricsProbe, NullProbe, ParseProtocolError, Phase, Played, Probe, Protocol, ProtocolEngine,
+    ProtocolSpec, Sim, SimBuilder, SimCheckpoint, SimError, SimEvent, SnapshotCause,
 };
 pub use stamp_bgp::engine::{RunOutcome, WatchdogConfig};
 pub use stamp_policy::PolicyRegime;
 pub use timeline::{
     background_churn, choose_k, correlated_node_outage, flap_train, maintenance_windows,
     node_drain, policy_flip, prefix_hijack, prepend_hijack, provider_cone, random_attacker,
-    route_leak, single_link_failure, staggered_link_failures, tier_members, NetEvent, Timeline,
-    TimelineError, TimelineEvent,
+    reachability_mask, route_leak, single_link_failure, staggered_link_failures, tier_members,
+    NetEvent, Timeline, TimelineError, TimelineEvent,
 };

@@ -38,7 +38,7 @@
 //! `convergence_2000` in `benches/micro.rs` are the end-to-end gauges of
 //! this path.
 
-use crate::campaign::{InstanceMetrics, Protocol, RunParams};
+use crate::params::{InstanceMetrics, RunParams};
 use crate::timeline::{Timeline, TimelineError};
 use stamp_bgp::engine::{Checkpoint, Engine, EngineConfig, RunOutcome, RunStats, ScenarioEvent};
 use stamp_bgp::router::{BgpRouter, RouterLogic};
@@ -50,6 +50,7 @@ use stamp_rbgp::{RbgpConfig, RbgpRouter};
 use stamp_topology::{AsGraph, AsId};
 use std::collections::VecDeque;
 use std::fmt;
+use std::str::FromStr;
 
 // ---------------------------------------------------------------------
 // Errors
@@ -102,6 +103,87 @@ impl From<TimelineError> for SimError {
 // ---------------------------------------------------------------------
 // The protocol registry
 // ---------------------------------------------------------------------
+
+/// Protocols compared by campaigns and the figure experiments. The
+/// declaration order is load-bearing: campaign hashes fold `p as u64`, so
+/// append variants, never reorder them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Protocol {
+    Bgp,
+    RbgpNoRci,
+    Rbgp,
+    Stamp,
+}
+
+impl Protocol {
+    /// All four, in the paper's bar order.
+    pub const ALL: [Protocol; 4] = [
+        Protocol::Bgp,
+        Protocol::RbgpNoRci,
+        Protocol::Rbgp,
+        Protocol::Stamp,
+    ];
+
+    /// Paper's label (also the canonical [`fmt::Display`] form; round-trips
+    /// through [`Protocol::from_str`]). The string lives in the protocol's
+    /// registry row — one source of truth per variant.
+    pub fn label(&self) -> &'static str {
+        ProtocolSpec::of(*self).label
+    }
+}
+
+impl fmt::Display for Protocol {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // `pad`, not `write_str`: honour width/alignment specifiers so
+        // labels line up in report tables.
+        f.pad(self.label())
+    }
+}
+
+/// Error of [`Protocol::from_str`]: the input matched no label or alias.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseProtocolError {
+    input: String,
+}
+
+impl fmt::Display for ParseProtocolError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "unknown protocol {:?} (expected one of: {})",
+            self.input,
+            REGISTRY
+                .iter()
+                .map(|s| s.aliases[0])
+                .collect::<Vec<_>>()
+                .join(", ")
+        )
+    }
+}
+
+impl std::error::Error for ParseProtocolError {}
+
+impl FromStr for Protocol {
+    type Err = ParseProtocolError;
+
+    /// Case-insensitive parse of a paper label ("R-BGP") or a CLI alias
+    /// ("rbgp") — the alias table lives in the protocol registry
+    /// ([`REGISTRY`]), so a new protocol parses the moment it
+    /// is registered.
+    fn from_str(s: &str) -> Result<Protocol, ParseProtocolError> {
+        let wanted = s.trim();
+        for spec in &REGISTRY {
+            if spec.label.eq_ignore_ascii_case(wanted)
+                || spec.aliases.iter().any(|a| a.eq_ignore_ascii_case(wanted))
+            {
+                return Ok(spec.protocol);
+            }
+        }
+        Err(ParseProtocolError {
+            input: s.to_string(),
+        })
+    }
+}
 
 /// What a router type must provide for the facade to drive it: a
 /// zero-allocation forwarding view over a borrowed engine and the
@@ -199,19 +281,8 @@ fn own(v: AsId, dest: AsId, prefix: PrefixId) -> Vec<PrefixId> {
     }
 }
 
-fn make_bgp(
-    g: &AsGraph,
-    cfg: EngineConfig,
-    dest: AsId,
-    prefix: PrefixId,
-    _seed: u64,
-) -> EngineKind {
-    EngineKind::Bgp(Engine::new(g.clone(), cfg, |v| {
-        BgpRouter::new(v, own(v, dest, prefix))
-    }))
-}
-
-fn make_rbgp_with(
+/// An R-BGP engine, with or without root-cause information.
+fn make_rbgp(
     g: &AsGraph,
     cfg: EngineConfig,
     dest: AsId,
@@ -227,63 +298,39 @@ fn make_rbgp_with(
     }))
 }
 
-fn make_rbgp_no_rci(
-    g: &AsGraph,
-    cfg: EngineConfig,
-    dest: AsId,
-    prefix: PrefixId,
-    _seed: u64,
-) -> EngineKind {
-    make_rbgp_with(g, cfg, dest, prefix, false)
-}
-
-fn make_rbgp(
-    g: &AsGraph,
-    cfg: EngineConfig,
-    dest: AsId,
-    prefix: PrefixId,
-    _seed: u64,
-) -> EngineKind {
-    make_rbgp_with(g, cfg, dest, prefix, true)
-}
-
-fn make_stamp(
-    g: &AsGraph,
-    cfg: EngineConfig,
-    dest: AsId,
-    prefix: PrefixId,
-    seed: u64,
-) -> EngineKind {
-    EngineKind::Stamp(Engine::new(g.clone(), cfg, |v| {
-        StampRouter::new(v, own(v, dest, prefix), LockStrategy::Random { seed })
-    }))
-}
-
 /// The protocol table, [`Protocol::ALL`] order.
 pub static REGISTRY: [ProtocolSpec; 4] = [
     ProtocolSpec {
         protocol: Protocol::Bgp,
         label: "BGP",
         aliases: &["bgp"],
-        make: make_bgp,
+        make: |g, cfg, dest, prefix, _seed| {
+            EngineKind::Bgp(Engine::new(g.clone(), cfg, |v| {
+                BgpRouter::new(v, own(v, dest, prefix))
+            }))
+        },
     },
     ProtocolSpec {
         protocol: Protocol::RbgpNoRci,
         label: "R-BGP without RCI",
         aliases: &["rbgp-norci", "r-bgp-without-rci"],
-        make: make_rbgp_no_rci,
+        make: |g, cfg, dest, prefix, _seed| make_rbgp(g, cfg, dest, prefix, false),
     },
     ProtocolSpec {
         protocol: Protocol::Rbgp,
         label: "R-BGP",
         aliases: &["rbgp", "r-bgp"],
-        make: make_rbgp,
+        make: |g, cfg, dest, prefix, _seed| make_rbgp(g, cfg, dest, prefix, true),
     },
     ProtocolSpec {
         protocol: Protocol::Stamp,
         label: "STAMP",
         aliases: &["stamp"],
-        make: make_stamp,
+        make: |g, cfg, dest, prefix, seed| {
+            EngineKind::Stamp(Engine::new(g.clone(), cfg, |v| {
+                StampRouter::new(v, own(v, dest, prefix), LockStrategy::Random { seed })
+            }))
+        },
     },
 ];
 
@@ -720,31 +767,6 @@ impl Sim {
         }
     }
 
-    /// Mutable concrete-engine access (harness surgery; the facade itself
-    /// never needs it).
-    pub fn bgp_mut(&mut self) -> Option<&mut Engine<BgpRouter>> {
-        match &mut self.engine {
-            EngineKind::Bgp(e) => Some(e),
-            _ => None,
-        }
-    }
-
-    /// See [`Sim::bgp_mut`].
-    pub fn rbgp_mut(&mut self) -> Option<&mut Engine<RbgpRouter>> {
-        match &mut self.engine {
-            EngineKind::Rbgp(e) => Some(e),
-            _ => None,
-        }
-    }
-
-    /// See [`Sim::bgp_mut`].
-    pub fn stamp_mut(&mut self) -> Option<&mut Engine<StampRouter>> {
-        match &mut self.engine {
-            EngineKind::Stamp(e) => Some(e),
-            _ => None,
-        }
-    }
-
     /// Cold-start convergence with observation: originations go out, the
     /// network runs to quiescence (bounded by
     /// [`RunParams::phase_deadline`]). Idempotent — a second call is a
@@ -825,7 +847,7 @@ impl Sim {
     /// The one-stop paper measurement: converge, reset measurement state,
     /// play `timeline` under a [`MetricsProbe`], and assemble
     /// [`InstanceMetrics`]. `reachable[v]` must hold each AS's
-    /// post-timeline reachability (see [`Timeline::removed_links`]).
+    /// post-timeline reachability (see [`Timeline::reachable_after`]).
     ///
     /// `updates_failure` counts the updates sent by *this* call (on a
     /// fresh session: everything after initial convergence), so measuring
@@ -956,7 +978,7 @@ pub struct Played {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::PREFIX;
+    use crate::params::PREFIX;
     use crate::timeline::flap_train;
     use stamp_topology::gen::{generate, GenConfig};
     use stamp_topology::GraphBuilder;

@@ -18,11 +18,12 @@
 //! [`Rng`], by convention `rng_stream(seed, tags::TIMELINE)`, so every
 //! timeline is byte-reproducible from its seed.
 
+use crate::params::PREFIX;
 use stamp_bgp::engine::ScenarioEvent;
 use stamp_bgp::types::RootCause;
 use stamp_eventsim::rng::Rng;
 use stamp_eventsim::SimDuration;
-use stamp_topology::{AsGraph, AsId, LinkId};
+use stamp_topology::{AsGraph, AsId, LinkId, StaticRoutes};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -233,12 +234,12 @@ impl Timeline {
                         forged_origin,
                     } => ScenarioEvent::Hijack {
                         attacker: node(attacker)?,
-                        prefix: crate::campaign::PREFIX,
+                        prefix: PREFIX,
                         forged_origin: forged_origin.map(node).transpose()?,
                     },
                     NetEvent::RouteLeak(v) => ScenarioEvent::Leak {
                         leaker: node(v)?,
-                        prefix: crate::campaign::PREFIX,
+                        prefix: PREFIX,
                     },
                     NetEvent::PolicyFlip(idx) => ScenarioEvent::FlipPolicy(idx),
                 };
@@ -257,29 +258,16 @@ impl Timeline {
         let mut node_down = vec![false; g.n()];
         for e in &self.events {
             match e.ev {
-                NetEvent::LinkDown(a, b) => {
-                    link_down[g
+                NetEvent::LinkDown(a, b) | NetEvent::LinkUp(a, b) => {
+                    let link = g
                         .link_between(a, b)
-                        .ok_or(TimelineError::NoSuchLink(a, b))?
-                        .index()] = true;
+                        .ok_or(TimelineError::NoSuchLink(a, b))?;
+                    link_down[link.index()] = e.ev.is_failure();
                 }
-                NetEvent::LinkUp(a, b) => {
-                    link_down[g
-                        .link_between(a, b)
-                        .ok_or(TimelineError::NoSuchLink(a, b))?
-                        .index()] = false;
-                }
-                NetEvent::NodeDown(v) => {
-                    if v.index() >= g.n() {
-                        return Err(TimelineError::NoSuchNode(v));
-                    }
-                    node_down[v.index()] = true;
-                }
-                NetEvent::NodeUp(v) => {
-                    if v.index() >= g.n() {
-                        return Err(TimelineError::NoSuchNode(v));
-                    }
-                    node_down[v.index()] = false;
+                NetEvent::NodeDown(v) | NetEvent::NodeUp(v) => {
+                    *node_down
+                        .get_mut(v.index())
+                        .ok_or(TimelineError::NoSuchNode(v))? = e.ev.is_failure();
                 }
                 // Adversarial events never touch the physical topology:
                 // a hijacked prefix is still *reachable*, the RIB just
@@ -299,6 +287,21 @@ impl Timeline {
         Ok(removed)
     }
 
+    /// The topology once the whole timeline has played out: `g` minus
+    /// [`Timeline::removed_links`] (dense ids unchanged).
+    pub fn graph_after(&self, g: &AsGraph) -> Result<AsGraph, TimelineError> {
+        Ok(g.without_links(&self.removed_links(g)?))
+    }
+
+    /// Post-timeline reachability of `dest`: [`reachability_mask`] over
+    /// [`Timeline::graph_after`] — the ground truth a cell's
+    /// transient-problem metrics are measured against (`reachable` of
+    /// [`Sim::measure`](crate::sim::Sim::measure)). Callers with several
+    /// destinations per timeline build the after-graph once themselves.
+    pub fn reachable_after(&self, g: &AsGraph, dest: AsId) -> Result<Vec<bool>, TimelineError> {
+        Ok(reachability_mask(&self.graph_after(g)?, dest))
+    }
+
     /// Root causes touched by the timeline, deduplicated in first-seen
     /// order (the control-plane "affected in some ways" metric keys on
     /// these).
@@ -313,6 +316,15 @@ impl Timeline {
         }
         seen
     }
+}
+
+/// `mask[v]`: does AS `v` have a policy-compliant route to `dest` in `g`?
+/// The workspace's one reachability-mask implementation — cells, what-ifs
+/// and tests all get theirs here (usually via
+/// [`Timeline::reachable_after`]).
+pub fn reachability_mask(g: &AsGraph, dest: AsId) -> Vec<bool> {
+    let truth = StaticRoutes::compute(g, dest);
+    g.ases().map(|v| truth.reachable(v)).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -668,6 +680,40 @@ mod tests {
             correlated_node_outage(&[AsId(2)], SimDuration::from_secs(1), None),
         );
         assert_eq!(t2.removed_links(&g).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn reachable_after_equals_the_hand_rolled_mask_on_a_node_failure() {
+        // A node failure names no link, so the mask is only right if
+        // `removed_links` replays node liveness: one provider of a
+        // multi-homed AS dies for good while another flaps and recovers.
+        let g = generate(&GenConfig::small(17)).unwrap();
+        let dest = crate::canned::destination_candidates(&g)[0];
+        let providers = g.providers(dest);
+        let mut events = correlated_node_outage(&[providers[0]], SimDuration::ZERO, None);
+        events.extend(correlated_node_outage(
+            &[providers[1]],
+            SimDuration::from_secs(1),
+            Some(SimDuration::from_secs(5)),
+        ));
+        let t = Timeline::from_events("node-failure", events);
+
+        let removed = t.removed_links(&g).unwrap();
+        let truth = StaticRoutes::compute(&g.without_links(&removed), dest);
+        let by_hand: Vec<bool> = (0..g.n())
+            .map(|v| truth.reachable(AsId::from_usize(v)))
+            .collect();
+
+        let mask = t.reachable_after(&g, dest).unwrap();
+        assert_eq!(mask, by_hand);
+        assert!(!mask[providers[0].index()], "the dead provider is cut off");
+        assert!(mask[providers[1].index()], "the recovered one is not");
+        // Errors are the timeline's own.
+        let bogus = Timeline::from_events("bogus", node_drain(AsId(9999), SimDuration::ZERO));
+        assert_eq!(
+            bogus.reachable_after(&g, dest),
+            Err(TimelineError::NoSuchNode(AsId(9999)))
+        );
     }
 
     #[test]

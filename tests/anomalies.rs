@@ -21,10 +21,10 @@
 
 use stamp_repro::eventsim::rng::{derive_seed, tags};
 use stamp_repro::eventsim::rng_stream;
-use stamp_repro::topology::{generate, AsId, GenConfig, StaticRoutes};
+use stamp_repro::topology::{generate, AsId, GenConfig};
 use stamp_repro::workload::{
-    choose_k, destination_candidates, run_campaign, run_protocol_cell, standard_families,
-    CampaignConfig, Protocol, RunParams, Timeline,
+    choose_k, destination_candidates, run_campaign, run_cells, standard_families, CampaignConfig,
+    Cell, InstanceMetrics, Protocol, RunParams, Timeline,
 };
 
 /// The campaign binary's default master seed.
@@ -89,37 +89,25 @@ fn bgp_maintenance_drain_loop_anomaly_at_500_ases() {
     let (g, timelines, dests) = default_grid(500, 4);
     let tl = &timelines[3];
     assert_eq!(tl.name(), "maintenance-drain");
-    let removed = tl.removed_links(&g).expect("timeline resolves");
-    let g_after = g.without_links(&removed);
-    let seeds: Vec<u64> = (0..2u64).map(|i| SEED ^ (i << 17)).collect();
-
-    let mut loops_total = 0usize;
-    let mut cells = 0usize;
-    for &dest in &dests {
-        let truth = StaticRoutes::compute(&g_after, dest);
-        let reachable: Vec<bool> = (0..g.n())
-            .map(|v| truth.reachable(AsId::from_usize(v)))
-            .collect();
-        for &axis in &seeds {
-            // `cell_seed` in workload::campaign: coordinates only, never
-            // worker identity.
-            let coord = (3u64 << 32) | u64::from(dest.0);
-            let seed = derive_seed(derive_seed(axis, tags::CAMPAIGN), coord);
-            let m = run_protocol_cell(
-                &g,
-                &RunParams::paper(),
-                tl,
-                dest,
-                &reachable,
-                Protocol::Bgp,
-                seed,
-            );
-            loops_total += m.affected_loops;
-            cells += 1;
-        }
-    }
-    assert_eq!(cells, 8);
-    let loops_mean = loops_total as f64 / cells as f64;
+    // `cell_seed` in workload::campaign: coordinates only, never worker
+    // identity.
+    let cell = |dest: AsId, axis: u64| Cell {
+        timeline: tl,
+        dest,
+        seed: derive_seed(
+            derive_seed(axis, tags::CAMPAIGN),
+            (3u64 << 32) | u64::from(dest.0),
+        ),
+    };
+    let cells: Vec<Cell<'_>> = dests
+        .iter()
+        .flat_map(|&dest| [cell(dest, SEED), cell(dest, SEED ^ (1 << 17))])
+        .collect();
+    let rows = run_cells(&g, &RunParams::paper(), &[Protocol::Bgp], 0, &cells, None)
+        .expect("timeline resolves");
+    assert_eq!(rows.len(), 8);
+    let loops_mean =
+        InstanceMetrics::mean_of(rows.iter().map(|r| &r[0].1), |m| m.affected_loops as f64);
     assert_eq!(
         loops_mean, 91.75,
         "BGP maintenance-drain loop anomaly moved (was 91.75 mean looping ASes; \

@@ -21,10 +21,10 @@
 
 use stamp_repro::bgp::types::PrefixId;
 use stamp_repro::eventsim::rng::tags;
-use stamp_repro::eventsim::{rng_stream, DelayModel, SimDuration};
+use stamp_repro::eventsim::{rng_stream, DelayModel, Fnv1a, SimDuration};
 use stamp_repro::experiments::{run_failure_experiment, FailureConfig, FailureScenario, Protocol};
 use stamp_repro::sim::{NullProbe, Sim};
-use stamp_repro::topology::{generate, AsId, GenConfig, StaticRoutes};
+use stamp_repro::topology::{generate, AsId, GenConfig};
 use stamp_repro::workload::{
     adversarial_grid, destination_candidates, flap_train, run_campaign, run_protocol_cell,
     sample_canned, smoke_grid, CampaignConfig, PolicyRegime, RunOutcome, RunParams, Timeline,
@@ -168,13 +168,51 @@ fn single_link_failure_metrics_identical_across_thread_counts() {
     }
 }
 
+/// The figure runner, pinned: FNV-1a over every metric of every instance
+/// of every protocol of all four failure scenarios on
+/// `FailureConfig::tiny`. The value was computed on the commit *before*
+/// `run_failure_experiment` became a cell list handed to
+/// `workload::run_cells` (it then had its own worker pool, per-instance
+/// seeds and mask computation), so it pins that the fold kept the sampling
+/// order, the instance seeds, the masks and the instance-major merge — at
+/// one worker and at three.
+#[test]
+fn figure_runner_hash_matches_the_pre_consolidation_golden() {
+    for threads in [1, 3] {
+        let cfg = FailureConfig {
+            threads,
+            ..FailureConfig::tiny(0xF16)
+        };
+        let mut h = Fnv1a::new();
+        for scenario in [
+            FailureScenario::SingleLink,
+            FailureScenario::TwoLinksDifferentAs,
+            FailureScenario::TwoLinksSameAs,
+            FailureScenario::NodeFailure,
+        ] {
+            let rep = run_failure_experiment(&cfg, scenario, &Protocol::ALL);
+            for (p, r) in &rep.results {
+                h.write_u64(*p as u64);
+                for m in &r.per_instance {
+                    m.words().into_iter().for_each(|w| h.write_u64(w));
+                }
+            }
+        }
+        assert_eq!(
+            h.finish(),
+            0x395eea675e58cc2d,
+            "figure-runner metrics drifted at threads = {threads}"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // Golden values: the sim facade is behavior-preserving
 // ---------------------------------------------------------------------
 
-/// One golden row: every `InstanceMetrics` field, the two f64s by bit
-/// pattern.
-type Golden = (usize, usize, usize, usize, u64, u64, u64, u64, usize);
+/// One golden row: `InstanceMetrics::words` — every counter, the two
+/// f64s by bit pattern.
+type Golden = [u64; 9];
 
 /// The canned Figure 2 / 3a / 3b workloads, all four protocols, pinned to
 /// the exact metrics the pre-redesign `run_protocol_cell` (hand-rolled
@@ -186,22 +224,22 @@ fn canned_workload_metrics_match_pre_redesign_goldens() {
     #[rustfmt::skip]
     let golden: [(FailureScenario, [Golden; 4]); 3] = [
         (FailureScenario::SingleLink, [
-            (75, 0, 75, 16, 439, 204, 0x3f689374bc6a7efa, 0x3f60624dd2f1a9fc, 52),
-            (0, 0, 0, 10, 562, 268, 0x3f70624dd2f1a9fc, 0x0000000000000000, 198),
-            (0, 0, 0, 0, 562, 291, 0x3f70624dd2f1a9fc, 0x0000000000000000, 200),
-            (0, 0, 0, 0, 890, 813, 0x3f747bedb7281fda, 0x0000000000000000, 124),
+            [75, 0, 75, 16, 439, 204, 0x3f689374bc6a7efa, 0x3f60624dd2f1a9fc, 52],
+            [0, 0, 0, 10, 562, 268, 0x3f70624dd2f1a9fc, 0x0000000000000000, 198],
+            [0, 0, 0, 0, 562, 291, 0x3f70624dd2f1a9fc, 0x0000000000000000, 200],
+            [0, 0, 0, 0, 890, 813, 0x3f747bedb7281fda, 0x0000000000000000, 124],
         ]),
         (FailureScenario::TwoLinksDifferentAs, [
-            (46, 46, 34, 31, 379, 613, 0x3f70635a426bb55b, 0x3f606466b1e5c0ba, 74),
-            (46, 46, 30, 31, 497, 5586, 0x3f7cbddb9841aac5, 0x3f606466b1e5c0ba, 575),
-            (46, 46, 4, 26, 497, 3303, 0x3f7cb46bacf74470, 0x3f689374bc6a7efa, 398),
-            (37, 0, 37, 6, 794, 834, 0x3f747ae147ae147b, 0x3f606466b1e5c0ba, 101),
+            [46, 46, 34, 31, 379, 613, 0x3f70635a426bb55b, 0x3f606466b1e5c0ba, 74],
+            [46, 46, 30, 31, 497, 5586, 0x3f7cbddb9841aac5, 0x3f606466b1e5c0ba, 575],
+            [46, 46, 4, 26, 497, 3303, 0x3f7cb46bacf74470, 0x3f689374bc6a7efa, 398],
+            [37, 0, 37, 6, 794, 834, 0x3f747ae147ae147b, 0x3f606466b1e5c0ba, 101],
         ]),
         (FailureScenario::TwoLinksSameAs, [
-            (21, 0, 21, 28, 427, 428, 0x3f70624dd2f1a9fc, 0x3f50624dd2f1a9fc, 64),
-            (21, 0, 21, 28, 544, 2233, 0x3f748344c37e6f72, 0x3f50624dd2f1a9fc, 363),
-            (21, 0, 21, 14, 544, 3119, 0x3f74898f605ab3ab, 0x3f50624dd2f1a9fc, 421),
-            (21, 0, 21, 1, 792, 957, 0x3f747ae147ae147b, 0x3f50624dd2f1a9fc, 109),
+            [21, 0, 21, 28, 427, 428, 0x3f70624dd2f1a9fc, 0x3f50624dd2f1a9fc, 64],
+            [21, 0, 21, 28, 544, 2233, 0x3f748344c37e6f72, 0x3f50624dd2f1a9fc, 363],
+            [21, 0, 21, 14, 544, 3119, 0x3f74898f605ab3ab, 0x3f50624dd2f1a9fc, 421],
+            [21, 0, 21, 1, 792, 957, 0x3f747ae147ae147b, 0x3f50624dd2f1a9fc, 109],
         ]),
     ];
 
@@ -210,11 +248,7 @@ fn canned_workload_metrics_match_pre_redesign_goldens() {
     for (i, (scenario, rows)) in golden.iter().enumerate() {
         let mut rng = rng_stream(0x601D + i as u64, tags::WORKLOAD);
         let w = sample_canned(&g, *scenario, &mut rng).unwrap();
-        let removed = w.timeline.removed_links(&g).unwrap();
-        let truth = StaticRoutes::compute(&g.without_links(&removed), w.dest);
-        let reachable: Vec<bool> = (0..g.n() as u32)
-            .map(|v| truth.reachable(AsId(v)))
-            .collect();
+        let reachable = w.timeline.reachable_after(&g, w.dest).unwrap();
         for (p, want) in Protocol::ALL.iter().zip(rows) {
             let m = run_protocol_cell(
                 &g,
@@ -225,18 +259,7 @@ fn canned_workload_metrics_match_pre_redesign_goldens() {
                 *p,
                 0x5EED ^ i as u64,
             );
-            let got: Golden = (
-                m.affected,
-                m.affected_loops,
-                m.affected_blackholes,
-                m.control_affected,
-                m.updates_initial,
-                m.updates_failure,
-                m.convergence_delay_s.to_bits(),
-                m.data_recovery_s.to_bits(),
-                m.interned_paths,
-            );
-            assert_eq!(got, *want, "{:?} / {} drifted from golden", scenario, p);
+            assert_eq!(m.words(), *want, "{scenario:?} / {p} drifted from golden");
         }
     }
 }

@@ -10,7 +10,9 @@ use stamp_repro::forwarding::{classify_all, Outcome};
 use stamp_repro::sim::{MetricsProbe, Sim};
 use stamp_repro::topology::path::downhill_node_disjoint;
 use stamp_repro::topology::{generate, AsId, GenConfig, StaticRoutes};
-use stamp_repro::workload::{NetEvent, Protocol, RunParams, Timeline, TimelineEvent};
+use stamp_repro::workload::{
+    reachability_mask, NetEvent, Protocol, RunParams, Timeline, TimelineEvent,
+};
 
 const P: PrefixId = PrefixId(0);
 
@@ -203,15 +205,9 @@ fn lemma_3_1_additions_strictly_gentler_than_withdrawals() {
     let g = topo(150, 109);
     let dest = AsId(140);
     let provider = g.providers(dest)[0];
-    let reachable_full: Vec<bool> = {
-        let r = StaticRoutes::compute(&g, dest);
-        (0..g.n() as u32).map(|v| r.reachable(AsId(v))).collect()
-    };
-    let reachable_after: Vec<bool> = {
-        let failed = g.link_between(dest, provider).expect("provider link");
-        let r = StaticRoutes::compute(&g.without_links(&[failed]), dest);
-        (0..g.n() as u32).map(|v| r.reachable(AsId(v))).collect()
-    };
+    let fail = link_down(dest, provider);
+    let reachable_full = reachability_mask(&g, dest);
+    let reachable_after = fail.reachable_after(&g, dest).unwrap();
 
     // Paper parameters, every FIB-changing batch observed.
     let mut sim = Sim::on(&g)
@@ -225,7 +221,6 @@ fn lemma_3_1_additions_strictly_gentler_than_withdrawals() {
         .unwrap();
 
     // Withdrawal episode: converge fully, then fail the link.
-    let fail = link_down(dest, provider);
     let mut fail_probe = MetricsProbe::new(dest, reachable_after, fail.root_causes());
     sim.play(&fail, &mut fail_probe).unwrap();
 

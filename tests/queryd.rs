@@ -6,7 +6,7 @@
 use stamp_repro::eventsim::check::cases;
 use stamp_repro::eventsim::SimDuration;
 use stamp_repro::queryd::{QueryEngine, QuerydConfig, Request, Response, WhatIfShape};
-use stamp_repro::topology::{generate, AsGraph, AsId, GenConfig, StaticRoutes};
+use stamp_repro::topology::{generate, AsId, GenConfig};
 use stamp_repro::workload::{
     destination_candidates, parse_scn, run_protocol_cell, InstanceMetrics, NetEvent, Protocol,
     RunParams, Timeline, TimelineEvent,
@@ -21,29 +21,12 @@ fn engine(seed: u64) -> QueryEngine {
     QueryEngine::new(g, cfg).expect("baselines converge")
 }
 
-fn reachability(g: &AsGraph, t: &Timeline, dest: AsId) -> Vec<bool> {
-    let removed = t.removed_links(g).expect("timeline resolves");
-    let truth = StaticRoutes::compute(&g.without_links(&removed), dest);
-    (0..g.n())
-        .map(|v| truth.reachable(AsId::from_usize(v)))
-        .collect()
-}
-
-/// `InstanceMetrics` equality by *bit pattern*: the integer fields
-/// directly, the two f64 fields through `to_bits` (PartialEq would accept
-/// -0.0 == 0.0; the determinism contract is stricter).
+/// `InstanceMetrics` equality by *bit pattern*: `words()` compares the
+/// two f64 fields through `to_bits` (PartialEq would accept -0.0 == 0.0;
+/// the determinism contract is stricter).
 fn assert_bit_identical(a: &InstanceMetrics, b: &InstanceMetrics, what: &str) {
     assert_eq!(a, b, "{what}: metrics diverged");
-    assert_eq!(
-        a.convergence_delay_s.to_bits(),
-        b.convergence_delay_s.to_bits(),
-        "{what}: convergence_delay_s bit pattern"
-    );
-    assert_eq!(
-        a.data_recovery_s.to_bits(),
-        b.data_recovery_s.to_bits(),
-        "{what}: data_recovery_s bit pattern"
-    );
+    assert_eq!(a.words(), b.words(), "{what}: f64 bit patterns");
 }
 
 /// The tentpole guarantee: a resident daemon's answer for every query
@@ -78,7 +61,7 @@ fn query_answers_are_bit_identical_to_cold_batch_runs() {
         };
         assert_eq!(rows.len(), cfg.protocols.len() * cfg.dests.len());
         for row in &rows {
-            let reachable = reachability(&g, &timeline, row.dest);
+            let reachable = timeline.reachable_after(&g, row.dest).unwrap();
             let cold = run_protocol_cell(
                 &g,
                 &cfg.params,
@@ -130,7 +113,7 @@ fn policy_query_answers_match_cold_runs_under_that_regime() {
         let mut params = cfg.params.clone();
         params.policy = stamp_repro::policy::PolicyRegime::by_name(name).expect("built-in");
         for row in &rows {
-            let reachable = reachability(&g, &timeline, row.dest);
+            let reachable = timeline.reachable_after(&g, row.dest).unwrap();
             let cold = run_protocol_cell(
                 &g, &params, &timeline, row.dest, &reachable, row.proto, cfg.seed,
             );

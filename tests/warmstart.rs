@@ -10,19 +10,11 @@
 
 use stamp_repro::eventsim::rng::tags;
 use stamp_repro::eventsim::rng_stream;
-use stamp_repro::topology::{generate, AsGraph, AsId, GenConfig, StaticRoutes};
+use stamp_repro::topology::{generate, GenConfig};
 use stamp_repro::workload::{
     run_protocol_cell, run_protocol_cell_warm, sample_canned, BaselineCache, FailureScenario,
-    InstanceMetrics, Protocol, RunParams, Sim, Timeline, PREFIX,
+    InstanceMetrics, Protocol, RunParams, Sim, PREFIX,
 };
-
-fn reachability(g: &AsGraph, t: &Timeline, dest: AsId) -> Vec<bool> {
-    let removed = t.removed_links(g).expect("timeline resolves");
-    let truth = StaticRoutes::compute(&g.without_links(&removed), dest);
-    (0..g.n())
-        .map(|v| truth.reachable(AsId::from_usize(v)))
-        .collect()
-}
 
 /// Every protocol × canned paper scenario (Fig 2, Fig 3a, Fig 3b): run the
 /// cell cold, then twice against a warm cache (the first call converges
@@ -40,7 +32,7 @@ fn forked_cell_matches_cold_cell_on_canned_scenarios() {
     for (si, scenario) in scenarios.iter().enumerate() {
         let mut rng = rng_stream(900 + si as u64, tags::WORKLOAD);
         let w = sample_canned(&g, *scenario, &mut rng).expect("topology hosts the scenario");
-        let reachable = reachability(&g, &w.timeline, w.dest);
+        let reachable = w.timeline.reachable_after(&g, w.dest).unwrap();
         for p in Protocol::ALL {
             let seed = 7 + si as u64;
             let cold: InstanceMetrics =
@@ -114,7 +106,7 @@ fn restore_replays_bit_identically_at_any_fork_depth() {
             // Each depth measures a scenario against the *same* session
             // destination; only the timeline varies.
             let w = sample_canned(&g, *scenario, &mut rng).expect("scenario fits");
-            let reachable = reachability(&g, &w.timeline, sim.dest());
+            let reachable = w.timeline.reachable_after(&g, sim.dest()).unwrap();
             let ck = sim.checkpoint();
             let first = sim.measure(&w.timeline, &reachable).expect("resolves");
             // Also check the owning-copy path: a fork taken *before* the
