@@ -253,14 +253,56 @@ fn bench_mrai_arm(h: &Harness, report: &mut JsonReport) {
     });
 }
 
-/// One data-plane observation tick on a converged 300-AS BGP network —
-/// the inner loop of every failure measurement, as the probe path runs it:
-/// the view on the stack, `TransientTracker::observe` monomorphised over
-/// the concrete view.
+/// One data-plane observation tick, as the probe path runs it: the view on
+/// the stack, `TransientTracker::observe` monomorphised over the concrete
+/// view.
+///
+/// `observe_loop_static` is the all-dirty tick: the converged next hops of
+/// a 300-AS BGP network copied into a `StaticView`, which has no touched
+/// feed, so every observation re-examines every row — what a tracker's
+/// first tick, and any tick after a restore, costs. The `observe_tick_*`
+/// rows are engine-backed at 2000 ASes, per protocol: `idle` observes a
+/// session nothing has happened to since the last look;
+/// `after_link_failure` is the first tick of a replay that fails one
+/// provider link of the destination — the two endpoints' rows and their
+/// reverse cone for BGP and STAMP, the whole table for R-BGP (a liveness
+/// flip). The rewind, the tracker catching up with it and the rest of the
+/// replay run untimed around it.
 fn bench_observe_loop(h: &Harness, report: &mut JsonReport) {
     use stamp_bgp::types::PrefixId;
-    use stamp_forwarding::{BgpView, TransientTracker};
-    use stamp_workload::Sim;
+    use stamp_forwarding::{ForwardingView, StaticView, Step, TransientTracker};
+    use stamp_workload::{
+        single_link_failure, Probe, Protocol, Sim, SimEvent, SnapshotCause, Timeline,
+    };
+    use std::time::{Duration, Instant};
+
+    /// Catches the tracker up on the baseline snapshot, then times its
+    /// observation of the first periodic one.
+    struct FirstTick<'a> {
+        tracker: &'a mut TransientTracker,
+        timed: Option<Duration>,
+    }
+    impl Probe for FirstTick<'_> {
+        fn on_event<V: ForwardingView + ?Sized>(&mut self, event: SimEvent<'_, V>) {
+            match event {
+                SimEvent::Snapshot {
+                    cause: SnapshotCause::Baseline,
+                    view,
+                    ..
+                } => self.tracker.observe(view),
+                SimEvent::Snapshot {
+                    cause: SnapshotCause::Periodic,
+                    view,
+                    ..
+                } if self.timed.is_none() => {
+                    let t0 = Instant::now();
+                    self.tracker.observe(view);
+                    self.timed = Some(t0.elapsed());
+                }
+                _ => {}
+            }
+        }
+    }
 
     let g = generate(&GenConfig {
         n_ases: 300,
@@ -276,15 +318,61 @@ fn bench_observe_loop(h: &Harness, report: &mut JsonReport) {
         .build()
         .unwrap();
     sim.converge();
-    let e = sim.bgp().expect("default protocol is BGP");
-    let reachable = vec![true; g.n()];
-
-    let mut tracker = TransientTracker::new(dest, reachable);
+    let view = sim.with_view(|v| StaticView {
+        next: (0..g.n())
+            .map(|a| match v.step(AsId(a as u32), 0) {
+                Step::Hop { to, .. } => Some(to),
+                _ => None,
+            })
+            .collect(),
+        origin: dest,
+    });
+    let mut tracker = TransientTracker::new(dest, vec![true; g.n()]);
     report.bench(h, "observe_loop_static", || {
-        let view = BgpView { engine: e, prefix };
         tracker.observe(&view);
         black_box(tracker.observations);
     });
+
+    let g = generate(&GenConfig {
+        n_ases: 2000,
+        ..GenConfig::small(21)
+    })
+    .unwrap();
+    let dest = AsId(1999);
+    let failure = Timeline::from_events(
+        "fail-provider-link",
+        single_link_failure(dest, g.providers(dest)[0]),
+    );
+    for (p, tag) in [
+        (Protocol::Bgp, "bgp"),
+        (Protocol::Rbgp, "rbgp"),
+        (Protocol::Stamp, "stamp"),
+    ] {
+        let mut sim = Sim::on(&g)
+            .protocol(p)
+            .originate(dest, prefix)
+            .seed(5)
+            .build()
+            .unwrap();
+        sim.converge();
+        let mut tracker = TransientTracker::new(dest, vec![true; g.n()]);
+        report.bench(h, &format!("observe_tick_idle_2000_{tag}"), || {
+            sim.with_view(|v| tracker.observe(v));
+            black_box(tracker.observations);
+        });
+        let ck = sim.checkpoint();
+        let name = format!("observe_tick_after_link_failure_2000_{tag}");
+        let stats = h.bench_self_timed(&name, || {
+            sim.restore(&ck).expect("same session");
+            let mut probe = FirstTick {
+                tracker: &mut tracker,
+                timed: None,
+            };
+            sim.play(&failure, &mut probe).expect("resolves");
+            probe.timed.expect("a link failure changes a FIB")
+        });
+        report.push(&name, stats);
+    }
 }
 
 /// The warm-start building blocks at campaign scale (2000 ASes):

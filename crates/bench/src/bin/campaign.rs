@@ -87,6 +87,11 @@ fn run_twice(
         serial.hash, warm.hash,
         "warm-start aggregate diverged from cold start"
     );
+    // The hash does not fold the observer's work ledger; the cells do.
+    assert!(
+        serial.cells == parallel.cells && serial.cells == warm.cells,
+        "observer work counts differ between 1 worker, {threads_n} workers and warm start"
+    );
 
     GridRun {
         report: parallel,
@@ -95,6 +100,30 @@ fn run_twice(
         wall_warm_1,
         wall_populate,
         threads_n,
+    }
+}
+
+/// The observer's exact work per protocol, summed over the grid: how many
+/// rows it asked the views for again, how many states it re-walked, how
+/// many ASes changed verdict — against `ticks × ASes`, the rows a scan of
+/// the world at every observation would have asked for.
+fn print_observer_work(rep: &CampaignReport, protocols: &[Protocol]) {
+    println!(
+        "{:<18} {:>8} {:>10} {:>10} {:>8} {:>10} {:>14}",
+        "observer work", "ticks", "rows", "rewalked", "folded", "control", "ticks×ASes"
+    );
+    for &p in protocols {
+        let w = rep.observer_work(p);
+        println!(
+            "{:<18} {:>8} {:>10} {:>10} {:>8} {:>10} {:>14}",
+            p.label(),
+            w.observations,
+            w.rows_recompiled,
+            w.states_rewalked,
+            w.ases_folded,
+            w.control_evals,
+            w.observations * rep.n_ases as u64
+        );
     }
 }
 
@@ -135,6 +164,7 @@ fn print_report(run: &GridRun, protocols: &[Protocol]) {
             );
         }
     }
+    print_observer_work(rep, protocols);
     let tp1 = cells as f64 / run.wall_1;
     let tpn = cells as f64 / run.wall_n;
     let tpw = cells as f64 / run.wall_warm_1;
@@ -627,6 +657,7 @@ fn main() {
             run.report.hash,
             run.threads_n
         );
+        print_observer_work(&run.report, &cfg.protocols);
         if args.adversarial {
             let (adv, diverged) = run_adversarial(seed, threads_n);
             println!(

@@ -117,7 +117,22 @@ impl Harness {
             }
             per_iter_ns.push(t0.elapsed().as_nanos() as f64 / iters as f64);
         }
-        let stats = BenchStats::from_samples(&mut per_iter_ns, iters);
+        Self::report_line(name, BenchStats::from_samples(&mut per_iter_ns, iters))
+    }
+
+    /// Benchmark a step that needs untimed work around every repetition
+    /// (rewinding a session, running the events that lead up to it): `f`
+    /// does all of it, times its own step and returns that. One warmup
+    /// call, then one repetition per sample.
+    pub fn bench_self_timed<F: FnMut() -> Duration>(&self, name: &str, mut f: F) -> BenchStats {
+        f();
+        let mut ns: Vec<f64> = (0..self.sample_size)
+            .map(|_| f().as_nanos() as f64)
+            .collect();
+        Self::report_line(name, BenchStats::from_samples(&mut ns, 1))
+    }
+
+    fn report_line(name: &str, stats: BenchStats) -> BenchStats {
         println!(
             "{name:<40} median {:>12}   p95 {:>12}   min {:>12}   ({} samples × {} iters)",
             fmt_ns(stats.median_ns),

@@ -11,6 +11,7 @@
 //! three protocols observe byte-identical topologies, failure choices and
 //! delay sequences.
 
+use crate::feed::{FeedCursor, TouchFeed, Touched};
 use crate::patharena::{ArenaMark, PathArena};
 use crate::router::{OutMsg, RouterCtx, RouterLogic, SessionView, StateFingerprint};
 use crate::types::{PrefixId, ProcId, Route, UpdateKind, UpdateMsg};
@@ -371,15 +372,10 @@ pub struct Engine<R: RouterLogic> {
     /// Reusable outgoing-update buffer lent to every router event — the
     /// dispatch path allocates nothing in steady state.
     out_scratch: Vec<OutMsg>,
-    /// Per-AS forwarding-view version counter: bumped every time a router
-    /// processes an event (so its FIB may have changed). Never restored or
-    /// rewound — see [`Engine::view_version`].
-    view_touch: Vec<u64>,
-    /// Global forwarding-view epoch: bumped on every liveness change
-    /// (link/node fail/recover) and on every [`Engine::restore`]. Liveness
-    /// is global because forwarding can depend on *non-adjacent* links
-    /// (R-BGP escape circuits check every hop of a pinned path).
-    view_global: u64,
+    /// Which ASes' forwarding rows may have changed, for observers that
+    /// remember where they last looked — see [`Engine::touched_since`].
+    /// Not simulation state: never checkpointed, invalidated by a restore.
+    feed: TouchFeed,
 }
 
 impl<R: RouterLogic> Engine<R> {
@@ -422,8 +418,7 @@ impl<R: RouterLogic> Engine<R> {
             stats: RunStats::default(),
             started: false,
             out_scratch: Vec::new(),
-            view_touch: vec![0; n],
-            view_global: 0,
+            feed: TouchFeed::new(n),
         }
     }
 
@@ -453,6 +448,7 @@ impl<R: RouterLogic> Engine<R> {
     /// STAMP's instability flags between the initial convergence and the
     /// injected failure). The engine itself never needs this.
     pub fn router_mut(&mut self, v: AsId) -> &mut R {
+        self.feed.touch(v);
         &mut self.routers[v.index()]
     }
 
@@ -481,21 +477,23 @@ impl<R: RouterLogic> Engine<R> {
         &self.stats
     }
 
-    /// Version of `v`'s forwarding behaviour, for memoising derived
-    /// structures (classification tables): while the version is unchanged,
-    /// `v`'s selections, its liveness environment and therefore every
-    /// forwarding decision it makes are unchanged.
+    /// The ASes whose forwarding behaviour — selections, and the liveness
+    /// of their own sessions — may have changed since `cursor` last looked
+    /// here, and move `cursor` to now. A superset: an AS is marked whenever
+    /// its router runs an event (or is handed out by
+    /// [`Engine::router_mut`]) and whenever a session of its own goes up
+    /// or down; [`Touched::All`] after a [`Engine::restore`], on a
+    /// cursor's first look, or when the observer fell a whole ring behind.
     ///
-    /// The value is `touch[v] + global` where `touch[v]` counts router
-    /// events at `v` and `global` counts liveness changes plus restores.
-    /// Both counters are monotone non-decreasing and never rewound (a
-    /// [`Engine::restore`] bumps `global` instead of rolling `touch` back),
-    /// so equal versions at two instants imply both addends — and hence the
-    /// cached state — were unchanged in between. Versions are cache keys
-    /// only; they never feed a golden hash.
+    /// `wide_liveness` is for views whose rows read liveness *beyond* the
+    /// AS's own sessions (R-BGP escape circuits walk every hop of a pinned
+    /// path): for them any link or node flip since the cursor dirties the
+    /// whole table. The feed is bookkeeping for observers only; it never
+    /// feeds a golden hash and costs one compare per router event when
+    /// nobody looks.
     #[inline]
-    pub fn view_version(&self, v: AsId) -> u64 {
-        self.view_touch[v.index()] + self.view_global
+    pub fn touched_since(&self, cursor: &mut FeedCursor, wide_liveness: bool) -> Touched<'_> {
+        self.feed.since(cursor, wide_liveness)
     }
 
     /// Current simulation time.
@@ -721,9 +719,8 @@ impl<R: RouterLogic> Engine<R> {
     /// cold run reaching the same state and can never observe ids a
     /// sibling fork interned after the snapshot.
     ///
-    /// The forwarding-view epoch ([`Engine::view_version`]) is bumped, not
-    /// restored: versions stay monotone so any cached classification built
-    /// against pre-restore state is invalidated.
+    /// The touched feed ([`Engine::touched_since`]) is invalidated, not
+    /// restored: every observer's next look reports the whole table dirty.
     // simlint::hot
     pub fn restore(&mut self, ck: &Checkpoint<R>)
     where
@@ -746,7 +743,7 @@ impl<R: RouterLogic> Engine<R> {
         self.loss_rng.clone_from(&ck.loss_rng);
         self.stats = ck.stats;
         self.started = ck.started;
-        self.view_global += 1;
+        self.feed.invalidate();
     }
 
     // ------------------------------------------------------------------
@@ -954,8 +951,8 @@ impl<R: RouterLogic> Engine<R> {
         if !self.state.link_up[id.index()] {
             return false;
         }
-        self.view_global += 1;
         self.state.link_up[id.index()] = false;
+        self.mark_link_flip(id);
         self.link_epoch[id.index()] += 1;
         let l = self.g.link(id);
         self.clear_link_sessions(id);
@@ -986,8 +983,8 @@ impl<R: RouterLogic> Engine<R> {
         if self.state.link_up[id.index()] {
             return false;
         }
-        self.view_global += 1;
         self.state.link_up[id.index()] = true;
+        self.mark_link_flip(id);
         let l = self.g.link(id);
         if !self.state.node_ok(l.a) || !self.state.node_ok(l.b) {
             return false;
@@ -1021,8 +1018,8 @@ impl<R: RouterLogic> Engine<R> {
         if !self.state.node_up[v.index()] {
             return false;
         }
-        self.view_global += 1;
         self.state.node_up[v.index()] = false;
+        self.mark_node_flip(v);
         let cause = crate::types::CauseInfo {
             cause: crate::types::RootCause::Node(v),
             seq: self.scenario_seq,
@@ -1057,8 +1054,8 @@ impl<R: RouterLogic> Engine<R> {
         if self.state.node_up[v.index()] {
             return false;
         }
-        self.view_global += 1;
         self.state.node_up[v.index()] = true;
+        self.mark_node_flip(v);
         let cause = crate::types::CauseInfo {
             cause: crate::types::RootCause::Node(v),
             seq: self.scenario_seq,
@@ -1074,6 +1071,32 @@ impl<R: RouterLogic> Engine<R> {
             }
         }
         changed
+    }
+
+    /// `id`'s `link_up` flag flipped: the rows that read it are its two
+    /// endpoints' — unless one of them is down, in which case the session
+    /// was down before and still is.
+    fn mark_link_flip(&mut self, id: LinkId) {
+        self.feed.liveness_flipped();
+        let l = self.g.link(id);
+        if self.state.node_ok(l.a) && self.state.node_ok(l.b) {
+            self.feed.touch(l.a);
+            self.feed.touch(l.b);
+        }
+    }
+
+    /// `v`'s `node_up` flag flipped: the rows that read it are `v`'s own
+    /// and those of the neighbours whose session to `v` it decides (link
+    /// up, neighbour alive).
+    fn mark_node_flip(&mut self, v: AsId) {
+        self.feed.liveness_flipped();
+        self.feed.touch(v);
+        for i in 0..self.g.degree(v) {
+            let e = self.g.neighbor_entries(v)[i];
+            if self.state.link_up[e.link.index()] && self.state.node_ok(e.neighbor) {
+                self.feed.touch(e.neighbor);
+            }
+        }
     }
 
     /// Forget MRAI pendings for both directed sessions of a link (the
@@ -1099,9 +1122,9 @@ impl<R: RouterLogic> Engine<R> {
     where
         F: FnOnce(&mut R, &mut RouterCtx),
     {
-        // Any router event may change the router's selections, so its
-        // forwarding-view version advances (cache key only, never hashed).
-        self.view_touch[v.index()] += 1;
+        // Any router event may change the router's selections: mark its
+        // forwarding row for observers (bookkeeping only, never hashed).
+        self.feed.touch(v);
         // Destructure to borrow `routers` and the arena mutably while
         // `g`/`state` stay shared — the ctx reads topology and liveness and
         // interns paths.
@@ -1219,8 +1242,8 @@ impl<R: RouterLogic> Engine<R> {
 /// [`Checkpoint::arena_mark`]). What it deliberately does *not* carry:
 /// the topology and config (immutable per engine; restore targets must
 /// match), the per-session MRAI jitter intervals (a pure function of
-/// topology and seed, sampled at construction), and the forwarding-view
-/// version counters (monotone cache keys, never rewound).
+/// topology and seed, sampled at construction), and the touched feed
+/// (observer bookkeeping; a restore invalidates it).
 #[derive(Clone)]
 pub struct Checkpoint<R> {
     routers: Vec<R>,
@@ -1267,8 +1290,7 @@ impl<R: RouterLogic + Clone> Clone for Engine<R> {
             stats: self.stats,
             started: self.started,
             out_scratch: Vec::new(),
-            view_touch: self.view_touch.clone(),
-            view_global: self.view_global,
+            feed: self.feed.clone(),
         }
     }
 }
@@ -2134,5 +2156,76 @@ mod more_tests {
         // routing state: equal fingerprints.
         assert_eq!(run(1), run(2));
         assert_ne!(run(1), 0);
+    }
+
+    /// The ASes marked since `c` last looked, sorted; panics on "all".
+    fn marked(e: &Engine<BgpRouter>, c: &mut FeedCursor, wide: bool) -> Vec<u32> {
+        match e.touched_since(c, wide) {
+            Touched::All => panic!("expected a row list, got the whole table"),
+            Touched::Rows(a, b) => {
+                let mut v: Vec<u32> = a.iter().chain(b).map(|x| x.0).collect();
+                v.sort_unstable();
+                v
+            }
+        }
+    }
+
+    #[test]
+    fn liveness_events_mark_the_rows_that_read_them_and_nothing_else() {
+        let g = diamond();
+        let l42 = g.link_between(AsId(4), AsId(2)).unwrap();
+        let mut e = engine(g, AsId(4), 3);
+        e.start();
+        e.run_to_quiescence(None);
+        let mut c = FeedCursor::default();
+        assert_eq!(e.touched_since(&mut c, false), Touched::All);
+        assert!(marked(&e, &mut c, false).is_empty());
+
+        // A link failure: its two endpoints (both also run `on_link_down`).
+        e.handle_scenario(ScenarioEvent::FailLink(l42));
+        assert_eq!(marked(&e, &mut c, false), vec![2, 4]);
+        // An already-down link: nothing.
+        e.handle_scenario(ScenarioEvent::FailLink(l42));
+        assert!(marked(&e, &mut c, false).is_empty());
+        // The withdrawals now in flight mark whoever processes them — and
+        // a delivery is not a liveness event, even for a wide view.
+        e.run_to_quiescence(None);
+        assert!(!marked(&e, &mut c, true).is_empty());
+
+        // A node failure: the node and its live neighbours. 2's link to 4
+        // is down, so only 0 still had a session with it.
+        e.handle_scenario(ScenarioEvent::FailNode(AsId(2)));
+        assert_eq!(marked(&e, &mut c, false), vec![0, 2]);
+        e.run_to_quiescence(None);
+        marked(&e, &mut c, false);
+        // Repairing a link whose endpoint is dead establishes no session.
+        e.handle_scenario(ScenarioEvent::RecoverLink(l42));
+        assert!(marked(&e, &mut c, false).is_empty());
+        // The node returns: itself and both neighbours, 4 included now.
+        e.handle_scenario(ScenarioEvent::RecoverNode(AsId(2)));
+        assert_eq!(marked(&e, &mut c, false), vec![0, 2, 4]);
+    }
+
+    #[test]
+    fn a_wide_view_loses_the_table_on_liveness_flips_and_restores_only() {
+        let g = diamond();
+        let l42 = g.link_between(AsId(4), AsId(2)).unwrap();
+        let mut e = engine(g, AsId(4), 3);
+        e.start();
+        e.run_to_quiescence(None);
+        let ck = e.snapshot();
+        let (mut narrow, mut wide) = (FeedCursor::default(), FeedCursor::default());
+        e.touched_since(&mut narrow, false);
+        e.touched_since(&mut wide, true);
+        e.handle_scenario(ScenarioEvent::FailLink(l42));
+        assert_eq!(marked(&e, &mut narrow, false), vec![2, 4]);
+        assert_eq!(e.touched_since(&mut wide, true), Touched::All);
+        // `router_mut` hands out a router to rewrite: marked.
+        e.router_mut(AsId(1));
+        assert_eq!(marked(&e, &mut wide, true), vec![1]);
+        // A restore rewrites every router behind the feed's back.
+        e.restore(&ck);
+        assert_eq!(e.touched_since(&mut narrow, false), Touched::All);
+        assert_eq!(e.touched_since(&mut wide, true), Touched::All);
     }
 }

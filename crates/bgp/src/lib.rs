@@ -21,6 +21,8 @@
 //!   delays, peer-based MRAI of 30 s × U[0.75, 1.0] with coalescing,
 //!   link/node failure injection, message counters and convergence
 //!   detection;
+//! * [`feed`] — the touched feed: which ASes' forwarding rows may have
+//!   changed since an observer last looked;
 //! * [`wire`] — an RFC 4271-style binary UPDATE codec carrying `Lock` and
 //!   `ET` as optional transitive path attributes, demonstrating that
 //!   STAMP's extensions fit existing BGP message formats.
@@ -35,6 +37,7 @@
 
 pub mod bytebuf;
 pub mod engine;
+pub mod feed;
 pub mod patharena;
 pub mod policy;
 pub mod rib;
@@ -43,6 +46,7 @@ pub mod types;
 pub mod wire;
 
 pub use engine::{Checkpoint, Engine, EngineConfig, RunStats, ScenarioEvent};
+pub use feed::{FeedCursor, Touched};
 pub use patharena::{ArenaMark, PathArena, PathId};
 pub use policy::{export_ok, local_pref};
 pub use rib::{DecisionOutcome, RibEntry, RibIn};

@@ -11,19 +11,22 @@
 //!   (colour × switched-bit contexts, §5.1's at-most-one colour switch);
 //! * [`trace`] — classification of every AS's data path as
 //!   delivered / loop / blackhole in O(states) via memoised walks of the
-//!   functional graph;
+//!   functional graph, from scratch (the oracle);
 //! * [`tracker`] — accumulation across a convergence window: an AS counts
 //!   as *affected* if its packets would loop or blackhole at any
 //!   observation instant while the post-event topology still admits a
 //!   valley-free path from it (permanent partition is not a *transient*
-//!   problem).
+//!   problem). It keeps the classification up to date incrementally
+//!   (`classifier`): one observation re-examines the rows the engine's
+//!   touched feed reports and the states that reach a changed one.
 
 #![forbid(unsafe_code)]
 
+mod classifier;
 pub mod trace;
 pub mod tracker;
 pub mod view;
 
-pub use trace::{classify_all, classify_all_into, ClassifyScratch, Outcome};
-pub use tracker::TransientTracker;
+pub use trace::{classify_all, Outcome};
+pub use tracker::{ObserverWork, TransientTracker};
 pub use view::{BgpView, ForwardingView, RbgpView, StampView, StaticView, Step};

@@ -3,6 +3,8 @@
 //! The view's `(AS, ctx)` states with their single successor form a
 //! functional graph; walking it with memoisation classifies every state in
 //! O(#states) total. An AS's outcome is the outcome of its start state.
+//! This module is the from-scratch form, kept as the oracle for the
+//! incremental classifier in [`crate::tracker`].
 
 use crate::view::{ForwardingView, Step};
 use stamp_topology::AsId;
@@ -21,148 +23,53 @@ pub enum Outcome {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mark {
     Unknown,
-    OnPath(u32),
+    OnPath,
     Done(Outcome),
-}
-
-/// Compiled-successor sentinel: the state delivers.
-const DELIVER: u32 = u32::MAX;
-/// Compiled-successor sentinel: the state drops.
-const DROP: u32 = u32::MAX - 1;
-/// Version sentinel: this AS's compiled row is never valid (the view
-/// could not version it, or it was never compiled).
-const NO_VERSION: u64 = u64::MAX;
-
-/// Reusable working memory for [`classify_all_into`]. One observation loop
-/// classifies the whole network every tick; owning the scratch across
-/// ticks means the loop allocates nothing after the first observation.
-///
-/// Beyond the walk buffers, the scratch memoises a *compiled* successor
-/// table over the view's `(AS, ctx)` states, validated per AS by
-/// [`ForwardingView::version`]: an observation tick only re-evaluates
-/// `step`/`start_ctx` for ASes whose version moved (routers that processed
-/// events, or everyone after a liveness change), and the classification
-/// walk itself chases precomputed integers. A scratch must stay dedicated
-/// to one view lineage (one engine and destination) — versions from
-/// different engines are not comparable.
-#[derive(Debug, Clone, Default)]
-pub struct ClassifyScratch {
-    marks: Vec<Mark>,
-    path: Vec<usize>,
-    /// Compiled successor state per `(AS, ctx)` (`DELIVER`/`DROP`
-    /// sentinels, otherwise the next state's index).
-    succ: Vec<u32>,
-    /// Compiled start context per AS.
-    starts: Vec<u8>,
-    /// Version each AS's compiled row was built at (`NO_VERSION` = dirty).
-    versions: Vec<u64>,
-    /// The `(n, n_ctx)` shape the compiled table was built for.
-    shape: (usize, usize),
 }
 
 /// Classify the fate of traffic from every AS towards the view's
 /// destination. Index = AS id.
+///
+/// Stateless and from scratch: every call asks the view for every step it
+/// walks. The observation loop does not run this — [`crate::tracker`]
+/// keeps a classification up to date from the engine's touched feed — but
+/// checks itself against it in debug builds, which is why the two share
+/// no code.
 pub fn classify_all<V: ForwardingView + ?Sized>(view: &V) -> Vec<Outcome> {
-    let mut out = Vec::new();
-    classify_all_into(view, &mut ClassifyScratch::default(), &mut out);
-    out
-}
-
-/// [`classify_all`] writing into caller-owned buffers: `out` is cleared
-/// and refilled (index = AS id), `scratch` is reset and reused.
-pub fn classify_all_into<V: ForwardingView + ?Sized>(
-    view: &V,
-    scratch: &mut ClassifyScratch,
-    out: &mut Vec<Outcome>,
-) {
     let n = view.n();
-    let n_ctx = view.n_ctx() as usize;
-    let states = n * n_ctx;
-    assert!(
-        states < DROP as usize,
-        "state space too large for the compiled successor encoding"
-    );
-    let idx = |a: AsId, ctx: u8| -> usize { a.index() * n_ctx + ctx as usize };
-
-    // (Re)compile the successor table: only ASes whose version moved since
-    // the last observation re-evaluate `start_ctx`/`step`.
-    if scratch.shape != (n, n_ctx) {
-        scratch.succ.clear();
-        scratch.succ.resize(states, DROP);
-        scratch.starts.clear();
-        scratch.starts.resize(n, 0);
-        scratch.versions.clear();
-        scratch.versions.resize(n, NO_VERSION);
-        scratch.shape = (n, n_ctx);
-    }
-    for a in 0..n {
-        let v = AsId::from_usize(a);
-        let ver = view.version(v);
-        if let Some(ver) = ver {
-            if scratch.versions[a] == ver {
-                continue;
-            }
-        }
-        scratch.starts[a] = view.start_ctx(v);
-        for ctx in 0..n_ctx {
-            let ctx8 = u8::try_from(ctx).unwrap_or(u8::MAX);
-            scratch.succ[a * n_ctx + ctx] = match view.step(v, ctx8) {
-                Step::Deliver => DELIVER,
-                Step::Drop => DROP,
-                Step::Hop { to, ctx: nctx } => {
-                    debug_assert!(nctx < view.n_ctx());
-                    u32::try_from(idx(to, nctx)).unwrap_or(DROP)
-                }
-            };
-        }
-        scratch.versions[a] = ver.unwrap_or(NO_VERSION);
-    }
-
-    scratch.marks.clear();
-    scratch.marks.resize(states, Mark::Unknown);
-    let marks = &mut scratch.marks;
-    let succ = &scratch.succ;
-    out.clear();
-    out.reserve(n);
-
+    let n_ctx = usize::from(view.n_ctx());
+    let mut marks = vec![Mark::Unknown; n * n_ctx];
+    let mut path = Vec::new();
+    let mut out = Vec::with_capacity(n);
     for src in 0..n {
-        let start = src * n_ctx + usize::from(scratch.starts[src]);
-        if let Mark::Done(o) = marks[start] {
-            out.push(o);
-            continue;
-        }
+        let v = AsId::from_usize(src);
         // Walk the functional graph from the start state, marking the path.
-        let path = &mut scratch.path;
         path.clear();
-        let mut cur = start;
+        let mut cur = (v, view.start_ctx(v));
         let outcome = loop {
-            match marks[cur] {
+            let i = cur.0.index() * n_ctx + usize::from(cur.1);
+            match marks[i] {
                 Mark::Done(o) => break o,
-                Mark::OnPath(_) => break Outcome::Loop,
+                Mark::OnPath => break Outcome::Loop,
                 Mark::Unknown => {
-                    marks[cur] = Mark::OnPath(u32::try_from(path.len()).unwrap_or(u32::MAX));
-                    path.push(cur);
-                    match succ[cur] {
-                        DELIVER => {
-                            marks[cur] = Mark::Done(Outcome::Delivered);
-                            break Outcome::Delivered;
-                        }
-                        DROP => {
-                            marks[cur] = Mark::Done(Outcome::Blackhole);
-                            break Outcome::Blackhole;
-                        }
-                        next => cur = next as usize,
+                    marks[i] = Mark::OnPath;
+                    path.push(i);
+                    match view.step(cur.0, cur.1) {
+                        Step::Deliver => break Outcome::Delivered,
+                        Step::Drop => break Outcome::Blackhole,
+                        Step::Hop { to, ctx } => cur = (to, ctx),
                     }
                 }
             }
         };
         // Every state on the walked path shares the outcome (it leads
         // there deterministically).
-        for &s in path.iter() {
+        for &s in &path {
             marks[s] = Mark::Done(outcome);
         }
         out.push(outcome);
     }
+    out
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@ use stamp_bgp::engine::Engine;
 use stamp_bgp::router::BgpRouter;
 use stamp_bgp::types::{Color, PrefixId};
 use stamp_bgp::PathId;
+pub use stamp_bgp::{FeedCursor, Touched};
 use stamp_core::StampRouter;
 use stamp_rbgp::RbgpRouter;
 use stamp_topology::AsId;
@@ -82,15 +83,14 @@ pub trait ForwardingView {
     /// event during convergence).
     fn selection_paths(&self, v: AsId) -> Vec<Vec<AsId>>;
 
-    /// Version of `v`'s forwarding behaviour, for memoising compiled
-    /// classification state: while the version is unchanged, `start_ctx`
-    /// and every `step` at `v` return what they returned before. `None`
-    /// (the default) means "cannot version — recompute every time". A
-    /// scratch holding versioned state must be dedicated to one view
-    /// lineage (one engine); versions from different engines are not
-    /// comparable.
-    fn version(&self, _v: AsId) -> Option<u64> {
-        None
+    /// The ASes whose `start_ctx`, `step` row or selections may have
+    /// changed since `cursor` was last passed here, and move `cursor` to
+    /// now (see `Engine::touched_since`). [`Touched::All`] — the default —
+    /// means "cannot tell — recompute every row". A cursor must stay with
+    /// one view lineage (one engine): places in different engines' feeds
+    /// are not comparable.
+    fn touched_since(&self, _cursor: &mut FeedCursor) -> Touched<'_> {
+        Touched::All
     }
 
     /// Compact key of `v`'s current selection set: equal keys ⇔ equal
@@ -139,8 +139,8 @@ impl ForwardingView for BgpView<'_> {
         }
     }
 
-    fn version(&self, v: AsId) -> Option<u64> {
-        Some(self.engine.view_version(v))
+    fn touched_since(&self, cursor: &mut FeedCursor) -> Touched<'_> {
+        self.engine.touched_since(cursor, false)
     }
 
     fn selection_key(&self, v: AsId) -> Option<SelectionKey> {
@@ -215,8 +215,10 @@ impl ForwardingView for RbgpView<'_> {
         }
     }
 
-    fn version(&self, v: AsId) -> Option<u64> {
-        Some(self.engine.view_version(v))
+    fn touched_since(&self, cursor: &mut FeedCursor) -> Touched<'_> {
+        // The escape circuit in `step` reads the liveness of links far
+        // from `at`: any flip anywhere can change any row.
+        self.engine.touched_since(cursor, true)
     }
 
     fn selection_key(&self, v: AsId) -> Option<SelectionKey> {
@@ -343,8 +345,8 @@ impl ForwardingView for StampView<'_> {
             .collect()
     }
 
-    fn version(&self, v: AsId) -> Option<u64> {
-        Some(self.engine.view_version(v))
+    fn touched_since(&self, cursor: &mut FeedCursor) -> Touched<'_> {
+        self.engine.touched_since(cursor, false)
     }
 
     fn selection_key(&self, v: AsId) -> Option<SelectionKey> {

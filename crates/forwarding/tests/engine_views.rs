@@ -9,12 +9,16 @@
 
 use stamp_bgp::engine::{Engine, EngineConfig, ScenarioEvent};
 use stamp_bgp::router::BgpRouter;
-use stamp_bgp::types::PrefixId;
+use stamp_bgp::types::{PrefixId, RootCause};
 use stamp_core::{LockStrategy, StampRouter};
-use stamp_eventsim::SimDuration;
-use stamp_forwarding::{classify_all, BgpView, Outcome, RbgpView, StampView, TransientTracker};
+use stamp_eventsim::{rng_stream, SimDuration};
+use stamp_forwarding::view::{FeedCursor, SelectionKey, Touched};
+use stamp_forwarding::{
+    classify_all, BgpView, ForwardingView, Outcome, RbgpView, StampView, Step, TransientTracker,
+};
 use stamp_rbgp::{RbgpConfig, RbgpRouter};
-use stamp_topology::{AsGraph, AsId, GraphBuilder, StaticRoutes};
+use stamp_topology::gen::{generate, GenConfig};
+use stamp_topology::{AsGraph, AsId, GraphBuilder, LinkId, StaticRoutes};
 
 const P: PrefixId = PrefixId(0);
 
@@ -273,4 +277,318 @@ fn node_failure_stamp_not_worse_than_bgp() {
         tr.affected_count()
     };
     assert!(run_stamp() <= run_bgp());
+}
+
+// ---------------------------------------------------------------------
+// Incremental observation ≡ from-scratch observation
+// ---------------------------------------------------------------------
+
+/// A view with its touched feed hidden: every observation through it
+/// re-examines every row, so a tracker fed through it is the from-scratch
+/// reference for one fed the real view.
+struct NoFeed<'a, V>(&'a V);
+
+impl<V: ForwardingView> ForwardingView for NoFeed<'_, V> {
+    fn n(&self) -> usize {
+        self.0.n()
+    }
+    fn n_ctx(&self) -> u8 {
+        self.0.n_ctx()
+    }
+    fn start_ctx(&self, src: AsId) -> u8 {
+        self.0.start_ctx(src)
+    }
+    fn step(&self, at: AsId, ctx: u8) -> Step {
+        self.0.step(at, ctx)
+    }
+    fn selection_paths(&self, v: AsId) -> Vec<Vec<AsId>> {
+        self.0.selection_paths(v)
+    }
+    fn selection_key(&self, v: AsId) -> Option<SelectionKey> {
+        self.0.selection_key(v)
+    }
+}
+
+/// Everything a tracker reports, for comparing two of them.
+fn report(t: &TransientTracker) -> (Vec<bool>, [usize; 4], [u64; 3], bool) {
+    (
+        t.affected().to_vec(),
+        [
+            t.affected_count(),
+            t.loop_count(),
+            t.blackhole_count(),
+            t.control_affected_count(),
+        ],
+        [
+            t.observations,
+            t.observations_with_loops,
+            t.observations_with_blackholes,
+        ],
+        t.last_observation_had_problems,
+    )
+}
+
+/// Drive a converged engine through three seeded random timelines — link
+/// flaps, node failures and recoveries, drawn so that events overlap while
+/// the network is still re-converging from earlier ones — with a rewind to
+/// the converged checkpoint before the third. After every observer
+/// callback the incremental tracker must agree with the from-scratch
+/// oracle on every AS's outcome, and with a reference tracker that
+/// re-examines every row every tick on everything it reports. A macro
+/// because the view type borrows the engine it is built from.
+macro_rules! equivalence_test {
+    ($name:ident, $engine:expr, $view:ident) => {
+        #[test]
+        fn $name() {
+            for seed in [3u64, 17] {
+                let g = generate(&GenConfig::small(seed)).unwrap();
+                let n = g.n();
+                let dest = AsId::from_usize(n - 1);
+                #[allow(clippy::redundant_closure_call)]
+                let mut e = ($engine)(g.clone(), dest, seed);
+                e.start();
+                e.run_to_quiescence(None);
+                let ck = e.snapshot();
+
+                let mut rng = rng_stream(seed, 0xE9);
+                let links: Vec<LinkId> = (0..g.n_links() as u32).map(LinkId).collect();
+                // The control metric watches one link that the first
+                // timeline is sure to fail.
+                let watched = *rng.choose(&links).unwrap();
+                let cause = {
+                    let l = g.link(watched);
+                    vec![RootCause::link(l.a, l.b)]
+                };
+                // AS 0 is left out of the count, as a partitioned AS is.
+                let mut reachable = vec![true; n];
+                reachable[0] = false;
+                let mut inc = TransientTracker::new(dest, reachable.clone());
+                let mut scratch = TransientTracker::new(dest, reachable);
+                {
+                    let v = $view {
+                        engine: &e,
+                        prefix: P,
+                    };
+                    inc.with_control_metric(cause.clone(), &v);
+                    scratch.with_control_metric(cause, &NoFeed(&v));
+                }
+
+                let mut ticks = 0u64;
+                for round in 0..3 {
+                    if round == 2 {
+                        e.restore(&ck);
+                    }
+                    let mut events = vec![(0u64, ScenarioEvent::FailLink(watched))];
+                    for _ in 0..10 {
+                        let at = rng.gen_range(0..4_000u64);
+                        let back = at + rng.gen_range(5..3_000u64);
+                        if rng.gen_bool(0.3) {
+                            let v = AsId::from_usize(rng.gen_range(1..n - 1));
+                            events.push((at, ScenarioEvent::FailNode(v)));
+                            events.push((back, ScenarioEvent::RecoverNode(v)));
+                        } else {
+                            let l = *rng.choose(&links).unwrap();
+                            events.push((at, ScenarioEvent::FailLink(l)));
+                            if rng.gen_bool(0.7) {
+                                events.push((back, ScenarioEvent::RecoverLink(l)));
+                            }
+                        }
+                    }
+                    for (ms, ev) in events {
+                        e.inject_after(SimDuration::from_millis(ms), ev);
+                    }
+                    e.run_until_quiescent(None, |eng, t| {
+                        let v = $view {
+                            engine: eng,
+                            prefix: P,
+                        };
+                        inc.observe(&v);
+                        scratch.observe(&NoFeed(&v));
+                        assert_eq!(
+                            inc.outcomes(),
+                            classify_all(&v),
+                            "seed {seed} round {round} t={t:?}: outcomes drifted from the oracle"
+                        );
+                        assert_eq!(
+                            report(&inc),
+                            report(&scratch),
+                            "seed {seed} round {round} t={t:?}: counters drifted from a \
+                             tracker that re-examines every row"
+                        );
+                        ticks += 1;
+                    });
+                }
+                assert!(ticks > 30, "the timelines must actually be observed");
+                assert!(inc.affected_count() > 0, "and must actually hurt someone");
+                // And the incremental tracker did not get there by
+                // re-examining every row every tick (R-BGP does on the
+                // ticks that carry a liveness flip, which these timelines
+                // are full of).
+                assert_eq!(scratch.work().rows_recompiled, ticks * n as u64);
+                assert!(inc.work().rows_recompiled < scratch.work().rows_recompiled);
+            }
+        }
+    };
+}
+
+equivalence_test!(
+    incremental_observation_matches_scratch_bgp,
+    |g: AsGraph, dest, seed| -> Engine<BgpRouter> {
+        Engine::new(
+            g,
+            EngineConfig {
+                seed,
+                ..EngineConfig::default()
+            },
+            |v| BgpRouter::new(v, if v == dest { vec![P] } else { vec![] }),
+        )
+    },
+    BgpView
+);
+
+equivalence_test!(
+    incremental_observation_matches_scratch_rbgp,
+    |g: AsGraph, dest, seed| -> Engine<RbgpRouter> {
+        Engine::new(
+            g,
+            EngineConfig {
+                seed,
+                ..EngineConfig::default()
+            },
+            |v| {
+                RbgpRouter::new(
+                    v,
+                    if v == dest { vec![P] } else { vec![] },
+                    RbgpConfig::default(),
+                )
+            },
+        )
+    },
+    RbgpView
+);
+
+equivalence_test!(
+    incremental_observation_matches_scratch_rbgp_without_rci,
+    |g: AsGraph, dest, seed| -> Engine<RbgpRouter> {
+        let cfg = RbgpConfig {
+            rci: false,
+            ..RbgpConfig::default()
+        };
+        Engine::new(
+            g,
+            EngineConfig {
+                seed,
+                ..EngineConfig::default()
+            },
+            |v| RbgpRouter::new(v, if v == dest { vec![P] } else { vec![] }, cfg),
+        )
+    },
+    RbgpView
+);
+
+equivalence_test!(
+    incremental_observation_matches_scratch_stamp,
+    |g: AsGraph, dest, seed| -> Engine<StampRouter> {
+        Engine::new(
+            g,
+            EngineConfig {
+                seed,
+                ..EngineConfig::default()
+            },
+            |v| {
+                StampRouter::new(
+                    v,
+                    if v == dest { vec![P] } else { vec![] },
+                    LockStrategy::Random { seed },
+                )
+            },
+        )
+    },
+    StampView
+);
+
+/// R-BGP's escape circuits read the liveness of links far from the AS
+/// that uses them, so its view gives up the whole table on a liveness
+/// flip — and only then: the deliveries that follow report rows.
+#[test]
+fn rbgp_view_falls_back_to_the_whole_table_on_liveness_events_only() {
+    let g = diamond();
+    let dest = AsId(4);
+    // 2 loses its customer route; 0 hears the withdrawal and moves to its
+    // peer — FIB changes in the failure's batch and in later ones.
+    let failed = g.link_between(AsId(4), AsId(2)).unwrap();
+    let mut e: Engine<RbgpRouter> = Engine::new(g, EngineConfig::default(), |v| {
+        RbgpRouter::new(
+            v,
+            if v == dest { vec![P] } else { vec![] },
+            RbgpConfig::default(),
+        )
+    });
+    e.start();
+    e.run_to_quiescence(None);
+    let mut rbgp = FeedCursor::default();
+    let mut narrow = FeedCursor::default();
+    fn view(engine: &Engine<RbgpRouter>) -> RbgpView<'_> {
+        RbgpView { engine, prefix: P }
+    }
+    assert_eq!(view(&e).touched_since(&mut rbgp), Touched::All);
+    e.touched_since(&mut narrow, false);
+
+    e.inject_after(SimDuration::from_secs(5), ScenarioEvent::FailLink(failed));
+    let mut batches = Vec::new();
+    e.run_until_quiescent(None, |eng, _| {
+        let wide_lost = view(eng).touched_since(&mut rbgp) == Touched::All;
+        let narrow_lost = eng.touched_since(&mut narrow, false) == Touched::All;
+        batches.push((wide_lost, narrow_lost));
+    });
+    // The failure's own batch loses the R-BGP table; a view that reads
+    // only its own sessions keeps its place; the update batches that
+    // follow are plain deliveries for both.
+    assert_eq!(batches[0], (true, false));
+    assert!(batches.len() > 1, "the failure must cause updates");
+    assert!(batches[1..].iter().all(|b| *b == (false, false)));
+}
+
+/// Why R-BGP needs that fallback. 2 loses its link to the origin and puts
+/// its packets on the failover circuit 0 advertised it, 2 → 0 → 1 → 3 → 4;
+/// a millisecond later — before any update has been delivered — the
+/// circuit's far link 1–3 fails. 2's router runs no event and none of its
+/// own sessions flips, yet its packets now die: the row changed because a
+/// link two hops away did.
+#[test]
+fn rbgp_row_changes_when_a_remote_link_of_its_escape_circuit_fails() {
+    let g = diamond();
+    let dest = AsId(4);
+    let l42 = g.link_between(AsId(4), AsId(2)).unwrap();
+    let l13 = g.link_between(AsId(1), AsId(3)).unwrap();
+    let mut e: Engine<RbgpRouter> = Engine::new(g.clone(), EngineConfig::default(), |v| {
+        RbgpRouter::new(
+            v,
+            if v == dest { vec![P] } else { vec![] },
+            RbgpConfig::default(),
+        )
+    });
+    e.start();
+    e.run_to_quiescence(None);
+    let mut tracker = TransientTracker::new(dest, vec![true; g.n()]);
+    e.inject_after(SimDuration::from_secs(5), ScenarioEvent::FailLink(l42));
+    e.inject_after(
+        SimDuration::from_secs(5) + SimDuration::from_millis(1),
+        ScenarioEvent::FailLink(l13),
+    );
+    let mut fate_of_2 = Vec::new();
+    e.run_until_quiescent(None, |eng, _| {
+        let v = RbgpView {
+            engine: eng,
+            prefix: P,
+        };
+        tracker.observe(&v);
+        assert_eq!(tracker.outcomes(), classify_all(&v));
+        fate_of_2.push(tracker.outcomes()[2]);
+    });
+    assert_eq!(
+        fate_of_2[..2],
+        [Outcome::Delivered, Outcome::Blackhole],
+        "the circuit carries 2's packets until its far link fails"
+    );
 }

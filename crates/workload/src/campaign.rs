@@ -32,6 +32,7 @@ use stamp_bgp::engine::RunOutcome;
 use stamp_eventsim::fxhash::FxHashMap;
 use stamp_eventsim::rng::{tags, Rng};
 use stamp_eventsim::{derive_seed, SimDuration};
+use stamp_forwarding::ObserverWork;
 use stamp_policy::PolicyRegime;
 use stamp_topology::{AsGraph, AsId};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -107,7 +108,7 @@ pub fn run_protocol_cell(
     protocol: Protocol,
     seed: u64,
 ) -> InstanceMetrics {
-    run_protocol_cell_inner(g, params, timeline, dest, reachable, protocol, seed, None)
+    run_protocol_cell_inner(g, params, timeline, dest, reachable, protocol, seed, None).0
 }
 
 /// [`run_protocol_cell`] with a warm-start cache: if `cache` holds the
@@ -138,6 +139,7 @@ pub fn run_protocol_cell_warm(
         seed,
         Some(cache),
     )
+    .0
 }
 
 /// A session for `(protocol, dest, seed)`. With a cache it comes back *at
@@ -186,11 +188,13 @@ fn run_protocol_cell_inner(
     protocol: Protocol,
     seed: u64,
     cache: Option<&BaselineCache>,
-) -> InstanceMetrics {
-    baseline_session(g, params, dest, protocol, seed, cache)
+) -> (InstanceMetrics, ObserverWork) {
+    let mut sim = baseline_session(g, params, dest, protocol, seed, cache);
+    let metrics = sim
         .measure(timeline, reachable)
         // simlint::allow(panic, "timelines are generated against this same graph")
-        .expect("timeline must resolve against the cell topology")
+        .expect("timeline must resolve against the cell topology");
+    (metrics, sim.observer_work())
 }
 
 /// Point-in-time occupancy and traffic counters of a [`BaselineCache`]
@@ -556,6 +560,10 @@ pub struct CampaignCell {
 pub struct CellResult {
     pub cell: CampaignCell,
     pub metrics: Vec<(Protocol, InstanceMetrics)>,
+    /// What observing each protocol's run cost, parallel to `metrics`.
+    /// Exact and seed-determined like the metrics, but a ledger of work,
+    /// not a result: the aggregate hash does not fold it.
+    pub observer: Vec<ObserverWork>,
 }
 
 /// Per-`(timeline, protocol)` aggregate over all matching cells.
@@ -589,6 +597,19 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
+    /// Observer work of one protocol, summed over the grid.
+    pub fn observer_work(&self, p: Protocol) -> ObserverWork {
+        let mut sum = ObserverWork::default();
+        for c in &self.cells {
+            for ((q, _), w) in c.metrics.iter().zip(&c.observer) {
+                if *q == p {
+                    sum += *w;
+                }
+            }
+        }
+        sum
+    }
+
     /// Aggregate one `(timeline, protocol)` slice of the grid.
     pub fn aggregate(&self, timeline: usize, p: Protocol) -> Aggregate {
         let ms: Vec<&InstanceMetrics> = self
@@ -688,6 +709,23 @@ pub fn run_cells(
     cells: &[Cell<'_>],
     cache: Option<&BaselineCache>,
 ) -> Result<Vec<Vec<(Protocol, InstanceMetrics)>>, TimelineError> {
+    let counted = run_cells_counted(g, params, protocols, threads, cells, cache)?;
+    Ok(counted.into_iter().map(|(metrics, _)| metrics).collect())
+}
+
+/// What one cell hands back: its metrics and, beside them, what observing
+/// each protocol cost.
+type CountedCell = (Vec<(Protocol, InstanceMetrics)>, Vec<ObserverWork>);
+
+/// [`run_cells`], keeping each cell's observer-work ledger.
+fn run_cells_counted(
+    g: &AsGraph,
+    params: &RunParams,
+    protocols: &[Protocol],
+    threads: usize,
+    cells: &[Cell<'_>],
+    cache: Option<&BaselineCache>,
+) -> Result<Vec<CountedCell>, TimelineError> {
     let mut masks: Vec<Arc<[bool]>> = Vec::with_capacity(cells.len());
     for on_timeline in cells.chunk_by(|a, b| a.timeline == b.timeline) {
         let timeline = on_timeline[0].timeline;
@@ -703,12 +741,12 @@ pub fn run_cells(
         protocols
             .iter()
             .map(|&p| {
-                let m = run_protocol_cell_inner(
+                let (m, w) = run_protocol_cell_inner(
                     g, params, c.timeline, c.dest, &masks[i], p, c.seed, cache,
                 );
-                (p, m)
+                ((p, m), w)
             })
-            .collect()
+            .unzip()
     }))
 }
 
@@ -794,11 +832,15 @@ pub fn run_campaign_with_cache(
             seed: cell_seed(c),
         })
         .collect();
-    let metrics = run_cells(g, &cfg.params, &cfg.protocols, cfg.threads, &cells, cache)?;
+    let counted = run_cells_counted(g, &cfg.params, &cfg.protocols, cfg.threads, &cells, cache)?;
     let cells: Vec<CellResult> = grid
         .into_iter()
-        .zip(metrics)
-        .map(|(cell, metrics)| CellResult { cell, metrics })
+        .zip(counted)
+        .map(|(cell, (metrics, observer))| CellResult {
+            cell,
+            metrics,
+            observer,
+        })
         .collect();
     let mut h = GridHash::new();
     for c in &cells {

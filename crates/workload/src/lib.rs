@@ -58,6 +58,7 @@ pub use sim::{
     ProtocolSpec, Sim, SimBuilder, SimCheckpoint, SimError, SimEvent, SnapshotCause,
 };
 pub use stamp_bgp::engine::{RunOutcome, WatchdogConfig};
+pub use stamp_forwarding::ObserverWork;
 pub use stamp_policy::PolicyRegime;
 pub use timeline::{
     background_churn, choose_k, correlated_node_outage, flap_train, maintenance_windows,

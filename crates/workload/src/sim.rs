@@ -33,8 +33,10 @@
 //! Steady-state cost: with the flat engine hot path (DESIGN.md §10) the
 //! whole drive loop is allocation-free per event — dense session-indexed
 //! channels/MRAI below, the engine's reusable router-output scratch, stack
-//! views per snapshot here, and a [`TransientTracker`] that reuses its
-//! classification buffers across observations. `bgp_convergence_300` /
+//! views per snapshot here, and a [`TransientTracker`] that keeps its
+//! classification across observations and re-examines only the rows the
+//! engine's touched feed reports (the view carries the feed; see
+//! DESIGN.md §12). `bgp_convergence_300` /
 //! `convergence_2000` in `benches/micro.rs` are the end-to-end gauges of
 //! this path.
 
@@ -45,7 +47,9 @@ use stamp_bgp::router::{BgpRouter, RouterLogic};
 use stamp_bgp::types::{PrefixId, RootCause};
 use stamp_core::{LockStrategy, StampRouter};
 use stamp_eventsim::{SimDuration, SimTime};
-use stamp_forwarding::{BgpView, ForwardingView, RbgpView, StampView, TransientTracker};
+use stamp_forwarding::{
+    BgpView, ForwardingView, ObserverWork, RbgpView, StampView, TransientTracker,
+};
 use stamp_rbgp::{RbgpConfig, RbgpRouter};
 use stamp_topology::{AsGraph, AsId};
 use std::collections::VecDeque;
@@ -455,13 +459,7 @@ impl Probe for MetricsProbe {
                 // silently resampling (and dropping its causes)
                 // mid-measurement.
                 if let Some(causes) = self.causes.take() {
-                    // `with_control_metric` is a by-value builder; swap
-                    // through a placeholder to apply it in place.
-                    let t = std::mem::replace(
-                        &mut self.tracker,
-                        TransientTracker::new(AsId(0), vec![]),
-                    );
-                    self.tracker = t.with_control_metric(causes, view);
+                    self.tracker.with_control_metric(causes, view);
                 }
             }
             SimEvent::Snapshot {
@@ -628,6 +626,7 @@ impl<'g> SimBuilder<'g> {
             converged: false,
             updates_initial: 0,
             outcome: RunOutcome::Converged,
+            observer_work: ObserverWork::default(),
         })
     }
 }
@@ -650,6 +649,7 @@ pub struct Sim {
     converged: bool,
     updates_initial: u64,
     outcome: RunOutcome,
+    observer_work: ObserverWork,
 }
 
 impl Sim {
@@ -728,6 +728,13 @@ impl Sim {
     /// is about this timeline's history, not the latest instant).
     pub fn outcome(&self) -> RunOutcome {
         self.outcome
+    }
+
+    /// What observing cost the latest [`Sim::measure`], in exact counts
+    /// (all zero before the first). A perf ledger entry, not simulation
+    /// state: [`Sim::restore`] leaves it alone.
+    pub fn observer_work(&self) -> ObserverWork {
+        self.observer_work
     }
 
     fn record_outcome(&mut self, o: RunOutcome) {
@@ -866,6 +873,7 @@ impl Sim {
         };
         let mut probe = MetricsProbe::new(self.dest, reachable.to_vec(), timeline.root_causes());
         let played = self.play(timeline, &mut probe)?;
+        self.observer_work = probe.tracker().work();
         let s = self.stats();
         Ok(InstanceMetrics {
             outcome: self.outcome,
