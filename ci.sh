@@ -162,11 +162,13 @@ echo "debug-vs-release determinism cross-check passed ($SMOKE_GOLDEN)"
 
 # --- Warm-start golden-hash gate ------------------------------------------
 # The full default grids (campaign at 500 ASes, campaign_2000 at 2000),
-# each run cold-serial, cold-parallel and warm (every cell forked from a
-# pre-converged checkpoint). The binary itself asserts all three passes
+# each run cold-serial, cold-parallel and warm (every cell a clone of a
+# pre-converged session). The binary itself asserts all three passes
 # hash identically per grid; here we additionally pin the aggregates to
-# the goldens, so a checkpoint/restore field omission that shifts results
-# stops CI even if it shifts them *consistently*. `--check` leaves
+# the goldens, so run state that a copy of a session fails to carry stops
+# CI even if it shifts results *consistently*. (A forgotten `Engine`
+# *field* never gets this far: the engine's `Clone` impl destructures its
+# source without `..`, so it does not compile.) `--check` leaves
 # BENCH_campaign.json untouched.
 # Naming the default regime must be a no-op (`--policy gao-rexford` runs
 # the identical default grids), and the policy sweep appends one pinned

@@ -376,10 +376,12 @@ fn bench_observe_loop(h: &Harness, report: &mut JsonReport) {
 }
 
 /// The warm-start building blocks at campaign scale (2000 ASes):
-/// `snapshot_2000` / `restore_2000` are the engine-level checkpoint ops
-/// (memcpy-class buffer copies into pre-sized allocations — both are
-/// `simlint::hot`), `warm_cell_2000` is a full campaign cell forked from a
-/// cached baseline (restore + timeline replay, no cold convergence).
+/// `snapshot_2000` / `restore_2000` are the engine-level copy
+/// (`Engine::clone_from`, `simlint::hot`: buffer copies into pre-sized
+/// allocations) taken in each direction — into a held checkpoint, and from
+/// it back over the live engine — and `warm_cell_2000` is a full campaign
+/// cell cloned from a cached baseline (clone + timeline replay, no cold
+/// convergence).
 fn bench_checkpoint(h: &Harness, report: &mut JsonReport) {
     use stamp_bgp::engine::{Engine, EngineConfig};
     use stamp_bgp::router::BgpRouter;
@@ -403,12 +405,12 @@ fn bench_checkpoint(h: &Harness, report: &mut JsonReport) {
     e.start();
     e.run_to_quiescence(None);
 
-    let mut ck = e.snapshot();
+    let mut ck = e.clone();
     report.bench(h, "snapshot_2000", || {
-        e.snapshot_into(black_box(&mut ck));
+        black_box(&mut ck).clone_from(&e);
     });
     report.bench(h, "restore_2000", || {
-        e.restore(black_box(&ck));
+        e.clone_from(black_box(&ck));
     });
 
     let mut rng = rng_stream(900, tags::WORKLOAD);

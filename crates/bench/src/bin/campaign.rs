@@ -49,8 +49,8 @@ struct GridRun {
 /// Run the grid cold at one worker, cold at `threads_n`, then warm (every
 /// cell forked from a pre-converged checkpoint) — asserting the
 /// byte-identical aggregate across all three. The warm-equals-cold check
-/// is the campaign-scale proof that `restore` rewinds everything a replay
-/// depends on.
+/// is the campaign-scale proof that a copy of a session carries everything
+/// a replay depends on.
 fn run_twice(
     g: &AsGraph,
     timelines: &[Timeline],

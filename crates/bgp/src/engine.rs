@@ -12,7 +12,7 @@
 //! delay sequences.
 
 use crate::feed::{FeedCursor, TouchFeed, Touched};
-use crate::patharena::{ArenaMark, PathArena};
+use crate::patharena::PathArena;
 use crate::router::{OutMsg, RouterCtx, RouterLogic, SessionView, StateFingerprint};
 use crate::types::{PrefixId, ProcId, Route, UpdateKind, UpdateMsg};
 use stamp_eventsim::rng::{tags, Rng};
@@ -21,6 +21,7 @@ use stamp_eventsim::{
 };
 use stamp_policy::CompiledRegime;
 use stamp_topology::{AsGraph, AsId, LinkId, SessEnds, SessEntry, SessId};
+use std::sync::Arc;
 
 /// Maximum routing processes per AS the engine provisions per-session
 /// state for (STAMP's red + blue; BGP and R-BGP use process 0 only).
@@ -87,9 +88,8 @@ pub enum ScenarioEvent {
     /// `stamp_policy::PolicyRegime::index_of`; an out-of-range index is a
     /// no-op). Affects every import/export decision from the next
     /// delivered message on; nothing is re-evaluated retroactively. The
-    /// engine config is deliberately not checkpointed, so a restore across
-    /// a flip keeps the flipped regime — timelines that flip policy should
-    /// not be mixed with snapshot/rollback within one run.
+    /// live regime is run state like any other: a copy of the engine
+    /// carries it, and copying a pre-flip engine over this one rewinds it.
     FlipPolicy(u16),
 }
 
@@ -181,10 +181,10 @@ pub struct EngineConfig {
     /// Message loss fault injection (zero in the paper's experiments).
     pub loss: LossModel,
     /// Compiled policy regime every router consults for import preference
-    /// and export gating. The default (`gao-rexford`) reproduces the
-    /// paper's hardwired prefer-customer + valley-free semantics exactly.
-    /// Deliberately *not* part of checkpoints: a checkpoint restores into
-    /// an engine that already carries its regime.
+    /// and export gating *at the start of the run* — a
+    /// [`ScenarioEvent::FlipPolicy`] replaces the live one. The default
+    /// (`gao-rexford`) reproduces the paper's hardwired prefer-customer +
+    /// valley-free semantics exactly.
     pub policy: CompiledRegime,
     /// Convergence-watchdog thresholds (oscillation detector + event
     /// budget) applied by every `run_*` call.
@@ -333,6 +333,20 @@ struct MraiSlot {
     pending: Option<UpdateMsg>,
 }
 
+/// What no run can change — the topology, the per-session MRAI jitter
+/// table sampled from it at construction, and the non-policy configuration.
+/// Every copy of an engine shares one of these, so copying an engine copies
+/// exactly the state a run can mutate.
+struct Fixed {
+    g: AsGraph,
+    /// Jittered MRAI interval per directed session.
+    mrai_interval: Vec<SimDuration>,
+    mrai_enabled: bool,
+    mrai_withdrawals: bool,
+    loss: LossModel,
+    watchdog: WatchdogConfig,
+}
+
 /// The simulation engine: one router per AS, FIFO sessions, MRAI, failures.
 ///
 /// All per-session state lives in flat `Vec`s indexed by the topology's
@@ -340,8 +354,15 @@ struct MraiSlot {
 /// session set is fixed for the lifetime of a run, so nothing on the
 /// per-message path ever probes a hash map keyed by `(AsId, AsId, …)`
 /// tuples.
+///
+/// An engine is its own checkpoint: `clone` forks it and `clone_from`
+/// rewinds it (see the [`Clone`] impl). A copy resumes bit-identically to
+/// the engine it was taken from.
 pub struct Engine<R: RouterLogic> {
-    g: AsGraph,
+    fixed: Arc<Fixed>,
+    /// The live policy regime: [`EngineConfig::policy`] until a
+    /// [`ScenarioEvent::FlipPolicy`] replaces it.
+    policy: Arc<CompiledRegime>,
     routers: Vec<R>,
     /// Hash-consed AS-path storage shared by every router in this engine;
     /// update messages carry `PathId` handles into it.
@@ -354,9 +375,6 @@ pub struct Engine<R: RouterLogic> {
     /// by dense prefix id (grown on first use; one entry in the common
     /// single-prefix workloads).
     mrai: Vec<Vec<MraiSlot>>,
-    /// Jittered MRAI interval per directed session.
-    mrai_interval: Vec<SimDuration>,
-    cfg: EngineConfig,
     /// Per-link session epoch: bumped whenever the sessions over a link
     /// reset (the link fails, or an endpoint node fails while the link is
     /// up). In-flight messages carry the epoch they were sent under and
@@ -374,7 +392,7 @@ pub struct Engine<R: RouterLogic> {
     out_scratch: Vec<OutMsg>,
     /// Which ASes' forwarding rows may have changed, for observers that
     /// remember where they last looked — see [`Engine::touched_since`].
-    /// Not simulation state: never checkpointed, invalidated by a restore.
+    /// Not simulation state: `clone_from` invalidates it.
     feed: TouchFeed,
 }
 
@@ -399,32 +417,36 @@ impl<R: RouterLogic> Engine<R> {
                 mrai_interval[sess.index()] = cfg.mrai_base.mul_f64(f);
             }
         }
-        let routers = g.ases().map(&mut make).collect();
-        let n = g.n();
         Engine {
-            state: LinkState::new(&g),
-            routers,
+            policy: Arc::new(cfg.policy),
+            routers: g.ases().map(&mut make).collect(),
             paths: PathArena::new(),
             sched: Scheduler::new(),
+            state: LinkState::new(&g),
             channels: vec![FifoChannel::new(cfg.delay); n_sessions * N_PROCS],
-            link_epoch: vec![0; g.n_links()],
             mrai: vec![Vec::new(); n_sessions * N_PROCS],
-            mrai_interval,
+            link_epoch: vec![0; g.n_links()],
             scenario_seq: 0,
             delay_rng: rng_stream(cfg.seed, tags::DELAYS),
             loss_rng: rng_stream(cfg.seed, tags::LOSS),
-            cfg,
-            g,
             stats: RunStats::default(),
             started: false,
             out_scratch: Vec::new(),
-            feed: TouchFeed::new(n),
+            feed: TouchFeed::new(g.n()),
+            fixed: Arc::new(Fixed {
+                g,
+                mrai_interval,
+                mrai_enabled: cfg.mrai_enabled,
+                mrai_withdrawals: cfg.mrai_withdrawals,
+                loss: cfg.loss,
+                watchdog: cfg.watchdog,
+            }),
         }
     }
 
     /// The topology.
     pub fn topology(&self) -> &AsGraph {
-        &self.g
+        &self.fixed.g
     }
 
     /// The path arena (resolve `PathId` handles held by this engine's
@@ -466,7 +488,7 @@ impl<R: RouterLogic> Engine<R> {
     /// link up)?
     pub fn session_up(&self, a: AsId, b: AsId) -> bool {
         Sessions {
-            g: &self.g,
+            g: &self.fixed.g,
             state: &self.state,
         }
         .session_up(a, b)
@@ -482,7 +504,7 @@ impl<R: RouterLogic> Engine<R> {
     /// here, and move `cursor` to now. A superset: an AS is marked whenever
     /// its router runs an event (or is handed out by
     /// [`Engine::router_mut`]) and whenever a session of its own goes up
-    /// or down; [`Touched::All`] after a [`Engine::restore`], on a
+    /// or down; [`Touched::All`] after a `clone_from`, on a
     /// cursor's first look, or when the observer fell a whole ring behind.
     ///
     /// `wide_liveness` is for views whose rows read liveness *beyond* the
@@ -506,7 +528,7 @@ impl<R: RouterLogic> Engine<R> {
     pub fn start(&mut self) {
         assert!(!self.started, "engine already started");
         self.started = true;
-        for v in 0..self.g.n() {
+        for v in 0..self.fixed.g.n() {
             let v = AsId::from_usize(v);
             self.with_router_ctx(v, |router, ctx| router.on_start(ctx));
         }
@@ -579,7 +601,7 @@ impl<R: RouterLogic> Engine<R> {
         F: FnMut(&Engine<R>, SimTime),
     {
         assert!(self.started, "call start() first");
-        let wd = self.cfg.watchdog;
+        let wd = self.fixed.watchdog;
         // Fingerprint history as (fingerprint, sample time, events-so-far):
         // fixed-size window, newest last — no allocation on the run path.
         const WD_HISTORY: usize = 32;
@@ -652,101 +674,6 @@ impl<R: RouterLogic> Engine<R> {
     }
 
     // ------------------------------------------------------------------
-    // Checkpoint / restore
-    // ------------------------------------------------------------------
-
-    /// Capture the engine's complete mutable state as a [`Checkpoint`]:
-    /// routers, scheduler (pending events and clock), liveness, per-session
-    /// channel/MRAI state, RNG stream positions, counters, and the path
-    /// arena (contents and high-water mark). Restoring it — on this
-    /// engine, a clone, or an identically constructed fresh engine —
-    /// resumes the simulation bit-identically.
-    ///
-    /// Allocating constructor; reuse the buffers of an existing checkpoint
-    /// with [`Engine::snapshot_into`] on repeated captures.
-    pub fn snapshot(&self) -> Checkpoint<R>
-    where
-        R: Clone,
-    {
-        Checkpoint {
-            routers: self.routers.clone(),
-            paths: self.paths.clone(),
-            sched: self.sched.clone(),
-            state: self.state.clone(),
-            channels: self.channels.clone(),
-            mrai: self.mrai.clone(),
-            link_epoch: self.link_epoch.clone(),
-            scenario_seq: self.scenario_seq,
-            delay_rng: self.delay_rng.clone(),
-            loss_rng: self.loss_rng.clone(),
-            stats: self.stats,
-            started: self.started,
-        }
-    }
-
-    /// [`Engine::snapshot`] into caller-owned buffers: repeated captures
-    /// reuse the checkpoint's allocations (`clone_from` all the way down
-    /// the flat `Vec` state).
-    // simlint::hot
-    pub fn snapshot_into(&self, ck: &mut Checkpoint<R>)
-    where
-        R: Clone,
-    {
-        ck.routers.clone_from(&self.routers);
-        ck.paths.clone_from(&self.paths);
-        ck.sched.clone_from(&self.sched);
-        ck.state.link_up.clone_from(&self.state.link_up);
-        ck.state.node_up.clone_from(&self.state.node_up);
-        ck.channels.clone_from(&self.channels);
-        ck.mrai.clone_from(&self.mrai);
-        ck.link_epoch.clone_from(&self.link_epoch);
-        ck.scenario_seq = self.scenario_seq;
-        ck.delay_rng.clone_from(&self.delay_rng);
-        ck.loss_rng.clone_from(&self.loss_rng);
-        ck.stats = self.stats;
-        ck.started = self.started;
-    }
-
-    /// Restore a [`Checkpoint`] taken from this engine (or an identically
-    /// constructed one: same topology, same config). All mutable state is
-    /// overwritten in place — existing buffers are reused, nothing of the
-    /// post-snapshot timeline survives. When this engine's arena is an
-    /// append-only extension of the snapshot's (the same-lineage case,
-    /// verified by a prefix compare), the arena is *truncated* back to the
-    /// snapshot's high-water mark instead of copied; either way paths
-    /// interned after the snapshot are forgotten and a replay re-interns
-    /// them in identical order, so restored runs are bit-identical to a
-    /// cold run reaching the same state and can never observe ids a
-    /// sibling fork interned after the snapshot.
-    ///
-    /// The touched feed ([`Engine::touched_since`]) is invalidated, not
-    /// restored: every observer's next look reports the whole table dirty.
-    // simlint::hot
-    pub fn restore(&mut self, ck: &Checkpoint<R>)
-    where
-        R: Clone,
-    {
-        self.routers.clone_from(&ck.routers);
-        if self.paths.extends(&ck.paths) {
-            self.paths.truncate_to_mark(ck.paths.mark());
-        } else {
-            self.paths.clone_from(&ck.paths);
-        }
-        self.sched.clone_from(&ck.sched);
-        self.state.link_up.clone_from(&ck.state.link_up);
-        self.state.node_up.clone_from(&ck.state.node_up);
-        self.channels.clone_from(&ck.channels);
-        self.mrai.clone_from(&ck.mrai);
-        self.link_epoch.clone_from(&ck.link_epoch);
-        self.scenario_seq = ck.scenario_seq;
-        self.delay_rng.clone_from(&ck.delay_rng);
-        self.loss_rng.clone_from(&ck.loss_rng);
-        self.stats = ck.stats;
-        self.started = ck.started;
-        self.feed.invalidate();
-    }
-
-    // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------
 
@@ -791,7 +718,7 @@ impl<R: RouterLogic> Engine<R> {
                 // a reset in between (link failure, endpoint restart)
                 // destroyed everything in flight, even if a fresh session
                 // is already up again. All O(1) array reads.
-                let ends = self.g.sess_ends(sess);
+                let ends = self.fixed.g.sess_ends(sess);
                 if !self.ends_alive(ends) || self.link_epoch[ends.link.index()] != epoch {
                     self.stats.dropped += 1;
                     return false;
@@ -812,7 +739,7 @@ impl<R: RouterLogic> Engine<R> {
                 // fresh session's slot (which arms its own timers): the
                 // stale expiry would flush the new session's pending
                 // update early, violating the MRAI interval.
-                let ends = self.g.sess_ends(sess);
+                let ends = self.fixed.g.sess_ends(sess);
                 if self.link_epoch[ends.link.index()] != epoch {
                     return false;
                 }
@@ -822,7 +749,7 @@ impl<R: RouterLogic> Engine<R> {
                 match pending {
                     Some(msg) => {
                         // Keep the timer armed for another interval.
-                        let interval = self.mrai_interval[sess.index()];
+                        let interval = self.fixed.mrai_interval[sess.index()];
                         self.sched.schedule_after(
                             interval,
                             Event::MraiExpire {
@@ -883,8 +810,8 @@ impl<R: RouterLogic> Engine<R> {
             path,
             attrs: Default::default(),
         };
-        for i in 0..self.g.degree(attacker) {
-            let e = self.g.neighbor_entries(attacker)[i];
+        for i in 0..self.fixed.g.degree(attacker) {
+            let e = self.fixed.g.neighbor_entries(attacker)[i];
             if self.state.link_ok(e.link) && self.state.node_ok(e.neighbor) {
                 self.transmit(
                     e.sess,
@@ -912,8 +839,8 @@ impl<R: RouterLogic> Engine<R> {
             return false;
         };
         let adv = route.prepend(&mut self.paths, leaker);
-        for i in 0..self.g.degree(leaker) {
-            let e = self.g.neighbor_entries(leaker)[i];
+        for i in 0..self.fixed.g.degree(leaker) {
+            let e = self.fixed.g.neighbor_entries(leaker)[i];
             // Split horizon still holds — reflecting the route to its
             // sender would only be dropped as a loop anyway.
             if e.neighbor == learned_from {
@@ -941,7 +868,7 @@ impl<R: RouterLogic> Engine<R> {
         if let Some(compiled) =
             stamp_policy::PolicyRegime::by_index(idx).and_then(|r| r.compile().ok())
         {
-            self.cfg.policy = compiled;
+            self.policy = Arc::new(compiled);
         }
         false
     }
@@ -954,7 +881,7 @@ impl<R: RouterLogic> Engine<R> {
         self.state.link_up[id.index()] = false;
         self.mark_link_flip(id);
         self.link_epoch[id.index()] += 1;
-        let l = self.g.link(id);
+        let l = self.fixed.g.link(id);
         self.clear_link_sessions(id);
         let cause = crate::types::CauseInfo {
             cause: crate::types::RootCause::link(l.a, l.b),
@@ -985,7 +912,7 @@ impl<R: RouterLogic> Engine<R> {
         }
         self.state.link_up[id.index()] = true;
         self.mark_link_flip(id);
-        let l = self.g.link(id);
+        let l = self.fixed.g.link(id);
         if !self.state.node_ok(l.a) || !self.state.node_ok(l.b) {
             return false;
         }
@@ -1028,8 +955,8 @@ impl<R: RouterLogic> Engine<R> {
         let mut changed = false;
         // Walk the node's session slice by index — entries are `Copy`, so
         // no neighbour list is materialised per event.
-        for i in 0..self.g.degree(v) {
-            let e = self.g.neighbor_entries(v)[i];
+        for i in 0..self.fixed.g.degree(v) {
+            let e = self.fixed.g.neighbor_entries(v)[i];
             if self.state.link_up[e.link.index()] {
                 self.link_epoch[e.link.index()] += 1;
                 self.clear_link_sessions(e.link);
@@ -1062,8 +989,8 @@ impl<R: RouterLogic> Engine<R> {
             up: true,
         };
         let mut changed = false;
-        for i in 0..self.g.degree(v) {
-            let e = self.g.neighbor_entries(v)[i];
+        for i in 0..self.fixed.g.degree(v) {
+            let e = self.fixed.g.neighbor_entries(v)[i];
             if self.state.link_up[e.link.index()] && self.state.node_ok(e.neighbor) {
                 let n = e.neighbor;
                 changed |= self.with_router_ctx(v, |router, ctx| router.on_link_up(ctx, n, cause));
@@ -1078,7 +1005,7 @@ impl<R: RouterLogic> Engine<R> {
     /// was down before and still is.
     fn mark_link_flip(&mut self, id: LinkId) {
         self.feed.liveness_flipped();
-        let l = self.g.link(id);
+        let l = self.fixed.g.link(id);
         if self.state.node_ok(l.a) && self.state.node_ok(l.b) {
             self.feed.touch(l.a);
             self.feed.touch(l.b);
@@ -1091,8 +1018,8 @@ impl<R: RouterLogic> Engine<R> {
     fn mark_node_flip(&mut self, v: AsId) {
         self.feed.liveness_flipped();
         self.feed.touch(v);
-        for i in 0..self.g.degree(v) {
-            let e = self.g.neighbor_entries(v)[i];
+        for i in 0..self.fixed.g.degree(v) {
+            let e = self.fixed.g.neighbor_entries(v)[i];
             if self.state.link_up[e.link.index()] && self.state.node_ok(e.neighbor) {
                 self.feed.touch(e.neighbor);
             }
@@ -1103,9 +1030,10 @@ impl<R: RouterLogic> Engine<R> {
     /// sessions went down). Pending scheduler timers die by epoch
     /// mismatch; the dense rows just reset.
     fn clear_link_sessions(&mut self, link: LinkId) {
-        let l = self.g.link(link);
+        let l = self.fixed.g.link(link);
         for (a, b) in [(l.a, l.b), (l.b, l.a)] {
             let sess = self
+                .fixed
                 .g
                 .sess_between(a, b)
                 // simlint::allow(panic, "g.link() returned this link, so its endpoints are adjacent")
@@ -1131,18 +1059,16 @@ impl<R: RouterLogic> Engine<R> {
         let (out, fib_changed) = {
             let Engine {
                 routers,
-                g,
+                fixed,
                 state,
                 paths,
                 out_scratch,
-                cfg,
+                policy,
                 ..
             } = self;
-            let sessions = Sessions {
-                g: &*g,
-                state: &*state,
-            };
-            let mut ctx = RouterCtx::with_policy(v, &*g, &sessions, paths, &cfg.policy);
+            let g = &fixed.g;
+            let sessions = Sessions { g, state: &*state };
+            let mut ctx = RouterCtx::with_policy(v, g, &sessions, paths, policy);
             // Lend the engine's scratch buffer: `Vec::new()` above never
             // allocated, and the swap hands routers a warm buffer.
             ctx.out = std::mem::take(out_scratch);
@@ -1160,7 +1086,7 @@ impl<R: RouterLogic> Engine<R> {
             // One id-sorted slice probe resolves session, link and
             // liveness for the whole message; everything after is O(1)
             // indexing.
-            let Some(&SessEntry { sess, link, .. }) = self.g.entry_between(from, to) else {
+            let Some(&SessEntry { sess, link, .. }) = self.fixed.g.entry_between(from, to) else {
                 self.stats.dropped += 1;
                 continue;
             };
@@ -1168,10 +1094,10 @@ impl<R: RouterLogic> Engine<R> {
                 self.stats.dropped += 1;
                 continue;
             }
-            let rate_limited = self.cfg.mrai_enabled
+            let rate_limited = self.fixed.mrai_enabled
                 && match msg.kind {
                     UpdateKind::Announce(_) => true,
-                    UpdateKind::Withdraw(_) => self.cfg.mrai_withdrawals,
+                    UpdateKind::Withdraw(_) => self.fixed.mrai_withdrawals,
                 };
             if !rate_limited {
                 // Immediate transmission still supersedes anything queued
@@ -1185,7 +1111,7 @@ impl<R: RouterLogic> Engine<R> {
                 self.transmit(sess, proc, msg);
                 continue;
             }
-            let interval = self.mrai_interval[sess.index()];
+            let interval = self.fixed.mrai_interval[sess.index()];
             let epoch = self.link_epoch[link.index()];
             let slot = Self::mrai_slot(&mut self.mrai, sess, proc, msg.prefix);
             if slot.armed {
@@ -1211,7 +1137,7 @@ impl<R: RouterLogic> Engine<R> {
 
     /// Hand a message to the FIFO channel and schedule its delivery.
     fn transmit(&mut self, sess: SessId, proc: ProcId, msg: UpdateMsg) {
-        if self.cfg.loss.drops(&mut self.loss_rng) {
+        if self.fixed.loss.drops(&mut self.loss_rng) {
             self.stats.dropped += 1;
             return;
         }
@@ -1219,7 +1145,7 @@ impl<R: RouterLogic> Engine<R> {
             UpdateKind::Announce(_) => self.stats.announcements_sent += 1,
             UpdateKind::Withdraw(_) => self.stats.withdrawals_sent += 1,
         }
-        let epoch = self.link_epoch[self.g.sess_ends(sess).link.index()];
+        let epoch = self.link_epoch[self.fixed.g.sess_ends(sess).link.index()];
         let now = self.sched.now();
         let at = self.channels[chan_idx(sess, proc)].delivery_time(now, &mut self.delay_rng);
         self.sched.schedule_at(
@@ -1234,64 +1160,106 @@ impl<R: RouterLogic> Engine<R> {
     }
 }
 
-/// A full capture of an [`Engine`]'s mutable state (see
-/// [`Engine::snapshot`]): everything that evolves during a run — router
-/// state, pending events with the clock, liveness, per-session FIFO/MRAI
-/// state, RNG stream positions, counters — plus the path arena (its
-/// nodes and, implicitly, its high-water mark, see
-/// [`Checkpoint::arena_mark`]). What it deliberately does *not* carry:
-/// the topology and config (immutable per engine; restore targets must
-/// match), the per-session MRAI jitter intervals (a pure function of
-/// topology and seed, sampled at construction), and the touched feed
-/// (observer bookkeeping; a restore invalidates it).
-#[derive(Clone)]
-pub struct Checkpoint<R> {
-    routers: Vec<R>,
-    paths: PathArena,
-    sched: Scheduler<Event>,
-    state: LinkState,
-    channels: Vec<FifoChannel>,
-    mrai: Vec<Vec<MraiSlot>>,
-    link_epoch: Vec<u64>,
-    scenario_seq: u32,
-    delay_rng: Rng,
-    loss_rng: Rng,
-    stats: RunStats,
-    started: bool,
-}
-
-impl<R> Checkpoint<R> {
-    /// The arena high-water mark captured at snapshot time: restoring into
-    /// a same-lineage engine truncates its arena back to this point.
-    pub fn arena_mark(&self) -> ArenaMark {
-        self.paths.mark()
-    }
-}
-
-/// Forking an engine (checkpoint-and-branch without disturbing the
-/// original): the clone owns independent copies of everything, including
-/// the full path arena, so both copies may diverge freely.
+/// The one way to copy an engine. `clone` forks it (checkpoint-and-branch
+/// without disturbing the original); `clone_from` rewinds this engine to
+/// `source`, overwriting all run state in place. Both copy everything a run
+/// can mutate — routers, pending events with the clock, liveness,
+/// per-session FIFO/MRAI state, RNG stream positions, counters, the path
+/// arena, the live policy regime — and share what it cannot
+/// (topology, jitter table, config) by reference count, so a copy resumes
+/// bit-identically to the engine it was taken from.
+///
+/// Both destructure the source without `..`: a field added to [`Engine`]
+/// does not compile until someone decides here whether a fork copies it.
 impl<R: RouterLogic + Clone> Clone for Engine<R> {
     fn clone(&self) -> Self {
+        let Engine {
+            fixed,
+            policy,
+            routers,
+            paths,
+            sched,
+            state,
+            channels,
+            mrai,
+            link_epoch,
+            scenario_seq,
+            delay_rng,
+            loss_rng,
+            stats,
+            started,
+            out_scratch: _,
+            feed,
+        } = self;
         Engine {
-            g: self.g.clone(),
-            routers: self.routers.clone(),
-            paths: self.paths.clone(),
-            sched: self.sched.clone(),
-            state: self.state.clone(),
-            channels: self.channels.clone(),
-            mrai: self.mrai.clone(),
-            mrai_interval: self.mrai_interval.clone(),
-            cfg: self.cfg.clone(),
-            link_epoch: self.link_epoch.clone(),
-            scenario_seq: self.scenario_seq,
-            delay_rng: self.delay_rng.clone(),
-            loss_rng: self.loss_rng.clone(),
-            stats: self.stats,
-            started: self.started,
+            fixed: Arc::clone(fixed),
+            policy: Arc::clone(policy),
+            routers: routers.clone(),
+            paths: paths.clone(),
+            sched: sched.clone(),
+            state: state.clone(),
+            channels: channels.clone(),
+            mrai: mrai.clone(),
+            link_epoch: link_epoch.clone(),
+            scenario_seq: *scenario_seq,
+            delay_rng: delay_rng.clone(),
+            loss_rng: loss_rng.clone(),
+            stats: *stats,
+            started: *started,
+            // Scratch carries nothing between events.
             out_scratch: Vec::new(),
-            feed: self.feed.clone(),
+            // Cursors advanced on the original stay good on the fork.
+            feed: feed.clone(),
         }
+    }
+
+    /// Existing buffers are reused (`clone_from` down the flat `Vec`
+    /// state; the routers' own tables are whatever `R::clone_from` makes
+    /// of them) and nothing of this engine's timeline survives. When this
+    /// engine's arena is an append-only extension of `source`'s it is
+    /// truncated instead of copied ([`PathArena::clone_from`]); either way
+    /// paths interned after `source` was taken are forgotten and a replay
+    /// re-interns them in identical order, so a rewound run can never
+    /// observe ids a sibling fork interned.
+    ///
+    /// The touched feed ([`Engine::touched_since`]) is invalidated, not
+    /// copied: every observer's next look reports the whole table dirty.
+    // simlint::hot
+    fn clone_from(&mut self, source: &Self) {
+        let Engine {
+            fixed,
+            policy,
+            routers,
+            paths,
+            sched,
+            state,
+            channels,
+            mrai,
+            link_epoch,
+            scenario_seq,
+            delay_rng,
+            loss_rng,
+            stats,
+            started,
+            out_scratch: _,
+            feed: _,
+        } = source;
+        self.fixed.clone_from(fixed);
+        self.policy.clone_from(policy);
+        self.routers.clone_from(routers);
+        self.paths.clone_from(paths);
+        self.sched.clone_from(sched);
+        self.state.link_up.clone_from(&state.link_up);
+        self.state.node_up.clone_from(&state.node_up);
+        self.channels.clone_from(channels);
+        self.mrai.clone_from(mrai);
+        self.link_epoch.clone_from(link_epoch);
+        self.scenario_seq = *scenario_seq;
+        self.delay_rng.clone_from(delay_rng);
+        self.loss_rng.clone_from(loss_rng);
+        self.stats = *stats;
+        self.started = *started;
+        self.feed.invalidate(self.fixed.g.n());
     }
 }
 
@@ -1669,17 +1637,17 @@ mod tests {
         assert!(observations > 0, "initial convergence must change FIBs");
     }
 
-    /// The checkpoint contract at the engine level: snapshot → mutate →
-    /// restore → mutate replays bit-identically, whether the restore
-    /// target is the donor engine (arena truncation path) or a fresh
+    /// The fork contract at the engine level: copy → mutate → rewind →
+    /// mutate replays bit-identically, whether the rewind target is the
+    /// donor engine (arena truncation path) or a fresh
     /// identically-constructed engine (arena copy path).
     #[test]
-    fn snapshot_restore_replays_bit_identically() {
+    fn clone_and_clone_from_replay_bit_identically() {
         let g = diamond();
         let mut e = engine(g.clone(), AsId(4), 11);
         e.start();
         e.run_to_quiescence(None);
-        let ck = e.snapshot();
+        let ck = e.clone();
         let arena_at_ck = e.paths().node_count();
 
         let id = g.link_between(AsId(4), AsId(2)).unwrap();
@@ -1700,9 +1668,9 @@ mod tests {
             "replay only appends to the arena"
         );
 
-        // Same-lineage restore: the arena extends the snapshot, so the
-        // rewind is a truncation back to the mark.
-        e.restore(&ck);
+        // Same-lineage rewind: the arena extends the copy's, so the
+        // rewind is a truncation back to its length.
+        e.clone_from(&ck);
         assert_eq!(
             e.paths().node_count(),
             arena_at_ck,
@@ -1711,26 +1679,72 @@ mod tests {
         let second = play(&mut e);
         assert_eq!(first, second, "same-engine replay diverged");
 
-        // Cross-lineage restore: a fresh engine with an empty arena adopts
-        // the snapshot wholesale (copy path) and replays identically.
+        // Cross-lineage rewind: a fresh engine with an empty arena adopts
+        // the copy's wholesale (copy path) and replays identically.
         let mut f = engine(g.clone(), AsId(4), 11);
-        f.restore(&ck);
+        f.clone_from(&ck);
         assert_eq!(
             f.paths().node_count(),
             arena_at_ck,
-            "arena copied from the snapshot"
+            "arena copied from the checkpoint"
         );
         let third = play(&mut f);
         assert_eq!(first, third, "fresh-engine replay diverged");
 
-        // snapshot_into reuses an existing checkpoint's buffers and
-        // captures state a restore reproduces exactly.
-        f.restore(&ck);
-        let mut ck2 = e.snapshot();
-        f.snapshot_into(&mut ck2);
+        // clone_from into a used engine reuses its buffers and captures
+        // state a further clone_from reproduces exactly.
+        f.clone_from(&ck);
+        let mut ck2 = e.clone();
+        ck2.clone_from(&f);
         let mut h = engine(g.clone(), AsId(4), 11);
-        h.restore(&ck2);
-        assert_eq!(play(&mut h), first, "snapshot_into replay diverged");
+        h.clone_from(&ck2);
+        assert_eq!(play(&mut h), first, "copy-of-a-copy replay diverged");
+
+        // And a plain fork continues like the engine it left.
+        assert_eq!(play(&mut ck.clone()), first, "fork replay diverged");
+    }
+
+    /// `clone_from` is total: a source on another topology is adopted
+    /// whole, feed shape included, and runs.
+    #[test]
+    fn clone_from_an_engine_on_another_topology_adopts_it() {
+        let mut wide = engine(diamond(), AsId(4), 3);
+        wide.start();
+        wide.run_to_quiescence(None);
+        let mut c = FeedCursor::default();
+        wide.touched_since(&mut c, false);
+        let mut b = GraphBuilder::new();
+        b.preregister(2);
+        b.customer_of(1, 0).unwrap();
+        let narrow = engine(b.build().unwrap(), AsId(1), 3);
+        wide.clone_from(&narrow);
+        assert_eq!(wide.topology().n(), 2);
+        assert_eq!(wide.touched_since(&mut c, false), Touched::All);
+        wide.start();
+        assert_eq!(wide.run_to_quiescence(None), RunOutcome::Converged);
+        assert_eq!(wide.router(AsId(0)).next_hop(PrefixId(0)), Some(AsId(1)));
+        assert!(matches!(
+            wide.touched_since(&mut c, false),
+            Touched::Rows(..)
+        ));
+    }
+
+    /// The live policy regime is run state: a flip is rewound with the
+    /// rest, and a fork taken after it carries it.
+    #[test]
+    fn a_policy_flip_is_copied_and_rewound_like_any_other_state() {
+        let idx = stamp_policy::PolicyRegime::index_of("shortest-path").unwrap();
+        let mut e = engine(diamond(), AsId(4), 11);
+        e.start();
+        e.run_to_quiescence(None);
+        let ck = e.clone();
+        e.inject_after(SimDuration::from_secs(1), ScenarioEvent::FlipPolicy(idx));
+        e.run_to_quiescence(None);
+        assert_eq!(e.policy.name(), "shortest-path");
+        assert_eq!(e.clone().policy.name(), "shortest-path");
+        assert_eq!(ck.policy.name(), "gao-rexford", "the fork never saw it");
+        e.clone_from(&ck);
+        assert_eq!(e.policy.name(), "gao-rexford");
     }
 }
 
@@ -1980,7 +1994,7 @@ mod more_tests {
     fn event_budget_backstops_divergence() {
         let mut e = naive_engine(7);
         // A watchdog that never arms leaves only the event budget.
-        e.cfg.watchdog = WatchdogConfig {
+        Arc::get_mut(&mut e.fixed).unwrap().watchdog = WatchdogConfig {
             arm_after: SimDuration::from_secs(1_000_000),
             sample_every: SimDuration::from_secs(1),
             max_events: 50_000,
@@ -2124,7 +2138,7 @@ mod more_tests {
         let idx = stamp_policy::PolicyRegime::index_of("naive-prefer-peer").unwrap();
         let mut e = naive_engine(11);
         // Start under the default regime instead: flip mid-run.
-        e.cfg.policy = CompiledRegime::default_static().clone();
+        e.policy = Arc::new(CompiledRegime::default_static().clone());
         e.start();
         assert_eq!(e.run_to_quiescence(None), RunOutcome::Converged);
         e.inject_after(SimDuration::from_secs(1), ScenarioEvent::FlipPolicy(idx));
@@ -2213,7 +2227,7 @@ mod more_tests {
         let mut e = engine(g, AsId(4), 3);
         e.start();
         e.run_to_quiescence(None);
-        let ck = e.snapshot();
+        let ck = e.clone();
         let (mut narrow, mut wide) = (FeedCursor::default(), FeedCursor::default());
         e.touched_since(&mut narrow, false);
         e.touched_since(&mut wide, true);
@@ -2223,8 +2237,11 @@ mod more_tests {
         // `router_mut` hands out a router to rewrite: marked.
         e.router_mut(AsId(1));
         assert_eq!(marked(&e, &mut wide, true), vec![1]);
-        // A restore rewrites every router behind the feed's back.
-        e.restore(&ck);
+        // A fork taken now honours cursors advanced on the original.
+        let (fork, mut on_fork) = (e.clone(), wide);
+        assert!(marked(&fork, &mut on_fork, true).is_empty());
+        // A rewind rewrites every router behind the feed's back.
+        e.clone_from(&ck);
         assert_eq!(e.touched_since(&mut narrow, false), Touched::All);
         assert_eq!(e.touched_since(&mut wide, true), Touched::All);
     }

@@ -11,8 +11,8 @@
 //! cursor was handed out is not marked again (one compare), so between two
 //! looks at most `n` entries are written and an observer that looks at
 //! every tick never loses its place. An observer that fell more than a
-//! ring behind, or whose cursor predates a restore (which rewrites every
-//! router behind the feed's back), is told "everything".
+//! ring behind, or whose cursor predates a rewind (`Engine::clone_from`
+//! rewrites every router behind the feed's back), is told "everything".
 
 use stamp_topology::AsId;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,7 +35,7 @@ pub struct FeedCursor {
 /// What changed since a cursor last looked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Touched<'a> {
-    /// Every row may have changed (first look, lost cursor, restore, or a
+    /// Every row may have changed (first look, lost cursor, rewind, or a
     /// liveness flip under a view that reads liveness beyond its own
     /// sessions).
     All,
@@ -100,9 +100,16 @@ impl TouchFeed {
         self.liveness += 1;
     }
 
-    /// Every row was rewritten behind the feed's back (a restore): all
+    /// Every row was rewritten behind the feed's back (the engine was
+    /// overwritten by a copy of another, now `n` ASes wide): all
     /// outstanding cursors are lost.
-    pub(crate) fn invalidate(&mut self) {
+    pub(crate) fn invalidate(&mut self, n: usize) {
+        if self.marked_at.len() != n {
+            *self = TouchFeed {
+                epoch: self.epoch,
+                ..TouchFeed::new(n)
+            };
+        }
         self.epoch += 1;
     }
 
@@ -228,7 +235,7 @@ mod tests {
         assert_eq!(rows(f.since(&mut narrow, false)), Some(vec![1]));
         assert_eq!(f.since(&mut wide, true), Touched::All);
         assert_eq!(rows(f.since(&mut wide, true)), Some(vec![]));
-        f.invalidate();
+        f.invalidate(2);
         assert_eq!(f.since(&mut narrow, false), Touched::All);
         assert_eq!(f.since(&mut wide, true), Touched::All);
     }

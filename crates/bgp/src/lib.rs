@@ -10,8 +10,6 @@
 //!   root-cause information, and update messages;
 //! * [`patharena`] — hash-consed AS-path storage: every path is interned
 //!   once, routes are `Copy` handles, prepend is an O(1) child intern;
-//! * [`policy`] — prefer-customer local preference and the valley-free
-//!   export gate;
 //! * [`rib`] — Adj-RIB-In storage and the BGP decision process
 //!   (local-pref ↓, AS-path length ↑, lowest neighbour id), with AS-path
 //!   loop rejection;
@@ -39,16 +37,14 @@ pub mod bytebuf;
 pub mod engine;
 pub mod feed;
 pub mod patharena;
-pub mod policy;
 pub mod rib;
 pub mod router;
 pub mod types;
 pub mod wire;
 
-pub use engine::{Checkpoint, Engine, EngineConfig, RunStats, ScenarioEvent};
+pub use engine::{Engine, EngineConfig, RunStats, ScenarioEvent};
 pub use feed::{FeedCursor, Touched};
-pub use patharena::{ArenaMark, PathArena, PathId};
-pub use policy::{export_ok, local_pref};
+pub use patharena::{PathArena, PathId};
 pub use rib::{DecisionOutcome, RibEntry, RibIn};
 pub use router::{BgpRouter, OutMsg, RouterCtx, RouterLogic};
 pub use types::{

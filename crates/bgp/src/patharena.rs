@@ -83,12 +83,26 @@ impl Clone for PathArena {
         }
     }
 
-    /// Allocation-reusing copy: checkpoint restore overwrites a live arena
-    /// with a snapshot every warm-started cell, so both containers keep
-    /// their buffers.
+    /// Rewind to (or adopt) `source`, keeping both containers' buffers.
+    /// When this arena is an append-only extension of `source` — same
+    /// nodes in the same order up to `source`'s length, one contiguous
+    /// compare over plain-`Copy` nodes — every node interned past that
+    /// length is popped and evicted from the intern index, no copying;
+    /// otherwise `source` is copied wholesale. Either way a later
+    /// re-intern of the same path content is assigned ids purely by
+    /// intern order from `source`'s length again, which is what keeps a
+    /// rewound run byte-identical to a cold one: it can never observe
+    /// path ids a sibling interned after `source` was taken.
     fn clone_from(&mut self, source: &PathArena) {
-        self.nodes.clone_from(&source.nodes);
-        self.index.clone_from(&source.index);
+        let keep = source.nodes.len();
+        if self.nodes.len() >= keep && self.nodes[..keep] == source.nodes {
+            for node in self.nodes.drain(keep..) {
+                self.index.remove(&(node.head, node.tail));
+            }
+        } else {
+            self.nodes.clone_from(&source.nodes);
+            self.index.clone_from(&source.index);
+        }
     }
 }
 
@@ -235,50 +249,7 @@ impl PathArena {
     pub fn as_vec(&self, id: PathId) -> Vec<AsId> {
         self.iter(id).collect()
     }
-
-    /// Is this arena an append-only extension of `prefix` — same nodes in
-    /// the same order up to `prefix`'s length? When it is, rewinding to
-    /// `prefix` is a [`PathArena::truncate_to_mark`] (pop + index
-    /// eviction, no copying); when it is not, the rewinder must copy the
-    /// snapshot wholesale. The check is one length compare and one
-    /// contiguous slice compare over plain-`Copy` nodes.
-    pub fn extends(&self, prefix: &PathArena) -> bool {
-        self.nodes.len() >= prefix.nodes.len() && self.nodes[..prefix.nodes.len()] == prefix.nodes
-    }
-
-    /// High-water mark of the arena: everything interned so far stays valid
-    /// after a later [`PathArena::truncate_to_mark`] back to this point.
-    pub fn mark(&self) -> ArenaMark {
-        // simlint::allow(panic, "intern already rejects arenas beyond u32::MAX nodes")
-        ArenaMark(u32::try_from(self.nodes.len()).expect("arena capacity exceeded"))
-    }
-
-    /// Roll the arena back to a previously taken [`ArenaMark`]: every node
-    /// interned after the mark is popped and evicted from the intern index,
-    /// so a later re-intern of the same path content is assigned ids purely
-    /// by post-mark intern order again. This is what keeps forked runs
-    /// byte-identical to cold runs: a cell restored from a checkpoint can
-    /// never observe path ids a sibling cell interned after the snapshot.
-    ///
-    /// Panics if the arena is shorter than the mark (the mark belongs to a
-    /// different or newer arena).
-    pub fn truncate_to_mark(&mut self, m: ArenaMark) {
-        let keep = m.0 as usize;
-        assert!(
-            keep <= self.nodes.len(),
-            "arena mark {} beyond arena length {}",
-            m.0,
-            self.nodes.len()
-        );
-        for node in self.nodes.drain(keep..) {
-            self.index.remove(&(node.head, node.tail));
-        }
-    }
 }
-
-/// Opaque arena high-water mark (see [`PathArena::mark`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ArenaMark(u32);
 
 /// Iterator over an interned path's ASes, next hop first.
 pub struct PathIter<'a> {
@@ -378,12 +349,12 @@ mod tests {
     fn truncate_to_mark_restores_intern_order() {
         let mut a = PathArena::new();
         let base = a.intern_slice(&ids(&[2, 1]));
-        let m = a.mark();
+        let mark = a.clone();
         // Two divergent futures interned after the mark must produce
         // identical ids once the first is rolled back.
         let x = a.intern(AsId(9), base);
         let x2 = a.intern(AsId(8), x);
-        a.truncate_to_mark(m);
+        a.clone_from(&mark);
         assert_eq!(a.node_count(), 2);
         let y = a.intern(AsId(7), base);
         assert_eq!(y, x, "post-mark ids restart at the mark");
@@ -395,15 +366,29 @@ mod tests {
         assert_eq!(a.as_vec(z), ids(&[9, 2, 1]));
         // Pre-mark nodes survive untouched.
         assert_eq!(a.as_vec(base), ids(&[2, 1]));
+        // An arena of another lineage is not a mark to truncate to: it is
+        // adopted whole, index included.
+        let mut other = PathArena::new();
+        let p = other.intern_slice(&ids(&[5, 1]));
+        a.clone_from(&other);
+        assert_eq!(a.node_count(), 2);
+        assert_eq!(a.as_vec(p), ids(&[5, 1]));
+        assert_eq!(a.intern_slice(&ids(&[5, 1])), p, "the index came along");
+        assert_eq!(
+            a.intern(AsId(2), PathId::NONE),
+            PathId(2),
+            "and [2] did not"
+        );
     }
 
     #[test]
     fn truncate_to_mark_noop_at_current_length() {
         let mut a = PathArena::new();
         a.intern_slice(&ids(&[3, 1]));
-        let m = a.mark();
-        a.truncate_to_mark(m);
+        let mark = a.clone();
+        a.clone_from(&mark);
         assert_eq!(a.node_count(), 2);
+        assert_eq!(a.intern_slice(&ids(&[3, 1])), PathId(1));
     }
 
     #[test]

@@ -287,7 +287,6 @@ impl RibIn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::local_pref;
     use crate::types::PathAttrs;
     use stamp_topology::{AsGraph, GraphBuilder};
 
@@ -303,7 +302,8 @@ mod tests {
     /// preference is the default regime's, as the import path computes it.
     fn learn(rib: &mut RibIn, g: &AsGraph, me: AsId, p: PrefixId, pr: ProcId, r: Route, n: AsId) {
         let rel = g.relation(me, n).expect("adjacent");
-        rib.insert(p, pr, n, r, rel, local_pref(rel));
+        let pref = stamp_policy::CompiledRegime::default_static().base_pref(rel);
+        rib.insert(p, pr, n, r, rel, pref);
     }
 
     /// me = 0 with customer 1, peer 2, provider 3; origin 4 somewhere below.

@@ -348,7 +348,7 @@ macro_rules! equivalence_test {
                 let mut e = ($engine)(g.clone(), dest, seed);
                 e.start();
                 e.run_to_quiescence(None);
-                let ck = e.snapshot();
+                let ck = e.clone();
 
                 let mut rng = rng_stream(seed, 0xE9);
                 let links: Vec<LinkId> = (0..g.n_links() as u32).map(LinkId).collect();
@@ -376,7 +376,7 @@ macro_rules! equivalence_test {
                 let mut ticks = 0u64;
                 for round in 0..3 {
                     if round == 2 {
-                        e.restore(&ck);
+                        e.clone_from(&ck);
                     }
                     let mut events = vec![(0u64, ScenarioEvent::FailLink(watched))];
                     for _ in 0..10 {

@@ -1,11 +1,11 @@
 //! The resident query engine: converge every `(protocol, destination)`
-//! baseline once at startup, keep the converged sessions and their
-//! checkpoints resident, and answer what-if queries by forking — never by
-//! re-converging a warm cell.
+//! baseline once at startup, keep the converged sessions resident — each
+//! held once, shared between the listing verbs and the cache — and answer
+//! what-if queries by cloning them, never by re-converging a warm cell.
 //!
 //! Determinism contract: a `WHATIF` row is produced by
 //! [`stamp_workload::run_protocol_cell_warm`] with the daemon's engine
-//! seed, restoring from the resident [`BaselineCache`] — the exact code
+//! seed, forking from the resident [`BaselineCache`] — the exact code
 //! path the campaign runner's warm pass takes, whose bit-identity to the
 //! cold path is pinned by `tests/warmstart.rs` and the campaign binary's
 //! hash assertions. `tests/queryd.rs` closes the loop by comparing query
@@ -23,6 +23,7 @@ use stamp_workload::{
     CacheStats, PolicyRegime, Protocol, RunParams, Timeline, TimelineError, PREFIX,
 };
 use std::fmt;
+use std::sync::Arc;
 
 /// Everything the daemon serves: the protocol set, the destinations with
 /// resident baselines, and the engine knobs shared by every query.
@@ -134,16 +135,17 @@ impl QueryError {
     }
 }
 
-/// One resident baseline: the converged session (kept for `SHOW ROUTE` /
-/// `SHOW BASELINES`) plus the row the listing reports.
+/// One resident baseline: the converged session `SHOW ROUTE` /
+/// `SHOW BASELINES` read — the same one the cache hands to queries, which
+/// therefore stays resident even when a bounded cache evicts its entry.
 struct Baseline {
     proto: Protocol,
     dest: AsId,
-    sim: Sim,
+    sim: Arc<Sim>,
 }
 
 /// The resident service: owns the topology, the converged baseline
-/// sessions, and the checkpoint cache every query forks from. All query
+/// sessions, and the cache every query forks them from. All query
 /// entry points take `&self` — the cache is internally locked, so one
 /// engine can serve the stdin loop and TCP connections concurrently.
 pub struct QueryEngine {
@@ -155,7 +157,7 @@ pub struct QueryEngine {
 
 impl QueryEngine {
     /// Converge every `(protocol, dest)` pair of `cfg` on `g` and deposit
-    /// the checkpoints. Startup is the expensive step by design — queries
+    /// the sessions. Startup is the expensive step by design — queries
     /// then fork instead of converging.
     pub fn new(g: AsGraph, cfg: QuerydConfig) -> Result<QueryEngine, QueryError> {
         let cache = match cfg.cache_capacity {
@@ -175,7 +177,8 @@ impl QueryEngine {
                     .map_err(QueryError::Sim)?;
                 sim.converge();
                 debug_assert!(sim.converged());
-                cache.put(proto, dest, cfg.seed, policy_fp, sim.checkpoint());
+                // The copy is sized to what it holds, `sim` to its peak.
+                let sim = cache.put(proto, dest, cfg.seed, policy_fp, sim.checkpoint());
                 baselines.push(Baseline { proto, dest, sim });
             }
         }

@@ -9,6 +9,7 @@
 use crate::error::TopologyError;
 use stamp_eventsim::FxHashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Dense identifier of an AS within one [`AsGraph`] (`0..n`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -171,9 +172,14 @@ pub struct SessEnds {
     pub link: LinkId,
 }
 
-/// Immutable, validated AS-level topology.
+/// Immutable, validated AS-level topology. A handle: the tables sit behind
+/// one reference count, so `clone` is O(1) and everything built on a graph
+/// — every engine, every cached baseline — shares the one copy.
 #[derive(Debug, Clone)]
-pub struct AsGraph {
+pub struct AsGraph(Arc<Tables>);
+
+#[derive(Debug, Clone)]
+struct Tables {
     n: u32,
     providers: Vec<Vec<AsId>>,
     customers: Vec<Vec<AsId>>,
@@ -198,30 +204,30 @@ impl AsGraph {
     /// Number of ASes.
     #[inline]
     pub fn n(&self) -> usize {
-        self.n as usize
+        self.0.n as usize
     }
 
     /// All ASes.
     pub fn ases(&self) -> impl Iterator<Item = AsId> + '_ {
-        (0..self.n).map(AsId)
+        (0..self.0.n).map(AsId)
     }
 
     /// Number of links.
     #[inline]
     pub fn n_links(&self) -> usize {
-        self.links.len()
+        self.0.links.len()
     }
 
     /// All links.
     #[inline]
     pub fn links(&self) -> &[Link] {
-        &self.links
+        &self.0.links
     }
 
     /// The link with the given id.
     #[inline]
     pub fn link(&self, id: LinkId) -> Link {
-        self.links[id.index()]
+        self.0.links[id.index()]
     }
 
     /// Look up the link between two ASes, if any. O(log deg(a)) binary
@@ -238,28 +244,28 @@ impl AsGraph {
     /// Number of directed sessions (`2 · n_links`).
     #[inline]
     pub fn n_sessions(&self) -> usize {
-        self.sess_adj.len()
+        self.0.sess_adj.len()
     }
 
     /// AS `v`'s directed sessions, in [`AsGraph::neighbors`] order
     /// (customers, peers, providers — each ascending by neighbour id).
     #[inline]
     pub fn neighbor_entries(&self, v: AsId) -> &[SessEntry] {
-        let lo = self.sess_offsets[v.index()] as usize;
-        let hi = self.sess_offsets[v.index() + 1] as usize;
-        &self.sess_adj[lo..hi]
+        let lo = self.0.sess_offsets[v.index()] as usize;
+        let hi = self.0.sess_offsets[v.index() + 1] as usize;
+        &self.0.sess_adj[lo..hi]
     }
 
     /// The session entry from `a` towards `b`, if adjacent. O(log deg(a))
     /// binary search over `a`'s id-sorted session slice.
     #[inline]
     pub fn entry_between(&self, a: AsId, b: AsId) -> Option<&SessEntry> {
-        if a.index() + 1 >= self.sess_offsets.len() {
+        if a.index() + 1 >= self.0.sess_offsets.len() {
             return None;
         }
-        let lo = self.sess_offsets[a.index()] as usize;
-        let hi = self.sess_offsets[a.index() + 1] as usize;
-        let slice = &self.sess_by_id[lo..hi];
+        let lo = self.0.sess_offsets[a.index()] as usize;
+        let hi = self.0.sess_offsets[a.index() + 1] as usize;
+        let slice = &self.0.sess_by_id[lo..hi];
         slice
             .binary_search_by_key(&b, |e| e.neighbor)
             .ok()
@@ -275,13 +281,13 @@ impl AsGraph {
     /// Endpoints and link of a directed session.
     #[inline]
     pub fn sess_ends(&self, s: SessId) -> SessEnds {
-        self.sess_ends[s.index()]
+        self.0.sess_ends[s.index()]
     }
 
     /// The reverse direction of a directed session.
     #[inline]
     pub fn sess_reverse(&self, s: SessId) -> SessId {
-        let ends = self.sess_ends[s.index()];
+        let ends = self.0.sess_ends[s.index()];
         self.sess_between(ends.to, ends.from)
             // simlint::allow(panic, "the session table always stores both directions of a link")
             .expect("every session has a reverse")
@@ -290,19 +296,19 @@ impl AsGraph {
     /// Providers of `v` (ASes `v` buys transit from).
     #[inline]
     pub fn providers(&self, v: AsId) -> &[AsId] {
-        &self.providers[v.index()]
+        &self.0.providers[v.index()]
     }
 
     /// Customers of `v`.
     #[inline]
     pub fn customers(&self, v: AsId) -> &[AsId] {
-        &self.customers[v.index()]
+        &self.0.customers[v.index()]
     }
 
     /// Peers of `v`.
     #[inline]
     pub fn peers(&self, v: AsId) -> &[AsId] {
-        &self.peers[v.index()]
+        &self.0.peers[v.index()]
     }
 
     /// All neighbours of `v` with their relation to `v` (neighbour is
@@ -329,20 +335,20 @@ impl AsGraph {
     /// Gao inference.
     #[inline]
     pub fn is_tier1(&self, v: AsId) -> bool {
-        self.providers[v.index()].is_empty()
+        self.0.providers[v.index()].is_empty()
     }
 
     /// Whether `v` is a stub AS (no customers).
     #[inline]
     pub fn is_stub(&self, v: AsId) -> bool {
-        self.customers[v.index()].is_empty()
+        self.0.customers[v.index()].is_empty()
     }
 
     /// Whether `v` is multi-homed (two or more providers) — the ASes for
     /// which STAMP's origin colouring (§4.1) applies directly.
     #[inline]
     pub fn is_multi_homed(&self, v: AsId) -> bool {
-        self.providers[v.index()].len() >= 2
+        self.0.providers[v.index()].len() >= 2
     }
 
     /// All tier-1 ASes.
@@ -353,7 +359,7 @@ impl AsGraph {
     /// Original AS number for a dense id (identity for generated graphs).
     #[inline]
     pub fn external_asn(&self, v: AsId) -> u32 {
-        self.external[v.index()]
+        self.0.external[v.index()]
     }
 
     /// Shortest provider-chain depth below tier-1: 0 for tier-1 ASes,
@@ -388,7 +394,7 @@ impl AsGraph {
         for v in self.ases() {
             b.ensure_as(self.external_asn(v));
         }
-        for (i, l) in self.links.iter().enumerate() {
+        for (i, l) in self.0.links.iter().enumerate() {
             if !removed.contains(&LinkId::from_usize(i)) {
                 b.add_link(self.external_asn(l.a), self.external_asn(l.b), l.kind)
                     // simlint::allow(panic, "links copied from a validated graph re-validate by construction")
@@ -402,12 +408,9 @@ impl AsGraph {
     /// Rebuild the session table after deserialisation (everything
     /// derivable from `links` + `n`).
     pub fn rebuild_index(&mut self) {
-        let (sess_offsets, sess_adj, sess_by_id, sess_ends) =
-            build_session_table(self.n as usize, &self.links);
-        self.sess_offsets = sess_offsets;
-        self.sess_adj = sess_adj;
-        self.sess_by_id = sess_by_id;
-        self.sess_ends = sess_ends;
+        let t = Arc::make_mut(&mut self.0);
+        (t.sess_offsets, t.sess_adj, t.sess_by_id, t.sess_ends) =
+            build_session_table(t.n as usize, &t.links);
     }
 
     /// Summary statistics used to sanity-check generated topologies.
@@ -415,7 +418,7 @@ impl AsGraph {
         let n = self.n();
         let mut cp = 0usize;
         let mut pp = 0usize;
-        for l in &self.links {
+        for l in &self.0.links {
             match l.kind {
                 LinkKind::CustomerProvider => cp += 1,
                 LinkKind::PeerPeer => pp += 1,
@@ -430,7 +433,7 @@ impl AsGraph {
         let non_tier1 = n - tier1;
         GraphStats {
             n_ases: n,
-            n_links: self.links.len(),
+            n_links: self.0.links.len(),
             n_cp_links: cp,
             n_pp_links: pp,
             n_tier1: tier1,
@@ -664,7 +667,7 @@ impl GraphBuilder {
         let (sess_offsets, sess_adj, sess_by_id, sess_ends) =
             build_session_table(n as usize, &self.links);
 
-        Ok(AsGraph {
+        Ok(AsGraph(Arc::new(Tables {
             n,
             providers,
             customers,
@@ -675,7 +678,7 @@ impl GraphBuilder {
             sess_adj,
             sess_by_id,
             sess_ends,
-        })
+        })))
     }
 }
 

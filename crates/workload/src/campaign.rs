@@ -7,9 +7,10 @@
 //! it validates every cell's timeline, computes each cell's post-timeline
 //! reachability mask ([`Timeline::reachable_after`]), fans the list across
 //! scoped worker threads and returns the per-cell metrics **in input
-//! order**. Each cell converges a fresh network (one engine + `PathArena`
-//! per protocol, nothing shared but the optional warm-start
-//! [`BaselineCache`]), plays its timeline and measures the paper's
+//! order**. Each cell runs one session per protocol — converged fresh, or
+//! with a warm-start [`BaselineCache`] cloned from the cached converged
+//! baseline (a session is its own checkpoint; sessions share the topology
+//! and nothing else) — plays its timeline and measures the paper's
 //! disruption/recovery metrics ([`run_protocol_cell`]).
 //!
 //! Everything above is a way of *listing* cells: [`run_campaign`] lists the
@@ -22,7 +23,7 @@
 //! argument: randomness is derived per cell from the cell's coordinates,
 //! never from worker identity or wall-clock.
 
-use crate::sim::{Sim, SimCheckpoint};
+use crate::sim::Sim;
 use crate::timeline::{
     background_churn, choose_k, correlated_node_outage, flap_train, maintenance_windows,
     policy_flip, prefix_hijack, prepend_hijack, provider_cone, random_attacker, reachability_mask,
@@ -112,12 +113,11 @@ pub fn run_protocol_cell(
 }
 
 /// [`run_protocol_cell`] with a warm-start cache: if `cache` holds the
-/// converged baseline for this `(protocol, dest, seed)`, the cell forks
-/// from it instead of replaying convergence; otherwise the cell converges
-/// cold and deposits its checkpoint for the next taker. Either way the
-/// returned metrics are bit-identical to the cold path (the restore
-/// contract, proven by `tests/warmstart.rs` and the campaign binary's
-/// cold-vs-warm hash assertion).
+/// converged baseline for this `(protocol, dest, seed)`, the cell is a
+/// clone of it instead of a replay of convergence; otherwise the cell
+/// converges cold and deposits a copy for the next taker. Either way the returned metrics are bit-identical to the
+/// cold path (the fork contract, proven by `tests/warmstart.rs` and the
+/// campaign binary's cold-vs-warm hash assertion).
 #[allow(clippy::too_many_arguments)]
 pub fn run_protocol_cell_warm(
     g: &AsGraph,
@@ -142,39 +142,40 @@ pub fn run_protocol_cell_warm(
     .0
 }
 
-/// A session for `(protocol, dest, seed)`. With a cache it comes back *at
-/// its converged baseline*: restored from the cached checkpoint, or
-/// converged cold and deposited for the next taker. Without one it is
-/// fresh (the first `measure`/`play` converges it).
-fn baseline_session(
+/// A fresh, unconverged session for `(protocol, dest, seed)`.
+fn fresh_session(
     g: &AsGraph,
     params: &RunParams,
     dest: AsId,
     protocol: Protocol,
     seed: u64,
-    cache: Option<&BaselineCache>,
 ) -> Sim {
-    let mut sim = Sim::on(g)
+    Sim::on(g)
         .protocol(protocol)
         .originate(dest, PREFIX)
         .seed(seed)
         .params(params.clone())
         .build()
         // simlint::allow(panic, "destinations come from the caller's own topology scan")
-        .expect("cell destinations are in range");
-    if let Some(cache) = cache {
-        let fp = params.policy.fingerprint();
-        match cache.get(protocol, dest, seed, fp) {
-            Some(ck) => sim
-                .restore(&ck)
-                // simlint::allow(panic, "the cache key includes the protocol, so the kinds match")
-                .expect("cached checkpoint matches the session protocol"),
-            None => {
-                sim.converge();
-                cache.put(protocol, dest, seed, fp, sim.checkpoint());
-            }
-        }
-    }
+        .expect("cell destinations are in range")
+}
+
+/// The miss path: converge `(protocol, dest, seed)` cold and deposit a copy
+/// for the next taker. The copy, not the session that did the converging:
+/// a clone's buffers are sized to what they hold, the original's to its
+/// peak (measured: 3.3 MB against 5.5 MB a baseline at 2000 ASes).
+fn converge_and_deposit(
+    g: &AsGraph,
+    params: &RunParams,
+    dest: AsId,
+    protocol: Protocol,
+    seed: u64,
+    cache: &BaselineCache,
+) -> Sim {
+    let mut sim = fresh_session(g, params, dest, protocol, seed);
+    sim.converge();
+    let fp = params.policy.fingerprint();
+    cache.put(protocol, dest, seed, fp, sim.checkpoint());
     sim
 }
 
@@ -189,7 +190,19 @@ fn run_protocol_cell_inner(
     seed: u64,
     cache: Option<&BaselineCache>,
 ) -> (InstanceMetrics, ObserverWork) {
-    let mut sim = baseline_session(g, params, dest, protocol, seed, cache);
+    // A warm cell is one clone of the cached baseline (under the caller's
+    // per-phase knobs); a cold one starts fresh and `measure` converges it.
+    let mut sim = match cache {
+        None => fresh_session(g, params, dest, protocol, seed),
+        Some(cache) => match cache.get(protocol, dest, seed, params.policy.fingerprint()) {
+            Some(baseline) => {
+                let mut sim = Sim::clone(&baseline);
+                sim.set_phase_knobs(params);
+                sim
+            }
+            None => converge_and_deposit(g, params, dest, protocol, seed, cache),
+        },
+    };
     let metrics = sim
         .measure(timeline, reachable)
         // simlint::allow(panic, "timelines are generated against this same graph")
@@ -206,7 +219,7 @@ pub struct CacheStats {
     pub capacity: Option<usize>,
     /// Baselines currently resident.
     pub len: usize,
-    /// Lookups that found a checkpoint.
+    /// Lookups that found a baseline.
     pub hits: u64,
     /// Lookups that found nothing (the caller converges cold).
     pub misses: u64,
@@ -217,9 +230,9 @@ pub struct CacheStats {
 type CacheKey = (Protocol, AsId, u64, u64);
 
 struct CacheInner {
-    map: FxHashMap<CacheKey, Arc<SimCheckpoint>>,
+    map: FxHashMap<CacheKey, Arc<Sim>>,
     /// Deposit order, oldest first — the FIFO eviction queue. Re-depositing
-    /// an existing key replaces the checkpoint without renewing its slot.
+    /// an existing key replaces the baseline without renewing its slot.
     order: std::collections::VecDeque<CacheKey>,
     capacity: Option<usize>,
     hits: u64,
@@ -228,11 +241,12 @@ struct CacheInner {
 }
 
 /// Warm-start cache of converged baselines: `(protocol, dest, engine
-/// seed, policy fingerprint) → checkpoint taken right after initial
-/// convergence`. Shared
-/// across workers (internally locked; checkpoints are handed out as
-/// `Arc`s, so the lock is never held during a restore) and across grid
-/// passes — the second run of the same grid converges nothing.
+/// seed, policy fingerprint) → the session right after initial
+/// convergence`. Shared across workers (internally locked; baselines are
+/// handed out as `Arc`s, so the lock is never held while one is cloned)
+/// and across grid passes — the second run of the same grid converges
+/// nothing. A baseline holds its run state only: the topology is the one
+/// copy every session on that graph shares.
 ///
 /// [`BaselineCache::new`] is unbounded; [`BaselineCache::with_capacity`]
 /// bounds residency with deterministic FIFO eviction (deposit order, never
@@ -244,7 +258,7 @@ struct CacheInner {
 ///
 /// Contract: one cache serves exactly one `(topology, params)` pair. The
 /// key deliberately does not re-encode them (hashing a whole `AsGraph`
-/// per lookup would dwarf the restore it guards); reusing a cache across
+/// per lookup would dwarf the clone it guards); reusing a cache across
 /// topologies or params is a caller bug, same as [`Sim::restore`] across
 /// sessions of different shape.
 pub struct BaselineCache {
@@ -309,15 +323,9 @@ impl BaselineCache {
     /// Look up the converged baseline of `(p, dest, seed, policy_fp)`,
     /// counting a hit or a miss. `policy_fp` is the regime's
     /// [`PolicyRegime::fingerprint`] — baselines converged under different
-    /// regimes never alias. The checkpoint is shared out as an `Arc`, so
-    /// the lock is released before any restore happens.
-    pub fn get(
-        &self,
-        p: Protocol,
-        dest: AsId,
-        seed: u64,
-        policy_fp: u64,
-    ) -> Option<Arc<SimCheckpoint>> {
+    /// regimes never alias. The baseline is shared out as an `Arc`, so
+    /// the lock is released before anyone clones it.
+    pub fn get(&self, p: Protocol, dest: AsId, seed: u64, policy_fp: u64) -> Option<Arc<Sim>> {
         // simlint::allow(panic, "poison means a sibling worker already panicked")
         let mut inner = self.inner.lock().unwrap();
         let hit = inner.map.get(&(p, dest, seed, policy_fp)).cloned();
@@ -328,14 +336,16 @@ impl BaselineCache {
         hit
     }
 
-    /// Deposit a converged baseline. A fresh key joins the FIFO queue (and
-    /// may evict the oldest deposit when bounded); re-depositing an
-    /// existing key replaces the checkpoint without renewing its slot.
-    pub fn put(&self, p: Protocol, dest: AsId, seed: u64, policy_fp: u64, ck: SimCheckpoint) {
+    /// Deposit a converged baseline and hand back the shared handle the
+    /// cache now holds. A fresh key joins the FIFO queue (and may evict
+    /// the oldest deposit when bounded); re-depositing an existing key
+    /// replaces the baseline without renewing its slot.
+    pub fn put(&self, p: Protocol, dest: AsId, seed: u64, policy_fp: u64, sim: Sim) -> Arc<Sim> {
         let key = (p, dest, seed, policy_fp);
+        let sim = Arc::new(sim);
         // simlint::allow(panic, "poison means a sibling worker already panicked")
         let mut inner = self.inner.lock().unwrap();
-        if inner.map.insert(key, Arc::new(ck)).is_none() {
+        if inner.map.insert(key, sim.clone()).is_none() {
             inner.order.push_back(key);
             while inner.capacity.is_some_and(|cap| inner.map.len() > cap) {
                 // The queue only grows on fresh inserts, so it cannot be
@@ -346,6 +356,7 @@ impl BaselineCache {
                 }
             }
         }
+        sim
     }
 }
 
@@ -795,8 +806,8 @@ pub fn run_campaign(
 /// Converge every baseline of the grid into `cache` without playing any
 /// timeline: afterwards a [`run_campaign_with_cache`] pass over the same
 /// grid forks every cell instead of converging it. Idempotent — an already
-/// cached baseline costs a restore, not a convergence. Deliberately
-/// serial: the deposit order is what a bounded cache's FIFO eviction sees.
+/// cached baseline costs a lookup. Deliberately serial: the deposit order
+/// is what a bounded cache's FIFO eviction sees.
 pub fn populate_baselines(
     g: &AsGraph,
     n_timelines: usize,
@@ -804,16 +815,20 @@ pub fn populate_baselines(
     cfg: &CampaignConfig,
     cache: &BaselineCache,
 ) {
+    let fp = cfg.params.policy.fingerprint();
     for cell in grid_cells(n_timelines, dests, &cfg.seeds) {
         for &p in &cfg.protocols {
-            baseline_session(g, &cfg.params, cell.dest, p, cell_seed(&cell), Some(cache));
+            let seed = cell_seed(&cell);
+            if cache.get(p, cell.dest, seed, fp).is_none() {
+                converge_and_deposit(g, &cfg.params, cell.dest, p, seed, cache);
+            }
         }
     }
 }
 
 /// [`run_campaign`] with an optional warm-start [`BaselineCache`]: cells
-/// whose converged baseline is cached fork from the checkpoint instead of
-/// replaying convergence; missing baselines converge cold and are
+/// whose converged baseline is cached clone it instead of replaying
+/// convergence; missing baselines converge cold and are
 /// deposited. The report — including its aggregate hash — is byte-
 /// identical with or without a cache, at any worker count.
 pub fn run_campaign_with_cache(

@@ -55,7 +55,7 @@ pub use dsl::{parse_scn, ScnError, ScnErrorKind};
 pub use params::{InstanceMetrics, RunParams, PREFIX};
 pub use sim::{
     MetricsProbe, NullProbe, ParseProtocolError, Phase, Played, Probe, Protocol, ProtocolEngine,
-    ProtocolSpec, Sim, SimBuilder, SimCheckpoint, SimError, SimEvent, SnapshotCause,
+    ProtocolSpec, Sim, SimBuilder, SimError, SimEvent, SnapshotCause,
 };
 pub use stamp_bgp::engine::{RunOutcome, WatchdogConfig};
 pub use stamp_forwarding::ObserverWork;

@@ -30,6 +30,14 @@
 //! `tests/determinism.rs` pins golden values across the facade. See
 //! DESIGN.md §9.
 //!
+//! Copying: a [`Sim`] is its own checkpoint. `clone` (also spelled
+//! [`Sim::checkpoint`]) forks a session, [`Sim::restore`] rewinds one in
+//! place to another, and both are the engine's one `Clone` impl
+//! underneath — they copy what a run can change (routers, scheduler,
+//! arena, RNG positions, the live policy regime, the facade's convergence
+//! bookkeeping) and share the topology and the jitter table by reference
+//! count. There is no separate checkpoint type (DESIGN.md §12).
+//!
 //! Steady-state cost: with the flat engine hot path (DESIGN.md §10) the
 //! whole drive loop is allocation-free per event — dense session-indexed
 //! channels/MRAI below, the engine's reusable router-output scratch, stack
@@ -42,7 +50,7 @@
 
 use crate::params::{InstanceMetrics, RunParams};
 use crate::timeline::{Timeline, TimelineError};
-use stamp_bgp::engine::{Checkpoint, Engine, EngineConfig, RunOutcome, RunStats, ScenarioEvent};
+use stamp_bgp::engine::{Engine, EngineConfig, RunOutcome, RunStats, ScenarioEvent};
 use stamp_bgp::router::{BgpRouter, RouterLogic};
 use stamp_bgp::types::{PrefixId, RootCause};
 use stamp_core::{LockStrategy, StampRouter};
@@ -636,9 +644,13 @@ impl<'g> SimBuilder<'g> {
 /// [`Sim::converge`] / [`Sim::play`] / [`Sim::measure`], observe it with a
 /// [`Probe`], and reach the concrete engine through the typed accessors
 /// ([`Sim::bgp`], [`Sim::rbgp`], [`Sim::stamp`]) when protocol-specific
-/// state matters. Warm-start a grid with [`Sim::checkpoint`] /
-/// [`Sim::restore`] / [`Sim::fork`]: a restored or forked session replays
-/// bit-identically to the one it branched from.
+/// state matters.
+///
+/// A session is its own checkpoint: `clone` (= [`Sim::checkpoint`]) forks
+/// it and [`Sim::restore`] rewinds it to another session in place. Either
+/// copy replays bit-identically to the session it was taken from, and
+/// shares that session's topology instead of copying it. Warm-start a grid
+/// by converging once and cloning per timeline.
 #[derive(Clone)]
 pub struct Sim {
     protocol: Protocol,
@@ -892,44 +904,37 @@ impl Sim {
         })
     }
 
-    /// Capture the whole session — engine state (routers, in-flight
-    /// messages, scheduler, RNG stream positions, path-arena high-water
-    /// mark) plus the facade's convergence bookkeeping — as a
-    /// protocol-erased checkpoint. Typical use: converge once, checkpoint,
-    /// then [`Sim::restore`] before each timeline of a grid.
-    pub fn checkpoint(&self) -> SimCheckpoint {
-        SimCheckpoint {
-            protocol: self.protocol,
-            engine: match &self.engine {
-                EngineKind::Bgp(e) => CheckpointKind::Bgp(e.snapshot()),
-                EngineKind::Rbgp(e) => CheckpointKind::Rbgp(e.snapshot()),
-                EngineKind::Stamp(e) => CheckpointKind::Stamp(e.snapshot()),
-            },
-            converged: self.converged,
-            updates_initial: self.updates_initial,
-            outcome: self.outcome,
-        }
+    /// A copy of the whole session, to rewind to ([`Sim::restore`]) or to
+    /// run on its own — `clone` under the name the warm-start callers use.
+    /// Typical use: converge once, checkpoint, then restore (or clone the
+    /// checkpoint) before each timeline of a grid.
+    pub fn checkpoint(&self) -> Sim {
+        self.clone()
     }
 
-    /// Rewind the session to `ck`, reusing this session's buffers (no
-    /// steady-state allocation). Replay after a restore is bit-identical
-    /// to replay from the instant the checkpoint was taken — see
-    /// DESIGN.md §12 for the argument. The checkpoint must come from a
-    /// session of the same protocol (typed error otherwise) running the
-    /// same topology and params (caller contract, not re-validated here).
-    pub fn restore(&mut self, ck: &SimCheckpoint) -> Result<(), SimError> {
-        let mismatch = || SimError::CheckpointMismatch {
+    /// Rewind this session to `ck` in place: everything a run can change
+    /// — the engine's run state down to the live policy regime, and the
+    /// facade's convergence bookkeeping — is overwritten, so replay after
+    /// a restore is bit-identical to replay from the instant `ck` was
+    /// taken (DESIGN.md §12 has the argument). The engine's flat tables,
+    /// scheduler heap and path arena keep their buffers; routers are
+    /// copied by their derived `Clone`, which reallocates their RIBs.
+    /// `ck` must be a session of the same protocol (typed error
+    /// otherwise) built on the same topology, destination and params
+    /// (caller contract, not re-validated here).
+    pub fn restore(&mut self, ck: &Sim) -> Result<(), SimError> {
+        let mismatch = SimError::CheckpointMismatch {
             expected: self.protocol,
             got: ck.protocol,
         };
         if self.protocol != ck.protocol {
-            return Err(mismatch());
+            return Err(mismatch);
         }
         match (&mut self.engine, &ck.engine) {
-            (EngineKind::Bgp(e), CheckpointKind::Bgp(c)) => e.restore(c),
-            (EngineKind::Rbgp(e), CheckpointKind::Rbgp(c)) => e.restore(c),
-            (EngineKind::Stamp(e), CheckpointKind::Stamp(c)) => e.restore(c),
-            _ => return Err(mismatch()),
+            (EngineKind::Bgp(e), EngineKind::Bgp(c)) => e.clone_from(c),
+            (EngineKind::Rbgp(e), EngineKind::Rbgp(c)) => e.clone_from(c),
+            (EngineKind::Stamp(e), EngineKind::Stamp(c)) => e.clone_from(c),
+            _ => return Err(mismatch),
         }
         self.converged = ck.converged;
         self.updates_initial = ck.updates_initial;
@@ -937,37 +942,16 @@ impl Sim {
         Ok(())
     }
 
-    /// A fully independent copy of the session (fresh allocations, shared
-    /// nothing). The fork continues bit-identically to the original: both
-    /// replay the same events to the same metrics.
-    pub fn fork(&self) -> Sim {
-        self.clone()
+    /// Take the knobs of `params` that [`Sim::play`] reads per phase —
+    /// injection delay, observation interval, phase deadline. The rest of
+    /// a session's params went into its engine at build. For a fork that
+    /// runs under a caller's knobs and not its baseline's (queryd clamps
+    /// the deadline per query).
+    pub(crate) fn set_phase_knobs(&mut self, params: &RunParams) {
+        self.params.inject_delay = params.inject_delay;
+        self.params.observe_interval = params.observe_interval;
+        self.params.phase_deadline = params.phase_deadline;
     }
-}
-
-/// Protocol-erased session checkpoint from [`Sim::checkpoint`]. Opaque:
-/// its only consumer is [`Sim::restore`] on a compatible session.
-#[derive(Clone)]
-pub struct SimCheckpoint {
-    protocol: Protocol,
-    engine: CheckpointKind,
-    converged: bool,
-    updates_initial: u64,
-    outcome: RunOutcome,
-}
-
-impl SimCheckpoint {
-    /// The protocol of the session this checkpoint was taken from.
-    pub fn protocol(&self) -> Protocol {
-        self.protocol
-    }
-}
-
-#[derive(Clone)]
-enum CheckpointKind {
-    Bgp(Checkpoint<BgpRouter>),
-    Rbgp(Checkpoint<RbgpRouter>),
-    Stamp(Checkpoint<StampRouter>),
 }
 
 /// Where a [`Sim::play`] landed on the simulation clock.

@@ -303,36 +303,39 @@ fn compiled_export_matches_reference_interpreter() {
     });
 }
 
-/// The compiled default regime must keep answering exactly like the
-/// paper's hardwired §2.1 policy functions, everywhere they are defined.
+/// The compiled default regime is the paper's hardwired §2.1 policy, by
+/// value: prefer-customer local preference 300 / 200 / 100 under an origin
+/// preference of 1000, and the valley-free export table — own and customer
+/// routes go to everyone, peer and provider routes to customers only.
 #[test]
 fn default_regime_reproduces_the_hardwired_paper_policy() {
+    use Relation::{Customer, Peer, Provider};
     let compiled = PolicyRegime::gao_rexford()
         .compile()
         .expect("default compiles");
     assert!(compiled.is_default());
-    assert_eq!(
-        compiled.origin_pref(),
-        stamp_repro::bgp::policy::LOCAL_PREF_ORIGIN
-    );
-    for rel in TO_RELS {
-        assert_eq!(
-            compiled.base_pref(rel),
-            stamp_repro::bgp::policy::local_pref(rel),
-            "base pref drift at {rel:?}"
-        );
+    assert_eq!(compiled.origin_pref(), 1000);
+    for (rel, pref) in [(Customer, 300), (Peer, 200), (Provider, 100)] {
+        assert_eq!(compiled.base_pref(rel), pref, "base pref drift at {rel:?}");
     }
-    for learned in LEARNED_RELS {
-        for to in TO_RELS {
+    // Rows: learned from (None = own prefix); columns: exported to
+    // customer, peer, provider.
+    let table = [
+        (None, [true, true, true]),
+        (Some(Customer), [true, true, true]),
+        (Some(Peer), [true, false, false]),
+        (Some(Provider), [true, false, false]),
+    ];
+    for (learned, row) in table {
+        for (to, allowed) in [Customer, Peer, Provider].into_iter().zip(row) {
             assert_eq!(
                 compiled.export_allowed(learned, to, CommunityBits::EMPTY),
-                stamp_repro::bgp::policy::export_ok(learned, to),
+                allowed,
                 "export drift at learned={learned:?} to={to:?}"
             );
         }
     }
-    // And the classical orderings the paper relies on hold by value.
-    assert!(compiled.base_pref(Relation::Customer) > compiled.base_pref(Relation::Peer));
-    assert!(compiled.base_pref(Relation::Peer) > compiled.base_pref(Relation::Provider));
-    assert!(compiled.origin_pref() > compiled.base_pref(Relation::Customer));
+    // The process-wide default every engine starts from is this regime.
+    let shared = stamp_repro::policy::CompiledRegime::default_static();
+    assert_eq!(shared.fingerprint(), compiled.fingerprint());
 }

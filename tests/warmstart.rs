@@ -1,19 +1,19 @@
-//! Warm-start determinism: a cell forked from a converged checkpoint must
-//! be indistinguishable — bit for bit — from a cell that converged cold.
+//! Warm-start determinism: a cell forked from a converged session must be
+//! indistinguishable — bit for bit — from a cell that converged cold.
 //!
-//! This is the proof obligation of the checkpoint/restore layer: the
-//! campaign's warm path (`BaselineCache`) only exists because `restore`
-//! rewinds *everything* the replay depends on (routers, in-flight
-//! messages, scheduler, MRAI state, RNG stream positions, the path-arena
-//! high-water mark). Any field missed by the checkpoint shows up here as
-//! a metrics diff on some protocol × scenario combination.
+//! This is the proof obligation of the one copy mechanism: the campaign's
+//! warm path (`BaselineCache`) only exists because a copy of a session
+//! carries *everything* the replay depends on (routers, in-flight
+//! messages, scheduler, MRAI state, RNG stream positions, the path arena,
+//! the live policy regime). Any state a copy missed shows up here as a
+//! metrics diff on some protocol × scenario combination.
 
 use stamp_repro::eventsim::rng::tags;
 use stamp_repro::eventsim::rng_stream;
 use stamp_repro::topology::{generate, GenConfig};
 use stamp_repro::workload::{
-    run_protocol_cell, run_protocol_cell_warm, sample_canned, BaselineCache, FailureScenario,
-    InstanceMetrics, Protocol, RunParams, Sim, PREFIX,
+    adversarial_families, run_protocol_cell, run_protocol_cell_warm, sample_canned, BaselineCache,
+    FailureScenario, InstanceMetrics, Protocol, RunParams, Sim, SimError, PREFIX,
 };
 
 /// Every protocol × canned paper scenario (Fig 2, Fig 3a, Fig 3b): run the
@@ -77,46 +77,77 @@ fn forked_cell_matches_cold_cell_on_canned_scenarios() {
     }
 }
 
-/// Property: `snapshot → mutate → restore → mutate` replays byte-
-/// identically at any fork depth. Each depth plays a different timeline,
+/// Property: `checkpoint → mutate → restore → mutate` replays byte-
+/// identically at any fork depth. Each depth plays a different timeline —
+/// the canned link failures interleaved with the adversarial families
+/// (origin hijack, prepend hijack, route leak, policy misconfiguration) —
 /// so the checkpoint under test is taken from a progressively *dirtier*
-/// session — post-convergence, post-replay, post-replay-of-replay… — and
-/// must still rewind it exactly.
+/// session — post-convergence, post-replay, post-hijack, post-policy-flip…
+/// — and must still rewind it exactly. And however dirty the session got,
+/// the converged baseline stays one rewind away: a plain link failure
+/// played from it equals the cold cell (a policy flip that survived a
+/// restore would show here).
 #[test]
 fn restore_replays_bit_identically_at_any_fork_depth() {
     let g = generate(&GenConfig::small(17)).expect("valid generator config");
+    let params = RunParams::paper();
     let mut rng = rng_stream(55, tags::WORKLOAD);
-    let scenarios = [
-        FailureScenario::SingleLink,
-        FailureScenario::TwoLinksSameAs,
-        FailureScenario::SingleLink,
-        FailureScenario::TwoLinksDifferentAs,
-    ];
     for p in Protocol::ALL {
-        let w0 = sample_canned(&g, scenarios[0], &mut rng).expect("scenario fits");
+        let plain =
+            sample_canned(&g, FailureScenario::SingleLink, &mut rng).expect("scenario fits");
+        let dest = plain.dest;
         let mut sim = Sim::on(&g)
             .protocol(p)
-            .originate(w0.dest, PREFIX)
+            .originate(dest, PREFIX)
             .seed(23)
-            .params(RunParams::paper())
+            .params(params.clone())
             .build()
             .expect("destination is in range");
         sim.converge();
-        for (depth, scenario) in scenarios.iter().enumerate() {
-            // Each depth measures a scenario against the *same* session
-            // destination; only the timeline varies.
-            let w = sample_canned(&g, *scenario, &mut rng).expect("scenario fits");
-            let reachable = w.timeline.reachable_after(&g, sim.dest()).unwrap();
+        let baseline = sim.checkpoint();
+        let plain_reach = plain.timeline.reachable_after(&g, dest).unwrap();
+        let cold = run_protocol_cell(&g, &params, &plain.timeline, dest, &plain_reach, p, 23);
+
+        // Each depth measures against the *same* session destination;
+        // only the timeline varies.
+        let mut canned = |scenario| {
+            sample_canned(&g, scenario, &mut rng)
+                .expect("scenario fits")
+                .timeline
+        };
+        let mut depths = vec![
+            plain.timeline.clone(),
+            canned(FailureScenario::TwoLinksSameAs),
+            canned(FailureScenario::SingleLink),
+            canned(FailureScenario::TwoLinksDifferentAs),
+        ];
+        // hijack, failure, prepend, failure, leak, failure, flip, failure
+        for (i, t) in adversarial_families(&g, &mut rng, &[dest], true)
+            .into_iter()
+            .enumerate()
+        {
+            depths.insert(2 * i, t);
+        }
+        for (depth, timeline) in depths.iter().enumerate() {
+            let at = format!("{} depth {depth} ({})", p.label(), timeline.name());
+            let reachable = timeline.reachable_after(&g, dest).unwrap();
             let ck = sim.checkpoint();
-            let first = sim.measure(&w.timeline, &reachable).expect("resolves");
-            // Also check the owning-copy path: a fork taken *before* the
-            // mutation must replay to the same metrics.
+            let first = sim.measure(timeline, &reachable).expect("resolves");
+            // Rewind in place, and — the owning-copy path — run a copy
+            // taken *before* the mutation: both replay to the same metrics.
             sim.restore(&ck).expect("same protocol");
-            let mut fork = sim.fork();
-            let replay = sim.measure(&w.timeline, &reachable).expect("resolves");
-            let forked = fork.measure(&w.timeline, &reachable).expect("resolves");
-            assert_eq!(first, replay, "{} depth {depth}: restore replay", p.label());
-            assert_eq!(first, forked, "{} depth {depth}: fork replay", p.label());
+            let mut fork = ck.clone();
+            let replay = sim.measure(timeline, &reachable).expect("resolves");
+            let forked = fork.measure(timeline, &reachable).expect("resolves");
+            assert_eq!(first, replay, "{at}: restore replay");
+            assert_eq!(first, forked, "{at}: fork replay");
+            // From wherever this depth left the session, back to the
+            // baseline: the plain failure is the cold cell's again.
+            fork.restore(&baseline).expect("same protocol");
+            let rewound = fork
+                .measure(&plain.timeline, &plain_reach)
+                .expect("resolves");
+            assert_eq!(cold, rewound, "{at}: baseline rewind vs cold cell");
             // Continue to the next depth from the mutated state, so depth
             // d+1 checkpoints a session that has already replayed d
             // timelines.
@@ -141,8 +172,23 @@ fn restore_rejects_protocol_mismatch() {
     };
     let bgp = build(Protocol::Bgp);
     let mut stamp = build(Protocol::Stamp);
-    let err = stamp.restore(&bgp.checkpoint());
-    assert!(err.is_err(), "cross-protocol restore must fail");
+    assert_eq!(
+        stamp.restore(&bgp.checkpoint()),
+        Err(SimError::CheckpointMismatch {
+            expected: Protocol::Stamp,
+            got: Protocol::Bgp,
+        }),
+        "cross-protocol restore must fail"
+    );
+    // Same router type, different protocol: still refused.
+    let mut norci = build(Protocol::RbgpNoRci);
+    assert_eq!(
+        norci.restore(&build(Protocol::Rbgp)),
+        Err(SimError::CheckpointMismatch {
+            expected: Protocol::RbgpNoRci,
+            got: Protocol::Rbgp,
+        })
+    );
 }
 
 /// `Sim::converge` is idempotent and the second call is a cheap flag
