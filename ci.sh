@@ -78,7 +78,6 @@ echo "clippy passed (workspace, all targets, -D warnings)"
 # --- Tier-1 gate, strictly offline ---------------------------------------
 cargo build --release --offline
 cargo build --examples --offline
-cargo build --benches --offline
 cargo test -q --offline
 # The crate-level doctest is the sim-facade quickstart — a gate of its own.
 cargo test --doc --offline
@@ -93,20 +92,19 @@ cargo run --release --offline -q -p stamp_bench --bin polcheck
 echo "policy .pol round-trip gate passed"
 
 # --- Workload smoke campaign ---------------------------------------------
-# Tiny (timeline × destination × seed) grid at 1 and 4 workers; the binary
-# asserts the byte-identical aggregate hash (exits non-zero on divergence).
+# Tiny (timeline × destination × seed) grid, then the adversarial grid, each
+# at 1 worker, 4 workers and warm-start; the binary asserts the
+# byte-identical aggregate hash (exits non-zero on divergence).
 cargo run --release --offline -q -p stamp_bench --bin campaign -- --smoke
 echo "smoke campaign passed (deterministic aggregate hash)"
 
 # --- Adversarial smoke sweep ----------------------------------------------
-# The hijack / prepend-hijack / route-leak / policy-misconfig grid, run
-# with the same three-way determinism assertion (1 worker, N workers,
-# warm-start) and pinned to its own aggregate golden — the same value
+# The hijack / prepend-hijack / route-leak / policy-misconfig grid of the
+# same `--smoke` run, pinned to its own aggregate golden — the same value
 # tests/determinism.rs pins. A drift here means an adversarial event's
 # injection order, RNG draw or metric changed.
 ADVERSARIAL_GOLDEN="0xfd8467442b256d70"
-adv_hash=$(cargo run --release --offline -q -p stamp_bench --bin campaign -- \
-        --smoke --adversarial \
+adv_hash=$(cargo run --release --offline -q -p stamp_bench --bin campaign -- --smoke \
     | grep 'adversarial smoke OK' | grep -o 'hash 0x[0-9a-f]*' | awk '{print $2}')
 if [ "$adv_hash" != "$ADVERSARIAL_GOLDEN" ]; then
     echo "DETERMINISM VIOLATION: adversarial smoke hash golden=$ADVERSARIAL_GOLDEN got=$adv_hash" >&2
@@ -160,40 +158,26 @@ if [ "$release_hash" != "$SMOKE_GOLDEN" ] || [ "$debug_hash" != "$SMOKE_GOLDEN" 
 fi
 echo "debug-vs-release determinism cross-check passed ($SMOKE_GOLDEN)"
 
-# --- Warm-start golden-hash gate ------------------------------------------
-# The full default grids (campaign at 500 ASes, campaign_2000 at 2000),
-# each run cold-serial, cold-parallel and warm (every cell a clone of a
-# pre-converged session). The binary itself asserts all three passes
-# hash identically per grid; here we additionally pin the aggregates to
-# the goldens, so run state that a copy of a session fails to carry stops
-# CI even if it shifts results *consistently*. (A forgotten `Engine`
-# *field* never gets this far: the engine's `Clone` impl destructures its
-# source without `..`, so it does not compile.) `--check` leaves
-# BENCH_campaign.json untouched.
-# Naming the default regime must be a no-op (`--policy gao-rexford` runs
-# the identical default grids), and the policy sweep appends one pinned
-# hash per built-in regime after the two grid aggregates — six goldens in
-# a fixed order, every one byte-exact.
-CAMPAIGN_GOLDEN="0x21ce716a105a0ebe"
-CAMPAIGN_2000_GOLDEN="0x817234e4f61711b4"
-SWEEP_GAO_GOLDEN="0xb326703a963aa9ec"
-SWEEP_SHORTEST_GOLDEN="0x800dbb531a835932"
-SWEEP_PREFER_PEER_GOLDEN="0x85e700ff012eef8f"
-SWEEP_LONG_PATH_GOLDEN="0xbe4941aa876c1b61"
-full_out=$(cargo run --release --offline -q -p stamp_bench --bin campaign -- \
-    --policy gao-rexford --check)
-full_hashes=$(printf '%s\n' "$full_out" | grep -o 'hash 0x[0-9a-f]*' | awk '{print $2}')
-if [ "$full_hashes" != "$CAMPAIGN_GOLDEN
-$CAMPAIGN_2000_GOLDEN
-$SWEEP_GAO_GOLDEN
-$SWEEP_SHORTEST_GOLDEN
-$SWEEP_PREFER_PEER_GOLDEN
-$SWEEP_LONG_PATH_GOLDEN" ]; then
-    echo "DETERMINISM VIOLATION: campaign goldens (grids + policy sweep), got:" >&2
-    printf '%s\n' "$full_hashes" >&2
-    exit 1
-fi
-echo "warm-start golden-hash gate passed ($CAMPAIGN_GOLDEN, $CAMPAIGN_2000_GOLDEN, 4 sweep hashes)"
+# --- Warm-start results-golden gate ---------------------------------------
+# The full default run: campaign at 500 ASes, campaign_2000 at 2000 and the
+# adversarial grid, each cold-serial, cold-parallel and warm (every cell a
+# clone of a pre-converged session; the binary asserts all three passes
+# hash identically and count the same observer work), plus the policy
+# sweep over every built-in regime. `--check` renders the results document
+# in memory and exits non-zero, naming the first differing line, unless it
+# equals the tracked BENCH_campaign.json byte for byte. That file *is* the
+# golden — the two grid hashes, the four sweep hashes and every families /
+# affected_mean / diverged value live there and nowhere else — so run state
+# that a copy of a session fails to carry stops CI even if it shifts
+# results *consistently*. (A forgotten `Engine` *field* never gets this far:
+# the engine's `Clone` impl destructures its source without `..`, so it
+# does not compile.) An intended change of results is a plain `campaign`
+# run and the regenerated file in the same commit.
+# Naming the default regime must be a no-op: `--policy gao-rexford` runs the
+# identical default grids.
+cargo run --release --offline -q -p stamp_bench --bin campaign -- \
+    --policy gao-rexford --check >/dev/null
+echo "warm-start results-golden gate passed (BENCH_campaign.json byte-identical)"
 
 # --- Reference benchmark gate ----------------------------------------------
 # benchmark/ is a package of its own that consolidation PRs may not edit;

@@ -87,14 +87,12 @@ fn main() {
                 ..Default::default()
             },
         );
-        let wrate = std::env::var("WRATE").map(|v| v != "0").unwrap_or(true);
-        let mut cfg = FailureConfig {
+        let cfg = FailureConfig {
             gen: gen.clone(),
             instances,
             seed: 0xCA11,
             ..FailureConfig::default()
         };
-        cfg.params.mrai_withdrawals = wrate;
         let rep = run_failure_experiment(&cfg, FailureScenario::SingleLink, &Protocol::ALL);
         let lb = |p: Protocol| {
             format!(

@@ -1,4 +1,11 @@
-//! Shared CLI plumbing for the figure-regeneration binaries.
+//! Shared plumbing for the figure-regeneration binaries: the CLI flags,
+//! and the one emitter and comparer of the tracked results document
+//! (`BENCH_campaign.json`).
+//!
+//! Nothing in this crate reads a clock. Every number it prints is a count
+//! or a simulated time — a pure function of seed and code — which is what
+//! lets `campaign --check` hold the tracked document to byte equality.
+//! Wall time has one owner, the reference benchmark (`benchmark/`).
 //!
 //! Every binary accepts:
 //!
@@ -9,17 +16,17 @@
 //!
 //! Unknown flags abort with a usage message; the binaries print the figure
 //! to stdout.
-//!
-//! The [`harness`] module is the in-repo micro-benchmark harness backing
-//! `benches/{figures,micro}.rs`.
 
 #![forbid(unsafe_code)]
 
-pub mod harness;
-
 use stamp_experiments::render::render_failure_report;
 use stamp_experiments::{run_failure_experiment, FailureConfig, FailureScenario, Protocol};
-use stamp_topology::GenConfig;
+use stamp_topology::{AsGraph, AsId, GenConfig};
+use stamp_workload::{
+    populate_baselines, run_campaign, run_campaign_with_cache, BaselineCache, CampaignConfig,
+    CampaignReport, Timeline,
+};
+use std::fmt::Write as _;
 
 /// Parsed common options.
 #[derive(Debug, Clone, Default)]
@@ -48,13 +55,10 @@ pub struct CommonArgs {
     /// `--protocols`: the first entry is the regime the grids run under,
     /// the full list is the sweep axis.
     pub policy: Option<String>,
-    /// Verification mode (`--check`): run and assert, but do not rewrite
-    /// report files (the CI hash gate runs the full grid this way).
+    /// Verification mode (`--check`): regenerate the results document in
+    /// memory and compare it with the tracked copy instead of rewriting it
+    /// (the CI golden gate).
     pub check: bool,
-    /// Adversarial sweep (`campaign --adversarial`): run the hijack /
-    /// leak / policy-misconfig families instead of (or in addition to)
-    /// the physical-failure families.
-    pub adversarial: bool,
 }
 
 /// Parse `std::env::args`, exiting with usage on errors.
@@ -83,7 +87,6 @@ pub fn parse_args(usage: &str) -> CommonArgs {
             "--protocols" => out.protocols = Some(value(&mut i)),
             "--policy" => out.policy = Some(value(&mut i)),
             "--check" => out.check = true,
-            "--adversarial" => out.adversarial = true,
             "--help" | "-h" => {
                 println!("{usage}");
                 std::process::exit(0);
@@ -126,4 +129,209 @@ pub fn failure_figure_main(usage: &str, default_seed: u64, scenario: FailureScen
     let cfg = failure_config(&parse_args(usage), default_seed, 30);
     let report = run_failure_experiment(&cfg, scenario, &Protocol::ALL);
     println!("{}", render_failure_report(&report));
+}
+
+/// The grid run three ways — cold at one worker, cold at `threads_n`
+/// workers, warm at one worker with every baseline pre-converged (each
+/// cell a clone of a cached session) — in that order. The three reports
+/// must be indistinguishable; the callers assert it.
+pub fn three_passes(
+    g: &AsGraph,
+    timelines: &[Timeline],
+    dests: &[AsId],
+    cfg: &CampaignConfig,
+    threads_n: usize,
+) -> [CampaignReport; 3] {
+    let mut cfg = cfg.clone();
+    cfg.threads = 1;
+    let serial = run_campaign(g, timelines, dests, &cfg).expect("timelines resolve");
+    cfg.threads = threads_n;
+    let parallel = run_campaign(g, timelines, dests, &cfg).expect("timelines resolve");
+    cfg.threads = 1;
+    let cache = BaselineCache::new();
+    populate_baselines(g, timelines.len(), dests, &cfg, &cache);
+    let warm = run_campaign_with_cache(g, timelines, dests, &cfg, Some(&cache))
+        .expect("timelines resolve");
+    [serial, parallel, warm]
+}
+
+/// One regime's slice of the policy sweep: the same grid, re-converged
+/// under a different `PolicyRegime`, keyed by the regime's canonical-DSL
+/// fingerprint (the value that also keys the baseline cache).
+#[derive(Debug, Clone)]
+pub struct SweepRow {
+    pub name: String,
+    pub fingerprint: u64,
+    pub hash: u64,
+    /// Grid-wide mean of affected ASes per protocol, config order.
+    pub affected: Vec<(Protocol, f64)>,
+}
+
+/// The results document: one object per `(key, report)` grid — size, cell
+/// count, aggregate hash and the per-`(timeline, protocol)` families table
+/// — then the policy sweep (`cells` per regime, one row per regime) when
+/// there is one. The only emitter of `BENCH_campaign.json`; its output is
+/// byte-reproducible, so a tracked copy is a golden.
+pub fn render_results(
+    grids: &[(&str, &CampaignReport)],
+    protocols: &[Protocol],
+    sweep: Option<(usize, &[SweepRow])>,
+) -> String {
+    let mut s = String::from("{\n");
+    for (i, (key, rep)) in grids.iter().enumerate() {
+        if i > 0 {
+            s.push_str(",\n");
+        }
+        let _ = writeln!(s, "  \"{key}\": {{");
+        let _ = writeln!(s, "    \"n_ases\": {},", rep.n_ases);
+        let _ = writeln!(s, "    \"cells\": {},", rep.cells.len());
+        let _ = writeln!(s, "    \"hash\": \"0x{:016x}\",", rep.hash);
+        s.push_str("    \"families\": [\n");
+        let mut first = true;
+        for (t, name) in rep.timeline_names.iter().enumerate() {
+            for &p in protocols {
+                let a = rep.aggregate(t, p);
+                if !first {
+                    s.push_str(",\n");
+                }
+                first = false;
+                let _ = write!(
+                    s,
+                    "      {{ \"timeline\": \"{name}\", \"protocol\": \"{}\", \
+                     \"cells\": {}, \"affected_mean\": {:.3}, \"loops_mean\": {:.3}, \
+                     \"blackholes_mean\": {:.3}, \"data_recovery_mean_s\": {:.3}, \
+                     \"convergence_mean_s\": {:.3}, \"updates_failure_mean\": {:.3}, \
+                     \"diverged\": {} }}",
+                    p.label(),
+                    a.cells,
+                    a.affected_mean,
+                    a.loops_mean,
+                    a.blackholes_mean,
+                    a.data_recovery_mean_s,
+                    a.convergence_mean_s,
+                    a.updates_failure_mean,
+                    a.diverged
+                );
+            }
+        }
+        s.push_str("\n    ]\n  }");
+    }
+    if let Some((cells, rows)) = sweep {
+        s.push_str(",\n  \"policy_sweep\": {\n");
+        let _ = writeln!(s, "    \"cells\": {cells},");
+        s.push_str("    \"regimes\": [\n");
+        for (i, r) in rows.iter().enumerate() {
+            if i > 0 {
+                s.push_str(",\n");
+            }
+            let affected = r
+                .affected
+                .iter()
+                .map(|(p, a)| format!("\"{}\": {a:.3}", p.label()))
+                .collect::<Vec<_>>()
+                .join(", ");
+            let _ = write!(
+                s,
+                "      {{ \"policy\": \"{}\", \"fingerprint\": \"0x{:016x}\", \
+                 \"hash\": \"0x{:016x}\", \"affected_mean\": {{ {affected} }} }}",
+                r.name, r.fingerprint, r.hash
+            );
+        }
+        s.push_str("\n    ]\n  }");
+    }
+    s.push_str("\n}\n");
+    s
+}
+
+/// The first line on which two results documents differ, as `(1-based
+/// line number, tracked line, fresh line)`; `None` iff they are
+/// byte-identical. A document that ended early reads [`END_OF_DOCUMENT`].
+pub fn first_difference<'a>(tracked: &'a str, fresh: &'a str) -> Option<(usize, &'a str, &'a str)> {
+    let (mut a, mut b) = (tracked.split('\n'), fresh.split('\n'));
+    for n in 1.. {
+        match (a.next(), b.next()) {
+            (None, None) => break,
+            (x, y) if x != y => {
+                return Some((
+                    n,
+                    x.unwrap_or(END_OF_DOCUMENT),
+                    y.unwrap_or(END_OF_DOCUMENT),
+                ))
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
+/// What [`first_difference`] reports for the side that ran out of lines.
+pub const END_OF_DOCUMENT: &str = "<end of document>";
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use stamp_workload::{adversarial_grid, smoke_grid};
+
+    const SEED: u64 = 0xCA4A16;
+
+    /// The smoke and adversarial grids, each run the three ways, rendered
+    /// as three documents: `[1 worker, 4 workers, warm]`.
+    fn smoke_documents() -> [String; 3] {
+        let (g, timelines, dests, cfg) = smoke_grid(SEED);
+        let smoke = three_passes(&g, &timelines, &dests, &cfg, 4);
+        let (g, timelines, dests, adv_cfg) = adversarial_grid(SEED);
+        let adv = three_passes(&g, &timelines, &dests, &adv_cfg, 4);
+        assert_eq!(cfg.protocols, adv_cfg.protocols);
+        [0, 1, 2].map(|i| {
+            render_results(
+                &[("smoke", &smoke[i]), ("adversarial", &adv[i])],
+                &cfg.protocols,
+                None,
+            )
+        })
+    }
+
+    /// The document is a function of the grid alone: worker count and
+    /// warm-start leave every byte where it was, and no key is a timing or
+    /// a host property — which is what entitles CI to compare the tracked
+    /// copy for equality.
+    #[test]
+    fn results_document_is_byte_identical_across_workers_and_warm_start() {
+        let [serial, parallel, warm] = smoke_documents();
+        assert_eq!(serial, parallel, "document differs between 1 and 4 workers");
+        assert_eq!(serial, warm, "document differs between cold and warm start");
+        assert!(serial.contains("\"hash\": \"0x288f67a39b590c8d\""));
+        assert!(serial.contains("\"hash\": \"0xfd8467442b256d70\""));
+        // No key names a timing or a host property (no value does either,
+        // so the whole text is searched).
+        for banned in ["wall", "throughput", "speedup", "cores", "threads", "per_s"] {
+            assert!(!serial.contains(banned), "document mentions `{banned}`");
+        }
+    }
+
+    /// `--check` guards results, not only hashes: a perturbed mean and a
+    /// perturbed hash each come back as the differing line.
+    #[test]
+    fn comparer_names_the_line_of_a_perturbed_result_or_hash() {
+        let [doc, ..] = smoke_documents();
+        assert_eq!(first_difference(&doc, &doc), None);
+
+        for (needle, edited) in [
+            ("\"affected_mean\": 0.000", "\"affected_mean\": 0.001"),
+            ("\"hash\": \"0xfd84", "\"hash\": \"0xfd85"),
+        ] {
+            let bad = doc.replacen(needle, edited, 1);
+            let want = doc.lines().position(|l| l.contains(needle)).unwrap();
+            let (line, tracked, fresh) = first_difference(&bad, &doc).expect("documents differ");
+            assert_eq!(line, want + 1);
+            assert!(tracked.contains(edited) && fresh.contains(needle));
+        }
+
+        // A truncated document differs where it stops.
+        let cut = doc
+            .strip_suffix("\n}\n")
+            .expect("document closes its object");
+        let (_, tracked, fresh) = first_difference(cut, &doc).expect("documents differ");
+        assert_eq!((tracked, fresh), (END_OF_DOCUMENT, "}"));
+    }
 }

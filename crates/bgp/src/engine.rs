@@ -173,7 +173,7 @@ pub struct EngineConfig {
     pub mrai_base: SimDuration,
     /// Whether MRAI applies (degenerate fast mode for unit tests).
     pub mrai_enabled: bool,
-    /// Whether MRAI also rate-limits withdrawals (WRATE). Paper-era
+    /// Whether MRAI also rate-limits withdrawals. Paper-era
     /// simulators (SSFNet lineage) applied MRAI to all updates; RFC 4271
     /// exempts explicit withdrawals. `true` reproduces the paper's long
     /// path-exploration transients; set `false` for RFC-style behaviour.

@@ -20,10 +20,7 @@
 //!   link/node failure injection, message counters and convergence
 //!   detection;
 //! * [`feed`] — the touched feed: which ASes' forwarding rows may have
-//!   changed since an observer last looked;
-//! * [`wire`] — an RFC 4271-style binary UPDATE codec carrying `Lock` and
-//!   `ET` as optional transitive path attributes, demonstrating that
-//!   STAMP's extensions fit existing BGP message formats.
+//!   changed since an observer last looked.
 //!
 //! Omitted BGP features (deliberately, matching the paper's model): iBGP and
 //! MED (each AS is one node; the paper argues centralised intra-AS routing
@@ -33,14 +30,12 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bytebuf;
 pub mod engine;
 pub mod feed;
 pub mod patharena;
 pub mod rib;
 pub mod router;
 pub mod types;
-pub mod wire;
 
 pub use engine::{Engine, EngineConfig, RunStats, ScenarioEvent};
 pub use feed::{FeedCursor, Touched};

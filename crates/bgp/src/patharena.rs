@@ -156,7 +156,7 @@ impl PathArena {
         self.intern(origin, PathId::NONE)
     }
 
-    /// Intern an explicit AS sequence (wire decode, tests). Returns
+    /// Intern an explicit AS sequence (tests, probes). Returns
     /// `PathId::NONE` for an empty slice.
     pub fn intern_slice(&mut self, path: &[AsId]) -> PathId {
         let mut id = PathId::NONE;

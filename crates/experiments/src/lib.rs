@@ -1,8 +1,8 @@
 //! Experiment harness: regenerates every figure and table of the paper.
 //!
 //! Each experiment in DESIGN.md §4 maps to a module here; `stamp-bench`
-//! wraps them in Criterion benches and standalone binaries. All experiments
-//! are deterministic given their seed. The failure figures are cell lists
+//! wraps them in standalone binaries. All experiments are deterministic
+//! given their seed. The failure figures are cell lists
 //! handed to the workspace's one cell runner, `stamp_workload::run_cells`
 //! (worker threads and the in-order merge live there, not here).
 //!

@@ -234,8 +234,7 @@ impl QueryEngine {
     }
 
     /// Materialise a query shape as the [`Timeline`] the engine plays —
-    /// public so tests and benches can prove query-equals-timeline
-    /// equivalence.
+    /// public so tests can prove query-equals-timeline equivalence.
     pub fn timeline_of(&self, shape: &WhatIfShape) -> Timeline {
         match shape {
             WhatIfShape::FailLink(a, b) => Timeline::from_events(

@@ -21,7 +21,7 @@
 //!   `run_protocol_cell_warm` path so every answer is bit-identical to a
 //!   cold batch run of the same cell;
 //! * [`server`] — serving loops over any `BufRead`/`Write` pair (stdin,
-//!   TCP, in-memory buffers for tests and the `query_throughput` bench).
+//!   TCP, in-memory buffers for tests).
 //!
 //! See DESIGN.md §13 for the grammar, the resident-baseline lifecycle
 //! and the fork-equals-cold determinism argument.

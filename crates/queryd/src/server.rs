@@ -1,12 +1,13 @@
 //! Line-oriented serving loops over any `BufRead`/`Write` pair, plus the
 //! TCP front-end. The daemon binary wires these to stdin/stdout and an
-//! optional listener; tests and the `query_throughput` bench drive
-//! [`serve`] over in-memory buffers — same code path, no sockets.
+//! optional listener; tests drive [`serve`] over in-memory buffers — same
+//! code path, no sockets — and the reference benchmark's `query_hit` /
+//! `query_churn` workloads drive [`serve_tcp`] over loopback.
 //!
 //! BATCH mode is not a separate verb: requests are read line-by-line and
 //! answered strictly in order, each response `END`-framed, so a client may
 //! pipe any number of queries and split replies on `END` lines. Piping a
-//! file of N queries *is* the batch mode, and it is what the bench times.
+//! file of N queries *is* the batch mode.
 
 use crate::engine::QueryEngine;
 use crate::protocol::{Request, RequestError, MAX_REQUEST_LINE};

@@ -6,6 +6,10 @@
 // trailing marker comment (two slashes, a tilde, then rule names) is the
 // exact multiset of findings expected on that line; lines without a
 // marker must stay clean. The fixture only has to lex, not compile.
+//
+// Analyzed a second time under `crates/bench/src/bin/`, where exactly the
+// wall-clock markers must fire: bench prints goldens, so it may read argv
+// and the environment but never a clock.
 
 use std::collections::HashMap; //~ default-hasher
 use std::collections::HashSet; //~ default-hasher

@@ -7,8 +7,8 @@
 //!
 //! Usage: `cargo run -p simlint --offline [-- --root DIR] [--warn] [--list]`
 //!
-//! Scans `crates/*/src/**/*.rs` and the facade's `src/` (tests/, examples/
-//! and benches/ are outside the lint perimeter — see DESIGN.md §11).
+//! Scans `crates/*/src/**/*.rs` and the facade's `src/` (tests/ and
+//! examples/ are outside the lint perimeter — see DESIGN.md §11).
 //! `--warn` lists warn-severity findings individually instead of as
 //! summary counts; `--list` prints the rule catalog.
 

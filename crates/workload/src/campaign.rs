@@ -508,7 +508,8 @@ pub fn adversarial_families(
     vec![hijack, prepend, leak, flip]
 }
 
-/// The `campaign --adversarial --smoke` CI grid: the same topology,
+/// The adversarial CI grid (second half of `campaign --smoke`, and the
+/// `adversarial` object of `BENCH_campaign.json`): the same topology,
 /// destinations and fast params as [`smoke_grid`] but running the four
 /// [`adversarial_families`] instead of the physical-failure families. One
 /// constructor serves the binary's gate and the determinism tests, so the

@@ -44,9 +44,8 @@
 //! views per snapshot here, and a [`TransientTracker`] that keeps its
 //! classification across observations and re-examines only the rows the
 //! engine's touched feed reports (the view carries the feed; see
-//! DESIGN.md §12). `bgp_convergence_300` /
-//! `convergence_2000` in `benches/micro.rs` are the end-to-end gauges of
-//! this path.
+//! DESIGN.md §12). The reference benchmark's `bgp.converge_ms.*` probes
+//! are the end-to-end gauges of this path.
 
 use crate::params::{InstanceMetrics, RunParams};
 use crate::timeline::{Timeline, TimelineError};

@@ -16,8 +16,10 @@
 //! (same topology, same timeline family, same per-cell seeds) and pin the
 //! aggregates bit-exactly. A scheduler, RIB or measurement change that
 //! silently shifts either number fails here, loudly, with the old and new
-//! values side by side — if the change is intentional, re-baseline both
-//! this file and `BENCH_campaign.json` in the same commit.
+//! values side by side. `BENCH_campaign.json` is itself a CI-checked
+//! golden (`campaign --check` compares every families row byte for byte),
+//! so an intentional change re-baselines this file and regenerates that
+//! one in the same commit — CI refuses anything else.
 
 use stamp_repro::eventsim::rng::{derive_seed, tags};
 use stamp_repro::eventsim::rng_stream;

@@ -376,7 +376,7 @@ fn observer_rewalks_a_sliver_of_the_state_space_at_2000_ases() {
 // Divergence as data: the watchdog's typed outcome in the campaign layer
 // ---------------------------------------------------------------------
 
-/// The `campaign --smoke --adversarial` grid (the second CI hash gate),
+/// The adversarial grid of `campaign --smoke` (the second CI hash gate),
 /// built by the same `adversarial_grid` constructor the binary uses,
 /// pinned to its aggregate hash. Hijacks, leaks and the policy flip are
 /// timeline *data* — this pins their injection order, RNG draws and

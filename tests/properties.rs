@@ -2,11 +2,7 @@
 //! structures and the paper's invariants.
 
 use stamp_repro::bgp::patharena::PathArena;
-use stamp_repro::bgp::types::{
-    CauseInfo, EventType, PathAttrs, PrefixId, RootCause, Route, UpdateKind, UpdateMsg,
-    WithdrawInfo,
-};
-use stamp_repro::bgp::wire::{decode, encode};
+use stamp_repro::bgp::types::{PathAttrs, PrefixId, Route};
 use stamp_repro::eventsim::check::{cases, gen};
 use stamp_repro::eventsim::Rng;
 use stamp_repro::topology::path::{check_valley_free, split_uphill_downhill, ValleyCheck};
@@ -16,68 +12,6 @@ use stamp_repro::topology::{generate, AsId, GenConfig, StaticRoutes};
 // ---------------------------------------------------------------------
 // Generators
 // ---------------------------------------------------------------------
-
-fn arb_as_path(rng: &mut Rng) -> Vec<AsId> {
-    gen::vec(rng, 1..12, |r| AsId(r.gen_range(0u32..100_000)))
-}
-
-fn arb_cause(rng: &mut Rng) -> CauseInfo {
-    let a = rng.gen_range(0u32..1000);
-    let b = rng.gen_range(0u32..1000);
-    let seq = rng.next_u64() as u32;
-    let up = gen::bool(rng);
-    let node = gen::bool(rng);
-    CauseInfo {
-        cause: if node {
-            RootCause::Node(AsId(a))
-        } else {
-            RootCause::link(AsId(a), AsId(a + b + 1))
-        },
-        seq,
-        up,
-    }
-}
-
-fn arb_et(rng: &mut Rng) -> EventType {
-    if gen::bool(rng) {
-        EventType::NotLost
-    } else {
-        EventType::Lost
-    }
-}
-
-fn arb_attrs(rng: &mut Rng) -> PathAttrs {
-    PathAttrs {
-        lock: gen::bool(rng),
-        et: gen::option(rng, arb_et),
-        root_cause: gen::option(rng, arb_cause),
-        failover: gen::bool(rng),
-        ..Default::default()
-    }
-}
-
-fn arb_update(arena: &mut PathArena, rng: &mut Rng) -> UpdateMsg {
-    let prefix = PrefixId(rng.next_u64() as u32);
-    if gen::bool(rng) {
-        let path = arb_as_path(rng);
-        UpdateMsg {
-            prefix,
-            kind: UpdateKind::Announce(Route {
-                path: arena.intern_slice(&path),
-                attrs: arb_attrs(rng),
-            }),
-        }
-    } else {
-        UpdateMsg {
-            prefix,
-            kind: UpdateKind::Withdraw(WithdrawInfo {
-                root_cause: gen::option(rng, arb_cause),
-                et: gen::option(rng, arb_et),
-                failover: gen::bool(rng),
-            }),
-        }
-    }
-}
 
 fn arb_gen_config(rng: &mut Rng) -> GenConfig {
     let n = rng.gen_range(30usize..160);
@@ -91,101 +25,6 @@ fn arb_gen_config(rng: &mut Rng) -> GenConfig {
         seed,
         ..GenConfig::small(seed)
     }
-}
-
-// ---------------------------------------------------------------------
-// Wire codec
-// ---------------------------------------------------------------------
-
-/// RFC 4271-style encode/decode is the identity on valid updates. With the
-/// arena-backed codec, decoding into the *same* arena re-interns the path
-/// to the identical `PathId`, so whole-message equality holds exactly.
-#[test]
-fn codec_roundtrip() {
-    cases(256, 0xC0DEC, |rng| {
-        let mut arena = PathArena::new();
-        let msg = arb_update(&mut arena, rng);
-        let raw = encode(&arena, &msg);
-        let decoded = decode(&mut arena, &raw).expect("own encoding decodes");
-        assert_eq!(decoded, msg);
-    });
-}
-
-/// Decoding into a *fresh* arena preserves the path contents (the handles
-/// differ across arenas; the resolved AS sequences must not).
-#[test]
-fn codec_roundtrip_across_arenas() {
-    cases(128, 0xC0DE2, |rng| {
-        let mut arena = PathArena::new();
-        let msg = arb_update(&mut arena, rng);
-        let raw = encode(&arena, &msg);
-        let mut fresh = PathArena::new();
-        let decoded = decode(&mut fresh, &raw).expect("own encoding decodes");
-        assert_eq!(decoded.prefix, msg.prefix);
-        match (msg.kind, decoded.kind) {
-            (UpdateKind::Announce(a), UpdateKind::Announce(b)) => {
-                assert_eq!(arena.as_vec(a.path), fresh.as_vec(b.path));
-                assert_eq!(a.attrs, b.attrs);
-            }
-            (UpdateKind::Withdraw(a), UpdateKind::Withdraw(b)) => assert_eq!(a, b),
-            (a, b) => panic!("kind changed across codec: {a:?} vs {b:?}"),
-        }
-    });
-}
-
-/// Attribute-bearing routes — STAMP Lock/ET, R-BGP RCI `CauseInfo` and the
-/// failover flag, in every combination — survive the arena-backed codec.
-#[test]
-fn codec_roundtrip_attribute_bearing() {
-    cases(256, 0xA77B5, |rng| {
-        let mut arena = PathArena::new();
-        let path = arb_as_path(rng);
-        // Force a fully attribute-laden route (plain routes are covered by
-        // `codec_roundtrip`); each attribute still varies in value.
-        let attrs = PathAttrs {
-            lock: gen::bool(rng),
-            et: Some(arb_et(rng)),
-            root_cause: Some(arb_cause(rng)),
-            failover: gen::bool(rng),
-            ..Default::default()
-        };
-        let msg = UpdateMsg {
-            prefix: PrefixId(rng.next_u64() as u32),
-            kind: UpdateKind::Announce(Route {
-                path: arena.intern_slice(&path),
-                attrs,
-            }),
-        };
-        let raw = encode(&arena, &msg);
-        assert_eq!(decode(&mut arena, &raw).unwrap(), msg);
-
-        // Withdrawals carrying RCI + ET + failover likewise round-trip.
-        let wd = UpdateMsg {
-            prefix: PrefixId(rng.next_u64() as u32),
-            kind: UpdateKind::Withdraw(WithdrawInfo {
-                root_cause: Some(arb_cause(rng)),
-                et: Some(arb_et(rng)),
-                failover: gen::bool(rng),
-            }),
-        };
-        let raw = encode(&arena, &wd);
-        assert_eq!(decode(&mut arena, &raw).unwrap(), wd);
-    });
-}
-
-/// Arbitrary byte mangling never panics the decoder.
-#[test]
-fn decoder_total_on_mangled_input() {
-    cases(256, 0xA16E, |rng| {
-        let mut arena = PathArena::new();
-        let msg = arb_update(&mut arena, rng);
-        let mut raw = encode(&arena, &msg);
-        if !raw.is_empty() {
-            let i = rng.gen_range(0usize..raw.len());
-            raw[i] = rng.next_u64() as u8;
-        }
-        let _ = decode(&mut arena, &raw); // must not panic
-    });
 }
 
 // ---------------------------------------------------------------------
