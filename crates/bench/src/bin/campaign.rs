@@ -49,11 +49,12 @@ const DEFAULT_SEED: u64 = 0xCA4A16;
 /// Workers of the parallel pass unless `--threads` says otherwise.
 const THREADS_N: usize = 4;
 
-/// Run the grid cold at one worker, cold at `threads_n`, then warm (every
-/// cell a clone of a pre-converged session) — asserting the byte-identical
-/// aggregate across all three. The warm-equals-cold check is the
-/// campaign-scale proof that a copy of a session carries everything a
-/// replay depends on.
+/// Run the grid cold at one worker, cold at `threads_n`, then warm twice
+/// over one cache (every cell a copy of a pre-converged session; in the
+/// second pass a recycled session rewound onto it) — asserting the
+/// byte-identical aggregate across all four. The warm-equals-cold check is
+/// the campaign-scale proof that a copy of a session carries everything a
+/// replay depends on, and that a rewound one carries nothing else.
 fn run_three_ways(
     g: &AsGraph,
     timelines: &[Timeline],
@@ -61,7 +62,7 @@ fn run_three_ways(
     cfg: &CampaignConfig,
     threads_n: usize,
 ) -> CampaignReport {
-    let [serial, parallel, warm] = three_passes(g, timelines, dests, cfg, threads_n);
+    let [serial, parallel, warm, recycled] = three_passes(g, timelines, dests, cfg, threads_n);
     assert_eq!(
         serial.hash, parallel.hash,
         "campaign aggregate diverged between 1 and {threads_n} workers"
@@ -70,9 +71,15 @@ fn run_three_ways(
         serial.hash, warm.hash,
         "warm-start aggregate diverged from cold start"
     );
+    assert_eq!(
+        serial.hash, recycled.hash,
+        "warm-start aggregate on recycled sessions diverged from cold start"
+    );
     // The hash does not fold the observer's work ledger; the cells do.
     assert!(
-        serial.cells == parallel.cells && serial.cells == warm.cells,
+        serial.cells == parallel.cells
+            && serial.cells == warm.cells
+            && serial.cells == recycled.cells,
         "observer work counts differ between 1 worker, {threads_n} workers and warm start"
     );
     parallel

@@ -132,16 +132,19 @@ pub fn failure_figure_main(usage: &str, default_seed: u64, scenario: FailureScen
 }
 
 /// The grid run three ways — cold at one worker, cold at `threads_n`
-/// workers, warm at one worker with every baseline pre-converged (each
-/// cell a clone of a cached session) — in that order. The three reports
-/// must be indistinguishable; the callers assert it.
+/// workers, warm at one worker with every baseline pre-converged — in that
+/// order, the warm pass twice over the same cache: the first forks fresh
+/// clones and parks them, the second runs entirely on those recycled
+/// sessions, so state leaking from one cell into the next through a
+/// rewound session shows as a difference between the two. The four
+/// reports must be indistinguishable; the callers assert it.
 pub fn three_passes(
     g: &AsGraph,
     timelines: &[Timeline],
     dests: &[AsId],
     cfg: &CampaignConfig,
     threads_n: usize,
-) -> [CampaignReport; 3] {
+) -> [CampaignReport; 4] {
     let mut cfg = cfg.clone();
     cfg.threads = 1;
     let serial = run_campaign(g, timelines, dests, &cfg).expect("timelines resolve");
@@ -150,9 +153,10 @@ pub fn three_passes(
     cfg.threads = 1;
     let cache = BaselineCache::new();
     populate_baselines(g, timelines.len(), dests, &cfg, &cache);
-    let warm = run_campaign_with_cache(g, timelines, dests, &cfg, Some(&cache))
-        .expect("timelines resolve");
-    [serial, parallel, warm]
+    let warm = || {
+        run_campaign_with_cache(g, timelines, dests, &cfg, Some(&cache)).expect("timelines resolve")
+    };
+    [serial, parallel, warm(), warm()]
 }
 
 /// One regime's slice of the policy sweep: the same grid, re-converged
@@ -275,14 +279,15 @@ mod tests {
     const SEED: u64 = 0xCA4A16;
 
     /// The smoke and adversarial grids, each run the three ways, rendered
-    /// as three documents: `[1 worker, 4 workers, warm]`.
-    fn smoke_documents() -> [String; 3] {
+    /// as four documents: `[1 worker, 4 workers, warm, warm on recycled
+    /// sessions]`.
+    fn smoke_documents() -> [String; 4] {
         let (g, timelines, dests, cfg) = smoke_grid(SEED);
         let smoke = three_passes(&g, &timelines, &dests, &cfg, 4);
         let (g, timelines, dests, adv_cfg) = adversarial_grid(SEED);
         let adv = three_passes(&g, &timelines, &dests, &adv_cfg, 4);
         assert_eq!(cfg.protocols, adv_cfg.protocols);
-        [0, 1, 2].map(|i| {
+        [0, 1, 2, 3].map(|i| {
             render_results(
                 &[("smoke", &smoke[i]), ("adversarial", &adv[i])],
                 &cfg.protocols,
@@ -297,9 +302,10 @@ mod tests {
     /// copy for equality.
     #[test]
     fn results_document_is_byte_identical_across_workers_and_warm_start() {
-        let [serial, parallel, warm] = smoke_documents();
+        let [serial, parallel, warm, recycled] = smoke_documents();
         assert_eq!(serial, parallel, "document differs between 1 and 4 workers");
         assert_eq!(serial, warm, "document differs between cold and warm start");
+        assert_eq!(serial, recycled, "document differs on recycled sessions");
         assert!(serial.contains("\"hash\": \"0x288f67a39b590c8d\""));
         assert!(serial.contains("\"hash\": \"0xfd8467442b256d70\""));
         // No key names a timing or a host property (no value does either,

@@ -339,6 +339,8 @@ struct MraiSlot {
 /// exactly the state a run can mutate.
 struct Fixed {
     g: AsGraph,
+    /// The one delay model every channel samples from.
+    delay: DelayModel,
     /// Jittered MRAI interval per directed session.
     mrai_interval: Vec<SimDuration>,
     mrai_enabled: bool,
@@ -372,8 +374,13 @@ pub struct Engine<R: RouterLogic> {
     /// FIFO channel per `(directed session, process)`, see [`chan_idx`].
     channels: Vec<FifoChannel>,
     /// MRAI slots per `(directed session, process)`, inner `Vec` indexed
-    /// by dense prefix id (grown on first use; one entry in the common
-    /// single-prefix workloads).
+    /// by dense prefix id (one entry in the common single-prefix
+    /// workloads). The table (one row per channel) and each row are built
+    /// on first use and a missing row or slot reads as idle, so an engine
+    /// that never armed a timer — MRAI off, or built and not yet started —
+    /// holds no table at all. A row is
+    /// non-empty only while one of its timers is armed: the expiry that
+    /// finds every slot idle empties it.
     mrai: Vec<Vec<MraiSlot>>,
     /// Per-link session epoch: bumped whenever the sessions over a link
     /// reset (the link fails, or an endpoint node fails while the link is
@@ -423,8 +430,8 @@ impl<R: RouterLogic> Engine<R> {
             paths: PathArena::new(),
             sched: Scheduler::new(),
             state: LinkState::new(&g),
-            channels: vec![FifoChannel::new(cfg.delay); n_sessions * N_PROCS],
-            mrai: vec![Vec::new(); n_sessions * N_PROCS],
+            channels: vec![FifoChannel::new(); n_sessions * N_PROCS],
+            mrai: Vec::new(),
             link_epoch: vec![0; g.n_links()],
             scenario_seq: 0,
             delay_rng: rng_stream(cfg.seed, tags::DELAYS),
@@ -435,6 +442,7 @@ impl<R: RouterLogic> Engine<R> {
             feed: TouchFeed::new(g.n()),
             fixed: Arc::new(Fixed {
                 g,
+                delay: cfg.delay,
                 mrai_interval,
                 mrai_enabled: cfg.mrai_enabled,
                 mrai_withdrawals: cfg.mrai_withdrawals,
@@ -472,11 +480,6 @@ impl<R: RouterLogic> Engine<R> {
     pub fn router_mut(&mut self, v: AsId) -> &mut R {
         self.feed.touch(v);
         &mut self.routers[v.index()]
-    }
-
-    /// All routers, AS order.
-    pub fn routers(&self) -> &[R] {
-        &self.routers
     }
 
     /// Link/node liveness.
@@ -678,16 +681,21 @@ impl<R: RouterLogic> Engine<R> {
     // ------------------------------------------------------------------
 
     /// The MRAI slot for one `(session, process, prefix)`, growing the
-    /// dense prefix row on first touch. A static method over the `mrai`
-    /// field so callers can keep disjoint borrows of the rest of `self`.
+    /// table (to its full `n_chans` rows, in one allocation) and the dense
+    /// prefix row on first touch. A static method over the `mrai` field so
+    /// callers can keep disjoint borrows of the rest of `self`.
     // simlint::hot
     #[inline]
     fn mrai_slot(
-        mrai: &mut [Vec<MraiSlot>],
+        mrai: &mut Vec<Vec<MraiSlot>>,
+        n_chans: usize,
         sess: SessId,
         proc: ProcId,
         prefix: PrefixId,
     ) -> &mut MraiSlot {
+        if mrai.len() < n_chans {
+            mrai.resize_with(n_chans, Default::default);
+        }
         let row = &mut mrai[chan_idx(sess, proc)];
         if row.len() <= prefix.index() {
             row.resize(prefix.index() + 1, MraiSlot::default());
@@ -743,10 +751,15 @@ impl<R: RouterLogic> Engine<R> {
                 if self.link_epoch[ends.link.index()] != epoch {
                     return false;
                 }
-                let pending = Self::mrai_slot(&mut self.mrai, sess, proc, prefix)
-                    .pending
-                    .take();
-                match pending {
+                // An armed slot is in its row until this expiry: rows are
+                // emptied only on a session reset (caught above) or below.
+                let Some(row) = self.mrai.get_mut(chan_idx(sess, proc)) else {
+                    return false;
+                };
+                let Some(slot) = row.get_mut(prefix.index()) else {
+                    return false;
+                };
+                match slot.pending.take() {
                     Some(msg) => {
                         // Keep the timer armed for another interval.
                         let interval = self.fixed.mrai_interval[sess.index()];
@@ -762,7 +775,15 @@ impl<R: RouterLogic> Engine<R> {
                         self.transmit(sess, proc, msg);
                     }
                     None => {
-                        Self::mrai_slot(&mut self.mrai, sess, proc, prefix).armed = false;
+                        // The timer lapses. A row left with no armed or
+                        // pending slot says what an empty row says
+                        // (`mrai_slot` grows rows with idle slots), so
+                        // empty it: a quiescent engine then holds no MRAI
+                        // state, and a copy of one allocates none.
+                        slot.armed = false;
+                        if row.iter().all(|s| !s.armed && s.pending.is_none()) {
+                            row.clear();
+                        }
                     }
                 }
                 false
@@ -1039,7 +1060,9 @@ impl<R: RouterLogic> Engine<R> {
                 // simlint::allow(panic, "g.link() returned this link, so its endpoints are adjacent")
                 .expect("link endpoints are adjacent");
             for proc in ProcId::first_n(N_PROCS) {
-                self.mrai[chan_idx(sess, proc)].clear();
+                if let Some(row) = self.mrai.get_mut(chan_idx(sess, proc)) {
+                    row.clear();
+                }
             }
         }
     }
@@ -1102,8 +1125,8 @@ impl<R: RouterLogic> Engine<R> {
             if !rate_limited {
                 // Immediate transmission still supersedes anything queued
                 // for this prefix (the withdrawal makes it stale).
-                let row = &mut self.mrai[chan_idx(sess, proc)];
-                if let Some(slot) = row.get_mut(msg.prefix.index()) {
+                let row = self.mrai.get_mut(chan_idx(sess, proc));
+                if let Some(slot) = row.and_then(|r| r.get_mut(msg.prefix.index())) {
                     if slot.pending.take().is_some() {
                         self.stats.coalesced += 1;
                     }
@@ -1113,7 +1136,8 @@ impl<R: RouterLogic> Engine<R> {
             }
             let interval = self.fixed.mrai_interval[sess.index()];
             let epoch = self.link_epoch[link.index()];
-            let slot = Self::mrai_slot(&mut self.mrai, sess, proc, msg.prefix);
+            let n_chans = self.channels.len();
+            let slot = Self::mrai_slot(&mut self.mrai, n_chans, sess, proc, msg.prefix);
             if slot.armed {
                 if slot.pending.replace(msg).is_some() {
                     self.stats.coalesced += 1;
@@ -1147,7 +1171,11 @@ impl<R: RouterLogic> Engine<R> {
         }
         let epoch = self.link_epoch[self.fixed.g.sess_ends(sess).link.index()];
         let now = self.sched.now();
-        let at = self.channels[chan_idx(sess, proc)].delivery_time(now, &mut self.delay_rng);
+        let at = self.channels[chan_idx(sess, proc)].delivery_time(
+            now,
+            &self.fixed.delay,
+            &mut self.delay_rng,
+        );
         self.sched.schedule_at(
             at,
             Event::Deliver {
@@ -1789,6 +1817,40 @@ mod more_tests {
                 );
             }
         }
+    }
+
+    /// MRAI rows hold slots only while a timer is armed: mid-convergence
+    /// some do, at quiescence none does — with two prefixes sharing every
+    /// row, after cold convergence and after a link fails and recovers —
+    /// so a copy of a quiescent engine allocates no rows.
+    #[test]
+    fn a_quiescent_engine_holds_no_mrai_slots() {
+        let g = diamond();
+        let cfg = EngineConfig {
+            seed: 9,
+            ..EngineConfig::default()
+        };
+        let mut e: Engine<BgpRouter> = Engine::new(g.clone(), cfg, |v| {
+            let own = match v.0 {
+                4 => vec![PrefixId(0)],
+                0 => vec![PrefixId(1)],
+                _ => vec![],
+            };
+            BgpRouter::new(v, own)
+        });
+        let live = |e: &Engine<BgpRouter>| e.mrai.iter().filter(|row| !row.is_empty()).count();
+        e.start();
+        e.run_to_quiescence(Some(SimTime::ZERO + SimDuration::from_secs(1)));
+        assert!(live(&e) > 0, "timers are armed while updates still flow");
+        assert!(e.mrai.iter().any(|row| row.len() == 2), "rows are shared");
+        assert!(e.run_to_quiescence(None).is_converged());
+        assert_eq!(live(&e), 0);
+        let id = g.link_between(AsId(4), AsId(2)).unwrap();
+        e.inject_after(SimDuration::from_secs(1), ScenarioEvent::FailLink(id));
+        e.inject_after(SimDuration::from_secs(5), ScenarioEvent::RecoverLink(id));
+        assert!(e.run_to_quiescence(None).is_converged());
+        assert_eq!(live(&e), 0);
+        assert!(e.clone().mrai.iter().all(|row| row.capacity() == 0));
     }
 
     /// A BGP session reset (§2.2's "routing event" example): the link drops

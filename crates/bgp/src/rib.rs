@@ -38,8 +38,10 @@ pub struct RibEntry {
 /// One `(prefix, process)` group: a dense slot table indexed by the RIB's
 /// neighbour-slot map, plus the number of filled slots (groups are dropped
 /// eagerly when they empty, preserving the old keyed-map semantics).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 struct Group {
+    /// The `(prefix, process)` this group holds routes for.
+    key: (PrefixId, ProcId),
     /// `slots[i]` = route announced by the RIB's `i`-th neighbour; the
     /// table may be shorter than the neighbour map (a short tail is all
     /// `None`).
@@ -47,16 +49,69 @@ struct Group {
     filled: usize,
 }
 
+impl Group {
+    fn new(key: (PrefixId, ProcId)) -> Group {
+        Group {
+            key,
+            slots: Vec::new(),
+            filled: 0,
+        }
+    }
+}
+
+/// `clone_from` keeps the slot table's buffer. The source is destructured
+/// without `..`, so a new field does not compile until a copy decision is
+/// written here.
+impl Clone for Group {
+    fn clone(&self) -> Group {
+        let Group { key, slots, filled } = self;
+        Group {
+            key: *key,
+            slots: slots.clone(),
+            filled: *filled,
+        }
+    }
+
+    // simlint::hot
+    fn clone_from(&mut self, source: &Group) {
+        let Group { key, slots, filled } = source;
+        self.key = *key;
+        self.slots.clone_from(slots);
+        self.filled = *filled;
+    }
+}
+
 /// Per-router routes learned from neighbours, grouped by
 /// `(prefix, process instance)` into dense neighbour-slot tables.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct RibIn {
     /// Every neighbour ever seen, ascending: slot `i` ↔ `neighbors[i]`.
     /// Bounded by the router's degree on a fixed topology, so slot
     /// assignment amortises to a no-op after the first round of updates.
     neighbors: Vec<AsId>,
     /// Groups sorted by key (tiny: one entry per live `(prefix, proc)`).
-    groups: Vec<((PrefixId, ProcId), Group)>,
+    groups: Vec<Group>,
+}
+
+/// `clone_from` rewinds this RIB onto `source` in place: the neighbour map
+/// and every group that both sides have keep their buffers (a rewind onto
+/// a table of the same shape allocates nothing). Same field guard as
+/// [`Group`]'s.
+impl Clone for RibIn {
+    fn clone(&self) -> RibIn {
+        let RibIn { neighbors, groups } = self;
+        RibIn {
+            neighbors: neighbors.clone(),
+            groups: groups.clone(),
+        }
+    }
+
+    // simlint::hot
+    fn clone_from(&mut self, source: &RibIn) {
+        let RibIn { neighbors, groups } = source;
+        self.neighbors.clone_from(neighbors);
+        self.groups.clone_from(groups);
+    }
 }
 
 /// Result of running the decision process.
@@ -85,7 +140,7 @@ impl RibIn {
             Ok(i) => i,
             Err(i) => {
                 self.neighbors.insert(i, neighbor);
-                for (_, g) in &mut self.groups {
+                for g in &mut self.groups {
                     if g.slots.len() > i {
                         g.slots.insert(i, None);
                     }
@@ -105,7 +160,7 @@ impl RibIn {
     #[inline]
     fn find_group(&self, prefix: PrefixId, proc: ProcId) -> Option<usize> {
         self.groups
-            .binary_search_by_key(&(prefix, proc), |&(k, _)| k)
+            .binary_search_by_key(&(prefix, proc), |g| g.key)
             .ok()
     }
 
@@ -123,17 +178,14 @@ impl RibIn {
         pref: u32,
     ) {
         let slot = self.slot_of(neighbor);
-        let gi = match self
-            .groups
-            .binary_search_by_key(&(prefix, proc), |&(k, _)| k)
-        {
+        let gi = match self.groups.binary_search_by_key(&(prefix, proc), |g| g.key) {
             Ok(i) => i,
             Err(i) => {
-                self.groups.insert(i, ((prefix, proc), Group::default()));
+                self.groups.insert(i, Group::new((prefix, proc)));
                 i
             }
         };
-        let group = &mut self.groups[gi].1;
+        let group = &mut self.groups[gi];
         if group.slots.len() <= slot {
             group.slots.resize(slot + 1, None);
         }
@@ -151,7 +203,7 @@ impl RibIn {
     pub fn remove(&mut self, prefix: PrefixId, proc: ProcId, neighbor: AsId) -> Option<Route> {
         let slot = self.find_slot(neighbor)?;
         let gi = self.find_group(prefix, proc)?;
-        let group = &mut self.groups[gi].1;
+        let group = &mut self.groups[gi];
         let removed = group.slots.get_mut(slot)?.take()?;
         group.filled -= 1;
         if group.filled == 0 {
@@ -168,15 +220,15 @@ impl RibIn {
         let Some(slot) = self.find_slot(neighbor) else {
             return dropped;
         };
-        for (key, group) in &mut self.groups {
+        for group in &mut self.groups {
             if let Some(s) = group.slots.get_mut(slot) {
                 if s.take().is_some() {
                     group.filled -= 1;
-                    dropped.push(*key);
+                    dropped.push(group.key);
                 }
             }
         }
-        self.groups.retain(|(_, g)| g.filled > 0);
+        self.groups.retain(|g| g.filled > 0);
         dropped
     }
 
@@ -184,7 +236,7 @@ impl RibIn {
     pub fn get(&self, prefix: PrefixId, proc: ProcId, neighbor: AsId) -> Option<&RibEntry> {
         let slot = self.find_slot(neighbor)?;
         let gi = self.find_group(prefix, proc)?;
-        self.groups[gi].1.slots.get(slot)?.as_ref()
+        self.groups[gi].slots.get(slot)?.as_ref()
     }
 
     /// All `(neighbor, entry)` pairs for one `(prefix, proc)`, in ascending
@@ -196,7 +248,7 @@ impl RibIn {
     ) -> impl Iterator<Item = (AsId, RibEntry)> + '_ {
         let slots = self
             .find_group(prefix, proc)
-            .map(|gi| self.groups[gi].1.slots.as_slice())
+            .map(|gi| self.groups[gi].slots.as_slice())
             .unwrap_or(&[]);
         slots
             .iter()
@@ -212,24 +264,25 @@ impl RibIn {
         F: FnMut(&Route) -> bool,
     {
         let mut dropped = Vec::new();
-        for ((prefix, proc), group) in &mut self.groups {
+        for group in &mut self.groups {
+            let (prefix, proc) = group.key;
             for (i, s) in group.slots.iter_mut().enumerate() {
                 if let Some(e) = s {
                     if !keep(&e.route) {
-                        dropped.push((*prefix, *proc, self.neighbors[i]));
+                        dropped.push((prefix, proc, self.neighbors[i]));
                         *s = None;
                         group.filled -= 1;
                     }
                 }
             }
         }
-        self.groups.retain(|(_, g)| g.filled > 0);
+        self.groups.retain(|g| g.filled > 0);
         dropped
     }
 
     /// Number of stored routes (all prefixes and processes).
     pub fn len(&self) -> usize {
-        self.groups.iter().map(|(_, g)| g.filled).sum()
+        self.groups.iter().map(|g| g.filled).sum()
     }
 
     /// Whether the RIB is empty.

@@ -320,9 +320,9 @@ impl Selection {
 
 /// Unmodified BGP: one process, policy-driven decision and export gate
 /// (prefer-customer + valley-free under the default regime), no extra
-/// attributes. `Clone` so engine checkpoints can carry router state (all
+/// attributes. `Clone` so a copy of an engine carries router state (all
 /// fields are flat tables of `Copy` route handles).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BgpRouter {
     me: AsId,
     /// Prefixes this AS originates.
@@ -334,6 +334,46 @@ pub struct BgpRouter {
     /// Last route advertised per `(neighbor, prefix)` — BGP's Adj-RIB-Out;
     /// used to suppress no-op updates and to know when a withdraw is due.
     rib_out: FxHashMap<(AsId, PrefixId), Route>,
+}
+
+/// `clone_from` rewinds this router onto `source` in place: every table
+/// keeps its buffer, and the hash maps take `source`'s bucket layout (std's
+/// `HashMap::clone_from`), so they iterate in exactly the order a `clone`
+/// of `source` would. The source is destructured without `..`: a new field
+/// does not compile until a copy decision is written here.
+impl Clone for BgpRouter {
+    fn clone(&self) -> BgpRouter {
+        let BgpRouter {
+            me,
+            own,
+            rib,
+            best,
+            rib_out,
+        } = self;
+        BgpRouter {
+            me: *me,
+            own: own.clone(),
+            rib: rib.clone(),
+            best: best.clone(),
+            rib_out: rib_out.clone(),
+        }
+    }
+
+    // simlint::hot
+    fn clone_from(&mut self, source: &BgpRouter) {
+        let BgpRouter {
+            me,
+            own,
+            rib,
+            best,
+            rib_out,
+        } = source;
+        self.me = *me;
+        self.own.clone_from(own);
+        self.rib.clone_from(rib);
+        self.best.clone_from(best);
+        self.rib_out.clone_from(rib_out);
+    }
 }
 
 impl BgpRouter {

@@ -37,9 +37,9 @@ type EtByColor = [Option<EventType>; 2];
 /// to announce or `None` to withdraw)` — plus the chosen blue lock target.
 type DesiredExports = (Vec<(AsId, Color, Option<Route>)>, Option<AsId>);
 
-/// A STAMP router (one per AS). `Clone` so engine checkpoints can carry
+/// A STAMP router (one per AS). `Clone` so a copy of an engine carries
 /// router state.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct StampRouter {
     me: AsId,
     own: Vec<PrefixId>,
@@ -57,6 +57,61 @@ pub struct StampRouter {
     lock_strategy: LockStrategy,
     /// Sticky lock choice per prefix.
     lock_current: FxHashMap<PrefixId, AsId>,
+}
+
+/// `clone_from` rewinds this router onto `source` in place: tables keep
+/// their buffers and the hash maps take `source`'s bucket layout, so they
+/// iterate as a `clone` of `source` would — see `BgpRouter`'s impl. Same
+/// field guard: no `..` in the destructuring.
+impl Clone for StampRouter {
+    fn clone(&self) -> StampRouter {
+        let StampRouter {
+            me,
+            own,
+            rib,
+            best,
+            rib_out,
+            active,
+            unstable,
+            lock_strategy,
+            lock_current,
+        } = self;
+        StampRouter {
+            me: *me,
+            own: own.clone(),
+            rib: rib.clone(),
+            best: best.clone(),
+            rib_out: rib_out.clone(),
+            active: active.clone(),
+            unstable: unstable.clone(),
+            lock_strategy: lock_strategy.clone(),
+            lock_current: lock_current.clone(),
+        }
+    }
+
+    // simlint::hot
+    fn clone_from(&mut self, source: &StampRouter) {
+        let StampRouter {
+            me,
+            own,
+            rib,
+            best,
+            rib_out,
+            active,
+            unstable,
+            lock_strategy,
+            lock_current,
+        } = source;
+        self.me = *me;
+        self.own.clone_from(own);
+        self.rib.clone_from(rib);
+        self.best.clone_from(best);
+        self.rib_out.clone_from(rib_out);
+        self.active.clone_from(active);
+        self.unstable.clone_from(unstable);
+        self.lock_strategy.clone_from(lock_strategy);
+        self.lock_current.clone_from(lock_current);
+    }
 }
 
 impl StampRouter {

@@ -67,26 +67,25 @@ impl LossModel {
     }
 }
 
-/// FIFO delivery-time generator for one directed channel.
-#[derive(Debug, Clone, Copy)]
+/// FIFO delivery-time generator for one directed channel. Holds only what
+/// differs per channel (8 bytes); the delay model is the caller's, so
+/// thousands of channels share one.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FifoChannel {
-    delay: DelayModel,
     last_delivery: SimTime,
 }
 
 impl FifoChannel {
-    /// New channel with the given delay model.
-    pub fn new(delay: DelayModel) -> FifoChannel {
-        FifoChannel {
-            delay,
-            last_delivery: SimTime::ZERO,
-        }
+    /// New channel: nothing sent yet.
+    pub fn new() -> FifoChannel {
+        FifoChannel::default()
     }
 
-    /// Compute the delivery time for a message sent at `now`, preserving
-    /// FIFO order with all previously sent messages on this channel.
-    pub fn delivery_time(&mut self, now: SimTime, rng: &mut Rng) -> SimTime {
-        let natural = now + self.delay.sample(rng);
+    /// Compute the delivery time for a message sent at `now` under `delay`,
+    /// preserving FIFO order with all previously sent messages on this
+    /// channel.
+    pub fn delivery_time(&mut self, now: SimTime, delay: &DelayModel, rng: &mut Rng) -> SimTime {
+        let natural = now + delay.sample(rng);
         let fifo_floor = self.last_delivery + SimDuration::from_micros(1);
         let t = natural.max(fifo_floor);
         self.last_delivery = t;
@@ -135,7 +134,8 @@ mod tests {
 
     #[test]
     fn fifo_never_reorders() {
-        let mut ch = FifoChannel::new(DelayModel::paper_default());
+        let mut ch = FifoChannel::new();
+        let delay = DelayModel::paper_default();
         let mut rng = rng_stream(7, 8);
         let mut last = SimTime::ZERO;
         let mut send = SimTime::ZERO;
@@ -143,7 +143,7 @@ mod tests {
             // Bursty sender: messages every 0–2 ms, delays 10–20 ms, so the
             // natural delivery times would frequently reorder.
             send += SimDuration::from_micros((i % 3) * 1000);
-            let t = ch.delivery_time(send, &mut rng);
+            let t = ch.delivery_time(send, &delay, &mut rng);
             assert!(t > last, "reordered: {t:?} after {last:?}");
             last = t;
         }
@@ -151,10 +151,11 @@ mod tests {
 
     #[test]
     fn spaced_sends_use_natural_delay() {
-        let mut ch = FifoChannel::new(DelayModel::fixed(SimDuration::from_millis(15)));
+        let mut ch = FifoChannel::new();
+        let delay = DelayModel::fixed(SimDuration::from_millis(15));
         let mut rng = rng_stream(9, 10);
-        let t1 = ch.delivery_time(SimTime::from_secs(1), &mut rng);
-        let t2 = ch.delivery_time(SimTime::from_secs(2), &mut rng);
+        let t1 = ch.delivery_time(SimTime::from_secs(1), &delay, &mut rng);
+        let t2 = ch.delivery_time(SimTime::from_secs(2), &delay, &mut rng);
         assert_eq!(t1, SimTime::from_secs(1) + SimDuration::from_millis(15));
         assert_eq!(t2, SimTime::from_secs(2) + SimDuration::from_millis(15));
     }

@@ -30,9 +30,9 @@ impl Default for RbgpConfig {
     }
 }
 
-/// One R-BGP router (single process; `ProcId::ONLY`). `Clone` so engine
-/// checkpoints can carry router state.
-#[derive(Debug, Clone)]
+/// One R-BGP router (single process; `ProcId::ONLY`). `Clone` so a copy of
+/// an engine carries router state.
+#[derive(Debug)]
 pub struct RbgpRouter {
     me: AsId,
     own: Vec<PrefixId>,
@@ -49,6 +49,62 @@ pub struct RbgpRouter {
     failover_out: FxHashMap<PrefixId, (AsId, Route)>,
     /// Newest cause record per element (RCI mode): element -> (seq, up).
     known_causes: FxHashMap<RootCause, (u32, bool)>,
+}
+
+/// `clone_from` rewinds this router onto `source` in place, configuration
+/// included (an R-BGP session re-targets onto a without-RCI baseline and
+/// back): tables keep their buffers and the hash maps take `source`'s
+/// bucket layout, so they iterate as a `clone` of `source` would — see
+/// `BgpRouter`'s impl. Same field guard: no `..` in the destructuring.
+impl Clone for RbgpRouter {
+    fn clone(&self) -> RbgpRouter {
+        let RbgpRouter {
+            me,
+            own,
+            cfg,
+            rib,
+            failover_in,
+            best,
+            rib_out,
+            failover_out,
+            known_causes,
+        } = self;
+        RbgpRouter {
+            me: *me,
+            own: own.clone(),
+            cfg: *cfg,
+            rib: rib.clone(),
+            failover_in: failover_in.clone(),
+            best: best.clone(),
+            rib_out: rib_out.clone(),
+            failover_out: failover_out.clone(),
+            known_causes: known_causes.clone(),
+        }
+    }
+
+    // simlint::hot
+    fn clone_from(&mut self, source: &RbgpRouter) {
+        let RbgpRouter {
+            me,
+            own,
+            cfg,
+            rib,
+            failover_in,
+            best,
+            rib_out,
+            failover_out,
+            known_causes,
+        } = source;
+        self.me = *me;
+        self.own.clone_from(own);
+        self.cfg = *cfg;
+        self.rib.clone_from(rib);
+        self.failover_in.clone_from(failover_in);
+        self.best.clone_from(best);
+        self.rib_out.clone_from(rib_out);
+        self.failover_out.clone_from(failover_out);
+        self.known_causes.clone_from(known_causes);
+    }
 }
 
 impl RbgpRouter {

@@ -386,9 +386,20 @@ impl AsGraph {
         depth
     }
 
+    /// Is `other` a handle on the very tables this graph reads (a `clone`
+    /// of it), as opposed to an equal graph built separately?
+    pub fn same_handle(&self, other: &AsGraph) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
     /// Remove a set of links, producing a new graph (used for failure
     /// scenarios in static analyses; the simulator instead fails links live).
+    /// Removing nothing hands back this graph's own handle instead of
+    /// re-adding and re-validating every link to arrive at an equal one.
     pub fn without_links(&self, removed: &[LinkId]) -> AsGraph {
+        if removed.is_empty() {
+            return self.clone();
+        }
         let removed: stamp_eventsim::FxHashSet<LinkId> = removed.iter().copied().collect();
         let mut b = GraphBuilder::new();
         for v in self.ases() {

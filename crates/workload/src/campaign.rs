@@ -8,10 +8,10 @@
 //! reachability mask ([`Timeline::reachable_after`]), fans the list across
 //! scoped worker threads and returns the per-cell metrics **in input
 //! order**. Each cell runs one session per protocol — converged fresh, or
-//! with a warm-start [`BaselineCache`] cloned from the cached converged
-//! baseline (a session is its own checkpoint; sessions share the topology
-//! and nothing else) — plays its timeline and measures the paper's
-//! disruption/recovery metrics ([`run_protocol_cell`]).
+//! with a warm-start [`BaselineCache`] a recycled session rewound onto the
+//! cached converged baseline (a session is its own checkpoint; sessions
+//! share the topology and nothing else) — plays its timeline and measures
+//! the paper's disruption/recovery metrics ([`run_protocol_cell`]).
 //!
 //! Everything above is a way of *listing* cells: [`run_campaign`] lists the
 //! `(timeline × destination × seed)` cross product and hashes the result;
@@ -23,7 +23,7 @@
 //! argument: randomness is derived per cell from the cell's coordinates,
 //! never from worker identity or wall-clock.
 
-use crate::sim::Sim;
+use crate::sim::{ScratchEngines, Sim};
 use crate::timeline::{
     background_churn, choose_k, correlated_node_outage, flap_train, maintenance_windows,
     policy_flip, prefix_hijack, prepend_hijack, provider_cone, random_attacker, reachability_mask,
@@ -114,10 +114,12 @@ pub fn run_protocol_cell(
 
 /// [`run_protocol_cell`] with a warm-start cache: if `cache` holds the
 /// converged baseline for this `(protocol, dest, seed)`, the cell is a
-/// clone of it instead of a replay of convergence; otherwise the cell
-/// converges cold and deposits a copy for the next taker. Either way the returned metrics are bit-identical to the
-/// cold path (the fork contract, proven by `tests/warmstart.rs` and the
-/// campaign binary's cold-vs-warm hash assertion).
+/// copy of it — on a scratch engine of the cache's, rewound — instead of a
+/// replay of convergence; otherwise the cell converges cold and deposits a
+/// copy for the next taker. Either way the returned metrics are
+/// bit-identical to the cold path (the fork contract, proven by
+/// `tests/warmstart.rs` and the campaign binary's cold-vs-warm hash
+/// assertion).
 #[allow(clippy::too_many_arguments)]
 pub fn run_protocol_cell_warm(
     g: &AsGraph,
@@ -155,28 +157,21 @@ fn fresh_session(
         .originate(dest, PREFIX)
         .seed(seed)
         .params(params.clone())
-        .build()
+        .build_deferred()
         // simlint::allow(panic, "destinations come from the caller's own topology scan")
         .expect("cell destinations are in range")
 }
 
-/// The miss path: converge `(protocol, dest, seed)` cold and deposit a copy
-/// for the next taker. The copy, not the session that did the converging:
-/// a clone's buffers are sized to what they hold, the original's to its
-/// peak (measured: 3.3 MB against 5.5 MB a baseline at 2000 ASes).
-fn converge_and_deposit(
-    g: &AsGraph,
-    params: &RunParams,
-    dest: AsId,
-    protocol: Protocol,
-    seed: u64,
-    cache: &BaselineCache,
-) -> Sim {
-    let mut sim = fresh_session(g, params, dest, protocol, seed);
+/// The miss path: converge `sim` cold and deposit a copy for the next
+/// taker. The copy, not the session that did the converging: a clone's
+/// buffers are sized to what they hold, the original's to its peak
+/// (measured: 3.3 MB against 5.5 MB a baseline at 2000 ASes) — which is
+/// also why the converging session's engine stays its own and never joins
+/// the cache's scratch engines.
+fn deposit_converged(sim: &mut Sim, cache: &BaselineCache) {
     sim.converge();
-    let fp = params.policy.fingerprint();
-    cache.put(protocol, dest, seed, fp, sim.checkpoint());
-    sim
+    let fp = sim.params().policy.fingerprint();
+    cache.put(sim.protocol(), sim.dest(), sim.seed(), fp, sim.checkpoint());
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -190,19 +185,23 @@ fn run_protocol_cell_inner(
     seed: u64,
     cache: Option<&BaselineCache>,
 ) -> (InstanceMetrics, ObserverWork) {
-    // A warm cell is one clone of the cached baseline (under the caller's
-    // per-phase knobs); a cold one starts fresh and `measure` converges it.
-    let mut sim = match cache {
-        None => fresh_session(g, params, dest, protocol, seed),
-        Some(cache) => match cache.get(protocol, dest, seed, params.policy.fingerprint()) {
+    // A cold cell starts fresh and `measure` converges it. A warm one is
+    // restored from the cached baseline before it has built an engine of
+    // its own, so it runs on one of the cache's scratch engines, rewound
+    // (under the caller's per-phase knobs), and returns it on drop.
+    let mut sim = fresh_session(g, params, dest, protocol, seed);
+    if let Some(cache) = cache {
+        let fp = params.policy.fingerprint();
+        match cache.get(protocol, dest, seed, fp) {
             Some(baseline) => {
-                let mut sim = Sim::clone(&baseline);
+                sim.restore(&baseline)
+                    // simlint::allow(panic, "the cache key names the protocol")
+                    .expect("a baseline cached under this protocol runs it");
                 sim.set_phase_knobs(params);
-                sim
             }
-            None => converge_and_deposit(g, params, dest, protocol, seed, cache),
-        },
-    };
+            None => deposit_converged(&mut sim, cache),
+        }
+    }
     let metrics = sim
         .measure(timeline, reachable)
         // simlint::allow(panic, "timelines are generated against this same graph")
@@ -243,10 +242,18 @@ struct CacheInner {
 /// Warm-start cache of converged baselines: `(protocol, dest, engine
 /// seed, policy fingerprint) → the session right after initial
 /// convergence`. Shared across workers (internally locked; baselines are
-/// handed out as `Arc`s, so the lock is never held while one is cloned)
+/// handed out as `Arc`s, so the lock is never held while one is copied)
 /// and across grid passes — the second run of the same grid converges
 /// nothing. A baseline holds its run state only: the topology is the one
 /// copy every session on that graph shares.
+///
+/// Beside the baselines the cache keeps the *scratch engines* its forks
+/// ran on, at most one per engine kind and concurrent fork: a warm cell
+/// rewinds one onto its baseline's instead of cloning the baseline and
+/// dropping the clone ([`Sim::restore`] borrows it, dropping the session
+/// returns it). They are working memory, invisible to
+/// [`BaselineCache::len`], [`BaselineCache::stats`] and the capacity
+/// bound.
 ///
 /// [`BaselineCache::new`] is unbounded; [`BaselineCache::with_capacity`]
 /// bounds residency with deterministic FIFO eviction (deposit order, never
@@ -263,6 +270,9 @@ struct CacheInner {
 /// sessions of different shape.
 pub struct BaselineCache {
     inner: Mutex<CacheInner>,
+    /// The engines warm cells run on, between two of them. Not baselines:
+    /// `len`, `stats` and the capacity bound do not see them.
+    scratch: Arc<ScratchEngines>,
 }
 
 impl Default for BaselineCache {
@@ -293,6 +303,7 @@ impl BaselineCache {
                 misses: 0,
                 evictions: 0,
             }),
+            scratch: Arc::default(),
         }
     }
 
@@ -340,8 +351,16 @@ impl BaselineCache {
     /// cache now holds. A fresh key joins the FIFO queue (and may evict
     /// the oldest deposit when bounded); re-depositing an existing key
     /// replaces the baseline without renewing its slot.
-    pub fn put(&self, p: Protocol, dest: AsId, seed: u64, policy_fp: u64, sim: Sim) -> Arc<Sim> {
+    pub fn put(
+        &self,
+        p: Protocol,
+        dest: AsId,
+        seed: u64,
+        policy_fp: u64,
+        mut sim: Sim,
+    ) -> Arc<Sim> {
         let key = (p, dest, seed, policy_fp);
+        sim.share_scratch(Arc::clone(&self.scratch));
         let sim = Arc::new(sim);
         // simlint::allow(panic, "poison means a sibling worker already panicked")
         let mut inner = self.inner.lock().unwrap();
@@ -821,14 +840,15 @@ pub fn populate_baselines(
         for &p in &cfg.protocols {
             let seed = cell_seed(&cell);
             if cache.get(p, cell.dest, seed, fp).is_none() {
-                converge_and_deposit(g, &cfg.params, cell.dest, p, seed, cache);
+                let mut sim = fresh_session(g, &cfg.params, cell.dest, p, seed);
+                deposit_converged(&mut sim, cache);
             }
         }
     }
 }
 
 /// [`run_campaign`] with an optional warm-start [`BaselineCache`]: cells
-/// whose converged baseline is cached clone it instead of replaying
+/// whose converged baseline is cached copy it instead of replaying
 /// convergence; missing baselines converge cold and are
 /// deposited. The report — including its aggregate hash — is byte-
 /// identical with or without a cache, at any worker count.
@@ -1001,6 +1021,162 @@ mod tests {
         }
         let stats = cache.stats();
         assert!(stats.misses > 0 && stats.hits > 0, "deposit, then fork");
+    }
+
+    fn scratch_len(cache: &BaselineCache) -> usize {
+        cache.scratch.len()
+    }
+
+    /// Engine kinds a scratch engine can have: BGP, R-BGP (with or
+    /// without RCI), STAMP.
+    const KINDS: usize = 3;
+
+    #[test]
+    fn scratch_engines_are_bounded_by_engine_kinds_times_workers() {
+        let (g, timelines, dests) = grid(29);
+        let mut cfg = CampaignConfig::fast(3);
+        cfg.protocols = vec![Protocol::Bgp, Protocol::Rbgp, Protocol::Stamp];
+        cfg.threads = 1;
+        let keys = (timelines.len() * dests.len() * cfg.protocols.len()) as u64;
+        let cache = BaselineCache::new();
+        let run = |cfg: &CampaignConfig| {
+            run_campaign_with_cache(&g, &timelines, &dests, cfg, Some(&cache)).unwrap()
+        };
+        // All misses: the sessions that converged are never recycled.
+        let cold = run(&cfg);
+        assert_eq!(scratch_len(&cache), 0);
+        // All hits: one scratch engine per kind serves the whole pass, and
+        // the cache's own books read as they always did.
+        let warm = run(&cfg);
+        assert_eq!(cold.cells, warm.cells);
+        assert_eq!(scratch_len(&cache), KINDS);
+        let want = CacheStats {
+            capacity: None,
+            len: keys as usize,
+            hits: keys,
+            misses: keys,
+            evictions: 0,
+        };
+        assert_eq!(cache.stats(), want);
+        assert_eq!(cache.len(), keys as usize);
+        // Four workers: at most four forks alive at once per kind.
+        cfg.threads = 4;
+        assert_eq!(cold.cells, run(&cfg).cells);
+        assert!(scratch_len(&cache) <= 4 * KINDS, "{}", scratch_len(&cache));
+    }
+
+    #[test]
+    fn churning_a_bounded_cache_grows_no_scratch_engines() {
+        let (g, timelines, dests) = grid(35);
+        let params = RunParams::fast();
+        let mask = timelines[0].reachable_after(&g, dests[0]).unwrap();
+        let cache = BaselineCache::with_capacity(2);
+        // Six keys through room for two, each looked up twice in a row:
+        // miss (converge, deposit, evict), then hit (fork).
+        let mut lookups = 0;
+        for _round in 0..2 {
+            for seed in [1, 2] {
+                for p in [Protocol::Bgp, Protocol::RbgpNoRci, Protocol::Stamp] {
+                    let cell = || {
+                        run_protocol_cell_warm(
+                            &g,
+                            &params,
+                            &timelines[0],
+                            dests[0],
+                            &mask,
+                            p,
+                            seed,
+                            &cache,
+                        )
+                    };
+                    assert_eq!(cell(), cell(), "{p} seed {seed}");
+                    lookups += 1;
+                }
+            }
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits), (lookups, lookups));
+        assert_eq!((stats.len, stats.evictions), (2, lookups - 2));
+        assert_eq!(scratch_len(&cache), KINDS);
+    }
+
+    /// The warm cell spelled through the public facade — `build`, `get`,
+    /// `restore`, `measure`, drop — is the product's: a session that has
+    /// not run trades its engine for a scratch one and hands that back
+    /// when dropped; one that has run is rewound in place and owns what
+    /// it holds.
+    #[test]
+    fn restoring_a_fresh_session_from_a_cached_baseline_borrows_its_engine() {
+        let (g, timelines, dests) = grid(39);
+        let params = RunParams::fast();
+        let mask = timelines[0].reachable_after(&g, dests[0]).unwrap();
+        let (p, seed, fp) = (Protocol::Rbgp, 7, params.policy.fingerprint());
+        let cache = BaselineCache::new();
+        let cold =
+            run_protocol_cell_warm(&g, &params, &timelines[0], dests[0], &mask, p, seed, &cache);
+        let baseline = cache.get(p, dests[0], seed, fp).expect("deposited");
+        let public = || {
+            Sim::on(&g)
+                .protocol(p)
+                .originate(dests[0], PREFIX)
+                .seed(seed)
+                .params(params.clone())
+                .build()
+                .unwrap()
+        };
+        for round in 0..3 {
+            let mut sim = public();
+            sim.restore(&baseline).unwrap();
+            assert_eq!(scratch_len(&cache), 0, "round {round}: on loan");
+            assert_eq!(sim.measure(&timelines[0], &mask).unwrap(), cold);
+            // Restored again it has run: rewound where it is.
+            sim.restore(&baseline).unwrap();
+            assert_eq!(sim.measure(&timelines[0], &mask).unwrap(), cold);
+            drop(sim);
+            assert_eq!(scratch_len(&cache), 1, "round {round}: handed back");
+        }
+        // A session that ran before its first restore keeps its own engine.
+        let mut own = public();
+        own.converge();
+        own.restore(&baseline).unwrap();
+        assert_eq!(scratch_len(&cache), 1);
+        assert_eq!(own.measure(&timelines[0], &mask).unwrap(), cold);
+        drop(own);
+        assert_eq!(scratch_len(&cache), 1);
+    }
+
+    #[test]
+    fn a_cell_that_panics_mid_run_leaves_the_cache_usable() {
+        let (g, timelines, dests) = grid(37);
+        let params = RunParams::fast();
+        let mask = timelines[0].reachable_after(&g, dests[0]).unwrap();
+        let cell = |timeline: &Timeline, cache: &BaselineCache| {
+            run_protocol_cell_warm(
+                &g,
+                &params,
+                timeline,
+                dests[0],
+                &mask,
+                Protocol::Stamp,
+                5,
+                cache,
+            )
+        };
+        let cache = BaselineCache::new();
+        let cold = cell(&timelines[0], &cache);
+        // The baseline is cached now, so the bogus cell forks it and then
+        // panics inside `measure`: its timeline does not resolve.
+        let bogus = Timeline::from_events("bogus", single_link_failure(dests[0], dests[0]));
+        let panicked =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cell(&bogus, &cache)));
+        assert!(panicked.is_err());
+        // Unwinding dropped its session, which handed the engine back;
+        // no lock is poisoned; and whatever state the engine was left in,
+        // the next fork rewinds it into the cold cell again.
+        assert_eq!(scratch_len(&cache), 1);
+        assert_eq!(cache.stats().hits, 1);
+        assert_eq!(cell(&timelines[0], &cache), cold);
+        assert_eq!(scratch_len(&cache), 1);
     }
 
     #[test]

@@ -31,12 +31,15 @@
 //! DESIGN.md §9.
 //!
 //! Copying: a [`Sim`] is its own checkpoint. `clone` (also spelled
-//! [`Sim::checkpoint`]) forks a session, [`Sim::restore`] rewinds one in
-//! place to another, and both are the engine's one `Clone` impl
-//! underneath — they copy what a run can change (routers, scheduler,
-//! arena, RNG positions, the live policy regime, the facade's convergence
-//! bookkeeping) and share the topology and the jitter table by reference
-//! count. There is no separate checkpoint type (DESIGN.md §12).
+//! [`Sim::checkpoint`]) forks a session, `clone_from` (behind a protocol
+//! check: [`Sim::restore`]) rewinds one in place to another, and both are
+//! the engine's one `Clone` impl underneath — they copy what a run can
+//! change (routers, scheduler, arena, RNG positions, the live policy
+//! regime, the facade's convergence bookkeeping) and share the topology
+//! and the jitter table by reference count. A rewind keeps every buffer
+//! down to the routers' tables, so rewinding a session onto a baseline of
+//! its own shape allocates nothing. There is no separate checkpoint type
+//! (DESIGN.md §12).
 //!
 //! Steady-state cost: with the flat engine hot path (DESIGN.md §10) the
 //! whole drive loop is allocation-free per event — dense session-indexed
@@ -62,6 +65,7 @@ use stamp_topology::{AsGraph, AsId};
 use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
+use std::sync::{Arc, Mutex, OnceLock};
 
 // ---------------------------------------------------------------------
 // Errors
@@ -248,11 +252,67 @@ impl ProtocolEngine for StampRouter {
 /// One engine, protocol erased. The single place the workspace matches on
 /// router types; everything below the match is generic over
 /// [`ProtocolEngine`].
-#[derive(Clone)]
 enum EngineKind {
     Bgp(Engine<BgpRouter>),
     Rbgp(Engine<RbgpRouter>),
     Stamp(Engine<StampRouter>),
+}
+
+impl Clone for EngineKind {
+    fn clone(&self) -> EngineKind {
+        match self {
+            EngineKind::Bgp(e) => EngineKind::Bgp(e.clone()),
+            EngineKind::Rbgp(e) => EngineKind::Rbgp(e.clone()),
+            EngineKind::Stamp(e) => EngineKind::Stamp(e.clone()),
+        }
+    }
+
+    /// Engines of one kind rewind in place ([`Engine`]'s `clone_from`);
+    /// across kinds there is nothing to reuse and the source is cloned.
+    // simlint::hot
+    fn clone_from(&mut self, source: &EngineKind) {
+        match (self, source) {
+            (EngineKind::Bgp(e), EngineKind::Bgp(s)) => e.clone_from(s),
+            (EngineKind::Rbgp(e), EngineKind::Rbgp(s)) => e.clone_from(s),
+            (EngineKind::Stamp(e), EngineKind::Stamp(s)) => e.clone_from(s),
+            // simlint::allow(hot-clone, "across engine kinds there is no buffer to rewind into; a scratch engine is always of its baseline's kind")
+            (this, source) => *this = source.clone(),
+        }
+    }
+}
+
+/// The scratch engines of one [`BaselineCache`](crate::BaselineCache),
+/// between two forks: the free list a warm cell's session borrows its
+/// engine from and hands it back to (see [`Sim::restore`]). Shared by the
+/// cache and the baselines in it, so a session can return what it
+/// borrowed after the cache's own lock — or the cache — is gone.
+#[derive(Default)]
+pub(crate) struct ScratchEngines(Mutex<Vec<EngineKind>>);
+
+impl ScratchEngines {
+    /// A free engine of `like`'s kind (BGP, R-BGP with or without RCI,
+    /// STAMP), if there is one.
+    fn take_like(&self, like: &EngineKind) -> Option<EngineKind> {
+        // simlint::allow(panic, "nothing that can panic runs under this lock")
+        let mut free = self.0.lock().expect("the free list is never poisoned");
+        let i = free
+            .iter()
+            .position(|e| std::mem::discriminant(e) == std::mem::discriminant(like))?;
+        Some(free.swap_remove(i))
+    }
+
+    /// Called from `Drop`: a poisoned list just lets the engine go.
+    fn give_back(&self, engine: EngineKind) {
+        if let Ok(mut free) = self.0.lock() {
+            free.push(engine);
+        }
+    }
+
+    /// Engines on the list right now.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.0.lock().map_or(0, |free| free.len())
+    }
 }
 
 /// Run `$body` with `$e` bound to the concrete `&`/`&mut Engine<R>`.
@@ -614,6 +674,18 @@ impl<'g> SimBuilder<'g> {
     /// [`SimError::DestinationOutOfRange`] when the destination is not in
     /// the topology.
     pub fn build(self) -> Result<Sim, SimError> {
+        let sim = self.build_deferred()?;
+        sim.engine();
+        Ok(sim)
+    }
+
+    /// [`SimBuilder::build`] minus the engine: validated, and the engine is
+    /// built on first use — from the same `(g, protocol, dest, prefix,
+    /// seed, params)`, and every random stream derives from the seed, so
+    /// when it is built changes nothing. For the warm cell, which is
+    /// restored from a cached baseline before anything else and so never
+    /// builds one ([`Sim::restore`]).
+    pub(crate) fn build_deferred(self) -> Result<Sim, SimError> {
         let (dest, prefix) = self.originate.ok_or(SimError::MissingOrigination)?;
         if dest.index() >= self.g.n() {
             return Err(SimError::DestinationOutOfRange {
@@ -621,19 +693,20 @@ impl<'g> SimBuilder<'g> {
                 n_ases: self.g.n(),
             });
         }
-        let cfg = self.params.engine_config(self.seed);
-        let spec = ProtocolSpec::of(self.protocol);
-        let engine = (spec.make)(self.g, cfg, dest, prefix, self.seed);
         Ok(Sim {
             protocol: self.protocol,
             dest,
             prefix,
             params: self.params,
-            engine,
+            g: self.g.clone(),
+            seed: self.seed,
+            engine: OnceLock::new(),
             converged: false,
             updates_initial: 0,
             outcome: RunOutcome::Converged,
             observer_work: ObserverWork::default(),
+            scratch: None,
+            lease: None,
         })
     }
 }
@@ -646,21 +719,125 @@ impl<'g> SimBuilder<'g> {
 /// state matters.
 ///
 /// A session is its own checkpoint: `clone` (= [`Sim::checkpoint`]) forks
-/// it and [`Sim::restore`] rewinds it to another session in place. Either
-/// copy replays bit-identically to the session it was taken from, and
-/// shares that session's topology instead of copying it. Warm-start a grid
-/// by converging once and cloning per timeline.
-#[derive(Clone)]
+/// it and `clone_from` (behind a protocol check, [`Sim::restore`]) rewinds
+/// it in place to another session — of any destination, params or
+/// topology. Either copy replays bit-identically to the session it was
+/// taken from, and shares that session's topology instead of copying it.
+/// Warm-start a grid by converging once and restoring a fresh session per
+/// timeline.
+///
+/// A session that is restored from a cached baseline before it has run
+/// does not rewind into an engine of its own: it borrows a scratch engine
+/// from the cache the baseline sits in and hands it back when dropped
+/// ([`Sim::restore`]).
 pub struct Sim {
     protocol: Protocol,
     dest: AsId,
     prefix: PrefixId,
     params: RunParams,
-    engine: EngineKind,
+    /// The topology and master seed the engine is built from.
+    g: AsGraph,
+    seed: u64,
+    /// Empty only between [`SimBuilder::build_deferred`] and first use.
+    engine: OnceLock<EngineKind>,
     converged: bool,
     updates_initial: u64,
     outcome: RunOutcome,
     observer_work: ObserverWork,
+    /// On a baseline held by a [`BaselineCache`](crate::BaselineCache): that
+    /// cache's free list, where sessions restored from this baseline find
+    /// scratch engines.
+    scratch: Option<Arc<ScratchEngines>>,
+    /// On a session whose engine is borrowed: the free list it goes back
+    /// to on drop.
+    lease: Option<Arc<ScratchEngines>>,
+}
+
+impl Drop for Sim {
+    fn drop(&mut self) {
+        if let (Some(home), Some(engine)) = (self.lease.take(), self.engine.take()) {
+            home.give_back(engine);
+        }
+    }
+}
+
+/// The one way to copy a session. `clone_from` adopts everything —
+/// protocol, destination, prefix, params, topology, seed, the engine
+/// ([`EngineKind::clone_from`]: in place when both sides have one of the
+/// same kind) and the convergence bookkeeping — so afterwards this session
+/// *is* `source` and nothing of its own past survives. Like the engine's
+/// and the routers' impls it destructures the source without `..`: a new
+/// field does not compile until a copy decision is written here. What is
+/// not state is not copied: a copy of a cached baseline is not in the
+/// cache (`scratch`), and who owns an engine does not change with what
+/// the engine holds (`lease`; a clone owns its engine outright).
+impl Clone for Sim {
+    fn clone(&self) -> Sim {
+        let Sim {
+            protocol,
+            dest,
+            prefix,
+            params,
+            g,
+            seed,
+            engine,
+            converged,
+            updates_initial,
+            outcome,
+            observer_work,
+            scratch: _,
+            lease: _,
+        } = self;
+        Sim {
+            protocol: *protocol,
+            dest: *dest,
+            prefix: *prefix,
+            params: params.clone(),
+            g: g.clone(),
+            seed: *seed,
+            engine: engine.clone(),
+            converged: *converged,
+            updates_initial: *updates_initial,
+            outcome: *outcome,
+            observer_work: *observer_work,
+            scratch: None,
+            lease: None,
+        }
+    }
+
+    // simlint::hot
+    fn clone_from(&mut self, source: &Sim) {
+        let Sim {
+            protocol,
+            dest,
+            prefix,
+            params,
+            g,
+            seed,
+            engine,
+            converged,
+            updates_initial,
+            outcome,
+            observer_work,
+            scratch: _,
+            lease: _,
+        } = source;
+        self.protocol = *protocol;
+        self.dest = *dest;
+        self.prefix = *prefix;
+        self.params.clone_from(params);
+        self.g.clone_from(g);
+        self.seed = *seed;
+        match (self.engine.get_mut(), engine.get()) {
+            (Some(mine), Some(theirs)) => mine.clone_from(theirs),
+            // simlint::allow(hot-clone, "no engine on one side: nothing to rewind in place")
+            _ => self.engine = engine.clone(),
+        }
+        self.converged = *converged;
+        self.updates_initial = *updates_initial;
+        self.outcome = *outcome;
+        self.observer_work = *observer_work;
+    }
 }
 
 impl Sim {
@@ -690,6 +867,11 @@ impl Sim {
         self.prefix
     }
 
+    /// The master seed the session was built with.
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
     /// The session's knobs.
     pub fn params(&self) -> &RunParams {
         &self.params
@@ -697,27 +879,44 @@ impl Sim {
 
     /// The topology.
     pub fn topology(&self) -> &AsGraph {
-        with_engine!(&self.engine, e => e.topology())
+        &self.g
+    }
+
+    /// The engine, built now if this session has not needed one yet.
+    fn engine(&self) -> &EngineKind {
+        self.engine.get_or_init(|| {
+            let cfg = self.params.engine_config(self.seed);
+            let spec = ProtocolSpec::of(self.protocol);
+            (spec.make)(&self.g, cfg, self.dest, self.prefix, self.seed)
+        })
+    }
+
+    fn engine_mut(&mut self) -> &mut EngineKind {
+        self.engine();
+        self.engine
+            .get_mut()
+            // simlint::allow(panic, "initialised on the line above")
+            .expect("the engine was just built")
     }
 
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
-        with_engine!(&self.engine, e => e.now())
+        with_engine!(self.engine(), e => e.now())
     }
 
     /// Accumulated engine statistics.
     pub fn stats(&self) -> RunStats {
-        with_engine!(&self.engine, e => *e.stats())
+        with_engine!(self.engine(), e => *e.stats())
     }
 
     /// Is the session between two adjacent ASes currently up?
     pub fn session_up(&self, a: AsId, b: AsId) -> bool {
-        with_engine!(&self.engine, e => e.session_up(a, b))
+        with_engine!(self.engine(), e => e.session_up(a, b))
     }
 
     /// Distinct AS paths interned by the engine's arena so far.
     pub fn interned_paths(&self) -> usize {
-        with_engine!(&self.engine, e => e.paths().node_count())
+        with_engine!(self.engine(), e => e.paths().node_count())
     }
 
     /// Updates (announcements + withdrawals) sent during initial
@@ -743,7 +942,7 @@ impl Sim {
 
     /// What observing cost the latest [`Sim::measure`], in exact counts
     /// (all zero before the first). A perf ledger entry, not simulation
-    /// state: [`Sim::restore`] leaves it alone.
+    /// state; a copy carries its source's.
     pub fn observer_work(&self) -> ObserverWork {
         self.observer_work
     }
@@ -757,12 +956,12 @@ impl Sim {
     /// Run a protocol-erased closure over the current forwarding view
     /// (built on the stack; ad-hoc inspection outside the probe path).
     pub fn with_view<T>(&self, f: impl FnOnce(&dyn ForwardingView) -> T) -> T {
-        with_engine!(&self.engine, e => f(&ProtocolEngine::view(e, self.prefix)))
+        with_engine!(self.engine(), e => f(&ProtocolEngine::view(e, self.prefix)))
     }
 
     /// The concrete engine when this session runs plain BGP.
     pub fn bgp(&self) -> Option<&Engine<BgpRouter>> {
-        match &self.engine {
+        match self.engine() {
             EngineKind::Bgp(e) => Some(e),
             _ => None,
         }
@@ -771,7 +970,7 @@ impl Sim {
     /// The concrete engine when this session runs R-BGP (with or without
     /// RCI).
     pub fn rbgp(&self) -> Option<&Engine<RbgpRouter>> {
-        match &self.engine {
+        match self.engine() {
             EngineKind::Rbgp(e) => Some(e),
             _ => None,
         }
@@ -779,7 +978,7 @@ impl Sim {
 
     /// The concrete engine when this session runs STAMP.
     pub fn stamp(&self) -> Option<&Engine<StampRouter>> {
-        match &self.engine {
+        match self.engine() {
             EngineKind::Stamp(e) => Some(e),
             _ => None,
         }
@@ -795,7 +994,7 @@ impl Sim {
             let deadline = Some(SimTime::ZERO + self.params.phase_deadline);
             let interval = self.params.observe_interval;
             let prefix = self.prefix;
-            let outcome = with_engine!(&mut self.engine, e => {
+            let outcome = with_engine!(self.engine_mut(), e => {
                 e.start();
                 run_phase(e, prefix, Phase::Initial, deadline, interval, VecDeque::new(), probe)
             });
@@ -815,7 +1014,7 @@ impl Sim {
     /// [`ProtocolEngine::reset_measurement`]; STAMP clears its instability
     /// flags so pre-failure churn does not count against the event).
     pub fn reset_measurement(&mut self) {
-        with_engine!(&mut self.engine, e => ProtocolEngine::reset_measurement(e))
+        with_engine!(self.engine_mut(), e => ProtocolEngine::reset_measurement(e))
     }
 
     /// Inject `timeline` at an epoch [`RunParams::inject_delay`] after the
@@ -838,7 +1037,7 @@ impl Sim {
         let deadline = Some(settle + self.params.phase_deadline);
         let interval = self.params.observe_interval;
         let prefix = self.prefix;
-        let outcome = with_engine!(&mut self.engine, e => {
+        let outcome = with_engine!(self.engine_mut(), e => {
             let mut pending = VecDeque::with_capacity(schedule.len());
             for (at, ev) in schedule {
                 e.inject_at(epoch + at, ev);
@@ -911,34 +1110,56 @@ impl Sim {
         self.clone()
     }
 
-    /// Rewind this session to `ck` in place: everything a run can change
-    /// — the engine's run state down to the live policy regime, and the
-    /// facade's convergence bookkeeping — is overwritten, so replay after
-    /// a restore is bit-identical to replay from the instant `ck` was
-    /// taken (DESIGN.md §12 has the argument). The engine's flat tables,
-    /// scheduler heap and path arena keep their buffers; routers are
-    /// copied by their derived `Clone`, which reallocates their RIBs.
-    /// `ck` must be a session of the same protocol (typed error
-    /// otherwise) built on the same topology, destination and params
-    /// (caller contract, not re-validated here).
+    /// Rewind this session to `ck` in place: `clone_from` behind a
+    /// protocol check. Everything is overwritten — the engine's run state
+    /// down to the live policy regime, the facade's convergence
+    /// bookkeeping, and the destination, prefix and params `ck` was built
+    /// with — so replay after a restore is bit-identical to replay from
+    /// the instant `ck` was taken, whatever this session ran before
+    /// (DESIGN.md §12 has the argument). The engine's flat tables,
+    /// scheduler heap and path arena keep their buffers, and so do the
+    /// routers' RIBs and books: rewinding onto a session of the same shape
+    /// allocates nothing. `ck` must be a session of the same protocol
+    /// (typed error otherwise; `clone_from` itself has no such limit).
+    ///
+    /// A session that has not run yet has no state worth rewinding into —
+    /// its engine, if built at all, holds 2000 empty routers whose every
+    /// table the rewind would have to allocate. Restored from a baseline a
+    /// [`BaselineCache`](crate::BaselineCache) holds, it gives that engine
+    /// up and takes a scratch engine of the baseline's kind off the
+    /// cache's free list (a clone of the baseline's when none is free),
+    /// rewinds that, and hands it back to the list when the session is
+    /// dropped. That is the warm cell: a deferred build, restore, run,
+    /// drop — with no engine built, cloned or freed.
     pub fn restore(&mut self, ck: &Sim) -> Result<(), SimError> {
-        let mismatch = SimError::CheckpointMismatch {
-            expected: self.protocol,
-            got: ck.protocol,
-        };
         if self.protocol != ck.protocol {
-            return Err(mismatch);
+            return Err(SimError::CheckpointMismatch {
+                expected: self.protocol,
+                got: ck.protocol,
+            });
         }
-        match (&mut self.engine, &ck.engine) {
-            (EngineKind::Bgp(e), EngineKind::Bgp(c)) => e.clone_from(c),
-            (EngineKind::Rbgp(e), EngineKind::Rbgp(c)) => e.clone_from(c),
-            (EngineKind::Stamp(e), EngineKind::Stamp(c)) => e.clone_from(c),
-            _ => return Err(mismatch),
+        if !self.converged && self.lease.is_none() {
+            if let (Some(home), Some(like)) = (&ck.scratch, ck.engine.get()) {
+                // Taken or, with none free, cloned by `clone_from` below
+                // (the one place a cached baseline's engine is cloned to
+                // fork it): either way the engine is on loan from here on.
+                // Every loan first takes a free engine of its kind, so the
+                // list never holds more of a kind than sessions held at
+                // one instant.
+                self.engine = home
+                    .take_like(like)
+                    .map_or_else(OnceLock::new, OnceLock::from);
+                self.lease = Some(Arc::clone(home));
+            }
         }
-        self.converged = ck.converged;
-        self.updates_initial = ck.updates_initial;
-        self.outcome = ck.outcome;
+        self.clone_from(ck);
         Ok(())
+    }
+
+    /// Mark this session a baseline of the cache whose free list `home`
+    /// is: sessions restored from it borrow their engines there.
+    pub(crate) fn share_scratch(&mut self, home: Arc<ScratchEngines>) {
+        self.scratch = Some(home);
     }
 
     /// Take the knobs of `params` that [`Sim::play`] reads per phase —

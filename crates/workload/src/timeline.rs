@@ -288,7 +288,10 @@ impl Timeline {
     }
 
     /// The topology once the whole timeline has played out: `g` minus
-    /// [`Timeline::removed_links`] (dense ids unchanged).
+    /// [`Timeline::removed_links`] (dense ids unchanged). A timeline that
+    /// ends with every link back up gets `g` itself — the same shared
+    /// handle, O(1) — not a rebuilt copy of it
+    /// ([`AsGraph::without_links`] of nothing).
     pub fn graph_after(&self, g: &AsGraph) -> Result<AsGraph, TimelineError> {
         Ok(g.without_links(&self.removed_links(g)?))
     }

@@ -651,3 +651,383 @@ mod rib_slots {
         });
     }
 }
+
+// ---------------------------------------------------------------------
+// Copies: a rewind equals a clone
+// ---------------------------------------------------------------------
+
+mod rewinds {
+    use super::*;
+    use stamp_repro::bgp::router::{
+        BgpRouter, OutMsg, RouterCtx, RouterLogic, SessionView, StateFingerprint,
+    };
+    use stamp_repro::bgp::types::{
+        CauseInfo, EventType, ProcId, RootCause, UpdateKind, UpdateMsg, WithdrawInfo,
+    };
+    use stamp_repro::rbgp::{RbgpConfig, RbgpRouter};
+    use stamp_repro::stamp::{LockStrategy, StampRouter};
+    use stamp_repro::topology::AsGraph;
+
+    /// Sessions of one router: up unless the neighbour is listed.
+    struct Down(Vec<AsId>);
+
+    impl SessionView for Down {
+        fn session_up(&self, _a: AsId, b: AsId) -> bool {
+            !self.0.contains(&b)
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Update(
+            AsId,
+            ProcId,
+            PrefixId,
+            Option<(Vec<AsId>, PathAttrs)>,
+            WithdrawInfo,
+        ),
+        LinkDown(AsId, CauseInfo),
+        LinkUp(AsId, CauseInfo),
+    }
+
+    fn arb_cause(rng: &mut Rng, n: u32) -> CauseInfo {
+        let (a, b) = (AsId(rng.gen_range(0..n)), AsId(rng.gen_range(0..n)));
+        CauseInfo {
+            cause: if gen::bool(rng) {
+                RootCause::link(a, b)
+            } else {
+                RootCause::Node(a)
+            },
+            seq: rng.gen_range(0u32..6),
+            up: gen::bool(rng),
+        }
+    }
+
+    fn arb_et(rng: &mut Rng) -> Option<EventType> {
+        gen::option(rng, |r| {
+            if gen::bool(r) {
+                EventType::Lost
+            } else {
+                EventType::NotLost
+            }
+        })
+    }
+
+    /// Anything a neighbour of `me` can make it handle: announcements with
+    /// every attribute the three protocols read (paths drawn from a small
+    /// id space, so they collide, loop through `me` and cross root
+    /// causes), withdrawals, session resets.
+    fn arb_op(rng: &mut Rng, g: &AsGraph, me: AsId, procs: u8) -> Op {
+        let n = g.n() as u32;
+        let neighbors = g.neighbor_entries(me);
+        let from = neighbors[rng.gen_range(0..neighbors.len())].neighbor;
+        match rng.gen_range(0u32..10) {
+            0..=6 => {
+                let announce = gen::option(rng, |rng| {
+                    let mut path = vec![from];
+                    path.extend(gen::vec(rng, 0..5, |r| AsId(r.gen_range(0..n.min(24)))));
+                    let attrs = PathAttrs {
+                        lock: gen::bool(rng),
+                        et: arb_et(rng),
+                        root_cause: gen::option(rng, |r| arb_cause(r, n)),
+                        failover: rng.gen_bool(0.3),
+                        ..PathAttrs::default()
+                    };
+                    (path, attrs)
+                });
+                let info = WithdrawInfo {
+                    root_cause: gen::option(rng, |r| arb_cause(r, n)),
+                    et: arb_et(rng),
+                    failover: rng.gen_bool(0.3),
+                };
+                let proc = ProcId(rng.gen_range(0u32..u32::from(procs)) as u8);
+                Op::Update(from, proc, PrefixId(rng.gen_range(0u32..2)), announce, info)
+            }
+            7..=8 => Op::LinkDown(from, arb_cause(rng, n)),
+            _ => Op::LinkUp(from, arb_cause(rng, n)),
+        }
+    }
+
+    /// Run `op` at router `r` (AS `me`): what it sent, whether it flagged
+    /// a forwarding change, and its fingerprint afterwards.
+    fn apply<R: RouterLogic>(
+        r: &mut R,
+        g: &AsGraph,
+        me: AsId,
+        arena: &mut PathArena,
+        down: &mut Down,
+        op: &Op,
+    ) -> (Vec<OutMsg>, bool, u64) {
+        match op {
+            Op::LinkDown(n, _) if !down.0.contains(n) => down.0.push(*n),
+            Op::LinkUp(n, _) => down.0.retain(|d| d != n),
+            _ => {}
+        }
+        let (out, fib_changed) = {
+            let mut ctx = RouterCtx::new(me, g, &*down, arena);
+            match op {
+                Op::Update(from, proc, prefix, announce, info) => {
+                    let kind = match announce {
+                        Some((path, attrs)) => UpdateKind::Announce(Route {
+                            path: ctx.arena.intern_slice(path),
+                            attrs: *attrs,
+                        }),
+                        None => UpdateKind::Withdraw(*info),
+                    };
+                    let msg = UpdateMsg {
+                        prefix: *prefix,
+                        kind,
+                    };
+                    r.on_update(&mut ctx, *from, *proc, msg);
+                }
+                Op::LinkDown(n, cause) => r.on_link_down(&mut ctx, *n, *cause),
+                Op::LinkUp(n, cause) => r.on_link_up(&mut ctx, *n, *cause),
+            }
+            (ctx.out, ctx.fib_changed)
+        };
+        let mut fp = StateFingerprint::new();
+        r.fingerprint(&mut fp);
+        (out, fib_changed, fp.value())
+    }
+
+    /// A router of AS `me` that has handled `ops` random events.
+    fn grown<R: RouterLogic>(
+        rng: &mut Rng,
+        g: &AsGraph,
+        arena: &mut PathArena,
+        me: AsId,
+        procs: u8,
+        ops: usize,
+        make: &impl Fn(AsId, u64) -> R,
+    ) -> R {
+        let mut r = make(me, rng.next_u64());
+        let mut down = Down(Vec::new());
+        for _ in 0..ops {
+            let op = arb_op(rng, g, me, procs);
+            apply(&mut r, g, me, arena, &mut down, &op);
+        }
+        r
+    }
+
+    /// `a.clone_from(&b)` leaves nothing of `a` behind: fed any further
+    /// events it sends what `b.clone()` sends, in the same order (the
+    /// export loops walk hash maps, so this is the bucket-layout claim),
+    /// and fingerprints the same — whether `a` was larger than `b`,
+    /// smaller, empty, or another AS's router with other neighbours.
+    fn rewind_equals_clone<R: RouterLogic + Clone>(
+        seed: u64,
+        procs: u8,
+        make: impl Fn(AsId, u64) -> R,
+    ) {
+        cases(24, seed, |rng| {
+            let g = generate(&arb_gen_config(rng)).expect("valid");
+            let busy: Vec<AsId> = g.ases().filter(|&v| g.degree(v) >= 3).collect();
+            let me = busy[rng.gen_range(0..busy.len())];
+            let other = busy[rng.gen_range(0..busy.len())];
+            let mut arena = PathArena::new();
+            let b = grown(rng, &g, &mut arena, me, procs, 40, &make);
+            let stale_ops = [0, 3, 40, 160][rng.gen_range(0usize..4)];
+            let mut a = grown(rng, &g, &mut arena, other, procs, stale_ops, &make);
+            a.clone_from(&b);
+            let mut c = b.clone();
+            let (mut arena_a, mut arena_c) = (arena.clone(), arena);
+            let (mut down_a, mut down_c) = (Down(Vec::new()), Down(Vec::new()));
+            for step in 0..60 {
+                let op = arb_op(rng, &g, me, procs);
+                let got = apply(&mut a, &g, me, &mut arena_a, &mut down_a, &op);
+                let want = apply(&mut c, &g, me, &mut arena_c, &mut down_c, &op);
+                assert_eq!(got, want, "step {step}: {op:?}");
+            }
+            assert_eq!(arena_a.node_count(), arena_c.node_count());
+        });
+    }
+
+    #[test]
+    fn bgp_router_rewind_equals_clone() {
+        rewind_equals_clone(0xC10E1, 1, |v, _| BgpRouter::new(v, vec![]));
+    }
+
+    #[test]
+    fn rbgp_router_rewind_equals_clone() {
+        rewind_equals_clone(0xC10E2, 1, |v, salt| {
+            let cfg = RbgpConfig {
+                rci: salt & 1 == 0,
+                relaxed_failover_export: salt & 2 == 0,
+            };
+            RbgpRouter::new(v, vec![], cfg)
+        });
+    }
+
+    #[test]
+    fn stamp_router_rewind_equals_clone() {
+        rewind_equals_clone(0xC10E3, 2, |v, salt| {
+            StampRouter::new(v, vec![], LockStrategy::Random { seed: salt })
+        });
+    }
+}
+
+// ---------------------------------------------------------------------
+// State that is dropped when idle changes no event
+// ---------------------------------------------------------------------
+
+mod idle_state {
+    use super::*;
+    use stamp_repro::bgp::engine::{Engine, EngineConfig, RunStats, ScenarioEvent};
+    use stamp_repro::bgp::router::BgpRouter;
+    use stamp_repro::eventsim::{Fnv1a, SimDuration};
+    use stamp_repro::topology::{AsGraph, GraphBuilder, LinkId};
+    use stamp_repro::workload::{
+        adversarial_families, destination_candidates, flap_train, reachability_mask,
+        standard_families, NullProbe, Protocol, RunParams, Sim, Timeline, PREFIX,
+    };
+
+    fn fold(h: &mut Fnv1a, s: RunStats, selections: u64) {
+        for w in [
+            s.announcements_sent,
+            s.withdrawals_sent,
+            s.delivered,
+            s.dropped,
+            s.coalesced,
+            s.events,
+            s.last_fib_change.as_micros(),
+            s.last_delivery.as_micros(),
+            selections,
+        ] {
+            h.write_u64(w);
+        }
+    }
+
+    /// An MRAI row is emptied when its last timer lapses, and an empty row
+    /// reads as idle slots — so emptying one changes no event. Pinned
+    /// against the engine that kept idle rows (the digest below was
+    /// computed at the commit before rows were emptied): every counter of
+    /// `RunStats` and every selection (path ids included, so intern order
+    /// too) after convergence and after a sub-MRAI flap train, for all
+    /// four protocols with MRAI on and off, and for three prefixes
+    /// converging at once, where a row holds several slots and empties
+    /// only when all of them are idle.
+    #[test]
+    fn emptying_idle_mrai_rows_changes_no_event() {
+        let mut h = Fnv1a::new();
+        cases(4, 0x1D7E, |rng| {
+            let g = generate(&arb_gen_config(rng)).expect("valid");
+            let seed = rng.next_u64();
+            let candidates = destination_candidates(&g);
+            let dest = candidates[rng.gen_range(0..candidates.len())];
+            let s = SimDuration::from_secs;
+            let flap = Timeline::from_events(
+                "flap",
+                flap_train(dest, g.providers(dest)[0], s(0), s(10), 0.5, 3),
+            );
+            for params in [RunParams::paper(), RunParams::fast()] {
+                for p in Protocol::ALL {
+                    let mut sim = Sim::on(&g)
+                        .protocol(p)
+                        .originate(dest, PREFIX)
+                        .seed(seed)
+                        .params(params.clone())
+                        .build()
+                        .expect("in range");
+                    for phase in 0..2 {
+                        if phase == 0 {
+                            sim.converge();
+                        } else {
+                            sim.play(&flap, &mut NullProbe).expect("resolves");
+                        }
+                        let selections = match p {
+                            Protocol::Bgp => sim.bgp().expect("bgp").fingerprint(),
+                            Protocol::Rbgp | Protocol::RbgpNoRci => {
+                                sim.rbgp().expect("rbgp").fingerprint()
+                            }
+                            Protocol::Stamp => sim.stamp().expect("stamp").fingerprint(),
+                        };
+                        fold(&mut h, sim.stats(), selections.value());
+                    }
+                }
+            }
+            // Three origins, three prefixes, MRAI on; then a provider link
+            // of the first origin fails and recovers.
+            let origins: Vec<AsId> = candidates.iter().copied().take(3).collect();
+            let cfg = EngineConfig {
+                seed,
+                ..EngineConfig::default()
+            };
+            let mut e: Engine<BgpRouter> = Engine::new(g.clone(), cfg, |v| {
+                let own = origins.iter().position(|&o| o == v);
+                BgpRouter::new(v, own.map(|i| PrefixId(i as u32)).into_iter().collect())
+            });
+            e.start();
+            e.run_to_quiescence(None);
+            fold(&mut h, *e.stats(), e.fingerprint().value());
+            let link = g
+                .link_between(origins[0], g.providers(origins[0])[0])
+                .expect("adjacent");
+            e.inject_after(s(1), ScenarioEvent::FailLink(link));
+            e.inject_after(s(8), ScenarioEvent::RecoverLink(link));
+            e.run_to_quiescence(None);
+            fold(&mut h, *e.stats(), e.fingerprint().value());
+        });
+        assert_eq!(
+            h.finish(),
+            0xb615_9a62_5475_7acc,
+            "got {:#018x}",
+            h.finish()
+        );
+    }
+
+    /// `g` minus `removed`, link by link through the builder — what
+    /// `without_links` did for every input before it learned to share.
+    fn rebuilt_without(g: &AsGraph, removed: &[LinkId]) -> AsGraph {
+        let mut b = GraphBuilder::new();
+        for v in g.ases() {
+            b.ensure_as(g.external_asn(v));
+        }
+        for (i, l) in g.links().iter().enumerate() {
+            if !removed.contains(&LinkId::from_usize(i)) {
+                b.add_link(g.external_asn(l.a), g.external_asn(l.b), l.kind)
+                    .expect("a link of a valid graph");
+            }
+        }
+        b.build().expect("a sub-graph of a valid graph")
+    }
+
+    /// `graph_after` hands back the caller's own graph handle exactly when
+    /// the timeline removes nothing, and sharing it changes no mask: for
+    /// all nine campaign families `reachable_after` is the mask of the
+    /// graph rebuilt without the removed links.
+    #[test]
+    fn graph_after_shares_the_graph_iff_nothing_was_removed() {
+        cases(6, 0x6AF7, |rng| {
+            let g = generate(&arb_gen_config(rng)).expect("valid");
+            let mut dests = destination_candidates(&g);
+            rng.shuffle(&mut dests);
+            dests.truncate(4);
+            let mut families = standard_families(&g, rng, &dests, true);
+            families.extend(adversarial_families(&g, rng, &dests, true));
+            assert_eq!(families.len(), 9);
+            for t in &families {
+                let removed = t.removed_links(&g).expect("built on g");
+                let after = t.graph_after(&g).expect("built on g");
+                assert_eq!(after.same_handle(&g), removed.is_empty(), "{}", t.name());
+                if ["flap-train", "maintenance-drain"].contains(&t.name()) {
+                    assert!(removed.is_empty(), "{} ends recovered", t.name());
+                }
+                assert_eq!(after.n_links(), g.n_links() - removed.len());
+                let rebuilt = rebuilt_without(&g, &removed);
+                for &d in &dests {
+                    assert_eq!(
+                        t.reachable_after(&g, d).expect("built on g"),
+                        reachability_mask(&rebuilt, d),
+                        "{} towards {d}",
+                        t.name()
+                    );
+                }
+            }
+            let staggered = &families[1];
+            assert!(!staggered
+                .graph_after(&g)
+                .expect("built on g")
+                .same_handle(&g));
+        });
+    }
+}

@@ -191,6 +191,71 @@ fn restore_rejects_protocol_mismatch() {
     );
 }
 
+/// A rewind re-targets a session: a *dirty* scratch session (it has replayed
+/// the adversarial families against destination A) restored onto the
+/// baseline of destination B, then of A again, measures exactly what a
+/// cold cell for that destination measures — destination, prefix and
+/// params travel with the copy. And through `clone_from`, which is what
+/// the baseline cache's free list calls, one R-BGP session alternates
+/// between R-BGP and R-BGP-without-RCI baselines (same engine kind,
+/// different router configuration).
+#[test]
+fn a_dirty_session_rewinds_across_destinations_and_router_configs() {
+    use stamp_repro::workload::{destination_candidates, single_link_failure, Timeline};
+    let g = generate(&GenConfig::small(17)).expect("valid generator config");
+    let params = RunParams::paper();
+    let seed = 31;
+    let dests = destination_candidates(&g);
+    let (a, b) = (dests[0], dests[1]);
+    // One plain failure per destination: its first provider link.
+    let cell = |d| {
+        let t = Timeline::from_events("plain", single_link_failure(d, g.providers(d)[0]));
+        let reach = t.reachable_after(&g, d).unwrap();
+        (t, reach)
+    };
+    let cells = [(a, cell(a)), (b, cell(b))];
+    let baseline = |p: Protocol, d| {
+        let mut sim = Sim::on(&g)
+            .protocol(p)
+            .originate(d, PREFIX)
+            .seed(seed)
+            .params(params.clone())
+            .build()
+            .expect("destination is in range");
+        sim.converge();
+        sim
+    };
+    let cold = |p, d, (t, reach): &(Timeline, Vec<bool>)| {
+        run_protocol_cell(&g, &params, t, d, reach, p, seed)
+    };
+    let mut rng = rng_stream(77, tags::WORKLOAD);
+    for p in Protocol::ALL {
+        let mut scratch = baseline(p, a);
+        for t in adversarial_families(&g, &mut rng, &[a], true) {
+            let reach = t.reachable_after(&g, a).unwrap();
+            scratch.measure(&t, &reach).expect("resolves");
+        }
+        for (d, c) in [&cells[1], &cells[0], &cells[1]] {
+            scratch.restore(&baseline(p, *d)).expect("same protocol");
+            assert_eq!(scratch.dest(), *d, "{p}");
+            let got = scratch.measure(&c.0, &c.1).expect("resolves");
+            assert_eq!(got, cold(p, *d, c), "{p}: rewound onto destination {d}");
+        }
+    }
+    let mut scratch = baseline(Protocol::Rbgp, a);
+    for (p, (d, c)) in [
+        (Protocol::RbgpNoRci, &cells[1]),
+        (Protocol::Rbgp, &cells[0]),
+        (Protocol::RbgpNoRci, &cells[0]),
+        (Protocol::Rbgp, &cells[1]),
+    ] {
+        scratch.clone_from(&baseline(p, *d));
+        assert_eq!((scratch.protocol(), scratch.dest()), (p, *d));
+        let got = scratch.measure(&c.0, &c.1).expect("resolves");
+        assert_eq!(got, cold(p, *d, c), "{p}: re-targeted onto destination {d}");
+    }
+}
+
 /// `Sim::converge` is idempotent and the second call is a cheap flag
 /// check: no events run, no updates are sent, the clock does not move.
 #[test]
