@@ -60,6 +60,27 @@ for pat in 'thread::scope(' 'available_parallelism('; do
 done
 echo "one-worker-pool guard passed"
 
+# --- Guard 4: one tokenizer ------------------------------------------------
+# Every line-oriented text surface — .scn, .pol, queryd requests and
+# response frames, the binaries' argv — is tokenized by
+# crates/eventsim/src/textfmt.rs and nowhere else. So a whitespace split and
+# the `[A-Za-z0-9_.-]` name charset may each occur in exactly one file of
+# the crates that read text (DESIGN.md §8.4).
+for pat in 'split_ascii_whitespace(' 'split_whitespace(' 'is_ascii_alphanumeric() ||'; do
+    files=$(grep -rlF "$pat" crates/eventsim/src crates/workload/src crates/policy/src \
+        crates/queryd/src crates/bench/src || true)
+    case "$pat:$files" in
+        'split_whitespace(:') ;; # the Unicode split has no user at all
+        *:crates/eventsim/src/textfmt.rs) ;;
+        *)
+            echo "TOKENIZER VIOLATION: '$pat' may occur only in crates/eventsim/src/textfmt.rs, found:" >&2
+            printf '%s\n' "${files:-<none>}" >&2
+            exit 1
+            ;;
+    esac
+done
+echo "one-tokenizer guard passed"
+
 # --- simlint: determinism & hot-path lints -------------------------------
 # The in-repo lint engine (crates/simlint): zero findings at Deny severity
 # across the simulation crates, or the build stops here. See DESIGN.md §11
@@ -81,7 +102,10 @@ cargo build --examples --offline
 cargo test -q --offline
 # The crate-level doctest is the sim-facade quickstart — a gate of its own.
 cargo test --doc --offline
-echo "tier-1 gate passed (offline, incl. doctests)"
+# The eight figures share one binary; run it once so it cannot rot built
+# but unrun (fig2 at smoke scale, ~1 s).
+cargo run --release --offline -q -p stamp_bench --bin figure -- fig2 --ases 200 --instances 2 --seed 9 >/dev/null
+echo "tier-1 gate passed (offline, incl. doctests and one figure run)"
 
 # --- Policy DSL round-trip gate -------------------------------------------
 # Every built-in regime must print a canonical .pol document that parses

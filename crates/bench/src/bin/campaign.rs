@@ -23,7 +23,7 @@
 
 #![forbid(unsafe_code)]
 
-use stamp_bench::{first_difference, parse_args, render_results, three_passes, SweepRow};
+use stamp_bench::{first_difference, read_args, render_results, three_passes, SweepRow};
 use stamp_eventsim::rng::tags;
 use stamp_eventsim::rng_stream;
 use stamp_topology::gen::generate;
@@ -208,68 +208,86 @@ fn run_adversarial(seed: u64, threads_n: usize) -> (CampaignReport, usize) {
     (rep, diverged)
 }
 
+/// The flags `campaign` reads.
+struct Flags {
+    ases: Option<usize>,
+    dests: Option<usize>,
+    seeds: Option<usize>,
+    seed: Option<u64>,
+    threads: Option<usize>,
+    protocols: Option<Vec<Protocol>>,
+    regimes: Vec<PolicyRegime>,
+    scn: Vec<String>,
+    smoke: bool,
+    check: bool,
+}
+
+const USAGE: &str = "campaign [--ases N] [--dests N] [--seeds N] [--seed N] [--threads N] \
+    [--protocols LIST] [--policy LIST] [--scn FILE]... [--smoke] [--check]\n\
+    Runs the scenario-timeline campaign (flap trains, staggered failures,\n\
+    regional outages, maintenance drains, background churn) for BGP, R-BGP\n\
+    and STAMP over a (timeline × destination × seed) grid, three ways\n\
+    (1 worker, --threads workers [4], warm-start), and asserts the\n\
+    byte-identical aggregate hash. With no grid-override flag it also runs\n\
+    the 2000-AS grid, the policy sweep and the adversarial sweep (prefix\n\
+    hijack, prepend hijack, route leak, policy misconfig) and rewrites the\n\
+    results document BENCH_campaign.json; with one (--ases, --dests,\n\
+    --seeds, --seed, --protocols, --policy other than gao-rexford, --scn)\n\
+    it prints its tables and leaves that file alone.\n\
+    --protocols LIST: comma-separated protocols to compare (labels or\n\
+    aliases: bgp, rbgp-norci, rbgp, stamp; default bgp,rbgp,stamp).\n\
+    --policy LIST: comma-separated policy regimes (built-ins:\n\
+    gao-rexford, shortest-path, prefer-peer, long-path-tax; default\n\
+    gao-rexford). The first entry is the regime the grid runs under;\n\
+    several entries are also swept over a reduced grid.\n\
+    --scn FILE (repeatable): run timelines parsed from .scn files instead\n\
+    of the built-in families (see scenarios/ for samples).\n\
+    --smoke: tiny fast grid plus the adversarial grid, determinism\n\
+    assertions only (the fast CI gate).\n\
+    --check: regenerate the results document in memory and exit non-zero,\n\
+    naming the first differing line, unless it equals the tracked\n\
+    BENCH_campaign.json byte for byte (the CI golden gate).";
+
 fn main() {
-    let args = parse_args(
-        "campaign [--ases N] [--dests N] [--seeds N] [--seed N] [--threads N] \
-         [--protocols LIST] [--policy LIST] [--scn FILE]... [--smoke] [--check]\n\
-         Runs the scenario-timeline campaign (flap trains, staggered failures,\n\
-         regional outages, maintenance drains, background churn) for BGP, R-BGP\n\
-         and STAMP over a (timeline × destination × seed) grid, three ways\n\
-         (1 worker, --threads workers [4], warm-start), and asserts the\n\
-         byte-identical aggregate hash. With no grid-override flag it also runs\n\
-         the 2000-AS grid, the policy sweep and the adversarial sweep (prefix\n\
-         hijack, prepend hijack, route leak, policy misconfig) and rewrites the\n\
-         results document BENCH_campaign.json; with one (--ases, --dests,\n\
-         --seeds, --seed, --protocols, --policy other than gao-rexford, --scn)\n\
-         it prints its tables and leaves that file alone.\n\
-         --protocols LIST: comma-separated protocols to compare (labels or\n\
-         aliases: bgp, rbgp-norci, rbgp, stamp; default bgp,rbgp,stamp).\n\
-         --policy LIST: comma-separated policy regimes (built-ins:\n\
-         gao-rexford, shortest-path, prefer-peer, long-path-tax; default\n\
-         gao-rexford). The first entry is the regime the grid runs under;\n\
-         several entries are also swept over a reduced grid.\n\
-         --scn FILE (repeatable): run timelines parsed from .scn files instead\n\
-         of the built-in families (see scenarios/ for samples).\n\
-         --smoke: tiny fast grid plus the adversarial grid, determinism\n\
-         assertions only (the fast CI gate).\n\
-         --check: regenerate the results document in memory and exit non-zero,\n\
-         naming the first differing line, unless it equals the tracked\n\
-         BENCH_campaign.json byte for byte (the CI golden gate).",
-    );
+    let args = read_args(USAGE, |a| {
+        let mut scn = Vec::new();
+        while let Some(path) = a.value("--scn")? {
+            scn.push(path);
+        }
+        let regimes = match a.list::<String>("--policy")? {
+            None => vec![PolicyRegime::gao_rexford()],
+            Some(names) => {
+                let found: Option<Vec<_>> =
+                    names.iter().map(|n| PolicyRegime::by_name(n)).collect();
+                let known: Vec<String> = PolicyRegime::builtins()
+                    .into_iter()
+                    .map(|r| r.name)
+                    .collect();
+                found.ok_or_else(|| {
+                    format!("unknown policy regime among {names:?} (built-ins: {known:?})")
+                })?
+            }
+        };
+        Ok(Flags {
+            ases: a.value("--ases")?,
+            dests: a.value("--dests")?,
+            seeds: a.value("--seeds")?,
+            seed: a.value("--seed")?,
+            threads: a.value("--threads")?,
+            protocols: a.list("--protocols")?,
+            regimes,
+            scn,
+            smoke: a.flag("--smoke"),
+            check: a.flag("--check"),
+        })
+    });
     let seed = args.seed.unwrap_or(DEFAULT_SEED);
     let smoke = args.smoke;
-    let regimes: Vec<PolicyRegime> = match &args.policy {
-        None => vec![PolicyRegime::gao_rexford()],
-        Some(list) => list
-            .split(',')
-            .map(|name| {
-                PolicyRegime::by_name(name.trim()).unwrap_or_else(|| {
-                    let known = PolicyRegime::builtins()
-                        .iter()
-                        .map(|r| r.name.clone())
-                        .collect::<Vec<_>>()
-                        .join(", ");
-                    eprintln!("unknown policy regime {name:?} (built-ins: {known})");
-                    std::process::exit(2);
-                })
-            })
-            .collect(),
-    };
+    let regimes = &args.regimes;
     // `--policy gao-rexford` is the default spelled out: it must not
     // change grid selection (the CI golden gate runs `--check` that way).
     let policy_default = regimes.len() == 1 && regimes[0].is_default();
-    let protocols: Vec<Protocol> = match &args.protocols {
-        None => PROTOCOLS.to_vec(),
-        Some(list) => list
-            .split(',')
-            .map(|s| {
-                s.parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                })
-            })
-            .collect(),
-    };
+    let protocols = args.protocols.clone().unwrap_or(PROTOCOLS.to_vec());
 
     // The default-flag smoke invocation (the CI gate) takes its grid from
     // `smoke_grid` — the same constructor the golden determinism test
@@ -342,11 +360,7 @@ fn main() {
         };
         (g, timelines, dests, cfg)
     };
-    let threads_n = if args.threads > 0 {
-        args.threads
-    } else {
-        THREADS_N
-    };
+    let threads_n = args.threads.filter(|n| *n > 0).unwrap_or(THREADS_N);
 
     let rep = run_three_ways(&g, &timelines, &dests, &cfg, threads_n);
     if smoke {
@@ -399,7 +413,7 @@ fn main() {
     // it is.
     if !default_grid {
         if regimes.len() > 1 {
-            sweep(&regimes);
+            sweep(regimes);
         }
         return;
     }

@@ -14,7 +14,7 @@
 
 #![forbid(unsafe_code)]
 
-use stamp_bench::parse_args;
+use stamp_bench::read_args;
 use stamp_bgp::engine::{RunOutcome, WatchdogConfig};
 use stamp_bgp::{BgpRouter, Engine, EngineConfig, PrefixId};
 use stamp_eventsim::{SimDuration, SimTime};
@@ -36,14 +36,14 @@ fn gadget() -> AsGraph {
 }
 
 fn main() {
-    let args = parse_args(
+    let seed = read_args(
         "divergence [--seed N]\n\
          Runs the 4-AS dispute-wheel gadget under the naive-prefer-peer\n\
          regime with a tight convergence watchdog and requires the run to\n\
          terminate with a typed Diverged outcome in bounded sim time.\n\
          Exit 0 on Diverged (the expected outcome), 1 otherwise.",
+        |args| Ok(args.value("--seed")?.unwrap_or(7)),
     );
-    let seed = args.seed.unwrap_or(7);
 
     let cfg = EngineConfig {
         policy: PolicyRegime::by_name("naive-prefer-peer")

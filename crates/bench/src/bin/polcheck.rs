@@ -10,6 +10,7 @@
 
 #![forbid(unsafe_code)]
 
+use stamp_eventsim::textfmt::assert_fixed_point;
 use stamp_policy::{parse_pol, PolicyRegime};
 
 fn main() {
@@ -17,32 +18,12 @@ fn main() {
     let builtins = PolicyRegime::builtins();
 
     for regime in &builtins {
+        // Panics — a non-zero exit like any other — unless the canonical
+        // document is a parse/print fixed point.
         let doc = regime.to_pol();
-        match parse_pol(&doc) {
-            Ok(back) => {
-                if &back != regime {
-                    eprintln!(
-                        "polcheck: {} parse drifted from its printed value",
-                        regime.name
-                    );
-                    failures += 1;
-                }
-                let again = back.to_pol();
-                if again != doc {
-                    eprintln!(
-                        "polcheck: {} second print is not byte-identical",
-                        regime.name
-                    );
-                    failures += 1;
-                }
-            }
-            Err(e) => {
-                eprintln!(
-                    "polcheck: {} canonical .pol failed to parse: {e}",
-                    regime.name
-                );
-                failures += 1;
-            }
+        if &assert_fixed_point(&doc, parse_pol, PolicyRegime::to_pol) != regime {
+            eprintln!("polcheck: {} parse drifted from its value", regime.name);
+            failures += 1;
         }
         if let Err(e) = regime.compile() {
             eprintln!("polcheck: {} failed to compile: {e}", regime.name);

@@ -1,5 +1,6 @@
-//! Shared plumbing for the figure-regeneration binaries: the CLI flags,
-//! and the one emitter and comparer of the tracked results document
+//! Shared plumbing for the bench binaries (`figure`, `campaign`,
+//! `divergence`, `polcheck`, `calibrate`): the argv reader, and the one
+//! emitter and comparer of the tracked results document
 //! (`BENCH_campaign.json`).
 //!
 //! Nothing in this crate reads a clock. Every number it prints is a count
@@ -7,128 +8,38 @@
 //! lets `campaign --check` hold the tracked document to byte equality.
 //! Wall time has one owner, the reference benchmark (`benchmark/`).
 //!
-//! Every binary accepts:
-//!
-//! * `--ases N` — topology size (default: per-experiment),
-//! * `--instances N` — scenario instances (default: per-experiment),
-//! * `--seed N` — master seed,
-//! * `--threads N` — worker threads (0 = all cores).
-//!
-//! Unknown flags abort with a usage message; the binaries print the figure
-//! to stdout.
+//! A binary reads exactly the flags it uses ([`read_args`]); any other
+//! flag, a missing value or an unparsable one prints the error and the
+//! binary's usage and exits 2. The binaries print their result to stdout.
 
 #![forbid(unsafe_code)]
 
-use stamp_experiments::render::render_failure_report;
-use stamp_experiments::{run_failure_experiment, FailureConfig, FailureScenario, Protocol};
-use stamp_topology::{AsGraph, AsId, GenConfig};
+use stamp_eventsim::textfmt::Args;
+use stamp_topology::{AsGraph, AsId};
 use stamp_workload::{
     populate_baselines, run_campaign, run_campaign_with_cache, BaselineCache, CampaignConfig,
-    CampaignReport, Timeline,
+    CampaignReport, Protocol, Timeline,
 };
 use std::fmt::Write as _;
 
-/// Parsed common options.
-#[derive(Debug, Clone, Default)]
-pub struct CommonArgs {
-    pub ases: Option<usize>,
-    pub instances: Option<usize>,
-    pub seed: Option<u64>,
-    pub threads: usize,
-    /// Extra boolean flag some binaries use (e.g. `--smart` on fig1).
-    pub smart: bool,
-    /// CI smoke mode (`campaign --smoke`): tiny grid, determinism check
-    /// only.
-    pub smoke: bool,
-    /// Destination-axis size of a campaign grid (`--dests N`).
-    pub dests: Option<usize>,
-    /// Seed-axis size of a campaign grid (`--seeds N`).
-    pub seeds: Option<usize>,
-    /// `.scn` scenario files (`--scn FILE`, repeatable): campaign timelines
-    /// loaded as data instead of the built-in families.
-    pub scn: Vec<String>,
-    /// Comma-separated protocol list (`--protocols bgp,stamp`); binaries
-    /// parse each entry via `Protocol::from_str` (labels or aliases).
-    pub protocols: Option<String>,
-    /// Comma-separated policy-regime list (`--policy gao-rexford,...`);
-    /// binaries resolve each entry via `PolicyRegime::by_name`. Mirrors
-    /// `--protocols`: the first entry is the regime the grids run under,
-    /// the full list is the sweep axis.
-    pub policy: Option<String>,
-    /// Verification mode (`--check`): regenerate the results document in
-    /// memory and compare it with the tracked copy instead of rewriting it
-    /// (the CI golden gate).
-    pub check: bool,
-}
-
-/// Parse `std::env::args`, exiting with usage on errors.
-pub fn parse_args(usage: &str) -> CommonArgs {
-    let mut out = CommonArgs::default();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| {
-            eprintln!("missing value for {}\n{usage}", args[*i - 1]);
+/// Hand `read` the process's argv as an [`Args`] to pull its flags from.
+/// `--help`/`-h` prints `usage` and exits 0; an error from `read`, or any
+/// token `read` left behind (a flag this binary does not know), prints the
+/// error and `usage` to stderr and exits 2.
+pub fn read_args<T>(usage: &str, read: impl FnOnce(&mut Args<'_>) -> Result<T, String>) -> T {
+    let line = std::env::args().skip(1).collect::<Vec<_>>().join(" ");
+    let mut args = Args::new(&line);
+    if args.flag("--help") || args.flag("-h") {
+        println!("{usage}");
+        std::process::exit(0);
+    }
+    match read(&mut args).and_then(|parsed| args.done().map(|()| parsed)) {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            eprintln!("{msg}\n{usage}");
             std::process::exit(2);
-        })
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--ases" => out.ases = Some(value(&mut i).parse().expect("--ases N")),
-            "--instances" => out.instances = Some(value(&mut i).parse().expect("--instances N")),
-            "--seed" => out.seed = Some(value(&mut i).parse().expect("--seed N")),
-            "--threads" => out.threads = value(&mut i).parse().expect("--threads N"),
-            "--smart" => out.smart = true,
-            "--smoke" => out.smoke = true,
-            "--dests" => out.dests = Some(value(&mut i).parse().expect("--dests N")),
-            "--seeds" => out.seeds = Some(value(&mut i).parse().expect("--seeds N")),
-            "--scn" => out.scn.push(value(&mut i)),
-            "--protocols" => out.protocols = Some(value(&mut i)),
-            "--policy" => out.policy = Some(value(&mut i)),
-            "--check" => out.check = true,
-            "--help" | "-h" => {
-                println!("{usage}");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown flag {other}\n{usage}");
-                std::process::exit(2);
-            }
         }
-        i += 1;
     }
-    out
-}
-
-/// The failure-experiment configuration the figure binaries share: paper
-/// parameters on a `sim_scale` topology (2000 ASes unless `--ases`), with
-/// the binary's own default seed and instance count under `--seed` /
-/// `--instances`.
-pub fn failure_config(
-    args: &CommonArgs,
-    default_seed: u64,
-    default_instances: usize,
-) -> FailureConfig {
-    let seed = args.seed.unwrap_or(default_seed);
-    FailureConfig {
-        seed,
-        gen: GenConfig {
-            n_ases: args.ases.unwrap_or(2000),
-            ..GenConfig::sim_scale(seed)
-        },
-        instances: args.instances.unwrap_or(default_instances),
-        threads: args.threads,
-        ..FailureConfig::default()
-    }
-}
-
-/// `main` of `fig2` / `fig3a` / `fig3b` / `node_failure`: parse the common
-/// flags, run `scenario` for all four protocols, print the figure.
-pub fn failure_figure_main(usage: &str, default_seed: u64, scenario: FailureScenario) {
-    let cfg = failure_config(&parse_args(usage), default_seed, 30);
-    let report = run_failure_experiment(&cfg, scenario, &Protocol::ALL);
-    println!("{}", render_failure_report(&report));
 }
 
 /// The grid run three ways — cold at one worker, cold at `threads_n`

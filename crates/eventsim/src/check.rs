@@ -76,6 +76,41 @@ pub mod gen {
     pub fn bool(rng: &mut Rng) -> bool {
         rng.next_u64() & 1 == 1
     }
+
+    /// One to three byte-level mutations of a valid document — the input
+    /// of the text-format fuzz properties. Each mutation flips a bit,
+    /// deletes a byte, duplicates a byte, splices in a token from elsewhere
+    /// in the document, or inserts a `#`, a `;`, a NUL, a multi-byte
+    /// character (U+00A0: whitespace to Unicode, not to the tokenizer) or a
+    /// number one past `u64::MAX`. The bytes are then decoded lossily, as
+    /// the daemon decodes what comes off the wire.
+    pub fn mutated(rng: &mut Rng, doc: &str) -> String {
+        let tokens: Vec<&str> = crate::textfmt::Cursor::new(doc).collect();
+        let mut bytes = doc.as_bytes().to_vec();
+        for _ in 0..rng.gen_range(1usize..4) {
+            let at = rng.gen_range(0..=bytes.len());
+            let here = bytes.get(at).copied();
+            let insert: &[u8] = match (rng.gen_range(0u32..9), here) {
+                (0, Some(b)) => {
+                    bytes.splice(at..=at, [b ^ (1 << rng.gen_range(0u32..8))]);
+                    continue;
+                }
+                (1, Some(_)) => {
+                    bytes.remove(at);
+                    continue;
+                }
+                (2, Some(b)) => &[b],
+                (0..=3, _) => rng.choose(&tokens).map_or(b" ", |t| t.as_bytes()),
+                (4, _) => b"#",
+                (5, _) => b";",
+                (6, _) => b"\0",
+                (7, _) => "\u{a0}".as_bytes(),
+                _ => b"18446744073709551616",
+            };
+            bytes.splice(at..at, insert.iter().copied());
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
 }
 
 #[cfg(test)]
@@ -126,5 +161,21 @@ mod tests {
             assert!((0.5..1.5).contains(&f));
             let _ = gen::option(rng, gen::bool);
         });
+    }
+
+    #[test]
+    fn mutated_documents_differ_and_stay_near_the_original() {
+        let doc = "scenario drill\nat 0s fail-node 9\nat 60s recover-node 9\n";
+        let mut changed = 0;
+        cases(200, 6, |rng| {
+            let m = gen::mutated(rng, doc);
+            changed += usize::from(m != doc);
+            assert!(m.len().abs_diff(doc.len()) <= 3 * 20, "{m:?}");
+        });
+        // A flip can undo a flip and a splice can rebuild the text: rare.
+        assert!(
+            changed > 190,
+            "only {changed} of 200 cases changed the text"
+        );
     }
 }

@@ -20,7 +20,10 @@
 //! * [`fxhash`] — a deterministic FxHash-style fast hasher for the
 //!   id-keyed maps that remain off the hot path (SipHash costs more than
 //!   the lookup it guards on small integer keys), and [`Fnv1a`], the one
-//!   FNV-1a behind every pinned fingerprint.
+//!   FNV-1a behind every pinned fingerprint;
+//! * [`textfmt`] — the one tokenizer of every line-oriented text surface
+//!   (`.scn`, `.pol`, queryd requests and frames, argv): line walker,
+//!   token [`textfmt::Cursor`], the name charset, the fixed-point assertion.
 //!
 //! Following the smoltcp design ethos, the kernel is single-threaded and
 //! allocation-light; parallelism lives one level up (independent scenario
@@ -33,6 +36,7 @@ pub mod check;
 pub mod fxhash;
 pub mod queue;
 pub mod rng;
+pub mod textfmt;
 pub mod time;
 
 pub use channel::{ChannelId, DelayModel, FifoChannel, LossModel};

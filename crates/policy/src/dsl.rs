@@ -33,9 +33,12 @@ use crate::model::{
     PrefixSet, Rule,
 };
 use crate::regime::{PolicyRegime, LEARNED_RELS, TO_RELS};
+use stamp_eventsim::textfmt::{self, comma_list, Cursor, Miss};
 use stamp_topology::Relation;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::str::FromStr;
+
+pub use stamp_eventsim::textfmt::valid_name;
 
 /// A `.pol` parse error with its 1-based line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,15 +123,6 @@ impl fmt::Display for PolError {
     }
 }
 
-/// The `.pol` name charset — identical to `.scn`'s so regime names are
-/// valid scenario-file citizens (CLI tokens, file stems, protocol words).
-pub fn valid_name(name: &str) -> bool {
-    !name.is_empty()
-        && name
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-'))
-}
-
 /// The learned-axis name: `own` for locally originated routes, else the
 /// relation name.
 fn learned_name(l: Option<Relation>) -> &'static str {
@@ -174,45 +168,32 @@ impl PolicyRegime {
     /// Print the canonical `.pol` document (see the module docs for the
     /// fixed shape). `parse_pol` inverts this exactly.
     pub fn to_pol(&self) -> String {
-        let mut out = format!("regime {}\n", self.name);
-        out.push_str(&format!("prefer origin {}\n", self.origin_pref));
+        let mut out = format!("regime {}\nprefer origin {}\n", self.name, self.origin_pref);
         for rel in TO_RELS {
-            out.push_str(&format!(
-                "prefer {} {}\n",
+            let _ = writeln!(
+                out,
+                "prefer {} {}",
                 rel_name(rel),
                 self.rel_pref[rel_idx(rel)]
-            ));
+            );
         }
         for rule in &self.imports.rules {
             let matchers: Vec<String> = rule.matchers.iter().map(fmt_matcher).collect();
             let actions: Vec<String> = rule.actions.iter().map(fmt_action).collect();
-            out.push_str(&format!(
-                "import match {} then {}\n",
-                matchers.join(" "),
-                actions.join(" ")
-            ));
+            let (matchers, actions) = (matchers.join(" "), actions.join(" "));
+            let _ = writeln!(out, "import match {matchers} then {actions}");
         }
         for learned in LEARNED_RELS {
             for to in TO_RELS {
-                let gate = if self.export_allow[learned_idx(learned)][rel_idx(to)] {
-                    "allow"
-                } else {
-                    "deny"
+                let gate = match self.export_allow[learned_idx(learned)][rel_idx(to)] {
+                    true => "allow",
+                    false => "deny",
                 };
-                out.push_str(&format!(
-                    "export {} to {} {}\n",
-                    learned_name(learned),
-                    rel_name(to),
-                    gate
-                ));
+                let _ = writeln!(out, "export {} {gate}", gate_name(learned, to));
             }
         }
         for (c, rel) in &self.deny_communities {
-            out.push_str(&format!(
-                "export deny-community {} to {}\n",
-                c,
-                rel_name(*rel)
-            ));
+            let _ = writeln!(out, "export deny-community {c} to {}", rel_name(*rel));
         }
         out
     }
@@ -224,273 +205,204 @@ impl fmt::Display for PolicyRegime {
     }
 }
 
-/// Token cursor over one directive line; errors carry the line number.
-struct Toks<'a> {
-    toks: Vec<&'a str>,
-    at: usize,
-    line: usize,
+/// A required token, or `MissingToken(what)`.
+fn token<'a>(c: &mut Cursor<'a>, what: &'static str) -> Result<&'a str, PolErrorKind> {
+    c.token().map_err(|_| PolErrorKind::MissingToken(what))
 }
 
-impl<'a> Toks<'a> {
-    fn err(&self, kind: PolErrorKind) -> PolError {
-        PolError {
-            line: self.line,
-            kind,
-        }
-    }
-
-    fn peek(&self) -> Option<&'a str> {
-        self.toks.get(self.at).copied()
-    }
-
-    fn next(&mut self) -> Option<&'a str> {
-        let t = self.peek();
-        if t.is_some() {
-            self.at += 1;
-        }
-        t
-    }
-
-    fn require(&mut self, word: &'static str) -> Result<(), PolError> {
-        match self.next() {
-            Some(t) if t == word => Ok(()),
-            _ => Err(self.err(PolErrorKind::MissingToken(word))),
-        }
-    }
-
-    fn int(&mut self, what: &'static str) -> Result<u32, PolError> {
-        let t = self
-            .next()
-            .ok_or_else(|| self.err(PolErrorKind::MissingToken(what)))?;
-        t.parse::<u32>()
-            .map_err(|_| self.err(PolErrorKind::BadInt(t.to_string())))
-    }
-
-    fn list(&mut self, what: &'static str) -> Result<Vec<u32>, PolError> {
-        let t = self
-            .next()
-            .ok_or_else(|| self.err(PolErrorKind::MissingToken(what)))?;
-        let mut out = Vec::new();
-        for part in t.split(',') {
-            if part.is_empty() {
-                return Err(self.err(PolErrorKind::EmptySet));
-            }
-            let v: u32 = part
-                .parse()
-                .map_err(|_| self.err(PolErrorKind::BadInt(part.to_string())))?;
-            out.push(v);
-        }
-        Ok(out)
-    }
-
-    fn done(&self) -> Result<(), PolError> {
-        match self.peek() {
-            None => Ok(()),
-            Some(t) => Err(self.err(PolErrorKind::Trailing(t.to_string()))),
-        }
-    }
+fn keyword(c: &mut Cursor<'_>, word: &'static str) -> Result<(), PolErrorKind> {
+    c.keyword(word)
+        .map_err(|_| PolErrorKind::MissingToken(word))
 }
 
-fn parse_rule(t: &mut Toks<'_>) -> Result<Rule, PolError> {
-    t.require("match")?;
+fn int(c: &mut Cursor<'_>, what: &'static str) -> Result<u32, PolErrorKind> {
+    c.parse().map_err(|m| bad_int(m, what))
+}
+
+fn list(c: &mut Cursor<'_>, what: &'static str) -> Result<Vec<u32>, PolErrorKind> {
+    let list = c.token().and_then(comma_list);
+    list.map_err(|m| bad_int(m, what))
+}
+
+fn bad_int(m: Miss<'_>, what: &'static str) -> PolErrorKind {
+    m.or(PolErrorKind::MissingToken(what), |t| match t {
+        "" => PolErrorKind::EmptySet,
+        t => PolErrorKind::BadInt(t.to_string()),
+    })
+}
+
+fn relation(c: &mut Cursor<'_>) -> Result<Relation, PolErrorKind> {
+    let r = token(c, "relation")?;
+    rel_from_name(r).ok_or_else(|| PolErrorKind::BadRelation(r.to_string()))
+}
+
+/// The `match <matchers> then <actions>` tail of an `import` line.
+fn parse_rule(c: &mut Cursor<'_>) -> Result<Rule, PolErrorKind> {
+    keyword(c, "match")?;
     let mut matchers = Vec::new();
     loop {
-        let Some(tok) = t.peek() else {
-            return Err(t.err(PolErrorKind::MissingToken("then")));
-        };
-        if tok == "then" {
-            t.next();
-            break;
-        }
-        t.next();
-        let m = match tok {
+        let m = match token(c, "then")? {
+            "then" => break,
             "any" => Matcher::Any,
-            "prefix" => Matcher::Prefix(PrefixSet::new(t.list("prefix list")?)),
-            "community" => Matcher::Community(CommunitySet::new(t.list("community list")?)),
-            "as-in-path" => Matcher::AsInPath(t.int("AS id")?),
-            "learned-from" => {
-                let r = t
-                    .next()
-                    .ok_or_else(|| t.err(PolErrorKind::MissingToken("relation")))?;
-                Matcher::LearnedFrom(
-                    rel_from_name(r)
-                        .ok_or_else(|| t.err(PolErrorKind::BadRelation(r.to_string())))?,
-                )
-            }
-            "path-longer-than" => Matcher::PathLongerThan(t.int("length bound")?),
-            other => return Err(t.err(PolErrorKind::UnknownMatcher(other.to_string()))),
+            "prefix" => Matcher::Prefix(PrefixSet::new(list(c, "prefix list")?)),
+            "community" => Matcher::Community(CommunitySet::new(list(c, "community list")?)),
+            "as-in-path" => Matcher::AsInPath(int(c, "AS id")?),
+            "learned-from" => Matcher::LearnedFrom(relation(c)?),
+            "path-longer-than" => Matcher::PathLongerThan(int(c, "length bound")?),
+            other => return Err(PolErrorKind::UnknownMatcher(other.to_string())),
         };
         matchers.push(m);
     }
     if matchers.is_empty() {
-        return Err(t.err(PolErrorKind::EmptyMatch));
+        return Err(PolErrorKind::EmptyMatch);
     }
     if matchers.len() > 1 && matchers.contains(&Matcher::Any) {
-        return Err(t.err(PolErrorKind::AnyNotAlone));
+        return Err(PolErrorKind::AnyNotAlone);
     }
     let mut actions = Vec::new();
-    while let Some(tok) = t.next() {
-        let a = match tok {
-            "set-local-pref" => Action::SetLocalPref(t.int("local pref")?),
-            "add-community" => Action::AddCommunity(t.int("community")?),
-            "strip-community" => Action::StripCommunity(t.int("community")?),
+    while let Some(tok) = c.next() {
+        actions.push(match tok {
+            "set-local-pref" => Action::SetLocalPref(int(c, "local pref")?),
+            "add-community" => Action::AddCommunity(int(c, "community")?),
+            "strip-community" => Action::StripCommunity(int(c, "community")?),
             "reject" => Action::Reject,
-            other => return Err(t.err(PolErrorKind::UnknownAction(other.to_string()))),
-        };
-        actions.push(a);
+            other => return Err(PolErrorKind::UnknownAction(other.to_string())),
+        });
     }
     if actions.is_empty() {
-        return Err(t.err(PolErrorKind::EmptyActions));
+        return Err(PolErrorKind::EmptyActions);
     }
     Ok(Rule { matchers, actions })
+}
+
+/// What the directive lines of a document have said so far.
+#[derive(Default)]
+struct Draft {
+    name: Option<String>,
+    origin_pref: Option<u32>,
+    rel_pref: [Option<u32>; 3],
+    rules: Vec<Rule>,
+    export_allow: [[Option<bool>; 3]; 4],
+    denies: Vec<(u32, Relation)>,
+}
+
+impl Draft {
+    /// Read one directive line into the draft.
+    fn directive(&mut self, c: &mut Cursor<'_>) -> Result<(), PolErrorKind> {
+        // The walker yields no blank lines, so there is a first token.
+        let head = c.next().unwrap_or_default();
+        if self.name.is_none() && head != "regime" {
+            return Err(PolErrorKind::MissingRegime);
+        }
+        match head {
+            "regime" => {
+                if self.name.is_some() {
+                    return Err(PolErrorKind::DuplicateRegime);
+                }
+                let n = token(c, "name")?;
+                if !valid_name(n) {
+                    return Err(PolErrorKind::BadName(n.to_string()));
+                }
+                self.name = Some(n.to_string());
+            }
+            "prefer" => {
+                let who = token(c, "origin|relation")?;
+                let pref = int(c, "preference")?;
+                let slot = match who {
+                    "origin" => &mut self.origin_pref,
+                    _ => match rel_from_name(who) {
+                        Some(rel) => &mut self.rel_pref[rel_idx(rel)],
+                        None => return Err(PolErrorKind::BadRelation(who.to_string())),
+                    },
+                };
+                if slot.replace(pref).is_some() {
+                    return Err(PolErrorKind::DuplicatePrefer(who.to_string()));
+                }
+            }
+            // A rule runs to the end of its line: nothing can trail it.
+            "import" => self.rules.push(parse_rule(c)?),
+            "export" => match token(c, "learned|deny-community")? {
+                "deny-community" => {
+                    let community = int(c, "community")?;
+                    keyword(c, "to")?;
+                    self.denies.push((community, relation(c)?));
+                }
+                learned => {
+                    let learned = learned_from_name(learned)
+                        .ok_or_else(|| PolErrorKind::BadRelation(learned.to_string()))?;
+                    keyword(c, "to")?;
+                    let to = relation(c)?;
+                    let allow = match token(c, "allow|deny")? {
+                        "allow" => true,
+                        "deny" => false,
+                        other => return Err(PolErrorKind::BadGate(other.to_string())),
+                    };
+                    let slot = &mut self.export_allow[learned_idx(learned)][rel_idx(to)];
+                    if slot.replace(allow).is_some() {
+                        return Err(PolErrorKind::DuplicateExport(gate_name(learned, to)));
+                    }
+                }
+            },
+            other => return Err(PolErrorKind::UnknownDirective(other.to_string())),
+        }
+        c.done().map_err(|t| PolErrorKind::Trailing(t.to_string()))
+    }
+
+    /// The regime the document describes, once every required line is in.
+    fn finish(self) -> Result<PolicyRegime, PolErrorKind> {
+        let name = self.name.ok_or(PolErrorKind::MissingRegime)?;
+        let origin_pref = self
+            .origin_pref
+            .ok_or(PolErrorKind::MissingPrefer("origin"))?;
+        let mut rel_pref = [0u32; 3];
+        for rel in TO_RELS {
+            rel_pref[rel_idx(rel)] =
+                self.rel_pref[rel_idx(rel)].ok_or(PolErrorKind::MissingPrefer(rel_name(rel)))?;
+        }
+        let mut export_allow = [[false; 3]; 4];
+        for learned in LEARNED_RELS {
+            for to in TO_RELS {
+                export_allow[learned_idx(learned)][rel_idx(to)] = self.export_allow
+                    [learned_idx(learned)][rel_idx(to)]
+                .ok_or_else(|| PolErrorKind::MissingExport(gate_name(learned, to)))?;
+            }
+        }
+        let mut deny_communities = self.denies;
+        deny_communities.sort_unstable_by_key(|(c, rel)| (*c, rel_idx(*rel)));
+        deny_communities.dedup();
+        let regime = PolicyRegime {
+            name,
+            origin_pref,
+            rel_pref,
+            imports: PolicyList { rules: self.rules },
+            export_allow,
+            deny_communities,
+        };
+        match regime_communities(&regime).len() {
+            n if n > 64 => Err(PolErrorKind::TooManyCommunities(n)),
+            _ => Ok(regime),
+        }
+    }
+}
+
+/// An export gate as the errors name it: `peer to provider`.
+fn gate_name(learned: Option<Relation>, to: Relation) -> String {
+    format!("{} to {}", learned_name(learned), rel_name(to))
 }
 
 /// Parse a `.pol` document. Strict: one `regime` header first, each
 /// `prefer` line and each of the twelve export gates exactly once, at
 /// most 64 distinct communities, no trailing tokens anywhere.
 pub fn parse_pol(text: &str) -> Result<PolicyRegime, PolError> {
-    let mut name: Option<String> = None;
-    let mut origin_pref: Option<u32> = None;
-    let mut rel_pref: [Option<u32>; 3] = [None; 3];
-    let mut rules: Vec<Rule> = Vec::new();
-    let mut export_allow: [[Option<bool>; 3]; 4] = [[None; 3]; 4];
-    let mut denies: Vec<(u32, Relation)> = Vec::new();
-    let mut last_line = 0;
-    for (i, raw) in text.lines().enumerate() {
-        last_line = i + 1;
-        let line = match raw.find('#') {
-            Some(p) => &raw[..p],
-            None => raw,
-        }
-        .trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut t = Toks {
-            toks: line.split_whitespace().collect(),
-            at: 0,
-            line: last_line,
-        };
-        let Some(head) = t.next() else { continue };
-        if name.is_none() && head != "regime" {
-            return Err(t.err(PolErrorKind::MissingRegime));
-        }
-        match head {
-            "regime" => {
-                if name.is_some() {
-                    return Err(t.err(PolErrorKind::DuplicateRegime));
-                }
-                let n = t
-                    .next()
-                    .ok_or_else(|| t.err(PolErrorKind::MissingToken("name")))?;
-                if !valid_name(n) {
-                    return Err(t.err(PolErrorKind::BadName(n.to_string())));
-                }
-                name = Some(n.to_string());
-                t.done()?;
-            }
-            "prefer" => {
-                let who = t
-                    .next()
-                    .ok_or_else(|| t.err(PolErrorKind::MissingToken("origin|relation")))?;
-                let pref = t.int("preference")?;
-                let slot = match who {
-                    "origin" => &mut origin_pref,
-                    _ => match rel_from_name(who) {
-                        Some(rel) => &mut rel_pref[rel_idx(rel)],
-                        None => return Err(t.err(PolErrorKind::BadRelation(who.to_string()))),
-                    },
-                };
-                if slot.replace(pref).is_some() {
-                    return Err(t.err(PolErrorKind::DuplicatePrefer(who.to_string())));
-                }
-                t.done()?;
-            }
-            "import" => rules.push(parse_rule(&mut t)?),
-            "export" => {
-                let second = t
-                    .next()
-                    .ok_or_else(|| t.err(PolErrorKind::MissingToken("learned|deny-community")))?;
-                if second == "deny-community" {
-                    let c = t.int("community")?;
-                    t.require("to")?;
-                    let r = t
-                        .next()
-                        .ok_or_else(|| t.err(PolErrorKind::MissingToken("relation")))?;
-                    let rel = rel_from_name(r)
-                        .ok_or_else(|| t.err(PolErrorKind::BadRelation(r.to_string())))?;
-                    denies.push((c, rel));
-                    t.done()?;
-                } else {
-                    let learned = learned_from_name(second)
-                        .ok_or_else(|| t.err(PolErrorKind::BadRelation(second.to_string())))?;
-                    t.require("to")?;
-                    let r = t
-                        .next()
-                        .ok_or_else(|| t.err(PolErrorKind::MissingToken("relation")))?;
-                    let to = rel_from_name(r)
-                        .ok_or_else(|| t.err(PolErrorKind::BadRelation(r.to_string())))?;
-                    let gate = t
-                        .next()
-                        .ok_or_else(|| t.err(PolErrorKind::MissingToken("allow|deny")))?;
-                    let allow = match gate {
-                        "allow" => true,
-                        "deny" => false,
-                        other => return Err(t.err(PolErrorKind::BadGate(other.to_string()))),
-                    };
-                    let slot = &mut export_allow[learned_idx(learned)][rel_idx(to)];
-                    if slot.replace(allow).is_some() {
-                        return Err(t.err(PolErrorKind::DuplicateExport(format!(
-                            "{} to {}",
-                            learned_name(learned),
-                            rel_name(to)
-                        ))));
-                    }
-                    t.done()?;
-                }
-            }
-            other => return Err(t.err(PolErrorKind::UnknownDirective(other.to_string()))),
-        }
+    let mut draft = Draft::default();
+    for (line, mut c) in textfmt::lines(text) {
+        draft
+            .directive(&mut c)
+            .map_err(|kind| PolError { line, kind })?;
     }
-    let fail = |kind| PolError {
-        line: last_line,
-        kind,
-    };
-    let name = name.ok_or_else(|| fail(PolErrorKind::MissingRegime))?;
-    let origin_pref = origin_pref.ok_or_else(|| fail(PolErrorKind::MissingPrefer("origin")))?;
-    let mut pref = [0u32; 3];
-    for rel in TO_RELS {
-        pref[rel_idx(rel)] = rel_pref[rel_idx(rel)]
-            .ok_or_else(|| fail(PolErrorKind::MissingPrefer(rel_name(rel))))?;
-    }
-    let mut allow = [[false; 3]; 4];
-    for learned in LEARNED_RELS {
-        for to in TO_RELS {
-            allow[learned_idx(learned)][rel_idx(to)] =
-                export_allow[learned_idx(learned)][rel_idx(to)].ok_or_else(|| {
-                    fail(PolErrorKind::MissingExport(format!(
-                        "{} to {}",
-                        learned_name(learned),
-                        rel_name(to)
-                    )))
-                })?;
-        }
-    }
-    denies.sort_unstable_by_key(|(c, rel)| (*c, rel_idx(*rel)));
-    denies.dedup();
-    let regime = PolicyRegime {
-        name,
-        origin_pref,
-        rel_pref: pref,
-        imports: PolicyList { rules },
-        export_allow: allow,
-        deny_communities: denies,
-    };
-    let n_comms = regime_community_count(&regime);
-    if n_comms > 64 {
-        return Err(fail(PolErrorKind::TooManyCommunities(n_comms)));
-    }
-    Ok(regime)
+    // What the document as a whole never provided is reported at its end.
+    let line = text.lines().count();
+    draft.finish().map_err(|kind| PolError { line, kind })
 }
 
 /// Count the distinct community values a regime mentions anywhere —
@@ -519,10 +431,6 @@ pub(crate) fn regime_communities(regime: &PolicyRegime) -> Vec<u32> {
     vals
 }
 
-fn regime_community_count(regime: &PolicyRegime) -> usize {
-    regime_communities(regime).len()
-}
-
 impl FromStr for PolicyRegime {
     type Err = PolError;
 
@@ -539,10 +447,13 @@ mod tests {
     fn builtins_round_trip_exactly() {
         for regime in PolicyRegime::builtins() {
             let text = regime.to_pol();
-            let back = parse_pol(&text).expect("builtin must parse");
+            let back = textfmt::assert_fixed_point(&text, parse_pol, PolicyRegime::to_pol);
             assert_eq!(back, regime, "value round-trip for {}", regime.name);
-            // Canonical text is a fixed point of print∘parse.
-            assert_eq!(back.to_pol(), text);
+            assert_eq!(
+                back.to_pol(),
+                text,
+                "canonical text is what the printer writes"
+            );
         }
     }
 

@@ -72,7 +72,8 @@ impl QuerydConfig {
 pub enum QueryError {
     /// The request line failed to parse.
     Parse(RequestError),
-    /// The timeline names a link or node absent from the served topology.
+    /// The timeline names a link or node absent from the served topology,
+    /// or carries an offset the clock cannot hold.
     Timeline(TimelineError),
     /// `PROTO` names a protocol the daemon was not started with.
     UnservedProtocol(Protocol),
@@ -118,6 +119,7 @@ impl QueryError {
             QueryError::Parse(_) => "parse",
             QueryError::Timeline(TimelineError::NoSuchLink(..)) => "no-such-link",
             QueryError::Timeline(TimelineError::NoSuchNode(_)) => "no-such-node",
+            QueryError::Timeline(TimelineError::OffsetTooLarge(_)) => "offset-too-large",
             QueryError::UnservedProtocol(_) => "unserved-protocol",
             QueryError::UnservedDest(_) => "unserved-dest",
             QueryError::NoSuchAs(_) => "no-such-as",
@@ -281,6 +283,10 @@ impl QueryEngine {
         // the daemon. Converging cells never see the clamp.
         params.phase_deadline = params.phase_deadline.min(self.cfg.query_deadline);
         let timeline = self.timeline_of(shape);
+        // The refusal point: every event resolves against the served
+        // topology and every offset fits the clock, or no cell runs (the
+        // cell runner itself treats an unresolvable timeline as a bug).
+        timeline.resolve(&self.g).map_err(QueryError::Timeline)?;
         let g_after = timeline
             .graph_after(&self.g)
             .map_err(QueryError::Timeline)?;

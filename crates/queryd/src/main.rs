@@ -17,6 +17,7 @@
 
 use stamp_eventsim::rng::tags;
 use stamp_eventsim::rng_stream;
+use stamp_eventsim::textfmt;
 use stamp_queryd::{serve, serve_tcp, QueryEngine, QuerydConfig};
 use stamp_topology::gen::{generate, GenConfig};
 use stamp_workload::{choose_k, destination_candidates, Protocol, RunParams};
@@ -48,56 +49,24 @@ struct Args {
 }
 
 fn parse_flags() -> Result<Args, String> {
-    let mut args = Args {
-        smoke: false,
-        fast: false,
-        ases: None,
-        seed: 0xCA4A16,
-        dests: None,
-        protocols: vec![Protocol::Bgp, Protocol::Rbgp, Protocol::Stamp],
-        cache_cap: None,
-        port: None,
-    };
     // simlint::allow(ambient-env, "CLI flags of the daemon binary, not sim state")
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .ok_or_else(|| format!("{name} needs a value\n{USAGE}"))
-        };
-        match flag.as_str() {
-            "--smoke" => args.smoke = true,
-            "--fast" => args.fast = true,
-            "--ases" => {
-                args.ases = Some(parse_num(&value("--ases")?)?);
-            }
-            "--seed" => {
-                args.seed = parse_num(&value("--seed")?)?;
-            }
-            "--dests" => {
-                args.dests = Some(parse_num(&value("--dests")?)?);
-            }
-            "--cache-cap" => {
-                args.cache_cap = Some(parse_num(&value("--cache-cap")?)?);
-            }
-            "--port" => {
-                args.port = Some(parse_num(&value("--port")?)?);
-            }
-            "--protocols" => {
-                args.protocols = value("--protocols")?
-                    .split(',')
-                    .map(|s| s.parse::<Protocol>().map_err(|e| e.to_string()))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
-        }
+    let line = std::env::args().skip(1).collect::<Vec<_>>().join(" ");
+    let mut flags = textfmt::Args::new(&line);
+    if flags.flag("--help") || flags.flag("-h") {
+        return Err(String::new());
     }
-    Ok(args)
-}
-
-fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("bad number: {s}"))
+    let protocols = flags.list("--protocols")?;
+    let args = Args {
+        smoke: flags.flag("--smoke"),
+        fast: flags.flag("--fast"),
+        ases: flags.value("--ases")?,
+        seed: flags.value("--seed")?.unwrap_or(0xCA4A16),
+        dests: flags.value("--dests")?,
+        protocols: protocols.unwrap_or(vec![Protocol::Bgp, Protocol::Rbgp, Protocol::Stamp]),
+        cache_cap: flags.value("--cache-cap")?,
+        port: flags.value("--port")?,
+    };
+    flags.done().map(|()| args)
 }
 
 fn build_engine(args: &Args) -> Result<QueryEngine, String> {
@@ -131,7 +100,7 @@ fn main() {
     let args = match parse_flags() {
         Ok(a) => a,
         Err(msg) => {
-            eprintln!("{msg}");
+            eprintln!("{msg}\n{USAGE}");
             std::process::exit(2);
         }
     };

@@ -24,13 +24,14 @@
 //! is byte-identical (the same guarantee the `.scn` DSL makes, proven by
 //! the property suite in `tests/queryd.rs`).
 
+use stamp_eventsim::textfmt::{comma_list, Cursor};
 use stamp_eventsim::SimDuration;
 use stamp_topology::AsId;
 use stamp_workload::sim::ProtocolSpec;
 use stamp_workload::{
     parse_scn, CacheStats, InstanceMetrics, Protocol, RunOutcome, ScnError, Timeline,
 };
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::str::FromStr;
 
 /// Longest request line the daemon will parse. Anything longer answers
@@ -164,6 +165,18 @@ impl fmt::Display for RequestError {
 impl std::error::Error for RequestError {}
 
 impl RequestError {
+    /// `actual` is within `limit`, or the `TooLarge` refusal naming `what`.
+    pub(crate) fn bound(what: &'static str, actual: usize, limit: usize) -> Result<(), Self> {
+        if actual <= limit {
+            return Ok(());
+        }
+        Err(RequestError::TooLarge {
+            what,
+            actual,
+            limit,
+        })
+    }
+
     /// The wire form: every parse failure answers as an `ERR` response.
     /// Oversize input gets its own code so clients can tell "rejected by
     /// policy" from "malformed".
@@ -187,236 +200,151 @@ fn inline_scn(t: &Timeline) -> String {
 }
 
 fn parse_inline_scn(body: &str) -> Result<Timeline, RequestError> {
-    let doc = body
-        .split(';')
-        .map(str::trim)
-        .collect::<Vec<_>>()
-        .join("\n");
-    parse_scn(&doc).map_err(RequestError::BadScn)
+    if body.is_empty() {
+        return Err(RequestError::MissingArg("inline .scn timeline"));
+    }
+    let lines: Vec<&str> = body.split(';').map(str::trim).collect();
+    let t = parse_scn(&lines.join("\n")).map_err(RequestError::BadScn)?;
+    RequestError::bound("inline .scn event count", t.events().len(), MAX_SCN_EVENTS)?;
+    Ok(t)
 }
 
 impl fmt::Display for Request {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let opts = |f: &mut fmt::Formatter<'_>,
-                    proto: &Option<Protocol>,
-                    dest: &Option<AsId>,
-                    policy: &Option<String>|
-         -> fmt::Result {
-            if let Some(p) = proto {
-                write!(f, " PROTO {}", proto_token(*p))?;
-            }
-            if let Some(d) = dest {
-                write!(f, " DEST {}", d.0)?;
-            }
-            if let Some(r) = policy {
-                write!(f, " POLICY {r}")?;
-            }
-            Ok(())
-        };
-        match self {
+        let (shape, proto, dest, policy) = match self {
             Request::WhatIf {
                 shape,
                 proto,
                 dest,
                 policy,
-            } => match shape {
-                WhatIfShape::FailLink(a, b) => {
-                    write!(f, "WHATIF FAIL-LINK {} {}", a.0, b.0)?;
-                    opts(f, proto, dest, policy)
-                }
-                WhatIfShape::DrainNode(v) => {
-                    write!(f, "WHATIF DRAIN-NODE {}", v.0)?;
-                    opts(f, proto, dest, policy)
-                }
-                WhatIfShape::Scn(t) => {
-                    write!(f, "WHATIF SCN")?;
-                    opts(f, proto, dest, policy)?;
-                    write!(f, " {}", inline_scn(t))
-                }
-            },
-            Request::ShowBaselines => write!(f, "SHOW BASELINES"),
-            Request::ShowCache => write!(f, "SHOW CACHE"),
-            Request::ShowPolicies => write!(f, "SHOW POLICIES"),
+            } => (shape, proto, dest, policy),
+            Request::ShowBaselines => return write!(f, "SHOW BASELINES"),
+            Request::ShowCache => return write!(f, "SHOW CACHE"),
+            Request::ShowPolicies => return write!(f, "SHOW POLICIES"),
             Request::ShowRoute { dest, from } => {
-                write!(f, "SHOW ROUTE {} FROM {}", dest.0, from.0)
+                return write!(f, "SHOW ROUTE {} FROM {}", dest.0, from.0)
             }
-            Request::ShowDisjointness { dest } => write!(f, "SHOW DISJOINTNESS {}", dest.0),
-            Request::Quit => write!(f, "QUIT"),
+            Request::ShowDisjointness { dest } => return write!(f, "SHOW DISJOINTNESS {}", dest.0),
+            Request::Quit => return write!(f, "QUIT"),
+        };
+        match shape {
+            WhatIfShape::FailLink(a, b) => write!(f, "WHATIF FAIL-LINK {} {}", a.0, b.0)?,
+            WhatIfShape::DrainNode(v) => write!(f, "WHATIF DRAIN-NODE {}", v.0)?,
+            WhatIfShape::Scn(_) => write!(f, "WHATIF SCN")?,
+        }
+        if let Some(p) = proto {
+            write!(f, " PROTO {}", proto_token(*p))?;
+        }
+        if let Some(d) = dest {
+            write!(f, " DEST {}", d.0)?;
+        }
+        if let Some(r) = policy {
+            write!(f, " POLICY {r}")?;
+        }
+        // The one shape whose arguments follow the options: the timeline
+        // rides to the end of the line.
+        match shape {
+            WhatIfShape::Scn(t) => write!(f, " {}", inline_scn(t)),
+            _ => Ok(()),
         }
     }
 }
 
-fn parse_as_id(tok: Option<&str>, what: &'static str) -> Result<AsId, RequestError> {
-    let t = tok.ok_or(RequestError::MissingArg(what))?;
-    t.parse::<u32>()
-        .map(AsId)
-        .map_err(|_| RequestError::BadAsId(t.to_string()))
+/// A required token, or `MissingArg(what)`.
+fn word<'a>(c: &mut Cursor<'a>, what: &'static str) -> Result<&'a str, RequestError> {
+    c.token().map_err(|_| RequestError::MissingArg(what))
 }
 
-/// The optional narrowers of a `WHATIF` query.
-#[derive(Default)]
-struct WhatIfOpts {
-    proto: Option<Protocol>,
-    dest: Option<AsId>,
-    policy: Option<String>,
+fn as_id(c: &mut Cursor<'_>, what: &'static str) -> Result<AsId, RequestError> {
+    let t = word(c, what)?;
+    let id = t.parse().map(AsId);
+    id.map_err(|_| RequestError::BadAsId(t.to_string()))
 }
 
-/// Consume leading `PROTO <p>` / `DEST <d>` / `POLICY <r>` options (each
-/// at most once, any order) and return how many tokens they took.
-fn parse_opts_prefix(toks: &[&str]) -> Result<(WhatIfOpts, usize), RequestError> {
-    let mut opts = WhatIfOpts::default();
-    let mut i = 0;
-    while i < toks.len() {
-        match toks[i].to_ascii_uppercase().as_str() {
-            "PROTO" if opts.proto.is_none() => {
-                let t = toks
-                    .get(i + 1)
-                    .ok_or(RequestError::MissingArg("PROTO value"))?;
-                opts.proto = Some(
-                    t.parse::<Protocol>()
-                        .map_err(|_| RequestError::BadProtocol(t.to_string()))?,
-                );
-                i += 2;
+fn parse_whatif(c: &mut Cursor<'_>) -> Result<Request, RequestError> {
+    let args = match word(c, "WHATIF shape")?.to_ascii_uppercase().as_str() {
+        "FAIL-LINK" => Some(WhatIfShape::FailLink(
+            as_id(c, "FAIL-LINK endpoint a")?,
+            as_id(c, "FAIL-LINK endpoint b")?,
+        )),
+        "DRAIN-NODE" => Some(WhatIfShape::DrainNode(as_id(c, "DRAIN-NODE node")?)),
+        "SCN" => None,
+        other => return Err(RequestError::UnknownWhatIf(other.to_string())),
+    };
+    // `PROTO <p>` / `DEST <d>` / `POLICY <r>`: each at most once, any
+    // order, up to the first token that is not one.
+    let (mut proto, mut dest, mut policy) = (None, None, None);
+    while let Some(option) = c.peek().map(str::to_ascii_uppercase) {
+        match option.as_str() {
+            "PROTO" if proto.is_none() => {
+                c.next();
+                let t = word(c, "PROTO value")?;
+                let p = t.parse::<Protocol>();
+                proto = Some(p.map_err(|_| RequestError::BadProtocol(t.to_string()))?);
             }
-            "DEST" if opts.dest.is_none() => {
-                opts.dest = Some(parse_as_id(toks.get(i + 1).copied(), "DEST value")?);
-                i += 2;
+            "DEST" if dest.is_none() => {
+                c.next();
+                dest = Some(as_id(c, "DEST value")?);
             }
-            "POLICY" if opts.policy.is_none() => {
-                let t = toks
-                    .get(i + 1)
-                    .ok_or(RequestError::MissingArg("POLICY value"))?;
-                opts.policy = Some(t.to_string());
-                i += 2;
+            "POLICY" if policy.is_none() => {
+                c.next();
+                policy = Some(word(c, "POLICY value")?.to_string());
             }
             _ => break,
         }
     }
-    Ok((opts, i))
+    let shape = match args {
+        Some(shape) => shape,
+        None => WhatIfShape::Scn(parse_inline_scn(c.rest())?),
+    };
+    Ok(Request::WhatIf {
+        shape,
+        proto,
+        dest,
+        policy,
+    })
 }
 
-/// Like [`parse_opts_prefix`] but the options must consume the whole
-/// remainder (shapes whose arguments precede the options).
-fn parse_opts_all(toks: &[&str]) -> Result<WhatIfOpts, RequestError> {
-    let (opts, used) = parse_opts_prefix(toks)?;
-    if used < toks.len() {
-        return Err(RequestError::Trailing(toks[used..].join(" ")));
-    }
-    Ok(opts)
-}
-
-fn expect_end(toks: &[&str]) -> Result<(), RequestError> {
-    if toks.is_empty() {
-        Ok(())
-    } else {
-        Err(RequestError::Trailing(toks.join(" ")))
-    }
+fn parse_show(c: &mut Cursor<'_>) -> Result<Request, RequestError> {
+    Ok(
+        match word(c, "SHOW subject")?.to_ascii_uppercase().as_str() {
+            "BASELINES" => Request::ShowBaselines,
+            "CACHE" => Request::ShowCache,
+            "POLICIES" => Request::ShowPolicies,
+            "ROUTE" => {
+                let dest = as_id(c, "ROUTE destination")?;
+                if !c.next().is_some_and(|t| t.eq_ignore_ascii_case("FROM")) {
+                    return Err(RequestError::MissingArg("FROM keyword"));
+                }
+                let from = as_id(c, "ROUTE source")?;
+                Request::ShowRoute { dest, from }
+            }
+            "DISJOINTNESS" => Request::ShowDisjointness {
+                dest: as_id(c, "DISJOINTNESS destination")?,
+            },
+            other => return Err(RequestError::UnknownShow(other.to_string())),
+        },
+    )
 }
 
 impl FromStr for Request {
     type Err = RequestError;
 
     fn from_str(s: &str) -> Result<Request, RequestError> {
-        if s.len() > MAX_REQUEST_LINE {
-            return Err(RequestError::TooLarge {
-                what: "request line",
-                actual: s.len(),
-                limit: MAX_REQUEST_LINE,
-            });
-        }
-        let toks: Vec<&str> = s.split_ascii_whitespace().collect();
-        let head = toks.first().ok_or(RequestError::Empty)?;
-        match head.to_ascii_uppercase().as_str() {
-            "WHATIF" => {
-                let shape_tok = toks
-                    .get(1)
-                    .ok_or(RequestError::MissingArg("WHATIF shape"))?;
-                match shape_tok.to_ascii_uppercase().as_str() {
-                    "FAIL-LINK" => {
-                        let a = parse_as_id(toks.get(2).copied(), "FAIL-LINK endpoint a")?;
-                        let b = parse_as_id(toks.get(3).copied(), "FAIL-LINK endpoint b")?;
-                        let opts = parse_opts_all(&toks[4..])?;
-                        Ok(Request::WhatIf {
-                            shape: WhatIfShape::FailLink(a, b),
-                            proto: opts.proto,
-                            dest: opts.dest,
-                            policy: opts.policy,
-                        })
-                    }
-                    "DRAIN-NODE" => {
-                        let v = parse_as_id(toks.get(2).copied(), "DRAIN-NODE node")?;
-                        let opts = parse_opts_all(&toks[3..])?;
-                        Ok(Request::WhatIf {
-                            shape: WhatIfShape::DrainNode(v),
-                            proto: opts.proto,
-                            dest: opts.dest,
-                            policy: opts.policy,
-                        })
-                    }
-                    "SCN" => {
-                        let (opts, used) = parse_opts_prefix(&toks[2..])?;
-                        let body = toks[2 + used..].join(" ");
-                        if body.is_empty() {
-                            return Err(RequestError::MissingArg("inline .scn timeline"));
-                        }
-                        let t = parse_inline_scn(&body)?;
-                        if t.events().len() > MAX_SCN_EVENTS {
-                            return Err(RequestError::TooLarge {
-                                what: "inline .scn event count",
-                                actual: t.events().len(),
-                                limit: MAX_SCN_EVENTS,
-                            });
-                        }
-                        Ok(Request::WhatIf {
-                            shape: WhatIfShape::Scn(t),
-                            proto: opts.proto,
-                            dest: opts.dest,
-                            policy: opts.policy,
-                        })
-                    }
-                    other => Err(RequestError::UnknownWhatIf(other.to_string())),
-                }
-            }
-            "SHOW" => {
-                let what = toks
-                    .get(1)
-                    .ok_or(RequestError::MissingArg("SHOW subject"))?;
-                match what.to_ascii_uppercase().as_str() {
-                    "BASELINES" => {
-                        expect_end(&toks[2..])?;
-                        Ok(Request::ShowBaselines)
-                    }
-                    "CACHE" => {
-                        expect_end(&toks[2..])?;
-                        Ok(Request::ShowCache)
-                    }
-                    "POLICIES" => {
-                        expect_end(&toks[2..])?;
-                        Ok(Request::ShowPolicies)
-                    }
-                    "ROUTE" => {
-                        let dest = parse_as_id(toks.get(2).copied(), "ROUTE destination")?;
-                        match toks.get(3).map(|t| t.to_ascii_uppercase()) {
-                            Some(ref kw) if kw == "FROM" => {}
-                            _ => return Err(RequestError::MissingArg("FROM keyword")),
-                        }
-                        let from = parse_as_id(toks.get(4).copied(), "ROUTE source")?;
-                        expect_end(&toks[5..])?;
-                        Ok(Request::ShowRoute { dest, from })
-                    }
-                    "DISJOINTNESS" => {
-                        let dest = parse_as_id(toks.get(2).copied(), "DISJOINTNESS destination")?;
-                        expect_end(&toks[3..])?;
-                        Ok(Request::ShowDisjointness { dest })
-                    }
-                    other => Err(RequestError::UnknownShow(other.to_string())),
-                }
-            }
-            "QUIT" => {
-                expect_end(&toks[1..])?;
-                Ok(Request::Quit)
-            }
-            other => Err(RequestError::UnknownCommand(other.to_string())),
+        RequestError::bound("request line", s.len(), MAX_REQUEST_LINE)?;
+        let mut c = Cursor::new(s);
+        // Keywords are case-insensitive; errors quote the canonical upper case.
+        let head = c.next().ok_or(RequestError::Empty)?.to_ascii_uppercase();
+        let request = match head.as_str() {
+            "WHATIF" => parse_whatif(&mut c)?,
+            "SHOW" => parse_show(&mut c)?,
+            "QUIT" => Request::Quit,
+            other => return Err(RequestError::UnknownCommand(other.to_string())),
+        };
+        // One trailing check for every request shape.
+        match c.done() {
+            Ok(()) => Ok(request),
+            Err(_) => Err(RequestError::Trailing(c.collect::<Vec<_>>().join(" "))),
         }
     }
 }
@@ -429,7 +357,7 @@ impl FromStr for Request {
 /// the [`InstanceMetrics`] of the matching campaign cell (the bit-identity
 /// contract); `delta_affected` is `affected` relative to the destination's
 /// first protocol row (the per-protocol delta the paper's bars compare).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct WhatIfRow {
     pub dest: AsId,
     pub proto: Protocol,
@@ -441,7 +369,7 @@ pub struct WhatIfRow {
 }
 
 /// One resident baseline of `SHOW BASELINES`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BaselineRow {
     pub proto: Protocol,
     pub dest: AsId,
@@ -453,7 +381,7 @@ pub struct BaselineRow {
 /// regime's canonical-`.pol` FNV-1a hash — the same value that keys the
 /// baseline cache, so a client can predict cache aliasing from this
 /// listing alone.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PolicyRow {
     pub name: String,
     pub default: bool,
@@ -464,7 +392,7 @@ pub struct PolicyRow {
 
 /// One per-protocol path row of `SHOW ROUTE` (empty `hops` = no route;
 /// STAMP contributes one row per colour).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RouteRow {
     pub proto: Protocol,
     pub hops: Vec<AsId>,
@@ -506,150 +434,6 @@ pub enum Response {
     Bye,
 }
 
-fn fmt_hops(hops: &[AsId]) -> String {
-    if hops.is_empty() {
-        "none".to_string()
-    } else {
-        hops.iter()
-            .map(|v| v.0.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    }
-}
-
-impl fmt::Display for Response {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Response::WhatIf {
-                scenario,
-                events,
-                rows,
-            } => {
-                // A divergence anywhere in the fan-out promotes the whole
-                // frame: the header keyword is derived from the rows, so
-                // the exact parse/format round-trip is preserved.
-                let keyword = if rows.iter().any(|r| r.metrics.outcome.is_diverged()) {
-                    "DIVERGED"
-                } else {
-                    "WHATIF"
-                };
-                writeln!(
-                    f,
-                    "{keyword} scenario={scenario} events={events} rows={}",
-                    rows.len()
-                )?;
-                for r in rows {
-                    let m = &r.metrics;
-                    let (period_us, churn) = match m.outcome {
-                        RunOutcome::Diverged { period, churn } => (period.as_micros(), churn),
-                        _ => (0, 0),
-                    };
-                    writeln!(
-                        f,
-                        "row dest={} proto={} unreachable={} affected={} loops={} \
-                         blackholes={} control={} updates_initial={} updates_failure={} \
-                         convergence_s={} recovery_s={} paths={} outcome={} period_us={} \
-                         churn={} delta_affected={}",
-                        r.dest.0,
-                        proto_token(r.proto),
-                        r.unreachable,
-                        m.affected,
-                        m.affected_loops,
-                        m.affected_blackholes,
-                        m.control_affected,
-                        m.updates_initial,
-                        m.updates_failure,
-                        m.convergence_delay_s,
-                        m.data_recovery_s,
-                        m.interned_paths,
-                        outcome_token(m.outcome),
-                        period_us,
-                        churn,
-                        r.delta_affected,
-                    )?;
-                }
-            }
-            Response::Baselines {
-                ases,
-                links,
-                seed,
-                rows,
-            } => {
-                writeln!(
-                    f,
-                    "BASELINES ases={ases} links={links} seed={seed} rows={}",
-                    rows.len()
-                )?;
-                for r in rows {
-                    writeln!(
-                        f,
-                        "baseline proto={} dest={} updates_initial={} paths={}",
-                        proto_token(r.proto),
-                        r.dest.0,
-                        r.updates_initial,
-                        r.paths,
-                    )?;
-                }
-            }
-            Response::Cache(s) => {
-                let cap = match s.capacity {
-                    Some(c) => c.to_string(),
-                    None => "unbounded".to_string(),
-                };
-                writeln!(
-                    f,
-                    "CACHE capacity={cap} len={} hits={} misses={} evictions={}",
-                    s.len, s.hits, s.misses, s.evictions
-                )?;
-            }
-            Response::Policies { rows } => {
-                writeln!(f, "POLICIES rows={}", rows.len())?;
-                for r in rows {
-                    writeln!(
-                        f,
-                        "policy name={} default={} rules={} fingerprint={:016x}",
-                        r.name, r.default, r.rules, r.fingerprint,
-                    )?;
-                }
-            }
-            Response::Route { dest, from, rows } => {
-                writeln!(
-                    f,
-                    "ROUTE dest={} from={} rows={}",
-                    dest.0,
-                    from.0,
-                    rows.len()
-                )?;
-                for r in rows {
-                    writeln!(
-                        f,
-                        "path proto={} hops={}",
-                        proto_token(r.proto),
-                        fmt_hops(&r.hops)
-                    )?;
-                }
-            }
-            Response::Disjointness {
-                dest,
-                two_disjoint,
-                max_disjoint,
-            } => {
-                writeln!(
-                    f,
-                    "DISJOINTNESS dest={} two_disjoint={two_disjoint} max_disjoint={max_disjoint}",
-                    dest.0
-                )?;
-            }
-            Response::Error { code, message } => {
-                // The message rides to the end of the line; keep it one line.
-                writeln!(f, "ERR code={code} msg={}", message.replace('\n', " "))?;
-            }
-            Response::Bye => writeln!(f, "BYE")?,
-        }
-        writeln!(f, "END")
-    }
-}
-
 /// Failure to parse a response document (used by clients and the
 /// round-trip property suite).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -667,363 +451,362 @@ impl fmt::Display for ResponseParseError {
 
 impl std::error::Error for ResponseParseError {}
 
-/// A strict in-order `key=value` field reader over one line's tokens.
-struct Fields<'a> {
-    toks: std::str::SplitAsciiWhitespace<'a>,
+/// How a field's value is spelled after its `key=`.
+trait Value: Sized {
+    fn put(&self, out: &mut String);
+    fn get(v: &str) -> Option<Self>;
+}
+
+/// `types => |self| what to print, |v| how to parse it back;`
+macro_rules! values {
+    ($($($t:ty),+ => |$s:ident| $put:expr, |$v:ident| $get:expr;)*) => {$($(
+        impl Value for $t {
+            fn put(&self, out: &mut String) {
+                let $s = self;
+                let _ = write!(out, "{}", $put);
+            }
+            fn get($v: &str) -> Option<$t> {
+                $get
+            }
+        }
+    )+)*};
+}
+
+values! {
+    u32, u64, usize, i64, bool, String => |s| s, |v| v.parse().ok();
+    // Shortest-round-trip `Display`: format→parse→format is byte-exact. A
+    // non-finite number is refused (`NaN != NaN` has no fixed point).
+    f64 => |s| s, |v| v.parse().ok().filter(|x: &f64| x.is_finite());
+    AsId => |s| s.0, |v| v.parse().ok().map(AsId);
+    Protocol => |s| proto_token(*s), |v| v.parse().ok();
+    // The discriminant only: period and churn ride in fields of their own.
+    RunOutcome => |s| outcome_token(*s), |v| {
+        let diverged = RunOutcome::Diverged { period: SimDuration::ZERO, churn: 0 };
+        let all = [RunOutcome::Converged, diverged, RunOutcome::BudgetExhausted];
+        all.into_iter().find(|o| outcome_token(*o) == v)
+    };
+    // A cache bound.
+    Option<usize> => |s| s.map_or_else(|| "unbounded".into(), |cap| cap.to_string()), |v| match v {
+        "unbounded" => Some(None),
+        _ => v.parse().ok().map(Some),
+    };
+    // An AS path.
+    Vec<AsId> => |s| match s.as_slice() {
+        [] => "none".to_string(),
+        hops => hops.iter().map(|v| v.0.to_string()).collect::<Vec<_>>().join(","),
+    }, |v| match v {
+        "none" => Some(Vec::new()),
+        _ => Some(comma_list(v).ok()?.into_iter().map(AsId).collect()),
+    };
+    Hex => |s| format_args!("{:016x}", s.0), |v| u64::from_str_radix(v, 16).ok().map(Hex);
+}
+
+/// A fingerprint: sixteen hex digits.
+struct Hex(u64);
+
+type Walked = Result<(), ResponseParseError>;
+
+/// One pass over a frame's fields, either way: printing appends
+/// ` key=value` to `out`, parsing overwrites each value from the next
+/// `key=` token of `c`. A line lists its fields once, by `&mut`, and the one
+/// list serves both: printer and parser cannot disagree on a key, on the
+/// order, or on which fields exist.
+#[derive(Default)]
+struct Io<'a> {
+    /// The text so far when printing, `None` when parsing.
+    out: Option<String>,
+    c: Cursor<'a>,
+    /// 1-based line of `c` within the frame (0 = the frame as a whole).
     line: usize,
+    /// The lines between header and `END`, until [`Io::rows`] takes them.
+    body: &'a [&'a str],
 }
 
-impl<'a> Fields<'a> {
-    fn new(line_text: &'a str, line: usize) -> Fields<'a> {
-        Fields {
-            toks: line_text.split_ascii_whitespace(),
-            line,
+impl Io<'_> {
+    fn err(&self, msg: String) -> ResponseParseError {
+        let line = self.line;
+        ResponseParseError { line, msg }
+    }
+
+    /// End a line: parsing, it must be used up (printing, `c` is empty).
+    fn close(&self) -> Walked {
+        let done = self.c.done();
+        done.map_err(|t| self.err(format!("unexpected trailing token {t:?}")))
+    }
+
+    fn f<V: Value>(&mut self, key: &str, v: &mut V) -> Walked {
+        if let Some(out) = &mut self.out {
+            let _ = write!(out, " {key}=");
+            v.put(out);
+            return Ok(());
         }
+        let token = self.c.field(key).map_err(|m| {
+            self.err(m.or(format!("missing field {key}="), |t| {
+                format!("expected field {key}=, got {t:?}")
+            }))
+        })?;
+        *v = V::get(token)
+            .ok_or_else(|| self.err(format!("bad value {token:?} for field {key}")))?;
+        Ok(())
     }
 
-    fn err(&self, msg: impl Into<String>) -> ResponseParseError {
-        ResponseParseError {
-            line: self.line,
-            msg: msg.into(),
+    /// A free-text field that rides to the end of its line (kept to one).
+    fn tail(&mut self, key: &str, text: &mut String) -> Walked {
+        if let Some(out) = &mut self.out {
+            let _ = write!(out, " {key}={}", text.replace('\n', " "));
+            return Ok(());
         }
+        let rest = self.c.rest();
+        let v = rest.strip_prefix(key).and_then(|v| v.strip_prefix('='));
+        *text = v
+            .ok_or_else(|| self.err(format!("missing field {key}=")))?
+            .to_string();
+        Ok(())
     }
 
-    /// The next raw token (the line's leading keyword).
-    fn word(&mut self, want: &str) -> Result<(), ResponseParseError> {
-        match self.toks.next() {
-            Some(t) if t == want => Ok(()),
-            other => Err(self.err(format!("expected {want:?}, got {other:?}"))),
+    /// The header's closing `rows=N`, then one `keyword …` line per row: the
+    /// one row loop, both ways. Printing has no body lines and walks the
+    /// rows it was given. Parsing starts from no rows and makes a blank one
+    /// per body line that arrived; `rows=` is compared with that count
+    /// afterwards and never sizes anything.
+    fn rows<R: Walk + Default>(&mut self, keyword: &str, rows: &mut Vec<R>) -> Walked {
+        let mut announced = rows.len();
+        self.f("rows", &mut announced)?;
+        self.close()?;
+        let lines = std::mem::take(&mut self.body);
+        rows.resize_with(rows.len() + lines.len(), R::default);
+        for (i, row) in rows.iter_mut().enumerate() {
+            if let Some(out) = &mut self.out {
+                out.push('\n');
+                out.push_str(keyword);
+            } else {
+                (self.c, self.line) = (Cursor::new(lines.get(i).unwrap_or(&"")), i + 2);
+                self.c.keyword(keyword).map_err(|m| {
+                    self.err(format!("expected {keyword:?}, got {:?}", m.or(None, Some)))
+                })?;
+            }
+            row.walk(self)?;
+            self.close()?;
         }
+        self.line = 0;
+        if rows.len() != announced {
+            return Err(self.err("row count does not match rows= header".to_string()));
+        }
+        Ok(())
     }
+}
 
-    /// The next token must be `key=<value>`; returns the value.
-    fn value(&mut self, key: &str) -> Result<&'a str, ResponseParseError> {
-        let t = self
-            .toks
-            .next()
-            .ok_or_else(|| self.err(format!("missing field {key}=")))?;
-        t.strip_prefix(key)
-            .and_then(|r| r.strip_prefix('='))
-            .ok_or_else(|| self.err(format!("expected field {key}=, got {t:?}")))
+/// A frame line: the fields after its keyword, in wire order.
+trait Walk {
+    fn walk(&mut self, io: &mut Io<'_>) -> Walked;
+}
+
+impl Walk for WhatIfRow {
+    fn walk(&mut self, io: &mut Io<'_>) -> Walked {
+        let m = &mut self.metrics;
+        io.f("dest", &mut self.dest)?;
+        io.f("proto", &mut self.proto)?;
+        io.f("unreachable", &mut self.unreachable)?;
+        io.f("affected", &mut m.affected)?;
+        io.f("loops", &mut m.affected_loops)?;
+        io.f("blackholes", &mut m.affected_blackholes)?;
+        io.f("control", &mut m.control_affected)?;
+        io.f("updates_initial", &mut m.updates_initial)?;
+        io.f("updates_failure", &mut m.updates_failure)?;
+        io.f("convergence_s", &mut m.convergence_delay_s)?;
+        io.f("recovery_s", &mut m.data_recovery_s)?;
+        io.f("paths", &mut m.interned_paths)?;
+        io.f("outcome", &mut m.outcome)?;
+        // Both zero unless the row diverged.
+        let (mut period_us, mut churn) = match m.outcome {
+            RunOutcome::Diverged { period, churn } => (period.as_micros(), churn),
+            _ => (0, 0),
+        };
+        io.f("period_us", &mut period_us)?;
+        io.f("churn", &mut churn)?;
+        if m.outcome.is_diverged() {
+            let period = SimDuration::from_micros(period_us);
+            m.outcome = RunOutcome::Diverged { period, churn };
+        }
+        io.f("delta_affected", &mut self.delta_affected)
     }
+}
 
-    fn parse<T: FromStr>(&mut self, key: &str) -> Result<T, ResponseParseError> {
-        let v = self.value(key)?;
-        v.parse::<T>()
-            .map_err(|_| self.err(format!("bad value {v:?} for field {key}")))
+impl Walk for BaselineRow {
+    fn walk(&mut self, io: &mut Io<'_>) -> Walked {
+        io.f("proto", &mut self.proto)?;
+        io.f("dest", &mut self.dest)?;
+        io.f("updates_initial", &mut self.updates_initial)?;
+        io.f("paths", &mut self.paths)
     }
+}
 
-    fn as_id(&mut self, key: &str) -> Result<AsId, ResponseParseError> {
-        self.parse::<u32>(key).map(AsId)
+impl Walk for PolicyRow {
+    fn walk(&mut self, io: &mut Io<'_>) -> Walked {
+        io.f("name", &mut self.name)?;
+        io.f("default", &mut self.default)?;
+        io.f("rules", &mut self.rules)?;
+        let mut fingerprint = Hex(self.fingerprint);
+        io.f("fingerprint", &mut fingerprint)?;
+        self.fingerprint = fingerprint.0;
+        Ok(())
     }
+}
 
-    fn proto(&mut self, key: &str) -> Result<Protocol, ResponseParseError> {
-        let v = self.value(key)?;
-        v.parse::<Protocol>()
-            .map_err(|_| self.err(format!("unknown protocol {v:?}")))
+impl Walk for RouteRow {
+    fn walk(&mut self, io: &mut Io<'_>) -> Walked {
+        io.f("proto", &mut self.proto)?;
+        io.f("hops", &mut self.hops)
     }
+}
 
-    fn done(mut self) -> Result<(), ResponseParseError> {
-        match self.toks.next() {
-            None => Ok(()),
-            Some(t) => Err(ResponseParseError {
-                line: self.line,
-                msg: format!("unexpected trailing token {t:?}"),
-            }),
+/// The header line after its keyword (which [`Response::keywords`] owns)
+/// and, through [`Io::rows`], the body.
+impl Walk for Response {
+    fn walk(&mut self, io: &mut Io<'_>) -> Walked {
+        match self {
+            Response::WhatIf {
+                scenario,
+                events,
+                rows,
+            } => {
+                io.f("scenario", scenario)?;
+                io.f("events", events)?;
+                io.rows("row", rows)
+            }
+            Response::Baselines {
+                ases,
+                links,
+                seed,
+                rows,
+            } => {
+                io.f("ases", ases)?;
+                io.f("links", links)?;
+                io.f("seed", seed)?;
+                io.rows("baseline", rows)
+            }
+            Response::Cache(stats) => {
+                io.f("capacity", &mut stats.capacity)?;
+                io.f("len", &mut stats.len)?;
+                io.f("hits", &mut stats.hits)?;
+                io.f("misses", &mut stats.misses)?;
+                io.f("evictions", &mut stats.evictions)
+            }
+            Response::Policies { rows } => io.rows("policy", rows),
+            Response::Route { dest, from, rows } => {
+                io.f("dest", dest)?;
+                io.f("from", from)?;
+                io.rows("path", rows)
+            }
+            Response::Disjointness {
+                dest,
+                two_disjoint,
+                max_disjoint,
+            } => {
+                io.f("dest", dest)?;
+                io.f("two_disjoint", two_disjoint)?;
+                io.f("max_disjoint", max_disjoint)
+            }
+            Response::Error { code, message } => {
+                io.f("code", code)?;
+                io.tail("msg", message)
+            }
+            Response::Bye => Ok(()),
         }
     }
 }
 
-fn parse_hops(v: &str, line: usize) -> Result<Vec<AsId>, ResponseParseError> {
-    if v == "none" {
-        return Ok(Vec::new());
-    }
-    v.split(',')
-        .map(|t| {
-            t.parse::<u32>().map(AsId).map_err(|_| ResponseParseError {
-                line,
-                msg: format!("bad hop {t:?}"),
-            })
-        })
-        .collect()
+/// An empty frame of one kind: every field at its `Default`.
+macro_rules! blank {
+    ($variant:ident: $($field:ident),*) => {
+        Response::$variant { $($field: Default::default()),* }
+    };
 }
 
 impl Response {
+    /// The header keywords this frame kind answers to. A `WHATIF` answer
+    /// has two: a divergence anywhere in the fan-out promotes the whole
+    /// frame to the second, which the printer derives from the rows — so
+    /// the parser takes either and the round-trip stays exact.
+    fn keywords(&self) -> &'static [&'static str] {
+        match self {
+            Response::WhatIf { .. } => &["WHATIF", "DIVERGED"],
+            Response::Baselines { .. } => &["BASELINES"],
+            Response::Cache(_) => &["CACHE"],
+            Response::Policies { .. } => &["POLICIES"],
+            Response::Route { .. } => &["ROUTE"],
+            Response::Disjointness { .. } => &["DISJOINTNESS"],
+            Response::Error { .. } => &["ERR"],
+            Response::Bye => &["BYE"],
+        }
+    }
+
+    /// One empty frame of every kind, for the parser to fill.
+    fn blanks() -> [Response; 8] {
+        [
+            blank!(WhatIf: scenario, events, rows),
+            blank!(Baselines: ases, links, seed, rows),
+            Response::Cache(CacheStats::default()),
+            blank!(Policies: rows),
+            blank!(Route: dest, from, rows),
+            blank!(Disjointness: dest, two_disjoint, max_disjoint),
+            blank!(Error: code, message),
+            Response::Bye,
+        ]
+    }
+
     /// Parse one complete response document (header, body rows, `END`).
     pub fn parse(text: &str) -> Result<Response, ResponseParseError> {
-        let doc_err = |msg: &str| ResponseParseError {
-            line: 0,
-            msg: msg.to_string(),
-        };
         let lines: Vec<&str> = text.lines().collect();
-        let (&last, body_and_header) = lines
-            .split_last()
-            .ok_or_else(|| doc_err("empty response"))?;
-        if last != "END" {
-            return Err(doc_err("response does not end with END"));
+        let mut io = Io::default();
+        let [header, body @ .., "END"] = lines.as_slice() else {
+            return Err(io.err("a response is a header line, body rows and a closing END".into()));
+        };
+        (io.c, io.line, io.body) = (Cursor::new(header), 1, body);
+        let kind = io.c.next().unwrap_or_default();
+        let blank = Response::blanks()
+            .into_iter()
+            .find(|frame| frame.keywords().contains(&kind));
+        let mut frame = blank.ok_or_else(|| io.err(format!("unknown response kind {kind:?}")))?;
+        frame.walk(&mut io)?;
+        io.close()?;
+        match io.body {
+            [] => Ok(frame),
+            _ => Err(io.err(format!("{kind} response has no body rows"))),
         }
-        let (&header, body) = body_and_header
-            .split_first()
-            .ok_or_else(|| doc_err("response has no header before END"))?;
-        let kind = header.split_ascii_whitespace().next().unwrap_or("");
-        match kind {
-            "WHATIF" | "DIVERGED" => {
-                let mut h = Fields::new(header, 1);
-                h.word(kind)?;
-                let scenario = h.value("scenario")?.to_string();
-                let events: usize = h.parse("events")?;
-                let n: usize = h.parse("rows")?;
-                h.done()?;
-                let mut rows = Vec::with_capacity(n);
-                for (i, &line_text) in body.iter().enumerate() {
-                    let mut r = Fields::new(line_text, i + 2);
-                    r.word("row")?;
-                    let dest = r.as_id("dest")?;
-                    let proto = r.proto("proto")?;
-                    let unreachable: usize = r.parse("unreachable")?;
-                    let affected = r.parse("affected")?;
-                    let affected_loops = r.parse("loops")?;
-                    let affected_blackholes = r.parse("blackholes")?;
-                    let control_affected = r.parse("control")?;
-                    let updates_initial = r.parse("updates_initial")?;
-                    let updates_failure = r.parse("updates_failure")?;
-                    let convergence_delay_s = r.parse("convergence_s")?;
-                    let data_recovery_s = r.parse("recovery_s")?;
-                    let interned_paths = r.parse("paths")?;
-                    let outcome_tok = r.value("outcome")?;
-                    let period_us: u64 = r.parse("period_us")?;
-                    let churn: u64 = r.parse("churn")?;
-                    let outcome = match outcome_tok {
-                        "converged" => RunOutcome::Converged,
-                        "diverged" => RunOutcome::Diverged {
-                            period: SimDuration::from_micros(period_us),
-                            churn,
-                        },
-                        "budget-exhausted" => RunOutcome::BudgetExhausted,
-                        other => {
-                            return Err(ResponseParseError {
-                                line: i + 2,
-                                msg: format!("unknown outcome {other:?}"),
-                            })
-                        }
-                    };
-                    let metrics = InstanceMetrics {
-                        affected,
-                        affected_loops,
-                        affected_blackholes,
-                        control_affected,
-                        updates_initial,
-                        updates_failure,
-                        convergence_delay_s,
-                        data_recovery_s,
-                        interned_paths,
-                        outcome,
-                    };
-                    let delta_affected: i64 = r.parse("delta_affected")?;
-                    r.done()?;
-                    rows.push(WhatIfRow {
-                        dest,
-                        proto,
-                        unreachable,
-                        metrics,
-                        delta_affected,
-                    });
-                }
-                if rows.len() != n {
-                    return Err(doc_err("row count does not match rows= header"));
-                }
-                Ok(Response::WhatIf {
-                    scenario,
-                    events,
-                    rows,
-                })
-            }
-            "BASELINES" => {
-                let mut h = Fields::new(header, 1);
-                h.word("BASELINES")?;
-                let ases: usize = h.parse("ases")?;
-                let links: usize = h.parse("links")?;
-                let seed: u64 = h.parse("seed")?;
-                let n: usize = h.parse("rows")?;
-                h.done()?;
-                let mut rows = Vec::with_capacity(n);
-                for (i, &line_text) in body.iter().enumerate() {
-                    let mut r = Fields::new(line_text, i + 2);
-                    r.word("baseline")?;
-                    let proto = r.proto("proto")?;
-                    let dest = r.as_id("dest")?;
-                    let updates_initial: u64 = r.parse("updates_initial")?;
-                    let paths: usize = r.parse("paths")?;
-                    r.done()?;
-                    rows.push(BaselineRow {
-                        proto,
-                        dest,
-                        updates_initial,
-                        paths,
-                    });
-                }
-                if rows.len() != n {
-                    return Err(doc_err("row count does not match rows= header"));
-                }
-                Ok(Response::Baselines {
-                    ases,
-                    links,
-                    seed,
-                    rows,
-                })
-            }
-            "CACHE" => {
-                let mut h = Fields::new(header, 1);
-                h.word("CACHE")?;
-                let cap = h.value("capacity")?;
-                let capacity = if cap == "unbounded" {
-                    None
-                } else {
-                    Some(cap.parse::<usize>().map_err(|_| ResponseParseError {
-                        line: 1,
-                        msg: format!("bad capacity {cap:?}"),
-                    })?)
-                };
-                let len: usize = h.parse("len")?;
-                let hits: u64 = h.parse("hits")?;
-                let misses: u64 = h.parse("misses")?;
-                let evictions: u64 = h.parse("evictions")?;
-                h.done()?;
-                if !body.is_empty() {
-                    return Err(doc_err("CACHE response has no body rows"));
-                }
-                Ok(Response::Cache(CacheStats {
-                    capacity,
-                    len,
-                    hits,
-                    misses,
-                    evictions,
-                }))
-            }
-            "POLICIES" => {
-                let mut h = Fields::new(header, 1);
-                h.word("POLICIES")?;
-                let n: usize = h.parse("rows")?;
-                h.done()?;
-                let mut rows = Vec::with_capacity(n);
-                for (i, &line_text) in body.iter().enumerate() {
-                    let mut r = Fields::new(line_text, i + 2);
-                    r.word("policy")?;
-                    let name = r.value("name")?.to_string();
-                    let default: bool = r.parse("default")?;
-                    let rules: usize = r.parse("rules")?;
-                    let fp = r.value("fingerprint")?;
-                    let fingerprint =
-                        u64::from_str_radix(fp, 16).map_err(|_| ResponseParseError {
-                            line: i + 2,
-                            msg: format!("bad fingerprint {fp:?}"),
-                        })?;
-                    r.done()?;
-                    rows.push(PolicyRow {
-                        name,
-                        default,
-                        rules,
-                        fingerprint,
-                    });
-                }
-                if rows.len() != n {
-                    return Err(doc_err("row count does not match rows= header"));
-                }
-                Ok(Response::Policies { rows })
-            }
-            "ROUTE" => {
-                let mut h = Fields::new(header, 1);
-                h.word("ROUTE")?;
-                let dest = h.as_id("dest")?;
-                let from = h.as_id("from")?;
-                let n: usize = h.parse("rows")?;
-                h.done()?;
-                let mut rows = Vec::with_capacity(n);
-                for (i, &line_text) in body.iter().enumerate() {
-                    let mut r = Fields::new(line_text, i + 2);
-                    r.word("path")?;
-                    let proto = r.proto("proto")?;
-                    let hops = parse_hops(r.value("hops")?, i + 2)?;
-                    r.done()?;
-                    rows.push(RouteRow { proto, hops });
-                }
-                if rows.len() != n {
-                    return Err(doc_err("row count does not match rows= header"));
-                }
-                Ok(Response::Route { dest, from, rows })
-            }
-            "DISJOINTNESS" => {
-                let mut h = Fields::new(header, 1);
-                h.word("DISJOINTNESS")?;
-                let dest = h.as_id("dest")?;
-                let two_disjoint: bool = h.parse("two_disjoint")?;
-                let max_disjoint: u32 = h.parse("max_disjoint")?;
-                h.done()?;
-                if !body.is_empty() {
-                    return Err(doc_err("DISJOINTNESS response has no body rows"));
-                }
-                Ok(Response::Disjointness {
-                    dest,
-                    two_disjoint,
-                    max_disjoint,
-                })
-            }
-            "ERR" => {
-                let rest = header
-                    .strip_prefix("ERR ")
-                    .ok_or_else(|| ResponseParseError {
-                        line: 1,
-                        msg: "malformed ERR header".to_string(),
-                    })?;
-                let (code_kv, msg_kv) = rest.split_once(' ').ok_or_else(|| ResponseParseError {
-                    line: 1,
-                    msg: "ERR header needs code= and msg=".to_string(),
-                })?;
-                let code = code_kv
-                    .strip_prefix("code=")
-                    .ok_or_else(|| ResponseParseError {
-                        line: 1,
-                        msg: "missing code= field".to_string(),
-                    })?;
-                let message = msg_kv
-                    .strip_prefix("msg=")
-                    .ok_or_else(|| ResponseParseError {
-                        line: 1,
-                        msg: "missing msg= field".to_string(),
-                    })?;
-                if !body.is_empty() {
-                    return Err(doc_err("ERR response has no body rows"));
-                }
-                Ok(Response::Error {
-                    code: code.to_string(),
-                    message: message.to_string(),
-                })
-            }
-            "BYE" => {
-                if header != "BYE" || !body.is_empty() {
-                    return Err(doc_err("malformed BYE response"));
-                }
-                Ok(Response::Bye)
-            }
-            other => Err(ResponseParseError {
-                line: 1,
-                msg: format!("unknown response kind {other:?}"),
-            }),
-        }
+    }
+}
+
+impl fmt::Display for Response {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let promoted = matches!(self, Response::WhatIf { rows, .. }
+            if rows.iter().any(|r| r.metrics.outcome.is_diverged()));
+        let keywords = self.keywords();
+        let keyword = match promoted {
+            true => keywords.last(),
+            false => keywords.first(),
+        };
+        let mut io = Io {
+            out: Some(keyword.copied().unwrap_or_default().to_string()),
+            ..Io::default()
+        };
+        // The walk takes its fields by `&mut`, hence the copy; printing
+        // itself cannot fail (only the parsing half of `Io` returns errors).
+        self.clone().walk(&mut io).map_err(|_| fmt::Error)?;
+        writeln!(f, "{}\nEND", io.out.unwrap_or_default())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stamp_eventsim::SimDuration;
+    use stamp_eventsim::textfmt::assert_fixed_point;
     use stamp_workload::single_link_failure;
 
     fn roundtrip_request(r: &Request) {
         let text = r.to_string();
-        let back: Request = text.parse().unwrap_or_else(|e| panic!("{text:?}: {e}"));
+        let back = assert_fixed_point(&text, str::parse::<Request>, Request::to_string);
         assert_eq!(&back, r, "{text:?}");
-        assert_eq!(back.to_string(), text, "second format drifted");
     }
 
     #[test]
@@ -1349,9 +1132,8 @@ mod tests {
         for r in &cases {
             let text = r.to_string();
             assert!(text.ends_with("END\n"), "{text:?}");
-            let back = Response::parse(&text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
+            let back = assert_fixed_point(&text, Response::parse, Response::to_string);
             assert_eq!(&back, r, "{text:?}");
-            assert_eq!(back.to_string(), text, "second format drifted");
         }
     }
 
@@ -1361,10 +1143,17 @@ mod tests {
         assert!(Response::parse("BYE\n").is_err(), "missing END");
         assert!(Response::parse("END\n").is_err(), "no header");
         assert!(Response::parse("NOPE x=1\nEND\n").is_err());
-        assert!(
-            Response::parse("WHATIF scenario=x events=1 rows=1\nEND\n").is_err(),
-            "row count mismatch"
-        );
+        // `rows=` is compared with the rows that arrived and never sizes
+        // anything: a header announcing 2^64-1 rows is a mismatch like any
+        // other (it used to be a `capacity overflow` panic).
+        for frame in [
+            "WHATIF scenario=x events=1 rows=1\nEND\n",
+            "WHATIF scenario=x events=1 rows=18446744073709551615\nEND\n",
+            "POLICIES rows=1152921504606846976\nEND\n",
+        ] {
+            let err = Response::parse(frame).unwrap_err();
+            assert_eq!(err.msg, "row count does not match rows= header", "{frame}");
+        }
         assert!(
             Response::parse(
                 "CACHE capacity=unbounded len=0 hits=0 misses=0 evictions=0 x=1\nEND\n"

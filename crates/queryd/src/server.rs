@@ -13,6 +13,7 @@ use crate::engine::QueryEngine;
 use crate::protocol::{Request, RequestError, MAX_REQUEST_LINE};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpListener;
+use std::time::Duration;
 
 /// Read one newline-terminated line, buffering at most
 /// `MAX_REQUEST_LINE + 1` bytes of it — the tail of an oversized line is
@@ -63,12 +64,7 @@ pub fn serve<R: BufRead, W: Write>(
     out.write_all(engine.banner().as_bytes())?;
     out.flush()?;
     while let Some((line, len)) = read_line_capped(&mut input)? {
-        if len > MAX_REQUEST_LINE {
-            let e = RequestError::TooLarge {
-                what: "request line",
-                actual: len,
-                limit: MAX_REQUEST_LINE,
-            };
+        if let Err(e) = RequestError::bound("request line", len, MAX_REQUEST_LINE) {
             out.write_all(e.to_response().to_string().as_bytes())?;
             out.flush()?;
             continue;
@@ -93,14 +89,34 @@ pub fn serve<R: BufRead, W: Write>(
     out.flush()
 }
 
-/// Accept connections sequentially and [`serve`] each one. Per-connection
-/// I/O errors (client hung up mid-reply) drop that connection and keep the
-/// listener alive; only accept errors propagate.
+/// How long one read or one write on an accepted connection may block.
+/// A constant, not a knob: clients that keep a connection for a whole
+/// benchmark pass may compute for seconds between requests, and nothing
+/// legitimate idles for half a minute — while without a bound, one idle
+/// or stalled client would hold the single serving loop forever.
+const IO_DEADLINE: Duration = Duration::from_secs(30);
+
+/// Accept connections sequentially and [`serve`] each one, every read and
+/// write under [`IO_DEADLINE`]. Per-connection I/O errors — the client
+/// hung up mid-reply, sent nothing for a deadline, stopped reading — drop
+/// that connection and keep the listener alive; only accept errors
+/// propagate.
 pub fn serve_tcp(engine: &QueryEngine, listener: &TcpListener) -> io::Result<()> {
+    serve_tcp_with_deadline(engine, listener, IO_DEADLINE)
+}
+
+pub(crate) fn serve_tcp_with_deadline(
+    engine: &QueryEngine,
+    listener: &TcpListener,
+    deadline: Duration,
+) -> io::Result<()> {
     loop {
         let (stream, _addr) = listener.accept()?;
-        let reader = BufReader::new(stream.try_clone()?);
-        let _ = serve(engine, reader, &stream);
+        let _ = stream
+            .set_read_timeout(Some(deadline))
+            .and_then(|()| stream.set_write_timeout(Some(deadline)))
+            .and_then(|()| stream.try_clone())
+            .and_then(|reader| serve(engine, BufReader::new(reader), &stream));
     }
 }
 
@@ -110,6 +126,7 @@ mod tests {
     use crate::engine::QuerydConfig;
     use stamp_topology::gen::{generate, GenConfig};
     use stamp_workload::{destination_candidates, Protocol, RunParams};
+    use std::net::TcpStream;
 
     fn engine(seed: u64) -> QueryEngine {
         let g = generate(&GenConfig::small(seed)).unwrap();
@@ -152,6 +169,19 @@ mod tests {
         let out = transcript(&e, "FROBNICATE\nSHOW CACHE\n");
         assert!(out.contains("ERR code=parse "));
         assert!(out.contains("\nCACHE "));
+        // So do timelines that parse but cannot be played: an offset that
+        // would wrap `epoch + at` (it did: a panic in debug builds, the
+        // answer for `at 0s` in release builds), and an adversarial event
+        // naming an AS only the full resolve notices is missing (it reached
+        // the cell runner's `expect`).
+        let out = transcript(
+            &e,
+            "WHATIF SCN scenario x; at 18446744073709551615us fail-node 0\n\
+             WHATIF SCN scenario x; at 0s hijack 99999\nSHOW CACHE\n",
+        );
+        assert!(out.contains("ERR code=offset-too-large "), "{out}");
+        assert!(out.contains("ERR code=no-such-node "), "{out}");
+        assert!(out.contains("\nCACHE "), "{out}");
     }
 
     #[test]
@@ -185,28 +215,69 @@ mod tests {
         assert!(out.contains("\nCACHE "), "{out}");
     }
 
-    #[test]
-    fn tcp_round_trip() {
-        use std::io::{BufRead, BufReader, Write};
-        use std::net::TcpStream;
-        use std::sync::Arc;
-
-        let e = Arc::new(engine(57));
+    /// A daemon on a loopback port whose connections time out after
+    /// `deadline` (the serving thread is detached, as the daemon's is).
+    fn listen(seed: u64, deadline: Duration) -> std::net::SocketAddr {
+        let e = engine(seed);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let server = Arc::clone(&e);
         std::thread::spawn(move || {
-            let _ = serve_tcp(&server, &listener);
+            let _ = serve_tcp_with_deadline(&e, &listener, deadline);
         });
+        addr
+    }
+
+    /// One whole conversation: connect, send `requests`, read to EOF. The
+    /// client-side timeout turns a starved client into a failed test
+    /// instead of a hung one.
+    fn converse(addr: std::net::SocketAddr, requests: &str) -> Vec<String> {
         let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(b"SHOW DISJOINTNESS 0\nQUIT\n").unwrap();
-        let mut lines = Vec::new();
-        for line in BufReader::new(stream.try_clone().unwrap()).lines() {
-            lines.push(line.unwrap());
-        }
+        let timeout = Some(Duration::from_secs(20));
+        stream.set_read_timeout(timeout).unwrap();
+        stream.write_all(requests.as_bytes()).unwrap();
+        let lines = BufReader::new(stream).lines();
+        lines
+            .map(|l| l.expect("served before the timeout"))
+            .collect()
+    }
+
+    fn assert_served(addr: std::net::SocketAddr) {
+        let lines = converse(addr, "SHOW CACHE\nQUIT\n");
+        assert!(lines[0].starts_with("READY "), "{lines:?}");
+        assert!(lines.iter().any(|l| l.starts_with("CACHE ")), "{lines:?}");
+    }
+
+    #[test]
+    fn tcp_round_trip() {
+        let lines = converse(listen(57, IO_DEADLINE), "SHOW DISJOINTNESS 0\nQUIT\n");
         assert!(lines[0].starts_with("READY "));
         assert!(lines.iter().any(|l| l.starts_with("DISJOINTNESS dest=0 ")));
         assert_eq!(lines.last().map(String::as_str), Some("END"));
         assert!(lines.contains(&"BYE".to_string()));
+    }
+
+    /// One connection at a time, so each of these used to starve every
+    /// later client forever; now each costs one deadline.
+    #[test]
+    fn hostile_clients_cost_a_deadline_not_the_listener() {
+        let addr = listen(67, Duration::from_millis(50));
+        // Idle: connects first, says nothing, stays connected.
+        let _idle = TcpStream::connect(addr).unwrap();
+        assert_served(addr);
+        // Torn: half a line, then gone.
+        let mut torn = TcpStream::connect(addr).unwrap();
+        torn.write_all(b"SHOW CA").unwrap();
+        drop(torn);
+        assert_served(addr);
+        // Stalled: never reads its replies. ~30 reply bytes per request
+        // byte, tens of megabytes in all — far more than the socket buffers
+        // between the two ends hold, so the daemon's write blocks. (The
+        // requests may stop fitting too; after the drop the write fails.)
+        let mut stalled = TcpStream::connect(addr).unwrap();
+        let timeout = Some(Duration::from_secs(20));
+        stalled.set_write_timeout(timeout).unwrap();
+        let _ = stalled.write_all("SHOW POLICIES\n".repeat(100_000).as_bytes());
+        assert_served(addr);
+        drop(stalled);
     }
 }

@@ -12,7 +12,7 @@ use std::fmt;
 use std::sync::Arc;
 
 /// Dense identifier of an AS within one [`AsGraph`] (`0..n`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct AsId(pub u32);
 
 impl AsId {

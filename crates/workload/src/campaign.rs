@@ -900,7 +900,9 @@ pub fn run_campaign_with_cache(
 mod tests {
     use super::*;
     use crate::canned::{destination_candidates, sample_canned, FailureScenario};
-    use crate::timeline::{flap_train, maintenance_windows, single_link_failure};
+    use crate::timeline::{
+        flap_train, maintenance_windows, single_link_failure, NetEvent, TimelineEvent,
+    };
     use stamp_eventsim::{rng_stream, SimDuration};
     use stamp_topology::gen::{generate, GenConfig};
 
@@ -1193,6 +1195,20 @@ mod tests {
         let params = RunParams::fast();
         let err = run_cells(&g, &params, &[Protocol::Bgp], 2, &cells, Some(&cache));
         assert_eq!(err, Err(TimelineError::NoSuchLink(dests[0], dests[0])));
+        assert_eq!(cache.stats().misses, 0, "the valid first cell never ran");
+        // Likewise an offset that would wrap the clock when added to the
+        // injection epoch (debug builds panicked there, release builds
+        // wrapped and answered for `at 0s`).
+        let at = SimDuration::from_micros(u64::MAX);
+        let ev = NetEvent::NodeDown(dests[0]);
+        let wraps = Timeline::from_events("wraps", vec![TimelineEvent { at, ev }]);
+        let cells = [&timelines[0], &wraps].map(|timeline| Cell {
+            timeline,
+            dest: dests[1],
+            seed: 1,
+        });
+        let err = run_cells(&g, &params, &[Protocol::Bgp], 2, &cells, Some(&cache));
+        assert_eq!(err, Err(TimelineError::OffsetTooLarge(at)));
         assert_eq!(cache.stats().misses, 0, "the valid first cell never ran");
     }
 

@@ -30,10 +30,13 @@
 //! same tie-break the engine applies at injection.
 
 use crate::timeline::{NetEvent, Timeline, TimelineEvent};
+use stamp_eventsim::textfmt::{self, Cursor};
 use stamp_eventsim::SimDuration;
 use stamp_policy::PolicyRegime;
 use stamp_topology::AsId;
 use std::fmt;
+
+pub use stamp_eventsim::textfmt::valid_name;
 
 /// A parse error with its 1-based line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,18 +84,6 @@ impl fmt::Display for ScnError {
             ScnErrorKind::UnknownPolicy(p) => write!(f, "unknown policy regime {p:?}"),
         }
     }
-}
-
-/// The single definition of the `.scn` name charset; `valid_name` and the
-/// constructor-side sanitizer in [`crate::timeline`] are both written in
-/// terms of it, so the printable and parseable sets cannot drift apart.
-pub(crate) fn name_char(c: char) -> bool {
-    c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-')
-}
-
-/// Is `name` printable unambiguously in a `.scn` header?
-pub fn valid_name(name: &str) -> bool {
-    !name.is_empty() && name.chars().all(name_char)
 }
 
 /// Format an offset with the largest exact unit.
@@ -173,87 +164,38 @@ impl std::str::FromStr for Timeline {
 
 /// Parse one `.scn` document.
 pub fn parse_scn(text: &str) -> Result<Timeline, ScnError> {
-    let err = |line: usize, kind: ScnErrorKind| ScnError { line, kind };
     let mut name: Option<String> = None;
     let mut events: Vec<TimelineEvent> = Vec::new();
     let mut last_at = SimDuration::ZERO;
-    for (i, raw) in text.lines().enumerate() {
-        let lineno = i + 1;
-        let line = match raw.find('#') {
-            Some(p) => &raw[..p],
-            None => raw,
-        }
-        .trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut tok = line.split_ascii_whitespace();
-        let head = tok.next().expect("non-empty line"); // simlint::allow(panic, "blank lines are skipped just above")
+    for (line, mut c) in textfmt::lines(text) {
+        let err = |kind: ScnErrorKind| ScnError { line, kind };
+        // The walker yields no blank lines, so there is a first token.
+        let head = c.next().unwrap_or_default();
         if name.is_none() {
             if head != "scenario" {
-                return Err(err(lineno, ScnErrorKind::MissingHeader));
+                return Err(err(ScnErrorKind::MissingHeader));
             }
-            let n = tok.next().unwrap_or("");
-            if !valid_name(n) || tok.next().is_some() {
-                return Err(err(lineno, ScnErrorKind::BadName(n.to_string())));
+            let n = c.next().unwrap_or_default();
+            if !valid_name(n) || c.done().is_err() {
+                return Err(err(ScnErrorKind::BadName(n.to_string())));
             }
             name = Some(n.to_string());
             continue;
         }
         if head == "scenario" {
-            return Err(err(lineno, ScnErrorKind::DuplicateHeader));
+            return Err(err(ScnErrorKind::DuplicateHeader));
         }
         if head != "at" {
-            return Err(err(lineno, ScnErrorKind::ExpectedAt(head.to_string())));
+            return Err(err(ScnErrorKind::ExpectedAt(head.to_string())));
         }
-        let t = tok.next().unwrap_or("");
-        let at =
-            parse_duration(t).ok_or_else(|| err(lineno, ScnErrorKind::BadTime(t.to_string())))?;
+        let t = c.next().unwrap_or_default();
+        let at = parse_duration(t).ok_or_else(|| err(ScnErrorKind::BadTime(t.to_string())))?;
         if at < last_at {
-            return Err(err(lineno, ScnErrorKind::DecreasingTime));
+            return Err(err(ScnErrorKind::DecreasingTime));
         }
         last_at = at;
-        let verb = tok
-            .next()
-            .ok_or_else(|| err(lineno, ScnErrorKind::BadArgs))?;
-        let arg = |tok: &mut std::str::SplitAsciiWhitespace| -> Result<AsId, ScnError> {
-            let a = tok
-                .next()
-                .ok_or_else(|| err(lineno, ScnErrorKind::BadArgs))?;
-            let n: u32 = a.parse().map_err(|_| err(lineno, ScnErrorKind::BadArgs))?;
-            Ok(AsId(n))
-        };
-        let ev = match verb {
-            "fail-link" => NetEvent::LinkDown(arg(&mut tok)?, arg(&mut tok)?),
-            "recover-link" => NetEvent::LinkUp(arg(&mut tok)?, arg(&mut tok)?),
-            "fail-node" => NetEvent::NodeDown(arg(&mut tok)?),
-            "recover-node" => NetEvent::NodeUp(arg(&mut tok)?),
-            "hijack" => NetEvent::PrefixHijack {
-                attacker: arg(&mut tok)?,
-                forged_origin: None,
-            },
-            "hijack-prepend" => NetEvent::PrefixHijack {
-                attacker: arg(&mut tok)?,
-                forged_origin: Some(arg(&mut tok)?),
-            },
-            "route-leak" => NetEvent::RouteLeak(arg(&mut tok)?),
-            "flip-policy" => {
-                let r = tok
-                    .next()
-                    .ok_or_else(|| err(lineno, ScnErrorKind::BadArgs))?;
-                let idx = match PolicyRegime::index_of(r) {
-                    Some(i) => i,
-                    None => r
-                        .parse::<u16>()
-                        .map_err(|_| err(lineno, ScnErrorKind::UnknownPolicy(r.to_string())))?,
-                };
-                NetEvent::PolicyFlip(idx)
-            }
-            other => return Err(err(lineno, ScnErrorKind::UnknownVerb(other.to_string()))),
-        };
-        if tok.next().is_some() {
-            return Err(err(lineno, ScnErrorKind::BadArgs));
-        }
+        let ev = parse_event(&mut c).map_err(err)?;
+        c.done().map_err(|_| err(ScnErrorKind::BadArgs))?;
         events.push(TimelineEvent { at, ev });
     }
     let name = name.ok_or(ScnError {
@@ -261,6 +203,37 @@ pub fn parse_scn(text: &str) -> Result<Timeline, ScnError> {
         kind: ScnErrorKind::MissingHeader,
     })?;
     Ok(Timeline::from_events(name, events))
+}
+
+/// The `<verb> <args>` tail of an event line.
+fn parse_event(c: &mut Cursor<'_>) -> Result<NetEvent, ScnErrorKind> {
+    let verb = c.token().map_err(|_| ScnErrorKind::BadArgs)?;
+    let mut arg = || c.parse().map(AsId).map_err(|_| ScnErrorKind::BadArgs);
+    Ok(match verb {
+        "fail-link" => NetEvent::LinkDown(arg()?, arg()?),
+        "recover-link" => NetEvent::LinkUp(arg()?, arg()?),
+        "fail-node" => NetEvent::NodeDown(arg()?),
+        "recover-node" => NetEvent::NodeUp(arg()?),
+        "hijack" => NetEvent::PrefixHijack {
+            attacker: arg()?,
+            forged_origin: None,
+        },
+        "hijack-prepend" => NetEvent::PrefixHijack {
+            attacker: arg()?,
+            forged_origin: Some(arg()?),
+        },
+        "route-leak" => NetEvent::RouteLeak(arg()?),
+        "flip-policy" => {
+            let r = c.token().map_err(|_| ScnErrorKind::BadArgs)?;
+            NetEvent::PolicyFlip(match PolicyRegime::index_of(r) {
+                Some(i) => i,
+                None => r
+                    .parse()
+                    .map_err(|_| ScnErrorKind::UnknownPolicy(r.to_string()))?,
+            })
+        }
+        other => return Err(ScnErrorKind::UnknownVerb(other.to_string())),
+    })
 }
 
 #[cfg(test)]

@@ -64,5 +64,5 @@ pub use timeline::{
     background_churn, choose_k, correlated_node_outage, flap_train, maintenance_windows,
     node_drain, policy_flip, prefix_hijack, prepend_hijack, provider_cone, random_attacker,
     reachability_mask, route_leak, single_link_failure, staggered_link_failures, tier_members,
-    NetEvent, Timeline, TimelineError, TimelineEvent,
+    NetEvent, Timeline, TimelineError, TimelineEvent, MAX_OFFSET,
 };

@@ -14,7 +14,7 @@ use stamp_policy::PolicyRegime;
 pub const PREFIX: PrefixId = PrefixId(0);
 
 /// Per-cell measurements of one protocol.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct InstanceMetrics {
     /// ASes with transient problems (the Figure 2/3 metric).
     pub affected: usize,

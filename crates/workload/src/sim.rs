@@ -122,8 +122,10 @@ impl From<TimelineError> for SimError {
 /// Protocols compared by campaigns and the figure experiments. The
 /// declaration order is load-bearing: campaign hashes fold `p as u64`, so
 /// append variants, never reorder them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Protocol {
+    /// The paper's baseline, hence the default.
+    #[default]
     Bgp,
     RbgpNoRci,
     Rbgp,
@@ -1075,6 +1077,8 @@ impl Sim {
         timeline: &Timeline,
         reachable: &[bool],
     ) -> Result<InstanceMetrics, SimError> {
+        // Refuse before converging, as `play` will again after it.
+        timeline.resolve(self.topology())?;
         self.converge();
         self.reset_measurement();
         let sent_before = {
@@ -1401,6 +1405,15 @@ mod tests {
             Err(SimError::Timeline(_)) => {}
             other => panic!("expected a timeline error, got {other:?}"),
         }
+        // An offset that would wrap `epoch + at` is refused the same way,
+        // by `play` and by `measure`, before the session even converges.
+        let at = SimDuration::from_micros(u64::MAX);
+        let ev = crate::timeline::NetEvent::LinkDown(AsId(3), AsId(4));
+        let wraps = Timeline::from_events("wraps", vec![crate::timeline::TimelineEvent { at, ev }]);
+        let refused = Err(SimError::Timeline(TimelineError::OffsetTooLarge(at)));
+        assert_eq!(sim.play(&wraps, &mut NullProbe).map(|_| ()), refused);
+        assert_eq!(sim.measure(&wraps, &[true; 5]).map(|_| ()), refused);
+        assert!(!sim.converged(), "a refused timeline ran nothing");
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::params::PREFIX;
 use stamp_bgp::engine::ScenarioEvent;
 use stamp_bgp::types::RootCause;
 use stamp_eventsim::rng::Rng;
-use stamp_eventsim::SimDuration;
+use stamp_eventsim::{textfmt, SimDuration};
 use stamp_topology::{AsGraph, AsId, LinkId, StaticRoutes};
 use std::collections::VecDeque;
 use std::fmt;
@@ -102,13 +102,22 @@ pub struct TimelineEvent {
     pub ev: NetEvent,
 }
 
-/// Errors binding a timeline to a topology.
+/// The latest offset [`Timeline::resolve`] lets an event carry: 2^32 s, over
+/// a century of simulated time and some 4000 times short of where the `u64`
+/// microsecond clock wraps — so `epoch + offset` and the phase deadline
+/// behind it cannot overflow. (`.scn` itself admits any `u64` of µs.)
+pub const MAX_OFFSET: SimDuration = SimDuration::from_secs(1 << 32);
+
+/// Errors binding a timeline to a topology and a clock.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TimelineError {
     /// An event names a link that does not exist in the graph.
     NoSuchLink(AsId, AsId),
     /// An event names an AS outside the graph.
     NoSuchNode(AsId),
+    /// An event's offset is beyond [`MAX_OFFSET`]: added to an injection
+    /// epoch it could wrap the simulation clock.
+    OffsetTooLarge(SimDuration),
 }
 
 impl fmt::Display for TimelineError {
@@ -116,6 +125,9 @@ impl fmt::Display for TimelineError {
         match self {
             TimelineError::NoSuchLink(a, b) => write!(f, "no link between {a} and {b}"),
             TimelineError::NoSuchNode(v) => write!(f, "no AS {v} in the topology"),
+            TimelineError::OffsetTooLarge(at) => {
+                write!(f, "event offset {at} exceeds the limit of {MAX_OFFSET}")
+            }
         }
     }
 }
@@ -130,19 +142,19 @@ pub struct Timeline {
     events: Vec<TimelineEvent>,
 }
 
-/// Coerce a name into the `.scn`-printable charset (`crate::dsl`'s
-/// `name_char`): every other character becomes `-`, an empty name becomes
+/// Coerce a name into the `.scn`-printable charset (`textfmt::name_char`,
+/// the one definition): every other character becomes `-`, an empty name becomes
 /// `unnamed`. Applied by the constructors, so *every* `Timeline`
 /// round-trips through the DSL.
 fn sanitize_name(name: String) -> String {
     if name.is_empty() {
         return "unnamed".to_string();
     }
-    if crate::dsl::valid_name(&name) {
+    if textfmt::valid_name(&name) {
         return name;
     }
     name.chars()
-        .map(|c| if crate::dsl::name_char(c) { c } else { '-' })
+        .map(|c| if textfmt::name_char(c) { c } else { '-' })
         .collect()
 }
 
@@ -209,7 +221,9 @@ impl Timeline {
             .unwrap_or(SimDuration::ZERO)
     }
 
-    /// Bind every event to engine form against a concrete topology.
+    /// Bind every event to engine form against a concrete topology, and
+    /// hold every offset to [`MAX_OFFSET`] — the schedule this returns is
+    /// what [`Sim::play`](crate::sim::Sim::play) adds to its epoch.
     pub fn resolve(&self, g: &AsGraph) -> Result<Vec<(SimDuration, ScenarioEvent)>, TimelineError> {
         let link = |a: AsId, b: AsId| -> Result<LinkId, TimelineError> {
             g.link_between(a, b).ok_or(TimelineError::NoSuchLink(a, b))
@@ -224,6 +238,9 @@ impl Timeline {
         self.events
             .iter()
             .map(|e| {
+                if e.at > MAX_OFFSET {
+                    return Err(TimelineError::OffsetTooLarge(e.at));
+                }
                 let ev = match e.ev {
                     NetEvent::LinkDown(a, b) => ScenarioEvent::FailLink(link(a, b)?),
                     NetEvent::LinkUp(a, b) => ScenarioEvent::RecoverLink(link(a, b)?),

@@ -13,11 +13,12 @@
 //!    §2.1 policy — the old `local_pref`/`export_ok` free functions —
 //!    over the full relation matrix.
 
-use stamp_repro::eventsim::check::cases;
+use stamp_repro::eventsim::check::{cases, gen};
+use stamp_repro::eventsim::textfmt::assert_fixed_point;
 use stamp_repro::eventsim::Rng;
 use stamp_repro::policy::{
-    parse_pol, Action, CommunityBits, CommunitySet, Matcher, PolicyRegime, PrefixSet, Rule,
-    LEARNED_RELS, TO_RELS,
+    parse_pol, Action, CommunityBits, CommunitySet, Matcher, PolErrorKind, PolicyRegime, PrefixSet,
+    Rule, LEARNED_RELS, TO_RELS,
 };
 use stamp_repro::topology::Relation;
 
@@ -129,18 +130,9 @@ fn arb_regime(rng: &mut Rng) -> PolicyRegime {
 fn builtin_regimes_round_trip_exactly() {
     for regime in PolicyRegime::builtins() {
         let doc = regime.to_pol();
-        let back = parse_pol(&doc).expect("builtin must parse");
-        assert_eq!(
-            back, regime,
-            "{}: parse drifted from printed value",
-            regime.name
-        );
-        assert_eq!(
-            back.to_pol(),
-            doc,
-            "{}: second print not byte-identical",
-            regime.name
-        );
+        let back = assert_fixed_point(&doc, parse_pol, PolicyRegime::to_pol);
+        assert_eq!(back, regime, "{}: parse drifted", regime.name);
+        assert_eq!(back.to_pol(), doc, "{}: print drifted", regime.name);
     }
 }
 
@@ -149,13 +141,26 @@ fn randomized_regimes_round_trip_to_a_fixed_point() {
     cases(200, 0x9017AB, |rng| {
         let regime = arb_regime(rng);
         let doc = regime.to_pol();
-        let back =
-            parse_pol(&doc).unwrap_or_else(|e| panic!("printed regime must parse, got {e}\n{doc}"));
         // Value equality is only guaranteed for canonical-form inputs;
         // the print itself must always be a fixed point.
+        let back = assert_fixed_point(&doc, parse_pol, PolicyRegime::to_pol);
         assert_eq!(back.to_pol(), doc, "print is not a parse/print fixed point");
         assert_eq!(back.fingerprint(), regime.fingerprint());
     });
+}
+
+/// `.pol` splits on ASCII whitespace, like `.scn` and the wire grammars: a
+/// Unicode space inside a directive does not separate words, it is part
+/// of a token — and that token is a typed error.
+#[test]
+fn unicode_whitespace_is_part_of_a_token() {
+    let doc = PolicyRegime::gao_rexford().to_pol();
+    for space in ['\u{a0}', '\u{3000}'] {
+        let glued = format!("prefer{space}origin");
+        let err = parse_pol(&doc.replacen("prefer origin", &glued, 1)).expect_err("one token");
+        assert_eq!(err.kind, PolErrorKind::UnknownDirective(glued));
+        assert_eq!(err.line, 2);
+    }
 }
 
 #[test]
@@ -179,6 +184,22 @@ fn junk_documents_are_rejected_with_typed_errors() {
         // The Display form is the queryd/CLI surface; it must render.
         assert!(!err.to_string().is_empty(), "error for {doc:?} renders");
     }
+    // And the fuzz through the shared cursor: a byte-level mutation of a
+    // valid document — any named regime, or a randomized rule-laden one —
+    // is a typed error or parses to a regime whose print is a fixed point.
+    // Never a panic, and nothing in between.
+    let named = PolicyRegime::named();
+    cases(400, 0x9017AC, |rng| {
+        let doc = match gen::bool(rng) {
+            true => rng.choose(&named).expect("non-empty").to_pol(),
+            false => arb_regime(rng).to_pol(),
+        };
+        let fuzzed = gen::mutated(rng, &doc);
+        match parse_pol(&fuzzed) {
+            Ok(_) => drop(assert_fixed_point(&fuzzed, parse_pol, PolicyRegime::to_pol)),
+            Err(e) => assert!(!e.to_string().is_empty(), "{fuzzed:?}"),
+        }
+    });
 }
 
 /// Compiled dense tables ≡ naive reference interpreter, import side.

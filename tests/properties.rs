@@ -269,6 +269,7 @@ fn simulation_deterministic() {
 
 mod workload_props {
     use super::*;
+    use stamp_repro::eventsim::textfmt::assert_fixed_point;
     use stamp_repro::eventsim::SimDuration;
     use stamp_repro::workload::{
         background_churn, correlated_node_outage, flap_train, maintenance_windows, parse_scn,
@@ -321,9 +322,34 @@ mod workload_props {
     fn scn_round_trips_exactly() {
         cases(256, 0x5C4, |rng| {
             let t = arb_timeline(rng);
-            let text = t.to_scn();
-            let back = parse_scn(&text).unwrap_or_else(|e| panic!("reparse failed: {e}\n{text}"));
+            let back = assert_fixed_point(&t.to_scn(), parse_scn, Timeline::to_scn);
             assert_eq!(back, t);
+        });
+    }
+
+    /// Fuzz `.scn` through the shared cursor: a byte-level mutation of a
+    /// valid document — a shipped scenario file or a generated timeline —
+    /// either fails with a typed, line-numbered error or parses to a
+    /// timeline whose print is a fixed point. Never a panic, and nothing
+    /// in between.
+    #[test]
+    fn mutated_scn_documents_are_rejected_or_round_trip() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios");
+        let shipped: Vec<String> = std::fs::read_dir(dir)
+            .expect("scenarios/ exists")
+            .map(|e| std::fs::read_to_string(e.expect("readable entry").path()).expect("text"))
+            .collect();
+        assert!(shipped.len() >= 5, "the shipped scenario set");
+        cases(400, 0x5C9, |rng| {
+            let doc = match gen::bool(rng) {
+                true => rng.choose(&shipped).expect("non-empty").clone(),
+                false => arb_timeline(rng).to_scn(),
+            };
+            let fuzzed = gen::mutated(rng, &doc);
+            match parse_scn(&fuzzed) {
+                Ok(_) => drop(assert_fixed_point(&fuzzed, parse_scn, Timeline::to_scn)),
+                Err(e) => assert!(e.line >= 1 && !e.to_string().is_empty(), "{fuzzed:?}"),
+            }
         });
     }
 

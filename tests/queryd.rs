@@ -3,13 +3,14 @@
 //! exactly equivalent to their hand-built timelines, and the wire format
 //! round-trips byte-for-byte under randomized traffic.
 
-use stamp_repro::eventsim::check::cases;
-use stamp_repro::eventsim::SimDuration;
+use stamp_repro::eventsim::check::{cases, gen};
+use stamp_repro::eventsim::textfmt::assert_fixed_point;
+use stamp_repro::eventsim::{Rng, SimDuration};
 use stamp_repro::queryd::{QueryEngine, QuerydConfig, Request, Response, WhatIfShape};
 use stamp_repro::topology::{generate, AsId, GenConfig};
 use stamp_repro::workload::{
     destination_candidates, parse_scn, run_protocol_cell, InstanceMetrics, NetEvent, Protocol,
-    RunParams, Timeline, TimelineEvent,
+    RunOutcome, RunParams, Timeline, TimelineEvent,
 };
 
 fn engine(seed: u64) -> QueryEngine {
@@ -164,122 +165,136 @@ fn fail_link_query_equals_hand_built_one_event_timeline() {
     assert_eq!(via_fail_link.to_string(), via_scn.to_string());
 }
 
+/// A random request of any shape the grammar admits.
+fn arb_request(rng: &mut Rng) -> Request {
+    let protos = Protocol::ALL;
+    let regimes = [
+        "gao-rexford",
+        "shortest-path",
+        "prefer-peer",
+        "long-path-tax",
+    ];
+    let as_id = |rng: &mut Rng| AsId(rng.gen_range(0u32..2000));
+    let shape = match rng.gen_range(0u32..3) {
+        0 => WhatIfShape::FailLink(as_id(rng), as_id(rng)),
+        1 => WhatIfShape::DrainNode(as_id(rng)),
+        _ => {
+            let n_events = rng.gen_range(1usize..4);
+            let mut at = 0u64;
+            let events = (0..n_events)
+                .map(|_| {
+                    at += rng.gen_range(0u64..5_000);
+                    TimelineEvent {
+                        at: SimDuration::from_micros(at * 1_000),
+                        ev: if rng.gen_bool(0.5) {
+                            NetEvent::NodeDown(as_id(rng))
+                        } else {
+                            NetEvent::NodeUp(as_id(rng))
+                        },
+                    }
+                })
+                .collect();
+            WhatIfShape::Scn(Timeline::from_events("prop-scn", events))
+        }
+    };
+    match rng.gen_range(0u32..7) {
+        0 | 1 => Request::WhatIf {
+            shape,
+            proto: gen::option(rng, |rng| *rng.choose(&protos).expect("non-empty")),
+            dest: gen::option(rng, as_id),
+            policy: gen::option(rng, |rng| {
+                rng.choose(&regimes).expect("non-empty").to_string()
+            }),
+        },
+        2 => Request::ShowBaselines,
+        3 => Request::ShowCache,
+        4 => Request::ShowRoute {
+            dest: as_id(rng),
+            from: as_id(rng),
+        },
+        5 => Request::ShowPolicies,
+        _ => Request::ShowDisjointness { dest: as_id(rng) },
+    }
+}
+
 /// Randomized request traffic: `format(parse(format(r))) == format(r)`
 /// byte-for-byte, for every request shape the grammar admits.
 #[test]
 fn random_requests_round_trip_byte_identically() {
-    let protos = [
-        Protocol::Bgp,
-        Protocol::RbgpNoRci,
-        Protocol::Rbgp,
-        Protocol::Stamp,
-    ];
     cases(300, 0x9E47D, |rng| {
-        let as_id = |rng: &mut stamp_repro::eventsim::Rng| AsId(rng.gen_range(0u32..2000));
-        let proto = |rng: &mut stamp_repro::eventsim::Rng| {
-            if rng.gen_bool(0.5) {
-                Some(*rng.choose(&protos).expect("non-empty"))
-            } else {
-                None
-            }
-        };
-        let shape = match rng.gen_range(0u32..3) {
-            0 => WhatIfShape::FailLink(as_id(rng), as_id(rng)),
-            1 => WhatIfShape::DrainNode(as_id(rng)),
-            _ => {
-                let n_events = rng.gen_range(1usize..4);
-                let mut at = 0u64;
-                let events = (0..n_events)
-                    .map(|_| {
-                        at += rng.gen_range(0u64..5_000);
-                        TimelineEvent {
-                            at: SimDuration::from_micros(at * 1_000),
-                            ev: if rng.gen_bool(0.5) {
-                                NetEvent::NodeDown(as_id(rng))
-                            } else {
-                                NetEvent::NodeUp(as_id(rng))
-                            },
-                        }
-                    })
-                    .collect();
-                WhatIfShape::Scn(Timeline::from_events("prop-scn", events))
-            }
-        };
-        let regimes = [
-            "gao-rexford",
-            "shortest-path",
-            "prefer-peer",
-            "long-path-tax",
-        ];
-        let req = match rng.gen_range(0u32..7) {
-            0 | 1 => Request::WhatIf {
-                shape,
-                proto: proto(rng),
-                dest: if rng.gen_bool(0.5) {
-                    Some(as_id(rng))
-                } else {
-                    None
-                },
-                policy: if rng.gen_bool(0.5) {
-                    Some(rng.choose(&regimes).expect("non-empty").to_string())
-                } else {
-                    None
-                },
-            },
-            2 => Request::ShowBaselines,
-            3 => Request::ShowCache,
-            4 => Request::ShowRoute {
-                dest: as_id(rng),
-                from: as_id(rng),
-            },
-            5 => Request::ShowPolicies,
-            _ => Request::ShowDisjointness { dest: as_id(rng) },
-        };
+        let req = arb_request(rng);
         let canonical = req.to_string();
-        let reparsed: Request = canonical.parse().expect("canonical form parses");
+        let reparsed = assert_fixed_point(&canonical, str::parse::<Request>, Request::to_string);
         assert_eq!(reparsed, req);
-        assert_eq!(reparsed.to_string(), canonical, "format is a fixed point");
     });
 }
 
-/// Randomized junk: corrupted request lines must come back as typed parse
-/// errors (an `ERR code=` the wire can carry), never a panic.
+/// Fuzz the response grammar through the shared cursor: a byte-level
+/// mutation of a frame either fails with a typed error or parses to a
+/// response whose print is a fixed point — never a panic, and nothing in
+/// between. The valid frames are what a live daemon prints for every verb
+/// (each kind, `ERR` and `BYE` included) plus a `DIVERGED` one, which no
+/// converging topology produces on demand.
+#[test]
+fn mutated_response_frames_are_rejected_or_round_trip() {
+    let e = engine(71);
+    let (dest, from) = (e.config().dests[0].0, e.config().dests[1].0);
+    let mut frames: Vec<String> = [
+        format!("WHATIF DRAIN-NODE {from} DEST {dest}"),
+        "SHOW BASELINES".to_string(),
+        "SHOW CACHE".to_string(),
+        "SHOW POLICIES".to_string(),
+        format!("SHOW ROUTE {dest} FROM {from}"),
+        format!("SHOW DISJOINTNESS {dest}"),
+        "WHATIF FAIL-LINK 1 1".to_string(),
+        "QUIT".to_string(),
+    ]
+    .iter()
+    .map(|line| e.execute(&line.parse().expect("valid request")).to_string())
+    .collect();
+    let mut diverged = Response::parse(&frames[0]).expect("own frame parses");
+    if let Response::WhatIf { rows, .. } = &mut diverged {
+        let (period, churn) = (SimDuration::from_secs(2), 144);
+        rows[0].metrics.outcome = RunOutcome::Diverged { period, churn };
+    }
+    frames.push(diverged.to_string());
+    assert!(frames[8].starts_with("DIVERGED ") && frames[6].starts_with("ERR "));
+    cases(600, 0x9E47F, |rng| {
+        let frame = rng.choose(&frames).expect("non-empty");
+        assert_fixed_point(frame, Response::parse, Response::to_string);
+        let fuzzed = gen::mutated(rng, frame);
+        if Response::parse(&fuzzed).is_ok() {
+            assert_fixed_point(&fuzzed, Response::parse, Response::to_string);
+        }
+    });
+}
+
+/// Randomized junk — shuffled words of the grammar, and byte-level
+/// mutations of valid request lines (the request grammar's fuzz through
+/// the shared cursor): a line either parses to a request whose print is a
+/// fixed point, or comes back as a typed parse error the wire can carry as
+/// an `ERR` frame. Never a panic, and nothing in between.
 #[test]
 fn random_junk_is_rejected_with_typed_errors() {
-    let words = [
-        "WHATIF",
-        "SHOW",
-        "FAIL-LINK",
-        "DRAIN-NODE",
-        "SCN",
-        "BASELINES",
-        "ROUTE",
-        "FROM",
-        "PROTO",
-        "DEST",
-        "bgp",
-        "xyzzy",
-        "3",
-        "-7",
-        "1e9",
-        "scenario",
-        "at",
-        "0s",
-        ";",
-    ];
-    cases(300, 0xA11CE, |rng| {
-        let n = rng.gen_range(1usize..8);
-        let line = (0..n)
-            .map(|_| *rng.choose(&words).expect("non-empty"))
-            .collect::<Vec<_>>()
-            .join(" ");
+    let words: Vec<&str> = "WHATIF SHOW FAIL-LINK DRAIN-NODE SCN BASELINES ROUTE FROM PROTO \
+                            DEST bgp xyzzy 3 -7 1e9 scenario at 0s ;"
+        .split(' ')
+        .collect();
+    cases(800, 0xA11CE, |rng| {
+        let line = if gen::bool(rng) {
+            let n = rng.gen_range(1usize..8);
+            let shuffled = (0..n).map(|_| *rng.choose(&words).expect("non-empty"));
+            shuffled.collect::<Vec<_>>().join(" ")
+        } else {
+            let valid = arb_request(rng).to_string();
+            gen::mutated(rng, &valid)
+        };
         match line.parse::<Request>() {
-            Ok(req) => {
-                // The grammar is small; if the shuffle landed on a valid
-                // request it must still round-trip canonically.
-                let text = req.to_string();
-                assert_eq!(text.parse::<Request>().expect("canonical parses"), req);
-            }
+            Ok(_) => drop(assert_fixed_point(
+                &line,
+                str::parse::<Request>,
+                Request::to_string,
+            )),
             Err(e) => {
                 let resp = e.to_response();
                 match &resp {
@@ -290,13 +305,7 @@ fn random_junk_is_rejected_with_typed_errors() {
                     other => panic!("expected ERR, got {other:?}"),
                 }
                 // And the ERR frame itself survives the wire.
-                let text = resp.to_string();
-                assert_eq!(
-                    Response::parse(&text)
-                        .expect("ERR frame parses")
-                        .to_string(),
-                    text
-                );
+                assert_fixed_point(&resp.to_string(), Response::parse, Response::to_string);
             }
         }
     });

@@ -3,6 +3,7 @@
 //! a generated topology (the files restrict themselves to node events on
 //! low AS ids for exactly this reason).
 
+use stamp_repro::eventsim::textfmt::assert_fixed_point;
 use stamp_repro::topology::{generate, GenConfig};
 use stamp_repro::workload::{parse_scn, Timeline};
 use std::path::PathBuf;
@@ -27,26 +28,9 @@ fn every_scenario_file_parses_and_round_trips_exactly() {
     );
     for path in &files {
         let text = std::fs::read_to_string(path).expect("readable scenario file");
-        let t = parse_scn(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let t = assert_fixed_point(&text, parse_scn, Timeline::to_scn);
         assert!(!t.events().is_empty(), "{}: no events", path.display());
-        // Canonical fixed point: printing and re-parsing is lossless, and
-        // the printed form re-prints identically.
         let printed = t.to_scn();
-        let reparsed = parse_scn(&printed).unwrap_or_else(|e| {
-            panic!("{}: canonical form failed to re-parse: {e}", path.display())
-        });
-        assert_eq!(
-            reparsed,
-            t,
-            "{}: round-trip changed the timeline",
-            path.display()
-        );
-        assert_eq!(
-            reparsed.to_scn(),
-            printed,
-            "{}: printer is not a fixed point",
-            path.display()
-        );
         // The file's own event lines are already canonical (comments and
         // blank lines aside) — what you read is what the printer writes.
         let canonical_lines: Vec<&str> = printed.lines().collect();
