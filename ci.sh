@@ -81,6 +81,33 @@ for pat in 'split_ascii_whitespace(' 'split_whitespace(' 'is_ascii_alphanumeric(
 done
 echo "one-tokenizer guard passed"
 
+# --- Guard 5: one BGP speaker ----------------------------------------------
+# Everything that is BGP about an AS — the decision call, the Adj-RIB-Out
+# table — lives in crates/bgp/src/speaker.rs; the three protocol routers
+# hold a speaker and add only their delta (DESIGN.md §5.4). So across the
+# three protocol crates the decision process is invoked only by the speaker
+# (and rib.rs's own tests), a `(neighbour, prefix[, proc])`-keyed route table
+# is declared only there, and no `clone_from` is written by hand except where
+# a field is special-cased (the field-wise ones come from `clone_in_place!`).
+speaker_crates="crates/bgp/src crates/rbgp/src crates/core/src"
+one_speaker() { # pattern, then the files that may hold it
+    local pat=$1 files extra
+    shift
+    # shellcheck disable=SC2086
+    files=$(grep -rlF "$pat" $speaker_crates | sort || true)
+    extra=$(comm -23 <(printf '%s\n' "$files") <(printf '%s\n' "$@" | sort))
+    if [ -n "$extra" ]; then
+        echo "SPEAKER VIOLATION: '$pat' may occur only in: $*; also found in:" >&2
+        printf '%s\n' "$extra" >&2
+        exit 1
+    fi
+}
+one_speaker 'rib.decide(' crates/bgp/src/rib.rs crates/bgp/src/speaker.rs
+one_speaker 'FxHashMap<(AsId, PrefixId,' crates/bgp/src/speaker.rs
+one_speaker 'FxHashMap<(AsId, PrefixId), Route>' crates/bgp/src/speaker.rs
+one_speaker 'fn clone_from' crates/bgp/src/engine.rs crates/bgp/src/patharena.rs
+echo "one-speaker guard passed"
+
 # --- simlint: determinism & hot-path lints -------------------------------
 # The in-repo lint engine (crates/simlint): zero findings at Deny severity
 # across the simulation crates, or the build stops here. See DESIGN.md §11

@@ -246,7 +246,7 @@ pub struct RunStats {
 
 /// Liveness of links and nodes.
 #[derive(Debug, Clone)]
-pub struct LinkState {
+struct LinkState {
     link_up: Vec<bool>,
     node_up: Vec<bool>,
 }
@@ -260,12 +260,12 @@ impl LinkState {
     }
 
     /// Is the link itself up?
-    pub fn link_ok(&self, id: LinkId) -> bool {
+    fn link_ok(&self, id: LinkId) -> bool {
         self.link_up[id.index()]
     }
 
     /// Is the node up?
-    pub fn node_ok(&self, v: AsId) -> bool {
+    fn node_ok(&self, v: AsId) -> bool {
         self.node_up[v.index()]
     }
 }
@@ -463,12 +463,6 @@ impl<R: RouterLogic> Engine<R> {
         &self.paths
     }
 
-    /// Mutable arena access for harnesses that intern paths outside an
-    /// engine-driven event (tests, hand-fed updates).
-    pub fn paths_mut(&mut self) -> &mut PathArena {
-        &mut self.paths
-    }
-
     /// Router of one AS (immutable — data-plane snapshots).
     pub fn router(&self, v: AsId) -> &R {
         &self.routers[v.index()]
@@ -480,11 +474,6 @@ impl<R: RouterLogic> Engine<R> {
     pub fn router_mut(&mut self, v: AsId) -> &mut R {
         self.feed.touch(v);
         &mut self.routers[v.index()]
-    }
-
-    /// Link/node liveness.
-    pub fn link_state(&self) -> &LinkState {
-        &self.state
     }
 
     /// Is the session between `a` and `b` up (adjacent, both nodes up,

@@ -13,8 +13,13 @@
 //! * [`rib`] — Adj-RIB-In storage and the BGP decision process
 //!   (local-pref ↓, AS-path length ↑, lowest neighbour id), with AS-path
 //!   loop rejection;
+//! * [`speaker`] — the [`Speaker`]: everything that is BGP about one AS
+//!   (Adj-RIB-In, selections, Adj-RIB-Out, learn → decide → install →
+//!   export → advertise), written once and keyed by process, so R-BGP and
+//!   STAMP hold one and add only their delta;
 //! * [`router`] — the [`router::RouterLogic`] trait every protocol
-//!   implements, plus [`router::BgpRouter`], the unmodified-BGP baseline;
+//!   implements, plus [`router::BgpRouter`], the unmodified-BGP baseline:
+//!   a speaker running one process with nothing added;
 //! * [`engine`] — the event loop: FIFO sessions with U[10 ms, 20 ms]
 //!   delays, peer-based MRAI of 30 s × U[0.75, 1.0] with coalescing,
 //!   link/node failure injection, message counters and convergence
@@ -35,6 +40,7 @@ pub mod feed;
 pub mod patharena;
 pub mod rib;
 pub mod router;
+pub mod speaker;
 pub mod types;
 
 pub use engine::{Engine, EngineConfig, RunStats, ScenarioEvent};
@@ -42,6 +48,7 @@ pub use feed::{FeedCursor, Touched};
 pub use patharena::{PathArena, PathId};
 pub use rib::{DecisionOutcome, RibEntry, RibIn};
 pub use router::{BgpRouter, OutMsg, RouterCtx, RouterLogic};
+pub use speaker::Speaker;
 pub use types::{
     Color, EventType, PathAttrs, PrefixId, ProcId, RootCause, Route, UpdateKind, UpdateMsg,
 };

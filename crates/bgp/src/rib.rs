@@ -19,6 +19,7 @@
 
 use crate::patharena::PathArena;
 use crate::types::{PrefixId, ProcId, Route};
+use stamp_eventsim::clone_in_place;
 use stamp_topology::{AsId, Relation};
 
 /// One stored route plus the relation it was learned over.
@@ -59,27 +60,8 @@ impl Group {
     }
 }
 
-/// `clone_from` keeps the slot table's buffer. The source is destructured
-/// without `..`, so a new field does not compile until a copy decision is
-/// written here.
-impl Clone for Group {
-    fn clone(&self) -> Group {
-        let Group { key, slots, filled } = self;
-        Group {
-            key: *key,
-            slots: slots.clone(),
-            filled: *filled,
-        }
-    }
-
-    // simlint::hot
-    fn clone_from(&mut self, source: &Group) {
-        let Group { key, slots, filled } = source;
-        self.key = *key;
-        self.slots.clone_from(slots);
-        self.filled = *filled;
-    }
-}
+// A rewind keeps the slot table's buffer.
+clone_in_place!(Group { key, slots, filled });
 
 /// Per-router routes learned from neighbours, grouped by
 /// `(prefix, process instance)` into dense neighbour-slot tables.
@@ -93,26 +75,9 @@ pub struct RibIn {
     groups: Vec<Group>,
 }
 
-/// `clone_from` rewinds this RIB onto `source` in place: the neighbour map
-/// and every group that both sides have keep their buffers (a rewind onto
-/// a table of the same shape allocates nothing). Same field guard as
-/// [`Group`]'s.
-impl Clone for RibIn {
-    fn clone(&self) -> RibIn {
-        let RibIn { neighbors, groups } = self;
-        RibIn {
-            neighbors: neighbors.clone(),
-            groups: groups.clone(),
-        }
-    }
-
-    // simlint::hot
-    fn clone_from(&mut self, source: &RibIn) {
-        let RibIn { neighbors, groups } = source;
-        self.neighbors.clone_from(neighbors);
-        self.groups.clone_from(groups);
-    }
-}
+// A rewind onto a table of the same shape allocates nothing: the neighbour
+// map and every group that both sides have keep their buffers.
+clone_in_place!(RibIn { neighbors, groups });
 
 /// Result of running the decision process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

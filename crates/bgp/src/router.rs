@@ -3,13 +3,15 @@
 //! Each AS is a single router (the paper models one node per AS, eBGP only).
 //! A protocol implements [`RouterLogic`]; the engine owns one logic instance
 //! per AS, delivers messages/failures to it and collects the updates it
-//! wants sent. Plain BGP ([`BgpRouter`]) is both the baseline the paper
-//! measures against and the template R-BGP and STAMP extend.
+//! wants sent. Plain BGP ([`BgpRouter`]) is the baseline the paper measures
+//! against: a [`Speaker`] with nothing added, the same speaker R-BGP and
+//! STAMP build on.
 
 use crate::patharena::{PathArena, PathId};
-use crate::rib::{DecisionOutcome, RibIn};
-use crate::types::{CauseInfo, PrefixId, ProcId, Route, UpdateKind, UpdateMsg, WithdrawInfo};
-use stamp_eventsim::{Fnv1a, FxHashMap};
+use crate::rib::DecisionOutcome;
+use crate::speaker::Speaker;
+use crate::types::{CauseInfo, PrefixId, ProcId, Route, UpdateKind, UpdateMsg};
+use stamp_eventsim::{clone_in_place, Fnv1a};
 use stamp_policy::CompiledRegime;
 use stamp_topology::{AsGraph, AsId, Relation, SessEntry};
 
@@ -318,79 +320,33 @@ impl Selection {
     }
 }
 
-/// Unmodified BGP: one process, policy-driven decision and export gate
-/// (prefer-customer + valley-free under the default regime), no extra
-/// attributes. `Clone` so a copy of an engine carries router state (all
-/// fields are flat tables of `Copy` route handles).
+/// Unmodified BGP: a [`Speaker`] running one process, with nothing added —
+/// policy-driven decision and export gate (prefer-customer + valley-free
+/// under the default regime), no extra attributes, every live neighbour
+/// told in session order.
 #[derive(Debug)]
 pub struct BgpRouter {
-    me: AsId,
-    /// Prefixes this AS originates.
-    own: Vec<PrefixId>,
-    /// Routes learned from neighbours.
-    pub rib: RibIn,
-    /// Current best per prefix.
-    best: FxHashMap<PrefixId, Selection>,
-    /// Last route advertised per `(neighbor, prefix)` — BGP's Adj-RIB-Out;
-    /// used to suppress no-op updates and to know when a withdraw is due.
-    rib_out: FxHashMap<(AsId, PrefixId), Route>,
+    speaker: Speaker,
 }
 
-/// `clone_from` rewinds this router onto `source` in place: every table
-/// keeps its buffer, and the hash maps take `source`'s bucket layout (std's
-/// `HashMap::clone_from`), so they iterate in exactly the order a `clone`
-/// of `source` would. The source is destructured without `..`: a new field
-/// does not compile until a copy decision is written here.
-impl Clone for BgpRouter {
-    fn clone(&self) -> BgpRouter {
-        let BgpRouter {
-            me,
-            own,
-            rib,
-            best,
-            rib_out,
-        } = self;
-        BgpRouter {
-            me: *me,
-            own: own.clone(),
-            rib: rib.clone(),
-            best: best.clone(),
-            rib_out: rib_out.clone(),
-        }
-    }
-
-    // simlint::hot
-    fn clone_from(&mut self, source: &BgpRouter) {
-        let BgpRouter {
-            me,
-            own,
-            rib,
-            best,
-            rib_out,
-        } = source;
-        self.me = *me;
-        self.own.clone_from(own);
-        self.rib.clone_from(rib);
-        self.best.clone_from(best);
-        self.rib_out.clone_from(rib_out);
-    }
-}
+clone_in_place!(BgpRouter { speaker });
 
 impl BgpRouter {
     /// Router for `me`, originating the given prefixes.
     pub fn new(me: AsId, own: Vec<PrefixId>) -> BgpRouter {
         BgpRouter {
-            me,
-            own,
-            rib: RibIn::new(),
-            best: FxHashMap::default(),
-            rib_out: FxHashMap::default(),
+            speaker: Speaker::new(me, own),
         }
+    }
+
+    /// The BGP state of this AS (RIBs, selections, Adj-RIB-Out).
+    pub fn speaker(&self) -> &Speaker {
+        &self.speaker
     }
 
     /// Current selection for a prefix.
     pub fn selection(&self, prefix: PrefixId) -> &Selection {
-        self.best.get(&prefix).unwrap_or(&Selection::None)
+        self.speaker.selection(prefix, ProcId::ONLY)
     }
 
     /// Next hop for a prefix (`None` = no route or self-originated).
@@ -400,113 +356,36 @@ impl BgpRouter {
 
     /// Does this router originate `prefix`?
     pub fn originates(&self, prefix: PrefixId) -> bool {
-        self.own.contains(&prefix)
+        self.speaker.originates(prefix)
     }
 
-    /// Run the decision process and, if the selection changed, update
-    /// exports to every live neighbour.
+    /// Run the decision process and, if the selection changed, bring every
+    /// live neighbour in line with it.
     fn reselect(&mut self, ctx: &mut RouterCtx, prefix: PrefixId) {
-        let new = if self.originates(prefix) {
-            Selection::Own
-        } else {
-            match self
-                .rib
-                .decide(ctx.arena, self.me, prefix, ProcId::ONLY, |n| {
-                    ctx.sessions.session_up(self.me, n)
-                }) {
-                Some(d) => Selection::Learned(d),
-                None => Selection::None,
-            }
-        };
-        let old = self.best.get(&prefix).copied().unwrap_or_default();
-        if new == old {
+        let new = self.speaker.decide(ctx, prefix, ProcId::ONLY);
+        if !self.speaker.install(prefix, ProcId::ONLY, new) {
             return;
         }
         // Forwarding changes exactly when the next hop (or availability)
         // changes; conservatively flag on any selection change.
         ctx.fib_changed = true;
-        self.best.insert(prefix, new);
-        self.update_exports(ctx, prefix);
-    }
-
-    /// Desired advertisement towards `n` under the regime's export gate.
-    fn export_for(&self, ctx: &mut RouterCtx, prefix: PrefixId, n: AsId) -> Option<Route> {
-        let to_rel = ctx.relation(n)?;
-        match self.selection(prefix) {
-            Selection::None => None,
-            Selection::Own => {
-                let r = Route::originate(ctx.arena, self.me);
-                if ctx.export_ok(None, to_rel, &r) {
-                    Some(r)
-                } else {
-                    None
-                }
-            }
-            Selection::Learned(d) => {
-                if d.neighbor == n {
-                    // Never reflect a route back to its sender (split
-                    // horizon; the path would loop anyway).
-                    return None;
-                }
-                if ctx.export_ok(Some(d.learned_from), to_rel, &d.route) {
-                    Some(d.route.prepend(ctx.arena, self.me))
-                } else {
-                    None
-                }
-            }
+        for (n, rel) in ctx.live_neighbors() {
+            self.advertise(ctx, prefix, n, rel);
         }
     }
 
-    /// Reconcile desired exports with what each neighbour last heard.
-    fn update_exports(&mut self, ctx: &mut RouterCtx, prefix: PrefixId) {
-        for (n, _) in ctx.live_neighbors() {
-            let desired = self.export_for(ctx, prefix, n);
-            let current = self.rib_out.get(&(n, prefix));
-            match (desired, current) {
-                (None, None) => {}
-                (None, Some(_)) => {
-                    self.rib_out.remove(&(n, prefix));
-                    ctx.send(
-                        n,
-                        ProcId::ONLY,
-                        UpdateMsg {
-                            prefix,
-                            kind: UpdateKind::Withdraw(WithdrawInfo::default()),
-                        },
-                    );
-                }
-                (Some(r), cur) => {
-                    if cur != Some(&r) {
-                        self.rib_out.insert((n, prefix), r);
-                        ctx.send(
-                            n,
-                            ProcId::ONLY,
-                            UpdateMsg {
-                                prefix,
-                                kind: UpdateKind::Announce(r),
-                            },
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// All prefixes this router has any state for.
-    fn known_prefixes(&self) -> Vec<PrefixId> {
-        let mut v = Vec::with_capacity(self.own.len() + self.best.len());
-        v.extend_from_slice(&self.own);
-        v.extend(self.best.keys().copied());
-        v.sort_unstable();
-        v.dedup();
-        v
+    /// Tell `n` (related to us as `rel`) what the export rule allows.
+    fn advertise(&mut self, ctx: &mut RouterCtx, prefix: PrefixId, n: AsId, rel: Relation) {
+        let want = self.speaker.export(ctx, prefix, ProcId::ONLY, n, rel);
+        self.speaker
+            .advertise(ctx, n, prefix, ProcId::ONLY, want, |_| {});
     }
 }
 
 impl RouterLogic for BgpRouter {
     fn on_start(&mut self, ctx: &mut RouterCtx) {
-        for i in 0..self.own.len() {
-            let prefix = self.own[i];
+        // No allocation unless this AS originates something.
+        for prefix in self.speaker.own().to_vec() {
             self.reselect(ctx, prefix);
         }
     }
@@ -514,87 +393,46 @@ impl RouterLogic for BgpRouter {
     fn on_update(&mut self, ctx: &mut RouterCtx, from: AsId, _proc: ProcId, msg: UpdateMsg) {
         match msg.kind {
             UpdateKind::Announce(route) => {
-                // The relation is fixed per session; caching it in the RIB
-                // entry keeps the decision process free of graph lookups.
-                // A non-adjacent sender (impossible under the engine) is
-                // simply not stored. A rejecting import acts like a
-                // withdraw: any earlier route from that neighbour is gone.
-                if let Some(rel) = ctx.relation(from) {
-                    match ctx.import(msg.prefix, route, rel) {
-                        Some((route, pref)) => {
-                            self.rib
-                                .insert(msg.prefix, ProcId::ONLY, from, route, rel, pref);
-                        }
-                        None => {
-                            self.rib.remove(msg.prefix, ProcId::ONLY, from);
-                        }
-                    }
-                }
+                self.speaker
+                    .learn(ctx, from, ProcId::ONLY, msg.prefix, route)
             }
-            UpdateKind::Withdraw(_) => {
-                self.rib.remove(msg.prefix, ProcId::ONLY, from);
-            }
+            UpdateKind::Withdraw(_) => self.speaker.unlearn(from, ProcId::ONLY, msg.prefix),
         }
         self.reselect(ctx, msg.prefix);
     }
 
     fn on_link_down(&mut self, ctx: &mut RouterCtx, neighbor: AsId, _cause: CauseInfo) {
-        let affected = self.rib.remove_neighbor(neighbor);
-        // Anything we advertised over the dead session is gone with it.
-        let stale: Vec<(AsId, PrefixId)> = self
-            .rib_out
-            .keys()
-            .filter(|(n, _)| *n == neighbor)
-            .copied()
-            .collect();
-        for k in stale {
-            self.rib_out.remove(&k);
-        }
-        let mut prefixes: Vec<PrefixId> = affected.into_iter().map(|(p, _)| p).collect();
-        prefixes.sort_unstable();
-        prefixes.dedup();
-        for p in prefixes {
+        // One process: the affected keys are distinct ascending prefixes.
+        for (p, _) in self.speaker.session_down(neighbor) {
             self.reselect(ctx, p);
         }
     }
 
     fn on_link_up(&mut self, ctx: &mut RouterCtx, neighbor: AsId, _cause: CauseInfo) {
-        // Fresh session: neighbour has none of our state. Re-advertise the
-        // current best for every known prefix.
-        for prefix in self.known_prefixes() {
-            if let Some(r) = self.export_for(ctx, prefix, neighbor) {
-                self.rib_out.insert((neighbor, prefix), r);
-                ctx.send(
-                    neighbor,
-                    ProcId::ONLY,
-                    UpdateMsg {
-                        prefix,
-                        kind: UpdateKind::Announce(r),
-                    },
-                );
-            }
+        // Fresh session: the neighbour has none of our state. Re-advertise
+        // the current best for every known prefix.
+        let Some(rel) = ctx.relation(neighbor) else {
+            return;
+        };
+        self.speaker.forget_heard(neighbor);
+        for prefix in self.speaker.known_prefixes() {
+            self.advertise(ctx, prefix, neighbor, rel);
         }
     }
 
     fn fingerprint(&self, fp: &mut StateFingerprint) {
-        for (&p, sel) in &self.best {
-            if let Some(d) = StateFingerprint::selection_digest(self.me, p, 0, sel) {
-                fp.mix(d);
-            }
-        }
+        self.speaker.fingerprint(fp);
     }
 
     fn selected_route(&self, prefix: PrefixId) -> Option<(AsId, Route)> {
-        match self.selection(prefix) {
-            Selection::Learned(d) => Some((d.neighbor, d.route)),
-            _ => None,
-        }
+        self.speaker.selected_route(prefix, ProcId::ONLY)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::WithdrawInfo;
     use stamp_topology::GraphBuilder;
 
     struct AllUp;

@@ -1,5 +1,10 @@
 //! The STAMP router: two coordinated BGP processes per AS.
 //!
+//! Both processes are run by one [`Speaker`] — unmodified BGP, keyed by
+//! process — and this module is what STAMP adds to it: who may hear which
+//! colour, the Lock and ET bits, instability flags and the active colour
+//! (DESIGN.md §5.4).
+//!
 //! Protocol recap (§4.1):
 //!
 //! * The **red** (`ProcId(0)`) and **blue** (`ProcId(1)`) processes each run
@@ -21,34 +26,36 @@
 //!   uses.
 
 use crate::lock::LockStrategy;
-use stamp_bgp::rib::RibIn;
 use stamp_bgp::router::{RouterCtx, RouterLogic, Selection, StateFingerprint};
+use stamp_bgp::speaker::Speaker;
 use stamp_bgp::types::{
-    CauseInfo, Color, EventType, PathAttrs, PrefixId, ProcId, Route, UpdateKind, UpdateMsg,
-    WithdrawInfo,
+    CauseInfo, Color, EventType, PrefixId, ProcId, Route, UpdateKind, UpdateMsg,
 };
-use stamp_eventsim::FxHashMap;
+use stamp_eventsim::{clone_in_place, FxHashMap};
 use stamp_topology::{AsId, Relation};
 
-/// Per-event ET classification for each colour (`None` = colour untouched).
+/// Per-event ET classification for each colour, `[red, blue]` (`None` =
+/// colour untouched).
 type EtByColor = [Option<EventType>; 2];
 
-/// Desired per-neighbour advertisement state — `(neighbor, colour, route
-/// to announce or `None` to withdraw)` — plus the chosen blue lock target.
-type DesiredExports = (Vec<(AsId, Color, Option<Route>)>, Option<AsId>);
+/// Colour `c`'s element of a `[red, blue]` pair.
+fn of<T>(c: Color, [red, blue]: [T; 2]) -> T {
+    match c {
+        Color::Red => red,
+        Color::Blue => blue,
+    }
+}
 
-/// A STAMP router (one per AS). `Clone` so a copy of an engine carries
-/// router state.
+/// Both processes touched by a benign event (start, fresh session).
+const BOTH_BENIGN: [(Color, bool); 2] = [(Color::Red, false), (Color::Blue, false)];
+
+/// A STAMP router (one per AS): a BGP [`Speaker`] running the red and the
+/// blue process, plus what STAMP adds — which colour goes to which
+/// provider, the Lock and ET bits, instability flags and the active colour.
 #[derive(Debug)]
 pub struct StampRouter {
-    me: AsId,
-    own: Vec<PrefixId>,
-    /// Routes learned from neighbours, keyed by (prefix, process, neighbour).
-    pub rib: RibIn,
-    /// Current best per (prefix, colour).
-    best: FxHashMap<(PrefixId, Color), Selection>,
-    /// What each neighbour last heard from us, per colour.
-    rib_out: FxHashMap<(AsId, PrefixId, Color), Route>,
+    /// Everything that is plain BGP, for both processes.
+    speaker: Speaker,
     /// Which process this AS's own traffic currently uses.
     active: FxHashMap<PrefixId, Color>,
     /// Data-plane instability flags (§5.2).
@@ -59,70 +66,19 @@ pub struct StampRouter {
     lock_current: FxHashMap<PrefixId, AsId>,
 }
 
-/// `clone_from` rewinds this router onto `source` in place: tables keep
-/// their buffers and the hash maps take `source`'s bucket layout, so they
-/// iterate as a `clone` of `source` would — see `BgpRouter`'s impl. Same
-/// field guard: no `..` in the destructuring.
-impl Clone for StampRouter {
-    fn clone(&self) -> StampRouter {
-        let StampRouter {
-            me,
-            own,
-            rib,
-            best,
-            rib_out,
-            active,
-            unstable,
-            lock_strategy,
-            lock_current,
-        } = self;
-        StampRouter {
-            me: *me,
-            own: own.clone(),
-            rib: rib.clone(),
-            best: best.clone(),
-            rib_out: rib_out.clone(),
-            active: active.clone(),
-            unstable: unstable.clone(),
-            lock_strategy: lock_strategy.clone(),
-            lock_current: lock_current.clone(),
-        }
-    }
-
-    // simlint::hot
-    fn clone_from(&mut self, source: &StampRouter) {
-        let StampRouter {
-            me,
-            own,
-            rib,
-            best,
-            rib_out,
-            active,
-            unstable,
-            lock_strategy,
-            lock_current,
-        } = source;
-        self.me = *me;
-        self.own.clone_from(own);
-        self.rib.clone_from(rib);
-        self.best.clone_from(best);
-        self.rib_out.clone_from(rib_out);
-        self.active.clone_from(active);
-        self.unstable.clone_from(unstable);
-        self.lock_strategy.clone_from(lock_strategy);
-        self.lock_current.clone_from(lock_current);
-    }
-}
+clone_in_place!(StampRouter {
+    speaker,
+    active,
+    unstable,
+    lock_strategy,
+    lock_current
+});
 
 impl StampRouter {
     /// Router for `me`, originating `own`, with the given lock policy.
     pub fn new(me: AsId, own: Vec<PrefixId>, lock_strategy: LockStrategy) -> StampRouter {
         StampRouter {
-            me,
-            own,
-            rib: RibIn::new(),
-            best: FxHashMap::default(),
-            rib_out: FxHashMap::default(),
+            speaker: Speaker::new(me, own),
             active: FxHashMap::default(),
             unstable: FxHashMap::default(),
             lock_strategy,
@@ -134,9 +90,14 @@ impl StampRouter {
     // Read-side API (data plane, tests, experiments)
     // ------------------------------------------------------------------
 
+    /// The BGP state of this AS (RIBs, selections, Adj-RIB-Out).
+    pub fn speaker(&self) -> &Speaker {
+        &self.speaker
+    }
+
     /// Current selection of one colour.
     pub fn selection(&self, prefix: PrefixId, c: Color) -> &Selection {
-        self.best.get(&(prefix, c)).unwrap_or(&Selection::None)
+        self.speaker.selection(prefix, c.proc())
     }
 
     /// Next hop of one colour (`None` = origin or no route).
@@ -146,7 +107,7 @@ impl StampRouter {
 
     /// Does this AS originate `prefix`?
     pub fn originates(&self, prefix: PrefixId) -> bool {
-        self.own.contains(&prefix)
+        self.speaker.originates(prefix)
     }
 
     /// Is colour `c` currently flagged unstable for `prefix` (§5.2)?
@@ -169,10 +130,8 @@ impl StampRouter {
     /// `(red, blue)`. Per-provider colour exclusivity (§4.2) means a
     /// multi-provider AS never reports `(true, true)` towards a provider.
     pub fn announced_colors_to(&self, neighbor: AsId, prefix: PrefixId) -> (bool, bool) {
-        (
-            self.rib_out.contains_key(&(neighbor, prefix, Color::Red)),
-            self.rib_out.contains_key(&(neighbor, prefix, Color::Blue)),
-        )
+        let heard = |c: Color| self.speaker.heard(neighbor, prefix, c.proc()).is_some();
+        (heard(Color::Red), heard(Color::Blue))
     }
 
     /// Clear all instability flags (harness calls this between the initial
@@ -193,28 +152,15 @@ impl StampRouter {
 
     /// Re-run the decision process for one colour; returns whether the
     /// selection changed, updating the instability flag per crate-doc
-    /// rule 3.
+    /// rule 3. A loss that does not change our best (e.g. a withdrawn
+    /// alternative) leaves the process stable.
     fn reselect(&mut self, ctx: &RouterCtx, prefix: PrefixId, c: Color, loss: bool) -> bool {
-        let new = if self.originates(prefix) {
-            Selection::Own
-        } else {
-            match self.rib.decide(ctx.arena, self.me, prefix, c.proc(), |n| {
-                ctx.sessions.session_up(self.me, n)
-            }) {
-                Some(d) => Selection::Learned(d),
-                None => Selection::None,
-            }
-        };
-        let old = self.best.get(&(prefix, c)).copied().unwrap_or_default();
-        if new == old {
-            // A loss that does not change our best (e.g. a withdrawn
-            // alternative) leaves the process stable.
-            return false;
+        let new = self.speaker.decide(ctx, prefix, c.proc());
+        let changed = self.speaker.install(prefix, c.proc(), new);
+        if changed {
+            self.unstable.insert((prefix, c), loss || !new.is_some());
         }
-        let has_route = new.is_some();
-        self.best.insert((prefix, c), new);
-        self.unstable.insert((prefix, c), loss || !has_route);
-        true
+        changed
     }
 
     /// Switch the active process per §5.2: move off a process that lost its
@@ -239,6 +185,7 @@ impl StampRouter {
     /// The route colour `c` would announce *upward* (to a provider), if
     /// the policy's export gate allows it: own prefixes and
     /// customer-learned routes under the default (valley-free) regime.
+    /// Computed once for all providers, so without a split-horizon check.
     /// The Lock bit is set per the sticky-lock rule (crate docs, rule 2).
     fn up_route(
         &self,
@@ -247,26 +194,11 @@ impl StampRouter {
         c: Color,
         lock_eligible: bool,
     ) -> Option<Route> {
-        match self.selection(prefix, c) {
-            Selection::Own => {
-                let r = Route {
-                    path: ctx.arena.origin_path(self.me),
-                    attrs: PathAttrs {
-                        lock: c == Color::Blue,
-                        ..PathAttrs::default()
-                    },
-                };
-                ctx.export_ok(None, Relation::Provider, &r).then_some(r)
-            }
-            Selection::Learned(d)
-                if ctx.export_ok(Some(d.learned_from), Relation::Provider, &d.route) =>
-            {
-                let mut r = d.route.prepend(ctx.arena, self.me);
-                r.attrs.lock = c == Color::Blue && lock_eligible;
-                Some(r)
-            }
-            _ => None,
-        }
+        let mut r = self
+            .speaker
+            .export_toward(ctx, prefix, c.proc(), Relation::Provider)?;
+        r.attrs.lock = c == Color::Blue && lock_eligible;
+        Some(r)
     }
 
     /// Does this AS hold the lock obligation for `prefix`? True for the
@@ -275,49 +207,56 @@ impl StampRouter {
         if self.originates(prefix) {
             return true;
         }
-        self.rib
+        self.speaker
             .routes(prefix, Color::Blue.proc())
             .any(|(_, e)| e.route.attrs.lock && e.learned_from == Relation::Customer)
     }
 
-    /// Desired advertisement state towards every live neighbour for both
-    /// colours. Routes carry `et: None`; the sender stamps ET when a
-    /// message is actually emitted.
-    fn desired_exports(&self, ctx: &mut RouterCtx, prefix: PrefixId) -> DesiredExports {
-        let mut out = Vec::new();
-        // Live providers drive the selective-announcement split below; the
-        // customer/peer pass streams straight off the session slice.
-        let mut providers: Vec<AsId> = Vec::new();
+    /// Tell `n` colour `c`'s route (`None` withdraws), stamping ET:
+    /// announcements and withdrawals of a colour whose best just changed
+    /// carry that change's classification; policy-swap messages carry
+    /// `NotLost`. The stored route carries no ET.
+    fn advertise(
+        &mut self,
+        ctx: &mut RouterCtx,
+        n: AsId,
+        prefix: PrefixId,
+        c: Color,
+        want: Option<Route>,
+        et: EtByColor,
+    ) {
+        let bit = Some(of(c, et).unwrap_or(EventType::NotLost));
+        let wire = |kind: &mut UpdateKind| match kind {
+            UpdateKind::Announce(r) => r.attrs.et = bit,
+            UpdateKind::Withdraw(w) => w.et = bit,
+        };
+        self.speaker.advertise(ctx, n, prefix, c.proc(), want, wire);
+    }
 
-        // Customers and peers: both colours, standard valley-free export.
+    /// Bring every live neighbour in line with both colours' selections:
+    /// customers and peers first (session order, red then blue), then the
+    /// providers under the selective announcement rules.
+    fn reconcile(&mut self, ctx: &mut RouterCtx, prefix: PrefixId, et: EtByColor) {
+        // Customers and peers hear both colours under the base BGP export
+        // rule; the Lock bit travels with the route (an origin's blue is
+        // born locked).
+        let down_lock = Color::ALL.map(|c| match self.selection(prefix, c) {
+            Selection::Own => c == Color::Blue,
+            Selection::Learned(d) => d.route.attrs.lock,
+            Selection::None => false,
+        });
+        let mut providers: Vec<AsId> = Vec::new();
         for (n, rel) in ctx.live_neighbors() {
             if rel == Relation::Provider {
                 providers.push(n);
                 continue;
             }
             for c in Color::ALL {
-                let desired = match self.selection(prefix, c) {
-                    Selection::Own => {
-                        let r = Route {
-                            path: ctx.arena.origin_path(self.me),
-                            attrs: PathAttrs {
-                                lock: c == Color::Blue,
-                                ..PathAttrs::default()
-                            },
-                        };
-                        ctx.export_ok(None, rel, &r).then_some(r)
-                    }
-                    Selection::Learned(d)
-                        if d.neighbor != n
-                            && ctx.export_ok(Some(d.learned_from), rel, &d.route) =>
-                    {
-                        let mut r = d.route.prepend(ctx.arena, self.me);
-                        r.attrs.lock = d.route.attrs.lock;
-                        Some(r)
-                    }
-                    _ => None,
-                };
-                out.push((n, c, desired));
+                let mut want = self.speaker.export(ctx, prefix, c.proc(), n, rel);
+                if let Some(r) = &mut want {
+                    r.attrs.lock = of(c, down_lock);
+                }
+                self.advertise(ctx, n, prefix, c, want, et);
             }
         }
 
@@ -325,116 +264,46 @@ impl StampRouter {
         let lock_eligible = self.lock_eligible(prefix);
         let red_up = self.up_route(ctx, prefix, Color::Red, false);
         let blue_up = self.up_route(ctx, prefix, Color::Blue, lock_eligible);
-
         let mut lock_target = None;
-        match providers.len() {
-            0 => {}
-            1 => {
-                // Cut exemption: both colours to the sole provider.
-                let n = providers[0];
-                if blue_up.is_some() && lock_eligible {
-                    lock_target = Some(n);
-                }
-                out.push((n, Color::Red, red_up));
-                out.push((n, Color::Blue, blue_up));
+        if let &[n] = providers.as_slice() {
+            // Cut exemption: both colours to the sole provider.
+            if blue_up.is_some() && lock_eligible {
+                lock_target = Some(n);
             }
-            _ => {
-                let locked_blue = blue_up.filter(|r| r.attrs.lock);
-                if locked_blue.is_some() {
-                    lock_target = self.lock_strategy.choose(
-                        self.me,
-                        prefix,
-                        &providers,
-                        self.lock_current.get(&prefix).copied(),
-                    );
-                }
-                for &n in &providers {
-                    if Some(n) == lock_target {
-                        out.push((n, Color::Blue, locked_blue));
-                        out.push((n, Color::Red, None));
-                    } else if red_up.is_some() {
-                        out.push((n, Color::Red, red_up));
-                        out.push((n, Color::Blue, None));
-                    } else if let Some(mut r) = blue_up {
-                        // Unlocked blue fills in where no red exists.
-                        r.attrs.lock = false;
-                        out.push((n, Color::Blue, Some(r)));
-                        out.push((n, Color::Red, None));
-                    } else {
-                        out.push((n, Color::Red, None));
-                        out.push((n, Color::Blue, None));
-                    }
-                }
+            self.advertise(ctx, n, prefix, Color::Red, red_up, et);
+            self.advertise(ctx, n, prefix, Color::Blue, blue_up, et);
+        } else {
+            let locked_blue = blue_up.filter(|r| r.attrs.lock);
+            if locked_blue.is_some() {
+                lock_target = self.lock_strategy.choose(
+                    self.speaker.me(),
+                    prefix,
+                    &providers,
+                    self.lock_target(prefix),
+                );
+            }
+            for &n in &providers {
+                // One colour per provider: locked blue to the lock target,
+                // red everywhere else, unlocked blue only where no red
+                // exists. The colour that goes is told first.
+                let (c, route) = if Some(n) == lock_target {
+                    (Color::Blue, locked_blue)
+                } else if red_up.is_some() {
+                    (Color::Red, red_up)
+                } else if let Some(mut r) = blue_up {
+                    r.attrs.lock = false;
+                    (Color::Blue, Some(r))
+                } else {
+                    (Color::Red, None)
+                };
+                self.advertise(ctx, n, prefix, c, route, et);
+                self.advertise(ctx, n, prefix, c.other(), None, et);
             }
         }
-        (out, lock_target)
-    }
-
-    /// Reconcile desired exports against what neighbours last heard,
-    /// stamping ET per colour: announcements and withdrawals of a colour
-    /// whose best just changed carry that change's classification;
-    /// policy-swap messages carry `NotLost`.
-    fn reconcile(&mut self, ctx: &mut RouterCtx, prefix: PrefixId, et: EtByColor) {
-        let (desired, lock_target) = self.desired_exports(ctx, prefix);
         match lock_target {
-            Some(t) => {
-                self.lock_current.insert(prefix, t);
-            }
-            None => {
-                self.lock_current.remove(&prefix);
-            }
-        }
-        for (n, c, want) in desired {
-            let key = (n, prefix, c);
-            let have = self.rib_out.get(&key);
-            match (want, have) {
-                (None, None) => {}
-                (None, Some(_)) => {
-                    self.rib_out.remove(&key);
-                    let et_bit = match et[c.proc().0 as usize] {
-                        Some(EventType::Lost) => EventType::Lost,
-                        _ => EventType::NotLost,
-                    };
-                    ctx.send(
-                        n,
-                        c.proc(),
-                        UpdateMsg {
-                            prefix,
-                            kind: UpdateKind::Withdraw(WithdrawInfo {
-                                root_cause: None,
-                                et: Some(et_bit),
-                                failover: false,
-                            }),
-                        },
-                    );
-                }
-                (Some(r), have) => {
-                    if have != Some(&r) {
-                        self.rib_out.insert(key, r);
-                        let mut send = r;
-                        send.attrs.et = Some(et[c.proc().0 as usize].unwrap_or(EventType::NotLost));
-                        ctx.send(
-                            n,
-                            c.proc(),
-                            UpdateMsg {
-                                prefix,
-                                kind: UpdateKind::Announce(send),
-                            },
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Prefixes with any local state.
-    fn known_prefixes(&self) -> Vec<PrefixId> {
-        let mut v = Vec::with_capacity(self.own.len() + self.best.len());
-        v.extend_from_slice(&self.own);
-        v.extend(self.best.keys().map(|(p, _)| *p));
-        v.sort_unstable();
-        v.dedup();
-        v
+            Some(t) => self.lock_current.insert(prefix, t),
+            None => self.lock_current.remove(&prefix),
+        };
     }
 
     /// Shared tail of every event: reselect touched colours, reconcile,
@@ -447,26 +316,17 @@ impl StampRouter {
         force_reconcile: bool,
     ) {
         let mut et: EtByColor = [None, None];
-        let mut changed_any = false;
         for &(c, loss) in touched {
             if self.reselect(ctx, prefix, c, loss) {
-                changed_any = true;
                 ctx.fib_changed = true;
-                et[c.proc().0 as usize] = Some(if loss {
+                *of(c, et.each_mut()) = Some(if loss {
                     EventType::Lost
                 } else {
                     EventType::NotLost
                 });
-            } else if loss {
-                // Even without a best change, a loss event may flip the
-                // data-plane stability of the in-use route when the loss
-                // came from the best route's announcer (e.g. an ET=0
-                // re-announcement keeping the same next hop). Only flag if
-                // the process still has that neighbour as its selection.
-                // (Covered by the changed case otherwise.)
             }
         }
-        if changed_any || force_reconcile {
+        if force_reconcile || et != [None, None] {
             self.reconcile(ctx, prefix, et);
         }
         self.update_active(prefix);
@@ -475,131 +335,85 @@ impl StampRouter {
 
 impl RouterLogic for StampRouter {
     fn on_start(&mut self, ctx: &mut RouterCtx) {
-        for i in 0..self.own.len() {
-            let prefix = self.own[i];
-            self.handle_prefix_event(
-                ctx,
-                prefix,
-                &[(Color::Red, false), (Color::Blue, false)],
-                true,
-            );
+        // No allocation unless this AS originates something.
+        for prefix in self.speaker.own().to_vec() {
+            self.handle_prefix_event(ctx, prefix, &BOTH_BENIGN, true);
         }
     }
 
     fn on_update(&mut self, ctx: &mut RouterCtx, from: AsId, proc: ProcId, msg: UpdateMsg) {
-        let c = Color::from_proc(proc);
         let loss = match msg.kind {
             UpdateKind::Announce(route) => {
-                if let Some(rel) = ctx.relation(from) {
-                    // A policy reject acts as an implicit withdrawal.
-                    match ctx.import(msg.prefix, route, rel) {
-                        Some((route, pref)) => {
-                            self.rib.insert(msg.prefix, proc, from, route, rel, pref);
-                        }
-                        None => {
-                            self.rib.remove(msg.prefix, proc, from);
-                        }
-                    }
-                }
+                self.speaker.learn(ctx, from, proc, msg.prefix, route);
                 route.attrs.et == Some(EventType::Lost)
             }
             UpdateKind::Withdraw(info) => {
-                self.rib.remove(msg.prefix, proc, from);
+                self.speaker.unlearn(from, proc, msg.prefix);
                 info.is_loss()
             }
         };
-        self.handle_prefix_event(ctx, msg.prefix, &[(c, loss)], false);
+        self.handle_prefix_event(ctx, msg.prefix, &[(Color::from_proc(proc), loss)], false);
     }
 
     fn on_link_down(&mut self, ctx: &mut RouterCtx, neighbor: AsId, _cause: CauseInfo) {
-        let affected = self.rib.remove_neighbor(neighbor);
-        // Sessions towards the dead neighbour are gone.
-        let stale: Vec<(AsId, PrefixId, Color)> = self
-            .rib_out
-            .keys()
-            .filter(|(n, _, _)| *n == neighbor)
-            .copied()
-            .collect();
-        for k in stale {
-            self.rib_out.remove(&k);
-        }
+        let lost = self.speaker.session_down(neighbor);
         // A dead lock target is re-chosen on the next reconcile.
-        let relock: Vec<PrefixId> = self
-            .lock_current
-            .iter()
-            .filter(|(_, t)| **t == neighbor)
-            .map(|(p, _)| *p)
-            .collect();
-        for p in &relock {
-            self.lock_current.remove(p);
-        }
-
-        let mut by_prefix: FxHashMap<PrefixId, Vec<(Color, bool)>> = FxHashMap::default();
-        for (p, proc) in affected {
-            by_prefix
-                .entry(p)
-                .or_default()
-                .push((Color::from_proc(proc), true));
-        }
+        let mut relock: Vec<PrefixId> = Vec::new();
+        self.lock_current.retain(|&p, &mut t| {
+            if t == neighbor {
+                relock.push(p);
+            }
+            t != neighbor
+        });
         // Prefixes whose provider set changed need reconciliation even if
         // no route was lost (the selective announcement pattern depends on
         // the live provider list).
         let provider_changed = ctx.relation(neighbor) == Some(Relation::Provider);
-        let mut prefixes: Vec<PrefixId> = self.known_prefixes();
-        prefixes.extend(by_prefix.keys().copied());
+        let mut prefixes: Vec<PrefixId> = self.speaker.known_prefixes();
+        prefixes.extend(lost.iter().map(|(p, _)| *p));
         prefixes.sort_unstable();
         prefixes.dedup();
         for p in prefixes {
-            let touched = by_prefix.remove(&p).unwrap_or_default();
+            let touched: Vec<(Color, bool)> = lost
+                .iter()
+                .filter(|(q, _)| *q == p)
+                .map(|(_, proc)| (Color::from_proc(*proc), true))
+                .collect();
             let force = provider_changed || relock.contains(&p) || !touched.is_empty();
             self.handle_prefix_event(ctx, p, &touched, force);
         }
     }
 
-    fn on_link_up(&mut self, ctx: &mut RouterCtx, _neighbor: AsId, _cause: CauseInfo) {
-        // Fresh session (and possibly a changed provider set): reconcile
-        // every known prefix; new sessions simply receive announcements.
-        for p in self.known_prefixes() {
-            self.handle_prefix_event(ctx, p, &[(Color::Red, false), (Color::Blue, false)], true);
+    fn on_link_up(&mut self, ctx: &mut RouterCtx, neighbor: AsId, _cause: CauseInfo) {
+        // Fresh session — the neighbour has none of our state — and
+        // possibly a changed provider set: reconcile every known prefix.
+        self.speaker.forget_heard(neighbor);
+        for p in self.speaker.known_prefixes() {
+            self.handle_prefix_event(ctx, p, &BOTH_BENIGN, true);
         }
     }
 
     fn fingerprint(&self, fp: &mut StateFingerprint) {
-        for (&(p, c), sel) in &self.best {
-            let proc = u64::from(c.proc().0);
-            if let Some(d) = StateFingerprint::selection_digest(self.me, p, proc, sel) {
-                fp.mix(d);
-            }
-        }
+        self.speaker.fingerprint(fp);
         // The active colour and instability flags steer forwarding (§5.2):
         // a cycle must repeat them too, or it isn't the same state.
+        let me = u64::from(self.speaker.me().0);
+        let mut mix = |p: PrefixId, tag: u64, c: Color| {
+            let words = [me, u64::from(p.0), tag, u64::from(c.proc().0)];
+            fp.mix(StateFingerprint::digest(&words));
+        };
         for (&p, &c) in &self.active {
-            fp.mix(StateFingerprint::digest(&[
-                u64::from(self.me.0),
-                u64::from(p.0),
-                5,
-                u64::from(c.proc().0),
-            ]));
+            mix(p, 5, c);
         }
-        for (&(p, c), &flag) in &self.unstable {
-            if flag {
-                fp.mix(StateFingerprint::digest(&[
-                    u64::from(self.me.0),
-                    u64::from(p.0),
-                    6,
-                    u64::from(c.proc().0),
-                ]));
-            }
+        for (&(p, c), _) in self.unstable.iter().filter(|(_, &flag)| flag) {
+            mix(p, 6, c);
         }
     }
 
     fn selected_route(&self, prefix: PrefixId) -> Option<(AsId, Route)> {
         // A leak comes from the red process — the paper's "ordinary BGP"
         // side, the one a misconfigured exporter would re-advertise from.
-        match self.selection(prefix, Color::Red) {
-            Selection::Learned(d) => Some((d.neighbor, d.route)),
-            _ => None,
-        }
+        self.speaker.selected_route(prefix, Color::Red.proc())
     }
 }
 
@@ -843,6 +657,7 @@ mod et_tests {
     use super::*;
     use stamp_bgp::patharena::PathArena;
     use stamp_bgp::router::SessionView;
+    use stamp_bgp::types::{PathAttrs, WithdrawInfo};
     use stamp_topology::{AsGraph, GraphBuilder};
 
     struct AllUp;

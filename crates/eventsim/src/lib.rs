@@ -44,3 +44,31 @@ pub use fxhash::{Fnv1a, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use queue::Scheduler;
 pub use rng::{derive_seed, rng_stream, Rng};
 pub use time::{SimDuration, SimTime};
+
+/// `impl Clone` for a struct whose copy is purely field-wise, from one
+/// field list: `clone_in_place!(Type { a, b, c });`.
+///
+/// `clone_from` rewinds `self` onto `source` in place — every field goes
+/// through its own `clone_from`, so `Vec`s and hash maps keep their buffers
+/// and a map takes `source`'s bucket layout (it then iterates exactly as a
+/// `clone` of `source` would). Both methods destructure without `..`: a
+/// field missing from the list does not compile, so a new field cannot be
+/// added without a copy decision. Types that special-case a field (`Engine`,
+/// `PathArena`, `Scheduler`, …) write their impl by hand.
+#[macro_export]
+macro_rules! clone_in_place {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl Clone for $ty {
+            fn clone(&self) -> $ty {
+                let $ty { $($field),+ } = self;
+                $ty { $($field: Clone::clone($field)),+ }
+            }
+
+            // simlint::hot
+            fn clone_from(&mut self, source: &$ty) {
+                let $ty { $($field),+ } = source;
+                $(Clone::clone_from(&mut self.$field, $field);)+
+            }
+        }
+    };
+}

@@ -1,13 +1,21 @@
-//! The R-BGP router.
+//! The R-BGP router: what R-BGP adds to a BGP [`Speaker`].
+//!
+//! The speaker owns the RIBs, the best path and the Adj-RIB-Out and runs
+//! the base export rule; this module adds the failover advertisement (one
+//! targeted route per prefix, outside the Adj-RIB-Out), the continuity
+//! pseudo-best substituted between the speaker's `decide` and `install`,
+//! and root-cause records stamped on every outgoing update (DESIGN.md
+//! §5.4).
 
 use stamp_bgp::patharena::PathArena;
-use stamp_bgp::rib::RibIn;
+use stamp_bgp::rib::DecisionOutcome;
 use stamp_bgp::router::{route_attr_word, RouterCtx, RouterLogic, Selection, StateFingerprint};
+use stamp_bgp::speaker::Speaker;
 use stamp_bgp::types::{
     CauseInfo, PrefixId, ProcId, RootCause, Route, UpdateKind, UpdateMsg, WithdrawInfo,
 };
-use stamp_eventsim::FxHashMap;
-use stamp_topology::AsId;
+use stamp_eventsim::{clone_in_place, FxHashMap};
+use stamp_topology::{AsId, Relation};
 
 /// R-BGP configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,80 +38,47 @@ impl Default for RbgpConfig {
     }
 }
 
-/// One R-BGP router (single process; `ProcId::ONLY`). `Clone` so a copy of
-/// an engine carries router state.
+/// The one process R-BGP runs.
+const ONLY: ProcId = ProcId::ONLY;
+
+/// One R-BGP router: a BGP [`Speaker`] running one process, plus what R-BGP
+/// adds — received and advertised failover paths, and (RCI mode) the newest
+/// cause record per network element.
 #[derive(Debug)]
 pub struct RbgpRouter {
-    me: AsId,
-    own: Vec<PrefixId>,
+    /// Everything that is plain BGP: RIBs, best paths, Adj-RIB-Out.
+    speaker: Speaker,
     cfg: RbgpConfig,
-    /// Normal (best-path) routes learned from neighbours.
-    pub rib: RibIn,
     /// Failover routes received, per (prefix, advertising neighbour).
     failover_in: FxHashMap<(PrefixId, AsId), Route>,
-    /// Current best per prefix.
-    best: FxHashMap<PrefixId, Selection>,
-    /// Last best-path advertisement per (neighbor, prefix).
-    rib_out: FxHashMap<(AsId, PrefixId), Route>,
     /// Our current failover advertisement: (target neighbour, route sent).
     failover_out: FxHashMap<PrefixId, (AsId, Route)>,
     /// Newest cause record per element (RCI mode): element -> (seq, up).
     known_causes: FxHashMap<RootCause, (u32, bool)>,
 }
 
-/// `clone_from` rewinds this router onto `source` in place, configuration
-/// included (an R-BGP session re-targets onto a without-RCI baseline and
-/// back): tables keep their buffers and the hash maps take `source`'s
-/// bucket layout, so they iterate as a `clone` of `source` would — see
-/// `BgpRouter`'s impl. Same field guard: no `..` in the destructuring.
-impl Clone for RbgpRouter {
-    fn clone(&self) -> RbgpRouter {
-        let RbgpRouter {
-            me,
-            own,
-            cfg,
-            rib,
-            failover_in,
-            best,
-            rib_out,
-            failover_out,
-            known_causes,
-        } = self;
-        RbgpRouter {
-            me: *me,
-            own: own.clone(),
-            cfg: *cfg,
-            rib: rib.clone(),
-            failover_in: failover_in.clone(),
-            best: best.clone(),
-            rib_out: rib_out.clone(),
-            failover_out: failover_out.clone(),
-            known_causes: known_causes.clone(),
-        }
-    }
+// A rewind carries the configuration too: an R-BGP session re-targets onto
+// a without-RCI baseline and back.
+clone_in_place!(RbgpRouter {
+    speaker,
+    cfg,
+    failover_in,
+    failover_out,
+    known_causes
+});
 
-    // simlint::hot
-    fn clone_from(&mut self, source: &RbgpRouter) {
-        let RbgpRouter {
-            me,
-            own,
-            cfg,
-            rib,
-            failover_in,
-            best,
-            rib_out,
-            failover_out,
-            known_causes,
-        } = source;
-        self.me = *me;
-        self.own.clone_from(own);
-        self.cfg = *cfg;
-        self.rib.clone_from(rib);
-        self.failover_in.clone_from(failover_in);
-        self.best.clone_from(best);
-        self.rib_out.clone_from(rib_out);
-        self.failover_out.clone_from(failover_out);
-        self.known_causes.clone_from(known_causes);
+/// R-BGP's stamp on an outgoing update: the root cause, and withdrawals
+/// cite a loss (the speaker already set the retracted route's failover flag).
+fn wire(rc: Option<CauseInfo>) -> impl FnOnce(&mut UpdateKind) {
+    move |kind| match kind {
+        UpdateKind::Announce(r) => r.attrs.root_cause = rc,
+        UpdateKind::Withdraw(w) => {
+            *w = WithdrawInfo {
+                root_cause: rc,
+                failover: w.failover,
+                ..WithdrawInfo::loss()
+            }
+        }
     }
 }
 
@@ -111,13 +86,9 @@ impl RbgpRouter {
     /// Router for `me`, originating `own`.
     pub fn new(me: AsId, own: Vec<PrefixId>, cfg: RbgpConfig) -> RbgpRouter {
         RbgpRouter {
-            me,
-            own,
+            speaker: Speaker::new(me, own),
             cfg,
-            rib: RibIn::new(),
             failover_in: FxHashMap::default(),
-            best: FxHashMap::default(),
-            rib_out: FxHashMap::default(),
             failover_out: FxHashMap::default(),
             known_causes: FxHashMap::default(),
         }
@@ -127,24 +98,35 @@ impl RbgpRouter {
     // Read-side API (data plane, tests)
     // ------------------------------------------------------------------
 
+    /// The BGP state of this AS (RIBs, selections, Adj-RIB-Out).
+    pub fn speaker(&self) -> &Speaker {
+        &self.speaker
+    }
+
     /// Current best selection.
     pub fn selection(&self, prefix: PrefixId) -> &Selection {
-        self.best.get(&prefix).unwrap_or(&Selection::None)
+        self.speaker.selection(prefix, ONLY)
+    }
+
+    /// The best route when it is a real one — not own, and not a
+    /// failover-based pseudo-best.
+    fn real_best(&self, prefix: PrefixId) -> Option<DecisionOutcome> {
+        match self.selection(prefix) {
+            Selection::Learned(d) if !d.route.attrs.failover => Some(*d),
+            _ => None,
+        }
     }
 
     /// Primary next hop (`None` = origin, no route, or a failover-based
     /// pseudo-best — the latter forwards as a pinned circuit, not hop by
     /// hop; see [`Self::escape_route`]).
     pub fn primary_next(&self, prefix: PrefixId) -> Option<AsId> {
-        match self.selection(prefix) {
-            Selection::Learned(d) if !d.route.attrs.failover => Some(d.neighbor),
-            _ => None,
-        }
+        self.real_best(prefix).map(|d| d.neighbor)
     }
 
     /// Does this AS originate `prefix`?
     pub fn originates(&self, prefix: PrefixId) -> bool {
-        self.own.contains(&prefix)
+        self.speaker.originates(prefix)
     }
 
     /// Escape route when the primary is gone: the failover path some
@@ -167,7 +149,7 @@ impl RbgpRouter {
         for (&(p, n), r) in &self.failover_in {
             if p != prefix
                 || !session_ok(n)
-                || r.contains(arena, self.me)
+                || r.contains(arena, self.speaker.me())
                 || self.path_invalidated(arena, r)
             {
                 continue;
@@ -225,7 +207,7 @@ impl RbgpRouter {
 
     /// Learn a cause record: keep only the newest per element; purge every
     /// stored path through a newly-down element. Returns the prefixes whose
-    /// state changed.
+    /// state changed (unsorted).
     fn learn_cause(&mut self, arena: &PathArena, info: CauseInfo) -> Vec<PrefixId> {
         if !self.cfg.rci {
             return Vec::new();
@@ -242,43 +224,38 @@ impl RbgpRouter {
         }
         let rc = info.cause;
         let mut touched: Vec<PrefixId> = self
-            .rib
+            .speaker
             .purge(|r| !rc.invalidates_path(arena, r.path))
             .into_iter()
             .map(|(p, _, _)| p)
             .collect();
-        let dead_failovers: Vec<(PrefixId, AsId)> = self
-            .failover_in
-            .iter()
-            .filter(|(_, r)| rc.invalidates_path(arena, r.path))
-            .map(|(k, _)| *k)
-            .collect();
-        for k in dead_failovers {
-            self.failover_in.remove(&k);
-            touched.push(k.0);
-        }
-        touched.sort_unstable();
-        touched.dedup();
+        self.failover_in.retain(|&(p, _), r| {
+            let dead = rc.invalidates_path(arena, r.path);
+            if dead {
+                touched.push(p);
+            }
+            !dead
+        });
         touched
     }
 
-    /// Most disjoint usable alternative to the current best (the failover
-    /// path we advertise). Disjointness = fewest shared ASes with the best
-    /// path; ties broken by shorter path, then lower neighbour id.
+    /// The failover advertisement we owe: the most disjoint usable
+    /// alternative to the current real best, addressed to the best next
+    /// hop (the downstream direction). Disjointness = fewest shared ASes
+    /// with the best path; ties broken by shorter path, then lower
+    /// neighbour id.
     fn compute_failover(&self, ctx: &mut RouterCtx, prefix: PrefixId) -> Option<(AsId, Route)> {
-        let best = match self.selection(prefix) {
-            Selection::Learned(d) if !d.route.attrs.failover => *d,
-            // Origins need no failover; without a real best there is
-            // nothing to protect.
-            _ => return None,
-        };
+        // Origins need no failover; without a real best there is nothing
+        // to protect.
+        let best = self.real_best(prefix)?;
+        let me = self.speaker.me();
         let mut cand: Option<(usize, u32, AsId, Route)> = None;
-        for (n, e) in self.rib.routes(prefix, ProcId::ONLY) {
+        for (n, e) in self.speaker.routes(prefix, ONLY) {
             let r = e.route;
-            if n == best.neighbor || r.contains(ctx.arena, self.me) {
+            if n == best.neighbor || r.contains(ctx.arena, me) {
                 continue;
             }
-            if !ctx.sessions.session_up(self.me, n) {
+            if !ctx.sessions.session_up(me, n) {
                 continue;
             }
             if self.path_invalidated(ctx.arena, &r) {
@@ -301,11 +278,47 @@ impl RbgpRouter {
                 }
             };
         }
-        cand.map(|(_, _, n, r)| {
-            let mut adv = r.prepend(ctx.arena, self.me);
+        cand.map(|(_, _, _, r)| {
+            let mut adv = r.prepend(ctx.arena, me);
             adv.attrs.failover = true;
-            (n, adv)
+            (best.neighbor, adv)
         })
+    }
+
+    /// R-BGP continuity: with no real route left, adopt the best received
+    /// failover path as a (failover-flagged) pseudo-best rather than
+    /// withdrawing. Downstream tables never empty while a backup circuit
+    /// exists. The pseudo-best is *sticky*: while the one in use (`old`)
+    /// remains usable we keep it, so candidate churn during convergence
+    /// does not ripple out as announcement storms.
+    fn pseudo_best(&self, ctx: &RouterCtx, prefix: PrefixId, old: Selection) -> Selection {
+        let me = self.speaker.me();
+        let sticky = matches!(&old, Selection::Learned(d)
+            if d.route.attrs.failover
+                && ctx.sessions.session_up(me, d.neighbor)
+                && !self.path_invalidated(ctx.arena, &d.route)
+                && self
+                    .failover_in
+                    .get(&(prefix, d.neighbor))
+                    .is_some_and(|r| r.path == d.route.path));
+        if sticky {
+            return old;
+        }
+        match self.escape_route(ctx.arena, prefix, |n| ctx.sessions.session_up(me, n)) {
+            Some((advertiser, mut route)) => {
+                route.attrs.failover = true;
+                let learned_from = ctx
+                    .relation(advertiser)
+                    // simlint::allow(panic, "escape_route only returns routes advertised by live neighbour sessions")
+                    .expect("escape advertiser is a neighbour");
+                Selection::Learned(DecisionOutcome {
+                    neighbor: advertiser,
+                    route,
+                    learned_from,
+                })
+            }
+            None => Selection::None,
+        }
     }
 
     /// Re-run selection; reconcile best-path exports and the failover
@@ -316,239 +329,118 @@ impl RbgpRouter {
         prefix: PrefixId,
         cause: Option<CauseInfo>,
     ) {
-        let old = self.best.get(&prefix).copied().unwrap_or_default();
-        let new = if self.originates(prefix) {
-            Selection::Own
-        } else {
-            match self
-                .rib
-                .decide(ctx.arena, self.me, prefix, ProcId::ONLY, |n| {
-                    ctx.sessions.session_up(self.me, n)
-                }) {
-                Some(d) => Selection::Learned(d),
-                None => {
-                    // R-BGP continuity: rather than withdrawing, adopt the
-                    // best received failover path as a (failover-flagged)
-                    // pseudo-best. Downstream tables never empty while a
-                    // backup circuit exists. The pseudo-best is *sticky*:
-                    // while the one in use remains usable we keep it, so
-                    // candidate churn during convergence does not ripple
-                    // out as announcement storms.
-                    let sticky = matches!(&old, Selection::Learned(d)
-                        if d.route.attrs.failover
-                            && ctx.sessions.session_up(self.me, d.neighbor)
-                            && !self.path_invalidated(ctx.arena, &d.route)
-                            && self
-                                .failover_in
-                                .get(&(prefix, d.neighbor))
-                                .is_some_and(|r| r.path == d.route.path));
-                    if sticky {
-                        old
-                    } else {
-                        match self.escape_route(ctx.arena, prefix, |n| {
-                            ctx.sessions.session_up(self.me, n)
-                        }) {
-                            Some((advertiser, mut route)) => {
-                                route.attrs.failover = true;
-                                let learned_from = ctx
-                                    .relation(advertiser)
-                                    // simlint::allow(panic, "escape_route only returns routes advertised by live neighbour sessions")
-                                    .expect("escape advertiser is a neighbour");
-                                Selection::Learned(stamp_bgp::rib::DecisionOutcome {
-                                    neighbor: advertiser,
-                                    route,
-                                    learned_from,
-                                })
-                            }
-                            None => Selection::None,
-                        }
-                    }
-                }
-            }
+        let new = match self.speaker.decide(ctx, prefix, ONLY) {
+            Selection::None => self.pseudo_best(ctx, prefix, *self.selection(prefix)),
+            real => real,
         };
-        let best_changed = new != old;
+        let best_changed = self.speaker.install(prefix, ONLY, new);
         if best_changed {
             ctx.fib_changed = true;
-            self.best.insert(prefix, new);
-            self.update_best_exports(ctx, prefix, cause);
+            for (n, rel) in ctx.live_neighbors() {
+                self.advertise_best(ctx, prefix, n, rel, cause);
+            }
         }
         // The failover advertisement is recomputed when the best changes or
         // its current target session died — not on every RIB touch, which
         // would re-advertise backups throughout convergence churn.
         let target_dead = self
-            .failover_out
-            .get(&prefix)
-            .is_some_and(|(t, _)| !ctx.sessions.session_up(self.me, *t));
+            .failover_target(prefix)
+            .is_some_and(|t| !ctx.sessions.session_up(self.speaker.me(), t));
         if best_changed || target_dead || !self.failover_out.contains_key(&prefix) {
-            self.update_failover_export(ctx, prefix, cause);
+            self.advertise_failover(ctx, prefix, cause);
         }
     }
 
-    /// Desired best-path advertisement towards `n`. Failover-based
-    /// pseudo-bests export with the failover flag (relaxed gate if
-    /// configured — backup paths carry traffic only transiently).
-    fn export_for(&self, ctx: &mut RouterCtx, prefix: PrefixId, n: AsId) -> Option<Route> {
-        let to_rel = ctx.relation(n)?;
-        match self.selection(prefix) {
-            Selection::None => None,
-            Selection::Own => Some(Route::originate(ctx.arena, self.me)),
-            Selection::Learned(d) => {
-                if d.neighbor == n {
-                    return None;
-                }
-                // Continuity (pseudo-best) announcements respect the
-                // standard valley-free gate: R-BGP's export relaxation is
-                // for the *targeted* one-hop failover advertisements, not
-                // for flooding backup paths network-wide (which melts the
-                // message budget during convergence).
-                let gate_ok = ctx.export_ok(Some(d.learned_from), to_rel, &d.route);
-                if gate_ok {
-                    let mut r = d.route.prepend(ctx.arena, self.me);
-                    r.attrs.failover = d.route.attrs.failover;
-                    Some(r)
-                } else {
-                    None
-                }
-            }
-        }
+    /// The root cause to cite on the wire: `cause`, in RCI mode.
+    fn cited(&self, cause: Option<CauseInfo>) -> Option<CauseInfo> {
+        cause.filter(|_| self.cfg.rci)
     }
 
-    fn update_best_exports(
+    /// Tell `n` our best path. The base BGP export rule decides: continuity
+    /// (pseudo-best) announcements respect the standard valley-free gate —
+    /// R-BGP's export relaxation is for the *targeted* one-hop failover
+    /// advertisements, not for flooding backup paths network-wide (which
+    /// melts the message budget during convergence) — and carry the
+    /// failover flag of the route they re-announce.
+    fn advertise_best(
         &mut self,
         ctx: &mut RouterCtx,
         prefix: PrefixId,
+        n: AsId,
+        rel: Relation,
         cause: Option<CauseInfo>,
     ) {
-        let rc = if self.cfg.rci { cause } else { None };
-        for (n, _) in ctx.live_neighbors() {
-            let desired = self.export_for(ctx, prefix, n);
-            let current = self.rib_out.get(&(n, prefix));
-            match (desired, current) {
-                (None, None) => {}
-                (None, Some(prev)) => {
-                    let was_failover = prev.attrs.failover;
-                    self.rib_out.remove(&(n, prefix));
-                    ctx.send(
-                        n,
-                        ProcId::ONLY,
-                        UpdateMsg {
-                            prefix,
-                            kind: UpdateKind::Withdraw(WithdrawInfo {
-                                root_cause: rc,
-                                failover: was_failover,
-                                ..WithdrawInfo::loss()
-                            }),
-                        },
-                    );
-                }
-                (Some(mut r), cur) => {
-                    if cur != Some(&r) {
-                        self.rib_out.insert((n, prefix), r);
-                        r.attrs.root_cause = rc;
-                        ctx.send(
-                            n,
-                            ProcId::ONLY,
-                            UpdateMsg {
-                                prefix,
-                                kind: UpdateKind::Announce(r),
-                            },
-                        );
-                    }
-                }
-            }
+        let mut want = self.speaker.export(ctx, prefix, ONLY, n, rel);
+        if let (Some(r), Selection::Learned(d)) = (&mut want, self.selection(prefix)) {
+            r.attrs.failover = d.route.attrs.failover;
         }
+        let rc = self.cited(cause);
+        self.speaker.advertise(ctx, n, prefix, ONLY, want, wire(rc));
     }
 
     /// Reconcile the failover advertisement: it goes to the best next hop
     /// only, and moves (withdraw + announce) when the best next hop or the
     /// chosen alternative changes.
-    fn update_failover_export(
+    fn advertise_failover(
         &mut self,
         ctx: &mut RouterCtx,
         prefix: PrefixId,
         cause: Option<CauseInfo>,
     ) {
-        let rc = if self.cfg.rci { cause } else { None };
-        let desired = self
-            .compute_failover(ctx, prefix)
-            .map(|(_, adv)| adv)
-            .and_then(|adv| {
-                // Target: the best next hop (the downstream direction) —
-                // only meaningful while we hold a real (non-pseudo) best.
-                match self.selection(prefix) {
-                    Selection::Learned(d) if !d.route.attrs.failover => Some((d.neighbor, adv)),
-                    _ => None,
-                }
-            });
+        let desired = self.compute_failover(ctx, prefix);
         let current = self.failover_out.get(&prefix).copied();
-        match (desired, current) {
-            (None, None) => {}
-            (None, Some((old_t, _))) => {
-                self.failover_out.remove(&prefix);
-                if ctx.sessions.session_up(self.me, old_t) {
-                    ctx.send(
-                        old_t,
-                        ProcId::ONLY,
-                        UpdateMsg {
-                            prefix,
-                            kind: UpdateKind::Withdraw(WithdrawInfo {
-                                root_cause: rc,
-                                failover: true,
-                                ..WithdrawInfo::loss()
-                            }),
-                        },
-                    );
-                }
-            }
-            (Some((t, adv)), current) => {
-                if current == Some((t, adv)) {
-                    return;
-                }
-                if let Some((old_t, _)) = current {
-                    if old_t != t && ctx.sessions.session_up(self.me, old_t) {
-                        ctx.send(
-                            old_t,
-                            ProcId::ONLY,
-                            UpdateMsg {
-                                prefix,
-                                kind: UpdateKind::Withdraw(WithdrawInfo {
-                                    root_cause: rc,
-                                    failover: true,
-                                    ..WithdrawInfo::loss()
-                                }),
-                            },
-                        );
-                    }
-                }
+        if desired == current {
+            return;
+        }
+        // A target that keeps the advertisement hears the new one replace
+        // the old implicitly; any other live old target hears a retraction.
+        let me = self.speaker.me();
+        let retract_at = current
+            .map(|(old_t, _)| old_t)
+            .filter(|&old_t| desired.map(|(t, _)| t) != Some(old_t))
+            .filter(|&old_t| ctx.sessions.session_up(me, old_t));
+        let rc = self.cited(cause);
+        let mut send = |to: AsId, mut kind: UpdateKind| {
+            wire(rc)(&mut kind);
+            ctx.send(to, ONLY, UpdateMsg { prefix, kind });
+        };
+        if let Some(old_t) = retract_at {
+            let retract = WithdrawInfo {
+                failover: true,
+                ..WithdrawInfo::default()
+            };
+            send(old_t, UpdateKind::Withdraw(retract));
+        }
+        match desired {
+            Some((t, adv)) => {
                 self.failover_out.insert(prefix, (t, adv));
-                let mut send = adv;
-                send.attrs.root_cause = rc;
-                ctx.send(
-                    t,
-                    ProcId::ONLY,
-                    UpdateMsg {
-                        prefix,
-                        kind: UpdateKind::Announce(send),
-                    },
-                );
+                send(t, UpdateKind::Announce(adv));
+            }
+            None => {
+                self.failover_out.remove(&prefix);
             }
         }
     }
 
-    fn known_prefixes(&self) -> Vec<PrefixId> {
-        let mut v = Vec::with_capacity(self.own.len() + self.best.len());
-        v.extend_from_slice(&self.own);
-        v.extend(self.best.keys().copied());
-        v.sort_unstable();
-        v.dedup();
-        v
+    /// Re-run selection for each of `touched` once, in ascending order.
+    fn reselect_all(
+        &mut self,
+        ctx: &mut RouterCtx,
+        mut touched: Vec<PrefixId>,
+        cause: Option<CauseInfo>,
+    ) {
+        touched.sort_unstable();
+        touched.dedup();
+        for p in touched {
+            self.reselect_and_export(ctx, p, cause);
+        }
     }
 }
 
 impl RouterLogic for RbgpRouter {
     fn on_start(&mut self, ctx: &mut RouterCtx) {
-        for i in 0..self.own.len() {
-            let prefix = self.own[i];
+        // No allocation unless this AS originates something.
+        for prefix in self.speaker.own().to_vec() {
             self.reselect_and_export(ctx, prefix, None);
         }
     }
@@ -562,10 +454,11 @@ impl RouterLogic for RbgpRouter {
             UpdateKind::Announce(route) => route.attrs.root_cause,
             UpdateKind::Withdraw(info) => info.root_cause,
         };
-        let mut touched_by_cause = Vec::new();
-        if let Some(rc) = cause {
-            touched_by_cause = self.learn_cause(ctx.arena, rc);
-        }
+        let mut touched = match cause {
+            Some(rc) => self.learn_cause(ctx.arena, rc),
+            None => Vec::new(),
+        };
+        touched.push(prefix);
         match msg.kind {
             UpdateKind::Announce(route) => {
                 let stale = self.cfg.rci && self.path_invalidated(ctx.arena, &route);
@@ -574,7 +467,7 @@ impl RouterLogic for RbgpRouter {
                     // previous best-path announcement on this session (an
                     // implicit update): keeping the old best as a ghost
                     // would freeze stale selections here.
-                    self.rib.remove(prefix, ProcId::ONLY, from);
+                    self.speaker.unlearn(from, ONLY, prefix);
                     if stale {
                         self.failover_in.remove(&(prefix, from));
                     } else {
@@ -584,18 +477,9 @@ impl RouterLogic for RbgpRouter {
                     }
                 } else if stale {
                     // A stale announcement acts as an implicit withdrawal.
-                    self.rib.remove(prefix, ProcId::ONLY, from);
-                } else if let Some(rel) = ctx.relation(from) {
-                    // A policy reject also acts as an implicit withdrawal.
-                    match ctx.import(prefix, route, rel) {
-                        Some((route, pref)) => {
-                            self.rib
-                                .insert(prefix, ProcId::ONLY, from, route, rel, pref);
-                        }
-                        None => {
-                            self.rib.remove(prefix, ProcId::ONLY, from);
-                        }
-                    }
+                    self.speaker.unlearn(from, ONLY, prefix);
+                } else {
+                    self.speaker.learn(ctx, from, ONLY, prefix, route);
                 }
             }
             UpdateKind::Withdraw(info) => {
@@ -604,117 +488,75 @@ impl RouterLogic for RbgpRouter {
                         ctx.fib_changed = true;
                     }
                 } else {
-                    self.rib.remove(prefix, ProcId::ONLY, from);
+                    self.speaker.unlearn(from, ONLY, prefix);
                 }
             }
         }
-        let mut touched = vec![prefix];
-        touched.extend(touched_by_cause);
-        touched.sort_unstable();
-        touched.dedup();
-        for p in touched {
-            self.reselect_and_export(ctx, p, cause);
-        }
+        self.reselect_all(ctx, touched, cause);
     }
 
     fn on_link_down(&mut self, ctx: &mut RouterCtx, neighbor: AsId, cause: CauseInfo) {
-        let affected = self.rib.remove_neighbor(neighbor);
-        let dead_fo: Vec<(PrefixId, AsId)> = self
-            .failover_in
-            .keys()
-            .filter(|(_, n)| *n == neighbor)
-            .copied()
-            .collect();
-        let mut touched: Vec<PrefixId> = affected.into_iter().map(|(p, _)| p).collect();
-        for k in dead_fo {
-            self.failover_in.remove(&k);
-            touched.push(k.0);
-        }
-        let stale_out: Vec<(AsId, PrefixId)> = self
-            .rib_out
-            .keys()
-            .filter(|(n, _)| *n == neighbor)
-            .copied()
-            .collect();
-        for k in stale_out {
-            self.rib_out.remove(&k);
-        }
-        let stale_fo_out: Vec<PrefixId> = self
-            .failover_out
-            .iter()
-            .filter(|(_, (n, _))| *n == neighbor)
-            .map(|(p, _)| *p)
-            .collect();
-        for p in stale_fo_out {
-            self.failover_out.remove(&p);
-            touched.push(p);
-        }
+        let lost = self.speaker.session_down(neighbor);
+        let mut touched: Vec<PrefixId> = lost.into_iter().map(|(p, _)| p).collect();
+        // Failover paths it advertised, and ours if it was the target.
+        self.failover_in.retain(|&(p, n), _| {
+            if n == neighbor {
+                touched.push(p);
+            }
+            n != neighbor
+        });
+        self.failover_out.retain(|&p, &mut (t, _)| {
+            if t == neighbor {
+                touched.push(p);
+            }
+            t != neighbor
+        });
         touched.extend(self.learn_cause(ctx.arena, cause));
-        touched.sort_unstable();
-        touched.dedup();
-        for p in touched {
-            self.reselect_and_export(ctx, p, Some(cause));
-        }
+        self.reselect_all(ctx, touched, Some(cause));
     }
 
     fn on_link_up(&mut self, ctx: &mut RouterCtx, neighbor: AsId, cause: CauseInfo) {
         // Record the recovery; the up-state record rides on the
         // re-advertisement wave and unblocks the element at remote ASes.
         self.learn_cause(ctx.arena, cause);
-        let rc = if self.cfg.rci { Some(cause) } else { None };
-        for prefix in self.known_prefixes() {
-            if let Some(r) = self.export_for(ctx, prefix, neighbor) {
-                self.rib_out.insert((neighbor, prefix), r);
-                let mut send = r;
-                send.attrs.root_cause = rc;
-                ctx.send(
-                    neighbor,
-                    ProcId::ONLY,
-                    UpdateMsg {
-                        prefix,
-                        kind: UpdateKind::Announce(send),
-                    },
-                );
-            }
+        let Some(rel) = ctx.relation(neighbor) else {
+            return;
+        };
+        // Fresh session: the neighbour has none of our state.
+        self.speaker.forget_heard(neighbor);
+        for prefix in self.speaker.known_prefixes() {
+            self.advertise_best(ctx, prefix, neighbor, rel, Some(cause));
         }
     }
 
     fn fingerprint(&self, fp: &mut StateFingerprint) {
-        for (&p, sel) in &self.best {
-            if let Some(d) = StateFingerprint::selection_digest(self.me, p, 0, sel) {
-                fp.mix(d);
-            }
-        }
+        self.speaker.fingerprint(fp);
         // Failover state is externally visible forwarding state too: an
         // oscillation that only rotates failover paths must still repeat
         // exactly to count as a cycle.
-        for (&(p, n), r) in &self.failover_in {
-            fp.mix(StateFingerprint::digest(&[
-                u64::from(self.me.0),
+        let me = u64::from(self.speaker.me().0);
+        let mut mix = |p: PrefixId, tag: u64, n: AsId, r: &Route| {
+            let path = u64::from(r.path.raw());
+            let words = [
+                me,
                 u64::from(p.0),
-                3,
+                tag,
                 u64::from(n.0),
-                u64::from(r.path.raw()),
+                path,
                 route_attr_word(r),
-            ]));
+            ];
+            fp.mix(StateFingerprint::digest(&words));
+        };
+        for (&(p, n), r) in &self.failover_in {
+            mix(p, 3, n, r);
         }
-        for (&p, &(n, r)) in &self.failover_out {
-            fp.mix(StateFingerprint::digest(&[
-                u64::from(self.me.0),
-                u64::from(p.0),
-                4,
-                u64::from(n.0),
-                u64::from(r.path.raw()),
-                route_attr_word(&r),
-            ]));
+        for (&p, (n, r)) in &self.failover_out {
+            mix(p, 4, *n, r);
         }
     }
 
     fn selected_route(&self, prefix: PrefixId) -> Option<(AsId, Route)> {
-        match self.selection(prefix) {
-            Selection::Learned(d) => Some((d.neighbor, d.route)),
-            _ => None,
-        }
+        self.speaker.selected_route(prefix, ONLY)
     }
 }
 

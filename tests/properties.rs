@@ -695,7 +695,7 @@ mod rewinds {
     use stamp_repro::topology::AsGraph;
 
     /// Sessions of one router: up unless the neighbour is listed.
-    struct Down(Vec<AsId>);
+    pub(super) struct Down(pub(super) Vec<AsId>);
 
     impl SessionView for Down {
         fn session_up(&self, _a: AsId, b: AsId) -> bool {
@@ -704,7 +704,7 @@ mod rewinds {
     }
 
     #[derive(Debug, Clone)]
-    enum Op {
+    pub(super) enum Op {
         Update(
             AsId,
             ProcId,
@@ -743,7 +743,7 @@ mod rewinds {
     /// every attribute the three protocols read (paths drawn from a small
     /// id space, so they collide, loop through `me` and cross root
     /// causes), withdrawals, session resets.
-    fn arb_op(rng: &mut Rng, g: &AsGraph, me: AsId, procs: u8) -> Op {
+    pub(super) fn arb_op(rng: &mut Rng, g: &AsGraph, me: AsId, procs: u8) -> Op {
         let n = g.n() as u32;
         let neighbors = g.neighbor_entries(me);
         let from = neighbors[rng.gen_range(0..neighbors.len())].neighbor;
@@ -776,7 +776,7 @@ mod rewinds {
 
     /// Run `op` at router `r` (AS `me`): what it sent, whether it flagged
     /// a forwarding change, and its fingerprint afterwards.
-    fn apply<R: RouterLogic>(
+    pub(super) fn apply<R: RouterLogic>(
         r: &mut R,
         g: &AsGraph,
         me: AsId,
@@ -888,6 +888,237 @@ mod rewinds {
     fn stamp_router_rewind_equals_clone() {
         rewind_equals_clone(0xC10E3, 2, |v, salt| {
             StampRouter::new(v, vec![], LockStrategy::Random { seed: salt })
+        });
+    }
+}
+
+// ---------------------------------------------------------------------
+// One speaker, three protocols: the contract they share
+// ---------------------------------------------------------------------
+
+mod speaker_contract {
+    use super::rewinds::{apply, arb_op, Down, Op};
+    use super::*;
+    use std::collections::BTreeMap;
+
+    use stamp_repro::bgp::router::{BgpRouter, RouterCtx, RouterLogic, Selection, SessionView};
+    use stamp_repro::bgp::types::{CauseInfo, ProcId, RootCause, UpdateKind};
+    use stamp_repro::bgp::Speaker;
+    use stamp_repro::policy::{parse_pol, CompiledRegime, PolicyRegime};
+    use stamp_repro::rbgp::{RbgpConfig, RbgpRouter};
+    use stamp_repro::stamp::{LockStrategy, StampRouter};
+    use stamp_repro::topology::{AsGraph, GraphBuilder};
+    use stamp_repro::workload::{destination_candidates, Protocol, RunParams, Sim, PREFIX};
+
+    /// The prefixes `arb_op` draws from.
+    const PREFIXES: [PrefixId; 2] = [PrefixId(0), PrefixId(1)];
+
+    /// Adj-RIB-Out is what the neighbours were told. A model per
+    /// `(neighbour, proc, prefix)` replays every message the router sends
+    /// while its neighbours announce, withdraw, drop and re-open sessions
+    /// at random: no withdrawal retracts something the model does not
+    /// hold, no announcement repeats what it holds (the per-message stamps
+    /// `et` and `root_cause` aside), a session that went down or came up
+    /// fresh holds nothing, and after every event the speaker's books equal
+    /// the model (`books`; STAMP's `announced_colors_to` reads the same).
+    /// R-BGP's targeted failover advertisement is the one message pair
+    /// outside the books; it is recognised by its target (`holder`) — after
+    /// the event for an announcement, before it for a retraction.
+    fn adj_rib_out_is_what_was_told<R: RouterLogic>(
+        seed: u64,
+        procs: u8,
+        make: impl Fn(AsId, u64) -> R,
+        books: fn(&R) -> &Speaker,
+        holder: fn(&R, PrefixId) -> Option<AsId>,
+    ) {
+        cases(24, seed, |rng| {
+            let g = generate(&arb_gen_config(rng)).expect("valid");
+            let busy: Vec<AsId> = g.ases().filter(|&v| g.degree(v) >= 3).collect();
+            let me = busy[rng.gen_range(0..busy.len())];
+            let mut arena = PathArena::new();
+            let mut r = make(me, rng.next_u64());
+            let mut down = Down(Vec::new());
+            let mut model: BTreeMap<(AsId, ProcId, PrefixId), Route> = BTreeMap::new();
+            for step in 0..120 {
+                let op = arb_op(rng, &g, me, procs);
+                let held_before = PREFIXES.map(|p| holder(&r, p));
+                let (out, _, _) = apply(&mut r, &g, me, &mut arena, &mut down, &op);
+                if let Op::LinkDown(n, _) | Op::LinkUp(n, _) = &op {
+                    model.retain(|(to, _, _), _| to != n);
+                }
+                for m in &out {
+                    let prefix = m.msg.prefix;
+                    let key = (m.to, m.proc, prefix);
+                    match m.msg.kind {
+                        UpdateKind::Announce(mut route) => {
+                            if route.attrs.failover && holder(&r, prefix) == Some(m.to) {
+                                continue;
+                            }
+                            route.attrs.et = None;
+                            route.attrs.root_cause = None;
+                            let had = model.insert(key, route);
+                            assert_ne!(had, Some(route), "step {step}: {op:?} repeats {m:?}");
+                        }
+                        UpdateKind::Withdraw(info) => {
+                            if info.failover && held_before[prefix.index()] == Some(m.to) {
+                                continue;
+                            }
+                            let had = model.remove(&key);
+                            assert!(had.is_some(), "step {step}: {op:?} retracts nothing: {m:?}");
+                        }
+                    }
+                }
+                for e in g.neighbor_entries(me) {
+                    let n = e.neighbor;
+                    for p in PREFIXES {
+                        for proc in ProcId::first_n(usize::from(procs)) {
+                            let told = model.get(&(n, proc, p));
+                            assert_eq!(books(&r).heard(n, p, proc), told, "step {step}: {op:?}");
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn bgp_adj_rib_out_is_what_was_told() {
+        let make = |v, _| BgpRouter::new(v, vec![PrefixId(1)]);
+        adj_rib_out_is_what_was_told(0xAD1, 1, make, BgpRouter::speaker, |_, _| None);
+    }
+
+    #[test]
+    fn rbgp_adj_rib_out_is_what_was_told() {
+        let make = |v, salt: u64| {
+            let cfg = RbgpConfig {
+                rci: salt & 1 == 0,
+                relaxed_failover_export: salt & 2 == 0,
+            };
+            RbgpRouter::new(v, vec![], cfg)
+        };
+        let (books, holder) = (RbgpRouter::speaker, RbgpRouter::failover_target);
+        adj_rib_out_is_what_was_told(0xAD2, 1, make, books, holder);
+    }
+
+    #[test]
+    fn stamp_adj_rib_out_is_what_was_told() {
+        let make = |v, seed| StampRouter::new(v, vec![], LockStrategy::Random { seed });
+        adj_rib_out_is_what_was_told(0xAD3, 2, make, StampRouter::speaker, |_, _| None);
+    }
+
+    /// Before any event is injected R-BGP adds nothing to BGP's choice: on
+    /// generated 200-AS topologies every AS's R-BGP selection, with and
+    /// without RCI, is path for path the one plain BGP makes.
+    #[test]
+    fn rbgp_selects_what_bgp_selects_before_any_event() {
+        cases(3, 0x3E7A, |rng| {
+            let seed = rng.next_u64();
+            let g = generate(&GenConfig {
+                n_ases: 200,
+                ..GenConfig::small(seed)
+            })
+            .expect("valid");
+            let mut dests = destination_candidates(&g);
+            rng.shuffle(&mut dests);
+            dests.truncate(3);
+            for params in [RunParams::fast(), RunParams::paper()] {
+                for &dest in &dests {
+                    let converged = |p: Protocol| {
+                        let mut sim = Sim::on(&g)
+                            .protocol(p)
+                            .originate(dest, PREFIX)
+                            .seed(seed)
+                            .params(params.clone())
+                            .build()
+                            .expect("in range");
+                        sim.converge();
+                        sim
+                    };
+                    let bgp = converged(Protocol::Bgp);
+                    let b = bgp.bgp().expect("bgp");
+                    for p in [Protocol::Rbgp, Protocol::RbgpNoRci] {
+                        let rbgp = converged(p);
+                        let r = rbgp.rbgp().expect("rbgp");
+                        for v in g.ases() {
+                            let (want, got) =
+                                (b.router(v).selection(PREFIX), r.router(v).selection(PREFIX));
+                            let path =
+                                |s: &Selection, e: &PathArena| s.path_id().map(|id| e.as_vec(id));
+                            assert_eq!(
+                                (got.is_some(), got.next_hop(), path(got, r.paths())),
+                                (want.is_some(), want.next_hop(), path(want, b.paths())),
+                                "{p} at {v} towards {dest}"
+                            );
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    struct AllUp;
+
+    impl SessionView for AllUp {
+        fn session_up(&self, _a: AsId, _b: AsId) -> bool {
+            true
+        }
+    }
+
+    /// An originated route goes through the regime's export gate like any
+    /// other, whichever protocol announces it: under `export own to peer
+    /// deny` an origin with customer 1, peer 2 and provider 3 tells 1 and 3
+    /// only — at start and again on a fresh session. (R-BGP's fork of the
+    /// export rule once told the peer too.)
+    #[test]
+    fn own_prefix_respects_the_export_gate_under_every_protocol() {
+        let mut b = GraphBuilder::new();
+        b.preregister(4);
+        b.customer_of(1, 0).unwrap();
+        b.peering(0, 2).unwrap();
+        b.customer_of(0, 3).unwrap();
+        let g = b.build().unwrap();
+        let text = PolicyRegime::gao_rexford()
+            .to_string()
+            .replace("export own to peer allow", "export own to peer deny")
+            .replace("regime gao-rexford", "regime quiet-origin");
+        let regime = parse_pol(&text)
+            .expect("a regime")
+            .compile()
+            .expect("compiles");
+        let me = AsId(0);
+
+        fn check<R: RouterLogic>(
+            g: &AsGraph,
+            regime: &CompiledRegime,
+            me: AsId,
+            make: impl Fn() -> R,
+        ) {
+            let recipients = |r: &mut R, event: &dyn Fn(&mut R, &mut RouterCtx)| {
+                let mut arena = PathArena::new();
+                let mut ctx = RouterCtx::with_policy(me, g, &AllUp, &mut arena, regime);
+                event(r, &mut ctx);
+                let mut to: Vec<u32> = ctx.out.iter().map(|m| m.to.0).collect();
+                to.dedup();
+                to
+            };
+            let mut r = make();
+            assert_eq!(recipients(&mut r, &|r, ctx| r.on_start(ctx)), [1, 3]);
+            for (n, want) in [(1, vec![1]), (2, vec![]), (3, vec![3])] {
+                let cause = CauseInfo {
+                    cause: RootCause::link(me, AsId(n)),
+                    seq: 1,
+                    up: true,
+                };
+                let told = recipients(&mut r, &|r, ctx| r.on_link_up(ctx, AsId(n), cause));
+                assert_eq!(told, want, "fresh session to {n}");
+            }
+        }
+        check(&g, &regime, me, || BgpRouter::new(me, vec![PREFIX]));
+        check(&g, &regime, me, || {
+            RbgpRouter::new(me, vec![PREFIX], RbgpConfig::default())
+        });
+        check(&g, &regime, me, || {
+            StampRouter::new(me, vec![PREFIX], LockStrategy::Random { seed: 1 })
         });
     }
 }
