@@ -108,12 +108,49 @@ one_speaker 'FxHashMap<(AsId, PrefixId), Route>' crates/bgp/src/speaker.rs
 one_speaker 'fn clone_from' crates/bgp/src/engine.rs crates/bgp/src/patharena.rs
 echo "one-speaker guard passed"
 
+# --- Guard 6: one engine view, one session model ---------------------------
+# A protocol says only its forwarding step (`DataPlane`); everything else a
+# forwarding view answers is written once, for `EngineView`, next to the
+# engine-less `StaticView` — and nowhere in the workload crate. The paper's
+# §6.2 delay/MRAI/loss table is written once (`SessionModel::paper`), and
+# the three options that only ever had one value stay gone.
+views=$(grep -c 'ForwardingView for' crates/forwarding/src/view.rs || true)
+if [ "$views" -ne 2 ] || grep -rqF 'ForwardingView for' crates/workload/src; then
+    echo "VIEW VIOLATION: 'ForwardingView for' must occur exactly twice in crates/forwarding/src/view.rs (found $views) and nowhere under crates/workload/src" >&2
+    exit 1
+fi
+for pat in mrai_enabled mrai_withdrawals relaxed_failover_export; do
+    if grep -rnF "$pat" crates tests examples; then
+        echo "OPTION VIOLATION: '$pat' had one value at every site and was removed; it may not come back" >&2
+        exit 1
+    fi
+done
+files=$(grep -rlF 'mrai_base: SimDuration::from_secs(30)' crates || true)
+if [ "$(printf '%s' "$files" | grep -c .)" -ne 1 ]; then
+    echo "SESSION-MODEL VIOLATION: the paper's MRAI base must be written in exactly one file under crates/, found:" >&2
+    printf '%s\n' "${files:-<none>}" >&2
+    exit 1
+fi
+echo "one-view / one-session-model guard passed"
+
 # --- simlint: determinism & hot-path lints -------------------------------
 # The in-repo lint engine (crates/simlint): zero findings at Deny severity
 # across the simulation crates, or the build stops here. See DESIGN.md §11
 # for the rule catalog and the suppression syntax.
-cargo run --release --offline -q -p simlint
-echo "simlint passed (no deny findings)"
+# Warn-level findings (index-panic) are a ratchet: the total may fall, never
+# rise. Lower the ceiling when it does.
+SIMLINT_WARN_CEILING=289
+simlint_out=$(cargo run --release --offline -q -p simlint 2>&1) || {
+    printf '%s\n' "$simlint_out" >&2
+    exit 1
+}
+printf '%s\n' "$simlint_out"
+warns=$(printf '%s\n' "$simlint_out" | grep -o '[0-9]* warning(s)$' | awk '{print $1}')
+if [ "${warns:-999999}" -gt "$SIMLINT_WARN_CEILING" ]; then
+    echo "SIMLINT VIOLATION: $warns warn-level findings, ceiling $SIMLINT_WARN_CEILING" >&2
+    exit 1
+fi
+echo "simlint passed (no deny findings; $warns warn-level, ceiling $SIMLINT_WARN_CEILING)"
 
 # --- Formatting ----------------------------------------------------------
 cargo fmt --check
@@ -145,8 +182,10 @@ echo "policy .pol round-trip gate passed"
 # --- Workload smoke campaign ---------------------------------------------
 # Tiny (timeline × destination × seed) grid, then the adversarial grid, each
 # at 1 worker, 4 workers and warm-start; the binary asserts the
-# byte-identical aggregate hash (exits non-zero on divergence).
-cargo run --release --offline -q -p stamp_bench --bin campaign -- --smoke
+# byte-identical aggregate hash (exits non-zero on divergence). Run once:
+# the two hash gates below read this output.
+smoke_out=$(cargo run --release --offline -q -p stamp_bench --bin campaign -- --smoke)
+printf '%s\n' "$smoke_out"
 echo "smoke campaign passed (deterministic aggregate hash)"
 
 # --- Adversarial smoke sweep ----------------------------------------------
@@ -155,7 +194,7 @@ echo "smoke campaign passed (deterministic aggregate hash)"
 # tests/determinism.rs pins. A drift here means an adversarial event's
 # injection order, RNG draw or metric changed.
 ADVERSARIAL_GOLDEN="0xfd8467442b256d70"
-adv_hash=$(cargo run --release --offline -q -p stamp_bench --bin campaign -- --smoke \
+adv_hash=$(printf '%s\n' "$smoke_out" \
     | grep 'adversarial smoke OK' | grep -o 'hash 0x[0-9a-f]*' | awk '{print $2}')
 if [ "$adv_hash" != "$ADVERSARIAL_GOLDEN" ]; then
     echo "DETERMINISM VIOLATION: adversarial smoke hash golden=$ADVERSARIAL_GOLDEN got=$adv_hash" >&2
@@ -201,7 +240,7 @@ echo "queryd daemon smoke gate passed (golden transcript byte-identical)"
 # run) must agree.
 SMOKE_GOLDEN="0x288f67a39b590c8d"
 hash_of() { grep -o 'hash 0x[0-9a-f]*' | head -1 | awk '{print $2}'; }
-release_hash=$(cargo run --release --offline -q -p stamp_bench --bin campaign -- --smoke | hash_of)
+release_hash=$(printf '%s\n' "$smoke_out" | hash_of)
 debug_hash=$(cargo run --offline -q -p stamp_bench --bin campaign -- --smoke | hash_of)
 if [ "$release_hash" != "$SMOKE_GOLDEN" ] || [ "$debug_hash" != "$SMOKE_GOLDEN" ]; then
     echo "DETERMINISM VIOLATION: smoke hash golden=$SMOKE_GOLDEN release=$release_hash debug=$debug_hash" >&2

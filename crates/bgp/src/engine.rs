@@ -14,13 +14,13 @@
 use crate::feed::{FeedCursor, TouchFeed, Touched};
 use crate::patharena::PathArena;
 use crate::router::{OutMsg, RouterCtx, RouterLogic, SessionView, StateFingerprint};
-use crate::types::{PrefixId, ProcId, Route, UpdateKind, UpdateMsg};
+use crate::types::{CauseInfo, PrefixId, ProcId, RootCause, Route, UpdateKind, UpdateMsg};
 use stamp_eventsim::rng::{tags, Rng};
 use stamp_eventsim::{
     rng_stream, DelayModel, FifoChannel, LossModel, Scheduler, SimDuration, SimTime,
 };
 use stamp_policy::CompiledRegime;
-use stamp_topology::{AsGraph, AsId, LinkId, SessEnds, SessEntry, SessId};
+use stamp_topology::{AsGraph, AsId, LinkId, SessEntry, SessId};
 use std::sync::Arc;
 
 /// Maximum routing processes per AS the engine provisions per-session
@@ -98,7 +98,7 @@ pub enum ScenarioEvent {
 /// quiescent"; the other two are the watchdog turning what used to be an
 /// infinite loop (or a silent deadline truncation) into data. Folded into
 /// campaign aggregate hashes only when `Diverged` — see
-/// `InstanceMetrics::fnv_into` in the workload crate.
+/// `GridHash::write_metrics` in the workload crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RunOutcome {
     /// The scheduler drained: every router is stable and silent.
@@ -161,25 +161,51 @@ impl Default for WatchdogConfig {
     }
 }
 
+/// The session model: what every BGP session between two ASes does to a
+/// message, whatever protocol speaks over it. The one place the paper's
+/// §6.2 table is written.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SessionModel {
+    /// Per-message processing + transmission delay.
+    pub delay: DelayModel,
+    /// MRAI base interval, jittered per directed session by U[0.75, 1.0];
+    /// zero means no MRAI. It rate-limits withdrawals as well as
+    /// announcements: paper-era simulators (SSFNet lineage) applied MRAI
+    /// to all updates where RFC 4271 exempts explicit withdrawals, and
+    /// that is what reproduces the paper's long path-exploration
+    /// transients.
+    pub mrai_base: SimDuration,
+    /// Message loss fault injection.
+    pub loss: LossModel,
+}
+
+impl SessionModel {
+    /// §6.2: delay U[10 ms, 20 ms], MRAI 30 s × U[0.75, 1.0], no loss.
+    pub fn paper() -> SessionModel {
+        SessionModel {
+            delay: DelayModel::paper_default(),
+            mrai_base: SimDuration::from_secs(30),
+            loss: LossModel::none(),
+        }
+    }
+
+    /// For unit tests: fixed 1 ms delay, no MRAI, no loss.
+    pub fn fast() -> SessionModel {
+        SessionModel {
+            delay: DelayModel::fixed(SimDuration::from_millis(1)),
+            mrai_base: SimDuration::ZERO,
+            loss: LossModel::none(),
+        }
+    }
+}
+
 /// Engine configuration. Defaults mirror the paper.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Master seed; all internal streams derive from it.
     pub seed: u64,
-    /// Per-message processing + transmission delay.
-    pub delay: DelayModel,
-    /// MRAI base interval (paper: 30 s), jittered per directed session by
-    /// U[0.75, 1.0].
-    pub mrai_base: SimDuration,
-    /// Whether MRAI applies (degenerate fast mode for unit tests).
-    pub mrai_enabled: bool,
-    /// Whether MRAI also rate-limits withdrawals. Paper-era
-    /// simulators (SSFNet lineage) applied MRAI to all updates; RFC 4271
-    /// exempts explicit withdrawals. `true` reproduces the paper's long
-    /// path-exploration transients; set `false` for RFC-style behaviour.
-    pub mrai_withdrawals: bool,
-    /// Message loss fault injection (zero in the paper's experiments).
-    pub loss: LossModel,
+    /// Delay, MRAI and loss of every session.
+    pub sessions: SessionModel,
     /// Compiled policy regime every router consults for import preference
     /// and export gating *at the start of the run* — a
     /// [`ScenarioEvent::FlipPolicy`] replaces the live one. The default
@@ -195,11 +221,7 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             seed: 1,
-            delay: DelayModel::paper_default(),
-            mrai_base: SimDuration::from_secs(30),
-            mrai_enabled: true,
-            mrai_withdrawals: true,
-            loss: LossModel::none(),
+            sessions: SessionModel::paper(),
             policy: CompiledRegime::default_static().clone(),
             watchdog: WatchdogConfig::default(),
         }
@@ -207,17 +229,12 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Fast configuration for unit tests: fixed 1 ms delay, no MRAI.
+    /// Fast configuration for unit tests: [`SessionModel::fast`].
     pub fn fast(seed: u64) -> EngineConfig {
         EngineConfig {
             seed,
-            delay: DelayModel::fixed(SimDuration::from_millis(1)),
-            mrai_base: SimDuration::ZERO,
-            mrai_enabled: false,
-            mrai_withdrawals: false,
-            loss: LossModel::none(),
-            policy: CompiledRegime::default_static().clone(),
-            watchdog: WatchdogConfig::default(),
+            sessions: SessionModel::fast(),
+            ..EngineConfig::default()
         }
     }
 }
@@ -259,9 +276,11 @@ impl LinkState {
         }
     }
 
-    /// Is the link itself up?
-    fn link_ok(&self, id: LinkId) -> bool {
-        self.link_up[id.index()]
+    /// Is the session `from`–`to` over `link` up end to end — both nodes
+    /// and the link itself? The one session-liveness predicate.
+    #[inline]
+    fn up(&self, from: AsId, to: AsId, link: LinkId) -> bool {
+        self.node_up[from.index()] && self.node_up[to.index()] && self.link_up[link.index()]
     }
 
     /// Is the node up?
@@ -278,19 +297,16 @@ struct Sessions<'a> {
 
 impl SessionView for Sessions<'_> {
     fn session_up(&self, a: AsId, b: AsId) -> bool {
-        if !self.state.node_ok(a) || !self.state.node_ok(b) {
-            return false;
-        }
-        match self.g.link_between(a, b) {
-            Some(id) => self.state.link_ok(id),
-            None => false,
-        }
+        // Adjacency first: an AS outside the topology has no link, and
+        // only ASes that have one index the liveness flags.
+        let link = self.g.link_between(a, b);
+        link.is_some_and(|id| self.state.up(a, b, id))
     }
 
     #[inline]
     fn session_entry_up(&self, from: AsId, e: &SessEntry) -> bool {
         // The entry already names the link: three flag reads, no lookup.
-        self.state.node_ok(from) && self.state.node_ok(e.neighbor) && self.state.link_ok(e.link)
+        self.state.up(from, e.neighbor, e.link)
     }
 }
 
@@ -339,13 +355,10 @@ struct MraiSlot {
 /// exactly the state a run can mutate.
 struct Fixed {
     g: AsGraph,
-    /// The one delay model every channel samples from.
-    delay: DelayModel,
+    /// The one model every channel samples its delay and loss from.
+    sessions: SessionModel,
     /// Jittered MRAI interval per directed session.
     mrai_interval: Vec<SimDuration>,
-    mrai_enabled: bool,
-    mrai_withdrawals: bool,
-    loss: LossModel,
     watchdog: WatchdogConfig,
 }
 
@@ -421,7 +434,7 @@ impl<R: RouterLogic> Engine<R> {
                 let f: f64 = 0.75 + 0.25 * mrai_rng.gen_f64();
                 // simlint::allow(panic, "iterating g.links(): both endpoints are adjacent by definition")
                 let sess = g.sess_between(a, b).expect("link endpoints are adjacent");
-                mrai_interval[sess.index()] = cfg.mrai_base.mul_f64(f);
+                mrai_interval[sess.index()] = cfg.sessions.mrai_base.mul_f64(f);
             }
         }
         Engine {
@@ -442,11 +455,8 @@ impl<R: RouterLogic> Engine<R> {
             feed: TouchFeed::new(g.n()),
             fixed: Arc::new(Fixed {
                 g,
-                delay: cfg.delay,
+                sessions: cfg.sessions,
                 mrai_interval,
-                mrai_enabled: cfg.mrai_enabled,
-                mrai_withdrawals: cfg.mrai_withdrawals,
-                loss: cfg.loss,
                 watchdog: cfg.watchdog,
             }),
         }
@@ -692,14 +702,6 @@ impl<R: RouterLogic> Engine<R> {
         &mut row[prefix.index()]
     }
 
-    /// Is the session (given by its endpoints record) up end-to-end?
-    #[inline]
-    fn ends_alive(&self, ends: SessEnds) -> bool {
-        self.state.node_ok(ends.from)
-            && self.state.node_ok(ends.to)
-            && self.state.link_ok(ends.link)
-    }
-
     /// Handle one event; returns whether any FIB changed.
     // simlint::hot
     fn handle(&mut self, ev: Event) -> bool {
@@ -716,7 +718,9 @@ impl<R: RouterLogic> Engine<R> {
                 // destroyed everything in flight, even if a fresh session
                 // is already up again. All O(1) array reads.
                 let ends = self.fixed.g.sess_ends(sess);
-                if !self.ends_alive(ends) || self.link_epoch[ends.link.index()] != epoch {
+                if !self.state.up(ends.from, ends.to, ends.link)
+                    || self.link_epoch[ends.link.index()] != epoch
+                {
                     self.stats.dropped += 1;
                     return false;
                 }
@@ -798,42 +802,22 @@ impl<R: RouterLogic> Engine<R> {
         }
     }
 
-    /// Inject a prefix hijack (see [`ScenarioEvent::Hijack`]): forged
-    /// announcements go straight to the transport, bypassing the
-    /// attacker's own MRAI and export machinery — a compromised control
-    /// plane is not polite. FIB changes surface only when victims process
-    /// the deliveries, so this returns `false` itself.
+    /// Inject a prefix hijack (see [`ScenarioEvent::Hijack`]). The
+    /// attacker's liveness is tested before the forged path is interned: a
+    /// dead attacker must leave the arena (and so every hash over
+    /// `interned_paths`) untouched.
     fn hijack(&mut self, attacker: AsId, prefix: PrefixId, forged_origin: Option<AsId>) -> bool {
         if !self.state.node_ok(attacker) {
             return false;
         }
-        let path = match forged_origin {
-            None => self.paths.origin_path(attacker),
+        let paths = &mut self.paths;
+        let route = match forged_origin {
+            None => Route::originate(paths, attacker),
             // Forged edge attacker→victim: the true origin stays terminal
             // on the announced path.
-            Some(victim) => {
-                let tail = self.paths.origin_path(victim);
-                self.paths.intern(attacker, tail)
-            }
+            Some(victim) => Route::originate(paths, victim).prepend(paths, attacker),
         };
-        let route = Route {
-            path,
-            attrs: Default::default(),
-        };
-        for i in 0..self.fixed.g.degree(attacker) {
-            let e = self.fixed.g.neighbor_entries(attacker)[i];
-            if self.state.link_ok(e.link) && self.state.node_ok(e.neighbor) {
-                self.transmit(
-                    e.sess,
-                    ProcId::ONLY,
-                    UpdateMsg {
-                        prefix,
-                        kind: UpdateKind::Announce(route),
-                    },
-                );
-            }
-        }
-        false
+        self.announce_raw(attacker, None, prefix, route)
     }
 
     /// Inject a route leak (see [`ScenarioEvent::Leak`]): the leaker's
@@ -849,22 +833,28 @@ impl<R: RouterLogic> Engine<R> {
             return false;
         };
         let adv = route.prepend(&mut self.paths, leaker);
-        for i in 0..self.fixed.g.degree(leaker) {
-            let e = self.fixed.g.neighbor_entries(leaker)[i];
-            // Split horizon still holds — reflecting the route to its
-            // sender would only be dropped as a loop anyway.
-            if e.neighbor == learned_from {
-                continue;
-            }
-            if self.state.link_ok(e.link) && self.state.node_ok(e.neighbor) {
-                self.transmit(
-                    e.sess,
-                    ProcId::ONLY,
-                    UpdateMsg {
-                        prefix,
-                        kind: UpdateKind::Announce(adv),
-                    },
-                );
+        // Split horizon still holds — reflecting the route to its sender
+        // would only be dropped as a loop anyway.
+        self.announce_raw(leaker, Some(learned_from), prefix, adv)
+    }
+
+    /// Announce `route` from `from` to every live neighbour but `skip` on
+    /// process 0, straight to the transport, bypassing `from`'s own MRAI
+    /// and export machinery — a compromised control plane is not polite.
+    /// FIB changes surface only when the receivers process the deliveries,
+    /// so this returns `false` itself.
+    fn announce_raw(
+        &mut self,
+        from: AsId,
+        skip: Option<AsId>,
+        prefix: PrefixId,
+        route: Route,
+    ) -> bool {
+        let kind = UpdateKind::Announce(route);
+        let g = self.fixed.g.clone();
+        for e in g.neighbor_entries(from) {
+            if Some(e.neighbor) != skip && self.state.up(from, e.neighbor, e.link) {
+                self.transmit(e.sess, ProcId::ONLY, UpdateMsg { prefix, kind });
             }
         }
         false
@@ -883,6 +873,12 @@ impl<R: RouterLogic> Engine<R> {
         false
     }
 
+    /// The cause record of the scenario event being applied.
+    fn cause(&self, cause: RootCause, up: bool) -> CauseInfo {
+        let seq = self.scenario_seq;
+        CauseInfo { cause, seq, up }
+    }
+
     /// Fail one link: tear state, notify both (live) endpoints.
     fn fail_link(&mut self, id: LinkId) -> bool {
         if !self.state.link_up[id.index()] {
@@ -893,11 +889,7 @@ impl<R: RouterLogic> Engine<R> {
         self.link_epoch[id.index()] += 1;
         let l = self.fixed.g.link(id);
         self.clear_link_sessions(id);
-        let cause = crate::types::CauseInfo {
-            cause: crate::types::RootCause::link(l.a, l.b),
-            seq: self.scenario_seq,
-            up: false,
-        };
+        let cause = self.cause(RootCause::link(l.a, l.b), false);
         let mut changed = false;
         for (me, other) in [(l.a, l.b), (l.b, l.a)] {
             if self.state.node_ok(me) {
@@ -926,11 +918,7 @@ impl<R: RouterLogic> Engine<R> {
         if !self.state.node_ok(l.a) || !self.state.node_ok(l.b) {
             return false;
         }
-        let cause = crate::types::CauseInfo {
-            cause: crate::types::RootCause::link(l.a, l.b),
-            seq: self.scenario_seq,
-            up: true,
-        };
+        let cause = self.cause(RootCause::link(l.a, l.b), true);
         let mut changed = false;
         for (me, other) in [(l.a, l.b), (l.b, l.a)] {
             changed |= self.with_router_ctx(me, |router, ctx| router.on_link_up(ctx, other, cause));
@@ -957,16 +945,12 @@ impl<R: RouterLogic> Engine<R> {
         }
         self.state.node_up[v.index()] = false;
         self.mark_node_flip(v);
-        let cause = crate::types::CauseInfo {
-            cause: crate::types::RootCause::Node(v),
-            seq: self.scenario_seq,
-            up: false,
-        };
+        let cause = self.cause(RootCause::Node(v), false);
         let mut changed = false;
-        // Walk the node's session slice by index — entries are `Copy`, so
-        // no neighbour list is materialised per event.
-        for i in 0..self.fixed.g.degree(v) {
-            let e = self.fixed.g.neighbor_entries(v)[i];
+        // The graph is a handle: cloning it lends the node's session slice
+        // while `self` is borrowed mutably, and materialises nothing.
+        let g = self.fixed.g.clone();
+        for e in g.neighbor_entries(v) {
             if self.state.link_up[e.link.index()] {
                 self.link_epoch[e.link.index()] += 1;
                 self.clear_link_sessions(e.link);
@@ -993,14 +977,10 @@ impl<R: RouterLogic> Engine<R> {
         }
         self.state.node_up[v.index()] = true;
         self.mark_node_flip(v);
-        let cause = crate::types::CauseInfo {
-            cause: crate::types::RootCause::Node(v),
-            seq: self.scenario_seq,
-            up: true,
-        };
+        let cause = self.cause(RootCause::Node(v), true);
         let mut changed = false;
-        for i in 0..self.fixed.g.degree(v) {
-            let e = self.fixed.g.neighbor_entries(v)[i];
+        let g = self.fixed.g.clone();
+        for e in g.neighbor_entries(v) {
             if self.state.link_up[e.link.index()] && self.state.node_ok(e.neighbor) {
                 let n = e.neighbor;
                 changed |= self.with_router_ctx(v, |router, ctx| router.on_link_up(ctx, n, cause));
@@ -1028,8 +1008,8 @@ impl<R: RouterLogic> Engine<R> {
     fn mark_node_flip(&mut self, v: AsId) {
         self.feed.liveness_flipped();
         self.feed.touch(v);
-        for i in 0..self.fixed.g.degree(v) {
-            let e = self.fixed.g.neighbor_entries(v)[i];
+        let g = self.fixed.g.clone();
+        for e in g.neighbor_entries(v) {
             if self.state.link_up[e.link.index()] && self.state.node_ok(e.neighbor) {
                 self.feed.touch(e.neighbor);
             }
@@ -1102,24 +1082,12 @@ impl<R: RouterLogic> Engine<R> {
                 self.stats.dropped += 1;
                 continue;
             };
-            if !self.ends_alive(SessEnds { from, to, link }) {
+            if !self.state.up(from, to, link) {
                 self.stats.dropped += 1;
                 continue;
             }
-            let rate_limited = self.fixed.mrai_enabled
-                && match msg.kind {
-                    UpdateKind::Announce(_) => true,
-                    UpdateKind::Withdraw(_) => self.fixed.mrai_withdrawals,
-                };
-            if !rate_limited {
-                // Immediate transmission still supersedes anything queued
-                // for this prefix (the withdrawal makes it stale).
-                let row = self.mrai.get_mut(chan_idx(sess, proc));
-                if let Some(slot) = row.and_then(|r| r.get_mut(msg.prefix.index())) {
-                    if slot.pending.take().is_some() {
-                        self.stats.coalesced += 1;
-                    }
-                }
+            if self.fixed.sessions.mrai_base == SimDuration::ZERO {
+                // No MRAI: no slot is ever armed, so nothing is queued.
                 self.transmit(sess, proc, msg);
                 continue;
             }
@@ -1150,7 +1118,7 @@ impl<R: RouterLogic> Engine<R> {
 
     /// Hand a message to the FIFO channel and schedule its delivery.
     fn transmit(&mut self, sess: SessId, proc: ProcId, msg: UpdateMsg) {
-        if self.fixed.loss.drops(&mut self.loss_rng) {
+        if self.fixed.sessions.loss.drops(&mut self.loss_rng) {
             self.stats.dropped += 1;
             return;
         }
@@ -1162,7 +1130,7 @@ impl<R: RouterLogic> Engine<R> {
         let now = self.sched.now();
         let at = self.channels[chan_idx(sess, proc)].delivery_time(
             now,
-            &self.fixed.delay,
+            &self.fixed.sessions.delay,
             &mut self.delay_rng,
         );
         self.sched.schedule_at(
@@ -1926,8 +1894,11 @@ mod more_tests {
         b.customer_of(4, 3).unwrap();
         let g = b.build().unwrap();
         let cfg = EngineConfig {
-            loss: stamp_eventsim::LossModel {
-                drop_probability: 0.3,
+            sessions: SessionModel {
+                loss: LossModel {
+                    drop_probability: 0.3,
+                },
+                ..SessionModel::fast()
             },
             ..EngineConfig::fast(9)
         };

@@ -2,7 +2,7 @@
 //!
 //! This crate implements the message-level BGP model the paper simulates
 //! (§6.2), structured so the two protocol variants the paper studies —
-//! R-BGP (`stamp-rbgp`) and STAMP (`stamp-core`) — reuse the same machinery
+//! R-BGP (`stamp_rbgp`) and STAMP (`stamp_core`) — reuse the same machinery
 //! and run on *identical* scenarios:
 //!
 //! * [`types`] — prefixes, process instances (STAMP's red/blue "colours"),

@@ -27,7 +27,7 @@
 //!
 //! Following the smoltcp design ethos, the kernel is single-threaded and
 //! allocation-light; parallelism lives one level up (independent scenario
-//! instances run on separate threads in `stamp-experiments`).
+//! instances run on separate threads in `stamp_workload::run_cells`).
 
 #![forbid(unsafe_code)]
 

@@ -1,6 +1,6 @@
 //! Experiment harness: regenerates every figure and table of the paper.
 //!
-//! Each experiment in DESIGN.md §4 maps to a module here; `stamp-bench`
+//! Each experiment in DESIGN.md §4 maps to a module here; `stamp_bench`
 //! wraps them in standalone binaries. All experiments are deterministic
 //! given their seed. The failure figures are cell lists
 //! handed to the workspace's one cell runner, `stamp_workload::run_cells`

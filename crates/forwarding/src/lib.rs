@@ -6,9 +6,11 @@
 //! This crate measures it:
 //!
 //! * [`view`] — the [`view::ForwardingView`] abstraction: a deterministic
-//!   per-protocol forwarding function over `(AS, packet context)` states,
-//!   implemented for plain BGP, R-BGP (normal/escape contexts) and STAMP
-//!   (colour × switched-bit contexts, §5.1's at-most-one colour switch);
+//!   forwarding function over `(AS, packet context)` states. One
+//!   [`view::EngineView`] serves every protocol; plain BGP, R-BGP (pinned
+//!   failover circuits) and STAMP (colour × switched-bit contexts, §5.1's
+//!   at-most-one colour switch) each say only their forwarding step
+//!   ([`view::DataPlane`]);
 //! * [`trace`] — classification of every AS's data path as
 //!   delivered / loop / blackhole in O(states) via memoised walks of the
 //!   functional graph, from scratch (the oracle);
@@ -29,4 +31,6 @@ pub mod view;
 
 pub use trace::{classify_all, Outcome};
 pub use tracker::{ObserverWork, TransientTracker};
-pub use view::{BgpView, ForwardingView, RbgpView, StampView, StaticView, Step};
+pub use view::{
+    BgpView, DataPlane, EngineView, ForwardingView, RbgpView, StampView, StaticView, Step,
+};

@@ -66,12 +66,8 @@ pub struct TransientTracker {
     /// adopted a selection invalidated by the event (or emptied their
     /// table) at some observation instant. Empty `causes` disables it.
     causes: Vec<RootCause>,
-    /// Pre-event selection paths per AS (adoption = deviation from these).
-    /// Only populated for ASes the baseline view could not key — when
-    /// compact keys are available the materialised paths are never needed
-    /// (key inequality already proves the selection set changed).
-    baseline: Vec<Vec<Vec<AsId>>>,
-    /// Pre-event selection keys per AS (`None` = compare paths instead).
+    /// Pre-event selection keys per AS (adoption = deviation from these);
+    /// `None` where the baseline view has no control plane.
     baseline_keys: Vec<Option<SelectionKey>>,
     control_affected: Vec<bool>,
     n_control_affected: usize,
@@ -119,7 +115,6 @@ impl TransientTracker {
             now_looping: 0,
             now_blackholed: 0,
             causes: Vec::new(),
-            baseline: vec![Vec::new(); n],
             baseline_keys: vec![None; n],
             control_affected: vec![false; n],
             n_control_affected: 0,
@@ -141,12 +136,8 @@ impl TransientTracker {
         causes: Vec<RootCause>,
         baseline_view: &V,
     ) {
-        for i in 0..self.baseline.len() {
-            let v = AsId::from_usize(i);
-            self.baseline_keys[i] = baseline_view.selection_key(v);
-            if self.baseline_keys[i].is_none() {
-                self.baseline[i] = baseline_view.selection_paths(v);
-            }
+        for (i, key) in self.baseline_keys.iter_mut().enumerate() {
+            *key = baseline_view.selection_key(AsId::from_usize(i));
         }
         self.causes = causes;
     }
@@ -233,21 +224,13 @@ impl TransientTracker {
         }
         self.control_evals += 1;
         let v = AsId::from_usize(i);
-        // Fast path: when both sides have compact keys, key equality is
-        // path equality and no path is ever materialised. On key
-        // mismatch the selection set *definitely* changed, so the
-        // invalidation check below only needs the current paths.
-        match (view.selection_key(v), self.baseline_keys[i]) {
-            (Some(k), Some(bk)) => {
-                if k == bk {
-                    return;
-                }
-            }
-            _ => {
-                if view.selection_paths(v) == self.baseline[i] {
-                    return;
-                }
-            }
+        // Key equality is path equality, so an unchanged selection set
+        // materialises no path; on a mismatch the set *definitely* changed
+        // and the invalidation check below needs only the current paths.
+        // A view without a control plane has no key and flags nobody.
+        let key = view.selection_key(v);
+        if key.is_none() || key == self.baseline_keys[i] {
+            return;
         }
         let paths = view.selection_paths(v);
         let all_bad = paths.is_empty()

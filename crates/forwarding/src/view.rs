@@ -8,8 +8,9 @@
 //! classification is exact and O(states) — no packet sampling involved.
 
 use stamp_bgp::engine::Engine;
-use stamp_bgp::router::BgpRouter;
-use stamp_bgp::types::{Color, PrefixId};
+use stamp_bgp::router::{BgpRouter, RouterLogic};
+use stamp_bgp::speaker::Speaker;
+use stamp_bgp::types::{Color, PrefixId, ProcId};
 use stamp_bgp::PathId;
 pub use stamp_bgp::{FeedCursor, Touched};
 use stamp_core::StampRouter;
@@ -45,16 +46,6 @@ impl SelectionKey {
         ids: [PathId::NONE; 2],
     };
 
-    /// Key of a single optional selection (BGP, R-BGP).
-    #[inline]
-    pub fn of_one(id: Option<PathId>) -> SelectionKey {
-        let mut k = SelectionKey::EMPTY;
-        if let Some(p) = id {
-            k.push(p);
-        }
-        k
-    }
-
     /// Append one selected path id (order-sensitive, max 2).
     #[inline]
     pub fn push(&mut self, id: PathId) {
@@ -63,6 +54,12 @@ impl SelectionKey {
             *slot = id;
             self.len += 1;
         }
+    }
+
+    /// The selected path ids, in the order they were pushed.
+    #[inline]
+    pub fn ids(&self) -> &[PathId] {
+        &self.ids[..usize::from(self.len)]
     }
 }
 
@@ -95,58 +92,111 @@ pub trait ForwardingView {
 
     /// Compact key of `v`'s current selection set: equal keys ⇔ equal
     /// [`ForwardingView::selection_paths`]. `None` (the default) means the
-    /// view cannot key selections and callers must compare materialised
-    /// paths.
+    /// view has no control plane: the control-plane companion metric never
+    /// flags an AS seen through it.
     fn selection_key(&self, _v: AsId) -> Option<SelectionKey> {
         None
     }
 }
 
-/// Plain-BGP view over a converging engine.
-pub struct BgpView<'a> {
-    pub engine: &'a Engine<BgpRouter>,
+/// What a protocol adds to the shared engine view: its forwarding rule,
+/// and the few constants that size the state space around it. Everything
+/// else a [`ForwardingView`] answers is read off the router's [`Speaker`]
+/// and the engine, once, in [`EngineView`]'s impl.
+pub trait DataPlane: RouterLogic + Sized {
+    /// Packet-context states the protocol's packets can be in.
+    const N_CTX: u8 = 1;
+    /// Does `step` read liveness beyond the AS's own sessions? Then any
+    /// link or node flip dirties every row (see `Engine::touched_since`).
+    const WIDE_LIVENESS: bool = false;
+    /// Routing processes whose selections make up an AS's selection set.
+    const PROCS: usize = 1;
+
+    /// The BGP state of this AS.
+    fn speaker(&self) -> &Speaker;
+
+    /// Initial context for traffic this AS originates towards `prefix`.
+    fn start_ctx(&self, _prefix: PrefixId) -> u8 {
+        0
+    }
+
+    /// One forwarding step at `at`, which does not originate the prefix
+    /// (the view delivers there itself), for a packet in context `ctx`.
+    fn step(view: &EngineView<'_, Self>, at: AsId, ctx: u8) -> Step;
+}
+
+/// The data plane of a converging engine towards one prefix, for any
+/// protocol that says how it forwards ([`DataPlane`]).
+pub struct EngineView<'a, R: RouterLogic> {
+    pub engine: &'a Engine<R>,
     pub prefix: PrefixId,
 }
 
-impl ForwardingView for BgpView<'_> {
+impl<R: DataPlane> EngineView<'_, R> {
+    /// One id per process of `v` holding a selection, in process order.
+    #[inline]
+    fn key(&self, v: AsId) -> SelectionKey {
+        let speaker = self.engine.router(v).speaker();
+        let mut k = SelectionKey::EMPTY;
+        for proc in ProcId::first_n(R::PROCS) {
+            if let Some(p) = speaker.selection(self.prefix, proc).path_id() {
+                k.push(p);
+            }
+        }
+        k
+    }
+}
+
+impl<R: DataPlane> ForwardingView for EngineView<'_, R> {
     fn n(&self) -> usize {
         self.engine.topology().n()
     }
 
     fn n_ctx(&self) -> u8 {
-        1
+        R::N_CTX
     }
 
-    fn start_ctx(&self, _src: AsId) -> u8 {
-        0
+    #[inline]
+    fn start_ctx(&self, src: AsId) -> u8 {
+        self.engine.router(src).start_ctx(self.prefix)
     }
 
-    fn step(&self, at: AsId, _ctx: u8) -> Step {
-        let r = self.engine.router(at);
-        if r.originates(self.prefix) {
+    #[inline]
+    fn step(&self, at: AsId, ctx: u8) -> Step {
+        if self.engine.router(at).speaker().originates(self.prefix) {
             return Step::Deliver;
         }
-        match r.next_hop(self.prefix) {
-            Some(nh) if self.engine.session_up(at, nh) => Step::Hop { to: nh, ctx: 0 },
-            _ => Step::Drop,
-        }
+        R::step(self, at, ctx)
     }
 
     fn selection_paths(&self, v: AsId) -> Vec<Vec<AsId>> {
-        match self.engine.router(v).selection(self.prefix).path_id() {
-            Some(p) => vec![self.engine.paths().as_vec(p)],
-            None => Vec::new(),
-        }
+        let paths = self.engine.paths();
+        self.key(v).ids().iter().map(|p| paths.as_vec(*p)).collect()
     }
 
     fn touched_since(&self, cursor: &mut FeedCursor) -> Touched<'_> {
-        self.engine.touched_since(cursor, false)
+        self.engine.touched_since(cursor, R::WIDE_LIVENESS)
     }
 
+    #[inline]
     fn selection_key(&self, v: AsId) -> Option<SelectionKey> {
-        Some(SelectionKey::of_one(
-            self.engine.router(v).selection(self.prefix).path_id(),
-        ))
+        Some(self.key(v))
+    }
+}
+
+/// Plain-BGP view: follow the next hop while its session is up.
+pub type BgpView<'a> = EngineView<'a, BgpRouter>;
+
+impl DataPlane for BgpRouter {
+    fn speaker(&self) -> &Speaker {
+        self.speaker()
+    }
+
+    fn step(view: &BgpView<'_>, at: AsId, _ctx: u8) -> Step {
+        match view.engine.router(at).next_hop(view.prefix) {
+            Some(nh) if view.engine.session_up(at, nh) => Step::Hop { to: nh, ctx: 0 },
+            _ => Step::Drop,
+        }
     }
 }
 
@@ -159,31 +209,20 @@ impl ForwardingView for BgpView<'_> {
 /// validated against known root causes, which is why full R-BGP protects
 /// single link failures (Figure 2's zero bar) while the no-RCI variant
 /// commits packets to stale circuits through the failure.
-pub struct RbgpView<'a> {
-    pub engine: &'a Engine<RbgpRouter>,
-    pub prefix: PrefixId,
-}
+pub type RbgpView<'a> = EngineView<'a, RbgpRouter>;
 
-impl ForwardingView for RbgpView<'_> {
-    fn n(&self) -> usize {
-        self.engine.topology().n()
+impl DataPlane for RbgpRouter {
+    /// The escape circuit reads the liveness of links far from `at`.
+    const WIDE_LIVENESS: bool = true;
+
+    fn speaker(&self) -> &Speaker {
+        self.speaker()
     }
 
-    fn n_ctx(&self) -> u8 {
-        1
-    }
-
-    fn start_ctx(&self, _src: AsId) -> u8 {
-        0
-    }
-
-    fn step(&self, at: AsId, _ctx: u8) -> Step {
-        let r = self.engine.router(at);
-        if r.originates(self.prefix) {
-            return Step::Deliver;
-        }
-        let session_ok = |n: AsId| self.engine.session_up(at, n);
-        if let Some(nh) = r.primary_next(self.prefix) {
+    fn step(view: &RbgpView<'_>, at: AsId, _ctx: u8) -> Step {
+        let r = view.engine.router(at);
+        let session_ok = |n: AsId| view.engine.session_up(at, n);
+        if let Some(nh) = r.primary_next(view.prefix) {
             if session_ok(nh) {
                 return Step::Hop { to: nh, ctx: 0 };
             }
@@ -191,13 +230,14 @@ impl ForwardingView for RbgpView<'_> {
         // Primary gone: commit the packet to the chosen failover circuit.
         // Delivered iff every link of the advertised path is alive; the
         // packet cannot escape a second time.
-        match r.escape_route(self.engine.paths(), self.prefix, session_ok) {
+        let paths = view.engine.paths();
+        match r.escape_route(paths, view.prefix, session_ok) {
             Some((_advertiser, route)) => {
                 // route.path = [advertiser, …, dest]; the circuit walks it
                 // from `at` (a zero-allocation arena chain walk).
                 let mut prev = at;
-                for hop in self.engine.paths().iter(route.path) {
-                    if !self.engine.session_up(prev, hop) {
+                for hop in paths.iter(route.path) {
+                    if !view.engine.session_up(prev, hop) {
                         return Step::Drop;
                     }
                     prev = hop;
@@ -207,94 +247,66 @@ impl ForwardingView for RbgpView<'_> {
             None => Step::Drop,
         }
     }
-
-    fn selection_paths(&self, v: AsId) -> Vec<Vec<AsId>> {
-        match self.engine.router(v).selection(self.prefix).path_id() {
-            Some(p) => vec![self.engine.paths().as_vec(p)],
-            None => Vec::new(),
-        }
-    }
-
-    fn touched_since(&self, cursor: &mut FeedCursor) -> Touched<'_> {
-        // The escape circuit in `step` reads the liveness of links far
-        // from `at`: any flip anywhere can change any row.
-        self.engine.touched_since(cursor, true)
-    }
-
-    fn selection_key(&self, v: AsId) -> Option<SelectionKey> {
-        Some(SelectionKey::of_one(
-            self.engine.router(v).selection(self.prefix).path_id(),
-        ))
-    }
 }
 
 /// STAMP view: context encodes colour (bit 0: 0 = red, 1 = blue) and the
 /// switched flag (bit 1). §5.1: forward along the packet's colour; switch
 /// colour at most once when the same-colour route is missing or flagged
 /// unstable.
-pub struct StampView<'a> {
-    pub engine: &'a Engine<StampRouter>,
-    pub prefix: PrefixId,
+pub type StampView<'a> = EngineView<'a, StampRouter>;
+
+fn ctx_of(color: Color, switched: bool) -> u8 {
+    let c = match color {
+        Color::Red => 0,
+        Color::Blue => 1,
+    };
+    c | (u8::from(switched) << 1)
 }
 
-impl StampView<'_> {
-    fn ctx_of(color: Color, switched: bool) -> u8 {
-        let c = match color {
-            Color::Red => 0,
-            Color::Blue => 1,
-        };
-        c | (u8::from(switched) << 1)
-    }
-
-    fn color_of(ctx: u8) -> Color {
-        if ctx & 1 == 0 {
-            Color::Red
-        } else {
-            Color::Blue
-        }
-    }
-
-    fn switched(ctx: u8) -> bool {
-        ctx & 2 != 0
+fn color_of(ctx: u8) -> Color {
+    if ctx & 1 == 0 {
+        Color::Red
+    } else {
+        Color::Blue
     }
 }
 
-impl ForwardingView for StampView<'_> {
-    fn n(&self) -> usize {
-        self.engine.topology().n()
+fn switched(ctx: u8) -> bool {
+    ctx & 2 != 0
+}
+
+impl DataPlane for StampRouter {
+    const N_CTX: u8 = 4;
+    /// Red then blue: [`Color::proc`] order.
+    const PROCS: usize = 2;
+
+    fn speaker(&self) -> &Speaker {
+        self.speaker()
     }
 
-    fn n_ctx(&self) -> u8 {
-        4
-    }
-
-    fn start_ctx(&self, src: AsId) -> u8 {
+    fn start_ctx(&self, prefix: PrefixId) -> u8 {
         // The source assigns the initial colour: its active process if that
         // process holds a route, otherwise the other one. Neither choice
         // consumes the in-flight switch.
-        let r = self.engine.router(src);
-        let a = r.active_color(self.prefix);
-        let color = if r.selection(self.prefix, a).is_some() {
+        let a = self.active_color(prefix);
+        let color = if self.selection(prefix, a).is_some() {
             a
-        } else if r.selection(self.prefix, a.other()).is_some() {
+        } else if self.selection(prefix, a.other()).is_some() {
             a.other()
         } else {
             a
         };
-        Self::ctx_of(color, false)
+        ctx_of(color, false)
     }
 
-    fn step(&self, at: AsId, ctx: u8) -> Step {
-        let r = self.engine.router(at);
-        if r.originates(self.prefix) {
-            return Step::Deliver;
-        }
-        let c = Self::color_of(ctx);
-        let switched = Self::switched(ctx);
-        let session_ok = |n: AsId| self.engine.session_up(at, n);
-
+    fn step(view: &StampView<'_>, at: AsId, ctx: u8) -> Step {
+        let r = view.engine.router(at);
+        let prefix = view.prefix;
+        let c = color_of(ctx);
+        let switched = switched(ctx);
         let usable = |color: Color| -> Option<AsId> {
-            r.next_hop(self.prefix, color).filter(|nh| session_ok(*nh))
+            let nh = r.next_hop(prefix, color);
+            nh.filter(|nh| view.engine.session_up(at, *nh))
         };
 
         // Preference order (§5.1 + crate docs rule 3): same colour if
@@ -303,17 +315,17 @@ impl ForwardingView for StampView<'_> {
         // other colour; else drop. Evaluated lazily — the common case
         // (same colour usable and stable) probes one route and one session.
         if let Some(to) = usable(c) {
-            if !r.is_unstable(self.prefix, c) {
+            if !r.is_unstable(prefix, c) {
                 return Step::Hop { to, ctx };
             }
             // Same colour exists but is unstable: a *stable* other colour
             // wins the switch; an unstable one loses to staying put.
             if !switched {
                 if let Some(o) = usable(c.other()) {
-                    if !r.is_unstable(self.prefix, c.other()) {
+                    if !r.is_unstable(prefix, c.other()) {
                         return Step::Hop {
                             to: o,
-                            ctx: Self::ctx_of(c.other(), true),
+                            ctx: ctx_of(c.other(), true),
                         };
                     }
                 }
@@ -326,40 +338,11 @@ impl ForwardingView for StampView<'_> {
             if let Some(o) = usable(c.other()) {
                 return Step::Hop {
                     to: o,
-                    ctx: Self::ctx_of(c.other(), true),
+                    ctx: ctx_of(c.other(), true),
                 };
             }
         }
         Step::Drop
-    }
-
-    fn selection_paths(&self, v: AsId) -> Vec<Vec<AsId>> {
-        let r = self.engine.router(v);
-        Color::ALL
-            .iter()
-            .filter_map(|c| {
-                r.selection(self.prefix, *c)
-                    .path_id()
-                    .map(|p| self.engine.paths().as_vec(p))
-            })
-            .collect()
-    }
-
-    fn touched_since(&self, cursor: &mut FeedCursor) -> Touched<'_> {
-        self.engine.touched_since(cursor, false)
-    }
-
-    fn selection_key(&self, v: AsId) -> Option<SelectionKey> {
-        // Same filtered traversal order as `selection_paths`, so the key
-        // equivalence holds: `[red, —]` and `[—, red]` both key as one id.
-        let r = self.engine.router(v);
-        let mut k = SelectionKey::EMPTY;
-        for c in Color::ALL.iter() {
-            if let Some(p) = r.selection(self.prefix, *c).path_id() {
-                k.push(p);
-            }
-        }
-        Some(k)
     }
 }
 
@@ -411,10 +394,10 @@ mod tests {
     fn stamp_ctx_encoding_roundtrips() {
         for color in Color::ALL {
             for switched in [false, true] {
-                let ctx = StampView::ctx_of(color, switched);
-                assert!(ctx < 4);
-                assert_eq!(StampView::color_of(ctx), color);
-                assert_eq!(StampView::switched(ctx), switched);
+                let ctx = ctx_of(color, switched);
+                assert!(ctx < StampRouter::N_CTX);
+                assert_eq!(color_of(ctx), color);
+                assert_eq!(super::switched(ctx), switched);
             }
         }
     }

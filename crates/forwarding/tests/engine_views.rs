@@ -9,12 +9,13 @@
 
 use stamp_bgp::engine::{Engine, EngineConfig, ScenarioEvent};
 use stamp_bgp::router::BgpRouter;
-use stamp_bgp::types::{PrefixId, RootCause};
+use stamp_bgp::types::{PrefixId, ProcId, RootCause};
 use stamp_core::{LockStrategy, StampRouter};
 use stamp_eventsim::{rng_stream, SimDuration};
 use stamp_forwarding::view::{FeedCursor, SelectionKey, Touched};
 use stamp_forwarding::{
-    classify_all, BgpView, ForwardingView, Outcome, RbgpView, StampView, Step, TransientTracker,
+    classify_all, BgpView, DataPlane, EngineView, ForwardingView, Outcome, RbgpView, StampView,
+    Step, TransientTracker,
 };
 use stamp_rbgp::{RbgpConfig, RbgpRouter};
 use stamp_topology::gen::{generate, GenConfig};
@@ -328,14 +329,50 @@ fn report(t: &TransientTracker) -> (Vec<bool>, [usize; 4], [u64; 3], bool) {
     )
 }
 
+/// What every engine view promises whatever protocol it is over: packet
+/// contexts stay below `n_ctx`, and the selection key holds exactly the
+/// path id of each process that has a selection, in process order — so
+/// STAMP's `[red, —]` and `[—, blue]` each key as one id — and
+/// `selection_paths` is those ids' paths. Returns how many ASes hold a
+/// selection in some but not all of their processes.
+fn assert_view_contract<R: DataPlane>(v: &EngineView<'_, R>) -> usize {
+    let mut partial = 0;
+    for a in v.engine.topology().ases() {
+        assert!(v.start_ctx(a) < v.n_ctx(), "start_ctx({a})");
+        for ctx in 0..v.n_ctx() {
+            if let Step::Hop { ctx: next, .. } = v.step(a, ctx) {
+                assert!(
+                    next < v.n_ctx(),
+                    "step({a}, {ctx}) hops into context {next}"
+                );
+            }
+        }
+        let speaker = v.engine.router(a).speaker();
+        let held: Vec<_> = ProcId::first_n(R::PROCS)
+            .filter_map(|proc| speaker.selection(v.prefix, proc).path_id())
+            .collect();
+        let key = v.selection_key(a).expect("an engine view keys every AS");
+        assert_eq!(key.ids(), held, "selection_key({a})");
+        let paths: Vec<_> = held.iter().map(|p| v.engine.paths().as_vec(*p)).collect();
+        assert_eq!(v.selection_paths(a), paths, "selection_paths({a})");
+        partial += usize::from(!held.is_empty() && held.len() < R::PROCS);
+    }
+    partial
+}
+
+fn procs<R: DataPlane>(_: &Engine<R>) -> usize {
+    R::PROCS
+}
+
 /// Drive a converged engine through three seeded random timelines — link
 /// flaps, node failures and recoveries, drawn so that events overlap while
 /// the network is still re-converging from earlier ones — with a rewind to
 /// the converged checkpoint before the third. After every observer
 /// callback the incremental tracker must agree with the from-scratch
 /// oracle on every AS's outcome, and with a reference tracker that
-/// re-examines every row every tick on everything it reports. A macro
-/// because the view type borrows the engine it is built from.
+/// re-examines every row every tick on everything it reports; and the view
+/// itself must keep [`assert_view_contract`]. A macro because the view type
+/// borrows the engine it is built from.
 macro_rules! equivalence_test {
     ($name:ident, $engine:expr, $view:ident) => {
         #[test]
@@ -373,7 +410,7 @@ macro_rules! equivalence_test {
                     scratch.with_control_metric(cause, &NoFeed(&v));
                 }
 
-                let mut ticks = 0u64;
+                let (mut ticks, mut partial) = (0u64, 0);
                 for round in 0..3 {
                     if round == 2 {
                         e.clone_from(&ck);
@@ -402,6 +439,7 @@ macro_rules! equivalence_test {
                             engine: eng,
                             prefix: P,
                         };
+                        partial += assert_view_contract(&v);
                         inc.observe(&v);
                         scratch.observe(&NoFeed(&v));
                         assert_eq!(
@@ -419,6 +457,8 @@ macro_rules! equivalence_test {
                     });
                 }
                 assert!(ticks > 30, "the timelines must actually be observed");
+                // A two-process protocol passes through one-coloured ASes.
+                assert_eq!(partial > 0, procs(&e) > 1);
                 assert!(inc.affected_count() > 0, "and must actually hurt someone");
                 // And the incremental tracker did not get there by
                 // re-examining every row every tick (R-BGP does on the
@@ -470,10 +510,7 @@ equivalence_test!(
 equivalence_test!(
     incremental_observation_matches_scratch_rbgp_without_rci,
     |g: AsGraph, dest, seed| -> Engine<RbgpRouter> {
-        let cfg = RbgpConfig {
-            rci: false,
-            ..RbgpConfig::default()
-        };
+        let cfg = RbgpConfig { rci: false };
         Engine::new(
             g,
             EngineConfig {

@@ -23,18 +23,11 @@ pub struct RbgpConfig {
     /// Run with root-cause information (the full protocol) or without
     /// (failover paths only) — the two variants of Figures 2 and 3.
     pub rci: bool,
-    /// Export failover paths irrespective of valley-free gating. R-BGP
-    /// argues backup paths may relax export policy because they carry
-    /// traffic only transiently; `false` applies the standard gate.
-    pub relaxed_failover_export: bool,
 }
 
 impl Default for RbgpConfig {
     fn default() -> Self {
-        RbgpConfig {
-            rci: true,
-            relaxed_failover_export: true,
-        }
+        RbgpConfig { rci: true }
     }
 }
 
@@ -261,13 +254,9 @@ impl RbgpRouter {
             if self.path_invalidated(ctx.arena, &r) {
                 continue;
             }
-            if !self.cfg.relaxed_failover_export {
-                // Standard gate: only routes we could legitimately export
-                // to the best next hop.
-                if !ctx.export_ok(Some(e.learned_from), best.learned_from, &r) {
-                    continue;
-                }
-            }
+            // No export gate here: R-BGP argues a failover path may relax
+            // valley-free export because it carries traffic only
+            // transiently.
             let shared = ctx.arena.shared_with(r.path, best.route.path);
             let key = (shared, r.len(ctx.arena), n, r);
             cand = match cand {
@@ -663,10 +652,7 @@ mod tests {
     #[test]
     fn no_rci_mode_ignores_causes() {
         let g = diamond();
-        let cfg = RbgpConfig {
-            rci: false,
-            ..Default::default()
-        };
+        let cfg = RbgpConfig { rci: false };
         let mut e = converge(&g, AsId(4), cfg, 5);
         let id = g.link_between(AsId(4), AsId(2)).unwrap();
         e.inject_after(SimDuration::from_secs(1), ScenarioEvent::FailLink(id));
@@ -710,10 +696,7 @@ mod tests {
         use stamp_topology::StaticRoutes;
         let g = diamond();
         for rci in [true, false] {
-            let cfg = RbgpConfig {
-                rci,
-                ..Default::default()
-            };
+            let cfg = RbgpConfig { rci };
             let mut e = converge(&g, AsId(4), cfg, 11);
             let id = g.link_between(AsId(4), AsId(2)).unwrap();
             e.inject_after(SimDuration::from_secs(1), ScenarioEvent::FailLink(id));

@@ -57,7 +57,7 @@ pub use sim::{
     MetricsProbe, NullProbe, ParseProtocolError, Phase, Played, Probe, Protocol, ProtocolEngine,
     ProtocolSpec, Sim, SimBuilder, SimError, SimEvent, SnapshotCause,
 };
-pub use stamp_bgp::engine::{RunOutcome, WatchdogConfig};
+pub use stamp_bgp::engine::{RunOutcome, SessionModel, WatchdogConfig};
 pub use stamp_forwarding::ObserverWork;
 pub use stamp_policy::PolicyRegime;
 pub use timeline::{

@@ -4,9 +4,9 @@
 //! its siblings, so `timeline`, `sim` and `campaign` can all point down at
 //! it.
 
-use stamp_bgp::engine::{EngineConfig, RunOutcome, WatchdogConfig};
+use stamp_bgp::engine::{EngineConfig, RunOutcome, SessionModel, WatchdogConfig};
 use stamp_bgp::types::PrefixId;
-use stamp_eventsim::{DelayModel, LossModel, SimDuration};
+use stamp_eventsim::SimDuration;
 use stamp_policy::PolicyRegime;
 
 /// The prefix every run converges (one destination at a time, as in the
@@ -91,23 +91,15 @@ impl InstanceMetrics {
 /// follow §6.2 where the paper is explicit.
 #[derive(Debug, Clone)]
 pub struct RunParams {
-    /// Message delay model (paper: U[10 ms, 20 ms]).
-    pub delay: DelayModel,
-    /// MRAI base (paper: 30 s × U[0.75, 1.0] per session).
-    pub mrai_base: SimDuration,
-    /// Disable MRAI (fast tests only).
-    pub mrai_enabled: bool,
-    /// Rate-limit withdrawals too (paper-era simulator behaviour).
-    pub mrai_withdrawals: bool,
+    /// Delay, MRAI and loss of every session (the failover demo sets the
+    /// loss).
+    pub sessions: SessionModel,
     /// Delay between reaching quiescence and the timeline's epoch.
     pub inject_delay: SimDuration,
     /// Data-plane observation throttle (simulated time).
     pub observe_interval: SimDuration,
     /// Safety deadline per convergence phase (simulated time).
     pub phase_deadline: SimDuration,
-    /// Message loss fault injection (zero in the paper's experiments; the
-    /// failover demo exposes the knob).
-    pub loss: LossModel,
     /// Policy regime every router runs (default: `gao-rexford`, the
     /// paper's hardwired prefer-customer + valley-free world). Compiled to
     /// dense tables once per cell by [`RunParams::engine_config`].
@@ -120,14 +112,10 @@ pub struct RunParams {
 impl Default for RunParams {
     fn default() -> Self {
         RunParams {
-            delay: DelayModel::paper_default(),
-            mrai_base: SimDuration::from_secs(30),
-            mrai_enabled: true,
-            mrai_withdrawals: true,
+            sessions: SessionModel::paper(),
             inject_delay: SimDuration::from_secs(5),
             observe_interval: SimDuration::from_millis(100),
             phase_deadline: SimDuration::from_secs(4 * 3600),
-            loss: LossModel::none(),
             policy: PolicyRegime::gao_rexford(),
             watchdog: WatchdogConfig::default(),
         }
@@ -145,16 +133,11 @@ impl RunParams {
     /// delays, no MRAI.
     pub fn fast() -> RunParams {
         RunParams {
-            delay: DelayModel::fixed(SimDuration::from_millis(1)),
-            mrai_base: SimDuration::ZERO,
-            mrai_enabled: false,
-            mrai_withdrawals: false,
+            sessions: SessionModel::fast(),
             inject_delay: SimDuration::from_secs(1),
             observe_interval: SimDuration::from_micros(1),
             phase_deadline: SimDuration::from_secs(3600),
-            loss: LossModel::none(),
-            policy: PolicyRegime::gao_rexford(),
-            watchdog: WatchdogConfig::default(),
+            ..RunParams::default()
         }
     }
 
@@ -162,11 +145,7 @@ impl RunParams {
     pub fn engine_config(&self, seed: u64) -> EngineConfig {
         EngineConfig {
             seed,
-            delay: self.delay,
-            mrai_base: self.mrai_base,
-            mrai_enabled: self.mrai_enabled,
-            mrai_withdrawals: self.mrai_withdrawals,
-            loss: self.loss,
+            sessions: self.sessions,
             policy: self
                 .policy
                 .compile()

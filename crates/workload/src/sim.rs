@@ -10,11 +10,11 @@
 //!   .seed(7).params(RunParams::paper()).build()?`) replacing hand-rolled
 //!   `Engine::new` wiring. Misuse is a typed [`SimError`], not a panic.
 //! * [`ProtocolSpec`] — the per-[`Protocol`] registry row owning router
-//!   construction, inter-phase measurement reset and forwarding-view
-//!   creation (via the [`ProtocolEngine`] trait). Adding a protocol is one
-//!   `ProtocolEngine` impl plus one [`REGISTRY`] entry; every consumer —
-//!   the campaign runner, the figure experiments, examples, tests — picks
-//!   it up through the same lookup.
+//!   construction; the router type says how it forwards
+//!   (`stamp_forwarding::DataPlane`) and what it clears between phases
+//!   ([`ProtocolEngine`]). Adding a protocol is those two impls plus one
+//!   [`REGISTRY`] entry; every consumer — the campaign runner, the figure
+//!   experiments, examples, tests — picks it up through the same lookup.
 //! * [`Probe`] — the typed observation API. The driver emits structured
 //!   [`SimEvent`]s (`FibChanged`, `SessionReset`, periodic/final
 //!   `Snapshot { view }`, `PhaseSettled`) with **static dispatch**: the
@@ -53,13 +53,11 @@
 use crate::params::{InstanceMetrics, RunParams};
 use crate::timeline::{Timeline, TimelineError};
 use stamp_bgp::engine::{Engine, EngineConfig, RunOutcome, RunStats, ScenarioEvent};
-use stamp_bgp::router::{BgpRouter, RouterLogic};
+use stamp_bgp::router::BgpRouter;
 use stamp_bgp::types::{PrefixId, RootCause};
 use stamp_core::{LockStrategy, StampRouter};
 use stamp_eventsim::{SimDuration, SimTime};
-use stamp_forwarding::{
-    BgpView, ForwardingView, ObserverWork, RbgpView, StampView, TransientTracker,
-};
+use stamp_forwarding::{DataPlane, EngineView, ForwardingView, ObserverWork, TransientTracker};
 use stamp_rbgp::{RbgpConfig, RbgpRouter};
 use stamp_topology::{AsGraph, AsId};
 use std::collections::VecDeque;
@@ -202,48 +200,20 @@ impl FromStr for Protocol {
     }
 }
 
-/// What a router type must provide for the facade to drive it: a
-/// zero-allocation forwarding view over a borrowed engine and the
-/// inter-phase measurement reset. This is the *static* half of the
-/// registry; the dynamic half is [`ProtocolSpec`].
-pub trait ProtocolEngine: RouterLogic + Sized {
-    /// The protocol's forwarding view, borrowing the engine. Built on the
-    /// stack once per observation — snapshots never box.
-    type View<'a>: ForwardingView
-    where
-        Self: 'a;
-
-    /// A data-plane view of `engine` towards `prefix`.
-    fn view(engine: &Engine<Self>, prefix: PrefixId) -> Self::View<'_>;
-
+/// What a router type must provide for the facade to drive it beyond its
+/// data plane: the inter-phase measurement reset. This is the *static*
+/// half of the registry; the dynamic half is [`ProtocolSpec`].
+pub trait ProtocolEngine: DataPlane {
     /// Clear measurement state between initial convergence and timeline
     /// injection (STAMP: instability flags). Default: nothing to clear.
     fn reset_measurement(_engine: &mut Engine<Self>) {}
 }
 
-impl ProtocolEngine for BgpRouter {
-    type View<'a> = BgpView<'a>;
+impl ProtocolEngine for BgpRouter {}
 
-    fn view(engine: &Engine<Self>, prefix: PrefixId) -> BgpView<'_> {
-        BgpView { engine, prefix }
-    }
-}
-
-impl ProtocolEngine for RbgpRouter {
-    type View<'a> = RbgpView<'a>;
-
-    fn view(engine: &Engine<Self>, prefix: PrefixId) -> RbgpView<'_> {
-        RbgpView { engine, prefix }
-    }
-}
+impl ProtocolEngine for RbgpRouter {}
 
 impl ProtocolEngine for StampRouter {
-    type View<'a> = StampView<'a>;
-
-    fn view(engine: &Engine<Self>, prefix: PrefixId) -> StampView<'_> {
-        StampView { engine, prefix }
-    }
-
     fn reset_measurement(engine: &mut Engine<Self>) {
         for v in 0..engine.topology().n() {
             engine.router_mut(AsId::from_usize(v)).reset_instability();
@@ -329,9 +299,9 @@ macro_rules! with_engine {
 }
 
 /// One row of the protocol registry: everything the facade needs to host
-/// a [`Protocol`] variant. Adding a protocol is one [`ProtocolEngine`]
-/// impl, one `EngineKind` arm and one [`REGISTRY`] row — no consumer
-/// changes.
+/// a [`Protocol`] variant. Adding a protocol is one `DataPlane` and one
+/// [`ProtocolEngine`] impl, one `EngineKind` arm and one [`REGISTRY`] row —
+/// no consumer changes.
 pub struct ProtocolSpec {
     /// The variant this row implements.
     pub protocol: Protocol,
@@ -362,10 +332,7 @@ fn make_rbgp(
     prefix: PrefixId,
     rci: bool,
 ) -> EngineKind {
-    let rcfg = RbgpConfig {
-        rci,
-        ..Default::default()
-    };
+    let rcfg = RbgpConfig { rci };
     EngineKind::Rbgp(Engine::new(g.clone(), cfg, |v| {
         RbgpRouter::new(v, own(v, dest, prefix), rcfg)
     }))
@@ -577,19 +544,19 @@ fn run_phase<R: ProtocolEngine, P: Probe>(
     probe: &mut P,
 ) -> RunOutcome {
     let mut last_obs: Option<SimTime> = None;
-    let outcome = e.run_until_quiescent(deadline, |eng, t| {
+    let outcome = e.run_until_quiescent(deadline, |engine, t| {
         while pending.front().is_some_and(|&(at, _)| at <= t) {
             // simlint::allow(panic, "front checked non-empty by the while condition")
             let (at, event) = pending.pop_front().expect("front checked");
-            probe.on_event::<R::View<'_>>(SimEvent::SessionReset { at, event });
+            probe.on_event::<EngineView<'_, R>>(SimEvent::SessionReset { at, event });
         }
-        probe.on_event::<R::View<'_>>(SimEvent::FibChanged { at: t });
+        probe.on_event::<EngineView<'_, R>>(SimEvent::FibChanged { at: t });
         let due = match last_obs {
             None => true,
             Some(prev) => t.since(prev) >= observe_interval,
         };
         if due {
-            let view = R::view(eng, prefix);
+            let view = EngineView { engine, prefix };
             probe.on_event(SimEvent::Snapshot {
                 at: t,
                 cause: SnapshotCause::Periodic,
@@ -600,16 +567,16 @@ fn run_phase<R: ProtocolEngine, P: Probe>(
     });
     // Scenario events whose batch never changed a FIB still happened.
     while let Some((at, event)) = pending.pop_front() {
-        probe.on_event::<R::View<'_>>(SimEvent::SessionReset { at, event });
+        probe.on_event::<EngineView<'_, R>>(SimEvent::SessionReset { at, event });
     }
     let now = e.now();
-    let view = R::view(e, prefix);
+    let view = EngineView { engine: e, prefix };
     probe.on_event(SimEvent::Snapshot {
         at: now,
         cause: SnapshotCause::Final,
         view: &view,
     });
-    probe.on_event::<R::View<'_>>(SimEvent::PhaseSettled { at: now, phase });
+    probe.on_event::<EngineView<'_, R>>(SimEvent::PhaseSettled { at: now, phase });
     outcome
 }
 
@@ -958,7 +925,8 @@ impl Sim {
     /// Run a protocol-erased closure over the current forwarding view
     /// (built on the stack; ad-hoc inspection outside the probe path).
     pub fn with_view<T>(&self, f: impl FnOnce(&dyn ForwardingView) -> T) -> T {
-        with_engine!(self.engine(), e => f(&ProtocolEngine::view(e, self.prefix)))
+        let prefix = self.prefix;
+        with_engine!(self.engine(), engine => f(&EngineView { engine, prefix }))
     }
 
     /// The concrete engine when this session runs plain BGP.
@@ -1046,7 +1014,7 @@ impl Sim {
                 pending.push_back((epoch + at, ev));
             }
             {
-                let view = ProtocolEngine::view(e, prefix);
+                let view = EngineView { engine: e, prefix };
                 probe.on_event(SimEvent::Snapshot {
                     at: e.now(),
                     cause: SnapshotCause::Baseline,
@@ -1235,18 +1203,23 @@ mod tests {
     }
 
     #[test]
+    fn session_up_of_an_as_outside_the_topology_is_false() {
+        // Like every other adjacency query: no such AS, no such session.
+        let g = diamond();
+        let sim = Sim::on(&g).originate(AsId(4), PREFIX).build().unwrap();
+        assert!(sim.session_up(AsId(4), AsId(2)));
+        assert!(!sim.session_up(AsId(100_000), AsId(2)));
+        assert!(!sim.session_up(AsId(4), AsId(100_000)));
+    }
+
+    #[test]
     fn default_params_match_engine_config_default_semantics() {
         // `build()` with defaults must configure the engine exactly like
-        // `EngineConfig::default()` — same seed, delay model, MRAI and
-        // loss semantics.
+        // `EngineConfig::default()` — same seed, same session model.
         let from_builder = RunParams::default().engine_config(1);
         let reference = EngineConfig::default();
         assert_eq!(from_builder.seed, reference.seed);
-        assert_eq!(from_builder.delay, reference.delay);
-        assert_eq!(from_builder.mrai_base, reference.mrai_base);
-        assert_eq!(from_builder.mrai_enabled, reference.mrai_enabled);
-        assert_eq!(from_builder.mrai_withdrawals, reference.mrai_withdrawals);
-        assert_eq!(from_builder.loss, reference.loss);
+        assert_eq!(from_builder.sessions, reference.sessions);
     }
 
     #[test]

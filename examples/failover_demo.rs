@@ -13,7 +13,7 @@
 use stamp_repro::eventsim::{LossModel, SimDuration};
 use stamp_repro::queryd::{QueryEngine, QuerydConfig, Response, WhatIfShape};
 use stamp_repro::topology::{generate, AsId, GenConfig};
-use stamp_repro::workload::{Protocol, RunParams};
+use stamp_repro::workload::{Protocol, RunParams, SessionModel};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -67,8 +67,11 @@ fn main() {
     let params = RunParams {
         inject_delay: SimDuration::from_secs(5),
         observe_interval: SimDuration::ZERO,
-        loss: LossModel {
-            drop_probability: drop_pct / 100.0,
+        sessions: SessionModel {
+            loss: LossModel {
+                drop_probability: drop_pct / 100.0,
+            },
+            ..SessionModel::paper()
         },
         ..RunParams::paper()
     };

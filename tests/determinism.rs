@@ -29,7 +29,7 @@ use stamp_repro::topology::{generate, AsId, GenConfig};
 use stamp_repro::workload::{
     adversarial_grid, destination_candidates, flap_train, run_campaign, run_protocol_cell,
     sample_canned, smoke_grid, CampaignConfig, ObserverWork, PolicyRegime, RunOutcome, RunParams,
-    Timeline, WatchdogConfig, PREFIX,
+    SessionModel, Timeline, WatchdogConfig, PREFIX,
 };
 
 /// The full single-link-failure workload, run twice with identical
@@ -62,10 +62,10 @@ fn sub_mrai_flap_train_quiesces_to_the_never_flapped_state() {
     let dest = destination_candidates(&g)[0];
     let p = g.providers(dest)[0];
     let params = RunParams {
-        delay: DelayModel::fixed(SimDuration::from_millis(1)),
-        mrai_base: SimDuration::from_secs(30),
-        mrai_enabled: true,
-        mrai_withdrawals: true,
+        sessions: SessionModel {
+            delay: DelayModel::fixed(SimDuration::from_millis(1)),
+            ..SessionModel::paper()
+        },
         inject_delay: SimDuration::from_secs(1),
         ..RunParams::default()
     };
@@ -131,10 +131,10 @@ fn flap_campaign_identical_across_worker_counts() {
     )];
     let mut cfg = CampaignConfig {
         params: RunParams {
-            delay: DelayModel::fixed(SimDuration::from_millis(1)),
-            mrai_base: SimDuration::from_secs(30),
-            mrai_enabled: true,
-            mrai_withdrawals: true,
+            sessions: SessionModel {
+                delay: DelayModel::fixed(SimDuration::from_millis(1)),
+                ..SessionModel::paper()
+            },
             inject_delay: SimDuration::from_secs(1),
             observe_interval: SimDuration::from_millis(100),
             ..RunParams::default()

@@ -277,10 +277,7 @@ fn miniature_figure2_ordering() {
     cfg.instances = 4;
     cfg.gen.n_ases = 300;
     // Paper delay/MRAI model at small scale.
-    cfg.params.mrai_enabled = true;
-    cfg.params.mrai_withdrawals = true;
-    cfg.params.mrai_base = SimDuration::from_secs(30);
-    cfg.params.delay = stamp_repro::eventsim::DelayModel::paper_default();
+    cfg.params.sessions = stamp_repro::workload::SessionModel::paper();
     cfg.params.observe_interval = SimDuration::from_millis(100);
     let rep = run_failure_experiment(&cfg, FailureScenario::SingleLink, &Protocol::ALL);
     let bgp = rep.of(Protocol::Bgp);

@@ -876,10 +876,7 @@ mod rewinds {
     #[test]
     fn rbgp_router_rewind_equals_clone() {
         rewind_equals_clone(0xC10E2, 1, |v, salt| {
-            let cfg = RbgpConfig {
-                rci: salt & 1 == 0,
-                relaxed_failover_export: salt & 2 == 0,
-            };
+            let cfg = RbgpConfig { rci: salt & 1 == 0 };
             RbgpRouter::new(v, vec![], cfg)
         });
     }
@@ -990,10 +987,7 @@ mod speaker_contract {
     #[test]
     fn rbgp_adj_rib_out_is_what_was_told() {
         let make = |v, salt: u64| {
-            let cfg = RbgpConfig {
-                rci: salt & 1 == 0,
-                relaxed_failover_export: salt & 2 == 0,
-            };
+            let cfg = RbgpConfig { rci: salt & 1 == 0 };
             RbgpRouter::new(v, vec![], cfg)
         };
         let (books, holder) = (RbgpRouter::speaker, RbgpRouter::failover_target);
