@@ -76,17 +76,6 @@ impl PhiReport {
         let c = self.per_destination.iter().filter(|(_, p)| *p <= x).count();
         c as f64 / self.per_destination.len() as f64
     }
-
-    /// `(Φ, cumulative fraction)` pairs for plotting the Figure 1 CDF.
-    pub fn cdf_points(&self) -> Vec<(f64, f64)> {
-        let sorted = self.sorted();
-        let n = sorted.len().max(1) as f64;
-        sorted
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (*p, (i + 1) as f64 / n))
-            .collect()
-    }
 }
 
 /// Resolve a destination to the AS where the red/blue split happens: walk up
@@ -348,9 +337,6 @@ mod tests {
         assert_eq!(rep.per_destination.len(), 5);
         assert!(rep.mean > 0.9, "diamond mean {}", rep.mean);
         assert_eq!(rep.cdf_at(1.0), 1.0);
-        let pts = rep.cdf_points();
-        assert_eq!(pts.len(), 5);
-        assert!(pts.windows(2).all(|w| w[0].1 <= w[1].1));
     }
 
     #[test]

@@ -39,12 +39,6 @@ impl SimTime {
         self.0
     }
 
-    /// Milliseconds as floating point (for reporting).
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Seconds as floating point (for reporting).
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
@@ -90,22 +84,10 @@ impl SimDuration {
         SimDuration(s * 1_000_000)
     }
 
-    /// Construct from floating-point seconds (rounded to microseconds).
-    #[inline]
-    pub fn from_secs_f64(s: f64) -> SimDuration {
-        SimDuration((s * 1_000_000.0).round().max(0.0) as u64)
-    }
-
     /// Raw microseconds.
     #[inline]
     pub const fn as_micros(self) -> u64 {
         self.0
-    }
-
-    /// Milliseconds as floating point.
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
     }
 
     /// Seconds as floating point.
@@ -171,8 +153,6 @@ mod tests {
     #[test]
     fn conversions_roundtrip() {
         assert_eq!(SimTime::from_millis(30).as_micros(), 30_000);
-        assert_eq!(SimTime::from_secs(2).as_millis_f64(), 2000.0);
-        assert_eq!(SimDuration::from_secs_f64(0.0105).as_micros(), 10_500);
     }
 
     #[test]

@@ -123,6 +123,10 @@ pub trait DataPlane: RouterLogic + Sized {
     /// One forwarding step at `at`, which does not originate the prefix
     /// (the view delivers there itself), for a packet in context `ctx`.
     fn step(view: &EngineView<'_, Self>, at: AsId, ctx: u8) -> Step;
+
+    /// Clear data-plane measurement state between initial convergence and
+    /// timeline injection. Default: nothing to clear.
+    fn reset_measurement(_engine: &mut Engine<Self>) {}
 }
 
 /// The data plane of a converging engine towards one prefix, for any
@@ -343,6 +347,15 @@ impl DataPlane for StampRouter {
             }
         }
         Step::Drop
+    }
+
+    /// The instability flags `step` reads are §5.2 data-plane state: churn
+    /// from before the event must not count against it.
+    fn reset_measurement(engine: &mut Engine<Self>) {
+        let g = engine.topology().clone();
+        for v in g.ases() {
+            engine.router_mut(v).reset_instability();
+        }
     }
 }
 

@@ -27,7 +27,6 @@
 use stamp_eventsim::textfmt::{comma_list, Cursor};
 use stamp_eventsim::SimDuration;
 use stamp_topology::AsId;
-use stamp_workload::sim::ProtocolSpec;
 use stamp_workload::{
     parse_scn, CacheStats, InstanceMetrics, Protocol, RunOutcome, ScnError, Timeline,
 };
@@ -54,11 +53,11 @@ fn outcome_token(o: RunOutcome) -> &'static str {
     }
 }
 
-/// The canonical wire token of a protocol: the registry's first alias
+/// The canonical wire token of a protocol: its first alias
 /// (lower-case, no spaces — labels like "R-BGP without RCI" would not
 /// survive whitespace tokenization).
 pub fn proto_token(p: Protocol) -> &'static str {
-    ProtocolSpec::of(p).aliases[0]
+    p.aliases()[0]
 }
 
 /// The failure shape of a `WHATIF` query.

@@ -157,6 +157,11 @@ mod tests {
             parse("x|2|-1"),
             Err(TopologyError::Parse { line: 1, .. })
         ));
+        // Each of two ASes listed as the other's provider: a contradiction.
+        assert_eq!(
+            parse("2|1|-1\n1|2|-1").err(),
+            Some(TopologyError::ConflictingLink { a: 2, b: 1 })
+        );
     }
 
     #[test]

@@ -20,8 +20,6 @@ pub enum TopologyError {
     /// The graph has no tier-1 AS (every AS has a provider), which cannot
     /// happen in an acyclic hierarchy with at least one AS.
     NoTier1,
-    /// An AS id is out of range for this graph.
-    UnknownAs { asn: u32 },
 }
 
 impl fmt::Display for TopologyError {
@@ -41,7 +39,6 @@ impl fmt::Display for TopologyError {
                 write!(f, "parse error on line {line}: {reason}")
             }
             TopologyError::NoTier1 => write!(f, "graph has no tier-1 (provider-free) AS"),
-            TopologyError::UnknownAs { asn } => write!(f, "unknown AS{asn}"),
         }
     }
 }

@@ -5,6 +5,9 @@
 //! peer–peer. The customer→provider digraph is validated to be acyclic at
 //! build time, which is the standing assumption under which BGP with the
 //! prefer-customer / valley-free policies is safe (Gao–Rexford).
+//!
+//! Every adjacency is stored once, in the CSR session table: the customer,
+//! peer and provider lists of an AS are slices of its neighbour column.
 
 use crate::error::TopologyError;
 use stamp_eventsim::FxHashMap;
@@ -178,21 +181,23 @@ pub struct SessEnds {
 #[derive(Debug, Clone)]
 pub struct AsGraph(Arc<Tables>);
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Tables {
-    n: u32,
-    providers: Vec<Vec<AsId>>,
-    customers: Vec<Vec<AsId>>,
-    peers: Vec<Vec<AsId>>,
     links: Vec<Link>,
     /// Original (possibly sparse) AS numbers, indexed by dense id.
     external: Vec<u32>,
-    /// CSR offsets into `sess_adj`/`sess_by_id`: AS `v`'s directed sessions
-    /// are `sess_adj[sess_offsets[v] .. sess_offsets[v + 1]]`.
+    /// CSR offsets into `sess_adj`/`nbr`/`sess_by_id`: AS `v`'s directed
+    /// sessions are `sess_adj[sess_offsets[v] .. sess_offsets[v + 1]]`.
     sess_offsets: Vec<u32>,
+    /// Where, inside that range, AS `v`'s customers end and its peers end.
+    class_ends: Vec<[u32; 2]>,
     /// Neighbour entries in [`AsGraph::neighbors`] order (customers, peers,
     /// providers — each ascending). `SessId` equals the CSR position.
     sess_adj: Vec<SessEntry>,
+    /// The neighbour id of every `sess_adj` entry, same positions: what
+    /// [`AsGraph::customers`], [`AsGraph::peers`] and
+    /// [`AsGraph::providers`] hand out sub-slices of.
+    nbr: Vec<AsId>,
     /// The same per-node entries re-sorted by neighbour id, for O(log deg)
     /// `(from, to)` resolution with zero hashing.
     sess_by_id: Vec<SessEntry>,
@@ -204,12 +209,12 @@ impl AsGraph {
     /// Number of ASes.
     #[inline]
     pub fn n(&self) -> usize {
-        self.0.n as usize
+        self.0.external.len()
     }
 
     /// All ASes.
     pub fn ases(&self) -> impl Iterator<Item = AsId> + '_ {
-        (0..self.0.n).map(AsId)
+        (0..self.n() as u32).map(AsId)
     }
 
     /// Number of links.
@@ -293,22 +298,27 @@ impl AsGraph {
             .expect("every session has a reverse")
     }
 
-    /// Providers of `v` (ASes `v` buys transit from).
+    /// Providers of `v` (ASes `v` buys transit from), ascending.
     #[inline]
     pub fn providers(&self, v: AsId) -> &[AsId] {
-        &self.0.providers[v.index()]
+        let lo = self.0.class_ends[v.index()][1] as usize;
+        let hi = self.0.sess_offsets[v.index() + 1] as usize;
+        &self.0.nbr[lo..hi]
     }
 
-    /// Customers of `v`.
+    /// Customers of `v`, ascending.
     #[inline]
     pub fn customers(&self, v: AsId) -> &[AsId] {
-        &self.0.customers[v.index()]
+        let lo = self.0.sess_offsets[v.index()] as usize;
+        let hi = self.0.class_ends[v.index()][0] as usize;
+        &self.0.nbr[lo..hi]
     }
 
-    /// Peers of `v`.
+    /// Peers of `v`, ascending.
     #[inline]
     pub fn peers(&self, v: AsId) -> &[AsId] {
-        &self.0.peers[v.index()]
+        let [lo, hi] = self.0.class_ends[v.index()];
+        &self.0.nbr[lo as usize..hi as usize]
     }
 
     /// All neighbours of `v` with their relation to `v` (neighbour is
@@ -335,20 +345,20 @@ impl AsGraph {
     /// Gao inference.
     #[inline]
     pub fn is_tier1(&self, v: AsId) -> bool {
-        self.0.providers[v.index()].is_empty()
+        self.providers(v).is_empty()
     }
 
     /// Whether `v` is a stub AS (no customers).
     #[inline]
     pub fn is_stub(&self, v: AsId) -> bool {
-        self.0.customers[v.index()].is_empty()
+        self.customers(v).is_empty()
     }
 
     /// Whether `v` is multi-homed (two or more providers) — the ASes for
     /// which STAMP's origin colouring (§4.1) applies directly.
     #[inline]
     pub fn is_multi_homed(&self, v: AsId) -> bool {
-        self.0.providers[v.index()].len() >= 2
+        self.providers(v).len() >= 2
     }
 
     /// All tier-1 ASes.
@@ -362,30 +372,6 @@ impl AsGraph {
         self.0.external[v.index()]
     }
 
-    /// Shortest provider-chain depth below tier-1: 0 for tier-1 ASes,
-    /// otherwise `1 + min(depth of providers)`.
-    pub fn tier_depth(&self) -> Vec<u32> {
-        // BFS from all tier-1s along provider→customer edges.
-        let mut depth = vec![u32::MAX; self.n()];
-        let mut queue = std::collections::VecDeque::new();
-        for v in self.ases() {
-            if self.is_tier1(v) {
-                depth[v.index()] = 0;
-                queue.push_back(v);
-            }
-        }
-        while let Some(v) = queue.pop_front() {
-            let d = depth[v.index()];
-            for &c in self.customers(v) {
-                if depth[c.index()] == u32::MAX {
-                    depth[c.index()] = d + 1;
-                    queue.push_back(c);
-                }
-            }
-        }
-        depth
-    }
-
     /// Is `other` a handle on the very tables this graph reads (a `clone`
     /// of it), as opposed to an equal graph built separately?
     pub fn same_handle(&self, other: &AsGraph) -> bool {
@@ -394,34 +380,23 @@ impl AsGraph {
 
     /// Remove a set of links, producing a new graph (used for failure
     /// scenarios in static analyses; the simulator instead fails links live).
-    /// Removing nothing hands back this graph's own handle instead of
-    /// re-adding and re-validating every link to arrive at an equal one.
+    /// AS ids are unchanged and the kept links keep their order, so the new
+    /// graph's `LinkId`s are the dense renumbering of the old ones; an id that
+    /// names no link is ignored. Removing nothing hands back this graph's own
+    /// handle. A sub-graph of a validated graph needs no second validation.
     pub fn without_links(&self, removed: &[LinkId]) -> AsGraph {
         if removed.is_empty() {
             return self.clone();
         }
-        let removed: stamp_eventsim::FxHashSet<LinkId> = removed.iter().copied().collect();
-        let mut b = GraphBuilder::new();
-        for v in self.ases() {
-            b.ensure_as(self.external_asn(v));
-        }
-        for (i, l) in self.0.links.iter().enumerate() {
-            if !removed.contains(&LinkId::from_usize(i)) {
-                b.add_link(self.external_asn(l.a), self.external_asn(l.b), l.kind)
-                    // simlint::allow(panic, "links copied from a validated graph re-validate by construction")
-                    .expect("re-adding existing valid link");
+        let mut gone = vec![false; self.n_links()];
+        for id in removed {
+            if let Some(slot) = gone.get_mut(id.index()) {
+                *slot = true;
             }
         }
-        // simlint::allow(panic, "a sub-graph of an acyclic valid graph stays acyclic and valid")
-        b.build().expect("sub-graph of a valid graph is valid")
-    }
-
-    /// Rebuild the session table after deserialisation (everything
-    /// derivable from `links` + `n`).
-    pub fn rebuild_index(&mut self) {
-        let t = Arc::make_mut(&mut self.0);
-        (t.sess_offsets, t.sess_adj, t.sess_by_id, t.sess_ends) =
-            build_session_table(t.n as usize, &t.links);
+        let kept = self.links().iter().zip(&gone).filter(|(_, &gone)| !gone);
+        let kept = kept.map(|(&l, _)| l).collect();
+        AsGraph(Arc::new(Tables::from_links(self.0.external.clone(), kept)))
     }
 
     /// Summary statistics used to sanity-check generated topologies.
@@ -437,10 +412,7 @@ impl AsGraph {
         }
         let tier1 = self.ases().filter(|&v| self.is_tier1(v)).count();
         let stubs = self.ases().filter(|&v| self.is_stub(v)).count();
-        let multi = self
-            .ases()
-            .filter(|&v| !self.is_tier1(v) && self.is_multi_homed(v))
-            .count();
+        let multi = self.ases().filter(|&v| self.is_multi_homed(v)).count();
         let non_tier1 = n - tier1;
         GraphStats {
             n_ases: n,
@@ -471,70 +443,88 @@ pub struct GraphStats {
     pub multi_homed_frac: f64,
 }
 
-/// Construct the dense CSR session table from the link list: per-node
-/// directed-session slices in `neighbors` order (customers, peers,
-/// providers — each ascending), a parallel id-sorted copy for O(log deg)
-/// `(from, to)` resolution, and the `SessId → endpoints` array.
-#[allow(clippy::type_complexity)]
-fn build_session_table(
-    n: usize,
-    links: &[Link],
-) -> (Vec<u32>, Vec<SessEntry>, Vec<SessEntry>, Vec<SessEnds>) {
-    // Per-node buckets of (neighbour, link), one per relation class.
-    let mut buckets: Vec<[Vec<(AsId, LinkId)>; 3]> = vec![Default::default(); n];
-    for (i, l) in links.iter().enumerate() {
-        let id = LinkId(i as u32);
-        match l.kind {
-            LinkKind::CustomerProvider => {
-                // l.a is the customer: from a, b is a Provider (class 2);
-                // from b, a is a Customer (class 0).
-                buckets[l.a.index()][2].push((l.b, id));
-                buckets[l.b.index()][0].push((l.a, id));
-            }
-            LinkKind::PeerPeer => {
-                buckets[l.a.index()][1].push((l.b, id));
-                buckets[l.b.index()][1].push((l.a, id));
+impl Tables {
+    /// The one place tables are made: the dense CSR session table of a link
+    /// list over ASes `0..external.len()` — per-node directed-session slices
+    /// in `neighbors` order (customers, peers, providers — each ascending),
+    /// their neighbour ids alone, an id-sorted copy for `(from, to)` lookup
+    /// and the `SessId → endpoints` array. Checks nothing: that is
+    /// [`GraphBuilder::build`]'s job.
+    fn from_links(external: Vec<u32>, links: Vec<Link>) -> Tables {
+        let n = external.len();
+        // Both directed entries of a link: (owner, neighbour, the neighbour
+        // is the owner's …). `l.a` is the customer of a customer–provider link.
+        let both_ways = |l: &Link| {
+            let (b_is, a_is) = match l.kind {
+                LinkKind::CustomerProvider => (Relation::Provider, Relation::Customer),
+                LinkKind::PeerPeer => (Relation::Peer, Relation::Peer),
+            };
+            [(l.a, l.b, b_is), (l.b, l.a, a_is)]
+        };
+        // Counting sort by (owner, relation): class `c` of AS `v` fills
+        // `starts[3 * v + c] .. starts[3 * v + c + 1]`.
+        let mut starts = vec![0u32; 3 * n + 1];
+        for l in &links {
+            for (v, _, rel) in both_ways(l) {
+                starts[3 * v.index() + rel as usize + 1] += 1;
             }
         }
-    }
-    let n_sessions = 2 * links.len();
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut adj = Vec::with_capacity(n_sessions);
-    let mut by_id = Vec::with_capacity(n_sessions);
-    let mut ends = vec![
-        SessEnds {
-            from: AsId(0),
-            to: AsId(0),
+        let mut total = 0;
+        for s in &mut starts {
+            total += *s;
+            *s = total;
+        }
+        let mut next = starts.clone();
+        let blank = SessEntry {
+            neighbor: AsId(0),
+            rel: Relation::Peer,
+            sess: SessId(0),
             link: LinkId(0),
         };
-        n_sessions
-    ];
-    offsets.push(0u32);
-    for (v, classes) in buckets.iter_mut().enumerate() {
-        let from = AsId(v as u32);
-        let start = adj.len();
-        for (class, rel) in [
-            (0, Relation::Customer),
-            (1, Relation::Peer),
-            (2, Relation::Provider),
-        ] {
-            classes[class].sort_unstable_by_key(|&(u, _)| u);
-            for &(u, link) in &classes[class] {
-                let sess = SessId(adj.len() as u32);
-                ends[sess.index()] = SessEnds { from, to: u, link };
-                adj.push(SessEntry {
-                    neighbor: u,
+        let mut sess_adj = vec![blank; 2 * links.len()];
+        for (i, l) in links.iter().enumerate() {
+            for (v, neighbor, rel) in both_ways(l) {
+                let at = &mut next[3 * v.index() + rel as usize];
+                sess_adj[*at as usize] = SessEntry {
+                    neighbor,
                     rel,
-                    sess,
-                    link,
-                });
+                    sess: SessId(0),
+                    link: LinkId::from_usize(i),
+                };
+                *at += 1;
             }
         }
-        by_id.extend_from_slice(&adj[start..]);
-        by_id[start..].sort_unstable_by_key(|e| e.neighbor);
-        offsets.push(adj.len() as u32);
+        // Deterministic neighbour order regardless of insertion order.
+        for (&lo, &hi) in starts.iter().zip(starts.iter().skip(1)) {
+            sess_adj[lo as usize..hi as usize].sort_unstable_by_key(|e| e.neighbor);
+        }
+        for (i, e) in sess_adj.iter_mut().enumerate() {
+            e.sess = SessId::from_usize(i);
+        }
+        let mut sess_by_id = sess_adj.clone();
+        let mut sess_ends = Vec::with_capacity(sess_adj.len());
+        for v in 0..n {
+            let (lo, hi) = (starts[3 * v] as usize, starts[3 * v + 3] as usize);
+            sess_by_id[lo..hi].sort_unstable_by_key(|e| e.neighbor);
+            sess_ends.extend(sess_adj[lo..hi].iter().map(|e| SessEnds {
+                from: AsId::from_usize(v),
+                to: e.neighbor,
+                link: e.link,
+            }));
+        }
+        Tables {
+            sess_offsets: starts.iter().step_by(3).copied().collect(),
+            class_ends: (0..n)
+                .map(|v| [starts[3 * v + 1], starts[3 * v + 2]])
+                .collect(),
+            nbr: sess_adj.iter().map(|e| e.neighbor).collect(),
+            links,
+            external,
+            sess_adj,
+            sess_by_id,
+            sess_ends,
+        }
     }
-    (offsets, adj, by_id, ends)
 }
 
 /// Incremental builder for [`AsGraph`], accepting sparse external AS numbers.
@@ -543,7 +533,9 @@ pub struct GraphBuilder {
     ids: FxHashMap<u32, AsId>,
     external: Vec<u32>,
     links: Vec<Link>,
-    link_keys: FxHashMap<(u32, u32), LinkKind>,
+    /// Unordered pair → what was said about it: the kind, and for a
+    /// customer–provider link which end buys.
+    link_keys: FxHashMap<(u32, u32), (LinkKind, Option<u32>)>,
 }
 
 impl GraphBuilder {
@@ -577,18 +569,17 @@ impl GraphBuilder {
     }
 
     /// Add a link. For [`LinkKind::CustomerProvider`], `a` is the customer
-    /// and `b` the provider. Duplicate or conflicting pairs are rejected.
+    /// and `b` the provider. A pair may be stated once: the same statement
+    /// again is a duplicate, anything else about it — another kind, the
+    /// other end buying — a conflict.
     pub fn add_link(&mut self, a: u32, b: u32, kind: LinkKind) -> Result<LinkId, TopologyError> {
         if a == b {
             return Err(TopologyError::SelfLoop { asn: a });
         }
         let key = (a.min(b), a.max(b));
+        let stated = (kind, (kind == LinkKind::CustomerProvider).then_some(a));
         if let Some(&prev) = self.link_keys.get(&key) {
-            return Err(if prev == kind && kind == LinkKind::PeerPeer {
-                TopologyError::DuplicateLink { a, b }
-            } else if prev == kind {
-                // Same CustomerProvider kind could still be a conflicting
-                // direction; either way the pair is already present.
+            return Err(if prev == stated {
                 TopologyError::DuplicateLink { a, b }
             } else {
                 TopologyError::ConflictingLink { a, b }
@@ -604,7 +595,7 @@ impl GraphBuilder {
                 Link { a: x, b: y, kind }
             }
         };
-        self.link_keys.insert(key, kind);
+        self.link_keys.insert(key, stated);
         let id = LinkId(self.links.len() as u32);
         self.links.push(link);
         Ok(id)
@@ -625,71 +616,30 @@ impl GraphBuilder {
     /// Checks the customer→provider digraph for cycles (Kahn's algorithm) and
     /// that at least one provider-free AS exists.
     pub fn build(self) -> Result<AsGraph, TopologyError> {
-        let n = self.external.len() as u32;
-        let mut providers: Vec<Vec<AsId>> = vec![Vec::new(); n as usize];
-        let mut customers: Vec<Vec<AsId>> = vec![Vec::new(); n as usize];
-        let mut peers: Vec<Vec<AsId>> = vec![Vec::new(); n as usize];
-        for l in &self.links {
-            match l.kind {
-                LinkKind::CustomerProvider => {
-                    providers[l.a.index()].push(l.b);
-                    customers[l.b.index()].push(l.a);
-                }
-                LinkKind::PeerPeer => {
-                    peers[l.a.index()].push(l.b);
-                    peers[l.b.index()].push(l.a);
-                }
-            }
-        }
-        // Deterministic neighbour order regardless of insertion order.
-        for v in 0..n as usize {
-            providers[v].sort_unstable();
-            customers[v].sort_unstable();
-            peers[v].sort_unstable();
-        }
-
-        // Kahn's algorithm on customer→provider edges.
-        let mut indeg = vec![0u32; n as usize]; // number of customers (incoming c→p edges seen from provider side)
-        for v in 0..n as usize {
-            indeg[v] = customers[v].len() as u32;
-        }
-        let mut queue: Vec<u32> = (0..n).filter(|&v| indeg[v as usize] == 0).collect();
-        let mut seen = 0u32;
+        let g = AsGraph(Arc::new(Tables::from_links(self.external, self.links)));
+        // Kahn's peel: an AS leaves once all its customers have left.
+        let mut waiting: Vec<usize> = g.ases().map(|v| g.customers(v).len()).collect();
+        let mut queue: Vec<AsId> = g.ases().filter(|&v| g.is_stub(v)).collect();
+        let mut seen = 0;
         while let Some(v) = queue.pop() {
             seen += 1;
-            for p in &providers[v as usize] {
-                indeg[p.index()] -= 1;
-                if indeg[p.index()] == 0 {
-                    queue.push(p.0);
+            for &p in g.providers(v) {
+                waiting[p.index()] -= 1;
+                if waiting[p.index()] == 0 {
+                    queue.push(p);
                 }
             }
         }
-        if seen != n {
-            let member = (0..n as usize)
-                .find(|&v| indeg[v] > 0)
-                .map(|v| self.external[v])
-                .unwrap_or(0);
-            return Err(TopologyError::ProviderCycle { member });
+        if seen != g.n() {
+            let member = g.ases().find(|&v| waiting[v.index()] > 0);
+            return Err(TopologyError::ProviderCycle {
+                member: member.map_or(0, |v| g.external_asn(v)),
+            });
         }
-        if n > 0 && (0..n as usize).all(|v| !providers[v].is_empty()) {
+        if g.n() > 0 && g.tier1s().is_empty() {
             return Err(TopologyError::NoTier1);
         }
-
-        let (sess_offsets, sess_adj, sess_by_id, sess_ends) =
-            build_session_table(n as usize, &self.links);
-
-        Ok(AsGraph(Arc::new(Tables {
-            n,
-            providers,
-            customers,
-            peers,
-            links: self.links,
-            external: self.external,
-            sess_offsets,
-            sess_adj,
-            sess_by_id,
-            sess_ends,
-        })))
+        Ok(g)
     }
 }
 
@@ -735,17 +685,6 @@ mod tests {
     }
 
     #[test]
-    fn tier_depth_bfs() {
-        let g = diamond();
-        let d = g.tier_depth();
-        assert_eq!(d[0], 0);
-        assert_eq!(d[1], 0);
-        assert_eq!(d[2], 1);
-        assert_eq!(d[3], 1);
-        assert_eq!(d[4], 2);
-    }
-
-    #[test]
     fn rejects_self_loop() {
         let mut b = GraphBuilder::new();
         assert_eq!(
@@ -766,6 +705,17 @@ mod tests {
             b.peering(2, 1),
             Err(TopologyError::ConflictingLink { .. })
         ));
+        // The same pair with the other end buying is a contradiction, not
+        // a repetition.
+        assert_eq!(
+            b.customer_of(2, 1),
+            Err(TopologyError::ConflictingLink { a: 2, b: 1 })
+        );
+        b.peering(3, 4).unwrap();
+        assert_eq!(
+            b.peering(4, 3),
+            Err(TopologyError::DuplicateLink { a: 4, b: 3 })
+        );
     }
 
     #[test]
@@ -880,15 +830,5 @@ mod tests {
             order4,
             vec![(AsId(2), Relation::Provider), (AsId(3), Relation::Provider)]
         );
-    }
-
-    #[test]
-    fn rebuild_index_reconstructs_the_session_table() {
-        let g = diamond();
-        let mut h = g.clone();
-        h.rebuild_index();
-        for v in g.ases() {
-            assert_eq!(g.neighbor_entries(v), h.neighbor_entries(v));
-        }
     }
 }

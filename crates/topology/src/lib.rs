@@ -4,8 +4,10 @@
 //! world model:
 //!
 //! * [`graph`] — the relationship-annotated AS graph (customer–provider and
-//!   peer–peer links), with validation of the acyclicity assumption the paper
-//!   relies on (§2.1, footnote 1) and tier classification.
+//!   peer–peer links): one adjacency table every neighbour list is a slice
+//!   of, one constructor, [`GraphBuilder::build`] as the validator of the
+//!   acyclicity assumption the paper relies on (§2.1, footnote 1), and
+//!   [`AsGraph::without_links`] as a filter that needs no second validation.
 //! * [`path`] — AS paths, the valley-free state machine, and the
 //!   uphill/downhill decomposition that Lemmas 3.1/3.2 are stated over.
 //! * [`routing`] — a static solver for the unique Gao–Rexford stable routing

@@ -132,23 +132,6 @@ impl UphillDag {
     }
 }
 
-/// A "random-walk" locked-path model (extension/ablation, see DESIGN.md): the
-/// paper's Φ definition weights all uphill paths uniformly, but in the
-/// deployed protocol each AS picks its locked blue provider independently and
-/// uniformly among its providers — which weights paths *non*-uniformly.
-/// This sampler draws from that deployment distribution.
-pub fn sample_random_walk_path(g: &AsGraph, v: AsId, rng: &mut Rng) -> Vec<AsId> {
-    let mut path = vec![v];
-    let mut cur = v;
-    while !g.is_tier1(cur) {
-        let provs = g.providers(cur);
-        let chosen = provs[rng.gen_range(0..provs.len())];
-        path.push(chosen);
-        cur = chosen;
-    }
-    path
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,24 +199,6 @@ mod tests {
             let f = h as f64 / trials as f64;
             assert!((f - 1.0 / 3.0).abs() < 0.02, "non-uniform: {f}");
         }
-    }
-
-    #[test]
-    fn random_walk_is_biased_towards_short_branches() {
-        // From 3: walk picks provider 2 or 1 with probability 1/2 each, so
-        // path 3-1 has probability 1/2 under the walk but weight 1/3 in the
-        // uniform-path model — the distinction the ablation is about.
-        let g = g();
-        let mut rng = Rng::seed_from_u64(10);
-        let trials = 30_000;
-        let mut direct = 0usize;
-        for _ in 0..trials {
-            if sample_random_walk_path(&g, AsId(3), &mut rng) == vec![AsId(3), AsId(1)] {
-                direct += 1;
-            }
-        }
-        let f = direct as f64 / trials as f64;
-        assert!((f - 0.5).abs() < 0.02, "walk bias wrong: {f}");
     }
 
     #[test]

@@ -97,9 +97,8 @@ impl GridHash {
 /// anything still broken later is a transient of the protocol, not of the
 /// workload.
 ///
-/// The protocol axis is a [`crate::sim::ProtocolSpec`] registry lookup inside the
-/// builder — no per-protocol code here; adding a protocol touches only the
-/// registry.
+/// The protocol axis is one match inside the builder (`sim.rs`'s
+/// `make_engine`) — no per-protocol code here.
 pub fn run_protocol_cell(
     g: &AsGraph,
     params: &RunParams,

@@ -70,11 +70,10 @@ pub struct CannedWorkload {
     pub timeline: Timeline,
 }
 
-/// Multi-homed, non-tier-1 ASes — the destination population of §6.2.
+/// Multi-homed ASes (two providers: so not tier-1) — the destination
+/// population of §6.2.
 pub fn destination_candidates(g: &AsGraph) -> Vec<AsId> {
-    g.ases()
-        .filter(|&v| !g.is_tier1(v) && g.providers(v).len() >= 2)
-        .collect()
+    g.ases().filter(|&v| g.is_multi_homed(v)).collect()
 }
 
 /// Sample one canned workload; `None` if the topology cannot host the

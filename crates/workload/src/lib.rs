@@ -27,9 +27,8 @@
 //! * [`params`] — the vocabulary below all of the above: [`PREFIX`],
 //!   [`RunParams`], [`InstanceMetrics`];
 //! * [`sim`] — the unified session facade every consumer goes through:
-//!   the fluent [`sim::Sim`] builder, the per-protocol
-//!   [`sim::ProtocolSpec`] registry and the typed [`sim::Probe`]
-//!   observation API (structured [`sim::SimEvent`]s, statically
+//!   the fluent [`sim::Sim`] builder, the closed [`sim::Protocol`]
+//!   axis and the typed [`sim::Probe`] observation API (structured [`sim::SimEvent`]s, statically
 //!   dispatched, allocation-free snapshots).
 //!
 //! See DESIGN.md §8 for the model, grammar and determinism argument, and
@@ -54,8 +53,8 @@ pub use canned::{destination_candidates, sample_canned, CannedWorkload, FailureS
 pub use dsl::{parse_scn, ScnError, ScnErrorKind};
 pub use params::{InstanceMetrics, RunParams, PREFIX};
 pub use sim::{
-    MetricsProbe, NullProbe, ParseProtocolError, Phase, Played, Probe, Protocol, ProtocolEngine,
-    ProtocolSpec, Sim, SimBuilder, SimError, SimEvent, SnapshotCause,
+    MetricsProbe, NullProbe, ParseProtocolError, Phase, Played, Probe, Protocol, Sim, SimBuilder,
+    SimError, SimEvent, SnapshotCause,
 };
 pub use stamp_bgp::engine::{RunOutcome, SessionModel, WatchdogConfig};
 pub use stamp_forwarding::ObserverWork;
@@ -63,6 +62,6 @@ pub use stamp_policy::PolicyRegime;
 pub use timeline::{
     background_churn, choose_k, correlated_node_outage, flap_train, maintenance_windows,
     node_drain, policy_flip, prefix_hijack, prepend_hijack, provider_cone, random_attacker,
-    reachability_mask, route_leak, single_link_failure, staggered_link_failures, tier_members,
-    NetEvent, Timeline, TimelineError, TimelineEvent, MAX_OFFSET,
+    reachability_mask, route_leak, single_link_failure, staggered_link_failures, NetEvent,
+    Timeline, TimelineError, TimelineEvent, MAX_OFFSET,
 };

@@ -9,12 +9,14 @@
 //!   (`Sim::on(&g).protocol(Protocol::Stamp).originate(dest, PREFIX)
 //!   .seed(7).params(RunParams::paper()).build()?`) replacing hand-rolled
 //!   `Engine::new` wiring. Misuse is a typed [`SimError`], not a panic.
-//! * [`ProtocolSpec`] — the per-[`Protocol`] registry row owning router
-//!   construction; the router type says how it forwards
-//!   (`stamp_forwarding::DataPlane`) and what it clears between phases
-//!   ([`ProtocolEngine`]). Adding a protocol is those two impls plus one
-//!   [`REGISTRY`] entry; every consumer — the campaign runner, the figure
-//!   experiments, examples, tests — picks it up through the same lookup.
+//! * [`Protocol`] — the closed protocol axis: a variant says its names
+//!   ([`Protocol::label`], [`Protocol::aliases`]) and how its engine is
+//!   built (one private `make_engine` match); the router type says how it
+//!   forwards and what it clears between phases
+//!   (`stamp_forwarding::DataPlane`). Adding a protocol is that impl, one
+//!   `EngineKind` arm and the matches the compiler then reports as
+//!   non-exhaustive; every consumer — the campaign runner, the figure
+//!   experiments, examples, tests — picks it up through [`Protocol::ALL`].
 //! * [`Probe`] — the typed observation API. The driver emits structured
 //!   [`SimEvent`]s (`FibChanged`, `SessionReset`, periodic/final
 //!   `Snapshot { view }`, `PhaseSettled`) with **static dispatch**: the
@@ -114,7 +116,7 @@ impl From<TimelineError> for SimError {
 }
 
 // ---------------------------------------------------------------------
-// The protocol registry
+// The protocol axis
 // ---------------------------------------------------------------------
 
 /// Protocols compared by campaigns and the figure experiments. The
@@ -140,10 +142,25 @@ impl Protocol {
     ];
 
     /// Paper's label (also the canonical [`fmt::Display`] form; round-trips
-    /// through [`Protocol::from_str`]). The string lives in the protocol's
-    /// registry row — one source of truth per variant.
+    /// through [`Protocol::from_str`]).
     pub fn label(&self) -> &'static str {
-        ProtocolSpec::of(*self).label
+        match self {
+            Protocol::Bgp => "BGP",
+            Protocol::RbgpNoRci => "R-BGP without RCI",
+            Protocol::Rbgp => "R-BGP",
+            Protocol::Stamp => "STAMP",
+        }
+    }
+
+    /// Lower-case tokens [`Protocol::from_str`] accepts besides the label.
+    /// The first is the canonical one (CLI lists, queryd's `PROTO`).
+    pub fn aliases(&self) -> &'static [&'static str] {
+        match self {
+            Protocol::Bgp => &["bgp"],
+            Protocol::RbgpNoRci => &["rbgp-norci", "r-bgp-without-rci"],
+            Protocol::Rbgp => &["rbgp", "r-bgp"],
+            Protocol::Stamp => &["stamp"],
+        }
     }
 }
 
@@ -167,11 +184,7 @@ impl fmt::Display for ParseProtocolError {
             f,
             "unknown protocol {:?} (expected one of: {})",
             self.input,
-            REGISTRY
-                .iter()
-                .map(|s| s.aliases[0])
-                .collect::<Vec<_>>()
-                .join(", ")
+            Protocol::ALL.map(|p| p.aliases()[0]).join(", ")
         )
     }
 }
@@ -182,48 +195,25 @@ impl FromStr for Protocol {
     type Err = ParseProtocolError;
 
     /// Case-insensitive parse of a paper label ("R-BGP") or a CLI alias
-    /// ("rbgp") — the alias table lives in the protocol registry
-    /// ([`REGISTRY`]), so a new protocol parses the moment it
-    /// is registered.
+    /// ("rbgp").
     fn from_str(s: &str) -> Result<Protocol, ParseProtocolError> {
         let wanted = s.trim();
-        for spec in &REGISTRY {
-            if spec.label.eq_ignore_ascii_case(wanted)
-                || spec.aliases.iter().any(|a| a.eq_ignore_ascii_case(wanted))
-            {
-                return Ok(spec.protocol);
-            }
-        }
-        Err(ParseProtocolError {
-            input: s.to_string(),
-        })
-    }
-}
-
-/// What a router type must provide for the facade to drive it beyond its
-/// data plane: the inter-phase measurement reset. This is the *static*
-/// half of the registry; the dynamic half is [`ProtocolSpec`].
-pub trait ProtocolEngine: DataPlane {
-    /// Clear measurement state between initial convergence and timeline
-    /// injection (STAMP: instability flags). Default: nothing to clear.
-    fn reset_measurement(_engine: &mut Engine<Self>) {}
-}
-
-impl ProtocolEngine for BgpRouter {}
-
-impl ProtocolEngine for RbgpRouter {}
-
-impl ProtocolEngine for StampRouter {
-    fn reset_measurement(engine: &mut Engine<Self>) {
-        for v in 0..engine.topology().n() {
-            engine.router_mut(AsId::from_usize(v)).reset_instability();
-        }
+        let named = |p: &Protocol| {
+            let is = |name: &&str| name.eq_ignore_ascii_case(wanted);
+            is(&p.label()) || p.aliases().iter().any(is)
+        };
+        Protocol::ALL
+            .into_iter()
+            .find(named)
+            .ok_or_else(|| ParseProtocolError {
+                input: s.to_string(),
+            })
     }
 }
 
 /// One engine, protocol erased. The single place the workspace matches on
 /// router types; everything below the match is generic over
-/// [`ProtocolEngine`].
+/// [`DataPlane`].
 enum EngineKind {
     Bgp(Engine<BgpRouter>),
     Rbgp(Engine<RbgpRouter>),
@@ -298,90 +288,33 @@ macro_rules! with_engine {
     };
 }
 
-/// One row of the protocol registry: everything the facade needs to host
-/// a [`Protocol`] variant. Adding a protocol is one `DataPlane` and one
-/// [`ProtocolEngine`] impl, one `EngineKind` arm and one [`REGISTRY`] row —
-/// no consumer changes.
-pub struct ProtocolSpec {
-    /// The variant this row implements.
-    pub protocol: Protocol,
-    /// The paper's display label (same as [`Protocol::label`]).
-    pub label: &'static str,
-    /// Lower-case parse aliases accepted by `Protocol::from_str` in
-    /// addition to the label itself (CLI convenience).
-    pub aliases: &'static [&'static str],
-    /// Build one engine: a fresh router per AS, the destination
-    /// originating the prefix. `seed` feeds protocol-internal choices
-    /// (STAMP's random Lock) — the engine's own streams come from `cfg`.
-    make: fn(&AsGraph, EngineConfig, AsId, PrefixId, u64) -> EngineKind,
-}
-
-fn own(v: AsId, dest: AsId, prefix: PrefixId) -> Vec<PrefixId> {
-    if v == dest {
-        vec![prefix]
-    } else {
-        vec![]
-    }
-}
-
-/// An R-BGP engine, with or without root-cause information.
-fn make_rbgp(
+/// Build one engine: a fresh router per AS, the destination originating
+/// the prefix. `seed` feeds protocol-internal choices (STAMP's random Lock)
+/// — the engine's own streams come from `cfg`.
+fn make_engine(
+    p: Protocol,
     g: &AsGraph,
     cfg: EngineConfig,
     dest: AsId,
     prefix: PrefixId,
-    rci: bool,
+    seed: u64,
 ) -> EngineKind {
-    let rcfg = RbgpConfig { rci };
-    EngineKind::Rbgp(Engine::new(g.clone(), cfg, |v| {
-        RbgpRouter::new(v, own(v, dest, prefix), rcfg)
-    }))
-}
-
-/// The protocol table, [`Protocol::ALL`] order.
-pub static REGISTRY: [ProtocolSpec; 4] = [
-    ProtocolSpec {
-        protocol: Protocol::Bgp,
-        label: "BGP",
-        aliases: &["bgp"],
-        make: |g, cfg, dest, prefix, _seed| {
-            EngineKind::Bgp(Engine::new(g.clone(), cfg, |v| {
-                BgpRouter::new(v, own(v, dest, prefix))
+    let own = |v: AsId| if v == dest { vec![prefix] } else { vec![] };
+    match p {
+        Protocol::Bgp => {
+            EngineKind::Bgp(Engine::new(g.clone(), cfg, |v| BgpRouter::new(v, own(v))))
+        }
+        Protocol::RbgpNoRci | Protocol::Rbgp => {
+            let rcfg = RbgpConfig {
+                rci: p == Protocol::Rbgp,
+            };
+            EngineKind::Rbgp(Engine::new(g.clone(), cfg, |v| {
+                RbgpRouter::new(v, own(v), rcfg)
             }))
-        },
-    },
-    ProtocolSpec {
-        protocol: Protocol::RbgpNoRci,
-        label: "R-BGP without RCI",
-        aliases: &["rbgp-norci", "r-bgp-without-rci"],
-        make: |g, cfg, dest, prefix, _seed| make_rbgp(g, cfg, dest, prefix, false),
-    },
-    ProtocolSpec {
-        protocol: Protocol::Rbgp,
-        label: "R-BGP",
-        aliases: &["rbgp", "r-bgp"],
-        make: |g, cfg, dest, prefix, _seed| make_rbgp(g, cfg, dest, prefix, true),
-    },
-    ProtocolSpec {
-        protocol: Protocol::Stamp,
-        label: "STAMP",
-        aliases: &["stamp"],
-        make: |g, cfg, dest, prefix, seed| {
-            EngineKind::Stamp(Engine::new(g.clone(), cfg, |v| {
-                StampRouter::new(v, own(v, dest, prefix), LockStrategy::Random { seed })
-            }))
-        },
-    },
-];
-
-impl ProtocolSpec {
-    /// The registry row of one protocol.
-    pub fn of(p: Protocol) -> &'static ProtocolSpec {
-        REGISTRY
-            .iter()
-            .find(|s| s.protocol == p)
-            // simlint::allow(panic, "REGISTRY is exhaustive over Protocol by construction")
-            .expect("every Protocol variant has a registry row")
+        }
+        Protocol::Stamp => EngineKind::Stamp(Engine::new(g.clone(), cfg, |v| {
+            StampRouter::new(v, own(v), LockStrategy::Random { seed })
+        })),
     }
 }
 
@@ -534,7 +467,7 @@ impl Probe for MetricsProbe {
 /// `Periodic` snapshot when `observe_interval` has elapsed since the last
 /// one (the first changed batch always observes), one unthrottled `Final`
 /// snapshot at quiescence, then `PhaseSettled`.
-fn run_phase<R: ProtocolEngine, P: Probe>(
+fn run_phase<R: DataPlane, P: Probe>(
     e: &mut Engine<R>,
     prefix: PrefixId,
     phase: Phase,
@@ -855,8 +788,14 @@ impl Sim {
     fn engine(&self) -> &EngineKind {
         self.engine.get_or_init(|| {
             let cfg = self.params.engine_config(self.seed);
-            let spec = ProtocolSpec::of(self.protocol);
-            (spec.make)(&self.g, cfg, self.dest, self.prefix, self.seed)
+            make_engine(
+                self.protocol,
+                &self.g,
+                cfg,
+                self.dest,
+                self.prefix,
+                self.seed,
+            )
         })
     }
 
@@ -981,10 +920,10 @@ impl Sim {
     }
 
     /// Clear measurement state between phases (the protocol's
-    /// [`ProtocolEngine::reset_measurement`]; STAMP clears its instability
+    /// [`DataPlane::reset_measurement`]; STAMP clears its instability
     /// flags so pre-failure churn does not count against the event).
     pub fn reset_measurement(&mut self) {
-        with_engine!(self.engine_mut(), e => ProtocolEngine::reset_measurement(e))
+        with_engine!(self.engine_mut(), e => DataPlane::reset_measurement(e))
     }
 
     /// Inject `timeline` at an epoch [`RunParams::inject_delay`] after the
@@ -1223,31 +1162,25 @@ mod tests {
     }
 
     #[test]
-    fn registry_covers_all_protocols_in_order() {
-        // Row i implements ALL[i], labels are non-empty, and no name
-        // (label or alias) of one row case-insensitively collides with a
-        // name of a *different* row — a collision would make
-        // `Protocol::from_str` ambiguous. Within a row, "BGP"/"bgp"
-        // coexisting is fine: both parse to the same protocol.
-        let names = |s: &ProtocolSpec| {
-            let mut v = vec![s.label];
-            v.extend(s.aliases);
+    fn no_protocol_name_parses_two_ways() {
+        // No name (label or alias) of one protocol case-insensitively
+        // collides with a name of a *different* one — a collision would make
+        // `Protocol::from_str` ambiguous. Within a protocol, "BGP"/"bgp"
+        // coexisting is fine: both parse to the same variant.
+        let names = |p: Protocol| {
+            let mut v = vec![p.label()];
+            v.extend(p.aliases());
             v
         };
-        for (i, p) in Protocol::ALL.iter().enumerate() {
-            assert_eq!(REGISTRY[i].protocol, *p);
-            assert_eq!(ProtocolSpec::of(*p).protocol, *p);
-            assert!(!REGISTRY[i].label.is_empty());
-        }
-        for (i, a) in REGISTRY.iter().enumerate() {
-            for b in &REGISTRY[i + 1..] {
+        for (i, a) in Protocol::ALL.into_iter().enumerate() {
+            assert!(!a.aliases().is_empty());
+            assert!(names(a).iter().all(|n| !n.is_empty()));
+            for b in Protocol::ALL.into_iter().skip(i + 1) {
                 for na in names(a) {
                     for nb in names(b) {
                         assert!(
                             !na.eq_ignore_ascii_case(nb),
-                            "{na} is claimed by both {} and {}",
-                            a.protocol,
-                            b.protocol
+                            "{na} is claimed by both {a} and {b}"
                         );
                     }
                 }

@@ -400,9 +400,8 @@ pub fn staggered_link_failures(
 
 /// A correlated node outage: every node in `nodes` fails at `at`
 /// simultaneously (one regional event); with `restore_after` set, all
-/// recover together that much later. Combine with [`tier_members`] or
-/// [`provider_cone`] plus [`choose_k`] to model "all of tier 2" or "half
-/// the destination's provider cone" outages.
+/// recover together that much later. Combine with [`provider_cone`] plus
+/// [`choose_k`] to model "half the destination's provider cone" outages.
 pub fn correlated_node_outage(
     nodes: &[AsId],
     at: SimDuration,
@@ -580,18 +579,6 @@ pub fn background_churn(
 // ---------------------------------------------------------------------
 // Node-set selectors for correlated scenarios
 // ---------------------------------------------------------------------
-
-/// Every AS at exactly `depth` provider-hops from the tier-1 clique
-/// (depth 0 = the tier-1s themselves) — the population of a "regional"
-/// tier outage.
-pub fn tier_members(g: &AsGraph, depth: u32) -> Vec<AsId> {
-    g.tier_depth()
-        .iter()
-        .enumerate()
-        .filter(|(_, d)| **d == depth)
-        .map(|(i, _)| AsId::from_usize(i))
-        .collect()
-}
 
 /// The provider cone of `dest`: every direct or indirect provider, BFS
 /// order (deterministic).
@@ -803,9 +790,6 @@ mod tests {
     #[test]
     fn selectors_are_deterministic() {
         let g = generate(&GenConfig::small(13)).unwrap();
-        let t1 = tier_members(&g, 1);
-        assert!(!t1.is_empty());
-        assert!(t1.iter().all(|&v| !g.is_tier1(v)));
         let dest = g.ases().find(|&v| g.providers(v).len() >= 2).unwrap();
         let cone = provider_cone(&g, dest);
         assert!(!cone.is_empty());

@@ -7,8 +7,8 @@
 //! single routing event leaves a working path to every destination.
 //!
 //! The one entry point for running protocols is the [`sim`] facade: a
-//! fluent builder ([`sim::Sim::on`]), a per-protocol registry
-//! ([`sim::ProtocolSpec`]) and a typed probe API ([`sim::Probe`]).
+//! fluent builder ([`sim::Sim::on`]), the closed protocol axis
+//! ([`sim::Protocol`]) and a typed probe API ([`sim::Probe`]).
 //!
 //! # Example: complementary paths on the paper's diamond
 //!

@@ -143,16 +143,16 @@ fn simulator_matches_static_solver() {
 }
 
 /// `Protocol` labels and CLI aliases round-trip through
-/// `Display`/`FromStr` for every registry row (the campaign binary's
+/// `Display`/`FromStr` for every protocol (the campaign binary's
 /// `--protocols` flag depends on this), and junk is a typed error.
 #[test]
 fn protocol_display_from_str_round_trips() {
-    use stamp_repro::workload::{Protocol, ProtocolSpec};
+    use stamp_repro::workload::Protocol;
     for p in Protocol::ALL {
         assert_eq!(p.to_string(), p.label());
         assert_eq!(p.to_string().parse::<Protocol>(), Ok(p));
         assert_eq!(p.label().parse::<Protocol>(), Ok(p));
-        for alias in ProtocolSpec::of(p).aliases {
+        for alias in p.aliases() {
             assert_eq!(alias.parse::<Protocol>(), Ok(p), "alias {alias}");
             assert_eq!(
                 alias.to_uppercase().parse::<Protocol>(),
@@ -168,11 +168,10 @@ fn protocol_display_from_str_round_trips() {
             .map(|_| (b'a' + (rng.gen_range(0u32..26) as u8)) as char)
             .collect();
         if let Ok(p) = junk.parse::<Protocol>() {
-            let spec = ProtocolSpec::of(p);
             assert!(
-                spec.label.eq_ignore_ascii_case(&junk)
-                    || spec.aliases.iter().any(|a| a.eq_ignore_ascii_case(&junk)),
-                "{junk:?} parsed to {p} without matching its registry row"
+                p.label().eq_ignore_ascii_case(&junk)
+                    || p.aliases().iter().any(|a| a.eq_ignore_ascii_case(&junk)),
+                "{junk:?} parsed to {p} without matching one of its names"
             );
         }
     });
@@ -463,7 +462,7 @@ mod workload_props {
 
 mod session_table {
     use super::*;
-    use stamp_repro::topology::{Relation, SessEntry};
+    use stamp_repro::topology::{AsGraph, GraphBuilder, LinkId, Relation, SessEntry, SessId};
     use std::collections::BTreeMap;
 
     /// On random generated topologies, the CSR session table must agree
@@ -545,6 +544,106 @@ mod session_table {
                 assert_eq!(g.relation(a, b).is_some(), adjacent);
             }
         });
+    }
+
+    /// Three generated 200-AS graphs and two hand-built ones: sparse AS
+    /// numbers, an AS with no link, an AS with all three neighbour classes.
+    fn sample_graphs(rng: &mut Rng) -> Vec<AsGraph> {
+        let mut graphs: Vec<AsGraph> = (0..3)
+            .map(|_| {
+                generate(&GenConfig {
+                    n_ases: 200,
+                    ..GenConfig::small(rng.next_u64())
+                })
+                .unwrap()
+            })
+            .collect();
+        let mut b = GraphBuilder::new();
+        for (c, p) in [(30, 10), (40, 20), (50, 30), (50, 40), (30, 20), (60, 30)] {
+            b.customer_of(c, p).unwrap();
+        }
+        b.peering(20, 10).unwrap();
+        b.peering(40, 30).unwrap();
+        b.ensure_as(7);
+        graphs.push(b.build().unwrap());
+        graphs.push(GraphBuilder::new().build().unwrap());
+        graphs
+    }
+
+    /// The three class slices are the session slice, cut in two places.
+    #[test]
+    fn class_slices_partition_the_session_slice() {
+        for g in sample_graphs(&mut Rng::seed_from_u64(0x5E56)) {
+            for v in g.ases() {
+                let of = |rel: Relation| -> Vec<AsId> {
+                    let entries = g.neighbor_entries(v).iter();
+                    let class = entries.filter(|e| e.rel == rel);
+                    class.map(|e| e.neighbor).collect()
+                };
+                assert_eq!(g.customers(v), of(Relation::Customer));
+                assert_eq!(g.peers(v), of(Relation::Peer));
+                assert_eq!(g.providers(v), of(Relation::Provider));
+                let all = [g.customers(v), g.peers(v), g.providers(v)];
+                assert!(all.iter().all(|c| c.windows(2).all(|w| w[0] < w[1])));
+                let joined = all.concat();
+                let entries: Vec<AsId> = g.neighbors(v).map(|(n, _)| n).collect();
+                assert_eq!(joined, entries);
+                assert_eq!(g.degree(v), joined.len());
+                assert_eq!(g.is_tier1(v), g.providers(v).is_empty());
+                assert_eq!(g.is_stub(v), g.customers(v).is_empty());
+                assert_eq!(g.is_multi_homed(v), g.providers(v).len() >= 2);
+            }
+        }
+    }
+
+    /// `without_links` filters and skips validation; the reference pushes
+    /// the kept links, in order, through a fresh validating builder: same
+    /// AS ids, same dense `LinkId` renumbering, same tables.
+    #[test]
+    fn without_links_equals_a_fresh_build_of_the_kept_links() {
+        let mut rng = Rng::seed_from_u64(0x5E57);
+        for g in sample_graphs(&mut rng) {
+            assert!(g.without_links(&[]).same_handle(&g));
+            let all: Vec<LinkId> = (0..g.n_links()).map(LinkId::from_usize).collect();
+            let past = LinkId::from_usize(g.n_links() + 3);
+            let mut sets = vec![vec![past], all.clone()];
+            if !all.is_empty() {
+                let one = *rng.choose(&all).unwrap();
+                let mut quarter: Vec<LinkId> = (0..all.len() / 4)
+                    .map(|_| *rng.choose(&all).unwrap())
+                    .collect();
+                quarter.extend([one, past, one]);
+                sets.extend([vec![one], quarter]);
+            }
+            for set in sets {
+                let mut b = GraphBuilder::new();
+                for v in g.ases() {
+                    b.ensure_as(g.external_asn(v));
+                }
+                for (i, l) in g.links().iter().enumerate() {
+                    if !set.contains(&LinkId::from_usize(i)) {
+                        b.add_link(g.external_asn(l.a), g.external_asn(l.b), l.kind)
+                            .unwrap();
+                    }
+                }
+                let (want, got) = (b.build().unwrap(), g.without_links(&set));
+                assert_eq!((got.n(), got.links()), (want.n(), want.links()));
+                for v in g.ases() {
+                    assert_eq!(got.external_asn(v), g.external_asn(v));
+                    assert_eq!(got.neighbor_entries(v), want.neighbor_entries(v));
+                }
+                for s in (0..want.n_sessions()).map(SessId::from_usize) {
+                    assert_eq!(got.sess_ends(s), want.sess_ends(s));
+                }
+                // Every old adjacency, kept or removed, in both directions.
+                for l in g.links() {
+                    for (a, b) in [(l.a, l.b), (l.b, l.a)] {
+                        assert_eq!(got.link_between(a, b), want.link_between(a, b));
+                        assert_eq!(got.sess_between(a, b), want.sess_between(a, b));
+                    }
+                }
+            }
+        }
     }
 }
 
