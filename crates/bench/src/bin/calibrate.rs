@@ -13,19 +13,24 @@
 
 #![forbid(unsafe_code)]
 
+use stamp_bench::read_args;
 use stamp_core::phi::{phi_all_destinations, PhiConfig};
 use stamp_experiments::{run_failure_experiment, FailureConfig, FailureScenario, Protocol};
 use stamp_topology::gen::{generate, GenConfig};
 
 fn main() {
-    let ases: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1000);
-    let instances: usize = std::env::args()
-        .nth(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8);
+    let (ases, instances): (usize, usize) = read_args(
+        "calibrate [--ases N] [--instances N]\n\
+         Sweeps five generator presets at N ASes [1000] and prints each one's\n\
+         mean Phi and its single-link-failure transient counts per protocol\n\
+         over N instances [8].",
+        |a| {
+            Ok((
+                a.value("--ases")?.unwrap_or(1000),
+                a.value("--instances")?.unwrap_or(8),
+            ))
+        },
+    );
 
     let candidates: Vec<(&str, GenConfig)> = vec![
         (

@@ -16,22 +16,17 @@
 //! the tracked copy (the CI gate); a run with any grid-override flag
 //! prints its tables and leaves the file alone. How long any of this
 //! takes is the reference benchmark's business (`benchmark/`), not this
-//! binary's.
-//!
-//! `--smoke` is the fast CI gate: a tiny fast-parameter grid plus the
-//! adversarial grid, determinism assertions only, no document.
+//! binary's. The smoke and adversarial hashes are pinned by
+//! `tests/determinism.rs`, not here.
 
 #![forbid(unsafe_code)]
 
 use stamp_bench::{first_difference, read_args, render_results, three_passes, SweepRow};
-use stamp_eventsim::rng::tags;
-use stamp_eventsim::rng_stream;
-use stamp_topology::gen::generate;
-use stamp_topology::{AsGraph, AsId, GenConfig};
+use stamp_eventsim::Rng;
+use stamp_topology::{AsGraph, AsId};
 use stamp_workload::{
-    adversarial_grid, choose_k, destination_candidates, run_campaign, smoke_grid,
-    standard_families, CampaignConfig, CampaignReport, InstanceMetrics, PolicyRegime, Protocol,
-    RunParams, Timeline,
+    adversarial_grid, grid_axes, run_campaign, standard_families, CampaignConfig, CampaignReport,
+    InstanceMetrics, PolicyRegime, Protocol, RunParams, Timeline,
 };
 
 /// Default protocol set (the R-BGP variant runs with RCI); override with
@@ -208,6 +203,14 @@ fn run_adversarial(seed: u64, threads_n: usize) -> (CampaignReport, usize) {
     (rep, diverged)
 }
 
+/// [`grid_axes`], or the reason there are none on stderr and exit 2.
+fn axes_or_exit(seed: u64, n_ases: usize, n_dests: usize) -> (AsGraph, Vec<AsId>, Rng) {
+    grid_axes(seed, n_ases, n_dests).unwrap_or_else(|e| {
+        eprintln!("campaign: {e} — nothing to run");
+        std::process::exit(2);
+    })
+}
+
 /// The flags `campaign` reads.
 struct Flags {
     ases: Option<usize>,
@@ -218,12 +221,11 @@ struct Flags {
     protocols: Option<Vec<Protocol>>,
     regimes: Vec<PolicyRegime>,
     scn: Vec<String>,
-    smoke: bool,
     check: bool,
 }
 
 const USAGE: &str = "campaign [--ases N] [--dests N] [--seeds N] [--seed N] [--threads N] \
-    [--protocols LIST] [--policy LIST] [--scn FILE]... [--smoke] [--check]\n\
+    [--protocols LIST] [--policy LIST] [--scn FILE]... [--check]\n\
     Runs the scenario-timeline campaign (flap trains, staggered failures,\n\
     regional outages, maintenance drains, background churn) for BGP, R-BGP\n\
     and STAMP over a (timeline × destination × seed) grid, three ways\n\
@@ -242,8 +244,6 @@ const USAGE: &str = "campaign [--ases N] [--dests N] [--seeds N] [--seed N] [--t
     several entries are also swept over a reduced grid.\n\
     --scn FILE (repeatable): run timelines parsed from .scn files instead\n\
     of the built-in families (see scenarios/ for samples).\n\
-    --smoke: tiny fast grid plus the adversarial grid, determinism\n\
-    assertions only (the fast CI gate).\n\
     --check: regenerate the results document in memory and exit non-zero,\n\
     naming the first differing line, unless it equals the tracked\n\
     BENCH_campaign.json byte for byte (the CI golden gate).";
@@ -277,109 +277,56 @@ fn main() {
             protocols: a.list("--protocols")?,
             regimes,
             scn,
-            smoke: a.flag("--smoke"),
             check: a.flag("--check"),
         })
     });
     let seed = args.seed.unwrap_or(DEFAULT_SEED);
-    let smoke = args.smoke;
     let regimes = &args.regimes;
     // `--policy gao-rexford` is the default spelled out: it must not
     // change grid selection (the CI golden gate runs `--check` that way).
     let policy_default = regimes.len() == 1 && regimes[0].is_default();
     let protocols = args.protocols.clone().unwrap_or(PROTOCOLS.to_vec());
 
-    // The default-flag smoke invocation (the CI gate) takes its grid from
-    // `smoke_grid` — the same constructor the golden determinism test
-    // pins, so the two cannot drift apart. Any override flag switches to
-    // the generic construction below.
-    let default_shape = args.scn.is_empty()
+    // The tracked document describes one grid: default shape, default seed.
+    let default_grid = args.scn.is_empty()
         && args.ases.is_none()
         && args.dests.is_none()
         && args.seeds.is_none()
         && args.protocols.is_none()
-        && policy_default;
-    // The tracked document describes one grid: default shape, default seed.
-    let default_grid = default_shape && args.seed.is_none();
-    if args.check && (smoke || !default_grid) {
-        eprintln!("campaign: --check compares the full default run with {TRACKED}; drop --smoke and the grid-override flags");
+        && policy_default
+        && args.seed.is_none();
+    if args.check && !default_grid {
+        eprintln!("campaign: --check compares the full default run with {TRACKED}; drop the grid-override flags");
         std::process::exit(2);
     }
-    let (g, timelines, dests, cfg) = if smoke && default_shape {
-        smoke_grid(seed)
+    let (g, dests, mut rng) = axes_or_exit(seed, args.ases.unwrap_or(500), args.dests.unwrap_or(4));
+    // Campaigns are data: `--scn` files replace the built-in families.
+    let timelines: Vec<Timeline> = if args.scn.is_empty() {
+        standard_families(&g, &mut rng, &dests, false)
     } else {
-        let gen = if smoke {
-            GenConfig::small(seed)
-        } else {
-            GenConfig {
-                n_ases: args.ases.unwrap_or(500),
-                ..GenConfig::small(seed)
-            }
-        };
-        let g = generate(&gen).expect("valid generator config");
-
-        let mut rng = rng_stream(seed, tags::TIMELINE);
-        let n_dests = args.dests.unwrap_or(if smoke { 2 } else { 4 });
-        let dests = choose_k(&mut rng, &destination_candidates(&g), n_dests);
-        if dests.is_empty() {
-            eprintln!(
-                "campaign: no destinations (--dests {n_dests}, {} multi-homed candidates \
-                 in the topology) — nothing to run",
-                destination_candidates(&g).len()
-            );
-            std::process::exit(2);
-        }
-        // Campaigns are data: `--scn` files replace the built-in families.
-        let timelines: Vec<Timeline> = if args.scn.is_empty() {
-            standard_families(&g, &mut rng, &dests, smoke)
-        } else {
-            args.scn
-                .iter()
-                .map(|path| {
-                    let text = std::fs::read_to_string(path)
-                        .unwrap_or_else(|e| panic!("read {path}: {e}"));
-                    text.parse::<Timeline>()
-                        .unwrap_or_else(|e| panic!("parse {path}: {e}"))
-                })
-                .collect()
-        };
-        let n_seeds = args.seeds.unwrap_or(if smoke { 1 } else { 2 });
-        let seeds: Vec<u64> = (0..n_seeds as u64).map(|i| seed ^ (i << 17)).collect();
-
-        let mut params = if smoke {
-            RunParams::fast()
-        } else {
-            RunParams::paper()
-        };
-        params.policy = regimes[0].clone();
-        let cfg = CampaignConfig {
-            params,
-            protocols: protocols.clone(),
-            seeds,
-            threads: 0,
-        };
-        (g, timelines, dests, cfg)
+        args.scn
+            .iter()
+            .map(|path| {
+                let text =
+                    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+                text.parse::<Timeline>()
+                    .unwrap_or_else(|e| panic!("parse {path}: {e}"))
+            })
+            .collect()
+    };
+    let n_seeds = args.seeds.unwrap_or(2);
+    let seeds: Vec<u64> = (0..n_seeds as u64).map(|i| seed ^ (i << 17)).collect();
+    let mut params = RunParams::paper();
+    params.policy = regimes[0].clone();
+    let cfg = CampaignConfig {
+        params,
+        protocols: protocols.clone(),
+        seeds,
+        threads: 0,
     };
     let threads_n = args.threads.filter(|n| *n > 0).unwrap_or(THREADS_N);
 
     let rep = run_three_ways(&g, &timelines, &dests, &cfg, threads_n);
-    if smoke {
-        println!(
-            "smoke campaign OK: {} cells, hash 0x{:016x} identical at 1 worker, {threads_n} workers \
-             and warm-start",
-            rep.cells.len(),
-            rep.hash
-        );
-        print_observer_work(&rep, &cfg.protocols);
-        let (adv, diverged) = run_adversarial(seed, threads_n);
-        println!(
-            "adversarial smoke OK: {} cells, {diverged} diverged, hash 0x{:016x} identical at \
-             1 worker, {threads_n} workers and warm-start",
-            adv.cells.len(),
-            adv.hash
-        );
-        return;
-    }
     print_report(&rep, &protocols);
 
     // The policy axis: re-run a reduced grid (2 destinations, 1 seed —
@@ -421,13 +368,7 @@ fn main() {
     // The scale row: the same families at 2000 ASes (fewer destinations ×
     // seeds, so the row costs about as much as the main grid).
     let rep_2000 = {
-        let gen = GenConfig {
-            n_ases: 2000,
-            ..GenConfig::small(seed)
-        };
-        let g = generate(&gen).expect("valid generator config");
-        let mut rng = rng_stream(seed, tags::TIMELINE);
-        let dests = choose_k(&mut rng, &destination_candidates(&g), 2);
+        let (g, dests, mut rng) = axes_or_exit(seed, 2000, 2);
         let timelines = standard_families(&g, &mut rng, &dests, false);
         let cfg = CampaignConfig {
             params: RunParams::paper(),

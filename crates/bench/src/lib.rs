@@ -1,7 +1,12 @@
 //! Shared plumbing for the bench binaries (`figure`, `campaign`,
-//! `divergence`, `polcheck`, `calibrate`): the argv reader, and the one
-//! emitter and comparer of the tracked results document
-//! (`BENCH_campaign.json`).
+//! `calibrate`): the argv reader, and the one emitter and comparer of the
+//! tracked results document (`BENCH_campaign.json`).
+//!
+//! No binary here re-checks what `cargo test` pins: the smoke and
+//! adversarial hashes live in `tests/determinism.rs` (run under debug and,
+//! by ci.sh, under release), the `.pol` round trip in `tests/policy.rs`,
+//! BAD GADGET's `Diverged` in the engine's own tests. The one golden a
+//! binary gates is this crate's document, through `campaign --check`.
 //!
 //! Nothing in this crate reads a clock. Every number it prints is a count
 //! or a simulated time — a pure function of seed and code — which is what

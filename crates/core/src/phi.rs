@@ -135,6 +135,16 @@ fn phi_from_paths(g: &AsGraph, paths: &[Vec<AsId>], smart: bool) -> f64 {
         let good = paths.iter().filter(|p| good_locked_path(g, p)).count();
         return good as f64 / paths.len() as f64;
     }
+    first_hop_tally(g, paths)
+        .values()
+        .map(|(good, total)| *good as f64 / *total as f64)
+        .fold(0.0, f64::max)
+}
+
+/// Per first hop `q`: how many of `paths` leave through `q` and how many of
+/// those are good locked paths, as `q → (good, total)` — what the smart
+/// variant (§6.1) conditions on.
+fn first_hop_tally(g: &AsGraph, paths: &[Vec<AsId>]) -> FxHashMap<AsId, (usize, usize)> {
     let mut by_hop: FxHashMap<AsId, (usize, usize)> = FxHashMap::default();
     for p in paths {
         if p.len() < 2 {
@@ -147,9 +157,6 @@ fn phi_from_paths(g: &AsGraph, paths: &[Vec<AsId>], smart: bool) -> f64 {
         }
     }
     by_hop
-        .values()
-        .map(|(good, total)| *good as f64 / *total as f64)
-        .fold(0.0, f64::max)
 }
 
 /// Φ for every AS in the graph (Figure 1's population).
@@ -194,20 +201,9 @@ pub fn smart_lock_choices(
                 .filter_map(|_| dag.sample_path(g, m, &mut rng))
                 .collect()
         };
-        let mut by_hop: FxHashMap<AsId, (usize, usize)> = FxHashMap::default();
-        for p in &paths {
-            if p.len() < 2 {
-                continue;
-            }
-            let e = by_hop.entry(p[1]).or_insert((0, 0));
-            e.1 += 1;
-            if good_locked_path(g, p) {
-                e.0 += 1;
-            }
-        }
         // Ties on the fraction are broken by the AS id, so the winner does
         // not depend on hash-iteration order.
-        let best = by_hop
+        let best = first_hop_tally(g, &paths)
             .iter()
             .map(|(q, (good, total))| (*good as f64 / *total as f64, *q))
             .max_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));

@@ -14,9 +14,10 @@
 //!   and never reorder updates;
 //! * [`DelayModel`] / [`LossModel`] — delay sampling and fault injection;
 //! * [`rng_stream`] — cheap deterministic derivation of independent RNG
-//!   streams from a master seed (topology, delays, MRAI factors, workload
-//!   choices all get their own stream so adding a consumer never perturbs
-//!   the others);
+//!   streams from a master seed (delays, MRAI factors, workload and
+//!   timeline choices all get their own stream so adding a consumer never
+//!   perturbs the others; the topology generator seeds its own `Rng` from
+//!   `GenConfig::seed`);
 //! * [`fxhash`] — a deterministic FxHash-style fast hasher for the
 //!   id-keyed maps that remain off the hot path (SipHash costs more than
 //!   the lookup it guards on small integer keys), and [`Fnv1a`], the one

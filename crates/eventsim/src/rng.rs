@@ -174,18 +174,15 @@ pub fn rng_stream(master_seed: u64, tag: u64) -> Rng {
 }
 
 /// Conventional stream tags used across the workspace (one place, so no two
-/// consumers collide by accident).
+/// consumers collide by accident). The values are part of every golden;
+/// a retired tag's number is not reused.
 pub mod tags {
-    /// Topology generation.
-    pub const TOPOLOGY: u64 = 1;
     /// Message delay sampling.
     pub const DELAYS: u64 = 2;
     /// MRAI jitter factors.
     pub const MRAI: u64 = 3;
     /// Workload choices (destination, failed links).
     pub const WORKLOAD: u64 = 4;
-    /// STAMP locked-blue-provider choices.
-    pub const LOCK_CHOICE: u64 = 5;
     /// Message-loss fault injection.
     pub const LOSS: u64 = 6;
     /// Φ-analysis path sampling.

@@ -227,9 +227,6 @@ impl PolicyRegime {
         PolicyRegime::named().into_iter().nth(idx as usize)
     }
 
-    /// The default regime's name.
-    pub const DEFAULT_NAME: &'static str = "gao-rexford";
-
     /// True for the default (`gao-rexford`) regime — the one the three
     /// determinism goldens are pinned under.
     pub fn is_default(&self) -> bool {
@@ -345,7 +342,6 @@ mod tests {
         assert!(PolicyRegime::by_name("gao-rexford").unwrap().is_default());
         assert!(!PolicyRegime::by_name("prefer-peer").unwrap().is_default());
         assert!(PolicyRegime::by_name("nope").is_none());
-        assert_eq!(PolicyRegime::DEFAULT_NAME, "gao-rexford");
     }
 
     #[test]

@@ -37,4 +37,4 @@ pub use protocol::{
     proto_token, Request, RequestError, Response, ResponseParseError, WhatIfShape,
     MAX_REQUEST_LINE, MAX_SCN_EVENTS,
 };
-pub use server::{serve, serve_tcp};
+pub use server::{serve, serve_tcp, DaemonArgs, USAGE};

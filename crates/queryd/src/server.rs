@@ -1,16 +1,19 @@
 //! Line-oriented serving loops over any `BufRead`/`Write` pair, plus the
-//! TCP front-end. The daemon binary wires these to stdin/stdout and an
-//! optional listener; tests drive [`serve`] over in-memory buffers — same
-//! code path, no sockets — and the reference benchmark's `query_hit` /
-//! `query_churn` workloads drive [`serve_tcp`] over loopback.
+//! TCP front-end and the daemon's command line ([`DaemonArgs`]). The
+//! daemon binary wires these to stdin/stdout and an optional listener;
+//! tests drive [`serve`] over in-memory buffers — same code path, no
+//! sockets — and the reference benchmark's `query_hit` / `query_churn`
+//! workloads drive [`serve_tcp`] over loopback.
 //!
 //! BATCH mode is not a separate verb: requests are read line-by-line and
 //! answered strictly in order, each response `END`-framed, so a client may
 //! pipe any number of queries and split replies on `END` lines. Piping a
 //! file of N queries *is* the batch mode.
 
-use crate::engine::QueryEngine;
+use crate::engine::{QueryEngine, QuerydConfig};
 use crate::protocol::{Request, RequestError, MAX_REQUEST_LINE};
+use stamp_eventsim::textfmt::Args;
+use stamp_workload::{grid_axes, Protocol, RunParams};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::time::Duration;
@@ -120,12 +123,82 @@ pub(crate) fn serve_tcp_with_deadline(
     }
 }
 
+/// `stamp_queryd`'s usage text.
+pub const USAGE: &str = "stamp_queryd [--smoke] [--fast] [--ases N] [--seed N] [--dests N] \
+     [--protocols LIST] [--cache-cap N] [--port P]\n\
+     Resident what-if query service: converges every (protocol, destination)\n\
+     baseline at startup, then answers WHATIF/SHOW queries line-by-line on\n\
+     stdin (and on 127.0.0.1:P with --port) by forking from the resident\n\
+     checkpoints. EOF or QUIT shuts down.\n\
+     --smoke: the CI configuration — 200-AS smoke topology, fast parameters,\n\
+     2 destinations (identical to the smoke campaign's grid axes).\n\
+     --fast: fast engine parameters on the default topology.\n\
+     --protocols LIST: comma-separated (bgp, rbgp-norci, rbgp, stamp;\n\
+     default bgp,rbgp,stamp).\n\
+     --cache-cap N: bound the baseline cache (default unbounded).";
+
+/// What `stamp_queryd`'s command line asks for ([`USAGE`]).
+pub struct DaemonArgs {
+    smoke: bool,
+    fast: bool,
+    ases: Option<usize>,
+    seed: u64,
+    dests: Option<usize>,
+    protocols: Vec<Protocol>,
+    cache_cap: Option<usize>,
+    /// `--port P`: serve 127.0.0.1:P as well as stdin.
+    pub port: Option<u16>,
+}
+
+impl DaemonArgs {
+    /// Read the daemon's flags from its argv, space-joined. An unknown
+    /// flag or a bad value is an `Err` naming it; `--help` is an empty one.
+    pub fn parse(line: &str) -> Result<DaemonArgs, String> {
+        let mut flags = Args::new(line);
+        if flags.flag("--help") || flags.flag("-h") {
+            return Err(String::new());
+        }
+        let protocols = flags.list("--protocols")?;
+        let args = DaemonArgs {
+            smoke: flags.flag("--smoke"),
+            fast: flags.flag("--fast"),
+            ases: flags.value("--ases")?,
+            seed: flags.value("--seed")?.unwrap_or(0xCA4A16),
+            dests: flags.value("--dests")?,
+            protocols: protocols.unwrap_or(vec![Protocol::Bgp, Protocol::Rbgp, Protocol::Stamp]),
+            cache_cap: flags.value("--cache-cap")?,
+            port: flags.value("--port")?,
+        };
+        flags.done().map(|()| args)
+    }
+
+    /// Converge the engine these flags describe. Its topology and
+    /// destinations are the `campaign` binary's grid axes for the same seed
+    /// ([`grid_axes`]), so the resident baselines are the cells the batch
+    /// grids measure. The daemon and its transcript test
+    /// (`tests/queryd.rs`) both build through here.
+    pub fn engine(&self) -> Result<QueryEngine, String> {
+        let (n_ases, n_dests) = if self.smoke {
+            (200, self.dests.unwrap_or(2))
+        } else {
+            (self.ases.unwrap_or(500), self.dests.unwrap_or(4))
+        };
+        let (g, dests, _) = grid_axes(self.seed, n_ases, n_dests)?;
+        let mut cfg = QuerydConfig::new(self.protocols.clone(), dests);
+        cfg.seed = self.seed;
+        if self.smoke || self.fast {
+            cfg.params = RunParams::fast();
+        }
+        cfg.cache_capacity = self.cache_cap;
+        QueryEngine::new(g, cfg).map_err(|e| format!("baseline convergence failed: {e}"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::QuerydConfig;
     use stamp_topology::gen::{generate, GenConfig};
-    use stamp_workload::{destination_candidates, Protocol, RunParams};
+    use stamp_workload::destination_candidates;
     use std::net::TcpStream;
 
     fn engine(seed: u64) -> QueryEngine {

@@ -155,22 +155,6 @@ impl RbgpRouter {
         best.map(|(_, n, r)| (n, r))
     }
 
-    /// Convenience: the advertiser an escape packet would be handed to.
-    pub fn escape_via<F>(&self, arena: &PathArena, prefix: PrefixId, session_ok: F) -> Option<AsId>
-    where
-        F: Fn(AsId) -> bool,
-    {
-        self.escape_route(arena, prefix, session_ok).map(|(n, _)| n)
-    }
-
-    /// Next hop of our own failover path — what an escape-flagged packet
-    /// follows at this AS.
-    pub fn own_failover_next(&self, arena: &PathArena, prefix: PrefixId) -> Option<AsId> {
-        self.failover_out
-            .get(&prefix)
-            .map(|(_, r)| arena.head(arena.tail(r.path)))
-    }
-
     /// The neighbour currently receiving our failover advertisement.
     pub fn failover_target(&self, prefix: PrefixId) -> Option<AsId> {
         self.failover_out.get(&prefix).map(|(n, _)| *n)
@@ -179,11 +163,6 @@ impl RbgpRouter {
     /// Newest cause record per element (RCI mode): element → (seq, up).
     pub fn known_causes(&self) -> &FxHashMap<RootCause, (u32, bool)> {
         &self.known_causes
-    }
-
-    /// Is `rc` currently recorded as failed (down)?
-    pub fn has_active_cause(&self, rc: &RootCause) -> bool {
-        matches!(self.known_causes.get(rc), Some((_, false)))
     }
 
     /// Does the route's path traverse any element currently recorded as
@@ -613,10 +592,12 @@ mod tests {
         let r0 = e.router(AsId(0));
         assert_eq!(r0.primary_next(P), Some(AsId(2)));
         assert_eq!(r0.failover_target(P), Some(AsId(2)));
-        assert_eq!(r0.own_failover_next(e.paths(), P), Some(AsId(1)));
         // And 2 received it: escape via 0 once its own routes die.
         let r2 = e.router(AsId(2));
-        assert_eq!(r2.escape_via(e.paths(), P, |_| true), Some(AsId(0)));
+        assert_eq!(
+            r2.escape_route(e.paths(), P, |_| true).map(|(n, _)| n),
+            Some(AsId(0))
+        );
     }
 
     #[test]
@@ -632,7 +613,7 @@ mod tests {
         // unaffected (3, on the surviving side) legitimately may not.
         for v in [0u32, 2] {
             assert!(
-                e.router(AsId(v)).has_active_cause(&rc),
+                matches!(e.router(AsId(v)).known_causes().get(&rc), Some((_, false))),
                 "AS{v} missing root cause"
             );
         }
@@ -679,7 +660,7 @@ mod tests {
         e.inject_after(SimDuration::from_secs(1), ScenarioEvent::FailLink(id));
         e.run_to_quiescence(None);
         let r2 = e.router(AsId(2));
-        if let Some(via) = r2.escape_via(e.paths(), P, |n| e.session_up(AsId(2), n)) {
+        if let Some((via, _)) = r2.escape_route(e.paths(), P, |n| e.session_up(AsId(2), n)) {
             // Any surviving escape must not route through the dead link.
             let rc = RootCause::link(AsId(4), AsId(2));
             let fo = r2
@@ -764,6 +745,12 @@ mod continuity_tests {
         }
     }
 
+    /// The advertiser an escape packet at `r` would be handed to, every
+    /// session up.
+    fn escape_target(r: &RbgpRouter, a: &PathArena) -> Option<AsId> {
+        r.escape_route(a, P, |_| true).map(|(n, _)| n)
+    }
+
     /// 1 between provider 0 and customer 2; peer 3 for diversity.
     fn g() -> stamp_topology::AsGraph {
         let mut b = GraphBuilder::new();
@@ -814,7 +801,7 @@ mod continuity_tests {
             r.selection(P)
         );
         assert_eq!(r.primary_next(P), None, "pseudo-bests forward as circuits");
-        assert_eq!(r.escape_via(ctx.arena, P, |_| true), Some(AsId(0)));
+        assert_eq!(escape_target(&r, ctx.arena), Some(AsId(0)));
         assert!(
             !ctx.out
                 .iter()
@@ -875,13 +862,13 @@ mod continuity_tests {
         let via_self = announce(&mut a, &[0, 1, 9], true);
         let mut ctx = RouterCtx::new(AsId(1), &g, &AllUp, &mut a);
         r.on_update(&mut ctx, AsId(0), ProcId::ONLY, via_self);
-        assert_eq!(r.escape_via(ctx.arena, P, |_| true), None);
+        assert_eq!(escape_target(&r, ctx.arena), None);
         drop(ctx);
         // A clean failover from the peer.
         let clean = announce(&mut a, &[3, 8, 9], true);
         let mut ctx = RouterCtx::new(AsId(1), &g, &AllUp, &mut a);
         r.on_update(&mut ctx, AsId(3), ProcId::ONLY, clean);
-        assert_eq!(r.escape_via(ctx.arena, P, |_| true), Some(AsId(3)));
+        assert_eq!(escape_target(&r, ctx.arena), Some(AsId(3)));
         drop(ctx);
         // Learn that link 8-9 died: the peer's failover is invalid too.
         let mut ctx = RouterCtx::new(AsId(1), &g, &AllUp, &mut a);
@@ -901,6 +888,6 @@ mod continuity_tests {
                 }),
             },
         );
-        assert_eq!(r.escape_via(ctx.arena, P, |_| true), None);
+        assert_eq!(escape_target(&r, ctx.arena), None);
     }
 }

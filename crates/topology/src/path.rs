@@ -105,11 +105,6 @@ impl PathSplit {
             self.downhill_start..self.len
         }
     }
-
-    /// Node positions of the uphill portion.
-    pub fn uphill_range(&self) -> std::ops::Range<usize> {
-        0..(self.uphill_end + 1).min(self.len)
-    }
 }
 
 /// Split a (valley-free) path into uphill / peer / downhill segments.
@@ -257,7 +252,7 @@ mod tests {
         let g = g();
         let seq = ids(&[4, 2, 0, 1, 3]);
         let s = split_uphill_downhill(&g, &seq).unwrap();
-        assert_eq!(s.uphill_range(), 0..3); // 4,2,0
+        assert_eq!(s.uphill_end, 2); // 4,2,0
         assert_eq!(s.peer_link, Some(2)); // link 0-1
         assert_eq!(s.downhill_range(), 3..5); // 1,3
         assert_eq!(downhill_nodes(&g, &seq).unwrap(), &ids(&[1, 3])[..]);
@@ -276,7 +271,7 @@ mod tests {
         let g = g();
         let seq = ids(&[4, 2, 0]);
         let s = split_uphill_downhill(&g, &seq).unwrap();
-        assert_eq!(s.uphill_range(), 0..3);
+        assert_eq!(s.uphill_end, 2);
         assert!(s.downhill_range().is_empty());
     }
 

@@ -23,6 +23,7 @@
 //! argument: randomness is derived per cell from the cell's coordinates,
 //! never from worker identity or wall-clock.
 
+use crate::canned::destination_candidates;
 use crate::sim::{ScratchEngines, Sim};
 use crate::timeline::{
     background_churn, choose_k, correlated_node_outage, flap_train, maintenance_windows,
@@ -32,9 +33,10 @@ use crate::timeline::{
 use stamp_bgp::engine::RunOutcome;
 use stamp_eventsim::fxhash::FxHashMap;
 use stamp_eventsim::rng::{tags, Rng};
-use stamp_eventsim::{derive_seed, SimDuration};
+use stamp_eventsim::{derive_seed, rng_stream, SimDuration};
 use stamp_forwarding::ObserverWork;
 use stamp_policy::PolicyRegime;
+use stamp_topology::gen::{generate, GenConfig};
 use stamp_topology::{AsGraph, AsId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -388,7 +390,7 @@ impl BaselineCache {
 /// byte-reproducible from a seed. Four families anchor on the campaign's
 /// own destinations (their provider links and cones are what the grid's
 /// cells route over, so the events actually intersect measured paths);
-/// churn is mesh-global. `smoke` shrinks event counts for the CI gate.
+/// churn is mesh-global. `smoke` shrinks event counts for the smoke grid.
 pub fn standard_families(g: &AsGraph, rng: &mut Rng, dests: &[AsId], smoke: bool) -> Vec<Timeline> {
     let dest = |i: usize| dests[i % dests.len()];
     let s = SimDuration::from_secs;
@@ -439,25 +441,45 @@ pub fn standard_families(g: &AsGraph, rng: &mut Rng, dests: &[AsId], smoke: bool
     vec![flap, stagger, outage, maint, churn]
 }
 
-/// The `campaign --smoke` CI grid, whole: `GenConfig::small(seed)`
-/// topology, two destinations and the five [`standard_families`] at smoke
-/// scale (all drawn from `rng_stream(seed, tags::TIMELINE)`), fast
-/// params, one seed, BGP/R-BGP/STAMP. One constructor serves both the
-/// binary's `--smoke` gate and the golden determinism test
-/// (`tests/determinism.rs`), so the pinned hash always corresponds to the
-/// grid CI actually runs.
+/// A seed's grid axes, drawn in this one place: the
+/// `GenConfig { n_ases, ..GenConfig::small(seed) }` topology, `n_dests` of
+/// its multi-homed [`destination_candidates`] chosen on `rng_stream(seed, tags::TIMELINE)`, and that stream, left
+/// where the timeline draw ([`standard_families`]) picks it up. Every grid
+/// the `campaign` binary runs and the daemon's resident baselines
+/// (`stamp_queryd`) start here. An invalid generator config, or a topology
+/// that yields no destination, is an `Err` naming it.
+pub fn grid_axes(
+    seed: u64,
+    n_ases: usize,
+    n_dests: usize,
+) -> Result<(AsGraph, Vec<AsId>, Rng), String> {
+    let gen = GenConfig {
+        n_ases,
+        ..GenConfig::small(seed)
+    };
+    let g = generate(&gen).map_err(|e| format!("topology generation failed: {e}"))?;
+    let mut rng = rng_stream(seed, tags::TIMELINE);
+    let candidates = destination_candidates(&g);
+    let dests = choose_k(&mut rng, &candidates, n_dests);
+    if dests.is_empty() {
+        return Err(format!(
+            "no destinations ({n_dests} asked for, {} multi-homed candidates in the \
+             {n_ases}-AS topology)",
+            candidates.len()
+        ));
+    }
+    Ok((g, dests, rng))
+}
+
+/// The smoke grid, whole: [`grid_axes`] at 200 ASes (`GenConfig::small`'s
+/// size) and two destinations, the five [`standard_families`] at smoke
+/// scale, fast params, one seed, BGP/R-BGP/STAMP. Its aggregate hash is
+/// pinned by `tests/determinism.rs`, and `stamp_bench`'s results-document
+/// test runs it cold, parallel and warm.
 pub fn smoke_grid(seed: u64) -> (AsGraph, Vec<Timeline>, Vec<AsId>, CampaignConfig) {
-    let g = stamp_topology::gen::generate(&stamp_topology::gen::GenConfig::small(seed))
-        // simlint::allow(panic, "GenConfig::small is a constant known-valid config")
-        .expect("the smoke generator config is valid");
-    let mut rng = stamp_eventsim::rng_stream(seed, tags::TIMELINE);
-    let dests = choose_k(&mut rng, &crate::canned::destination_candidates(&g), 2);
-    // Diagnose a hostless topology here rather than via the modulo panic
-    // inside `standard_families`'s destination cycling.
-    assert!(
-        !dests.is_empty(),
-        "smoke topology (GenConfig::small({seed:#x})) has no multi-homed destination candidates"
-    );
+    let (g, dests, mut rng) = grid_axes(seed, 200, 2)
+        // simlint::allow(panic, "GenConfig::small is a constant known-valid config with multi-homed ASes")
+        .expect("the smoke grid's axes exist");
     let timelines = standard_families(&g, &mut rng, &dests, true);
     let cfg = CampaignConfig {
         params: RunParams::fast(),
@@ -504,7 +526,7 @@ pub fn adversarial_families(
 
     // Leak from a multi-homed AS (the destination candidates are exactly
     // the multi-homed population) that is not a measured destination.
-    let candidates = crate::canned::destination_candidates(g);
+    let candidates = destination_candidates(g);
     let leaker = *candidates
         .iter()
         .find(|v| !dests.contains(v))
@@ -526,17 +548,17 @@ pub fn adversarial_families(
     vec![hijack, prepend, leak, flip]
 }
 
-/// The adversarial CI grid (second half of `campaign --smoke`, and the
-/// `adversarial` object of `BENCH_campaign.json`): the same topology,
-/// destinations and fast params as [`smoke_grid`] but running the four
-/// [`adversarial_families`] instead of the physical-failure families. One
-/// constructor serves the binary's gate and the determinism tests, so the
-/// pinned hash always corresponds to the grid CI actually runs.
+/// The adversarial grid (the `adversarial` object of
+/// `BENCH_campaign.json`): the same topology, destinations and fast params
+/// as [`smoke_grid`] but running the four [`adversarial_families`] instead
+/// of the physical-failure families. One constructor serves the `campaign`
+/// binary and `tests/determinism.rs`, which pins its hash, so the pinned
+/// hash always corresponds to the grid the document records.
 pub fn adversarial_grid(seed: u64) -> (AsGraph, Vec<Timeline>, Vec<AsId>, CampaignConfig) {
     let (g, _, dests, cfg) = smoke_grid(seed);
     // A salted stream: the adversarial draws must not depend on how many
     // draws the standard families consumed from the unsalted one.
-    let mut rng = stamp_eventsim::rng_stream(seed ^ 0xAD5E_ACA1, tags::TIMELINE);
+    let mut rng = rng_stream(seed ^ 0xAD5E_ACA1, tags::TIMELINE);
     let timelines = adversarial_families(&g, &mut rng, &dests, true);
     (g, timelines, dests, cfg)
 }
@@ -898,12 +920,10 @@ pub fn run_campaign_with_cache(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::canned::{destination_candidates, sample_canned, FailureScenario};
+    use crate::canned::{sample_canned, FailureScenario};
     use crate::timeline::{
         flap_train, maintenance_windows, single_link_failure, NetEvent, TimelineEvent,
     };
-    use stamp_eventsim::{rng_stream, SimDuration};
-    use stamp_topology::gen::{generate, GenConfig};
 
     fn grid(seed: u64) -> (AsGraph, Vec<Timeline>, Vec<AsId>) {
         let g = generate(&GenConfig::small(seed)).unwrap();

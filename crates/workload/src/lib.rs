@@ -44,7 +44,7 @@ pub mod sim;
 pub mod timeline;
 
 pub use campaign::{
-    adversarial_families, adversarial_grid, populate_baselines, run_campaign,
+    adversarial_families, adversarial_grid, grid_axes, populate_baselines, run_campaign,
     run_campaign_with_cache, run_cells, run_protocol_cell, run_protocol_cell_warm, smoke_grid,
     standard_families, Aggregate, BaselineCache, CacheStats, CampaignCell, CampaignConfig,
     CampaignReport, Cell, CellResult,

@@ -82,15 +82,6 @@ impl NetEvent {
     pub fn is_failure(self) -> bool {
         matches!(self, NetEvent::LinkDown(..) | NetEvent::NodeDown(_))
     }
-
-    /// Whether this is an adversarial control-plane event (topology
-    /// untouched, routing state attacked).
-    pub fn is_adversarial(self) -> bool {
-        matches!(
-            self,
-            NetEvent::PrefixHijack { .. } | NetEvent::RouteLeak(_) | NetEvent::PolicyFlip(_)
-        )
-    }
 }
 
 /// One timeline entry: an event at an offset from the injection epoch.
@@ -196,12 +187,6 @@ impl Timeline {
             "timeline events must be pushed in non-decreasing time order"
         );
         self.events.push(TimelineEvent { at, ev });
-    }
-
-    /// Append a generator's batch (stable re-sort keeps the invariant).
-    pub fn extend_with(&mut self, events: Vec<TimelineEvent>) {
-        self.events.extend(events);
-        self.events.sort_by_key(|e| e.at);
     }
 
     /// Whether offsets are non-decreasing (always true for values built
@@ -807,12 +792,16 @@ mod tests {
     #[test]
     fn adversarial_events_leave_the_topology_alone() {
         let g = diamond();
-        let mut t = Timeline::new("adv");
-        t.extend_with(prefix_hijack(AsId(2), SimDuration::ZERO));
-        t.extend_with(route_leak(AsId(3), SimDuration::from_secs(1)));
-        t.extend_with(policy_flip(1, SimDuration::from_secs(2)));
+        let t = Timeline::from_events(
+            "adv",
+            [
+                prefix_hijack(AsId(2), SimDuration::ZERO),
+                route_leak(AsId(3), SimDuration::from_secs(1)),
+                policy_flip(1, SimDuration::from_secs(2)),
+            ]
+            .concat(),
+        );
         assert!(t.is_well_formed());
-        assert!(t.events().iter().all(|e| e.ev.is_adversarial()));
         assert!(t.events().iter().all(|e| !e.ev.is_failure()));
         // No physical change: nothing removed, no root causes to key on.
         assert_eq!(t.removed_links(&g).unwrap(), Vec::<LinkId>::new());
@@ -842,8 +831,10 @@ mod tests {
         let mut t = Timeline::new("bad-leaker");
         t.push(SimDuration::ZERO, NetEvent::RouteLeak(AsId(99)));
         assert_eq!(t.resolve(&g), Err(TimelineError::NoSuchNode(AsId(99))));
-        let mut t2 = Timeline::new("bad-victim");
-        t2.extend_with(prepend_hijack(AsId(2), AsId(99), SimDuration::ZERO));
+        let t2 = Timeline::from_events(
+            "bad-victim",
+            prepend_hijack(AsId(2), AsId(99), SimDuration::ZERO),
+        );
         assert_eq!(t2.resolve(&g), Err(TimelineError::NoSuchNode(AsId(99))));
     }
 

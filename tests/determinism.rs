@@ -265,12 +265,11 @@ fn canned_workload_metrics_match_pre_redesign_goldens() {
     }
 }
 
-/// The `campaign --smoke` grid (the CI gate), built by the same
-/// `smoke_grid` constructor the binary uses, pinned to the aggregate hash
-/// the pre-redesign path produced. The hash folds in every metric of
-/// every cell, so this is a byte-identity check over the whole grid — and
-/// sharing the constructor means the pinned hash always corresponds to
-/// the workload CI actually runs.
+/// The smoke grid (`smoke_grid`), pinned to the aggregate hash the
+/// pre-redesign path produced. The hash folds in every metric of every
+/// cell, so this is a byte-identity check over the whole grid. This test
+/// is the hash's one gate: ci.sh runs this file again under `--release`,
+/// so a result that depends on the build profile fails here too.
 #[test]
 fn smoke_campaign_hash_matches_pre_redesign_golden() {
     let (g, timelines, dests, cfg) = smoke_grid(0xCA4A16);
@@ -376,9 +375,10 @@ fn observer_rewalks_a_sliver_of_the_state_space_at_2000_ases() {
 // Divergence as data: the watchdog's typed outcome in the campaign layer
 // ---------------------------------------------------------------------
 
-/// The adversarial grid of `campaign --smoke` (the second CI hash gate),
-/// built by the same `adversarial_grid` constructor the binary uses,
-/// pinned to its aggregate hash. Hijacks, leaks and the policy flip are
+/// The adversarial grid (`adversarial_grid`, the same constructor the
+/// `campaign` binary records in `BENCH_campaign.json`), pinned to its
+/// aggregate hash — under debug and, by ci.sh, under release. Hijacks,
+/// leaks and the policy flip are
 /// timeline *data* — this pins their injection order, RNG draws and
 /// per-protocol metrics in one number, at any worker count.
 #[test]

@@ -168,6 +168,7 @@ fn junk_documents_are_rejected_with_typed_errors() {
     let junk = [
         "",
         "regime\n",
+        "regime \"x\"\n",
         "regime two words\n",
         "regime x!\nprefer origin 1000\n",
         "regime x\nprefer origin many\n",

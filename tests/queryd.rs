@@ -6,7 +6,9 @@
 use stamp_repro::eventsim::check::{cases, gen};
 use stamp_repro::eventsim::textfmt::assert_fixed_point;
 use stamp_repro::eventsim::{Rng, SimDuration};
-use stamp_repro::queryd::{QueryEngine, QuerydConfig, Request, Response, WhatIfShape};
+use stamp_repro::queryd::{
+    serve, DaemonArgs, QueryEngine, QuerydConfig, Request, Response, WhatIfShape,
+};
 use stamp_repro::topology::{generate, AsId, GenConfig};
 use stamp_repro::workload::{
     destination_candidates, parse_scn, run_protocol_cell, InstanceMetrics, NetEvent, Protocol,
@@ -20,6 +22,29 @@ fn engine(seed: u64) -> QueryEngine {
     cfg.params = RunParams::fast();
     cfg.seed = seed;
     QueryEngine::new(g, cfg).expect("baselines converge")
+}
+
+/// The recorded daemon transcript: `smoke.in` served on the engine
+/// `stamp_queryd --smoke` builds answers `smoke.golden` byte for byte —
+/// startup convergence, every query verb, typed refusals and the farewell
+/// in one comparison. This test is that golden's one gate.
+#[test]
+fn smoke_transcript_matches_its_golden() {
+    let engine = DaemonArgs::parse("--smoke")
+        .and_then(|args| args.engine())
+        .expect("the smoke daemon starts");
+    let mut out = Vec::new();
+    serve(
+        &engine,
+        include_str!("../crates/queryd/transcripts/smoke.in").as_bytes(),
+        &mut out,
+    )
+    .expect("in-memory serving cannot fail");
+    assert_eq!(
+        String::from_utf8(out).expect("frames are UTF-8"),
+        include_str!("../crates/queryd/transcripts/smoke.golden"),
+        "daemon transcript diverged from crates/queryd/transcripts/smoke.golden"
+    );
 }
 
 /// `InstanceMetrics` equality by *bit pattern*: `words()` compares the
