@@ -430,10 +430,12 @@ impl<R: RouterLogic> Engine<R> {
         let n_sessions = g.n_sessions();
         let mut mrai_interval = vec![SimDuration::ZERO; n_sessions];
         for l in g.links() {
-            for (a, b) in [(l.a, l.b), (l.b, l.a)] {
+            // A link's endpoints are adjacent by definition.
+            let Some(ab) = g.sess_between(l.a, l.b) else {
+                continue;
+            };
+            for sess in [ab, g.sess_reverse(ab)] {
                 let f: f64 = 0.75 + 0.25 * mrai_rng.gen_f64();
-                // simlint::allow(panic, "iterating g.links(): both endpoints are adjacent by definition")
-                let sess = g.sess_between(a, b).expect("link endpoints are adjacent");
                 mrai_interval[sess.index()] = cfg.sessions.mrai_base.mul_f64(f);
             }
         }
@@ -726,8 +728,11 @@ impl<R: RouterLogic> Engine<R> {
                 }
                 self.stats.delivered += 1;
                 self.stats.last_delivery = self.sched.now();
+                // The receiver hears the sender on the reverse session.
+                let g = &self.fixed.g;
+                let from = g.slot(ends.to, g.sess_reverse(sess));
                 self.with_router_ctx(ends.to, |router, ctx| {
-                    router.on_update(ctx, ends.from, proc, msg)
+                    router.on_update(ctx, from, proc, msg)
                 })
             }
             Event::MraiExpire {
@@ -1020,14 +1025,12 @@ impl<R: RouterLogic> Engine<R> {
     /// sessions went down). Pending scheduler timers die by epoch
     /// mismatch; the dense rows just reset.
     fn clear_link_sessions(&mut self, link: LinkId) {
-        let l = self.fixed.g.link(link);
-        for (a, b) in [(l.a, l.b), (l.b, l.a)] {
-            let sess = self
-                .fixed
-                .g
-                .sess_between(a, b)
-                // simlint::allow(panic, "g.link() returned this link, so its endpoints are adjacent")
-                .expect("link endpoints are adjacent");
+        let g = &self.fixed.g;
+        let l = g.link(link);
+        let Some(ab) = g.sess_between(l.a, l.b) else {
+            return;
+        };
+        for sess in [ab, g.sess_reverse(ab)] {
             for proc in ProcId::first_n(N_PROCS) {
                 if let Some(row) = self.mrai.get_mut(chan_idx(sess, proc)) {
                     row.clear();
@@ -1074,14 +1077,16 @@ impl<R: RouterLogic> Engine<R> {
     /// Route a router's outgoing updates through MRAI + transport, then
     /// return the drained buffer to the scratch slot.
     fn dispatch(&mut self, from: AsId, mut out: Vec<OutMsg>) {
-        for OutMsg { to, proc, msg } in out.drain(..) {
-            // One id-sorted slice probe resolves session, link and
-            // liveness for the whole message; everything after is O(1)
-            // indexing.
-            let Some(&SessEntry { sess, link, .. }) = self.fixed.g.entry_between(from, to) else {
-                self.stats.dropped += 1;
-                continue;
-            };
+        for OutMsg {
+            to,
+            sess,
+            proc,
+            msg,
+        } in out.drain(..)
+        {
+            // The message names its session: link and liveness are O(1)
+            // reads, like everything after.
+            let link = self.fixed.g.sess_ends(sess).link;
             if !self.state.up(from, to, link) {
                 self.stats.dropped += 1;
                 continue;

@@ -1,26 +1,30 @@
 //! Adj-RIB-In storage and the BGP decision process.
 //!
-//! Routes live in per-`(prefix, process)` **dense neighbour-slot tables**:
-//! the RIB maintains one ascending table of every neighbour it has ever
-//! heard from (bounded by the router's degree — the topology is fixed for
-//! a run), and each group is a flat `Vec<Option<RibEntry>>` indexed by the
-//! neighbour's slot. The decision process therefore scans one contiguous
-//! slice in ascending neighbour-id order — exactly the order the previous
-//! `BTreeMap<AsId, _>` representation iterated in, which is what keeps
-//! every tiebreak (and hence every golden metric) bit-identical — with no
-//! pointer chasing and no per-call allocation. Every stored entry is a
-//! `Copy` arena handle rather than an owned path, and the announcing
-//! neighbour's relation is cached in the entry at insert time (a static
-//! property of the topology), so `decide` performs zero graph lookups.
+//! Routes live in one **dense slot table per prefix**: `rows[prefix]` holds
+//! one `Option<RibEntry>` per `(slot, process)`, at `slot × procs + proc`.
+//! A slot names one neighbour. The [`Speaker`](crate::speaker::Speaker)
+//! hands out the neighbour's position in its session slice
+//! (`AsGraph::neighbor_entries(me)`), which the topology fixes for a run,
+//! so a row is sized once at the router's degree and never shifts; a short
+//! or missing row reads as empty. Every stored entry is a `Copy` arena
+//! handle with the relation it was learned over and its import-time local
+//! preference, so the decision process performs zero graph lookups and no
+//! hashing.
 //!
-//! The group directory itself is a tiny sorted `Vec` (a handful of
-//! `(prefix, process)` pairs per router in any real workload), scanned by
-//! binary search — no hashing anywhere.
+//! The keyed API ([`RibIn::insert`], [`RibIn::remove`], [`RibIn::get`],
+//! [`RibIn::routes`], [`RibIn::decide`], …) addresses the same table
+//! through an id index that hands slots out in first-sight order (slots
+//! are appended, never inserted). Slot order is therefore not neighbour-id
+//! order, on either path: the decision process breaks ties explicitly —
+//! highest local-pref, then shortest path, then lowest neighbour id — and
+//! every read that lists neighbours walks them by id.
 
+use crate::engine::N_PROCS;
 use crate::patharena::PathArena;
 use crate::types::{PrefixId, ProcId, Route};
 use stamp_eventsim::clone_in_place;
 use stamp_topology::{AsId, Relation};
+use std::cmp::Reverse;
 
 /// One stored route plus the relation it was learned over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,48 +40,45 @@ pub struct RibEntry {
     pub pref: u32,
 }
 
-/// One `(prefix, process)` group: a dense slot table indexed by the RIB's
-/// neighbour-slot map, plus the number of filled slots (groups are dropped
-/// eagerly when they empty, preserving the old keyed-map semantics).
+/// Routes learned from neighbours: per prefix, a dense table of
+/// `(slot, process)` cells.
 #[derive(Debug)]
-struct Group {
-    /// The `(prefix, process)` this group holds routes for.
-    key: (PrefixId, ProcId),
-    /// `slots[i]` = route announced by the RIB's `i`-th neighbour; the
-    /// table may be shorter than the neighbour map (a short tail is all
-    /// `None`).
-    slots: Vec<Option<RibEntry>>,
-    filled: usize,
+pub struct RibIn {
+    /// Processes per slot: the stride of a row.
+    procs: usize,
+    /// `rows[prefix][slot × procs + proc]`.
+    rows: Vec<Vec<Option<RibEntry>>>,
+    /// Keyed API only: the neighbour each slot was handed to, in
+    /// first-sight order.
+    ids: Vec<AsId>,
+    /// Keyed API only: the slots of `ids`, ascending by neighbour id.
+    by_id: Vec<usize>,
 }
 
-impl Group {
-    fn new(key: (PrefixId, ProcId)) -> Group {
-        Group {
-            key,
-            slots: Vec::new(),
-            filled: 0,
-        }
+// A rewind onto a table of the same shape allocates nothing: every row
+// both sides have keeps its buffer.
+clone_in_place!(RibIn {
+    procs,
+    rows,
+    ids,
+    by_id
+});
+
+/// Grow `v` to `n` elements made by `fill`, allocating exactly that many: a
+/// first allocation through `resize` rounds up to four elements, which on
+/// thousands of one- and two-neighbour stubs would be most of the table.
+pub(crate) fn grow_exact<T: Clone>(v: &mut Vec<T>, n: usize, fill: impl FnOnce() -> T) {
+    if v.len() < n {
+        v.reserve_exact(n - v.len());
+        v.resize(n, fill());
     }
 }
 
-// A rewind keeps the slot table's buffer.
-clone_in_place!(Group { key, slots, filled });
-
-/// Per-router routes learned from neighbours, grouped by
-/// `(prefix, process instance)` into dense neighbour-slot tables.
-#[derive(Debug, Default)]
-pub struct RibIn {
-    /// Every neighbour ever seen, ascending: slot `i` ↔ `neighbors[i]`.
-    /// Bounded by the router's degree on a fixed topology, so slot
-    /// assignment amortises to a no-op after the first round of updates.
-    neighbors: Vec<AsId>,
-    /// Groups sorted by key (tiny: one entry per live `(prefix, proc)`).
-    groups: Vec<Group>,
+impl Default for RibIn {
+    fn default() -> RibIn {
+        RibIn::new()
+    }
 }
-
-// A rewind onto a table of the same shape allocates nothing: the neighbour
-// map and every group that both sides have keep their buffers.
-clone_in_place!(RibIn { neighbors, groups });
 
 /// Result of running the decision process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,47 +93,206 @@ pub struct DecisionOutcome {
 }
 
 impl RibIn {
-    /// Empty RIB.
+    /// Empty RIB with room for every process the engine runs.
+    #[inline]
     pub fn new() -> RibIn {
-        RibIn::default()
+        RibIn::with_procs(N_PROCS)
     }
 
-    /// The slot of `neighbor`, assigning a fresh one on first sight. A new
-    /// slot in the middle shifts the dense tables once — neighbours are
-    /// finitely many per router, so steady state never takes this branch.
-    fn slot_of(&mut self, neighbor: AsId) -> usize {
-        match self.neighbors.binary_search(&neighbor) {
-            Ok(i) => i,
-            Err(i) => {
-                self.neighbors.insert(i, neighbor);
-                for g in &mut self.groups {
-                    if g.slots.len() > i {
-                        g.slots.insert(i, None);
-                    }
-                }
-                i
+    /// Empty RIB for `procs` (at least one) processes per neighbour.
+    #[inline]
+    pub(crate) fn with_procs(procs: usize) -> RibIn {
+        RibIn {
+            procs: procs.max(1),
+            rows: Vec::new(),
+            ids: Vec::new(),
+            by_id: Vec::new(),
+        }
+    }
+
+    /// Processes per neighbour.
+    #[inline]
+    pub(crate) fn procs(&self) -> usize {
+        self.procs
+    }
+
+    /// Where `(slot, proc)` sits in a row, or `None` for a process this
+    /// RIB has no room for.
+    #[inline]
+    pub(crate) fn cell_index(&self, slot: usize, proc: ProcId) -> Option<usize> {
+        let p = usize::from(proc.0);
+        debug_assert!(
+            p < self.procs,
+            "{proc:?} out of range: {} processes",
+            self.procs
+        );
+        (p < self.procs).then(|| slot * self.procs + p)
+    }
+
+    /// The route stored for `(slot, proc)`.
+    #[inline]
+    pub(crate) fn at(&self, prefix: PrefixId, proc: ProcId, slot: usize) -> Option<&RibEntry> {
+        let i = self.cell_index(slot, proc)?;
+        self.rows.get(prefix.index())?.get(i)?.as_ref()
+    }
+
+    /// Store (replacing) the route of `(slot, proc)`. `width` is the number
+    /// of slots the row should hold once it exists: the speaker passes its
+    /// degree, so the first store sizes the row and later ones never grow
+    /// it.
+    // simlint::hot
+    #[inline]
+    pub(crate) fn put(
+        &mut self,
+        prefix: PrefixId,
+        proc: ProcId,
+        slot: usize,
+        width: usize,
+        e: RibEntry,
+    ) {
+        let Some(i) = self.cell_index(slot, proc) else {
+            return;
+        };
+        grow_exact(&mut self.rows, prefix.index() + 1, Vec::default);
+        if let Some(row) = self.rows.get_mut(prefix.index()) {
+            if row.len() <= i {
+                grow_exact(row, width.max(slot + 1) * self.procs, || None);
+            }
+            if let Some(cell) = row.get_mut(i) {
+                *cell = Some(e);
             }
         }
     }
 
-    /// The slot of `neighbor` if it already has one.
+    /// Drop the route of `(slot, proc)`; returns it if present.
+    // simlint::hot
     #[inline]
-    fn find_slot(&self, neighbor: AsId) -> Option<usize> {
-        self.neighbors.binary_search(&neighbor).ok()
+    pub(crate) fn take(&mut self, prefix: PrefixId, proc: ProcId, slot: usize) -> Option<RibEntry> {
+        let i = self.cell_index(slot, proc)?;
+        self.rows.get_mut(prefix.index())?.get_mut(i)?.take()
     }
 
-    /// Index of the `(prefix, proc)` group, if present.
+    /// Drop every route of `slot` on any prefix or process (session
+    /// teardown). Returns the `(prefix, proc)` keys that lost one,
+    /// ascending.
+    pub(crate) fn take_slot(&mut self, slot: usize) -> Vec<(PrefixId, ProcId)> {
+        let mut dropped = Vec::new();
+        for (p, row) in self.rows.iter_mut().enumerate() {
+            let cells = row.iter_mut().skip(slot * self.procs).take(self.procs);
+            for (proc, cell) in ProcId::first_n(self.procs).zip(cells) {
+                if cell.take().is_some() {
+                    dropped.push((PrefixId::from_usize(p), proc));
+                }
+            }
+        }
+        dropped
+    }
+
+    /// Drop every route failing `keep`, reporting each as `(prefix, proc,
+    /// slot)` in that order of significance.
+    pub(crate) fn purge_slots<F, D>(&mut self, mut keep: F, mut dropped: D)
+    where
+        F: FnMut(&Route) -> bool,
+        D: FnMut(PrefixId, ProcId, usize),
+    {
+        let procs = self.procs;
+        for (p, row) in self.rows.iter_mut().enumerate() {
+            for proc in ProcId::first_n(procs) {
+                let cells = row.iter_mut().skip(usize::from(proc.0)).step_by(procs);
+                for (slot, cell) in cells.enumerate() {
+                    if cell.as_ref().is_some_and(|e| !keep(&e.route)) {
+                        *cell = None;
+                        dropped(PrefixId::from_usize(p), proc, slot);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The decision process over the routes of `(prefix, proc)` at router
+    /// `me`. `live(slot)` names the slot's neighbour while its session is
+    /// up and `None` otherwise:
+    ///
+    /// 1. reject routes from slots `live` refuses (session down),
+    /// 2. reject routes whose AS path already contains `me` (loop),
+    /// 3. highest local-pref (assigned by the policy regime at import,
+    ///    stored in the entry — prefer-customer under the default),
+    /// 4. shortest AS path,
+    /// 5. lowest neighbour id — explicitly, since slot order is not id
+    ///    order.
+    // simlint::hot
     #[inline]
-    fn find_group(&self, prefix: PrefixId, proc: ProcId) -> Option<usize> {
-        self.groups
-            .binary_search_by_key(&(prefix, proc), |g| g.key)
-            .ok()
+    pub(crate) fn decide_slots<L>(
+        &self,
+        arena: &PathArena,
+        me: AsId,
+        prefix: PrefixId,
+        proc: ProcId,
+        live: L,
+    ) -> Option<DecisionOutcome>
+    where
+        L: Fn(usize) -> Option<AsId>,
+    {
+        let first = self.cell_index(0, proc)?;
+        let row = self.rows.get(prefix.index())?;
+        let mut best: Option<(u32, u32, DecisionOutcome)> = None;
+        let cells = row.iter().skip(first).step_by(self.procs);
+        for (slot, cell) in cells.enumerate() {
+            let Some(e) = cell else {
+                continue;
+            };
+            let Some(neighbor) = live(slot) else {
+                continue;
+            };
+            if e.route.contains(arena, me) {
+                continue;
+            }
+            let len = e.route.len(arena);
+            if let Some((pref, best_len, d)) = &best {
+                let cand = (e.pref, Reverse(len), Reverse(neighbor));
+                if cand <= (*pref, Reverse(*best_len), Reverse(d.neighbor)) {
+                    continue;
+                }
+            }
+            let d = DecisionOutcome {
+                neighbor,
+                route: e.route,
+                learned_from: e.learned_from,
+            };
+            best = Some((e.pref, len, d));
+        }
+        best.map(|(_, _, d)| d)
+    }
+
+    // ------------------------------------------------------------------
+    // The keyed API: the same table, addressed through the id index
+    // ------------------------------------------------------------------
+
+    /// The slot `neighbor` was handed, if any.
+    fn slot_of(&self, neighbor: AsId) -> Option<usize> {
+        let i = self.id_rank(neighbor).ok()?;
+        self.by_id.get(i).copied()
+    }
+
+    /// Where `neighbor` is (`Ok`) or belongs (`Err`) in `by_id`.
+    fn id_rank(&self, neighbor: AsId) -> Result<usize, usize> {
+        self.by_id
+            .binary_search_by_key(&Some(neighbor), |&s| self.ids.get(s).copied())
+    }
+
+    /// Hand `neighbor` the next free slot: appended, so no stored route
+    /// moves.
+    fn assign(&mut self, neighbor: AsId) -> usize {
+        let rank = self.id_rank(neighbor).unwrap_or_else(|r| r);
+        self.by_id.insert(rank, self.ids.len());
+        self.ids.push(neighbor);
+        self.ids.len() - 1
     }
 
     /// Install (replacing) the route announced by `neighbor`, learned over
     /// `learned_from` with import-time local preference `pref` (see
-    /// [`RibEntry::pref`]).
-    // simlint::hot
+    /// [`RibEntry::pref`]). A neighbour seen for the first time gets the
+    /// next free slot.
     pub fn insert(
         &mut self,
         prefix: PrefixId,
@@ -142,130 +302,78 @@ impl RibIn {
         learned_from: Relation,
         pref: u32,
     ) {
-        let slot = self.slot_of(neighbor);
-        let gi = match self.groups.binary_search_by_key(&(prefix, proc), |g| g.key) {
-            Ok(i) => i,
-            Err(i) => {
-                self.groups.insert(i, Group::new((prefix, proc)));
-                i
-            }
-        };
-        let group = &mut self.groups[gi];
-        if group.slots.len() <= slot {
-            group.slots.resize(slot + 1, None);
-        }
+        let slot = self
+            .slot_of(neighbor)
+            .unwrap_or_else(|| self.assign(neighbor));
         let entry = RibEntry {
             route,
             learned_from,
             pref,
         };
-        if group.slots[slot].replace(entry).is_none() {
-            group.filled += 1;
-        }
+        self.put(prefix, proc, slot, self.ids.len(), entry);
     }
 
     /// Remove the route announced by `neighbor`; returns it if present.
     pub fn remove(&mut self, prefix: PrefixId, proc: ProcId, neighbor: AsId) -> Option<Route> {
-        let slot = self.find_slot(neighbor)?;
-        let gi = self.find_group(prefix, proc)?;
-        let group = &mut self.groups[gi];
-        let removed = group.slots.get_mut(slot)?.take()?;
-        group.filled -= 1;
-        if group.filled == 0 {
-            self.groups.remove(gi);
-        }
-        Some(removed.route)
+        let slot = self.slot_of(neighbor)?;
+        self.take(prefix, proc, slot).map(|e| e.route)
     }
 
     /// Remove every route learned from `neighbor` on any prefix or process
     /// (session teardown on link failure). Returns the affected
     /// `(prefix, proc)` keys in ascending order.
     pub fn remove_neighbor(&mut self, neighbor: AsId) -> Vec<(PrefixId, ProcId)> {
-        let mut dropped = Vec::new();
-        let Some(slot) = self.find_slot(neighbor) else {
-            return dropped;
-        };
-        for group in &mut self.groups {
-            if let Some(s) = group.slots.get_mut(slot) {
-                if s.take().is_some() {
-                    group.filled -= 1;
-                    dropped.push(group.key);
-                }
-            }
+        match self.slot_of(neighbor) {
+            Some(slot) => self.take_slot(slot),
+            None => Vec::new(),
         }
-        self.groups.retain(|g| g.filled > 0);
-        dropped
     }
 
     /// Entry announced by `neighbor`, if any.
     pub fn get(&self, prefix: PrefixId, proc: ProcId, neighbor: AsId) -> Option<&RibEntry> {
-        let slot = self.find_slot(neighbor)?;
-        let gi = self.find_group(prefix, proc)?;
-        self.groups[gi].slots.get(slot)?.as_ref()
+        self.at(prefix, proc, self.slot_of(neighbor)?)
     }
 
     /// All `(neighbor, entry)` pairs for one `(prefix, proc)`, in ascending
-    /// neighbour-id order (a contiguous slot scan — nothing built per call).
+    /// neighbour-id order.
     pub fn routes(
         &self,
         prefix: PrefixId,
         proc: ProcId,
     ) -> impl Iterator<Item = (AsId, RibEntry)> + '_ {
-        let slots = self
-            .find_group(prefix, proc)
-            .map(|gi| self.groups[gi].slots.as_slice())
-            .unwrap_or(&[]);
-        slots
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, s)| s.map(|e| (self.neighbors[i], e)))
+        self.by_id.iter().filter_map(move |&slot| {
+            let entry = self.at(prefix, proc, slot)?;
+            Some((*self.ids.get(slot)?, *entry))
+        })
     }
 
     /// Retain only routes satisfying `keep`; returns the `(prefix, proc,
-    /// neighbor)` keys that were dropped, in ascending order (used by
-    /// R-BGP's root-cause purge).
-    pub fn purge<F>(&mut self, mut keep: F) -> Vec<(PrefixId, ProcId, AsId)>
+    /// neighbor)` keys that were dropped, in ascending order.
+    pub fn purge<F>(&mut self, keep: F) -> Vec<(PrefixId, ProcId, AsId)>
     where
         F: FnMut(&Route) -> bool,
     {
         let mut dropped = Vec::new();
-        for group in &mut self.groups {
-            let (prefix, proc) = group.key;
-            for (i, s) in group.slots.iter_mut().enumerate() {
-                if let Some(e) = s {
-                    if !keep(&e.route) {
-                        dropped.push((prefix, proc, self.neighbors[i]));
-                        *s = None;
-                        group.filled -= 1;
-                    }
-                }
-            }
-        }
-        self.groups.retain(|g| g.filled > 0);
-        dropped
+        self.purge_slots(keep, |p, proc, slot| dropped.push((p, proc, slot)));
+        let mut keyed: Vec<(PrefixId, ProcId, AsId)> = dropped
+            .into_iter()
+            .filter_map(|(p, proc, slot)| Some((p, proc, *self.ids.get(slot)?)))
+            .collect();
+        keyed.sort_unstable();
+        keyed
     }
 
     /// Number of stored routes (all prefixes and processes).
     pub fn len(&self) -> usize {
-        self.groups.iter().map(|g| g.filled).sum()
+        self.rows.iter().flatten().filter(|c| c.is_some()).count()
     }
 
     /// Whether the RIB is empty.
     pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
+        self.len() == 0
     }
 
-    /// The BGP decision process over the routes stored for `(prefix, proc)`
-    /// at router `me`:
-    ///
-    /// 1. reject routes whose AS path already contains `me` (loop),
-    /// 2. reject routes from neighbours for which `usable` is false
-    ///    (session down),
-    /// 3. highest local-pref (assigned by the policy regime at import,
-    ///    stored in the entry — prefer-customer under the default),
-    /// 4. shortest AS path,
-    /// 5. lowest neighbour id.
-    // simlint::hot
+    /// [`RibIn::decide_slots`] with liveness asked by neighbour id.
     pub fn decide<F>(
         &self,
         arena: &PathArena,
@@ -277,28 +385,8 @@ impl RibIn {
     where
         F: Fn(AsId) -> bool,
     {
-        let mut best: Option<(u32, u32, AsId, RibEntry)> = None;
-        for (n, e) in self.routes(prefix, proc) {
-            if e.route.contains(arena, me) || !usable(n) {
-                continue;
-            }
-            let cand = (e.pref, e.route.len(arena), n, e);
-            best = match best {
-                None => Some(cand),
-                Some(cur) => {
-                    // Higher pref wins; then shorter path; then lower id.
-                    // Candidates arrive in ascending neighbour order, so
-                    // the id tiebreak is "first seen wins".
-                    let better = (cand.0 > cur.0) || (cand.0 == cur.0 && cand.1 < cur.1);
-                    Some(if better { cand } else { cur })
-                }
-            };
-        }
-        best.map(|(_, _, n, e)| DecisionOutcome {
-            neighbor: n,
-            route: e.route,
-            learned_from: e.learned_from,
-        })
+        let live = |slot: usize| self.ids.get(slot).copied().filter(|&n| usable(n));
+        self.decide_slots(arena, me, prefix, proc, live)
     }
 }
 

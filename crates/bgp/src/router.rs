@@ -13,12 +13,15 @@ use crate::speaker::Speaker;
 use crate::types::{CauseInfo, PrefixId, ProcId, Route, UpdateKind, UpdateMsg};
 use stamp_eventsim::{clone_in_place, Fnv1a};
 use stamp_policy::CompiledRegime;
-use stamp_topology::{AsGraph, AsId, Relation, SessEntry};
+use stamp_topology::{AsGraph, AsId, Relation, SessEntry, SessId};
 
 /// An update a router wants delivered to a neighbour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OutMsg {
+    /// The receiving neighbour.
     pub to: AsId,
+    /// The directed session to `to` the update leaves on.
+    pub sess: SessId,
     pub proc: ProcId,
     pub msg: UpdateMsg,
 }
@@ -46,7 +49,8 @@ pub struct RouterCtx<'a> {
     pub topo: &'a AsGraph,
     /// This router's directed-session slice (customers, peers, providers —
     /// each ascending): neighbour, relation and session id in one
-    /// contiguous read, no per-event re-derivation.
+    /// contiguous read, no per-event re-derivation. A neighbour's position
+    /// here is its *slot*, the index every per-neighbour table uses.
     pub neighbors: &'a [SessEntry],
     /// Liveness of adjacent sessions.
     pub sessions: &'a dyn SessionView,
@@ -99,9 +103,16 @@ impl<'a> RouterCtx<'a> {
         }
     }
 
-    /// Queue an update to `to` on process `proc`.
-    pub fn send(&mut self, to: AsId, proc: ProcId, msg: UpdateMsg) {
-        self.out.push(OutMsg { to, proc, msg });
+    /// Queue an update on the session `to` (one of [`RouterCtx::neighbors`])
+    /// on process `proc`.
+    #[inline]
+    pub fn send(&mut self, to: &SessEntry, proc: ProcId, msg: UpdateMsg) {
+        self.out.push(OutMsg {
+            to: to.neighbor,
+            sess: to.sess,
+            proc,
+            msg,
+        });
     }
 
     /// Relation of `n` relative to me, if adjacent.
@@ -109,17 +120,31 @@ impl<'a> RouterCtx<'a> {
         self.topo.relation(self.me, n)
     }
 
-    /// Neighbours with a live session, in deterministic order (the session
-    /// slice's). The iterator borrows the underlying `'a` data, not the
-    /// ctx, so callers can keep sending through the ctx while iterating —
-    /// no per-call `Vec` any more.
-    pub fn live_neighbors(&self) -> impl Iterator<Item = (AsId, Relation)> + 'a {
+    /// The slot of neighbour `n`, if adjacent: one binary search, for the
+    /// events that name a neighbour by id (a session going down or up).
+    pub fn slot_of(&self, n: AsId) -> Option<usize> {
+        self.topo.slot_between(self.me, n)
+    }
+
+    /// Is the session in `e` (one of [`RouterCtx::neighbors`]) up?
+    #[inline]
+    pub fn is_live(&self, e: &SessEntry) -> bool {
+        self.sessions.session_entry_up(self.me, e)
+    }
+
+    /// Neighbours with a live session, with their slots, in deterministic
+    /// order (the session slice's). The iterator borrows the underlying
+    /// `'a` data, not the ctx, so callers can keep sending through the ctx
+    /// while iterating — no per-call `Vec` any more.
+    pub fn live_neighbors(&self) -> impl Iterator<Item = (usize, SessEntry)> + 'a {
         let me = self.me;
         let sessions = self.sessions;
+        let live = move |(_, e): &(usize, &SessEntry)| sessions.session_entry_up(me, e);
         self.neighbors
             .iter()
-            .filter(move |e| sessions.session_entry_up(me, e))
-            .map(|e| (e.neighbor, e.rel))
+            .enumerate()
+            .filter(live)
+            .map(|(slot, e)| (slot, *e))
     }
 
     /// Run the policy regime's import side on an announcement learned over
@@ -243,8 +268,9 @@ pub trait RouterLogic {
     /// Originate own prefixes here.
     fn on_start(&mut self, ctx: &mut RouterCtx);
 
-    /// An update arrived from `from` on process `proc`.
-    fn on_update(&mut self, ctx: &mut RouterCtx, from: AsId, proc: ProcId, msg: UpdateMsg);
+    /// An update arrived on process `proc` from the neighbour in slot
+    /// `from` (`ctx.neighbors[from]` is its session entry).
+    fn on_update(&mut self, ctx: &mut RouterCtx, from: usize, proc: ProcId, msg: UpdateMsg);
 
     /// The link to `neighbor` failed (local, instantaneous detection).
     /// `cause` is the sequence-numbered event record (RCI-aware protocols
@@ -333,9 +359,10 @@ clone_in_place!(BgpRouter { speaker });
 
 impl BgpRouter {
     /// Router for `me`, originating the given prefixes.
+    #[inline]
     pub fn new(me: AsId, own: Vec<PrefixId>) -> BgpRouter {
         BgpRouter {
-            speaker: Speaker::new(me, own),
+            speaker: Speaker::new(me, own, 1),
         }
     }
 
@@ -369,16 +396,16 @@ impl BgpRouter {
         // Forwarding changes exactly when the next hop (or availability)
         // changes; conservatively flag on any selection change.
         ctx.fib_changed = true;
-        for (n, rel) in ctx.live_neighbors() {
-            self.advertise(ctx, prefix, n, rel);
+        for (slot, _) in ctx.live_neighbors() {
+            self.advertise(ctx, prefix, slot);
         }
     }
 
-    /// Tell `n` (related to us as `rel`) what the export rule allows.
-    fn advertise(&mut self, ctx: &mut RouterCtx, prefix: PrefixId, n: AsId, rel: Relation) {
-        let want = self.speaker.export(ctx, prefix, ProcId::ONLY, n, rel);
+    /// Tell the neighbour in `slot` what the export rule allows.
+    fn advertise(&mut self, ctx: &mut RouterCtx, prefix: PrefixId, slot: usize) {
+        let want = self.speaker.export(ctx, prefix, ProcId::ONLY, slot);
         self.speaker
-            .advertise(ctx, n, prefix, ProcId::ONLY, want, |_| {});
+            .advertise(ctx, slot, prefix, ProcId::ONLY, want, |_| {});
     }
 }
 
@@ -390,7 +417,7 @@ impl RouterLogic for BgpRouter {
         }
     }
 
-    fn on_update(&mut self, ctx: &mut RouterCtx, from: AsId, _proc: ProcId, msg: UpdateMsg) {
+    fn on_update(&mut self, ctx: &mut RouterCtx, from: usize, _proc: ProcId, msg: UpdateMsg) {
         match msg.kind {
             UpdateKind::Announce(route) => {
                 self.speaker
@@ -402,8 +429,11 @@ impl RouterLogic for BgpRouter {
     }
 
     fn on_link_down(&mut self, ctx: &mut RouterCtx, neighbor: AsId, _cause: CauseInfo) {
+        let Some(slot) = ctx.slot_of(neighbor) else {
+            return;
+        };
         // One process: the affected keys are distinct ascending prefixes.
-        for (p, _) in self.speaker.session_down(neighbor) {
+        for (p, _) in self.speaker.session_down(slot) {
             self.reselect(ctx, p);
         }
     }
@@ -411,12 +441,12 @@ impl RouterLogic for BgpRouter {
     fn on_link_up(&mut self, ctx: &mut RouterCtx, neighbor: AsId, _cause: CauseInfo) {
         // Fresh session: the neighbour has none of our state. Re-advertise
         // the current best for every known prefix.
-        let Some(rel) = ctx.relation(neighbor) else {
+        let Some(slot) = ctx.slot_of(neighbor) else {
             return;
         };
-        self.speaker.forget_heard(neighbor);
+        self.speaker.forget_heard(slot);
         for prefix in self.speaker.known_prefixes() {
-            self.advertise(ctx, prefix, neighbor, rel);
+            self.advertise(ctx, prefix, slot);
         }
     }
 
@@ -454,6 +484,11 @@ mod tests {
     }
 
     const P: PrefixId = PrefixId(0);
+
+    /// The slot AS `me` hears AS `n` on.
+    fn slot(g: &AsGraph, me: u32, n: u32) -> usize {
+        g.slot_between(AsId(me), AsId(n)).unwrap()
+    }
 
     fn announce(a: &mut PathArena, path: &[u32]) -> UpdateMsg {
         let ids: Vec<AsId> = path.iter().map(|&x| AsId(x)).collect();
@@ -514,7 +549,7 @@ mod tests {
         let mut r = BgpRouter::new(AsId(1), vec![]);
         let m = announce(&mut a, &[3]);
         let mut ctx = RouterCtx::new(AsId(1), &g, &AllUp, &mut a);
-        r.on_update(&mut ctx, AsId(3), ProcId::ONLY, m);
+        r.on_update(&mut ctx, slot(&g, 1, 3), ProcId::ONLY, m);
         assert_eq!(ctx.out.len(), 1);
         assert_eq!(ctx.out[0].to, AsId(0));
         match &ctx.out[0].msg.kind {
@@ -534,7 +569,7 @@ mod tests {
         let mut r = BgpRouter::new(AsId(1), vec![]);
         let m = announce(&mut a, &[0, 2, 9]);
         let mut ctx = RouterCtx::new(AsId(1), &g, &AllUp, &mut a);
-        r.on_update(&mut ctx, AsId(0), ProcId::ONLY, m);
+        r.on_update(&mut ctx, slot(&g, 1, 0), ProcId::ONLY, m);
         assert_eq!(ctx.out.len(), 1);
         assert_eq!(ctx.out[0].to, AsId(3));
     }
@@ -546,12 +581,12 @@ mod tests {
         let mut r = BgpRouter::new(AsId(1), vec![]);
         let m = announce(&mut a, &[3]);
         let mut ctx = RouterCtx::new(AsId(1), &g, &AllUp, &mut a);
-        r.on_update(&mut ctx, AsId(3), ProcId::ONLY, m);
+        r.on_update(&mut ctx, slot(&g, 1, 3), ProcId::ONLY, m);
         assert_eq!(ctx.out.len(), 1);
         drop(ctx);
         // Same announcement again: selection unchanged, nothing sent.
         let mut ctx2 = RouterCtx::new(AsId(1), &g, &AllUp, &mut a);
-        r.on_update(&mut ctx2, AsId(3), ProcId::ONLY, m);
+        r.on_update(&mut ctx2, slot(&g, 1, 3), ProcId::ONLY, m);
         assert!(ctx2.out.is_empty());
         assert!(!ctx2.fib_changed);
     }
@@ -565,17 +600,17 @@ mod tests {
         let m1 = announce(&mut a, &[1, 0, 9]);
         let m2 = announce(&mut a, &[2, 0, 9]);
         let mut ctx = RouterCtx::new(AsId(3), &g, &AllUp, &mut a);
-        r.on_update(&mut ctx, AsId(1), ProcId::ONLY, m1);
+        r.on_update(&mut ctx, slot(&g, 3, 1), ProcId::ONLY, m1);
         assert_eq!(r.next_hop(P), Some(AsId(1)));
         drop(ctx);
         let mut ctx = RouterCtx::new(AsId(3), &g, &AllUp, &mut a);
-        r.on_update(&mut ctx, AsId(2), ProcId::ONLY, m2);
+        r.on_update(&mut ctx, slot(&g, 3, 2), ProcId::ONLY, m2);
         // 1 still wins the lowest-id tiebreak.
         assert_eq!(r.next_hop(P), Some(AsId(1)));
         drop(ctx);
         // Withdraw from 1: fall back to 2.
         let mut ctx = RouterCtx::new(AsId(3), &g, &AllUp, &mut a);
-        r.on_update(&mut ctx, AsId(1), ProcId::ONLY, withdraw());
+        r.on_update(&mut ctx, slot(&g, 3, 1), ProcId::ONLY, withdraw());
         assert_eq!(r.next_hop(P), Some(AsId(2)));
         assert!(ctx.fib_changed);
     }
@@ -588,8 +623,8 @@ mod tests {
         let m1 = announce(&mut a, &[1, 0, 9]);
         let m2 = announce(&mut a, &[2, 0, 9]);
         let mut ctx = RouterCtx::new(AsId(3), &g, &AllUp, &mut a);
-        r.on_update(&mut ctx, AsId(1), ProcId::ONLY, m1);
-        r.on_update(&mut ctx, AsId(2), ProcId::ONLY, m2);
+        r.on_update(&mut ctx, slot(&g, 3, 1), ProcId::ONLY, m1);
+        r.on_update(&mut ctx, slot(&g, 3, 2), ProcId::ONLY, m2);
         drop(ctx);
         let mut ctx = RouterCtx::new(AsId(3), &g, &AllUp, &mut a);
         r.on_link_down(&mut ctx, AsId(1), test_cause());
@@ -604,10 +639,10 @@ mod tests {
         let mut r = BgpRouter::new(AsId(1), vec![]);
         let m = announce(&mut a, &[3]);
         let mut ctx = RouterCtx::new(AsId(1), &g, &AllUp, &mut a);
-        r.on_update(&mut ctx, AsId(3), ProcId::ONLY, m);
+        r.on_update(&mut ctx, slot(&g, 1, 3), ProcId::ONLY, m);
         drop(ctx);
         let mut ctx = RouterCtx::new(AsId(1), &g, &AllUp, &mut a);
-        r.on_update(&mut ctx, AsId(3), ProcId::ONLY, withdraw());
+        r.on_update(&mut ctx, slot(&g, 1, 3), ProcId::ONLY, withdraw());
         assert_eq!(ctx.out.len(), 1);
         assert_eq!(ctx.out[0].to, AsId(0));
         assert!(matches!(ctx.out[0].msg.kind, UpdateKind::Withdraw(_)));
@@ -649,7 +684,7 @@ mod tests {
         let mut r = BgpRouter::new(AsId(3), vec![]);
         let m = announce(&mut a, &[1, 0, 9]);
         let mut ctx = RouterCtx::new(AsId(3), &g, &AllUp, &mut a);
-        r.on_update(&mut ctx, AsId(1), ProcId::ONLY, m);
+        r.on_update(&mut ctx, slot(&g, 3, 1), ProcId::ONLY, m);
         assert!(ctx.out.is_empty());
     }
 }

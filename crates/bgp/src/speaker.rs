@@ -9,16 +9,30 @@
 //! BGP, R-BGP and STAMP each hold one speaker and add only their delta
 //! (DESIGN.md §5.4): which neighbours to walk in which order, which
 //! attributes to stamp, and their own state (failover paths and root
-//! causes; colours, instability flags and the lock). One speaker serves
-//! every process of its AS — the tables are keyed by [`ProcId`], not one
-//! table set per process — so a STAMP router holds exactly as many hash
-//! maps as a BGP router.
+//! causes; colours, instability flags and the lock).
+//!
+//! **Every neighbour by its slot.** A speaker addresses a neighbour by its
+//! *slot*: the neighbour's position in the AS's session slice
+//! ([`RouterCtx::neighbors`], i.e. `AsGraph::neighbor_entries(me)`), whose
+//! [`SessEntry`] supplies the neighbour's id, relation and session. The
+//! engine hands every delivered update to the router with the slot it
+//! arrived on, and every update the speaker sends carries its session, so
+//! no step of the message path looks a neighbour up by id. The tables are
+//! dense rows per dense [`PrefixId`], like the engine's MRAI rows: the
+//! Adj-RIB-In ([`RibIn`]) and the Adj-RIB-Out hold one cell per
+//! `slot × procs + proc`, the selections one per process. One speaker
+//! serves every process of its AS — the rows are keyed by [`ProcId`], with
+//! `procs` 1 for BGP and R-BGP and 2 for STAMP — and copying a speaker
+//! copies a few flat `Vec`s. Slot order is not id order: the decision
+//! process breaks ties explicitly and [`Speaker::routes`] walks the
+//! id-sorted session slice.
 
-use crate::rib::{RibEntry, RibIn};
+use crate::engine::N_PROCS;
+use crate::rib::{grow_exact, RibEntry, RibIn};
 use crate::router::{RouterCtx, Selection, StateFingerprint};
 use crate::types::{PrefixId, ProcId, Route, UpdateKind, UpdateMsg, WithdrawInfo};
-use stamp_eventsim::{clone_in_place, FxHashMap};
-use stamp_topology::{AsId, Relation};
+use stamp_eventsim::clone_in_place;
+use stamp_topology::{AsGraph, AsId, Relation, SessEntry};
 
 /// One AS's BGP state and pipeline, for every process it runs.
 #[derive(Debug)]
@@ -28,31 +42,37 @@ pub struct Speaker {
     own: Vec<PrefixId>,
     /// Routes learned from neighbours.
     rib: RibIn,
-    /// Current best per `(prefix, process)`.
-    best: FxHashMap<(PrefixId, ProcId), Selection>,
-    /// Adj-RIB-Out: the route each neighbour last heard from us, as stored
-    /// (without per-message wire stamps) — suppresses no-op updates and
-    /// tells when a withdraw is due.
-    heard: FxHashMap<(AsId, PrefixId, ProcId), Route>,
+    /// Per dense prefix: the selections and the Adj-RIB-Out.
+    rows: Vec<Row>,
 }
 
-clone_in_place!(Speaker {
-    me,
-    own,
-    rib,
-    best,
-    heard
-});
+clone_in_place!(Speaker { me, own, rib, rows });
+
+/// What a speaker holds for one prefix besides its routes.
+#[derive(Debug, Default)]
+struct Row {
+    /// Has a selection ever been installed here? (What makes the prefix
+    /// one of [`Speaker::known_prefixes`].)
+    known: bool,
+    /// Current best per process.
+    best: [Selection; N_PROCS],
+    /// Adj-RIB-Out: `heard[slot × procs + proc]` is the route that
+    /// neighbour last heard from us, as stored (without per-message wire
+    /// stamps) — suppresses no-op updates and tells when a withdraw is due.
+    heard: Vec<Option<Route>>,
+}
+
+clone_in_place!(Row { known, best, heard });
 
 impl Speaker {
-    /// Speaker of AS `me`, originating `own`.
-    pub fn new(me: AsId, own: Vec<PrefixId>) -> Speaker {
+    /// Speaker of AS `me` running `procs` processes, originating `own`.
+    #[inline]
+    pub fn new(me: AsId, own: Vec<PrefixId>, procs: usize) -> Speaker {
         Speaker {
             me,
             own,
-            rib: RibIn::new(),
-            best: FxHashMap::default(),
-            heard: FxHashMap::default(),
+            rib: RibIn::with_procs(procs),
+            rows: Vec::new(),
         }
     }
 
@@ -76,7 +96,9 @@ impl Speaker {
     /// Current selection of one process.
     #[inline]
     pub fn selection(&self, prefix: PrefixId, proc: ProcId) -> &Selection {
-        self.best.get(&(prefix, proc)).unwrap_or(&Selection::None)
+        let row = self.rows.get(prefix.index());
+        let best = row.and_then(|r| r.best.get(usize::from(proc.0)));
+        best.unwrap_or(&Selection::None)
     }
 
     /// The selected learned route with the neighbour it came from — what a
@@ -88,51 +110,82 @@ impl Speaker {
         }
     }
 
-    /// The stored routes of one process, ascending by neighbour.
-    pub fn routes(
-        &self,
+    /// The stored routes of one process, ascending by neighbour id, each
+    /// with the session entry it was learned over (`g` is the speaker's
+    /// topology).
+    pub fn routes<'a>(
+        &'a self,
+        g: &'a AsGraph,
         prefix: PrefixId,
         proc: ProcId,
-    ) -> impl Iterator<Item = (AsId, RibEntry)> + '_ {
-        self.rib.routes(prefix, proc)
+    ) -> impl Iterator<Item = (&'a SessEntry, RibEntry)> + 'a {
+        let me = self.me;
+        g.neighbor_entries_by_id(me).iter().filter_map(move |e| {
+            let entry = self.rib.at(prefix, proc, g.slot(me, e.sess))?;
+            Some((e, *entry))
+        })
     }
 
-    /// What `n` last heard from us for `(prefix, proc)`.
-    pub fn heard(&self, n: AsId, prefix: PrefixId, proc: ProcId) -> Option<&Route> {
-        self.heard.get(&(n, prefix, proc))
+    /// What the neighbour in `slot` last heard from us for `(prefix, proc)`.
+    pub fn heard(&self, slot: usize, prefix: PrefixId, proc: ProcId) -> Option<&Route> {
+        let i = self.rib.cell_index(slot, proc)?;
+        self.rows.get(prefix.index())?.heard.get(i)?.as_ref()
     }
 
-    /// Store an announcement from `from`. The relation is fixed per
-    /// session; caching it in the RIB entry keeps the decision process free
-    /// of graph lookups. A rejecting import acts like a withdraw — any
-    /// earlier route from that neighbour is gone — and a non-adjacent
-    /// sender (impossible under the engine) is simply not stored.
+    /// The row of `prefix`, made (with every row below it) on first use.
+    #[inline]
+    fn row_mut(&mut self, prefix: PrefixId) -> Option<&mut Row> {
+        grow_exact(&mut self.rows, prefix.index() + 1, Row::default);
+        self.rows.get_mut(prefix.index())
+    }
+
+    /// Store an announcement from the neighbour in slot `from`, learned
+    /// over that session's relation. A rejecting import acts like a
+    /// withdraw — any earlier route from that neighbour is gone — and a
+    /// slot outside the session slice names no neighbour and stores
+    /// nothing.
     #[inline]
     pub fn learn(
         &mut self,
         ctx: &RouterCtx,
-        from: AsId,
+        from: usize,
         proc: ProcId,
         prefix: PrefixId,
         route: Route,
     ) {
-        if let Some(rel) = ctx.relation(from) {
-            match ctx.import(prefix, route, rel) {
-                Some((route, pref)) => self.rib.insert(prefix, proc, from, route, rel, pref),
-                None => self.unlearn(from, proc, prefix),
+        let Some(e) = ctx.neighbors.get(from) else {
+            return;
+        };
+        match ctx.import(prefix, route, e.rel) {
+            Some((route, pref)) => {
+                let entry = RibEntry {
+                    route,
+                    learned_from: e.rel,
+                    pref,
+                };
+                self.rib.put(prefix, proc, from, ctx.neighbors.len(), entry);
             }
+            None => self.unlearn(from, proc, prefix),
         }
     }
 
-    /// Drop the route `from` announced (a withdraw, explicit or implied).
+    /// Drop the route the neighbour in slot `from` announced (a withdraw,
+    /// explicit or implied).
     #[inline]
-    pub fn unlearn(&mut self, from: AsId, proc: ProcId, prefix: PrefixId) {
-        self.rib.remove(prefix, proc, from);
+    pub fn unlearn(&mut self, from: usize, proc: ProcId, prefix: PrefixId) {
+        self.rib.take(prefix, proc, from);
     }
 
-    /// Drop every stored route failing `keep`; the dropped keys, ascending.
-    pub fn purge(&mut self, keep: impl FnMut(&Route) -> bool) -> Vec<(PrefixId, ProcId, AsId)> {
-        self.rib.purge(keep)
+    /// Drop every stored route failing `keep`; the `(prefix, proc)` keys
+    /// that lost one, ascending.
+    pub fn purge(&mut self, keep: impl FnMut(&Route) -> bool) -> Vec<(PrefixId, ProcId)> {
+        let mut dropped = Vec::new();
+        self.rib.purge_slots(keep, |p, proc, _| {
+            if dropped.last() != Some(&(p, proc)) {
+                dropped.push((p, proc));
+            }
+        });
+        dropped
     }
 
     /// What the process would select now: own, else the decision process
@@ -143,8 +196,12 @@ impl Speaker {
         if self.originates(prefix) {
             return Selection::Own;
         }
-        let usable = |n| ctx.sessions.session_up(self.me, n);
-        match self.rib.decide(ctx.arena, self.me, prefix, proc, usable) {
+        let (me, nbrs, sessions) = (self.me, ctx.neighbors, ctx.sessions);
+        let live = |slot: usize| {
+            let e = nbrs.get(slot)?;
+            sessions.session_entry_up(me, e).then_some(e.neighbor)
+        };
+        match self.rib.decide_slots(ctx.arena, me, prefix, proc, live) {
             Some(d) => Selection::Learned(d),
             None => Selection::None,
         }
@@ -157,26 +214,34 @@ impl Speaker {
         if new == *self.selection(prefix, proc) {
             return false;
         }
-        self.best.insert((prefix, proc), new);
+        let Some(row) = self.row_mut(prefix) else {
+            return false;
+        };
+        let Some(best) = row.best.get_mut(usize::from(proc.0)) else {
+            return false;
+        };
+        *best = new;
+        row.known = true;
         true
     }
 
-    /// The base export rule towards neighbour `n` (related to us as `to`):
-    /// never back to the sender (split horizon; the path would loop
-    /// anyway), then [`export_toward`](Speaker::export_toward).
+    /// The base export rule towards the neighbour in `slot`: never back to
+    /// the sender (split horizon; the path would loop anyway), then
+    /// [`export_toward`](Speaker::export_toward) its relation.
     #[inline]
     pub fn export(
         &self,
         ctx: &mut RouterCtx,
         prefix: PrefixId,
         proc: ProcId,
-        n: AsId,
-        to: Relation,
+        slot: usize,
     ) -> Option<Route> {
-        if self.selection(prefix, proc).next_hop() == Some(n) {
+        let nbrs = ctx.neighbors;
+        let to = nbrs.get(slot)?;
+        if self.selection(prefix, proc).next_hop() == Some(to.neighbor) {
             return None;
         }
-        self.export_toward(ctx, prefix, proc, to)
+        self.export_toward(ctx, prefix, proc, to.rel)
     }
 
     /// The selection as any `to`-neighbour may hear it: the regime's export
@@ -202,29 +267,45 @@ impl Speaker {
         }
     }
 
-    /// Bring what `n` last heard for `(prefix, proc)` in line with `want`:
-    /// send the one message that does it, or none. `wire` stamps the
-    /// protocol's per-message attributes (root cause, ET) on the wire copy
-    /// only — an announcement starts as the stored route, a withdrawal as
-    /// the plain one carrying the retracted route's failover flag.
+    /// Bring what the neighbour in `slot` last heard for `(prefix, proc)`
+    /// in line with `want`: send the one message that does it, or none.
+    /// `wire` stamps the protocol's per-message attributes (root cause, ET)
+    /// on the wire copy only — an announcement starts as the stored route,
+    /// a withdrawal as the plain one carrying the retracted route's
+    /// failover flag.
     #[inline]
     pub fn advertise(
         &mut self,
         ctx: &mut RouterCtx,
-        n: AsId,
+        slot: usize,
         prefix: PrefixId,
         proc: ProcId,
         want: Option<Route>,
         wire: impl FnOnce(&mut UpdateKind),
     ) {
-        let key = (n, prefix, proc);
+        let nbrs = ctx.neighbors;
+        let (Some(to), Some(i)) = (nbrs.get(slot), self.rib.cell_index(slot, proc)) else {
+            return;
+        };
+        let width = nbrs.len() * self.rib.procs();
+        let Some(row) = self.row_mut(prefix) else {
+            return;
+        };
+        if want.is_some() {
+            // The first announcement sizes the table; before it, nothing
+            // was told and nothing needs room.
+            grow_exact(&mut row.heard, width.max(i + 1), || None);
+        }
+        let Some(told) = row.heard.get_mut(i) else {
+            return;
+        };
         let mut kind = match want {
-            Some(r) if self.heard.get(&key) == Some(&r) => return,
+            Some(r) if *told == Some(r) => return,
             Some(r) => {
-                self.heard.insert(key, r);
+                *told = Some(r);
                 UpdateKind::Announce(r)
             }
-            None => match self.heard.remove(&key) {
+            None => match told.take() {
                 Some(had) => UpdateKind::Withdraw(WithdrawInfo {
                     failover: had.attrs.failover,
                     ..WithdrawInfo::default()
@@ -233,27 +314,33 @@ impl Speaker {
             },
         };
         wire(&mut kind);
-        ctx.send(n, proc, UpdateMsg { prefix, kind });
+        ctx.send(to, proc, UpdateMsg { prefix, kind });
     }
 
-    /// The session to `n` is gone: so is everything it announced and
-    /// everything we told it. Returns the `(prefix, proc)` keys that lost a
-    /// stored route, ascending.
-    pub fn session_down(&mut self, n: AsId) -> Vec<(PrefixId, ProcId)> {
-        self.forget_heard(n);
-        self.rib.remove_neighbor(n)
+    /// The session in `slot` is gone: so is everything its neighbour
+    /// announced and everything we told it. Returns the `(prefix, proc)`
+    /// keys that lost a stored route, ascending.
+    pub fn session_down(&mut self, slot: usize) -> Vec<(PrefixId, ProcId)> {
+        self.forget_heard(slot);
+        self.rib.take_slot(slot)
     }
 
-    /// A fresh session holds none of our state: forget what `n` heard.
-    pub fn forget_heard(&mut self, n: AsId) {
-        self.heard.retain(|(to, _, _), _| *to != n);
+    /// A fresh session holds none of our state: forget what the neighbour
+    /// in `slot` heard.
+    pub fn forget_heard(&mut self, slot: usize) {
+        let procs = self.rib.procs();
+        for row in &mut self.rows {
+            for told in row.heard.iter_mut().skip(slot * procs).take(procs) {
+                *told = None;
+            }
+        }
     }
 
     /// All prefixes this speaker has any state for, ascending.
     pub fn known_prefixes(&self) -> Vec<PrefixId> {
-        let mut v = Vec::with_capacity(self.own.len() + self.best.len());
-        v.extend_from_slice(&self.own);
-        v.extend(self.best.keys().map(|(p, _)| *p));
+        let known = self.rows.iter().enumerate().filter(|(_, r)| r.known);
+        let mut v = self.own.clone();
+        v.extend(known.map(|(p, _)| PrefixId::from_usize(p)));
         v.sort_unstable();
         v.dedup();
         v
@@ -261,10 +348,13 @@ impl Speaker {
 
     /// Fold every selection into the watchdog's fingerprint.
     pub fn fingerprint(&self, fp: &mut StateFingerprint) {
-        for (&(p, proc), sel) in &self.best {
-            let digest = StateFingerprint::selection_digest(self.me, p, u64::from(proc.0), sel);
-            if let Some(d) = digest {
-                fp.mix(d);
+        for (p, row) in self.rows.iter().enumerate() {
+            let p = PrefixId::from_usize(p);
+            for (proc, sel) in ProcId::first_n(N_PROCS).zip(&row.best) {
+                let digest = StateFingerprint::selection_digest(self.me, p, u64::from(proc.0), sel);
+                if let Some(d) = digest {
+                    fp.mix(d);
+                }
             }
         }
     }

@@ -15,6 +15,13 @@ impl PrefixId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// Checked construction from a dense index (see `AsId::from_usize`).
+    #[inline]
+    pub fn from_usize(i: usize) -> PrefixId {
+        debug_assert!(u32::try_from(i).is_ok(), "PrefixId index overflows u32");
+        PrefixId(u32::try_from(i).unwrap_or(u32::MAX))
+    }
 }
 
 /// Routing process instance within one AS. Plain BGP and R-BGP run a single

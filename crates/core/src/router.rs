@@ -32,7 +32,7 @@ use stamp_bgp::types::{
     CauseInfo, Color, EventType, PrefixId, ProcId, Route, UpdateKind, UpdateMsg,
 };
 use stamp_eventsim::{clone_in_place, FxHashMap};
-use stamp_topology::{AsId, Relation};
+use stamp_topology::{AsGraph, AsId, Relation};
 
 /// Per-event ET classification for each colour, `[red, blue]` (`None` =
 /// colour untouched).
@@ -76,9 +76,10 @@ clone_in_place!(StampRouter {
 
 impl StampRouter {
     /// Router for `me`, originating `own`, with the given lock policy.
+    #[inline]
     pub fn new(me: AsId, own: Vec<PrefixId>, lock_strategy: LockStrategy) -> StampRouter {
         StampRouter {
-            speaker: Speaker::new(me, own),
+            speaker: Speaker::new(me, own, Color::ALL.len()),
             active: FxHashMap::default(),
             unstable: FxHashMap::default(),
             lock_strategy,
@@ -127,10 +128,18 @@ impl StampRouter {
     }
 
     /// Which colours `neighbor` last heard from us for `prefix` —
-    /// `(red, blue)`. Per-provider colour exclusivity (§4.2) means a
-    /// multi-provider AS never reports `(true, true)` towards a provider.
-    pub fn announced_colors_to(&self, neighbor: AsId, prefix: PrefixId) -> (bool, bool) {
-        let heard = |c: Color| self.speaker.heard(neighbor, prefix, c.proc()).is_some();
+    /// `(red, blue)`; `g` is this router's topology. Per-provider colour
+    /// exclusivity (§4.2) means a multi-provider AS never reports
+    /// `(true, true)` towards a provider.
+    pub fn announced_colors_to(
+        &self,
+        g: &AsGraph,
+        neighbor: AsId,
+        prefix: PrefixId,
+    ) -> (bool, bool) {
+        let slot = g.slot_between(self.speaker.me(), neighbor);
+        let heard =
+            |c: Color| slot.is_some_and(|s| self.speaker.heard(s, prefix, c.proc()).is_some());
         (heard(Color::Red), heard(Color::Blue))
     }
 
@@ -203,23 +212,23 @@ impl StampRouter {
 
     /// Does this AS hold the lock obligation for `prefix`? True for the
     /// origin and for any AS holding a locked blue customer route.
-    fn lock_eligible(&self, prefix: PrefixId) -> bool {
+    fn lock_eligible(&self, g: &AsGraph, prefix: PrefixId) -> bool {
         if self.originates(prefix) {
             return true;
         }
         self.speaker
-            .routes(prefix, Color::Blue.proc())
+            .routes(g, prefix, Color::Blue.proc())
             .any(|(_, e)| e.route.attrs.lock && e.learned_from == Relation::Customer)
     }
 
-    /// Tell `n` colour `c`'s route (`None` withdraws), stamping ET:
-    /// announcements and withdrawals of a colour whose best just changed
-    /// carry that change's classification; policy-swap messages carry
-    /// `NotLost`. The stored route carries no ET.
+    /// Tell the neighbour in `slot` colour `c`'s route (`None` withdraws),
+    /// stamping ET: announcements and withdrawals of a colour whose best
+    /// just changed carry that change's classification; policy-swap
+    /// messages carry `NotLost`. The stored route carries no ET.
     fn advertise(
         &mut self,
         ctx: &mut RouterCtx,
-        n: AsId,
+        slot: usize,
         prefix: PrefixId,
         c: Color,
         want: Option<Route>,
@@ -230,7 +239,8 @@ impl StampRouter {
             UpdateKind::Announce(r) => r.attrs.et = bit,
             UpdateKind::Withdraw(w) => w.et = bit,
         };
-        self.speaker.advertise(ctx, n, prefix, c.proc(), want, wire);
+        self.speaker
+            .advertise(ctx, slot, prefix, c.proc(), want, wire);
     }
 
     /// Bring every live neighbour in line with both colours' selections:
@@ -246,59 +256,65 @@ impl StampRouter {
             Selection::None => false,
         });
         let mut providers: Vec<AsId> = Vec::new();
-        for (n, rel) in ctx.live_neighbors() {
-            if rel == Relation::Provider {
-                providers.push(n);
+        for (slot, e) in ctx.live_neighbors() {
+            if e.rel == Relation::Provider {
+                providers.push(e.neighbor);
                 continue;
             }
             for c in Color::ALL {
-                let mut want = self.speaker.export(ctx, prefix, c.proc(), n, rel);
+                let mut want = self.speaker.export(ctx, prefix, c.proc(), slot);
                 if let Some(r) = &mut want {
                     r.attrs.lock = of(c, down_lock);
                 }
-                self.advertise(ctx, n, prefix, c, want, et);
+                self.advertise(ctx, slot, prefix, c, want, et);
             }
         }
 
         // Providers: the selective announcement rules.
-        let lock_eligible = self.lock_eligible(prefix);
+        let lock_eligible = self.lock_eligible(ctx.topo, prefix);
         let red_up = self.up_route(ctx, prefix, Color::Red, false);
         let blue_up = self.up_route(ctx, prefix, Color::Blue, lock_eligible);
-        let mut lock_target = None;
-        if let &[n] = providers.as_slice() {
-            // Cut exemption: both colours to the sole provider.
-            if blue_up.is_some() && lock_eligible {
-                lock_target = Some(n);
-            }
-            self.advertise(ctx, n, prefix, Color::Red, red_up, et);
-            self.advertise(ctx, n, prefix, Color::Blue, blue_up, et);
+        let locked_blue = blue_up.filter(|r| r.attrs.lock);
+        let sole = providers.len() == 1;
+        let lock_target = if sole {
+            providers
+                .first()
+                .copied()
+                .filter(|_| blue_up.is_some() && lock_eligible)
+        } else if locked_blue.is_some() {
+            let current = self.lock_target(prefix);
+            self.lock_strategy
+                .choose(self.speaker.me(), prefix, &providers, current)
         } else {
-            let locked_blue = blue_up.filter(|r| r.attrs.lock);
-            if locked_blue.is_some() {
-                lock_target = self.lock_strategy.choose(
-                    self.speaker.me(),
-                    prefix,
-                    &providers,
-                    self.lock_target(prefix),
-                );
+            None
+        };
+        // The live providers again, now with their slots: the same list in
+        // the same order.
+        for (slot, e) in ctx.live_neighbors() {
+            if e.rel != Relation::Provider {
+                continue;
             }
-            for &n in &providers {
-                // One colour per provider: locked blue to the lock target,
-                // red everywhere else, unlocked blue only where no red
-                // exists. The colour that goes is told first.
-                let (c, route) = if Some(n) == lock_target {
-                    (Color::Blue, locked_blue)
-                } else if red_up.is_some() {
-                    (Color::Red, red_up)
-                } else if let Some(mut r) = blue_up {
-                    r.attrs.lock = false;
-                    (Color::Blue, Some(r))
-                } else {
-                    (Color::Red, None)
-                };
-                self.advertise(ctx, n, prefix, c, route, et);
-                self.advertise(ctx, n, prefix, c.other(), None, et);
+            if sole {
+                // Cut exemption: both colours to the sole provider.
+                self.advertise(ctx, slot, prefix, Color::Red, red_up, et);
+                self.advertise(ctx, slot, prefix, Color::Blue, blue_up, et);
+                continue;
             }
+            // One colour per provider: locked blue to the lock target, red
+            // everywhere else, unlocked blue only where no red exists. The
+            // colour that goes is told first.
+            let (c, route) = if Some(e.neighbor) == lock_target {
+                (Color::Blue, locked_blue)
+            } else if red_up.is_some() {
+                (Color::Red, red_up)
+            } else if let Some(mut r) = blue_up {
+                r.attrs.lock = false;
+                (Color::Blue, Some(r))
+            } else {
+                (Color::Red, None)
+            };
+            self.advertise(ctx, slot, prefix, c, route, et);
+            self.advertise(ctx, slot, prefix, c.other(), None, et);
         }
         match lock_target {
             Some(t) => self.lock_current.insert(prefix, t),
@@ -341,7 +357,7 @@ impl RouterLogic for StampRouter {
         }
     }
 
-    fn on_update(&mut self, ctx: &mut RouterCtx, from: AsId, proc: ProcId, msg: UpdateMsg) {
+    fn on_update(&mut self, ctx: &mut RouterCtx, from: usize, proc: ProcId, msg: UpdateMsg) {
         let loss = match msg.kind {
             UpdateKind::Announce(route) => {
                 self.speaker.learn(ctx, from, proc, msg.prefix, route);
@@ -356,7 +372,10 @@ impl RouterLogic for StampRouter {
     }
 
     fn on_link_down(&mut self, ctx: &mut RouterCtx, neighbor: AsId, _cause: CauseInfo) {
-        let lost = self.speaker.session_down(neighbor);
+        let lost = match ctx.slot_of(neighbor) {
+            Some(slot) => self.speaker.session_down(slot),
+            None => Vec::new(),
+        };
         // A dead lock target is re-chosen on the next reconcile.
         let mut relock: Vec<PrefixId> = Vec::new();
         self.lock_current.retain(|&p, &mut t| {
@@ -387,7 +406,9 @@ impl RouterLogic for StampRouter {
     fn on_link_up(&mut self, ctx: &mut RouterCtx, neighbor: AsId, _cause: CauseInfo) {
         // Fresh session — the neighbour has none of our state — and
         // possibly a changed provider set: reconcile every known prefix.
-        self.speaker.forget_heard(neighbor);
+        if let Some(slot) = ctx.slot_of(neighbor) {
+            self.speaker.forget_heard(slot);
+        }
         for p in self.speaker.known_prefixes() {
             self.handle_prefix_event(ctx, p, &BOTH_BENIGN, true);
         }
@@ -467,8 +488,8 @@ mod tests {
         let r4 = e.router(AsId(4));
         let lock = r4.lock_target(P).expect("multi-homed origin locks blue");
         let other = if lock == AsId(2) { AsId(3) } else { AsId(2) };
-        assert_eq!(r4.announced_colors_to(lock, P), (false, true));
-        assert_eq!(r4.announced_colors_to(other, P), (true, false));
+        assert_eq!(r4.announced_colors_to(&g, lock, P), (false, true));
+        assert_eq!(r4.announced_colors_to(&g, other, P), (true, false));
     }
 
     #[test]
@@ -529,7 +550,7 @@ mod tests {
                 continue; // cut exemption allows both
             }
             for &p in providers {
-                let (red, blue) = r.announced_colors_to(p, P);
+                let (red, blue) = r.announced_colors_to(&g, p, P);
                 assert!(!(red && blue), "{v} announced both colours to provider {p}");
             }
         }
@@ -557,7 +578,7 @@ mod tests {
             );
         }
         let up = g.providers(lock)[0];
-        assert_eq!(rl.announced_colors_to(up, P), (false, true));
+        assert_eq!(rl.announced_colors_to(&g, up, P), (false, true));
     }
 
     #[test]
@@ -669,6 +690,11 @@ mod et_tests {
 
     const P: PrefixId = PrefixId(0);
 
+    /// The slot AS `me` hears AS `n` on.
+    fn slot(g: &AsGraph, me: u32, n: u32) -> usize {
+        g.slot_between(AsId(me), AsId(n)).unwrap()
+    }
+
     /// 0 with customers 1 and 2; 1 and 2 each with customer 3 (the origin
     /// side is elided — we feed routes in by hand).
     fn g() -> AsGraph {
@@ -706,8 +732,8 @@ mod et_tests {
         let blue = announce(&mut a, &[2, 9], EventType::NotLost, true);
         let red = announce(&mut a, &[1, 9], EventType::NotLost, false);
         let mut ctx = RouterCtx::new(AsId(3), &g, &AllUp, &mut a);
-        r.on_update(&mut ctx, AsId(2), Color::Blue.proc(), blue);
-        r.on_update(&mut ctx, AsId(1), Color::Red.proc(), red);
+        r.on_update(&mut ctx, slot(&g, 3, 2), Color::Blue.proc(), blue);
+        r.on_update(&mut ctx, slot(&g, 3, 1), Color::Red.proc(), red);
         assert!(!r.is_unstable(P, Color::Red));
         assert!(!r.is_unstable(P, Color::Blue));
         assert_eq!(r.active_color(P), Color::Blue);
@@ -716,7 +742,7 @@ mod et_tests {
         // and the active process flips to the stable red.
         let lost = announce(&mut a, &[2, 8, 9], EventType::Lost, true);
         let mut ctx = RouterCtx::new(AsId(3), &g, &AllUp, &mut a);
-        r.on_update(&mut ctx, AsId(2), Color::Blue.proc(), lost);
+        r.on_update(&mut ctx, slot(&g, 3, 2), Color::Blue.proc(), lost);
         assert!(r.is_unstable(P, Color::Blue));
         assert!(!r.is_unstable(P, Color::Red));
         assert_eq!(r.active_color(P), Color::Red);
@@ -724,7 +750,7 @@ mod et_tests {
         // A NotLost-flagged blue update clears the flag.
         let restored = announce(&mut a, &[2, 9], EventType::NotLost, true);
         let mut ctx = RouterCtx::new(AsId(3), &g, &AllUp, &mut a);
-        r.on_update(&mut ctx, AsId(2), Color::Blue.proc(), restored);
+        r.on_update(&mut ctx, slot(&g, 3, 2), Color::Blue.proc(), restored);
         assert!(!r.is_unstable(P, Color::Blue));
     }
 
@@ -736,15 +762,15 @@ mod et_tests {
         let short = announce(&mut a, &[1, 9], EventType::NotLost, false);
         let long = announce(&mut a, &[2, 8, 9], EventType::NotLost, false);
         let mut ctx = RouterCtx::new(AsId(3), &g, &AllUp, &mut a);
-        r.on_update(&mut ctx, AsId(1), Color::Red.proc(), short);
-        r.on_update(&mut ctx, AsId(2), Color::Red.proc(), long);
+        r.on_update(&mut ctx, slot(&g, 3, 1), Color::Red.proc(), short);
+        r.on_update(&mut ctx, slot(&g, 3, 2), Color::Red.proc(), long);
         drop(ctx);
         // Best is via 1 (shorter). Withdrawing the alternative from 2 must
         // not destabilise the red process.
         let mut ctx = RouterCtx::new(AsId(3), &g, &AllUp, &mut a);
         r.on_update(
             &mut ctx,
-            AsId(2),
+            slot(&g, 3, 2),
             Color::Red.proc(),
             UpdateMsg {
                 prefix: P,
@@ -775,17 +801,17 @@ mod et_tests {
         // Blue (locked) arrives from customer 3.
         let blue = announce(&mut a, &[3], EventType::NotLost, true);
         let mut ctx = RouterCtx::new(AsId(1), &g, &AllUp, &mut a);
-        r.on_update(&mut ctx, AsId(3), Color::Blue.proc(), blue);
+        r.on_update(&mut ctx, slot(&g, 1, 3), Color::Blue.proc(), blue);
         let lock = r.lock_target(P).expect("blue locked to one provider");
         let other = if lock == AsId(0) { AsId(2) } else { AsId(0) };
         // The other provider got blue unlocked (no red exists yet).
-        assert_eq!(r.announced_colors_to(other, P), (false, true));
+        assert_eq!(r.announced_colors_to(&g, other, P), (false, true));
         drop(ctx);
         // Red arrives from the same customer: red takes precedence at the
         // non-lock provider, so blue is withdrawn there — with ET=NotLost.
         let red = announce(&mut a, &[3], EventType::NotLost, false);
         let mut ctx = RouterCtx::new(AsId(1), &g, &AllUp, &mut a);
-        r.on_update(&mut ctx, AsId(3), Color::Red.proc(), red);
+        r.on_update(&mut ctx, slot(&g, 1, 3), Color::Red.proc(), red);
         let withdrawal = ctx
             .out
             .iter()
@@ -802,7 +828,7 @@ mod et_tests {
             }
             _ => unreachable!(),
         }
-        assert_eq!(r.announced_colors_to(other, P), (true, false));
+        assert_eq!(r.announced_colors_to(&g, other, P), (true, false));
     }
 
     #[test]
@@ -817,7 +843,7 @@ mod et_tests {
         let mut r = StampRouter::new(AsId(1), vec![], LockStrategy::Random { seed: 4 });
         let blue = announce(&mut a, &[3], EventType::NotLost, true);
         let mut ctx = RouterCtx::new(AsId(1), &g, &AllUp, &mut a);
-        r.on_update(&mut ctx, AsId(3), Color::Blue.proc(), blue);
+        r.on_update(&mut ctx, slot(&g, 1, 3), Color::Blue.proc(), blue);
         let lock = r.lock_target(P).unwrap();
         let other = if lock == AsId(0) { AsId(2) } else { AsId(0) };
         drop(ctx);
@@ -851,8 +877,8 @@ mod et_tests {
         let red = announce(&mut a, &[1, 9], EventType::NotLost, false);
         let blue = announce(&mut a, &[2, 9], EventType::Lost, true);
         let mut ctx = RouterCtx::new(AsId(3), &g, &AllUp, &mut a);
-        r.on_update(&mut ctx, AsId(1), Color::Red.proc(), red);
-        r.on_update(&mut ctx, AsId(2), Color::Blue.proc(), blue);
+        r.on_update(&mut ctx, slot(&g, 3, 1), Color::Red.proc(), red);
+        r.on_update(&mut ctx, slot(&g, 3, 2), Color::Blue.proc(), blue);
         assert!(r.is_unstable(P, Color::Blue));
         r.reset_instability();
         assert!(!r.is_unstable(P, Color::Blue));

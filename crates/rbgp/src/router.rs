@@ -15,7 +15,7 @@ use stamp_bgp::types::{
     CauseInfo, PrefixId, ProcId, RootCause, Route, UpdateKind, UpdateMsg, WithdrawInfo,
 };
 use stamp_eventsim::{clone_in_place, FxHashMap};
-use stamp_topology::{AsId, Relation};
+use stamp_topology::{AsId, SessEntry};
 
 /// R-BGP configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,8 +44,8 @@ pub struct RbgpRouter {
     cfg: RbgpConfig,
     /// Failover routes received, per (prefix, advertising neighbour).
     failover_in: FxHashMap<(PrefixId, AsId), Route>,
-    /// Our current failover advertisement: (target neighbour, route sent).
-    failover_out: FxHashMap<PrefixId, (AsId, Route)>,
+    /// Our current failover advertisement: (target session, route sent).
+    failover_out: FxHashMap<PrefixId, (SessEntry, Route)>,
     /// Newest cause record per element (RCI mode): element -> (seq, up).
     known_causes: FxHashMap<RootCause, (u32, bool)>,
 }
@@ -77,9 +77,10 @@ fn wire(rc: Option<CauseInfo>) -> impl FnOnce(&mut UpdateKind) {
 
 impl RbgpRouter {
     /// Router for `me`, originating `own`.
+    #[inline]
     pub fn new(me: AsId, own: Vec<PrefixId>, cfg: RbgpConfig) -> RbgpRouter {
         RbgpRouter {
-            speaker: Speaker::new(me, own),
+            speaker: Speaker::new(me, own, 1),
             cfg,
             failover_in: FxHashMap::default(),
             failover_out: FxHashMap::default(),
@@ -157,7 +158,7 @@ impl RbgpRouter {
 
     /// The neighbour currently receiving our failover advertisement.
     pub fn failover_target(&self, prefix: PrefixId) -> Option<AsId> {
-        self.failover_out.get(&prefix).map(|(n, _)| *n)
+        self.failover_out.get(&prefix).map(|(t, _)| t.neighbor)
     }
 
     /// Newest cause record per element (RCI mode): element → (seq, up).
@@ -199,7 +200,7 @@ impl RbgpRouter {
             .speaker
             .purge(|r| !rc.invalidates_path(arena, r.path))
             .into_iter()
-            .map(|(p, _, _)| p)
+            .map(|(p, _)| p)
             .collect();
         self.failover_in.retain(|&(p, _), r| {
             let dead = rc.invalidates_path(arena, r.path);
@@ -213,21 +214,29 @@ impl RbgpRouter {
 
     /// The failover advertisement we owe: the most disjoint usable
     /// alternative to the current real best, addressed to the best next
-    /// hop (the downstream direction). Disjointness = fewest shared ASes
-    /// with the best path; ties broken by shorter path, then lower
-    /// neighbour id.
-    fn compute_failover(&self, ctx: &mut RouterCtx, prefix: PrefixId) -> Option<(AsId, Route)> {
+    /// hop's session (the downstream direction). Disjointness = fewest
+    /// shared ASes with the best path; ties broken by shorter path, then
+    /// lower neighbour id.
+    fn compute_failover(
+        &self,
+        ctx: &mut RouterCtx,
+        prefix: PrefixId,
+    ) -> Option<(SessEntry, Route)> {
         // Origins need no failover; without a real best there is nothing
         // to protect.
         let best = self.real_best(prefix)?;
         let me = self.speaker.me();
+        let g = ctx.topo;
+        let mut target = None;
         let mut cand: Option<(usize, u32, AsId, Route)> = None;
-        for (n, e) in self.speaker.routes(prefix, ONLY) {
-            let r = e.route;
-            if n == best.neighbor || r.contains(ctx.arena, me) {
+        for (e, entry) in self.speaker.routes(g, prefix, ONLY) {
+            let (n, r) = (e.neighbor, entry.route);
+            if n == best.neighbor {
+                // The real best was learned here, so its session is here.
+                target = Some(*e);
                 continue;
             }
-            if !ctx.sessions.session_up(me, n) {
+            if r.contains(ctx.arena, me) || !ctx.is_live(e) {
                 continue;
             }
             if self.path_invalidated(ctx.arena, &r) {
@@ -246,11 +255,10 @@ impl RbgpRouter {
                 }
             };
         }
-        cand.map(|(_, _, _, r)| {
-            let mut adv = r.prepend(ctx.arena, me);
-            adv.attrs.failover = true;
-            (best.neighbor, adv)
-        })
+        let (target, (_, _, _, r)) = target.zip(cand)?;
+        let mut adv = r.prepend(ctx.arena, me);
+        adv.attrs.failover = true;
+        Some((target, adv))
     }
 
     /// R-BGP continuity: with no real route left, adopt the best received
@@ -304,16 +312,17 @@ impl RbgpRouter {
         let best_changed = self.speaker.install(prefix, ONLY, new);
         if best_changed {
             ctx.fib_changed = true;
-            for (n, rel) in ctx.live_neighbors() {
-                self.advertise_best(ctx, prefix, n, rel, cause);
+            for (slot, _) in ctx.live_neighbors() {
+                self.advertise_best(ctx, prefix, slot, cause);
             }
         }
         // The failover advertisement is recomputed when the best changes or
         // its current target session died — not on every RIB touch, which
         // would re-advertise backups throughout convergence churn.
         let target_dead = self
-            .failover_target(prefix)
-            .is_some_and(|t| !ctx.sessions.session_up(self.speaker.me(), t));
+            .failover_out
+            .get(&prefix)
+            .is_some_and(|(t, _)| !ctx.is_live(t));
         if best_changed || target_dead || !self.failover_out.contains_key(&prefix) {
             self.advertise_failover(ctx, prefix, cause);
         }
@@ -324,26 +333,26 @@ impl RbgpRouter {
         cause.filter(|_| self.cfg.rci)
     }
 
-    /// Tell `n` our best path. The base BGP export rule decides: continuity
-    /// (pseudo-best) announcements respect the standard valley-free gate —
-    /// R-BGP's export relaxation is for the *targeted* one-hop failover
-    /// advertisements, not for flooding backup paths network-wide (which
-    /// melts the message budget during convergence) — and carry the
-    /// failover flag of the route they re-announce.
+    /// Tell the neighbour in `slot` our best path. The base BGP export rule
+    /// decides: continuity (pseudo-best) announcements respect the standard
+    /// valley-free gate — R-BGP's export relaxation is for the *targeted*
+    /// one-hop failover advertisements, not for flooding backup paths
+    /// network-wide (which melts the message budget during convergence) —
+    /// and carry the failover flag of the route they re-announce.
     fn advertise_best(
         &mut self,
         ctx: &mut RouterCtx,
         prefix: PrefixId,
-        n: AsId,
-        rel: Relation,
+        slot: usize,
         cause: Option<CauseInfo>,
     ) {
-        let mut want = self.speaker.export(ctx, prefix, ONLY, n, rel);
+        let mut want = self.speaker.export(ctx, prefix, ONLY, slot);
         if let (Some(r), Selection::Learned(d)) = (&mut want, self.selection(prefix)) {
             r.attrs.failover = d.route.attrs.failover;
         }
         let rc = self.cited(cause);
-        self.speaker.advertise(ctx, n, prefix, ONLY, want, wire(rc));
+        self.speaker
+            .advertise(ctx, slot, prefix, ONLY, want, wire(rc));
     }
 
     /// Reconcile the failover advertisement: it goes to the best next hop
@@ -362,13 +371,12 @@ impl RbgpRouter {
         }
         // A target that keeps the advertisement hears the new one replace
         // the old implicitly; any other live old target hears a retraction.
-        let me = self.speaker.me();
         let retract_at = current
             .map(|(old_t, _)| old_t)
             .filter(|&old_t| desired.map(|(t, _)| t) != Some(old_t))
-            .filter(|&old_t| ctx.sessions.session_up(me, old_t));
+            .filter(|old_t| ctx.is_live(old_t));
         let rc = self.cited(cause);
-        let mut send = |to: AsId, mut kind: UpdateKind| {
+        let mut send = |to: &SessEntry, mut kind: UpdateKind| {
             wire(rc)(&mut kind);
             ctx.send(to, ONLY, UpdateMsg { prefix, kind });
         };
@@ -377,12 +385,12 @@ impl RbgpRouter {
                 failover: true,
                 ..WithdrawInfo::default()
             };
-            send(old_t, UpdateKind::Withdraw(retract));
+            send(&old_t, UpdateKind::Withdraw(retract));
         }
         match desired {
             Some((t, adv)) => {
                 self.failover_out.insert(prefix, (t, adv));
-                send(t, UpdateKind::Announce(adv));
+                send(&t, UpdateKind::Announce(adv));
             }
             None => {
                 self.failover_out.remove(&prefix);
@@ -413,7 +421,10 @@ impl RouterLogic for RbgpRouter {
         }
     }
 
-    fn on_update(&mut self, ctx: &mut RouterCtx, from: AsId, _proc: ProcId, msg: UpdateMsg) {
+    fn on_update(&mut self, ctx: &mut RouterCtx, from: usize, _proc: ProcId, msg: UpdateMsg) {
+        let Some(sender) = ctx.neighbors.get(from).map(|e| e.neighbor) else {
+            return;
+        };
         let prefix = msg.prefix;
         // Learn any attached cause record *before* judging staleness: a
         // recovery wave carries the up-record that legitimises the very
@@ -437,11 +448,11 @@ impl RouterLogic for RbgpRouter {
                     // would freeze stale selections here.
                     self.speaker.unlearn(from, ONLY, prefix);
                     if stale {
-                        self.failover_in.remove(&(prefix, from));
+                        self.failover_in.remove(&(prefix, sender));
                     } else {
                         // Failover paths change the data plane, not the RIB.
                         ctx.fib_changed = true;
-                        self.failover_in.insert((prefix, from), route);
+                        self.failover_in.insert((prefix, sender), route);
                     }
                 } else if stale {
                     // A stale announcement acts as an implicit withdrawal.
@@ -452,7 +463,7 @@ impl RouterLogic for RbgpRouter {
             }
             UpdateKind::Withdraw(info) => {
                 if info.failover {
-                    if self.failover_in.remove(&(prefix, from)).is_some() {
+                    if self.failover_in.remove(&(prefix, sender)).is_some() {
                         ctx.fib_changed = true;
                     }
                 } else {
@@ -464,7 +475,10 @@ impl RouterLogic for RbgpRouter {
     }
 
     fn on_link_down(&mut self, ctx: &mut RouterCtx, neighbor: AsId, cause: CauseInfo) {
-        let lost = self.speaker.session_down(neighbor);
+        let lost = match ctx.slot_of(neighbor) {
+            Some(slot) => self.speaker.session_down(slot),
+            None => Vec::new(),
+        };
         let mut touched: Vec<PrefixId> = lost.into_iter().map(|(p, _)| p).collect();
         // Failover paths it advertised, and ours if it was the target.
         self.failover_in.retain(|&(p, n), _| {
@@ -473,11 +487,11 @@ impl RouterLogic for RbgpRouter {
             }
             n != neighbor
         });
-        self.failover_out.retain(|&p, &mut (t, _)| {
-            if t == neighbor {
+        self.failover_out.retain(|&p, (t, _)| {
+            if t.neighbor == neighbor {
                 touched.push(p);
             }
-            t != neighbor
+            t.neighbor != neighbor
         });
         touched.extend(self.learn_cause(ctx.arena, cause));
         self.reselect_all(ctx, touched, Some(cause));
@@ -487,13 +501,13 @@ impl RouterLogic for RbgpRouter {
         // Record the recovery; the up-state record rides on the
         // re-advertisement wave and unblocks the element at remote ASes.
         self.learn_cause(ctx.arena, cause);
-        let Some(rel) = ctx.relation(neighbor) else {
+        let Some(slot) = ctx.slot_of(neighbor) else {
             return;
         };
         // Fresh session: the neighbour has none of our state.
-        self.speaker.forget_heard(neighbor);
+        self.speaker.forget_heard(slot);
         for prefix in self.speaker.known_prefixes() {
-            self.advertise_best(ctx, prefix, neighbor, rel, Some(cause));
+            self.advertise_best(ctx, prefix, slot, Some(cause));
         }
     }
 
@@ -518,8 +532,8 @@ impl RouterLogic for RbgpRouter {
         for (&(p, n), r) in &self.failover_in {
             mix(p, 3, n, r);
         }
-        for (&p, (n, r)) in &self.failover_out {
-            mix(p, 4, *n, r);
+        for (&p, (t, r)) in &self.failover_out {
+            mix(p, 4, t.neighbor, r);
         }
     }
 
@@ -731,6 +745,11 @@ mod continuity_tests {
 
     const P: PrefixId = PrefixId(0);
 
+    /// The slot AS `me` hears AS `n` on.
+    fn slot(g: &stamp_topology::AsGraph, me: u32, n: u32) -> usize {
+        g.slot_between(AsId(me), AsId(n)).unwrap()
+    }
+
     fn announce(a: &mut PathArena, path: &[u32], failover: bool) -> UpdateMsg {
         let ids: Vec<AsId> = path.iter().map(|&x| AsId(x)).collect();
         UpdateMsg {
@@ -772,19 +791,19 @@ mod continuity_tests {
         // Real route from customer 2 (exported to provider 0 and peer 3).
         let real = announce(&mut a, &[2, 9], false);
         let mut ctx = RouterCtx::new(AsId(1), &g, &AllUp, &mut a);
-        r.on_update(&mut ctx, AsId(2), ProcId::ONLY, real);
+        r.on_update(&mut ctx, slot(&g, 1, 2), ProcId::ONLY, real);
         assert_eq!(r.primary_next(P), Some(AsId(2)));
         drop(ctx);
         // A failover path arrives from provider 0 (0 routes via us).
         let fo = announce(&mut a, &[0, 7, 9], true);
         let mut ctx = RouterCtx::new(AsId(1), &g, &AllUp, &mut a);
-        r.on_update(&mut ctx, AsId(0), ProcId::ONLY, fo);
+        r.on_update(&mut ctx, slot(&g, 1, 0), ProcId::ONLY, fo);
         drop(ctx);
         // The real route dies: continuity kicks in.
         let mut ctx = RouterCtx::new(AsId(1), &g, &AllUp, &mut a);
         r.on_update(
             &mut ctx,
-            AsId(2),
+            slot(&g, 1, 2),
             ProcId::ONLY,
             UpdateMsg {
                 prefix: P,
@@ -830,12 +849,12 @@ mod continuity_tests {
         let mut r = RbgpRouter::new(AsId(1), vec![], RbgpConfig::default());
         let real = announce(&mut a, &[2, 9], false);
         let mut ctx = RouterCtx::new(AsId(1), &g, &AllUp, &mut a);
-        r.on_update(&mut ctx, AsId(2), ProcId::ONLY, real);
+        r.on_update(&mut ctx, slot(&g, 1, 2), ProcId::ONLY, real);
         drop(ctx);
         let mut ctx = RouterCtx::new(AsId(1), &g, &AllUp, &mut a);
         r.on_update(
             &mut ctx,
-            AsId(2),
+            slot(&g, 1, 2),
             ProcId::ONLY,
             UpdateMsg {
                 prefix: P,
@@ -861,20 +880,20 @@ mod continuity_tests {
         // Failover through ourselves: unusable.
         let via_self = announce(&mut a, &[0, 1, 9], true);
         let mut ctx = RouterCtx::new(AsId(1), &g, &AllUp, &mut a);
-        r.on_update(&mut ctx, AsId(0), ProcId::ONLY, via_self);
+        r.on_update(&mut ctx, slot(&g, 1, 0), ProcId::ONLY, via_self);
         assert_eq!(escape_target(&r, ctx.arena), None);
         drop(ctx);
         // A clean failover from the peer.
         let clean = announce(&mut a, &[3, 8, 9], true);
         let mut ctx = RouterCtx::new(AsId(1), &g, &AllUp, &mut a);
-        r.on_update(&mut ctx, AsId(3), ProcId::ONLY, clean);
+        r.on_update(&mut ctx, slot(&g, 1, 3), ProcId::ONLY, clean);
         assert_eq!(escape_target(&r, ctx.arena), Some(AsId(3)));
         drop(ctx);
         // Learn that link 8-9 died: the peer's failover is invalid too.
         let mut ctx = RouterCtx::new(AsId(1), &g, &AllUp, &mut a);
         r.on_update(
             &mut ctx,
-            AsId(0),
+            slot(&g, 1, 0),
             ProcId::ONLY,
             UpdateMsg {
                 prefix: P,

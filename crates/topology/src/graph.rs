@@ -203,6 +203,8 @@ struct Tables {
     sess_by_id: Vec<SessEntry>,
     /// `SessId → (from, to, link)`.
     sess_ends: Vec<SessEnds>,
+    /// `SessId →` the session of the same link in the other direction.
+    sess_rev: Vec<SessId>,
 }
 
 impl AsGraph {
@@ -261,20 +263,25 @@ impl AsGraph {
         &self.0.sess_adj[lo..hi]
     }
 
+    /// AS `v`'s directed sessions ascending by neighbour id: the entries of
+    /// [`AsGraph::neighbor_entries`] in another order (empty for an AS
+    /// outside the graph).
+    #[inline]
+    pub fn neighbor_entries_by_id(&self, v: AsId) -> &[SessEntry] {
+        let offsets = &self.0.sess_offsets;
+        let range = offsets.get(v.index()).zip(offsets.get(v.index() + 1));
+        range
+            .and_then(|(&lo, &hi)| self.0.sess_by_id.get(lo as usize..hi as usize))
+            .unwrap_or(&[])
+    }
+
     /// The session entry from `a` towards `b`, if adjacent. O(log deg(a))
     /// binary search over `a`'s id-sorted session slice.
     #[inline]
     pub fn entry_between(&self, a: AsId, b: AsId) -> Option<&SessEntry> {
-        if a.index() + 1 >= self.0.sess_offsets.len() {
-            return None;
-        }
-        let lo = self.0.sess_offsets[a.index()] as usize;
-        let hi = self.0.sess_offsets[a.index() + 1] as usize;
-        let slice = &self.0.sess_by_id[lo..hi];
-        slice
-            .binary_search_by_key(&b, |e| e.neighbor)
-            .ok()
-            .map(|i| &slice[i])
+        let slice = self.neighbor_entries_by_id(a);
+        let i = slice.binary_search_by_key(&b, |e| e.neighbor).ok()?;
+        slice.get(i)
     }
 
     /// The directed session id from `a` to `b`, if adjacent.
@@ -283,19 +290,38 @@ impl AsGraph {
         self.entry_between(a, b).map(|e| e.sess)
     }
 
+    /// The slot `v` addresses the far end of its session `s` by: the
+    /// position of `s` in [`AsGraph::neighbor_entries`]`(v)`, `0..deg(v)`.
+    /// Fixed for the graph's lifetime, so per-neighbour state can live in
+    /// dense tables of `deg(v)` rows. One subtraction; a session that is
+    /// not `v`'s maps past the end of its slice.
+    #[inline]
+    pub fn slot(&self, v: AsId, s: SessId) -> usize {
+        debug_assert_eq!(self.sess_ends(s).from, v, "{s:?} is not a session of {v}");
+        let base = self
+            .0
+            .sess_offsets
+            .get(v.index())
+            .map_or(0, |&o| o as usize);
+        s.index().wrapping_sub(base)
+    }
+
+    /// The slot `a` addresses `b` by, if adjacent (one binary search).
+    #[inline]
+    pub fn slot_between(&self, a: AsId, b: AsId) -> Option<usize> {
+        self.sess_between(a, b).map(|s| self.slot(a, s))
+    }
+
     /// Endpoints and link of a directed session.
     #[inline]
     pub fn sess_ends(&self, s: SessId) -> SessEnds {
         self.0.sess_ends[s.index()]
     }
 
-    /// The reverse direction of a directed session.
+    /// The reverse direction of a directed session: one array read.
     #[inline]
     pub fn sess_reverse(&self, s: SessId) -> SessId {
-        let ends = self.0.sess_ends[s.index()];
-        self.sess_between(ends.to, ends.from)
-            // simlint::allow(panic, "the session table always stores both directions of a link")
-            .expect("every session has a reverse")
+        self.0.sess_rev[s.index()]
     }
 
     /// Providers of `v` (ASes `v` buys transit from), ascending.
@@ -447,9 +473,9 @@ impl Tables {
     /// The one place tables are made: the dense CSR session table of a link
     /// list over ASes `0..external.len()` — per-node directed-session slices
     /// in `neighbors` order (customers, peers, providers — each ascending),
-    /// their neighbour ids alone, an id-sorted copy for `(from, to)` lookup
-    /// and the `SessId → endpoints` array. Checks nothing: that is
-    /// [`GraphBuilder::build`]'s job.
+    /// their neighbour ids alone, an id-sorted copy for `(from, to)` lookup,
+    /// the `SessId → endpoints` array and each session's reverse. Checks
+    /// nothing: that is [`GraphBuilder::build`]'s job.
     fn from_links(external: Vec<u32>, links: Vec<Link>) -> Tables {
         let n = external.len();
         // Both directed entries of a link: (owner, neighbour, the neighbour
@@ -498,8 +524,26 @@ impl Tables {
         for (&lo, &hi) in starts.iter().zip(starts.iter().skip(1)) {
             sess_adj[lo as usize..hi as usize].sort_unstable_by_key(|e| e.neighbor);
         }
+        // Session ids are the final positions. The reverse of a session is
+        // the other direction of its link: the first direction met waits on
+        // its link, the second pairs with it — no pass and no search of its
+        // own.
+        let mut sess_rev = vec![SessId(0); sess_adj.len()];
+        let mut waiting: Vec<Option<SessId>> = vec![None; links.len()];
         for (i, e) in sess_adj.iter_mut().enumerate() {
             e.sess = SessId::from_usize(i);
+            let Some(other) = waiting
+                .get_mut(e.link.index())
+                .and_then(|w| w.replace(e.sess))
+            else {
+                continue;
+            };
+            let pair = [(e.sess, other), (other, e.sess)];
+            for (s, rev) in pair {
+                if let Some(r) = sess_rev.get_mut(s.index()) {
+                    *r = rev;
+                }
+            }
         }
         let mut sess_by_id = sess_adj.clone();
         let mut sess_ends = Vec::with_capacity(sess_adj.len());
@@ -523,6 +567,7 @@ impl Tables {
             sess_adj,
             sess_by_id,
             sess_ends,
+            sess_rev,
         }
     }
 }
@@ -786,16 +831,23 @@ mod tests {
     fn session_entries_agree_with_relations_and_links() {
         let g = diamond();
         for v in g.ases() {
-            for e in g.neighbor_entries(v) {
+            for (slot, e) in g.neighbor_entries(v).iter().enumerate() {
                 assert_eq!(g.relation(v, e.neighbor), Some(e.rel));
                 assert_eq!(g.link_between(v, e.neighbor), Some(e.link));
                 assert_eq!(g.sess_between(v, e.neighbor), Some(e.sess));
+                assert_eq!(g.slot(v, e.sess), slot);
+                assert_eq!(g.slot_between(v, e.neighbor), Some(slot));
                 let ends = g.sess_ends(e.sess);
                 assert_eq!((ends.from, ends.to, ends.link), (v, e.neighbor, e.link));
             }
+            let by_id = g.neighbor_entries_by_id(v);
+            assert!(by_id.windows(2).all(|w| w[0].neighbor < w[1].neighbor));
+            assert_eq!(by_id.len(), g.degree(v));
         }
         assert_eq!(g.sess_between(AsId(0), AsId(4)), None);
+        assert_eq!(g.slot_between(AsId(0), AsId(4)), None);
         assert_eq!(g.entry_between(AsId(4), AsId(1)), None);
+        assert!(g.neighbor_entries_by_id(AsId(9)).is_empty());
     }
 
     #[test]

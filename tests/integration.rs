@@ -156,7 +156,7 @@ fn stamp_network_wide_disjointness_invariants() {
         // absolute.
         if g.providers(v).len() >= 2 {
             for &p in g.providers(v) {
-                let (red, blue) = r.announced_colors_to(p, P);
+                let (red, blue) = r.announced_colors_to(&g, p, P);
                 assert!(!(red && blue), "{v} announced both colours to {p}");
             }
         }

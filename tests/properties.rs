@@ -9,6 +9,8 @@ use stamp_repro::topology::path::{check_valley_free, split_uphill_downhill, Vall
 use stamp_repro::topology::uphill::UphillDag;
 use stamp_repro::topology::{generate, AsId, GenConfig, StaticRoutes};
 
+mod regimes;
+
 // ---------------------------------------------------------------------
 // Generators
 // ---------------------------------------------------------------------
@@ -210,7 +212,7 @@ fn stamp_invariants() {
             assert!(r.selection(PrefixId(0), Color::Blue).is_some());
             if g.providers(v).len() >= 2 {
                 for &p in g.providers(v) {
-                    let (red, blue) = r.announced_colors_to(p, PrefixId(0));
+                    let (red, blue) = r.announced_colors_to(&g, p, PrefixId(0));
                     assert!(!(red && blue));
                 }
             }
@@ -465,85 +467,104 @@ mod session_table {
     use stamp_repro::topology::{AsGraph, GraphBuilder, LinkId, Relation, SessEntry, SessId};
     use std::collections::BTreeMap;
 
-    /// On random generated topologies, the CSR session table must agree
+    /// On random generated topologies, and on the sub-graphs
+    /// `without_links` cuts from them, the CSR session table must agree
     /// with ground truth rebuilt from the raw link list: per-node entries
     /// in customers/peers/providers order (each ascending), relations and
     /// link ids exact, session ids a dense permutation of `0..2·links`,
-    /// and `(from, to)` resolution consistent with endpoints resolution.
+    /// `(from, to)` resolution consistent with endpoints resolution, slots
+    /// the positions in the node's slice, and `sess_reverse` an involution
+    /// that swaps the endpoints and keeps the link.
     #[test]
     fn session_table_matches_link_list_ground_truth() {
         cases(24, 0x5E55, |rng| {
-            let g = generate(&arb_gen_config(rng)).unwrap();
-            // Ground truth straight from the links, independent of the
-            // CSR arrays: per node, three ascending relation classes.
-            let mut truth: BTreeMap<AsId, [Vec<(AsId, u32)>; 3]> = BTreeMap::new();
-            for (i, l) in g.links().iter().enumerate() {
-                let id = i as u32;
-                match l.kind {
-                    stamp_repro::topology::LinkKind::CustomerProvider => {
-                        truth.entry(l.a).or_default()[2].push((l.b, id));
-                        truth.entry(l.b).or_default()[0].push((l.a, id));
-                    }
-                    stamp_repro::topology::LinkKind::PeerPeer => {
-                        truth.entry(l.a).or_default()[1].push((l.b, id));
-                        truth.entry(l.b).or_default()[1].push((l.a, id));
-                    }
-                }
-            }
-            let mut seen = vec![false; g.n_sessions()];
-            assert_eq!(g.n_sessions(), 2 * g.n_links());
-            for v in g.ases() {
-                let mut expect: Vec<(AsId, Relation, u32)> = Vec::new();
-                if let Some(classes) = truth.get(&v) {
-                    for (c, rel) in [
-                        (0, Relation::Customer),
-                        (1, Relation::Peer),
-                        (2, Relation::Provider),
-                    ] {
-                        let mut sorted = classes[c].clone();
-                        sorted.sort_unstable();
-                        expect.extend(sorted.into_iter().map(|(n, l)| (n, rel, l)));
-                    }
-                }
-                let got: Vec<(AsId, Relation, u32)> = g
-                    .neighbor_entries(v)
-                    .iter()
-                    .map(|e| (e.neighbor, e.rel, e.link.0))
-                    .collect();
-                assert_eq!(got, expect, "entries of {v} diverge from link list");
-                // `neighbors`/`relation` are views over the same table and
-                // must agree entry-for-entry.
-                let ns: Vec<(AsId, Relation)> = g.neighbors(v).collect();
-                assert_eq!(ns, got.iter().map(|&(n, r, _)| (n, r)).collect::<Vec<_>>());
-                for &SessEntry {
-                    neighbor,
-                    rel,
-                    sess,
-                    link,
-                } in g.neighbor_entries(v)
-                {
-                    assert_eq!(g.relation(v, neighbor), Some(rel));
-                    assert_eq!(g.link_between(v, neighbor), Some(link));
-                    assert_eq!(g.sess_between(v, neighbor), Some(sess));
-                    let ends = g.sess_ends(sess);
-                    assert_eq!((ends.from, ends.to, ends.link), (v, neighbor, link));
-                    let rev = g.sess_reverse(sess);
-                    assert_eq!(g.sess_ends(rev).from, neighbor);
-                    assert_eq!(g.sess_ends(rev).to, v);
-                    assert!(!seen[sess.index()], "session id assigned twice");
-                    seen[sess.index()] = true;
-                }
-            }
-            assert!(seen.iter().all(|&s| s), "dense id space has holes");
-            // Non-adjacent pairs resolve to nothing.
-            for _ in 0..32 {
-                let a = AsId(rng.gen_range(0u32..g.n() as u32));
-                let b = AsId(rng.gen_range(0u32..g.n() as u32));
-                let adjacent = g.neighbors(a).any(|(n, _)| n == b);
-                assert_eq!(g.sess_between(a, b).is_some(), adjacent);
-                assert_eq!(g.relation(a, b).is_some(), adjacent);
-            }
+            let whole = generate(&arb_gen_config(rng)).unwrap();
+            let cut: Vec<LinkId> = (0..whole.n_links())
+                .filter(|_| rng.gen_bool(0.2))
+                .map(LinkId::from_usize)
+                .collect();
+            let sub = whole.without_links(&cut);
+            assert_matches_ground_truth(&sub, rng);
+            assert_matches_ground_truth(&whole, rng);
         });
+    }
+
+    fn assert_matches_ground_truth(g: &AsGraph, rng: &mut Rng) {
+        // Ground truth straight from the links, independent of the
+        // CSR arrays: per node, three ascending relation classes.
+        let mut truth: BTreeMap<AsId, [Vec<(AsId, u32)>; 3]> = BTreeMap::new();
+        for (i, l) in g.links().iter().enumerate() {
+            let id = i as u32;
+            match l.kind {
+                stamp_repro::topology::LinkKind::CustomerProvider => {
+                    truth.entry(l.a).or_default()[2].push((l.b, id));
+                    truth.entry(l.b).or_default()[0].push((l.a, id));
+                }
+                stamp_repro::topology::LinkKind::PeerPeer => {
+                    truth.entry(l.a).or_default()[1].push((l.b, id));
+                    truth.entry(l.b).or_default()[1].push((l.a, id));
+                }
+            }
+        }
+        let mut seen = vec![false; g.n_sessions()];
+        assert_eq!(g.n_sessions(), 2 * g.n_links());
+        for v in g.ases() {
+            let mut expect: Vec<(AsId, Relation, u32)> = Vec::new();
+            if let Some(classes) = truth.get(&v) {
+                for (c, rel) in [
+                    (0, Relation::Customer),
+                    (1, Relation::Peer),
+                    (2, Relation::Provider),
+                ] {
+                    let mut sorted = classes[c].clone();
+                    sorted.sort_unstable();
+                    expect.extend(sorted.into_iter().map(|(n, l)| (n, rel, l)));
+                }
+            }
+            let got: Vec<(AsId, Relation, u32)> = g
+                .neighbor_entries(v)
+                .iter()
+                .map(|e| (e.neighbor, e.rel, e.link.0))
+                .collect();
+            assert_eq!(got, expect, "entries of {v} diverge from link list");
+            // `neighbors`/`relation` are views over the same table and
+            // must agree entry-for-entry.
+            let ns: Vec<(AsId, Relation)> = g.neighbors(v).collect();
+            assert_eq!(ns, got.iter().map(|&(n, r, _)| (n, r)).collect::<Vec<_>>());
+            for &SessEntry {
+                neighbor,
+                rel,
+                sess,
+                link,
+            } in g.neighbor_entries(v)
+            {
+                assert_eq!(g.relation(v, neighbor), Some(rel));
+                assert_eq!(g.link_between(v, neighbor), Some(link));
+                assert_eq!(g.sess_between(v, neighbor), Some(sess));
+                let ends = g.sess_ends(sess);
+                assert_eq!((ends.from, ends.to, ends.link), (v, neighbor, link));
+                let rev = g.sess_reverse(sess);
+                let back = g.sess_ends(rev);
+                assert_eq!((back.from, back.to, back.link), (neighbor, v, link));
+                assert_eq!(g.sess_reverse(rev), sess, "reverse is an involution");
+                assert_eq!(g.neighbor_entries(v)[g.slot(v, sess)].sess, sess);
+                assert_eq!(
+                    g.neighbor_entries(neighbor)[g.slot(neighbor, rev)].neighbor,
+                    v
+                );
+                assert!(!seen[sess.index()], "session id assigned twice");
+                seen[sess.index()] = true;
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "dense id space has holes");
+        // Non-adjacent pairs resolve to nothing.
+        for _ in 0..32 {
+            let a = AsId(rng.gen_range(0u32..g.n() as u32));
+            let b = AsId(rng.gen_range(0u32..g.n() as u32));
+            let adjacent = g.neighbors(a).any(|(n, _)| n == b);
+            assert_eq!(g.sess_between(a, b).is_some(), adjacent);
+            assert_eq!(g.relation(a, b).is_some(), adjacent);
+        }
     }
 
     /// Three generated 200-AS graphs and two hand-built ones: sparse AS
@@ -778,6 +799,165 @@ mod rib_slots {
 }
 
 // ---------------------------------------------------------------------
+// The speaker's slot table decides like the keyed RIB
+// ---------------------------------------------------------------------
+
+mod decide_ties {
+    use super::regimes::arb_regime;
+    use super::rewinds::Down;
+    use super::*;
+    use stamp_repro::bgp::rib::{DecisionOutcome, RibIn};
+    use stamp_repro::bgp::router::{RouterCtx, Selection};
+    use stamp_repro::bgp::types::ProcId;
+    use stamp_repro::bgp::Speaker;
+    use stamp_repro::policy::PolicyRegime;
+    use stamp_repro::topology::Relation;
+    use std::cmp::Reverse;
+    use std::collections::BTreeMap;
+
+    /// A speaker's slots are its session slice — customers, peers,
+    /// providers — so at an AS with neighbours in two classes slot order is
+    /// not id order. Random RIBs at such an AS, of routes two or three hops
+    /// long (ties on length everywhere), offered in random order and
+    /// sometimes withdrawn, some looping through the AS and some over dead
+    /// sessions: the speaker's `decide` over the slot table picks exactly
+    /// what the keyed `RibIn::decide` picks from the same imports, and both
+    /// pick the winner of (local-pref ↓, length ↑, neighbour id ↑) — under
+    /// the four built-in regimes (`shortest-path` ties every class) and
+    /// random `.pol` regimes.
+    #[test]
+    fn slot_decide_breaks_ties_like_keyed_decide() {
+        let builtins = PolicyRegime::builtins();
+        let mut order_matters = 0;
+        cases(128, 0xDEC1DE, |rng| {
+            let g = generate(&arb_gen_config(rng)).expect("valid");
+            let mixed: Vec<AsId> = g
+                .ases()
+                .filter(|&v| {
+                    let nbrs = g.neighbor_entries(v);
+                    nbrs.windows(2).any(|w| w[0].neighbor > w[1].neighbor)
+                })
+                .collect();
+            let Some(&me) = rng.choose(&mixed) else {
+                return;
+            };
+            let regime = match rng.gen_range(0..builtins.len() + 2) {
+                i if i < builtins.len() => builtins[i].clone(),
+                _ => {
+                    let mut r = arb_regime(rng);
+                    if gen::bool(rng) {
+                        // One preference for every class: ties across them.
+                        r.rel_pref = [r.rel_pref[0]; 3];
+                    }
+                    r
+                }
+            };
+            let compiled = regime.compile().expect("arb regimes compile");
+            let nbrs = g.neighbor_entries(me);
+            let n = g.n() as u32;
+            let procs = rng.gen_range(1usize..3);
+            let prefix = PrefixId(rng.gen_range(0u32..3));
+            let mut arena = PathArena::new();
+            // The slots of each relation class present: offers are drawn
+            // class first, so the few peers and providers are offered as
+            // often as the many customers.
+            let classes: Vec<Vec<usize>> = [Relation::Customer, Relation::Peer, Relation::Provider]
+                .into_iter()
+                .map(|rel| (0..nbrs.len()).filter(|&s| nbrs[s].rel == rel).collect())
+                .filter(|class: &Vec<usize>| !class.is_empty())
+                .collect();
+            // (slot, proc, route or withdraw), in random order.
+            let ops: Vec<(usize, ProcId, Option<Route>)> = (0..rng.gen_range(1..3 * nbrs.len()))
+                .map(|_| {
+                    let class = rng.choose(&classes).expect("a mixed AS has neighbours");
+                    let slot = *rng.choose(class).expect("classes are non-empty");
+                    let proc = ProcId(rng.gen_range(0..procs) as u8);
+                    let mut path = vec![nbrs[slot].neighbor];
+                    for _ in 0..rng.gen_range(1usize..3) {
+                        let hop = if rng.gen_bool(0.1) {
+                            me
+                        } else {
+                            AsId(rng.gen_range(0..n))
+                        };
+                        path.push(hop);
+                    }
+                    let route = Route {
+                        path: arena.intern_slice(&path),
+                        attrs: PathAttrs::default(),
+                    };
+                    (slot, proc, (!rng.gen_bool(0.1)).then_some(route))
+                })
+                .collect();
+            let down = Down(
+                nbrs.iter()
+                    .map(|e| e.neighbor)
+                    .filter(|_| rng.gen_bool(0.15))
+                    .collect(),
+            );
+
+            let ctx = RouterCtx::with_policy(me, &g, &down, &mut arena, &compiled);
+            let mut speaker = Speaker::new(me, vec![], procs);
+            let mut rib = RibIn::new();
+            let mut reference: BTreeMap<(ProcId, AsId), (u32, Route, Relation)> = BTreeMap::new();
+            for &(slot, proc, route) in &ops {
+                let e = nbrs[slot];
+                let imported = route.and_then(|r| ctx.import(prefix, r, e.rel));
+                match route {
+                    Some(r) => speaker.learn(&ctx, slot, proc, prefix, r),
+                    None => speaker.unlearn(slot, proc, prefix),
+                }
+                match imported {
+                    Some((r, pref)) => {
+                        rib.insert(prefix, proc, e.neighbor, r, e.rel, pref);
+                        reference.insert((proc, e.neighbor), (pref, r, e.rel));
+                    }
+                    None => {
+                        rib.remove(prefix, proc, e.neighbor);
+                        reference.remove(&(proc, e.neighbor));
+                    }
+                }
+            }
+
+            let arena: &PathArena = ctx.arena;
+            for proc in ProcId::first_n(procs) {
+                let candidates: Vec<(u32, u32, AsId, Route, Relation)> = reference
+                    .range((proc, AsId(0))..=(proc, AsId(u32::MAX)))
+                    .filter(|((_, n), (_, r, _))| !down.0.contains(n) && !r.contains(arena, me))
+                    .map(|(&(_, n), &(pref, r, rel))| (pref, r.len(arena), n, r, rel))
+                    .collect();
+                let want = candidates
+                    .iter()
+                    .max_by_key(|&&(pref, len, n, _, _)| (pref, Reverse(len), Reverse(n)))
+                    .map(|&(_, _, neighbor, route, learned_from)| DecisionOutcome {
+                        neighbor,
+                        route,
+                        learned_from,
+                    });
+                let keyed = rib.decide(arena, me, prefix, proc, |n| !down.0.contains(&n));
+                let slotted = match speaker.decide(&ctx, prefix, proc) {
+                    Selection::Learned(d) => Some(d),
+                    _ => None,
+                };
+                assert_eq!(keyed, want, "keyed decide at {me} under {}", regime.name);
+                assert_eq!(slotted, want, "slot decide at {me} under {}", regime.name);
+                // Would "first in slot order wins" have picked another
+                // neighbour of equal (pref, len)?
+                if let Some(w) = want {
+                    let slot = |n: AsId| g.slot_between(me, n);
+                    let key = (reference[&(proc, w.neighbor)].0, w.route.len(arena));
+                    let mut tied = candidates.iter().filter(|c| (c.0, c.1) == key);
+                    order_matters += usize::from(tied.any(|c| slot(c.2) < slot(w.neighbor)));
+                }
+            }
+        });
+        assert!(
+            order_matters >= 16,
+            "only {order_matters} slot-order ties drawn"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
 // Copies: a rewind equals a clone
 // ---------------------------------------------------------------------
 
@@ -889,6 +1069,7 @@ mod rewinds {
             _ => {}
         }
         let (out, fib_changed) = {
+            let slot = |n: &AsId| g.slot_between(me, *n).expect("arb_op draws a neighbour");
             let mut ctx = RouterCtx::new(me, g, &*down, arena);
             match op {
                 Op::Update(from, proc, prefix, announce, info) => {
@@ -903,7 +1084,7 @@ mod rewinds {
                         prefix: *prefix,
                         kind,
                     };
-                    r.on_update(&mut ctx, *from, *proc, msg);
+                    r.on_update(&mut ctx, slot(from), *proc, msg);
                 }
                 Op::LinkDown(n, cause) => r.on_link_down(&mut ctx, *n, *cause),
                 Op::LinkUp(n, cause) => r.on_link_up(&mut ctx, *n, *cause),
@@ -1064,12 +1245,12 @@ mod speaker_contract {
                         }
                     }
                 }
-                for e in g.neighbor_entries(me) {
-                    let n = e.neighbor;
+                for (slot, e) in g.neighbor_entries(me).iter().enumerate() {
                     for p in PREFIXES {
                         for proc in ProcId::first_n(usize::from(procs)) {
-                            let told = model.get(&(n, proc, p));
-                            assert_eq!(books(&r).heard(n, p, proc), told, "step {step}: {op:?}");
+                            let told = model.get(&(e.neighbor, proc, p));
+                            let heard = books(&r).heard(slot, p, proc);
+                            assert_eq!(heard, told, "step {step}: {op:?}");
                         }
                     }
                 }
