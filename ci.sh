@@ -90,11 +90,16 @@ echo "one-tokenizer guard passed"
 # three protocol crates the decision process is invoked only by the speaker
 # (and rib.rs's own tests), and no `clone_from` is written by hand except
 # where a field is special-cased (the field-wise ones come from
-# `clone_in_place!`). The speaker addresses every neighbour by its session
-# slot (DESIGN.md §10.3): its tables are dense rows, so speaker.rs and
-# rib.rs hold no hash map, no route table keyed by neighbour id comes back
-# anywhere, the speaker resolves no relation by id, and the engine's
-# dispatch reads the session an update names instead of searching for it.
+# `clone_in_place!`). A router names a neighbour one way, by its session
+# slot (DESIGN.md §10.3): the speaker's tables and the protocols' own books
+# are dense per-prefix rows, so speaker.rs, rib.rs and the BGP and STAMP
+# routers hold no hash map and R-BGP's one map is keyed by network element
+# (`RootCause`); no route table keyed by neighbour id comes back anywhere;
+# a router sees its session slice, not the graph (no `ctx.topo`, no
+# relation or slot looked up by id); the liveness a router reads is the one
+# predicate the engine implements (only engine.rs writes a `session_up`);
+# and the engine's dispatch reads the session an update names instead of
+# searching for it.
 speaker_crates="crates/bgp/src crates/rbgp/src crates/core/src"
 one_speaker() { # pattern, then the files that may hold it
     local pat=$1 files extra
@@ -119,12 +124,18 @@ no_speaker() { # pattern, then the files that may not hold it
 }
 one_speaker 'rib.decide' crates/bgp/src/rib.rs crates/bgp/src/speaker.rs
 one_speaker 'fn clone_from' crates/bgp/src/engine.rs crates/bgp/src/patharena.rs
-for pat in 'FxHashMap<(AsId, PrefixId,' 'FxHashMap<(AsId, PrefixId), Route>'; do
+one_speaker 'fn session_up(' crates/bgp/src/engine.rs
+for pat in 'FxHashMap<(AsId, PrefixId,' 'FxHashMap<(AsId, PrefixId), Route>' \
+        'FxHashMap<(PrefixId, AsId' 'ctx.slot_of(' 'ctx.relation(' 'ctx.topo'; do
     # shellcheck disable=SC2086
     no_speaker "$pat" $(find $speaker_crates -name '*.rs' | sort)
 done
-no_speaker 'FxHashMap' crates/bgp/src/speaker.rs crates/bgp/src/rib.rs
-no_speaker 'ctx.relation(' crates/bgp/src/speaker.rs
+no_speaker 'FxHashMap' crates/bgp/src/router.rs crates/bgp/src/speaker.rs \
+    crates/bgp/src/rib.rs crates/core/src/router.rs
+if grep -noE 'FxHashMap(::)?<[^,>]*' crates/rbgp/src/router.rs | grep -vE 'FxHashMap(::)?<RootCause$'; then
+    echo "SPEAKER VIOLATION: crates/rbgp/src/router.rs may key an FxHashMap only by RootCause" >&2
+    exit 1
+fi
 no_speaker 'entry_between(' crates/bgp/src/engine.rs
 echo "one-speaker guard passed"
 
@@ -187,7 +198,7 @@ echo "one-adjacency-table / one-protocol-match guard passed"
 # for the rule catalog and the suppression syntax.
 # Warn-level findings (index-panic) are a ratchet: the total may fall, never
 # rise. Lower the ceiling when it does.
-SIMLINT_WARN_CEILING=260
+SIMLINT_WARN_CEILING=245
 simlint_out=$(cargo run --release --offline -q -p simlint 2>&1) || {
     printf '%s\n' "$simlint_out" >&2
     exit 1

@@ -287,26 +287,19 @@ impl LinkState {
     fn node_ok(&self, v: AsId) -> bool {
         self.node_up[v.index()]
     }
-}
 
-/// Session view combining topology adjacency with liveness.
-struct Sessions<'a> {
-    g: &'a AsGraph,
-    state: &'a LinkState,
-}
-
-impl SessionView for Sessions<'_> {
-    fn session_up(&self, a: AsId, b: AsId) -> bool {
-        // Adjacency first: an AS outside the topology has no link, and
-        // only ASes that have one index the liveness flags.
-        let link = self.g.link_between(a, b);
-        link.is_some_and(|id| self.state.up(a, b, id))
+    /// Is the link itself up, whatever its endpoints (`false` for an id
+    /// that names no link)?
+    fn link_ok(&self, id: LinkId) -> bool {
+        self.link_up.get(id.index()).is_some_and(|&up| up)
     }
+}
 
+impl SessionView for LinkState {
     #[inline]
     fn session_entry_up(&self, from: AsId, e: &SessEntry) -> bool {
         // The entry already names the link: three flag reads, no lookup.
-        self.state.up(from, e.neighbor, e.link)
+        self.up(from, e.neighbor, e.link)
     }
 }
 
@@ -491,11 +484,10 @@ impl<R: RouterLogic> Engine<R> {
     /// Is the session between `a` and `b` up (adjacent, both nodes up,
     /// link up)?
     pub fn session_up(&self, a: AsId, b: AsId) -> bool {
-        Sessions {
-            g: &self.fixed.g,
-            state: &self.state,
-        }
-        .session_up(a, b)
+        // Adjacency first: an AS outside the topology has no link, and
+        // only ASes that have one index the liveness flags.
+        let link = self.fixed.g.link_between(a, b);
+        link.is_some_and(|id| self.state.up(a, b, id))
     }
 
     /// Accumulated statistics.
@@ -886,20 +878,22 @@ impl<R: RouterLogic> Engine<R> {
 
     /// Fail one link: tear state, notify both (live) endpoints.
     fn fail_link(&mut self, id: LinkId) -> bool {
-        if !self.state.link_up[id.index()] {
-            return false;
+        match self.state.link_up.get_mut(id.index()) {
+            Some(up) if *up => *up = false,
+            _ => return false,
         }
-        self.state.link_up[id.index()] = false;
         self.mark_link_flip(id);
-        self.link_epoch[id.index()] += 1;
+        if let Some(epoch) = self.link_epoch.get_mut(id.index()) {
+            *epoch += 1;
+        }
         let l = self.fixed.g.link(id);
         self.clear_link_sessions(id);
         let cause = self.cause(RootCause::link(l.a, l.b), false);
         let mut changed = false;
-        for (me, other) in [(l.a, l.b), (l.b, l.a)] {
+        for (me, slot) in self.link_ends(l.a, l.b) {
             if self.state.node_ok(me) {
                 changed |=
-                    self.with_router_ctx(me, |router, ctx| router.on_link_down(ctx, other, cause));
+                    self.with_router_ctx(me, |router, ctx| router.on_link_down(ctx, slot, cause));
             }
         }
         changed
@@ -914,10 +908,10 @@ impl<R: RouterLogic> Engine<R> {
     /// link and node state permanently diverge from a timeline's net
     /// liveness.)
     fn recover_link(&mut self, id: LinkId) -> bool {
-        if self.state.link_up[id.index()] {
-            return false;
+        match self.state.link_up.get_mut(id.index()) {
+            Some(up) if !*up => *up = true,
+            _ => return false,
         }
-        self.state.link_up[id.index()] = true;
         self.mark_link_flip(id);
         let l = self.fixed.g.link(id);
         if !self.state.node_ok(l.a) || !self.state.node_ok(l.b) {
@@ -925,10 +919,22 @@ impl<R: RouterLogic> Engine<R> {
         }
         let cause = self.cause(RootCause::link(l.a, l.b), true);
         let mut changed = false;
-        for (me, other) in [(l.a, l.b), (l.b, l.a)] {
-            changed |= self.with_router_ctx(me, |router, ctx| router.on_link_up(ctx, other, cause));
+        for (me, slot) in self.link_ends(l.a, l.b) {
+            changed |= self.with_router_ctx(me, |router, ctx| router.on_link_up(ctx, slot, cause));
         }
         changed
+    }
+
+    /// The two ends of the link `a`–`b`, `a` first, each with the slot it
+    /// names the other by: one search for the session, then two
+    /// subtractions.
+    fn link_ends(&self, a: AsId, b: AsId) -> impl Iterator<Item = (AsId, usize)> {
+        let g = &self.fixed.g;
+        let ends = g.sess_between(a, b).map(|ab| {
+            let ba = g.sess_reverse(ab);
+            [(a, g.slot(a, ab)), (b, g.slot(b, ba))]
+        });
+        ends.into_iter().flatten()
     }
 
     /// Fail a node: all incident sessions drop simultaneously (one routing
@@ -945,28 +951,31 @@ impl<R: RouterLogic> Engine<R> {
     /// makes a later [`Engine::recover_node`] behave like a router restart
     /// instead of a resurrection with a stale pre-failure RIB.
     fn fail_node(&mut self, v: AsId) -> bool {
-        if !self.state.node_up[v.index()] {
-            return false;
+        match self.state.node_up.get_mut(v.index()) {
+            Some(up) if *up => *up = false,
+            _ => return false,
         }
-        self.state.node_up[v.index()] = false;
         self.mark_node_flip(v);
         let cause = self.cause(RootCause::Node(v), false);
         let mut changed = false;
         // The graph is a handle: cloning it lends the node's session slice
         // while `self` is borrowed mutably, and materialises nothing.
         let g = self.fixed.g.clone();
-        for e in g.neighbor_entries(v) {
-            if self.state.link_up[e.link.index()] {
-                self.link_epoch[e.link.index()] += 1;
-                self.clear_link_sessions(e.link);
-                let n = e.neighbor;
-                if self.state.node_ok(n) {
-                    changed |=
-                        self.with_router_ctx(n, |router, ctx| router.on_link_down(ctx, v, cause));
-                }
-                changed |=
-                    self.with_router_ctx(v, |router, ctx| router.on_link_down(ctx, n, cause));
+        for (slot, e) in g.neighbor_entries(v).iter().enumerate() {
+            if !self.state.link_ok(e.link) {
+                continue;
             }
+            if let Some(epoch) = self.link_epoch.get_mut(e.link.index()) {
+                *epoch += 1;
+            }
+            self.clear_link_sessions(e.link);
+            let n = e.neighbor;
+            if self.state.node_ok(n) {
+                let back = g.slot(n, g.sess_reverse(e.sess));
+                changed |=
+                    self.with_router_ctx(n, |router, ctx| router.on_link_down(ctx, back, cause));
+            }
+            changed |= self.with_router_ctx(v, |router, ctx| router.on_link_down(ctx, slot, cause));
         }
         changed
     }
@@ -977,19 +986,21 @@ impl<R: RouterLogic> Engine<R> {
     /// their current best routes. Mirrors [`Engine::fail_node`]; links that
     /// failed individually stay down until their own recovery event.
     fn recover_node(&mut self, v: AsId) -> bool {
-        if self.state.node_up[v.index()] {
-            return false;
+        match self.state.node_up.get_mut(v.index()) {
+            Some(up) if !*up => *up = true,
+            _ => return false,
         }
-        self.state.node_up[v.index()] = true;
         self.mark_node_flip(v);
         let cause = self.cause(RootCause::Node(v), true);
         let mut changed = false;
         let g = self.fixed.g.clone();
-        for e in g.neighbor_entries(v) {
-            if self.state.link_up[e.link.index()] && self.state.node_ok(e.neighbor) {
-                let n = e.neighbor;
-                changed |= self.with_router_ctx(v, |router, ctx| router.on_link_up(ctx, n, cause));
-                changed |= self.with_router_ctx(n, |router, ctx| router.on_link_up(ctx, v, cause));
+        for (slot, e) in g.neighbor_entries(v).iter().enumerate() {
+            if self.state.link_ok(e.link) && self.state.node_ok(e.neighbor) {
+                let (n, back) = (e.neighbor, g.slot(e.neighbor, g.sess_reverse(e.sess)));
+                changed |=
+                    self.with_router_ctx(v, |router, ctx| router.on_link_up(ctx, slot, cause));
+                changed |=
+                    self.with_router_ctx(n, |router, ctx| router.on_link_up(ctx, back, cause));
             }
         }
         changed
@@ -1015,7 +1026,7 @@ impl<R: RouterLogic> Engine<R> {
         self.feed.touch(v);
         let g = self.fixed.g.clone();
         for e in g.neighbor_entries(v) {
-            if self.state.link_up[e.link.index()] && self.state.node_ok(e.neighbor) {
+            if self.state.link_ok(e.link) && self.state.node_ok(e.neighbor) {
                 self.feed.touch(e.neighbor);
             }
         }
@@ -1061,9 +1072,7 @@ impl<R: RouterLogic> Engine<R> {
                 policy,
                 ..
             } = self;
-            let g = &fixed.g;
-            let sessions = Sessions { g, state: &*state };
-            let mut ctx = RouterCtx::with_policy(v, g, &sessions, paths, policy);
+            let mut ctx = RouterCtx::with_policy(v, &fixed.g, &*state, paths, policy);
             // Lend the engine's scratch buffer: `Vec::new()` above never
             // allocated, and the swap hands routers a warm buffer.
             ctx.out = std::mem::take(out_scratch);

@@ -12,12 +12,11 @@
 //! hashing.
 //!
 //! The keyed API ([`RibIn::insert`], [`RibIn::remove`], [`RibIn::get`],
-//! [`RibIn::routes`], [`RibIn::decide`], …) addresses the same table
-//! through an id index that hands slots out in first-sight order (slots
-//! are appended, never inserted). Slot order is therefore not neighbour-id
-//! order, on either path: the decision process breaks ties explicitly —
-//! highest local-pref, then shortest path, then lowest neighbour id — and
-//! every read that lists neighbours walks them by id.
+//! [`RibIn::routes`], [`RibIn::decide`], …) addresses the same table with
+//! the neighbour's dense id as its slot, so there slot order is id order.
+//! A speaker's slot order is not: the decision process breaks ties
+//! explicitly — highest local-pref, then shortest path, then lowest
+//! neighbour id.
 
 use crate::engine::N_PROCS;
 use crate::patharena::PathArena;
@@ -48,21 +47,11 @@ pub struct RibIn {
     procs: usize,
     /// `rows[prefix][slot × procs + proc]`.
     rows: Vec<Vec<Option<RibEntry>>>,
-    /// Keyed API only: the neighbour each slot was handed to, in
-    /// first-sight order.
-    ids: Vec<AsId>,
-    /// Keyed API only: the slots of `ids`, ascending by neighbour id.
-    by_id: Vec<usize>,
 }
 
 // A rewind onto a table of the same shape allocates nothing: every row
 // both sides have keeps its buffer.
-clone_in_place!(RibIn {
-    procs,
-    rows,
-    ids,
-    by_id
-});
+clone_in_place!(RibIn { procs, rows });
 
 /// Grow `v` to `n` elements made by `fill`, allocating exactly that many: a
 /// first allocation through `resize` rounds up to four elements, which on
@@ -72,6 +61,13 @@ pub(crate) fn grow_exact<T: Clone>(v: &mut Vec<T>, n: usize, fill: impl FnOnce()
         v.reserve_exact(n - v.len());
         v.resize(n, fill());
     }
+}
+
+/// Row `i` of a per-prefix table, made (with every row below it, the table
+/// allocated exactly) on first use.
+pub fn row_mut<T: Clone + Default>(rows: &mut Vec<T>, i: usize) -> Option<&mut T> {
+    grow_exact(rows, i + 1, T::default);
+    rows.get_mut(i)
 }
 
 impl Default for RibIn {
@@ -105,8 +101,6 @@ impl RibIn {
         RibIn {
             procs: procs.max(1),
             rows: Vec::new(),
-            ids: Vec::new(),
-            by_id: Vec::new(),
         }
     }
 
@@ -153,8 +147,7 @@ impl RibIn {
         let Some(i) = self.cell_index(slot, proc) else {
             return;
         };
-        grow_exact(&mut self.rows, prefix.index() + 1, Vec::default);
-        if let Some(row) = self.rows.get_mut(prefix.index()) {
+        if let Some(row) = row_mut(&mut self.rows, prefix.index()) {
             if row.len() <= i {
                 grow_exact(row, width.max(slot + 1) * self.procs, || None);
             }
@@ -265,34 +258,12 @@ impl RibIn {
     }
 
     // ------------------------------------------------------------------
-    // The keyed API: the same table, addressed through the id index
+    // The keyed API: the same table, the neighbour's id as its slot
     // ------------------------------------------------------------------
-
-    /// The slot `neighbor` was handed, if any.
-    fn slot_of(&self, neighbor: AsId) -> Option<usize> {
-        let i = self.id_rank(neighbor).ok()?;
-        self.by_id.get(i).copied()
-    }
-
-    /// Where `neighbor` is (`Ok`) or belongs (`Err`) in `by_id`.
-    fn id_rank(&self, neighbor: AsId) -> Result<usize, usize> {
-        self.by_id
-            .binary_search_by_key(&Some(neighbor), |&s| self.ids.get(s).copied())
-    }
-
-    /// Hand `neighbor` the next free slot: appended, so no stored route
-    /// moves.
-    fn assign(&mut self, neighbor: AsId) -> usize {
-        let rank = self.id_rank(neighbor).unwrap_or_else(|r| r);
-        self.by_id.insert(rank, self.ids.len());
-        self.ids.push(neighbor);
-        self.ids.len() - 1
-    }
 
     /// Install (replacing) the route announced by `neighbor`, learned over
     /// `learned_from` with import-time local preference `pref` (see
-    /// [`RibEntry::pref`]). A neighbour seen for the first time gets the
-    /// next free slot.
+    /// [`RibEntry::pref`]).
     pub fn insert(
         &mut self,
         prefix: PrefixId,
@@ -302,36 +273,30 @@ impl RibIn {
         learned_from: Relation,
         pref: u32,
     ) {
-        let slot = self
-            .slot_of(neighbor)
-            .unwrap_or_else(|| self.assign(neighbor));
         let entry = RibEntry {
             route,
             learned_from,
             pref,
         };
-        self.put(prefix, proc, slot, self.ids.len(), entry);
+        let slot = neighbor.index();
+        self.put(prefix, proc, slot, slot + 1, entry);
     }
 
     /// Remove the route announced by `neighbor`; returns it if present.
     pub fn remove(&mut self, prefix: PrefixId, proc: ProcId, neighbor: AsId) -> Option<Route> {
-        let slot = self.slot_of(neighbor)?;
-        self.take(prefix, proc, slot).map(|e| e.route)
+        self.take(prefix, proc, neighbor.index()).map(|e| e.route)
     }
 
     /// Remove every route learned from `neighbor` on any prefix or process
     /// (session teardown on link failure). Returns the affected
     /// `(prefix, proc)` keys in ascending order.
     pub fn remove_neighbor(&mut self, neighbor: AsId) -> Vec<(PrefixId, ProcId)> {
-        match self.slot_of(neighbor) {
-            Some(slot) => self.take_slot(slot),
-            None => Vec::new(),
-        }
+        self.take_slot(neighbor.index())
     }
 
     /// Entry announced by `neighbor`, if any.
     pub fn get(&self, prefix: PrefixId, proc: ProcId, neighbor: AsId) -> Option<&RibEntry> {
-        self.at(prefix, proc, self.slot_of(neighbor)?)
+        self.at(prefix, proc, neighbor.index())
     }
 
     /// All `(neighbor, entry)` pairs for one `(prefix, proc)`, in ascending
@@ -341,10 +306,11 @@ impl RibIn {
         prefix: PrefixId,
         proc: ProcId,
     ) -> impl Iterator<Item = (AsId, RibEntry)> + '_ {
-        self.by_id.iter().filter_map(move |&slot| {
-            let entry = self.at(prefix, proc, slot)?;
-            Some((*self.ids.get(slot)?, *entry))
-        })
+        let row = self.rows.get(prefix.index()).map(Vec::as_slice);
+        let row = row.unwrap_or_default();
+        let first = self.cell_index(0, proc).unwrap_or(row.len());
+        let cells = row.iter().skip(first).step_by(self.procs).enumerate();
+        cells.filter_map(|(slot, cell)| Some((AsId::from_usize(slot), (*cell)?)))
     }
 
     /// Retain only routes satisfying `keep`; returns the `(prefix, proc,
@@ -354,13 +320,10 @@ impl RibIn {
         F: FnMut(&Route) -> bool,
     {
         let mut dropped = Vec::new();
-        self.purge_slots(keep, |p, proc, slot| dropped.push((p, proc, slot)));
-        let mut keyed: Vec<(PrefixId, ProcId, AsId)> = dropped
-            .into_iter()
-            .filter_map(|(p, proc, slot)| Some((p, proc, *self.ids.get(slot)?)))
-            .collect();
-        keyed.sort_unstable();
-        keyed
+        self.purge_slots(keep, |p, proc, slot| {
+            dropped.push((p, proc, AsId::from_usize(slot)))
+        });
+        dropped
     }
 
     /// Number of stored routes (all prefixes and processes).
@@ -385,7 +348,7 @@ impl RibIn {
     where
         F: Fn(AsId) -> bool,
     {
-        let live = |slot: usize| self.ids.get(slot).copied().filter(|&n| usable(n));
+        let live = |slot: usize| Some(AsId::from_usize(slot)).filter(|&n| usable(n));
         self.decide_slots(arena, me, prefix, proc, live)
     }
 }

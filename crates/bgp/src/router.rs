@@ -6,6 +6,12 @@
 //! wants sent. Plain BGP ([`BgpRouter`]) is the baseline the paper measures
 //! against: a [`Speaker`] with nothing added, the same speaker R-BGP and
 //! STAMP build on.
+//!
+//! A router names a neighbour one way: by its *slot*, the position of its
+//! session in [`RouterCtx::neighbors`]. Updates arrive and link events fire
+//! with the slot, which the engine resolves once where it holds the link or
+//! the session; the session slice is the only part of the topology a
+//! router sees.
 
 use crate::patharena::{PathArena, PathId};
 use crate::rib::DecisionOutcome;
@@ -28,29 +34,20 @@ pub struct OutMsg {
 
 /// Session liveness view handed to routers (owned by the engine).
 pub trait SessionView {
-    /// Is the session between `a` and its neighbour `b` currently up?
-    fn session_up(&self, a: AsId, b: AsId) -> bool;
-
-    /// Liveness of one of `from`'s session entries. The default falls back
-    /// to [`SessionView::session_up`]; the engine overrides it with O(1)
-    /// flag reads off the entry's link id (no per-check neighbour
-    /// resolution on the hot path).
-    #[inline]
-    fn session_entry_up(&self, from: AsId, e: &SessEntry) -> bool {
-        self.session_up(from, e.neighbor)
-    }
+    /// Is the session `e` (one of `from`'s session entries) up? The engine
+    /// answers with flag reads off the entry's link id.
+    fn session_entry_up(&self, from: AsId, e: &SessEntry) -> bool;
 }
 
 /// Everything a router may touch while handling an event.
 pub struct RouterCtx<'a> {
     /// This router's AS.
     pub me: AsId,
-    /// The topology (relationships drive policy).
-    pub topo: &'a AsGraph,
     /// This router's directed-session slice (customers, peers, providers —
     /// each ascending): neighbour, relation and session id in one
-    /// contiguous read, no per-event re-derivation. A neighbour's position
-    /// here is its *slot*, the index every per-neighbour table uses.
+    /// contiguous read. A neighbour's position here is its *slot*, the one
+    /// name every event and every per-neighbour table uses for it, and the
+    /// slice is all of the topology a router sees.
     pub neighbors: &'a [SessEntry],
     /// Liveness of adjacent sessions.
     pub sessions: &'a dyn SessionView,
@@ -72,8 +69,8 @@ pub struct RouterCtx<'a> {
 }
 
 impl<'a> RouterCtx<'a> {
-    /// Fresh context for one event at router `me`, under the default
-    /// (`gao-rexford`) policy regime.
+    /// Fresh context for one event at router `me` of `topo`, under the
+    /// default (`gao-rexford`) policy regime.
     pub fn new(
         me: AsId,
         topo: &'a AsGraph,
@@ -83,7 +80,8 @@ impl<'a> RouterCtx<'a> {
         RouterCtx::with_policy(me, topo, sessions, arena, CompiledRegime::default_static())
     }
 
-    /// Fresh context for one event at router `me`, under `policy`.
+    /// Fresh context for one event at router `me` of `topo`, under
+    /// `policy`. The context keeps `me`'s session slice, not the graph.
     pub fn with_policy(
         me: AsId,
         topo: &'a AsGraph,
@@ -93,7 +91,6 @@ impl<'a> RouterCtx<'a> {
     ) -> RouterCtx<'a> {
         RouterCtx {
             me,
-            topo,
             neighbors: topo.neighbor_entries(me),
             sessions,
             arena,
@@ -113,17 +110,6 @@ impl<'a> RouterCtx<'a> {
             proc,
             msg,
         });
-    }
-
-    /// Relation of `n` relative to me, if adjacent.
-    pub fn relation(&self, n: AsId) -> Option<Relation> {
-        self.topo.relation(self.me, n)
-    }
-
-    /// The slot of neighbour `n`, if adjacent: one binary search, for the
-    /// events that name a neighbour by id (a session going down or up).
-    pub fn slot_of(&self, n: AsId) -> Option<usize> {
-        self.topo.slot_between(self.me, n)
     }
 
     /// Is the session in `e` (one of [`RouterCtx::neighbors`]) up?
@@ -272,14 +258,15 @@ pub trait RouterLogic {
     /// `from` (`ctx.neighbors[from]` is its session entry).
     fn on_update(&mut self, ctx: &mut RouterCtx, from: usize, proc: ProcId, msg: UpdateMsg);
 
-    /// The link to `neighbor` failed (local, instantaneous detection).
-    /// `cause` is the sequence-numbered event record (RCI-aware protocols
-    /// propagate it; others ignore it).
-    fn on_link_down(&mut self, ctx: &mut RouterCtx, neighbor: AsId, cause: CauseInfo);
+    /// The session to the neighbour in `slot` failed (local, instantaneous
+    /// detection). `cause` is the sequence-numbered event record
+    /// (RCI-aware protocols propagate it; others ignore it).
+    fn on_link_down(&mut self, ctx: &mut RouterCtx, slot: usize, cause: CauseInfo);
 
-    /// The link to `neighbor` came (back) up — re-advertise. `cause`
-    /// records the recovery event (state `up = true`).
-    fn on_link_up(&mut self, ctx: &mut RouterCtx, neighbor: AsId, cause: CauseInfo);
+    /// The session to the neighbour in `slot` came (back) up —
+    /// re-advertise. `cause` records the recovery event (state `up =
+    /// true`).
+    fn on_link_up(&mut self, ctx: &mut RouterCtx, slot: usize, cause: CauseInfo);
 
     /// Fold a digest of this router's externally visible route selections
     /// into the convergence watchdog's fingerprint. Must be read-only and
@@ -428,22 +415,16 @@ impl RouterLogic for BgpRouter {
         self.reselect(ctx, msg.prefix);
     }
 
-    fn on_link_down(&mut self, ctx: &mut RouterCtx, neighbor: AsId, _cause: CauseInfo) {
-        let Some(slot) = ctx.slot_of(neighbor) else {
-            return;
-        };
+    fn on_link_down(&mut self, ctx: &mut RouterCtx, slot: usize, _cause: CauseInfo) {
         // One process: the affected keys are distinct ascending prefixes.
         for (p, _) in self.speaker.session_down(slot) {
             self.reselect(ctx, p);
         }
     }
 
-    fn on_link_up(&mut self, ctx: &mut RouterCtx, neighbor: AsId, _cause: CauseInfo) {
+    fn on_link_up(&mut self, ctx: &mut RouterCtx, slot: usize, _cause: CauseInfo) {
         // Fresh session: the neighbour has none of our state. Re-advertise
         // the current best for every known prefix.
-        let Some(slot) = ctx.slot_of(neighbor) else {
-            return;
-        };
         self.speaker.forget_heard(slot);
         for prefix in self.speaker.known_prefixes() {
             self.advertise(ctx, prefix, slot);
@@ -467,7 +448,7 @@ mod tests {
 
     struct AllUp;
     impl SessionView for AllUp {
-        fn session_up(&self, _a: AsId, _b: AsId) -> bool {
+        fn session_entry_up(&self, _from: AsId, _e: &SessEntry) -> bool {
             true
         }
     }
@@ -627,7 +608,7 @@ mod tests {
         r.on_update(&mut ctx, slot(&g, 3, 2), ProcId::ONLY, m2);
         drop(ctx);
         let mut ctx = RouterCtx::new(AsId(3), &g, &AllUp, &mut a);
-        r.on_link_down(&mut ctx, AsId(1), test_cause());
+        r.on_link_down(&mut ctx, slot(&g, 3, 1), test_cause());
         assert_eq!(r.next_hop(P), Some(AsId(2)));
     }
 
@@ -661,7 +642,7 @@ mod tests {
         let mut ctx = RouterCtx::new(AsId(3), &g, &AllUp, &mut a);
         r.on_link_up(
             &mut ctx,
-            AsId(2),
+            slot(&g, 3, 2),
             CauseInfo {
                 cause: crate::types::RootCause::link(AsId(3), AsId(2)),
                 seq: 2,

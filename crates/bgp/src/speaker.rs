@@ -24,15 +24,15 @@
 //! serves every process of its AS — the rows are keyed by [`ProcId`], with
 //! `procs` 1 for BGP and R-BGP and 2 for STAMP — and copying a speaker
 //! copies a few flat `Vec`s. Slot order is not id order: the decision
-//! process breaks ties explicitly and [`Speaker::routes`] walks the
-//! id-sorted session slice.
+//! process breaks ties explicitly, and so does every reader of
+//! [`Speaker::routes`], which walks the slots.
 
 use crate::engine::N_PROCS;
-use crate::rib::{grow_exact, RibEntry, RibIn};
+use crate::rib::{grow_exact, row_mut, RibEntry, RibIn};
 use crate::router::{RouterCtx, Selection, StateFingerprint};
 use crate::types::{PrefixId, ProcId, Route, UpdateKind, UpdateMsg, WithdrawInfo};
 use stamp_eventsim::clone_in_place;
-use stamp_topology::{AsGraph, AsId, Relation, SessEntry};
+use stamp_topology::{AsId, Relation, SessEntry};
 
 /// One AS's BGP state and pipeline, for every process it runs.
 #[derive(Debug)]
@@ -110,33 +110,23 @@ impl Speaker {
         }
     }
 
-    /// The stored routes of one process, ascending by neighbour id, each
-    /// with the session entry it was learned over (`g` is the speaker's
-    /// topology).
+    /// The stored routes of one process in slot order, each with the
+    /// session entry it was learned over (`nbrs` is the speaker's session
+    /// slice, [`RouterCtx::neighbors`]).
     pub fn routes<'a>(
         &'a self,
-        g: &'a AsGraph,
+        nbrs: &'a [SessEntry],
         prefix: PrefixId,
         proc: ProcId,
     ) -> impl Iterator<Item = (&'a SessEntry, RibEntry)> + 'a {
-        let me = self.me;
-        g.neighbor_entries_by_id(me).iter().filter_map(move |e| {
-            let entry = self.rib.at(prefix, proc, g.slot(me, e.sess))?;
-            Some((e, *entry))
-        })
+        let stored = move |(slot, e)| Some((e, *self.rib.at(prefix, proc, slot)?));
+        nbrs.iter().enumerate().filter_map(stored)
     }
 
     /// What the neighbour in `slot` last heard from us for `(prefix, proc)`.
     pub fn heard(&self, slot: usize, prefix: PrefixId, proc: ProcId) -> Option<&Route> {
         let i = self.rib.cell_index(slot, proc)?;
         self.rows.get(prefix.index())?.heard.get(i)?.as_ref()
-    }
-
-    /// The row of `prefix`, made (with every row below it) on first use.
-    #[inline]
-    fn row_mut(&mut self, prefix: PrefixId) -> Option<&mut Row> {
-        grow_exact(&mut self.rows, prefix.index() + 1, Row::default);
-        self.rows.get_mut(prefix.index())
     }
 
     /// Store an announcement from the neighbour in slot `from`, learned
@@ -214,7 +204,7 @@ impl Speaker {
         if new == *self.selection(prefix, proc) {
             return false;
         }
-        let Some(row) = self.row_mut(prefix) else {
+        let Some(row) = row_mut(&mut self.rows, prefix.index()) else {
             return false;
         };
         let Some(best) = row.best.get_mut(usize::from(proc.0)) else {
@@ -288,7 +278,7 @@ impl Speaker {
             return;
         };
         let width = nbrs.len() * self.rib.procs();
-        let Some(row) = self.row_mut(prefix) else {
+        let Some(row) = row_mut(&mut self.rows, prefix.index()) else {
             return;
         };
         if want.is_some() {

@@ -3,7 +3,9 @@
 //! Both processes are run by one [`Speaker`] — unmodified BGP, keyed by
 //! process — and this module is what STAMP adds to it: who may hear which
 //! colour, the Lock and ET bits, instability flags and the active colour
-//! (DESIGN.md §5.4).
+//! (DESIGN.md §5.4). What it adds is one row per dense [`PrefixId`], shaped
+//! like the speaker's: the active colour, the two instability flags and the
+//! provider holding the lock.
 //!
 //! Protocol recap (§4.1):
 //!
@@ -26,13 +28,14 @@
 //!   uses.
 
 use crate::lock::LockStrategy;
+use stamp_bgp::rib::row_mut;
 use stamp_bgp::router::{RouterCtx, RouterLogic, Selection, StateFingerprint};
 use stamp_bgp::speaker::Speaker;
 use stamp_bgp::types::{
     CauseInfo, Color, EventType, PrefixId, ProcId, Route, UpdateKind, UpdateMsg,
 };
-use stamp_eventsim::{clone_in_place, FxHashMap};
-use stamp_topology::{AsGraph, AsId, Relation};
+use stamp_eventsim::clone_in_place;
+use stamp_topology::{AsGraph, AsId, Relation, SessEntry};
 
 /// Per-event ET classification for each colour, `[red, blue]` (`None` =
 /// colour untouched).
@@ -56,23 +59,50 @@ const BOTH_BENIGN: [(Color, bool); 2] = [(Color::Red, false), (Color::Blue, fals
 pub struct StampRouter {
     /// Everything that is plain BGP, for both processes.
     speaker: Speaker,
-    /// Which process this AS's own traffic currently uses.
-    active: FxHashMap<PrefixId, Color>,
-    /// Data-plane instability flags (§5.2).
-    unstable: FxHashMap<(PrefixId, Color), bool>,
+    /// Per dense prefix: the active colour, instability flags and lock.
+    rows: Vec<Row>,
     /// Locked-blue-provider selection policy.
     lock_strategy: LockStrategy,
-    /// Sticky lock choice per prefix.
-    lock_current: FxHashMap<PrefixId, AsId>,
 }
 
 clone_in_place!(StampRouter {
     speaker,
+    rows,
+    lock_strategy
+});
+
+/// What STAMP adds for one prefix.
+#[derive(Debug, Default)]
+struct Row {
+    /// Which process this AS's own traffic currently uses; `None` until the
+    /// prefix's first event.
+    active: Option<Color>,
+    /// Data-plane instability flags (§5.2), `[red, blue]`.
+    unstable: [bool; 2],
+    /// Sticky lock choice: the provider receiving our locked blue route.
+    lock: Option<AsId>,
+}
+
+clone_in_place!(Row {
     active,
     unstable,
-    lock_strategy,
-    lock_current
+    lock
 });
+
+impl Row {
+    /// Switch the active process per §5.2: move off a process that lost its
+    /// route; move off an unstable process when the other is stable.
+    fn switch_active(&mut self, speaker: &Speaker, prefix: PrefixId) {
+        let a = self.active.unwrap_or(Color::Blue);
+        let other = a.other();
+        let has_route = |c: Color| speaker.selection(prefix, c.proc()).is_some();
+        let unstable = |c: Color| of(c, self.unstable);
+        // Switch iff the other process holds a route and either we lost
+        // ours, or ours is unstable while the other is stable.
+        let switch = has_route(other) && (!has_route(a) || (unstable(a) && !unstable(other)));
+        self.active = Some(if switch { other } else { a });
+    }
+}
 
 impl StampRouter {
     /// Router for `me`, originating `own`, with the given lock policy.
@@ -80,10 +110,8 @@ impl StampRouter {
     pub fn new(me: AsId, own: Vec<PrefixId>, lock_strategy: LockStrategy) -> StampRouter {
         StampRouter {
             speaker: Speaker::new(me, own, Color::ALL.len()),
-            active: FxHashMap::default(),
-            unstable: FxHashMap::default(),
+            rows: Vec::new(),
             lock_strategy,
-            lock_current: FxHashMap::default(),
         }
     }
 
@@ -113,18 +141,20 @@ impl StampRouter {
 
     /// Is colour `c` currently flagged unstable for `prefix` (§5.2)?
     pub fn is_unstable(&self, prefix: PrefixId, c: Color) -> bool {
-        *self.unstable.get(&(prefix, c)).unwrap_or(&false)
+        self.row(prefix).is_some_and(|r| of(c, r.unstable))
     }
 
     /// The process this AS's own traffic uses (defaults to blue — the
     /// colour whose existence the Lock attribute guarantees).
     pub fn active_color(&self, prefix: PrefixId) -> Color {
-        *self.active.get(&prefix).unwrap_or(&Color::Blue)
+        self.row(prefix)
+            .and_then(|r| r.active)
+            .unwrap_or(Color::Blue)
     }
 
     /// The provider currently receiving our locked blue announcement.
     pub fn lock_target(&self, prefix: PrefixId) -> Option<AsId> {
-        self.lock_current.get(&prefix).copied()
+        self.row(prefix)?.lock
     }
 
     /// Which colours `neighbor` last heard from us for `prefix` —
@@ -147,12 +177,18 @@ impl StampRouter {
     /// convergence and the injected failure, so flags reflect only the
     /// event under measurement).
     pub fn reset_instability(&mut self) {
-        self.unstable.clear();
-        // Re-derive active colours from route availability.
-        let prefixes: Vec<PrefixId> = self.active.keys().copied().collect();
-        for p in prefixes {
-            self.update_active(p);
+        for (p, row) in self.rows.iter_mut().enumerate() {
+            row.unstable = [false; 2];
+            // Re-derive active colours from route availability.
+            if row.active.is_some() {
+                row.switch_active(&self.speaker, PrefixId::from_usize(p));
+            }
         }
+    }
+
+    /// The row of `prefix`, if it has one.
+    fn row(&self, prefix: PrefixId) -> Option<&Row> {
+        self.rows.get(prefix.index())
     }
 
     // ------------------------------------------------------------------
@@ -167,24 +203,11 @@ impl StampRouter {
         let new = self.speaker.decide(ctx, prefix, c.proc());
         let changed = self.speaker.install(prefix, c.proc(), new);
         if changed {
-            self.unstable.insert((prefix, c), loss || !new.is_some());
+            if let Some(row) = row_mut(&mut self.rows, prefix.index()) {
+                *of(c, row.unstable.each_mut()) = loss || !new.is_some();
+            }
         }
         changed
-    }
-
-    /// Switch the active process per §5.2: move off a process that lost its
-    /// route; move off an unstable process when the other is stable.
-    fn update_active(&mut self, prefix: PrefixId) {
-        let a = self.active_color(prefix);
-        let other = a.other();
-        let cur_ok = self.selection(prefix, a).is_some();
-        let other_ok = self.selection(prefix, other).is_some();
-        // Switch iff the other process holds a route and either we lost
-        // ours, or ours is unstable while the other is stable.
-        let switch = other_ok
-            && (!cur_ok || (self.is_unstable(prefix, a) && !self.is_unstable(prefix, other)));
-        let new = if switch { other } else { a };
-        self.active.insert(prefix, new);
     }
 
     // ------------------------------------------------------------------
@@ -212,12 +235,12 @@ impl StampRouter {
 
     /// Does this AS hold the lock obligation for `prefix`? True for the
     /// origin and for any AS holding a locked blue customer route.
-    fn lock_eligible(&self, g: &AsGraph, prefix: PrefixId) -> bool {
+    fn lock_eligible(&self, nbrs: &[SessEntry], prefix: PrefixId) -> bool {
         if self.originates(prefix) {
             return true;
         }
         self.speaker
-            .routes(g, prefix, Color::Blue.proc())
+            .routes(nbrs, prefix, Color::Blue.proc())
             .any(|(_, e)| e.route.attrs.lock && e.learned_from == Relation::Customer)
     }
 
@@ -271,7 +294,7 @@ impl StampRouter {
         }
 
         // Providers: the selective announcement rules.
-        let lock_eligible = self.lock_eligible(ctx.topo, prefix);
+        let lock_eligible = self.lock_eligible(ctx.neighbors, prefix);
         let red_up = self.up_route(ctx, prefix, Color::Red, false);
         let blue_up = self.up_route(ctx, prefix, Color::Blue, lock_eligible);
         let locked_blue = blue_up.filter(|r| r.attrs.lock);
@@ -316,14 +339,13 @@ impl StampRouter {
             self.advertise(ctx, slot, prefix, c, route, et);
             self.advertise(ctx, slot, prefix, c.other(), None, et);
         }
-        match lock_target {
-            Some(t) => self.lock_current.insert(prefix, t),
-            None => self.lock_current.remove(&prefix),
-        };
+        if let Some(row) = row_mut(&mut self.rows, prefix.index()) {
+            row.lock = lock_target;
+        }
     }
 
     /// Shared tail of every event: reselect touched colours, reconcile,
-    /// update the active process.
+    /// update the active process ([`Row::switch_active`]).
     fn handle_prefix_event(
         &mut self,
         ctx: &mut RouterCtx,
@@ -345,7 +367,9 @@ impl StampRouter {
         if force_reconcile || et != [None, None] {
             self.reconcile(ctx, prefix, et);
         }
-        self.update_active(prefix);
+        if let Some(row) = row_mut(&mut self.rows, prefix.index()) {
+            row.switch_active(&self.speaker, prefix);
+        }
     }
 }
 
@@ -371,23 +395,14 @@ impl RouterLogic for StampRouter {
         self.handle_prefix_event(ctx, msg.prefix, &[(Color::from_proc(proc), loss)], false);
     }
 
-    fn on_link_down(&mut self, ctx: &mut RouterCtx, neighbor: AsId, _cause: CauseInfo) {
-        let lost = match ctx.slot_of(neighbor) {
-            Some(slot) => self.speaker.session_down(slot),
-            None => Vec::new(),
-        };
-        // A dead lock target is re-chosen on the next reconcile.
-        let mut relock: Vec<PrefixId> = Vec::new();
-        self.lock_current.retain(|&p, &mut t| {
-            if t == neighbor {
-                relock.push(p);
-            }
-            t != neighbor
-        });
+    fn on_link_down(&mut self, ctx: &mut RouterCtx, slot: usize, _cause: CauseInfo) {
+        let lost = self.speaker.session_down(slot);
         // Prefixes whose provider set changed need reconciliation even if
         // no route was lost (the selective announcement pattern depends on
-        // the live provider list).
-        let provider_changed = ctx.relation(neighbor) == Some(Relation::Provider);
+        // the live provider list). A lock target is a provider, so a dead
+        // one is re-chosen there too.
+        let dead = ctx.neighbors.get(slot);
+        let provider_changed = dead.is_some_and(|e| e.rel == Relation::Provider);
         let mut prefixes: Vec<PrefixId> = self.speaker.known_prefixes();
         prefixes.extend(lost.iter().map(|(p, _)| *p));
         prefixes.sort_unstable();
@@ -398,17 +413,15 @@ impl RouterLogic for StampRouter {
                 .filter(|(q, _)| *q == p)
                 .map(|(_, proc)| (Color::from_proc(*proc), true))
                 .collect();
-            let force = provider_changed || relock.contains(&p) || !touched.is_empty();
+            let force = provider_changed || !touched.is_empty();
             self.handle_prefix_event(ctx, p, &touched, force);
         }
     }
 
-    fn on_link_up(&mut self, ctx: &mut RouterCtx, neighbor: AsId, _cause: CauseInfo) {
+    fn on_link_up(&mut self, ctx: &mut RouterCtx, slot: usize, _cause: CauseInfo) {
         // Fresh session — the neighbour has none of our state — and
         // possibly a changed provider set: reconcile every known prefix.
-        if let Some(slot) = ctx.slot_of(neighbor) {
-            self.speaker.forget_heard(slot);
-        }
+        self.speaker.forget_heard(slot);
         for p in self.speaker.known_prefixes() {
             self.handle_prefix_event(ctx, p, &BOTH_BENIGN, true);
         }
@@ -423,11 +436,14 @@ impl RouterLogic for StampRouter {
             let words = [me, u64::from(p.0), tag, u64::from(c.proc().0)];
             fp.mix(StateFingerprint::digest(&words));
         };
-        for (&p, &c) in &self.active {
-            mix(p, 5, c);
-        }
-        for (&(p, c), _) in self.unstable.iter().filter(|(_, &flag)| flag) {
-            mix(p, 6, c);
+        for (p, row) in self.rows.iter().enumerate() {
+            let p = PrefixId::from_usize(p);
+            if let Some(c) = row.active {
+                mix(p, 5, c);
+            }
+            for c in Color::ALL.into_iter().filter(|&c| of(c, row.unstable)) {
+                mix(p, 6, c);
+            }
         }
     }
 
@@ -683,7 +699,7 @@ mod et_tests {
 
     struct AllUp;
     impl SessionView for AllUp {
-        fn session_up(&self, _a: AsId, _b: AsId) -> bool {
+        fn session_entry_up(&self, _from: AsId, _e: &SessEntry) -> bool {
             true
         }
     }
@@ -851,15 +867,15 @@ mod et_tests {
         // surviving provider (single provider left ⇒ cut exemption).
         struct Except(AsId);
         impl SessionView for Except {
-            fn session_up(&self, _a: AsId, b: AsId) -> bool {
-                b != self.0
+            fn session_entry_up(&self, _from: AsId, e: &SessEntry) -> bool {
+                e.neighbor != self.0
             }
         }
         let sessions = Except(lock);
         let mut ctx = RouterCtx::new(AsId(1), &g, &sessions, &mut a);
         r.on_link_down(
             &mut ctx,
-            lock,
+            slot(&g, 1, lock.0),
             CauseInfo {
                 cause: stamp_bgp::types::RootCause::link(AsId(1), lock),
                 seq: 1,

@@ -235,7 +235,7 @@ impl DataPlane for RbgpRouter {
         // Delivered iff every link of the advertised path is alive; the
         // packet cannot escape a second time.
         let paths = view.engine.paths();
-        match r.escape_route(paths, view.prefix, session_ok) {
+        match r.escape_route(paths, view.prefix, |e| session_ok(e.neighbor)) {
             Some((_advertiser, route)) => {
                 // route.path = [advertiser, …, dest]; the circuit walks it
                 // from `at` (a zero-allocation arena chain walk).

@@ -6,9 +6,16 @@
 //! pseudo-best substituted between the speaker's `decide` and `install`,
 //! and root-cause records stamped on every outgoing update (DESIGN.md
 //! §5.4).
+//!
+//! Its failover books are one row per dense [`PrefixId`], shaped like the
+//! speaker's: the failover paths received, each with the session entry of
+//! the neighbour that advertised it, and the one advertisement sent, with
+//! its target's. Liveness, relation and id of either end are reads of the
+//! entry. Only the root-cause records stay a map: they are keyed by
+//! network element, not by neighbour.
 
 use stamp_bgp::patharena::PathArena;
-use stamp_bgp::rib::DecisionOutcome;
+use stamp_bgp::rib::{row_mut, DecisionOutcome};
 use stamp_bgp::router::{route_attr_word, RouterCtx, RouterLogic, Selection, StateFingerprint};
 use stamp_bgp::speaker::Speaker;
 use stamp_bgp::types::{
@@ -42,10 +49,8 @@ pub struct RbgpRouter {
     /// Everything that is plain BGP: RIBs, best paths, Adj-RIB-Out.
     speaker: Speaker,
     cfg: RbgpConfig,
-    /// Failover routes received, per (prefix, advertising neighbour).
-    failover_in: FxHashMap<(PrefixId, AsId), Route>,
-    /// Our current failover advertisement: (target session, route sent).
-    failover_out: FxHashMap<PrefixId, (SessEntry, Route)>,
+    /// Per dense prefix: the failover paths received and sent.
+    rows: Vec<Row>,
     /// Newest cause record per element (RCI mode): element -> (seq, up).
     known_causes: FxHashMap<RootCause, (u32, bool)>,
 }
@@ -55,10 +60,39 @@ pub struct RbgpRouter {
 clone_in_place!(RbgpRouter {
     speaker,
     cfg,
-    failover_in,
-    failover_out,
+    rows,
     known_causes
 });
+
+/// R-BGP's failover books for one prefix.
+#[derive(Debug, Default)]
+struct Row {
+    /// Failover paths received, at most one per neighbour, each with the
+    /// advertiser's session entry. A short list rather than a degree-wide
+    /// row: most ASes hear none or one.
+    received: Vec<(SessEntry, Route)>,
+    /// Our failover advertisement: the target's session and the route sent.
+    sent: Option<(SessEntry, Route)>,
+}
+
+clone_in_place!(Row { received, sent });
+
+impl Row {
+    /// Store the failover path the neighbour of `from` advertised,
+    /// replacing its previous one.
+    fn receive(&mut self, from: SessEntry, route: Route) {
+        self.retain(|e, _| e.neighbor != from.neighbor);
+        self.received.reserve_exact(1);
+        self.received.push((from, route));
+    }
+
+    /// Drop every received path failing `keep`; whether any was dropped.
+    fn retain(&mut self, keep: impl Fn(&SessEntry, &Route) -> bool) -> bool {
+        let before = self.received.len();
+        self.received.retain(|(e, r)| keep(e, r));
+        self.received.len() < before
+    }
+}
 
 /// R-BGP's stamp on an outgoing update: the root cause, and withdrawals
 /// cite a loss (the speaker already set the retracted route's failover flag).
@@ -82,8 +116,7 @@ impl RbgpRouter {
         RbgpRouter {
             speaker: Speaker::new(me, own, 1),
             cfg,
-            failover_in: FxHashMap::default(),
-            failover_out: FxHashMap::default(),
+            rows: Vec::new(),
             known_causes: FxHashMap::default(),
         }
     }
@@ -124,41 +157,60 @@ impl RbgpRouter {
     }
 
     /// Escape route when the primary is gone: the failover path some
-    /// neighbour advertised us, not through `me` and (with RCI) not through
-    /// any known root cause. Deterministic choice: shortest advertised
-    /// path, lowest advertiser id. Returns `(advertiser, advertised path)`
-    /// — R-BGP forwards escape packets along that path as a pinned virtual
-    /// circuit, so the data plane needs the full path, not just the next
-    /// hop.
-    pub fn escape_route<F>(
+    /// neighbour whose session `live` accepts advertised us, not through
+    /// `me` and (with RCI) not through any known root cause. Deterministic
+    /// choice: shortest advertised path, lowest advertiser id. Returns
+    /// `(advertiser, advertised path)` — R-BGP forwards escape packets
+    /// along that path as a pinned virtual circuit, so the data plane needs
+    /// the full path, not just the next hop.
+    pub fn escape_route(
         &self,
         arena: &PathArena,
         prefix: PrefixId,
-        session_ok: F,
-    ) -> Option<(AsId, Route)>
-    where
-        F: Fn(AsId) -> bool,
-    {
-        let mut best: Option<(u32, AsId, Route)> = None;
-        for (&(p, n), r) in &self.failover_in {
-            if p != prefix
-                || !session_ok(n)
-                || r.contains(arena, self.speaker.me())
-                || self.path_invalidated(arena, r)
-            {
-                continue;
-            }
-            let key = (r.len(arena), n);
-            if best.as_ref().is_none_or(|(len, bn, _)| key < (*len, *bn)) {
-                best = Some((key.0, n, *r));
-            }
-        }
-        best.map(|(_, n, r)| (n, r))
+        live: impl Fn(&SessEntry) -> bool,
+    ) -> Option<(AsId, Route)> {
+        let (e, r) = self.escape(arena, prefix, live)?;
+        Some((e.neighbor, r))
+    }
+
+    /// [`Self::escape_route`] with the advertiser's whole session entry.
+    fn escape(
+        &self,
+        arena: &PathArena,
+        prefix: PrefixId,
+        live: impl Fn(&SessEntry) -> bool,
+    ) -> Option<(SessEntry, Route)> {
+        let me = self.speaker.me();
+        let usable = |(e, r): &&(SessEntry, Route)| {
+            live(e) && !r.contains(arena, me) && !self.path_invalidated(arena, r)
+        };
+        let candidates = self.received(prefix).iter().filter(usable);
+        candidates
+            .min_by_key(|(e, r)| (r.len(arena), e.neighbor))
+            .copied()
+    }
+
+    /// The failover paths received for `prefix`.
+    fn received(&self, prefix: PrefixId) -> &[(SessEntry, Route)] {
+        let row = self.rows.get(prefix.index());
+        row.map(|row| row.received.as_slice()).unwrap_or_default()
     }
 
     /// The neighbour currently receiving our failover advertisement.
     pub fn failover_target(&self, prefix: PrefixId) -> Option<AsId> {
-        self.failover_out.get(&prefix).map(|(t, _)| t.neighbor)
+        self.sent(prefix).map(|(t, _)| t.neighbor)
+    }
+
+    /// Our current failover advertisement for `prefix`.
+    fn sent(&self, prefix: PrefixId) -> Option<(SessEntry, Route)> {
+        self.rows.get(prefix.index())?.sent
+    }
+
+    /// Drop the failover path `neighbor` advertised for `prefix`; whether
+    /// there was one.
+    fn forget_received(&mut self, prefix: PrefixId, neighbor: AsId) -> bool {
+        let row = self.rows.get_mut(prefix.index());
+        row.is_some_and(|row| row.retain(|e, _| e.neighbor != neighbor))
     }
 
     /// Newest cause record per element (RCI mode): element → (seq, up).
@@ -202,13 +254,11 @@ impl RbgpRouter {
             .into_iter()
             .map(|(p, _)| p)
             .collect();
-        self.failover_in.retain(|&(p, _), r| {
-            let dead = rc.invalidates_path(arena, r.path);
-            if dead {
-                touched.push(p);
+        for (p, row) in self.rows.iter_mut().enumerate() {
+            if row.retain(|_, r| !rc.invalidates_path(arena, r.path)) {
+                touched.push(PrefixId::from_usize(p));
             }
-            !dead
-        });
+        }
         touched
     }
 
@@ -226,36 +276,29 @@ impl RbgpRouter {
         // to protect.
         let best = self.real_best(prefix)?;
         let me = self.speaker.me();
-        let g = ctx.topo;
         let mut target = None;
-        let mut cand: Option<(usize, u32, AsId, Route)> = None;
-        for (e, entry) in self.speaker.routes(g, prefix, ONLY) {
+        let mut cand: Option<((usize, u32, AsId), Route)> = None;
+        for (e, entry) in self.speaker.routes(ctx.neighbors, prefix, ONLY) {
             let (n, r) = (e.neighbor, entry.route);
             if n == best.neighbor {
                 // The real best was learned here, so its session is here.
                 target = Some(*e);
                 continue;
             }
-            if r.contains(ctx.arena, me) || !ctx.is_live(e) {
-                continue;
-            }
-            if self.path_invalidated(ctx.arena, &r) {
+            let unusable = r.contains(ctx.arena, me) || self.path_invalidated(ctx.arena, &r);
+            if unusable || !ctx.is_live(e) {
                 continue;
             }
             // No export gate here: R-BGP argues a failover path may relax
             // valley-free export because it carries traffic only
             // transiently.
             let shared = ctx.arena.shared_with(r.path, best.route.path);
-            let key = (shared, r.len(ctx.arena), n, r);
-            cand = match cand {
-                None => Some(key),
-                Some(cur) => {
-                    let better = (key.0, key.1, key.2) < (cur.0, cur.1, cur.2);
-                    Some(if better { key } else { cur })
-                }
-            };
+            let key = (shared, r.len(ctx.arena), n);
+            if cand.is_none_or(|(cur, _)| key < cur) {
+                cand = Some((key, r));
+            }
         }
-        let (target, (_, _, _, r)) = target.zip(cand)?;
+        let (target, (_, r)) = target.zip(cand)?;
         let mut adv = r.prepend(ctx.arena, me);
         adv.attrs.failover = true;
         Some((target, adv))
@@ -268,29 +311,26 @@ impl RbgpRouter {
     /// remains usable we keep it, so candidate churn during convergence
     /// does not ripple out as announcement storms.
     fn pseudo_best(&self, ctx: &RouterCtx, prefix: PrefixId, old: Selection) -> Selection {
-        let me = self.speaker.me();
-        let sticky = matches!(&old, Selection::Learned(d)
-            if d.route.attrs.failover
-                && ctx.sessions.session_up(me, d.neighbor)
-                && !self.path_invalidated(ctx.arena, &d.route)
-                && self
-                    .failover_in
-                    .get(&(prefix, d.neighbor))
-                    .is_some_and(|r| r.path == d.route.path));
-        if sticky {
-            return old;
+        let live = |e: &SessEntry| ctx.is_live(e);
+        if let Selection::Learned(d) = old {
+            let sticky = d.route.attrs.failover
+                && self.received(prefix).iter().any(|(e, r)| {
+                    e.neighbor == d.neighbor
+                        && r.path == d.route.path
+                        && live(e)
+                        && !self.path_invalidated(ctx.arena, r)
+                });
+            if sticky {
+                return old;
+            }
         }
-        match self.escape_route(ctx.arena, prefix, |n| ctx.sessions.session_up(me, n)) {
+        match self.escape(ctx.arena, prefix, live) {
             Some((advertiser, mut route)) => {
                 route.attrs.failover = true;
-                let learned_from = ctx
-                    .relation(advertiser)
-                    // simlint::allow(panic, "escape_route only returns routes advertised by live neighbour sessions")
-                    .expect("escape advertiser is a neighbour");
                 Selection::Learned(DecisionOutcome {
-                    neighbor: advertiser,
+                    neighbor: advertiser.neighbor,
                     route,
-                    learned_from,
+                    learned_from: advertiser.rel,
                 })
             }
             None => Selection::None,
@@ -319,11 +359,9 @@ impl RbgpRouter {
         // The failover advertisement is recomputed when the best changes or
         // its current target session died — not on every RIB touch, which
         // would re-advertise backups throughout convergence churn.
-        let target_dead = self
-            .failover_out
-            .get(&prefix)
-            .is_some_and(|(t, _)| !ctx.is_live(t));
-        if best_changed || target_dead || !self.failover_out.contains_key(&prefix) {
+        let sent = self.sent(prefix);
+        let target_dead = sent.is_some_and(|(t, _)| !ctx.is_live(&t));
+        if best_changed || target_dead || sent.is_none() {
             self.advertise_failover(ctx, prefix, cause);
         }
     }
@@ -365,9 +403,14 @@ impl RbgpRouter {
         cause: Option<CauseInfo>,
     ) {
         let desired = self.compute_failover(ctx, prefix);
-        let current = self.failover_out.get(&prefix).copied();
+        let current = self.sent(prefix);
         if desired == current {
             return;
+        }
+        // A change always has a row: `current` came from one, or `desired`
+        // makes it.
+        if let Some(row) = row_mut(&mut self.rows, prefix.index()) {
+            row.sent = desired;
         }
         // A target that keeps the advertisement hears the new one replace
         // the old implicitly; any other live old target hears a retraction.
@@ -387,14 +430,8 @@ impl RbgpRouter {
             };
             send(&old_t, UpdateKind::Withdraw(retract));
         }
-        match desired {
-            Some((t, adv)) => {
-                self.failover_out.insert(prefix, (t, adv));
-                send(&t, UpdateKind::Announce(adv));
-            }
-            None => {
-                self.failover_out.remove(&prefix);
-            }
+        if let Some((t, adv)) = desired {
+            send(&t, UpdateKind::Announce(adv));
         }
     }
 
@@ -422,7 +459,7 @@ impl RouterLogic for RbgpRouter {
     }
 
     fn on_update(&mut self, ctx: &mut RouterCtx, from: usize, _proc: ProcId, msg: UpdateMsg) {
-        let Some(sender) = ctx.neighbors.get(from).map(|e| e.neighbor) else {
+        let Some(&sender) = ctx.neighbors.get(from) else {
             return;
         };
         let prefix = msg.prefix;
@@ -448,11 +485,11 @@ impl RouterLogic for RbgpRouter {
                     // would freeze stale selections here.
                     self.speaker.unlearn(from, ONLY, prefix);
                     if stale {
-                        self.failover_in.remove(&(prefix, sender));
-                    } else {
+                        self.forget_received(prefix, sender.neighbor);
+                    } else if let Some(row) = row_mut(&mut self.rows, prefix.index()) {
                         // Failover paths change the data plane, not the RIB.
                         ctx.fib_changed = true;
-                        self.failover_in.insert((prefix, sender), route);
+                        row.receive(sender, route);
                     }
                 } else if stale {
                     // A stale announcement acts as an implicit withdrawal.
@@ -463,7 +500,7 @@ impl RouterLogic for RbgpRouter {
             }
             UpdateKind::Withdraw(info) => {
                 if info.failover {
-                    if self.failover_in.remove(&(prefix, sender)).is_some() {
+                    if self.forget_received(prefix, sender.neighbor) {
                         ctx.fib_changed = true;
                     }
                 } else {
@@ -474,36 +511,26 @@ impl RouterLogic for RbgpRouter {
         self.reselect_all(ctx, touched, cause);
     }
 
-    fn on_link_down(&mut self, ctx: &mut RouterCtx, neighbor: AsId, cause: CauseInfo) {
-        let lost = match ctx.slot_of(neighbor) {
-            Some(slot) => self.speaker.session_down(slot),
-            None => Vec::new(),
-        };
+    fn on_link_down(&mut self, ctx: &mut RouterCtx, slot: usize, cause: CauseInfo) {
+        let lost = self.speaker.session_down(slot);
         let mut touched: Vec<PrefixId> = lost.into_iter().map(|(p, _)| p).collect();
         // Failover paths it advertised, and ours if it was the target.
-        self.failover_in.retain(|&(p, n), _| {
-            if n == neighbor {
-                touched.push(p);
+        if let Some(dead) = ctx.neighbors.get(slot) {
+            for (p, row) in self.rows.iter_mut().enumerate() {
+                let target = row.sent.take_if(|(t, _)| t.neighbor == dead.neighbor);
+                if row.retain(|e, _| e.neighbor != dead.neighbor) || target.is_some() {
+                    touched.push(PrefixId::from_usize(p));
+                }
             }
-            n != neighbor
-        });
-        self.failover_out.retain(|&p, (t, _)| {
-            if t.neighbor == neighbor {
-                touched.push(p);
-            }
-            t.neighbor != neighbor
-        });
+        }
         touched.extend(self.learn_cause(ctx.arena, cause));
         self.reselect_all(ctx, touched, Some(cause));
     }
 
-    fn on_link_up(&mut self, ctx: &mut RouterCtx, neighbor: AsId, cause: CauseInfo) {
+    fn on_link_up(&mut self, ctx: &mut RouterCtx, slot: usize, cause: CauseInfo) {
         // Record the recovery; the up-state record rides on the
         // re-advertisement wave and unblocks the element at remote ASes.
         self.learn_cause(ctx.arena, cause);
-        let Some(slot) = ctx.slot_of(neighbor) else {
-            return;
-        };
         // Fresh session: the neighbour has none of our state.
         self.speaker.forget_heard(slot);
         for prefix in self.speaker.known_prefixes() {
@@ -529,11 +556,14 @@ impl RouterLogic for RbgpRouter {
             ];
             fp.mix(StateFingerprint::digest(&words));
         };
-        for (&(p, n), r) in &self.failover_in {
-            mix(p, 3, n, r);
-        }
-        for (&p, (t, r)) in &self.failover_out {
-            mix(p, 4, t.neighbor, r);
+        for (p, row) in self.rows.iter().enumerate() {
+            let p = PrefixId::from_usize(p);
+            for (e, r) in &row.received {
+                mix(p, 3, e.neighbor, r);
+            }
+            if let Some((t, r)) = &row.sent {
+                mix(p, 4, t.neighbor, r);
+            }
         }
     }
 
@@ -674,12 +704,14 @@ mod tests {
         e.inject_after(SimDuration::from_secs(1), ScenarioEvent::FailLink(id));
         e.run_to_quiescence(None);
         let r2 = e.router(AsId(2));
-        if let Some((via, _)) = r2.escape_route(e.paths(), P, |n| e.session_up(AsId(2), n)) {
+        let live = |s: &SessEntry| e.session_up(AsId(2), s.neighbor);
+        if let Some((via, _)) = r2.escape_route(e.paths(), P, live) {
             // Any surviving escape must not route through the dead link.
             let rc = RootCause::link(AsId(4), AsId(2));
-            let fo = r2
-                .failover_in
-                .get(&(P, via))
+            let (_, fo) = r2.rows[P.index()]
+                .received
+                .iter()
+                .find(|(s, _)| s.neighbor == via)
                 .expect("escape target must hold a failover");
             assert!(!rc.invalidates_path(e.paths(), fo.path));
             assert!(!fo.contains(e.paths(), AsId(2)));
@@ -738,7 +770,7 @@ mod continuity_tests {
 
     struct AllUp;
     impl SessionView for AllUp {
-        fn session_up(&self, _a: AsId, _b: AsId) -> bool {
+        fn session_entry_up(&self, _from: AsId, _e: &SessEntry) -> bool {
             true
         }
     }

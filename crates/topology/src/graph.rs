@@ -265,9 +265,10 @@ impl AsGraph {
 
     /// AS `v`'s directed sessions ascending by neighbour id: the entries of
     /// [`AsGraph::neighbor_entries`] in another order (empty for an AS
-    /// outside the graph).
+    /// outside the graph). The lookup table behind every `(from, to)`
+    /// resolution.
     #[inline]
-    pub fn neighbor_entries_by_id(&self, v: AsId) -> &[SessEntry] {
+    fn neighbor_entries_by_id(&self, v: AsId) -> &[SessEntry] {
         let offsets = &self.0.sess_offsets;
         let range = offsets.get(v.index()).zip(offsets.get(v.index() + 1));
         range
@@ -278,7 +279,7 @@ impl AsGraph {
     /// The session entry from `a` towards `b`, if adjacent. O(log deg(a))
     /// binary search over `a`'s id-sorted session slice.
     #[inline]
-    pub fn entry_between(&self, a: AsId, b: AsId) -> Option<&SessEntry> {
+    fn entry_between(&self, a: AsId, b: AsId) -> Option<&SessEntry> {
         let slice = self.neighbor_entries_by_id(a);
         let i = slice.binary_search_by_key(&b, |e| e.neighbor).ok()?;
         slice.get(i)

@@ -958,6 +958,257 @@ mod decide_ties {
 }
 
 // ---------------------------------------------------------------------
+// R-BGP's two neighbour choices break ties by id, not by slot
+// ---------------------------------------------------------------------
+
+mod failover_ties {
+    use super::rewinds::Down;
+    use super::*;
+    use stamp_repro::bgp::router::{OutMsg, RouterCtx, RouterLogic, Selection};
+    use stamp_repro::bgp::types::{
+        CauseInfo, ProcId, RootCause, UpdateKind, UpdateMsg, WithdrawInfo,
+    };
+    use stamp_repro::rbgp::{RbgpConfig, RbgpRouter};
+    use stamp_repro::topology::{AsGraph, SessEntry};
+
+    const P: PrefixId = PrefixId(0);
+
+    /// What a neighbour offers, besides an ordinary path.
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    enum Role {
+        Usable,
+        /// Its session is down.
+        Dead,
+        /// The path runs through the receiving AS.
+        ThroughMe,
+        /// The path runs through the element recorded as down (RCI only).
+        ThroughDown,
+    }
+
+    /// The router of AS `me` on `g`, with the sessions in `down` dead.
+    struct Bench<'a> {
+        g: &'a AsGraph,
+        me: AsId,
+        down: Down,
+        arena: PathArena,
+        r: RbgpRouter,
+    }
+
+    impl Bench<'_> {
+        /// Deliver `msg` from the neighbour in `slot`; what the router sent.
+        fn deliver(&mut self, slot: usize, msg: UpdateMsg) -> Vec<OutMsg> {
+            let mut ctx = RouterCtx::new(self.me, self.g, &self.down, &mut self.arena);
+            self.r.on_update(&mut ctx, slot, ProcId::ONLY, msg);
+            ctx.out
+        }
+
+        fn announce(&mut self, slot: usize, path: &[AsId], failover: bool) -> Vec<OutMsg> {
+            let attrs = PathAttrs {
+                failover,
+                ..PathAttrs::default()
+            };
+            let path = self.arena.intern_slice(path);
+            let kind = UpdateKind::Announce(Route { path, attrs });
+            self.deliver(slot, UpdateMsg { prefix: P, kind })
+        }
+
+        fn withdraw(&mut self, slot: usize, prefix: PrefixId, root_cause: Option<CauseInfo>) {
+            let info = WithdrawInfo {
+                root_cause,
+                ..WithdrawInfo::default()
+            };
+            let kind = UpdateKind::Withdraw(info);
+            self.deliver(slot, UpdateMsg { prefix, kind });
+        }
+    }
+
+    /// R-BGP picks a neighbour twice: the failover path an escape takes
+    /// (and a reselect installs as pseudo-best) and the alternative its own
+    /// failover advertisement carries. At ASes whose slot order is not id
+    /// order, offered every path in slot order — equal-length failover
+    /// paths from several neighbours, plus one from a dead session, one
+    /// through the AS itself and, with RCI, one through an element recorded
+    /// as down — the escape and the pseudo-best are the lowest-id usable
+    /// advertiser, and the advertisement carries the alternative with the
+    /// fewest ASes shared with the best path, then the shortest, then the
+    /// lowest id.
+    #[test]
+    fn failover_choices_break_ties_by_id() {
+        let (mut escape_order, mut advert_order) = (0, 0);
+        cases(96, 0xFA110E5, |rng| {
+            let g = generate(&arb_gen_config(rng)).expect("valid");
+            let mixed: Vec<AsId> = g
+                .ases()
+                .filter(|&v| {
+                    let nbrs = g.neighbor_entries(v);
+                    nbrs.len() >= 5 && nbrs.windows(2).any(|w| w[0].neighbor > w[1].neighbor)
+                })
+                .collect();
+            let Some(&me) = rng.choose(&mixed) else {
+                return;
+            };
+            let nbrs = g.neighbor_entries(me);
+            let rci = gen::bool(rng);
+            // The destination, the element recorded as down, and a pool of
+            // transit hops: neither `me` nor its neighbours.
+            let mut far: Vec<AsId> = g
+                .ases()
+                .filter(|&v| v != me && nbrs.iter().all(|e| e.neighbor != v))
+                .collect();
+            rng.shuffle(&mut far);
+            let [dest, bad, p0, p1, p2, ..] = far[..] else {
+                return;
+            };
+            let pool = [p0, p1, p2];
+            let recorded = CauseInfo {
+                cause: RootCause::Node(bad),
+                seq: 1,
+                up: false,
+            };
+            // Roles by slot: one dead, one through `me`, with RCI one
+            // through `bad`, the rest usable.
+            let draw_roles = |rng: &mut Rng| {
+                let mut slots: Vec<usize> = (0..nbrs.len()).collect();
+                rng.shuffle(&mut slots);
+                let mut roles = vec![Role::Usable; nbrs.len()];
+                roles[slots[0]] = Role::Dead;
+                roles[slots[1]] = Role::ThroughMe;
+                if rci {
+                    roles[slots[2]] = Role::ThroughDown;
+                }
+                (roles, slots)
+            };
+            let path = |rng: &mut Rng, slot: usize, role: Role, hops: usize| {
+                let mut via = pool;
+                rng.shuffle(&mut via);
+                let mut path = vec![nbrs[slot].neighbor];
+                match role {
+                    Role::ThroughMe => path.push(me),
+                    Role::ThroughDown => path.push(bad),
+                    Role::Usable | Role::Dead => path.extend(&via[..hops]),
+                }
+                path.push(dest);
+                path
+            };
+            let bench = |roles: &[Role]| Bench {
+                g: &g,
+                me,
+                down: Down(
+                    (0..nbrs.len())
+                        .filter(|&s| roles[s] == Role::Dead)
+                        .map(|s| nbrs[s].neighbor)
+                        .collect(),
+                ),
+                arena: PathArena::new(),
+                r: RbgpRouter::new(me, vec![], RbgpConfig { rci }),
+            };
+
+            // The escape: one real route, then equal-length failover paths
+            // from every other neighbour, in slot order.
+            let (roles, slots) = draw_roles(rng);
+            let real = *slots
+                .iter()
+                .find(|&&s| roles[s] == Role::Usable)
+                .expect("five neighbours leave a usable one");
+            let mut b = bench(&roles);
+            let real_path = path(rng, real, Role::Usable, 2);
+            b.announce(real, &real_path, false);
+            let mut offered: Vec<(usize, Vec<AsId>)> = Vec::new();
+            for slot in (0..nbrs.len()).filter(|&s| s != real) {
+                let p = path(rng, slot, roles[slot], 1);
+                b.announce(slot, &p, true);
+                if roles[slot] == Role::Usable {
+                    offered.push((slot, p));
+                }
+            }
+            if rci {
+                b.withdraw(real, PrefixId(1), Some(recorded));
+            }
+            let want = offered.iter().min_by_key(|(s, _)| nbrs[*s].neighbor);
+            let live = |e: &SessEntry| !b.down.0.contains(&e.neighbor);
+            let got = b.r.escape_route(&b.arena, P, live);
+            let got = got.map(|(n, r)| (n, b.arena.as_vec(r.path)));
+            let want = want.map(|(s, p)| (nbrs[*s].neighbor, p.clone()));
+            assert_eq!(got, want, "escape at {me} (rci {rci})");
+            // Would "first in slot order" have picked another neighbour?
+            let first = offered.first().map(|(s, _)| nbrs[*s].neighbor);
+            escape_order += usize::from(first != want.as_ref().map(|w| w.0));
+            // The real route goes: the reselect installs the escape.
+            b.withdraw(real, P, None);
+            let installed = match b.r.selection(P) {
+                Selection::Learned(d) => {
+                    assert!(d.route.attrs.failover, "pseudo-best is failover-flagged");
+                    let rel = g.relation(me, d.neighbor);
+                    assert_eq!(Some(d.learned_from), rel, "pseudo-best relation");
+                    Some((d.neighbor, b.arena.as_vec(d.route.path)))
+                }
+                _ => None,
+            };
+            assert_eq!(installed, want, "pseudo-best at {me} (rci {rci})");
+
+            // The advertisement: plain routes from every neighbour in slot
+            // order, one to three hops; then the best goes and comes back,
+            // so the advertisement is recomputed over the whole table.
+            let (roles, _) = draw_roles(rng);
+            let mut b = bench(&roles);
+            let mut offered: Vec<(usize, Vec<AsId>)> = Vec::new();
+            for (slot, &role) in roles.iter().enumerate() {
+                let hops = rng.gen_range(1usize..4);
+                let p = path(rng, slot, role, hops);
+                b.announce(slot, &p, false);
+                offered.push((slot, p));
+            }
+            if rci {
+                let any = roles.iter().position(|&r| r == Role::ThroughMe);
+                b.withdraw(any.expect("a role per case"), PrefixId(1), Some(recorded));
+            }
+            let best = b.r.primary_next(P).expect("a usable route survives");
+            let best_slot = g.slot_between(me, best).expect("adjacent");
+            let best_path = offered[best_slot].1.clone();
+            b.withdraw(best_slot, P, None);
+            let out = b.announce(best_slot, &best_path, false);
+            let key = |(s, p): &&(usize, Vec<AsId>)| {
+                let shared = p.iter().filter(|a| best_path.contains(a)).count();
+                (shared, p.len(), nbrs[*s].neighbor)
+            };
+            let usable = offered
+                .iter()
+                .filter(|(s, _)| roles[*s] == Role::Usable && *s != best_slot);
+            let want = usable.clone().min_by_key(key).map(|(_, p)| {
+                let mut told = vec![me];
+                told.extend(p);
+                told
+            });
+            let sent = out.iter().find_map(|m| match m.msg.kind {
+                UpdateKind::Announce(r) if r.attrs.failover && m.to == best => {
+                    Some(b.arena.as_vec(r.path))
+                }
+                _ => None,
+            });
+            assert_eq!(sent, want, "failover advertisement at {me} (rci {rci})");
+            let target = want.as_ref().map(|_| best);
+            assert_eq!(b.r.failover_target(P), target);
+            // Would "first in slot order among the (shared, len) ties" have
+            // picked another neighbour?
+            if let Some((shared, len, id)) = usable.clone().map(|c| key(&c)).min() {
+                let mut tied = usable
+                    .map(|c| key(&c))
+                    .filter(|k| (k.0, k.1) == (shared, len));
+                advert_order += usize::from(tied.next().is_some_and(|k| k.2 != id));
+            }
+        });
+        assert!(
+            escape_order >= 16,
+            "only {escape_order} escape ties where slot order misleads"
+        );
+        assert!(
+            advert_order >= 16,
+            "only {advert_order} advertisement ties where slot order misleads"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
 // Copies: a rewind equals a clone
 // ---------------------------------------------------------------------
 
@@ -971,14 +1222,14 @@ mod rewinds {
     };
     use stamp_repro::rbgp::{RbgpConfig, RbgpRouter};
     use stamp_repro::stamp::{LockStrategy, StampRouter};
-    use stamp_repro::topology::AsGraph;
+    use stamp_repro::topology::{AsGraph, SessEntry};
 
     /// Sessions of one router: up unless the neighbour is listed.
     pub(super) struct Down(pub(super) Vec<AsId>);
 
     impl SessionView for Down {
-        fn session_up(&self, _a: AsId, b: AsId) -> bool {
-            !self.0.contains(&b)
+        fn session_entry_up(&self, _from: AsId, e: &SessEntry) -> bool {
+            !self.0.contains(&e.neighbor)
         }
     }
 
@@ -1086,8 +1337,8 @@ mod rewinds {
                     };
                     r.on_update(&mut ctx, slot(from), *proc, msg);
                 }
-                Op::LinkDown(n, cause) => r.on_link_down(&mut ctx, *n, *cause),
-                Op::LinkUp(n, cause) => r.on_link_up(&mut ctx, *n, *cause),
+                Op::LinkDown(n, cause) => r.on_link_down(&mut ctx, slot(n), *cause),
+                Op::LinkUp(n, cause) => r.on_link_up(&mut ctx, slot(n), *cause),
             }
             (ctx.out, ctx.fib_changed)
         };
@@ -1184,7 +1435,7 @@ mod speaker_contract {
     use stamp_repro::policy::{parse_pol, CompiledRegime, PolicyRegime};
     use stamp_repro::rbgp::{RbgpConfig, RbgpRouter};
     use stamp_repro::stamp::{LockStrategy, StampRouter};
-    use stamp_repro::topology::{AsGraph, GraphBuilder};
+    use stamp_repro::topology::{AsGraph, GraphBuilder, SessEntry};
     use stamp_repro::workload::{destination_candidates, Protocol, RunParams, Sim, PREFIX};
 
     /// The prefixes `arb_op` draws from.
@@ -1333,7 +1584,7 @@ mod speaker_contract {
     struct AllUp;
 
     impl SessionView for AllUp {
-        fn session_up(&self, _a: AsId, _b: AsId) -> bool {
+        fn session_entry_up(&self, _from: AsId, _e: &SessEntry) -> bool {
             true
         }
     }
@@ -1383,7 +1634,8 @@ mod speaker_contract {
                     seq: 1,
                     up: true,
                 };
-                let told = recipients(&mut r, &|r, ctx| r.on_link_up(ctx, AsId(n), cause));
+                let slot = g.slot_between(me, AsId(n)).expect("adjacent");
+                let told = recipients(&mut r, &|r, ctx| r.on_link_up(ctx, slot, cause));
                 assert_eq!(told, want, "fresh session to {n}");
             }
         }
