@@ -22,10 +22,12 @@
 //!
 //! A new classifier holds the graph in which every state delivers; the
 //! first update, with every row reported, is the same routine as every
-//! later one.
+//! later one. That update, run once on a baseline, is a
+//! [`Classification`]: the tables without the view, which a classifier
+//! can [`Classifier::install`] instead of classifying the baseline again.
 
 use crate::trace::Outcome;
-use crate::view::{ForwardingView, Step};
+use crate::view::{ForwardingView, SelectionKey, Step};
 use stamp_topology::AsId;
 
 /// Compiled-successor sentinel: the state delivers.
@@ -41,6 +43,67 @@ enum Mark {
     Unknown,
     OnPath,
     Done(Outcome),
+}
+
+/// The classification of one forwarding state, detached from its view:
+/// the compiled successor and outcome of every `(AS, ctx)` state, the
+/// start context and verdict of every AS, and every AS's selection key
+/// (the control metric's baseline).
+///
+/// A converged baseline's classification belongs to the baseline, not to
+/// a fork of it: under safe policy the stable state is unique, and every
+/// fork rewinds to the same one. So it can be computed once and handed to
+/// every fork's tracker ([`crate::TransientTracker::seeded`]), whose first
+/// observation then costs what the event touched.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Classification {
+    n_ctx: usize,
+    succ: Vec<u32>,
+    outcome: Vec<Outcome>,
+    starts: Vec<u8>,
+    verdict: Vec<Outcome>,
+    pub(crate) keys: Vec<Option<SelectionKey>>,
+}
+
+impl Classification {
+    /// Classify `view` from scratch: a new classifier's first update, with
+    /// every row reported — the routine an unseeded tracker's first
+    /// observation runs.
+    pub fn of<V: ForwardingView + ?Sized>(view: &V) -> Classification {
+        let n = view.n();
+        let mut c = Classifier::default();
+        c.ensure_shape(n, usize::from(view.n_ctx()));
+        for a in 0..n {
+            c.recompile(view, a);
+        }
+        c.settle(|_, _, _| {});
+        let outcome = c
+            .marks
+            .iter()
+            .map(|m| match *m {
+                Mark::Done(o) => o,
+                Mark::Unknown | Mark::OnPath => {
+                    debug_assert!(false, "settle leaves every state classified");
+                    Outcome::Delivered
+                }
+            })
+            .collect();
+        Classification {
+            n_ctx: c.n_ctx,
+            succ: c.succ,
+            outcome,
+            starts: c.starts,
+            verdict: c.verdict,
+            keys: (0..n)
+                .map(|a| view.selection_key(AsId::from_usize(a)))
+                .collect(),
+        }
+    }
+
+    /// The verdict per AS (index = AS id).
+    pub fn verdicts(&self) -> &[Outcome] {
+        &self.verdict
+    }
 }
 
 #[derive(Debug, Clone, Default)]
@@ -107,6 +170,36 @@ impl Classifier {
         self.restarted.clear();
         self.restarted.reserve(n);
         true
+    }
+
+    /// Take `c`'s tables as this classifier's, as if it had just settled
+    /// the state `c` classifies. The view is not asked: the predecessor
+    /// lists are rebuilt from the successors, in state order — the order
+    /// an update that reports every row links them in, so the lists come
+    /// out identical. The work counters keep counting from where they are.
+    pub(crate) fn install(&mut self, c: &Classification) {
+        self.n_ctx = c.n_ctx;
+        self.succ.clone_from(&c.succ);
+        self.marks.clear();
+        self.marks.extend(c.outcome.iter().map(|&o| Mark::Done(o)));
+        self.starts.clone_from(&c.starts);
+        self.verdict.clone_from(&c.verdict);
+        let lists = [
+            &mut self.pred_head,
+            &mut self.pred_next,
+            &mut self.pred_prev,
+        ];
+        for v in lists {
+            v.clear();
+            v.resize(c.succ.len(), NIL);
+        }
+        for (s, &q) in (0u32..).zip(&c.succ) {
+            if q < DROP {
+                self.link(s, q);
+            }
+        }
+        self.cone.clear();
+        self.restarted.clear();
     }
 
     /// Current verdict per AS (index = AS id).

@@ -20,7 +20,10 @@
 //!   valley-free path from it (permanent partition is not a *transient*
 //!   problem). It keeps the classification up to date incrementally
 //!   (`classifier`): one observation re-examines the rows the engine's
-//!   touched feed reports and the states that reach a changed one.
+//!   touched feed reports and the states that reach a changed one. A
+//!   tracker can start from a baseline's [`Classification`] instead of
+//!   from nothing, so that even its first observation costs only what
+//!   changed since the baseline.
 
 #![forbid(unsafe_code)]
 
@@ -29,6 +32,7 @@ pub mod trace;
 pub mod tracker;
 pub mod view;
 
+pub use classifier::Classification;
 pub use trace::{classify_all, Outcome};
 pub use tracker::{ObserverWork, TransientTracker};
 pub use view::{

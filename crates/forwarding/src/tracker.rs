@@ -1,6 +1,6 @@
 //! Transient-problem accumulation across a convergence window.
 
-use crate::classifier::Classifier;
+use crate::classifier::{Classification, Classifier};
 use crate::trace::Outcome;
 use crate::view::{FeedCursor, ForwardingView, SelectionKey, Touched};
 use stamp_bgp::types::RootCause;
@@ -9,7 +9,9 @@ use stamp_topology::AsId;
 /// Exact work counts of one [`TransientTracker`]: functions of the seed
 /// and the scenario only, never of the host, so a test can pin them and a
 /// slide from O(touched) back to O(world) per observation fails CI where
-/// wall time never could.
+/// wall time never could. They count what the tracker observes after its
+/// baseline: classifying the baseline itself
+/// ([`TransientTracker::seeded`]) is not observing, as converging is not.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ObserverWork {
     /// Observation points recorded.
@@ -35,6 +37,56 @@ impl std::ops::AddAssign for ObserverWork {
     }
 }
 
+/// Per-AS flags raised once and never lowered, with their count.
+#[derive(Debug, Clone)]
+struct Flags {
+    set: Vec<bool>,
+    n: usize,
+}
+
+impl Flags {
+    fn new(n: usize) -> Flags {
+        Flags {
+            set: vec![false; n],
+            n: 0,
+        }
+    }
+
+    fn get(&self, i: usize) -> bool {
+        self.set.get(i).copied().unwrap_or(false)
+    }
+
+    /// Raise flag `i`, counting the first time.
+    #[inline]
+    fn raise(&mut self, i: usize) {
+        if let Some(f @ false) = self.set.get_mut(i) {
+            *f = true;
+            self.n += 1;
+        }
+    }
+}
+
+/// Who has had a forwarding problem, and of which kind.
+#[derive(Debug, Clone)]
+struct Affected {
+    any: Flags,
+    by_loop: Flags,
+    by_blackhole: Flags,
+}
+
+impl Affected {
+    /// AS `a`'s packets loop or blackhole (`o`) at this observation.
+    #[inline]
+    fn hurt(&mut self, a: usize, o: Outcome) {
+        match o {
+            Outcome::Delivered => return,
+            Outcome::Loop => self.by_loop.raise(a),
+            Outcome::Blackhole => self.by_blackhole.raise(a),
+        }
+        self.any.raise(a);
+    }
+}
+
 /// Accumulates "ASes with transient problems" over the observation points
 /// of one convergence episode, per the paper's metric (Figures 2/3):
 /// an AS is affected if at any instant its traffic loops or blackholes
@@ -45,23 +97,26 @@ impl std::ops::AddAssign for ObserverWork {
 /// ([`ForwardingView::touched_since`]) and a persistent classification,
 /// and re-examines only the reported rows and the states that reach a
 /// changed one. It therefore belongs to one view lineage — one engine and
-/// destination — for its whole life. The first observation, and any after
-/// a restore, is the same routine with every row reported.
+/// destination — for its whole life. A tracker made by
+/// [`TransientTracker::new`] starts from nothing, so its first
+/// observation (and any after a restore) is the same routine with every
+/// row reported; one made by [`TransientTracker::seeded`] starts from its
+/// baseline's classification and place in the feed.
 #[derive(Debug, Clone)]
 pub struct TransientTracker {
     /// Whether each AS counts: it can still reach the destination after
     /// the event (set from the static solver on the surviving topology)
     /// and is not the destination itself.
     counted: Vec<bool>,
-    affected: Vec<bool>,
-    affected_by_loop: Vec<bool>,
-    affected_by_blackhole: Vec<bool>,
-    n_affected: usize,
-    n_affected_by_loop: usize,
-    n_affected_by_blackhole: usize,
+    affected: Affected,
     /// Counted ASes looping / blackholing right now.
     now_looping: usize,
     now_blackholed: usize,
+    /// Counted ASes a seeded tracker found looping or blackholed at its
+    /// baseline. Accounting starts from an all-delivered prior, as an
+    /// unseeded tracker's does, so the first observation counts them
+    /// (as whatever they are by then), not the seeding.
+    unfolded: Vec<usize>,
     /// Companion control-plane metric ("affected in some ways"): ASes that
     /// adopted a selection invalidated by the event (or emptied their
     /// table) at some observation instant. Empty `causes` disables it.
@@ -69,8 +124,7 @@ pub struct TransientTracker {
     /// Pre-event selection keys per AS (adoption = deviation from these);
     /// `None` where the baseline view has no control plane.
     baseline_keys: Vec<Option<SelectionKey>>,
-    control_affected: Vec<bool>,
-    n_control_affected: usize,
+    control_affected: Flags,
     control_evals: u64,
     /// Total observations in which at least one AS looped.
     pub observations_with_loops: u64,
@@ -86,18 +140,10 @@ pub struct TransientTracker {
     classifier: Classifier,
 }
 
-/// Raise `flags[i]`, counting the first time.
-#[inline]
-fn raise(flags: &mut [bool], i: usize, count: &mut usize) {
-    if !flags[i] {
-        flags[i] = true;
-        *count += 1;
-    }
-}
-
 impl TransientTracker {
     /// Tracker for `n` ASes towards `dest`; `reachable[v]` must hold the
-    /// post-event reachability of each AS.
+    /// post-event reachability of each AS. Its first observation
+    /// classifies every row.
     pub fn new(dest: AsId, mut reachable: Vec<bool>) -> TransientTracker {
         let n = reachable.len();
         // The destination's own fate is not counted.
@@ -106,18 +152,17 @@ impl TransientTracker {
         }
         TransientTracker {
             counted: reachable,
-            affected: vec![false; n],
-            affected_by_loop: vec![false; n],
-            affected_by_blackhole: vec![false; n],
-            n_affected: 0,
-            n_affected_by_loop: 0,
-            n_affected_by_blackhole: 0,
+            affected: Affected {
+                any: Flags::new(n),
+                by_loop: Flags::new(n),
+                by_blackhole: Flags::new(n),
+            },
             now_looping: 0,
             now_blackholed: 0,
+            unfolded: Vec::new(),
             causes: Vec::new(),
             baseline_keys: vec![None; n],
-            control_affected: vec![false; n],
-            n_control_affected: 0,
+            control_affected: Flags::new(n),
             control_evals: 0,
             observations_with_loops: 0,
             observations_with_blackholes: 0,
@@ -126,6 +171,53 @@ impl TransientTracker {
             cursor: FeedCursor::default(),
             classifier: Classifier::default(),
         }
+    }
+
+    /// Tracker that starts at a baseline: `view` is the pre-event state and
+    /// `baseline` its classification ([`Classification::of`] — computed
+    /// once per converged baseline and shared by every fork of it).
+    /// `causes` enables the control-plane companion metric against the
+    /// baseline's selections (empty = off), as
+    /// [`TransientTracker::with_control_metric`] does for an unseeded one.
+    ///
+    /// It takes its place in the view's touched feed now, so its first
+    /// observation re-examines only the rows touched since, and that
+    /// observation accounts exactly as an unseeded tracker's first one
+    /// does: an AS already looping or blackholed at the baseline is
+    /// counted then, if it still is.
+    pub fn seeded<V: ForwardingView + ?Sized>(
+        dest: AsId,
+        reachable: Vec<bool>,
+        baseline: &Classification,
+        view: &V,
+        causes: Vec<RootCause>,
+    ) -> TransientTracker {
+        let mut t = TransientTracker::new(dest, reachable);
+        t.classifier.install(baseline);
+        view.touched_since(&mut t.cursor);
+        debug_assert_eq!(
+            t.classifier.verdicts(),
+            crate::trace::classify_all(view),
+            "the baseline classification is not this view's (a stale memo?)"
+        );
+        debug_assert!(
+            *baseline == Classification::of(view),
+            "the baseline classification is not this view's (a stale memo?)"
+        );
+        t.baseline_keys.clone_from(&baseline.keys);
+        t.causes = causes;
+        for (a, &o) in baseline.verdicts().iter().enumerate() {
+            let now = match o {
+                Outcome::Delivered => continue,
+                Outcome::Loop => &mut t.now_looping,
+                Outcome::Blackhole => &mut t.now_blackholed,
+            };
+            if t.counted.get(a) == Some(&true) {
+                *now += 1;
+                t.unfolded.push(a);
+            }
+        }
+        t
     }
 
     /// Enable the control-plane companion metric: `causes` identifies the
@@ -166,7 +258,7 @@ impl TransientTracker {
             }
         }
         self.classifier.settle(|a, old, new| {
-            if !self.counted[a] {
+            if self.counted.get(a) != Some(&true) {
                 return;
             }
             match old {
@@ -176,22 +268,17 @@ impl TransientTracker {
             }
             match new {
                 Outcome::Delivered => {}
-                Outcome::Loop => {
-                    self.now_looping += 1;
-                    raise(&mut self.affected, a, &mut self.n_affected);
-                    raise(&mut self.affected_by_loop, a, &mut self.n_affected_by_loop);
-                }
-                Outcome::Blackhole => {
-                    self.now_blackholed += 1;
-                    raise(&mut self.affected, a, &mut self.n_affected);
-                    raise(
-                        &mut self.affected_by_blackhole,
-                        a,
-                        &mut self.n_affected_by_blackhole,
-                    );
-                }
+                Outcome::Loop => self.now_looping += 1,
+                Outcome::Blackhole => self.now_blackholed += 1,
             }
+            self.affected.hurt(a, new);
         });
+        // What the baseline left broken counts now, as it would have from
+        // an all-delivered prior.
+        for a in self.unfolded.drain(..) {
+            let now = self.classifier.verdicts().get(a).copied();
+            self.affected.hurt(a, now.unwrap_or(Outcome::Delivered));
+        }
         debug_assert_eq!(
             self.classifier.verdicts(),
             crate::trace::classify_all(view),
@@ -219,7 +306,7 @@ impl TransientTracker {
     /// the last observation, whose verdict (not affected) still stands —
     /// causes and reachability are fixed for the tracker's lifetime.
     fn observe_control<V: ForwardingView + ?Sized>(&mut self, view: &V, i: usize) {
-        if !self.counted[i] || self.control_affected[i] {
+        if self.counted.get(i) != Some(&true) || self.control_affected.get(i) {
             return;
         }
         self.control_evals += 1;
@@ -229,7 +316,7 @@ impl TransientTracker {
         // and the invalidation check below needs only the current paths.
         // A view without a control plane has no key and flags nobody.
         let key = view.selection_key(v);
-        if key.is_none() || key == self.baseline_keys[i] {
+        if key.is_none() || self.baseline_keys.get(i) == Some(&key) {
             return;
         }
         let paths = view.selection_paths(v);
@@ -240,33 +327,33 @@ impl TransientTracker {
                 self.causes.iter().any(|c| c.invalidates_with_head(v, p))
             });
         if all_bad {
-            raise(&mut self.control_affected, i, &mut self.n_control_affected);
+            self.control_affected.raise(i);
         }
     }
 
     /// Number of ASes that experienced a transient problem so far.
     pub fn affected_count(&self) -> usize {
-        self.n_affected
+        self.affected.any.n
     }
 
     /// Number of ASes that experienced a transient loop.
     pub fn loop_count(&self) -> usize {
-        self.n_affected_by_loop
+        self.affected.by_loop.n
     }
 
     /// Number of ASes that experienced a transient blackhole.
     pub fn blackhole_count(&self) -> usize {
-        self.n_affected_by_blackhole
+        self.affected.by_blackhole.n
     }
 
     /// Number of ASes flagged by the control-plane companion metric.
     pub fn control_affected_count(&self) -> usize {
-        self.n_control_affected
+        self.control_affected.n
     }
 
     /// Per-AS affected flags.
     pub fn affected(&self) -> &[bool] {
-        &self.affected
+        &self.affected.any.set
     }
 
     /// Where each AS's traffic ends up as of the latest observation
@@ -388,6 +475,58 @@ mod tests {
         // again.
         assert_eq!(t.work().states_rewalked, 4 + 2 + 2);
         assert_eq!(t.work().ases_folded, 3 + 2 + 2);
+    }
+
+    /// A tracker seeded at a baseline that already blackholes and loops
+    /// accounts like one that never saw it: of the ASes the baseline left
+    /// broken, the first tick counts those still broken (as what they are
+    /// then: 4 looped at the baseline and blackholes now) and not those
+    /// repaired by then (1).
+    #[test]
+    fn a_seeded_tracker_counts_what_its_first_tick_still_sees_broken() {
+        use Outcome::{Blackhole, Delivered, Loop};
+        let base = v(vec![None, None, Some(0), None, Some(5), Some(4)], 0);
+        let ticks = [
+            vec![None, Some(0), Some(0), None, Some(5), None],
+            vec![None, Some(0), Some(0), Some(2), Some(5), Some(0)],
+        ];
+        let baseline = Classification::of(&base);
+        assert_eq!(
+            baseline.verdicts(),
+            [Delivered, Blackhole, Delivered, Blackhole, Loop, Loop]
+        );
+        for reachable in [vec![true; 6], vec![true, true, true, false, true, true]] {
+            let mut cold = TransientTracker::new(AsId(0), reachable.clone());
+            let mut warm = TransientTracker::seeded(AsId(0), reachable, &baseline, &base, vec![]);
+            for next in &ticks {
+                let view = v(next.clone(), 0);
+                cold.observe(&view);
+                warm.observe(&view);
+                assert_eq!(warm.outcomes(), cold.outcomes());
+                assert_eq!(warm.affected(), cold.affected());
+                assert_eq!(
+                    (warm.loop_count(), warm.blackhole_count()),
+                    (cold.loop_count(), cold.blackhole_count())
+                );
+                assert_eq!(
+                    (
+                        warm.observations_with_loops,
+                        warm.observations_with_blackholes
+                    ),
+                    (
+                        cold.observations_with_loops,
+                        cold.observations_with_blackholes
+                    )
+                );
+                assert_eq!(
+                    warm.last_observation_had_problems,
+                    cold.last_observation_had_problems
+                );
+            }
+            let counted_3 = cold.affected()[3];
+            assert_eq!(cold.affected_count(), 2 + usize::from(counted_3));
+            assert_eq!(cold.loop_count(), 0);
+        }
     }
 
     /// Two packet contexts per AS: context 0 forwards along `next`,

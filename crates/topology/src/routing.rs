@@ -11,9 +11,13 @@
 //!    provider→customer steps only.
 //! 2. **Peer routes** — one peer hop into an AS with a customer route (or
 //!    into the destination itself).
-//! 3. **Provider routes** — multi-source Dijkstra descending provider→
-//!    customer edges from every AS routed in phases 1–2, since an AS exports
-//!    its best route (of any kind) to its customers.
+//! 3. **Provider routes** — a multi-source shortest path descending
+//!    provider→customer edges from every AS routed in phases 1–2, since an
+//!    AS exports its best route (of any kind) to its customers. Every edge
+//!    costs one hop, so the frontier is a list of buckets indexed by length
+//!    rather than a heap: a candidate that lowers an AS's tentative length
+//!    is queued again in its new bucket, and among candidates of one length
+//!    the lowest next hop wins.
 //!
 //! Preference is by route kind first (customer > peer > provider — the
 //! prefer-customer policy), then shortest AS path, then lowest neighbour id.
@@ -21,8 +25,9 @@
 //! equality is asserted in integration tests.
 
 use crate::graph::{AsGraph, AsId};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+
+/// Length of a route not (yet) found.
+const NONE: u32 = u32::MAX;
 
 /// Kind of the best route an AS holds in the stable state, classified by the
 /// relation of its first hop.
@@ -56,100 +61,112 @@ pub struct StaticRoutes {
 }
 
 impl StaticRoutes {
-    /// Compute the stable state for destination `dest`.
+    /// Compute the stable state for destination `dest` (for a `dest`
+    /// outside the topology, no AS has a route).
     pub fn compute(g: &AsGraph, dest: AsId) -> StaticRoutes {
         let n = g.n();
+        debug_assert!(dest.index() < n, "destination {dest} outside the topology");
         let mut routes: Vec<Option<StaticRoute>> = vec![None; n];
-        routes[dest.index()] = Some(StaticRoute {
-            kind: RouteKind::Origin,
-            len: 0,
-            next_hop: None,
-        });
+        let set = |routes: &mut Vec<Option<StaticRoute>>, v: AsId, kind, len, next_hop| {
+            if let Some(r) = routes.get_mut(v.index()) {
+                *r = Some(StaticRoute {
+                    kind,
+                    len,
+                    next_hop,
+                });
+            }
+        };
+        set(&mut routes, dest, RouteKind::Origin, 0, None);
 
         // Phase 1: customer routes — BFS from dest up the provider edges.
-        // cust_len[v] = length of v's best customer route (v != dest).
-        let mut cust_len = vec![u32::MAX; n];
-        cust_len[dest.index()] = 0;
-        let mut queue = VecDeque::new();
-        queue.push_back(dest);
-        while let Some(v) = queue.pop_front() {
-            let l = cust_len[v.index()];
+        // cust_len[v] = length of v's best customer route (0 at dest).
+        let mut cust_len = vec![NONE; n];
+        let len_of = |cust_len: &[u32], v: AsId| cust_len.get(v.index()).copied().unwrap_or(NONE);
+        let mut queue: Vec<AsId> = Vec::with_capacity(n);
+        if let Some(l) = cust_len.get_mut(dest.index()) {
+            *l = 0;
+            queue.push(dest);
+        }
+        let mut head = 0;
+        while let Some(&v) = queue.get(head) {
+            head += 1;
+            let l = len_of(&cust_len, v) + 1;
             for &p in g.providers(v) {
-                if cust_len[p.index()] == u32::MAX {
-                    cust_len[p.index()] = l + 1;
-                    queue.push_back(p);
+                match cust_len.get_mut(p.index()) {
+                    Some(pl) if *pl == NONE => {
+                        *pl = l;
+                        queue.push(p);
+                    }
+                    _ => {}
                 }
             }
         }
-        for v in g.ases() {
-            if v == dest || cust_len[v.index()] == u32::MAX {
-                continue;
-            }
-            let len = cust_len[v.index()];
-            // Deterministic tiebreak: lowest-id customer at distance len-1.
+        // Every AS the BFS reached after dest has a customer one hop
+        // shorter (the one that reached it); the lowest id among them is
+        // the deterministic tiebreak.
+        for &v in queue.iter().skip(1) {
+            let len = len_of(&cust_len, v);
             let nh = g
                 .customers(v)
                 .iter()
                 .copied()
-                .filter(|c| cust_len[c.index()] == len - 1)
-                .min()
-                // simlint::allow(panic, "BFS set len = dist+1, so a customer at len-1 exists by construction")
-                .expect("customer at distance len-1 must exist");
-            routes[v.index()] = Some(StaticRoute {
-                kind: RouteKind::Customer,
-                len,
-                next_hop: Some(nh),
-            });
+                .filter(|&c| len_of(&cust_len, c) == len - 1)
+                .min();
+            debug_assert!(
+                nh.is_some(),
+                "BFS reached {v} from a customer at {}",
+                len - 1
+            );
+            set(&mut routes, v, RouteKind::Customer, len, nh);
         }
 
         // Phase 2: peer routes for ASes without a customer route.
         for v in g.ases() {
-            if routes[v.index()].is_some() {
+            if len_of(&cust_len, v) != NONE {
                 continue;
             }
             let best = g
                 .peers(v)
                 .iter()
                 .copied()
-                .filter(|u| cust_len[u.index()] != u32::MAX)
-                .map(|u| (cust_len[u.index()] + 1, u))
+                .filter(|&u| len_of(&cust_len, u) != NONE)
+                .map(|u| (len_of(&cust_len, u) + 1, u))
                 .min();
             if let Some((len, u)) = best {
-                routes[v.index()] = Some(StaticRoute {
-                    kind: RouteKind::Peer,
-                    len,
-                    next_hop: Some(u),
-                });
+                set(&mut routes, v, RouteKind::Peer, len, Some(u));
             }
         }
 
-        // Phase 3: provider routes — multi-source Dijkstra descending
-        // provider→customer edges; every routed AS exports its best route to
-        // its customers.
-        let mut heap: BinaryHeap<Reverse<(u32, AsId, AsId)>> = BinaryHeap::new();
+        // Phase 3: provider routes — unit-weight shortest paths descending
+        // provider→customer edges, seeded by every AS routed so far. An
+        // AS's candidate is `(length, next hop)`; buckets hold the ASes
+        // whose tentative length is their index.
+        let mut frontier = Frontier {
+            tentative: vec![(NONE, AsId(NONE)); n],
+            buckets: Vec::new(),
+        };
         for v in g.ases() {
-            if let Some(r) = routes[v.index()] {
-                for &c in g.customers(v) {
-                    if routes[c.index()].is_none() {
-                        heap.push(Reverse((r.len + 1, c, v)));
-                    }
-                }
+            if let Some(Some(r)) = routes.get(v.index()) {
+                frontier.offer_customers(g, &routes, v, r.len + 1);
             }
         }
-        while let Some(Reverse((len, v, via))) = heap.pop() {
-            if routes[v.index()].is_some() {
-                continue;
-            }
-            routes[v.index()] = Some(StaticRoute {
-                kind: RouteKind::Provider,
-                len,
-                next_hop: Some(via),
-            });
-            for &c in g.customers(v) {
-                if routes[c.index()].is_none() {
-                    heap.push(Reverse((len + 1, c, v)));
+        let mut len = 0;
+        while let Some(bucket) = frontier.buckets.get_mut(len) {
+            let bucket = std::mem::take(bucket);
+            for v in bucket {
+                // A stale entry: `v` was queued again, shorter, and is
+                // routed already.
+                if !matches!(routes.get(v.index()), Some(None)) {
+                    continue;
                 }
+                let Some(&(l, via)) = frontier.tentative.get(v.index()) else {
+                    continue;
+                };
+                debug_assert_eq!(l as usize, len, "{v} popped from the wrong bucket");
+                set(&mut routes, v, RouteKind::Provider, l, Some(via));
+                frontier.offer_customers(g, &routes, v, l + 1);
             }
+            len += 1;
         }
 
         StaticRoutes { dest, routes }
@@ -164,13 +181,13 @@ impl StaticRoutes {
     /// Best route of `v`, if the destination is reachable at all.
     #[inline]
     pub fn route(&self, v: AsId) -> Option<&StaticRoute> {
-        self.routes[v.index()].as_ref()
+        self.routes.get(v.index()).and_then(Option::as_ref)
     }
 
     /// Whether `v` has any valley-free path to the destination.
     #[inline]
     pub fn reachable(&self, v: AsId) -> bool {
-        self.routes[v.index()].is_some()
+        self.route(v).is_some()
     }
 
     /// Number of ASes (including the origin) with a route.
@@ -184,7 +201,7 @@ impl StaticRoutes {
         let mut seq = vec![v];
         let mut cur = v;
         loop {
-            let r = self.routes[cur.index()].as_ref()?;
+            let r = self.route(cur)?;
             match r.next_hop {
                 None => return Some(seq),
                 Some(nh) => {
@@ -197,6 +214,46 @@ impl StaticRoutes {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Phase 3's frontier: each unrouted AS's best provider-route candidate
+/// so far, `(length, next hop)`, and the ASes queued per tentative length.
+struct Frontier {
+    tentative: Vec<(u32, AsId)>,
+    buckets: Vec<Vec<AsId>>,
+}
+
+impl Frontier {
+    /// `v` is routed at `len - 1` hops and exports that route to every
+    /// customer still without one.
+    fn offer_customers(&mut self, g: &AsGraph, routes: &[Option<StaticRoute>], v: AsId, len: u32) {
+        for &c in g.customers(v) {
+            if matches!(routes.get(c.index()), Some(None)) {
+                self.offer(c, len, v);
+            }
+        }
+    }
+
+    /// A candidate route for `c`. A shorter one replaces the tentative
+    /// route and queues `c` in its bucket; an equally long one wins on the
+    /// lower next hop — the order `(length, AS, next hop)` a heap pops in.
+    fn offer(&mut self, c: AsId, len: u32, via: AsId) {
+        let Some(t) = self.tentative.get_mut(c.index()) else {
+            return;
+        };
+        if len < t.0 {
+            *t = (len, via);
+            let b = len as usize;
+            if self.buckets.len() <= b {
+                self.buckets.resize_with(b + 1, Vec::new);
+            }
+            if let Some(bucket) = self.buckets.get_mut(b) {
+                bucket.push(c);
+            }
+        } else if len == t.0 && via < t.1 {
+            t.1 = via;
         }
     }
 }

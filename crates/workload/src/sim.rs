@@ -37,11 +37,12 @@
 //! check: [`Sim::restore`]) rewinds one in place to another, and both are
 //! the engine's one `Clone` impl underneath — they copy what a run can
 //! change (routers, scheduler, arena, RNG positions, the live policy
-//! regime, the facade's convergence bookkeeping) and share the topology
-//! and the jitter table by reference count. A rewind keeps every buffer
-//! down to the routers' tables, so rewinding a session onto a baseline of
-//! its own shape allocates nothing. There is no separate checkpoint type
-//! (DESIGN.md §12).
+//! regime, the facade's convergence bookkeeping) and share the topology,
+//! the jitter table and the classification of the session's reset state
+//! (filled by the first [`Sim::measure`] from it) by reference count. A
+//! rewind keeps every buffer down to the routers' tables, so rewinding a
+//! session onto a baseline of its own shape allocates nothing. There is
+//! no separate checkpoint type (DESIGN.md §12).
 //!
 //! Steady-state cost: with the flat engine hot path (DESIGN.md §10) the
 //! whole drive loop is allocation-free per event — dense session-indexed
@@ -59,7 +60,9 @@ use stamp_bgp::router::BgpRouter;
 use stamp_bgp::types::{PrefixId, RootCause};
 use stamp_core::{LockStrategy, StampRouter};
 use stamp_eventsim::{SimDuration, SimTime};
-use stamp_forwarding::{DataPlane, EngineView, ForwardingView, ObserverWork, TransientTracker};
+use stamp_forwarding::{
+    Classification, DataPlane, EngineView, ForwardingView, ObserverWork, TransientTracker,
+};
 use stamp_rbgp::{RbgpConfig, RbgpRouter};
 use stamp_topology::{AsGraph, AsId};
 use std::collections::VecDeque;
@@ -83,6 +86,9 @@ pub enum SimError {
     /// A checkpoint from one protocol was restored into a session running
     /// another.
     CheckpointMismatch { expected: Protocol, got: Protocol },
+    /// A measured reachability mask is not one flag per AS of the
+    /// session's topology.
+    MaskLength { got: usize, n_ases: usize },
 }
 
 impl fmt::Display for SimError {
@@ -102,6 +108,10 @@ impl fmt::Display for SimError {
             SimError::CheckpointMismatch { expected, got } => write!(
                 f,
                 "checkpoint protocol mismatch: session runs {expected}, checkpoint holds {got}"
+            ),
+            SimError::MaskLength { got, n_ases } => write!(
+                f,
+                "reachability mask has {got} entries for a topology of {n_ases} ASes"
             ),
         }
     }
@@ -379,32 +389,54 @@ impl Probe for NullProbe {
 }
 
 /// The paper's transient-problem bookkeeping as an ordinary probe: feeds
-/// baseline/periodic/final snapshots into a [`TransientTracker`] and
-/// timestamps the last observation that still saw a forwarding problem
-/// (the data-plane recovery metric).
+/// periodic/final snapshots into a [`TransientTracker`] seeded at the
+/// baseline snapshot, and timestamps the last observation that still saw a
+/// forwarding problem (the data-plane recovery metric).
 pub struct MetricsProbe {
-    tracker: TransientTracker,
-    /// Root causes for the control-plane companion metric, consumed by the
-    /// baseline snapshot.
-    causes: Option<Vec<RootCause>>,
+    dest: AsId,
+    /// Post-timeline reachability and root causes, until the tracker is
+    /// seeded with them.
+    reachable: Vec<bool>,
+    causes: Vec<RootCause>,
+    /// The classification of the baseline state, filled by whoever first
+    /// needs it (see [`Sim::measure`]).
+    baseline: Arc<OnceLock<Classification>>,
+    /// Seeded at the first snapshot, a play's `Baseline`.
+    tracker: Option<TransientTracker>,
     last_problem: Option<SimTime>,
 }
 
 impl MetricsProbe {
     /// Probe for `dest`; `reachable[v]` holds post-timeline reachability,
     /// `causes` the timeline's root-cause records (see
-    /// [`Timeline::root_causes`]).
+    /// [`Timeline::root_causes`]). The baseline is classified when the
+    /// probe sees it.
     pub fn new(dest: AsId, reachable: Vec<bool>, causes: Vec<RootCause>) -> MetricsProbe {
+        MetricsProbe::classified(dest, reachable, causes, Arc::default())
+    }
+
+    /// [`MetricsProbe::new`] with the baseline's classification in
+    /// `baseline`, or to be put there by this probe if it is empty.
+    fn classified(
+        dest: AsId,
+        reachable: Vec<bool>,
+        causes: Vec<RootCause>,
+        baseline: Arc<OnceLock<Classification>>,
+    ) -> MetricsProbe {
         MetricsProbe {
-            tracker: TransientTracker::new(dest, reachable),
-            causes: Some(causes),
+            dest,
+            reachable,
+            causes,
+            baseline,
+            tracker: None,
             last_problem: None,
         }
     }
 
-    /// The accumulated tracker state.
-    pub fn tracker(&self) -> &TransientTracker {
-        &self.tracker
+    /// The accumulated tracker state (`None` until the probe has seen a
+    /// snapshot).
+    pub fn tracker(&self) -> Option<&TransientTracker> {
+        self.tracker.as_ref()
     }
 
     /// Last periodic observation instant that still saw any loop or
@@ -416,44 +448,35 @@ impl MetricsProbe {
 
 impl Probe for MetricsProbe {
     fn on_event<V: ForwardingView + ?Sized>(&mut self, event: SimEvent<'_, V>) {
-        match event {
-            SimEvent::Snapshot {
-                cause: SnapshotCause::Baseline,
+        let SimEvent::Snapshot { at, cause, view } = event else {
+            return;
+        };
+        // Only the *first* snapshot — a play's baseline — seeds the
+        // tracker: a probe reused across several plays keeps measuring
+        // against its original pre-event state instead of silently
+        // resampling mid-measurement.
+        let tracker = self.tracker.get_or_insert_with(|| {
+            let baseline = self.baseline.get_or_init(|| Classification::of(view));
+            TransientTracker::seeded(
+                self.dest,
+                std::mem::take(&mut self.reachable),
+                baseline,
                 view,
-                ..
-            } => {
-                // Only the *first* baseline arms the control metric: a
-                // probe reused across several plays keeps measuring
-                // against its original pre-event state instead of
-                // silently resampling (and dropping its causes)
-                // mid-measurement.
-                if let Some(causes) = self.causes.take() {
-                    self.tracker.with_control_metric(causes, view);
-                }
-            }
-            SimEvent::Snapshot {
-                at,
-                cause: SnapshotCause::Periodic,
-                view,
-            } => {
-                self.tracker.observe(view);
-                if self.tracker.last_observation_had_problems {
+                std::mem::take(&mut self.causes),
+            )
+        });
+        match cause {
+            SnapshotCause::Baseline => {}
+            SnapshotCause::Periodic => {
+                tracker.observe(view);
+                if tracker.last_observation_had_problems {
                     self.last_problem = Some(at);
                 }
             }
-            SimEvent::Snapshot {
-                cause: SnapshotCause::Final,
-                view,
-                ..
-            } => {
-                // Counted so a non-converged end state shows up in the
-                // affected numbers, but not in the recovery timestamp
-                // (recovery is measured over the observation window).
-                self.tracker.observe(view);
-            }
-            SimEvent::FibChanged { .. }
-            | SimEvent::SessionReset { .. }
-            | SimEvent::PhaseSettled { .. } => {}
+            // Counted so a non-converged end state shows up in the
+            // affected numbers, but not in the recovery timestamp
+            // (recovery is measured over the observation window).
+            SnapshotCause::Final => tracker.observe(view),
         }
     }
 }
@@ -607,6 +630,7 @@ impl<'g> SimBuilder<'g> {
             updates_initial: 0,
             outcome: RunOutcome::Converged,
             observer_work: ObserverWork::default(),
+            classified: Arc::default(),
             scratch: None,
             lease: None,
         })
@@ -646,6 +670,12 @@ pub struct Sim {
     updates_initial: u64,
     outcome: RunOutcome,
     observer_work: ObserverWork,
+    /// The classification of this state after
+    /// [`Sim::reset_measurement`], filled by the first [`Sim::measure`]
+    /// that needs it. Every copy of the session shares it, so the first
+    /// fork of a baseline classifies it and every later fork copies that;
+    /// whatever advances the engine starts a new, empty one.
+    classified: Arc<OnceLock<Classification>>,
     /// On a baseline held by a [`BaselineCache`](crate::BaselineCache): that
     /// cache's free list, where sessions restored from this baseline find
     /// scratch engines.
@@ -666,8 +696,9 @@ impl Drop for Sim {
 /// The one way to copy a session. `clone_from` adopts everything —
 /// protocol, destination, prefix, params, topology, seed, the engine
 /// ([`EngineKind::clone_from`]: in place when both sides have one of the
-/// same kind) and the convergence bookkeeping — so afterwards this session
-/// *is* `source` and nothing of its own past survives. Like the engine's
+/// same kind), the convergence bookkeeping and the shared baseline
+/// classification — so afterwards this session *is* `source` and nothing
+/// of its own past survives. Like the engine's
 /// and the routers' impls it destructures the source without `..`: a new
 /// field does not compile until a copy decision is written here. What is
 /// not state is not copied: a copy of a cached baseline is not in the
@@ -687,6 +718,7 @@ impl Clone for Sim {
             updates_initial,
             outcome,
             observer_work,
+            classified,
             scratch: _,
             lease: _,
         } = self;
@@ -702,6 +734,7 @@ impl Clone for Sim {
             updates_initial: *updates_initial,
             outcome: *outcome,
             observer_work: *observer_work,
+            classified: Arc::clone(classified),
             scratch: None,
             lease: None,
         }
@@ -721,6 +754,7 @@ impl Clone for Sim {
             updates_initial,
             outcome,
             observer_work,
+            classified,
             scratch: _,
             lease: _,
         } = source;
@@ -739,6 +773,7 @@ impl Clone for Sim {
         self.updates_initial = *updates_initial;
         self.outcome = *outcome;
         self.observer_work = *observer_work;
+        self.classified.clone_from(classified);
     }
 }
 
@@ -900,6 +935,7 @@ impl Sim {
     pub fn converge_with<P: Probe>(&mut self, probe: &mut P) -> RunStats {
         if !self.converged {
             self.converged = true;
+            self.classified = Arc::default();
             let deadline = Some(SimTime::ZERO + self.params.phase_deadline);
             let interval = self.params.observe_interval;
             let prefix = self.prefix;
@@ -922,6 +958,8 @@ impl Sim {
     /// Clear measurement state between phases (the protocol's
     /// [`DataPlane::reset_measurement`]; STAMP clears its instability
     /// flags so pre-failure churn does not count against the event).
+    /// Idempotent: a reset session is the state [`Sim::measure`]
+    /// classifies, reset again or not.
     pub fn reset_measurement(&mut self) {
         with_engine!(self.engine_mut(), e => DataPlane::reset_measurement(e))
     }
@@ -941,6 +979,7 @@ impl Sim {
         // and leaves the session untouched.
         let schedule = timeline.resolve(self.topology())?;
         self.converge();
+        self.classified = Arc::default();
         let epoch = self.now() + self.params.inject_delay;
         let settle = epoch + timeline.end();
         let deadline = Some(settle + self.params.phase_deadline);
@@ -973,7 +1012,14 @@ impl Sim {
     /// The one-stop paper measurement: converge, reset measurement state,
     /// play `timeline` under a [`MetricsProbe`], and assemble
     /// [`InstanceMetrics`]. `reachable[v]` must hold each AS's
-    /// post-timeline reachability (see [`Timeline::reachable_after`]).
+    /// post-timeline reachability (see [`Timeline::reachable_after`]);
+    /// a mask of another length is [`SimError::MaskLength`].
+    ///
+    /// The probe's tracker starts from the session's classification of
+    /// its reset state, which the first measurement from that state
+    /// computes at the baseline snapshot and every copy of the session
+    /// shares: a fork of a cached baseline observes only what its
+    /// timeline touches, from the first tick on.
     ///
     /// `updates_failure` counts the updates sent by *this* call (on a
     /// fresh session: everything after initial convergence), so measuring
@@ -986,22 +1032,37 @@ impl Sim {
     ) -> Result<InstanceMetrics, SimError> {
         // Refuse before converging, as `play` will again after it.
         timeline.resolve(self.topology())?;
+        if reachable.len() != self.g.n() {
+            return Err(SimError::MaskLength {
+                got: reachable.len(),
+                n_ases: self.g.n(),
+            });
+        }
         self.converge();
         self.reset_measurement();
         let sent_before = {
             let s = self.stats();
             s.announcements_sent + s.withdrawals_sent
         };
-        let mut probe = MetricsProbe::new(self.dest, reachable.to_vec(), timeline.root_causes());
+        let mut probe = MetricsProbe::classified(
+            self.dest,
+            reachable.to_vec(),
+            timeline.root_causes(),
+            Arc::clone(&self.classified),
+        );
         let played = self.play(timeline, &mut probe)?;
-        self.observer_work = probe.tracker().work();
+        // `play` snapshots its baseline before anything else, so the
+        // tracker exists; an empty answer is what observing nothing is.
+        let tracker = probe.tracker();
+        let count = |f: fn(&TransientTracker) -> usize| tracker.map_or(0, f);
+        self.observer_work = tracker.map_or_else(ObserverWork::default, TransientTracker::work);
         let s = self.stats();
         Ok(InstanceMetrics {
             outcome: self.outcome,
-            affected: probe.tracker().affected_count(),
-            affected_loops: probe.tracker().loop_count(),
-            affected_blackholes: probe.tracker().blackhole_count(),
-            control_affected: probe.tracker().control_affected_count(),
+            affected: count(TransientTracker::affected_count),
+            affected_loops: count(TransientTracker::loop_count),
+            affected_blackholes: count(TransientTracker::blackhole_count),
+            control_affected: count(TransientTracker::control_affected_count),
             updates_initial: self.updates_initial,
             updates_failure: s.announcements_sent + s.withdrawals_sent - sent_before,
             convergence_delay_s: s.last_fib_change.since(played.settle).as_secs_f64(),
@@ -1102,7 +1163,7 @@ pub struct Played {
 mod tests {
     use super::*;
     use crate::params::PREFIX;
-    use crate::timeline::flap_train;
+    use crate::timeline::{flap_train, single_link_failure};
     use stamp_topology::gen::{generate, GenConfig};
     use stamp_topology::GraphBuilder;
 
@@ -1320,6 +1381,62 @@ mod tests {
         assert_eq!(sim.play(&wraps, &mut NullProbe).map(|_| ()), refused);
         assert_eq!(sim.measure(&wraps, &[true; 5]).map(|_| ()), refused);
         assert!(!sim.converged(), "a refused timeline ran nothing");
+    }
+
+    #[test]
+    fn measure_refuses_a_mask_of_another_length() {
+        // Refused next to the timeline check, before anything runs — not
+        // at the tracker's first observation, after converging.
+        let g = diamond();
+        let mut sim = Sim::on(&g)
+            .originate(AsId(4), PREFIX)
+            .fast()
+            .build()
+            .unwrap();
+        let t = Timeline::from_events("down", single_link_failure(AsId(4), AsId(2)));
+        for got in [0, 4, 6] {
+            assert_eq!(
+                sim.measure(&t, &vec![true; got]).map(|_| ()),
+                Err(SimError::MaskLength { got, n_ases: 5 })
+            );
+        }
+        assert!(!sim.converged(), "a refused mask ran nothing");
+        assert!(sim.measure(&t, &[true; 5]).is_ok());
+    }
+
+    #[test]
+    fn the_first_fork_classifies_a_baseline_and_later_forks_share_it() {
+        let g = generate(&GenConfig::small(11)).unwrap();
+        let dest = crate::canned::destination_candidates(&g)[0];
+        let t = Timeline::from_events("down", single_link_failure(dest, g.providers(dest)[0]));
+        let reachable = t.reachable_after(&g, dest).unwrap();
+        for proto in Protocol::ALL {
+            let mut sim = Sim::on(&g)
+                .protocol(proto)
+                .originate(dest, PREFIX)
+                .seed(5)
+                .fast()
+                .build()
+                .unwrap();
+            sim.converge();
+            let baseline = sim.checkpoint();
+            assert!(baseline.classified.get().is_none(), "filled on demand");
+            let cold = sim.measure(&t, &reachable).unwrap();
+            let memo = baseline.classified.get().expect("the first fork fills it");
+            assert!(
+                sim.classified.get().is_none(),
+                "{proto}: a session that played is no longer its baseline"
+            );
+            let mut warm = Sim::on(&g)
+                .protocol(proto)
+                .originate(dest, PREFIX)
+                .build()
+                .unwrap();
+            warm.restore(&baseline).unwrap();
+            assert_eq!(warm.measure(&t, &reachable).unwrap(), cold, "{proto}");
+            assert_eq!(warm.observer_work(), sim.observer_work(), "{proto}");
+            assert!(std::ptr::eq(memo, baseline.classified.get().unwrap()));
+        }
     }
 
     #[test]

@@ -236,12 +236,15 @@ fn lemma_3_1_additions_strictly_gentler_than_withdrawals() {
     // blackholing even large regions until MRAI lets corrections through —
     // one of the reproduction's findings (EXPERIMENTS.md).
     assert_eq!(
-        add_probe.tracker().loop_count(),
+        add_probe.tracker().expect("a play snapshots").loop_count(),
         0,
         "additions must never create forwarding loops"
     );
     // Keep the withdrawal tracker alive as documentation of the contrast.
-    let _ = fail_probe.tracker().affected_count();
+    let _ = fail_probe
+        .tracker()
+        .expect("a play snapshots")
+        .affected_count();
 }
 
 /// After any convergence, every protocol's data plane delivers from every

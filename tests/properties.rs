@@ -109,6 +109,165 @@ fn good_paths_imply_disjoint_pair() {
     });
 }
 
+mod static_routes_oracle {
+    use super::*;
+    use stamp_repro::topology::{AsGraph, LinkId, RouteKind, StaticRoute};
+    use stamp_repro::workload::destination_candidates;
+    use std::cmp::Reverse;
+    use std::collections::{BinaryHeap, VecDeque};
+
+    /// The three-phase solver with phase 3 as a binary-heap Dijkstra that
+    /// pops `(length, AS, next hop)`, as `StaticRoutes::compute` was
+    /// before its frontier became length buckets. Also returns how many
+    /// ASes were offered a provider route by the phase-1/2 seeds (in the
+    /// ascending-id order the bucketed solver seeds in) *after* a longer
+    /// one: the ASes whose tentative length is lowered.
+    fn heap_reference(g: &AsGraph, dest: AsId) -> (Vec<Option<StaticRoute>>, usize) {
+        let n = g.n();
+        let route = |kind, len, next_hop| {
+            Some(StaticRoute {
+                kind,
+                len,
+                next_hop,
+            })
+        };
+        let mut routes: Vec<Option<StaticRoute>> = vec![None; n];
+        routes[dest.index()] = route(RouteKind::Origin, 0, None);
+        let mut cust_len = vec![u32::MAX; n];
+        cust_len[dest.index()] = 0;
+        let mut queue = VecDeque::from([dest]);
+        while let Some(v) = queue.pop_front() {
+            for &p in g.providers(v) {
+                if cust_len[p.index()] == u32::MAX {
+                    cust_len[p.index()] = cust_len[v.index()] + 1;
+                    queue.push_back(p);
+                }
+            }
+        }
+        for v in g.ases() {
+            let len = cust_len[v.index()];
+            if v != dest && len != u32::MAX {
+                let nh = g
+                    .customers(v)
+                    .iter()
+                    .copied()
+                    .filter(|c| cust_len[c.index()] == len - 1)
+                    .min();
+                routes[v.index()] = route(RouteKind::Customer, len, nh);
+            }
+        }
+        for v in g.ases() {
+            if routes[v.index()].is_none() {
+                let best = g
+                    .peers(v)
+                    .iter()
+                    .filter(|u| cust_len[u.index()] != u32::MAX)
+                    .map(|&u| (cust_len[u.index()] + 1, u))
+                    .min();
+                if let Some((len, u)) = best {
+                    routes[v.index()] = route(RouteKind::Peer, len, Some(u));
+                }
+            }
+        }
+        let mut heap = BinaryHeap::new();
+        let mut first_offer = vec![u32::MAX; n];
+        let mut lowered = 0;
+        for v in g.ases() {
+            if let Some(r) = routes[v.index()] {
+                for &c in g.customers(v) {
+                    if routes[c.index()].is_none() {
+                        let first = &mut first_offer[c.index()];
+                        lowered += usize::from(*first != u32::MAX && r.len + 1 < *first);
+                        *first = (*first).min(r.len + 1);
+                        heap.push(Reverse((r.len + 1, c, v)));
+                    }
+                }
+            }
+        }
+        while let Some(Reverse((len, v, via))) = heap.pop() {
+            if routes[v.index()].is_some() {
+                continue;
+            }
+            routes[v.index()] = route(RouteKind::Provider, len, Some(via));
+            for &c in g.customers(v) {
+                if routes[c.index()].is_none() {
+                    heap.push(Reverse((len + 1, c, v)));
+                }
+            }
+        }
+        (routes, lowered)
+    }
+
+    /// The removals a destination is checked under: none, a seeded
+    /// sprinkle of links, and a cut that partitions — every provider and
+    /// peer link of one AS that is not the destination, so it and the
+    /// part of its customer cone the destination is not in lose the
+    /// destination.
+    fn removal_sets(g: &AsGraph, dest: AsId, rng: &mut Rng) -> Vec<Vec<LinkId>> {
+        let sprinkle = (0..g.n_links() / 50 + 1)
+            .map(|_| LinkId(rng.gen_range(0u32..g.n_links() as u32)))
+            .collect();
+        let victim = loop {
+            let v = AsId(rng.gen_range(0u32..g.n() as u32));
+            if v != dest && !g.is_tier1(v) {
+                break v;
+            }
+        };
+        let cut = g
+            .providers(victim)
+            .iter()
+            .chain(g.peers(victim))
+            .filter_map(|&u| g.link_between(victim, u))
+            .collect();
+        vec![Vec::new(), sprinkle, cut]
+    }
+
+    /// `StaticRoutes::compute` (length buckets) equals the heap solver on
+    /// every AS — kind, length and next hop — for every destination
+    /// candidate of generated 200- and 2000-AS topologies, on the whole
+    /// graph and after seeded removals that leave ASes unreachable. The
+    /// run must actually meet unreachable ASes and lowered tentative
+    /// lengths, the two cases a bucket frontier can get wrong.
+    #[test]
+    fn static_routes_match_heap_reference() {
+        let (mut unreachable, mut lowered) = (0, 0);
+        for (n_ases, seed) in [(200, 0x57A7), (200, 0x57A8), (2000, 0x57A9)] {
+            let g = generate(&GenConfig {
+                n_ases,
+                ..GenConfig::small(seed)
+            })
+            .expect("valid");
+            let mut rng = Rng::seed_from_u64(seed);
+            for (i, dest) in destination_candidates(&g).into_iter().enumerate() {
+                let sets = removal_sets(&g, dest, &mut rng);
+                // At 2000 ASes every destination gets the whole graph and
+                // one of the two cuts, in turn: the full cross product is
+                // minutes in a debug build.
+                let picked = match n_ases {
+                    200 => vec![0, 1, 2],
+                    _ => vec![0, 1 + i % 2],
+                };
+                for k in picked {
+                    let cut = g.without_links(&sets[k]);
+                    let got = StaticRoutes::compute(&cut, dest);
+                    let (want, low) = heap_reference(&cut, dest);
+                    lowered += low;
+                    for v in cut.ases() {
+                        assert_eq!(
+                            got.route(v),
+                            want[v.index()].as_ref(),
+                            "{n_ases} ASes, dest {dest}, removal set {k}: AS {v}"
+                        );
+                        unreachable += usize::from(want[v.index()].is_none());
+                    }
+                }
+            }
+        }
+        assert!(unreachable > 0, "no removal left an AS unreachable");
+        assert!(lowered > 0, "no tentative length was ever lowered");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Protocol dynamics (smaller case counts: each case runs a simulation)
 // ---------------------------------------------------------------------
@@ -1646,6 +1805,269 @@ mod speaker_contract {
         check(&g, &regime, me, || {
             StampRouter::new(me, vec![PREFIX], LockStrategy::Random { seed: 1 })
         });
+    }
+}
+
+// ---------------------------------------------------------------------
+// A tracker seeded at its baseline observes like one that starts cold
+// ---------------------------------------------------------------------
+
+mod seeded_observation {
+    use super::*;
+    use stamp_repro::bgp::types::RootCause;
+    use stamp_repro::eventsim::{SimDuration, SimTime};
+    use stamp_repro::forwarding::{Classification, ForwardingView, Outcome, TransientTracker};
+    use stamp_repro::policy::PolicyRegime;
+    use stamp_repro::sim::{Probe, SimEvent, SnapshotCause};
+    use stamp_repro::topology::{AsGraph, GraphBuilder};
+    use stamp_repro::workload::{
+        InstanceMetrics, NetEvent, Protocol, RunParams, Timeline, TimelineEvent, WatchdogConfig,
+        PREFIX,
+    };
+    use stamp_repro::Sim;
+
+    /// Everything a tracker reports.
+    type Report = (Vec<Outcome>, Vec<bool>, [usize; 4], [u64; 3], bool);
+
+    fn report(t: &TransientTracker) -> Report {
+        (
+            t.outcomes().to_vec(),
+            t.affected().to_vec(),
+            [
+                t.affected_count(),
+                t.loop_count(),
+                t.blackhole_count(),
+                t.control_affected_count(),
+            ],
+            [
+                t.observations,
+                t.observations_with_loops,
+                t.observations_with_blackholes,
+            ],
+            t.last_observation_had_problems,
+        )
+    }
+
+    /// Two trackers on one play: one seeded at the baseline snapshot from
+    /// the baseline's classification, one that starts from nothing (the
+    /// reference: every tracker before seeding existed). After every
+    /// observation both must report the same thing, verdicts included.
+    struct Twin {
+        dest: AsId,
+        reachable: Vec<bool>,
+        causes: Vec<RootCause>,
+        trackers: Option<(TransientTracker, TransientTracker)>,
+        /// The cold tracker's last periodic tick with a problem.
+        last_problem: Option<SimTime>,
+        ticks: usize,
+    }
+
+    impl Probe for Twin {
+        fn on_event<V: ForwardingView + ?Sized>(&mut self, event: SimEvent<'_, V>) {
+            let SimEvent::Snapshot { at, cause, view } = event else {
+                return;
+            };
+            let (warm, cold) = self.trackers.get_or_insert_with(|| {
+                let (reachable, causes) = (self.reachable.clone(), self.causes.clone());
+                let baseline = Classification::of(view);
+                let warm =
+                    TransientTracker::seeded(self.dest, reachable.clone(), &baseline, view, causes);
+                let mut cold = TransientTracker::new(self.dest, reachable);
+                cold.with_control_metric(self.causes.clone(), view);
+                (warm, cold)
+            });
+            if cause == SnapshotCause::Baseline {
+                return;
+            }
+            warm.observe(view);
+            cold.observe(view);
+            assert_eq!(report(warm), report(cold), "tick {}", self.ticks);
+            if cause == SnapshotCause::Periodic && cold.last_observation_had_problems {
+                self.last_problem = Some(at);
+            }
+            self.ticks += 1;
+        }
+    }
+
+    /// Every observation a seeded tracker makes equals an unseeded one's,
+    /// and `Sim::measure` (whose probe seeds) yields what the unseeded
+    /// tracker counts. Returns the ticks observed and the ASes affected.
+    fn assert_seeding_changes_nothing(
+        baseline: &Sim,
+        timeline: &Timeline,
+        reachable: &[bool],
+        what: &str,
+    ) -> (usize, usize) {
+        let m: InstanceMetrics = baseline
+            .clone()
+            .measure(timeline, reachable)
+            .expect("timelines are drawn on this graph");
+        let mut sim = baseline.clone();
+        sim.reset_measurement();
+        let mut twin = Twin {
+            dest: sim.dest(),
+            reachable: reachable.to_vec(),
+            causes: timeline.root_causes(),
+            trackers: None,
+            last_problem: None,
+            ticks: 0,
+        };
+        let played = sim.play(timeline, &mut twin).expect("resolves");
+        let (_, cold) = twin.trackers.expect("a play snapshots its baseline");
+        let recovery = twin
+            .last_problem
+            .map_or(0.0, |t| t.since(played.settle).as_secs_f64());
+        assert_eq!(
+            [
+                m.affected,
+                m.affected_loops,
+                m.affected_blackholes,
+                m.control_affected
+            ],
+            [
+                cold.affected_count(),
+                cold.loop_count(),
+                cold.blackhole_count(),
+                cold.control_affected_count()
+            ],
+            "{what}"
+        );
+        assert_eq!(m.data_recovery_s.to_bits(), recovery.to_bits(), "{what}");
+        (twin.ticks, m.affected)
+    }
+
+    /// Link and node failures and recoveries at overlapping instants, on
+    /// elements of `g` (never the destination itself).
+    fn arb_timeline(g: &AsGraph, dest: AsId, rng: &mut Rng) -> Timeline {
+        let mut at = SimDuration::ZERO;
+        let mut events = Vec::new();
+        for _ in 0..rng.gen_range(1usize..6) {
+            at = at + SimDuration::from_micros(rng.gen_range(0u64..3_000_000));
+            let back = at + SimDuration::from_micros(rng.gen_range(1u64..5_000_000));
+            let (down, up) = if rng.gen_bool(0.25) {
+                let v = AsId(rng.gen_range(0u32..g.n() as u32));
+                if v == dest {
+                    continue;
+                }
+                (NetEvent::NodeDown(v), NetEvent::NodeUp(v))
+            } else {
+                let l = g.links()[rng.gen_range(0usize..g.n_links())];
+                (NetEvent::LinkDown(l.a, l.b), NetEvent::LinkUp(l.a, l.b))
+            };
+            events.push(TimelineEvent { at, ev: down });
+            if rng.gen_bool(0.6) {
+                events.push(TimelineEvent { at: back, ev: up });
+            }
+        }
+        events.sort_by_key(|e| e.at);
+        Timeline::from_events("random", events)
+    }
+
+    /// Every observation, under the paper's delays and MRAI; a watchdog
+    /// tight enough that a random regime's dispute wheel ends the run.
+    fn params(policy: PolicyRegime) -> RunParams {
+        RunParams {
+            observe_interval: SimDuration::ZERO,
+            policy,
+            watchdog: WatchdogConfig {
+                arm_after: SimDuration::from_secs(120),
+                sample_every: SimDuration::from_secs(5),
+                max_events: 400_000,
+            },
+            ..RunParams::paper()
+        }
+    }
+
+    /// BGP, R-BGP with and without RCI, and STAMP, on random timelines
+    /// under the built-in regimes and random `.pol` ones: a tracker seeded
+    /// at the baseline observes exactly as one that starts from nothing.
+    #[test]
+    fn a_seeded_tracker_equals_an_unseeded_one() {
+        let (mut ticks, mut affected) = (0, 0);
+        cases(24, 0x5EED0B, |rng| {
+            let seed = rng.next_u64();
+            let g = generate(&GenConfig {
+                n_ases: rng.gen_range(40usize..90),
+                ..GenConfig::small(seed)
+            })
+            .expect("valid");
+            let dest = AsId(rng.gen_range(0u32..g.n() as u32));
+            let regime = match rng.gen_bool(0.5) {
+                true => rng.choose(&PolicyRegime::builtins()).expect("some").clone(),
+                false => regimes::arb_regime(rng),
+            };
+            let timeline = arb_timeline(&g, dest, rng);
+            let reachable = timeline.reachable_after(&g, dest).expect("drawn on g");
+            for p in Protocol::ALL {
+                let mut baseline = Sim::on(&g)
+                    .protocol(p)
+                    .originate(dest, PREFIX)
+                    .seed(seed)
+                    .params(params(regime.clone()))
+                    .build()
+                    .expect("dest drawn from g");
+                baseline.converge();
+                let what = format!("{p} under {} on {timeline:?}", regime.name);
+                let (t, a) =
+                    assert_seeding_changes_nothing(&baseline, &timeline, &reachable, &what);
+                (ticks, affected) = (ticks + t, affected + a);
+            }
+        });
+        assert!(ticks > 1000, "the timelines must actually be observed");
+        assert!(affected > 0, "and must actually hurt someone");
+    }
+
+    /// A baseline that already blackholes counted ASes: the origin 2 hangs
+    /// off 1, which hangs off 0, and the 2–1 link is down when the
+    /// measurement starts. It comes back up: 1 hears 2 first, so at the
+    /// first tick 1 delivers and 0 still blackholes. Both were broken at
+    /// the baseline; only 0 counts — as it would have had nobody looked
+    /// at the baseline.
+    #[test]
+    fn a_broken_baseline_is_counted_at_the_first_tick_not_at_seeding() {
+        let mut b = GraphBuilder::new();
+        b.preregister(3);
+        b.customer_of(1, 0).unwrap();
+        b.customer_of(2, 1).unwrap();
+        let g = b.build().unwrap();
+        let (dest, mid) = (AsId(2), AsId(1));
+        let s = SimDuration::from_secs;
+        let cut = Timeline::from_events(
+            "cut",
+            vec![TimelineEvent {
+                at: s(0),
+                ev: NetEvent::LinkDown(dest, mid),
+            }],
+        );
+        let mend = Timeline::from_events(
+            "mend",
+            vec![TimelineEvent {
+                at: s(0),
+                ev: NetEvent::LinkUp(dest, mid),
+            }],
+        );
+        for p in Protocol::ALL {
+            let mut baseline = Sim::on(&g)
+                .protocol(p)
+                .originate(dest, PREFIX)
+                .seed(3)
+                .params(params(PolicyRegime::gao_rexford()))
+                .build()
+                .unwrap();
+            baseline.converge();
+            baseline
+                .play(&cut, &mut stamp_repro::sim::NullProbe)
+                .unwrap();
+            let broken = baseline.with_view(|v| Classification::of(v).verdicts().to_vec());
+            assert_eq!(
+                broken,
+                [Outcome::Blackhole, Outcome::Blackhole, Outcome::Delivered]
+            );
+            let everyone = vec![true; g.n()];
+            assert_seeding_changes_nothing(&baseline, &mend, &everyone, "mend");
+            let m = baseline.clone().measure(&mend, &everyone).unwrap();
+            assert_eq!((m.affected, m.affected_blackholes), (1, 1), "{p}: only 0");
+        }
     }
 }
 

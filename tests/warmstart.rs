@@ -77,6 +77,51 @@ fn forked_cell_matches_cold_cell_on_canned_scenarios() {
     }
 }
 
+/// Observing costs a fork what it costs the cold cell: the ledger counts
+/// only what a cell observes after its baseline, and every tracker starts
+/// from its baseline's classification — computed by the cold cell itself,
+/// by the first fork of a cached baseline, and copied by every later
+/// fork. So the cold cell, the fork that classifies the cached baseline
+/// and the fork that copies that classification count the same work.
+#[test]
+fn a_warm_cell_observes_exactly_what_the_cold_cell_observes() {
+    let g = generate(&GenConfig::small(41)).expect("valid generator config");
+    let params = RunParams::paper();
+    let fp = params.policy.fingerprint();
+    let mut rng = rng_stream(901, tags::WORKLOAD);
+    let w = sample_canned(&g, FailureScenario::TwoLinksDifferentAs, &mut rng).expect("fits");
+    let reachable = w.timeline.reachable_after(&g, w.dest).unwrap();
+    let cache = BaselineCache::new();
+    for p in Protocol::ALL {
+        let session = || {
+            Sim::on(&g)
+                .protocol(p)
+                .originate(w.dest, PREFIX)
+                .seed(5)
+                .params(params.clone())
+                .build()
+                .expect("in range")
+        };
+        let mut cold = session();
+        let cold_metrics = cold.measure(&w.timeline, &reachable).expect("resolves");
+        let mut baseline = session();
+        baseline.converge();
+        let baseline = cache.put(p, w.dest, 5, fp, baseline);
+        for fork in ["classifies", "copies"] {
+            let mut warm = session();
+            warm.restore(&baseline).expect("same protocol");
+            let m = warm.measure(&w.timeline, &reachable).expect("resolves");
+            assert_eq!(m, cold_metrics, "{p}: the fork that {fork}");
+            assert_eq!(
+                warm.observer_work(),
+                cold.observer_work(),
+                "{p}: the fork that {fork} the baseline's classification"
+            );
+        }
+        assert!(cold.observer_work().observations > 0, "{p}");
+    }
+}
+
 /// Property: `checkpoint → mutate → restore → mutate` replays byte-
 /// identically at any fork depth. Each depth plays a different timeline —
 /// the canned link failures interleaved with the adversarial families
