@@ -96,9 +96,9 @@ pub enum ScenarioEvent {
 /// Typed result of a `run_*` call: how the run ended, not just that it
 /// ended. `Converged` is the only outcome that means "the network is
 /// quiescent"; the other two are the watchdog turning what used to be an
-/// infinite loop (or a silent deadline truncation) into data. Folded into
-/// campaign aggregate hashes only when `Diverged` — see
-/// `GridHash::write_metrics` in the workload crate.
+/// infinite loop (or a silent deadline truncation) into data. Every
+/// outcome is folded into campaign aggregate hashes as a tag, `Diverged`
+/// with its period and churn — see `report_hash` in the workload crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RunOutcome {
     /// The scheduler drained: every router is stable and silent.

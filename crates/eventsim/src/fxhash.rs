@@ -112,12 +112,13 @@ impl Hasher for FxHasher {
     }
 }
 
-/// FNV-1a 64-bit: the workspace's one *fingerprint* hash (campaign
-/// aggregate hashes, policy-regime fingerprints, the convergence
-/// watchdog's state digests). Unlike [`FxHasher`] its output is a pinned
-/// value — goldens in `tests/determinism.rs` and `ci.sh` are FNV-1a words —
-/// so it is the standard function, byte for byte, checked against the
-/// reference vectors below.
+/// FNV-1a 64-bit: the workspace's one *fingerprint* hash and its only FNV
+/// code (campaign aggregate hashes, policy-regime fingerprints, the
+/// convergence watchdog's state digests). Unlike [`FxHasher`] its output
+/// is a pinned value — the campaign and figure-runner goldens in
+/// `tests/determinism.rs` and every hash in `BENCH_campaign.json` are
+/// FNV-1a words — so it is the standard function, byte for byte, checked
+/// against the reference vectors below.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fnv1a(u64);
 

@@ -1,8 +1,9 @@
 #![forbid(unsafe_code)]
 //! `simlint` — the workspace's determinism and hot-path lint engine.
 //!
-//! The campaign goldens (`0x288f67a39b590c8d`, `0x21ce716a105a0ebe`, the
-//! `InstanceMetrics` bit patterns) prove at *runtime* that every run is
+//! The campaign goldens (the smoke and adversarial hashes and the canned
+//! `InstanceMetrics` bit patterns in `tests/determinism.rs`, every hash in
+//! `BENCH_campaign.json`) prove at *runtime* that every run is
 //! byte-reproducible. This crate enforces the same invariants *statically*,
 //! before code runs: no randomly keyed hashers or wall-clock reads in sim
 //! crates, no allocation or copying inside `// simlint::hot` functions, no

@@ -33,7 +33,7 @@ use crate::timeline::{
 use stamp_bgp::engine::RunOutcome;
 use stamp_eventsim::fxhash::FxHashMap;
 use stamp_eventsim::rng::{tags, Rng};
-use stamp_eventsim::{derive_seed, rng_stream, SimDuration};
+use stamp_eventsim::{derive_seed, rng_stream, Fnv1a, SimDuration};
 use stamp_forwarding::ObserverWork;
 use stamp_policy::PolicyRegime;
 use stamp_topology::gen::{generate, GenConfig};
@@ -45,47 +45,6 @@ use std::sync::{Arc, Mutex};
 // re-exports keep the long-standing `stamp_workload::campaign::{..}` paths.
 pub use crate::params::{InstanceMetrics, RunParams, PREFIX};
 pub use crate::sim::{ParseProtocolError, Protocol};
-
-/// The campaign aggregate hash: FNV-1a's xor-then-multiply fold over
-/// little-endian words, but with the multiplier `2^48 + 0x1b3` — *not* the
-/// FNV prime (`2^40 + 0x1b3`, see `stamp_eventsim::Fnv1a`). The constant
-/// was mistyped when the campaign runner was written and every pinned
-/// campaign golden (`ci.sh`, `tests/determinism.rs`, the benchmark's
-/// `campaign_hash`) has depended on it since, so it stays its own four
-/// lines rather than joining the shared implementation.
-struct GridHash(u64);
-
-impl GridHash {
-    fn new() -> GridHash {
-        GridHash(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x1_0000_0000_01b3);
-        }
-    }
-
-    /// Feed every field of `m` in (f64s by bit pattern), so aggregate
-    /// hashes detect any metric drift.
-    ///
-    /// The outcome contributes bytes **only when `Diverged`** — a marker
-    /// word plus the detected period and churn. Converged cells (and
-    /// deadline-truncated ones, which existed before outcomes were typed
-    /// and already shape the other metrics) write nothing, keeping every
-    /// pre-watchdog golden hash byte-identical.
-    fn write_metrics(&mut self, m: &InstanceMetrics) {
-        for w in m.words() {
-            self.write_u64(w);
-        }
-        if let RunOutcome::Diverged { period, churn } = m.outcome {
-            self.write_u64(0xD1FE_D1FE_D1FE_D1FE);
-            self.write_u64(period.as_micros());
-            self.write_u64(churn);
-        }
-    }
-}
 
 /// Run one `(timeline, dest)` cell for one protocol: converge one network,
 /// play one timeline, measure (see [`Sim::measure`]). `seed` drives the
@@ -243,10 +202,11 @@ struct CacheInner {
 /// Warm-start cache of converged baselines: `(protocol, dest, engine
 /// seed, policy fingerprint) → the session right after initial
 /// convergence`. Shared across workers (internally locked; baselines are
-/// handed out as `Arc`s, so the lock is never held while one is copied)
-/// and across grid passes — the second run of the same grid converges
-/// nothing. A baseline holds its run state only: the topology is the one
-/// copy every session on that graph shares.
+/// handed out as `Arc`s, so the lock is never held while one is copied),
+/// across the timelines of one grid pass — its cells share a baseline per
+/// `(dest, seed)` — and across grid passes: the second run of the same
+/// grid converges nothing. A baseline holds its run state only: the
+/// topology is the one copy every session on that graph shares.
 ///
 /// Beside the baselines the cache keeps the *scratch engines* its forks
 /// ran on, at most one per engine kind and concurrent fork: a warm cell
@@ -642,9 +602,9 @@ pub struct CampaignReport {
     /// Every cell, in deterministic grid order (timeline-major, then
     /// destination, then seed) regardless of worker interleaving.
     pub cells: Vec<CellResult>,
-    /// Every metric of every cell folded in merge order (an FNV-1a-style
-    /// fold, see `GridHash`) — two campaigns are byte-identical iff their
-    /// hashes match.
+    /// Every metric and outcome of every cell folded in merge order
+    /// (FNV-1a, see `report_hash`) — two campaigns are byte-identical iff
+    /// their hashes match.
     pub hash: u64,
 }
 
@@ -690,19 +650,19 @@ impl CampaignReport {
 // The cell runner
 // ---------------------------------------------------------------------
 
-/// `f(0), f(1), … f(n-1)` computed on `threads` scoped workers (0 = all
-/// cores; never more workers than items), returned in index order. The one
-/// worker pool of the simulation crates: workers claim indices from an
-/// atomic counter, keep their own `(index, result)` pairs and return them
-/// through their join handles, so there is no shared result state to
-/// lock. A panicking worker's panic resumes on the caller.
-fn par_map<T: Send>(threads: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+/// `f` of every item computed on `threads` scoped workers (0 = all cores;
+/// never more workers than items), returned in item order. The one worker
+/// pool of the simulation crates: workers claim indices from an atomic
+/// counter, keep their own `(index, result)` pairs and return them through
+/// their join handles, so there is no shared result state to lock. A
+/// panicking worker's panic resumes on the caller.
+fn par_map<I: Sync, T: Send>(threads: usize, items: &[I], f: impl Fn(&I) -> T + Sync) -> Vec<T> {
     let threads = match threads {
         // simlint::allow(ambient-env, "thread count only partitions work; results are merged by index and never depend on it")
         0 => std::thread::available_parallelism().map_or(1, |c| c.get()),
         t => t,
     }
-    .min(n.max(1));
+    .min(items.len().max(1));
     let next = AtomicUsize::new(0);
     let mut done: Vec<(usize, T)> = std::thread::scope(|s| {
         let workers: Vec<_> = (0..threads)
@@ -711,10 +671,10 @@ fn par_map<T: Send>(threads: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> 
                     let mut mine = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
+                        let Some(item) = items.get(i) else {
                             break mine;
-                        }
-                        mine.push((i, f(i)));
+                        };
+                        mine.push((i, f(item)));
                     }
                 })
             })
@@ -778,24 +738,25 @@ fn run_cells_counted(
     cells: &[Cell<'_>],
     cache: Option<&BaselineCache>,
 ) -> Result<Vec<CountedCell>, TimelineError> {
-    let mut masks: Vec<Arc<[bool]>> = Vec::with_capacity(cells.len());
-    for on_timeline in cells.chunk_by(|a, b| a.timeline == b.timeline) {
-        let timeline = on_timeline[0].timeline;
-        timeline.resolve(g)?;
-        let g_after = timeline.graph_after(g)?;
-        for to_dest in on_timeline.chunk_by(|a, b| a.dest == b.dest) {
-            let mask: Arc<[bool]> = reachability_mask(&g_after, to_dest[0].dest).into();
-            masks.extend(to_dest.iter().map(|_| mask.clone()));
+    let mut jobs: Vec<(&Cell<'_>, Arc<[bool]>)> = Vec::with_capacity(cells.len());
+    for run in cells.chunk_by(|a, b| a.timeline == b.timeline) {
+        let Some(first) = run.first() else { continue }; // chunks are never empty
+        first.timeline.resolve(g)?;
+        let g_after = first.timeline.graph_after(g)?;
+        for to_dest in run.chunk_by(|a, b| a.dest == b.dest) {
+            let mut mask: Option<Arc<[bool]>> = None;
+            for c in to_dest {
+                let mask = mask.get_or_insert_with(|| reachability_mask(&g_after, c.dest).into());
+                jobs.push((c, mask.clone()));
+            }
         }
     }
-    Ok(par_map(threads, cells.len(), |i| {
-        let c = &cells[i];
+    Ok(par_map(threads, &jobs, |(c, mask)| {
         protocols
             .iter()
             .map(|&p| {
-                let (m, w) = run_protocol_cell_inner(
-                    g, params, c.timeline, c.dest, &masks[i], p, c.seed, cache,
-                );
+                let (m, w) =
+                    run_protocol_cell_inner(g, params, c.timeline, c.dest, mask, p, c.seed, cache);
                 ((p, m), w)
             })
             .unzip()
@@ -806,11 +767,11 @@ fn run_cells_counted(
 // Campaigns: the cross-product cell list
 // ---------------------------------------------------------------------
 
-/// Deterministic per-cell seed: a function of the cell's coordinates and
-/// the seed-axis value only — never of worker identity.
-fn cell_seed(cell: &CampaignCell) -> u64 {
-    let coord = ((cell.timeline as u64) << 32) | cell.dest.0 as u64;
-    derive_seed(derive_seed(cell.seed, tags::CAMPAIGN), coord)
+/// A cell's engine seed: its destination and seed-axis value, never its
+/// timeline or a worker's identity, so every timeline aimed at one
+/// `(dest, seed)` starts from the same converged baseline.
+fn cell_seed(dest: AsId, seed: u64) -> u64 {
+    derive_seed(derive_seed(seed, tags::CAMPAIGN), u64::from(dest.0))
 }
 
 /// The grid in merge order: timeline-major, then destination, then seed.
@@ -830,6 +791,30 @@ fn grid_cells(n_timelines: usize, dests: &[AsId], seeds: &[u64]) -> Vec<Campaign
     grid
 }
 
+/// The aggregate hash: FNV-1a over each cell's coordinates and, per
+/// protocol, the protocol, every metric word (f64s by bit pattern) and the
+/// outcome — a tag, then a diverged run's period and churn (else zeros).
+fn report_hash(cells: &[CellResult]) -> u64 {
+    let mut h = Fnv1a::new();
+    for c in cells {
+        h.write_u64(c.cell.timeline as u64);
+        h.write_u64(u64::from(c.cell.dest.0));
+        h.write_u64(c.cell.seed);
+        for (p, m) in &c.metrics {
+            h.write_u64(*p as u64);
+            let outcome = match m.outcome {
+                RunOutcome::Converged => [0, 0, 0],
+                RunOutcome::Diverged { period, churn } => [1, period.as_micros(), churn],
+                RunOutcome::BudgetExhausted => [2, 0, 0],
+            };
+            for w in m.words().into_iter().chain(outcome) {
+                h.write_u64(w);
+            }
+        }
+    }
+    h.finish()
+}
+
 /// Run a campaign: the full `timelines × dests × seeds` grid, sharded
 /// across `cfg.threads` workers (0 = all cores), merged in grid order.
 ///
@@ -844,7 +829,8 @@ pub fn run_campaign(
     run_campaign_with_cache(g, timelines, dests, cfg, None)
 }
 
-/// Converge every baseline of the grid into `cache` without playing any
+/// Converge every baseline of the grid — one per `(dest, seed)` and
+/// protocol; an empty grid has none — into `cache` without playing any
 /// timeline: afterwards a [`run_campaign_with_cache`] pass over the same
 /// grid forks every cell instead of converging it. Idempotent — an already
 /// cached baseline costs a lookup. Deliberately serial: the deposit order
@@ -856,13 +842,18 @@ pub fn populate_baselines(
     cfg: &CampaignConfig,
     cache: &BaselineCache,
 ) {
+    if n_timelines == 0 {
+        return;
+    }
     let fp = cfg.params.policy.fingerprint();
-    for cell in grid_cells(n_timelines, dests, &cfg.seeds) {
-        for &p in &cfg.protocols {
-            let seed = cell_seed(&cell);
-            if cache.get(p, cell.dest, seed, fp).is_none() {
-                let mut sim = fresh_session(g, &cfg.params, cell.dest, p, seed);
-                deposit_converged(&mut sim, cache);
+    for &dest in dests {
+        for &seed in &cfg.seeds {
+            let seed = cell_seed(dest, seed);
+            for &p in &cfg.protocols {
+                if cache.get(p, dest, seed, fp).is_none() {
+                    let mut sim = fresh_session(g, &cfg.params, dest, p, seed);
+                    deposit_converged(&mut sim, cache);
+                }
             }
         }
     }
@@ -881,12 +872,18 @@ pub fn run_campaign_with_cache(
     cache: Option<&BaselineCache>,
 ) -> Result<CampaignReport, TimelineError> {
     let grid = grid_cells(timelines.len(), dests, &cfg.seeds);
+    // Timeline-major: each timeline runs its `dests × seeds` cells in a row.
+    let per_timeline = dests.len() * cfg.seeds.len();
+    let on_timeline = timelines
+        .iter()
+        .flat_map(|t| std::iter::repeat_n(t, per_timeline));
     let cells: Vec<Cell<'_>> = grid
         .iter()
-        .map(|c| Cell {
-            timeline: &timelines[c.timeline],
+        .zip(on_timeline)
+        .map(|(c, timeline)| Cell {
+            timeline,
             dest: c.dest,
-            seed: cell_seed(c),
+            seed: cell_seed(c.dest, c.seed),
         })
         .collect();
     let counted = run_cells_counted(g, &cfg.params, &cfg.protocols, cfg.threads, &cells, cache)?;
@@ -899,21 +896,11 @@ pub fn run_campaign_with_cache(
             observer,
         })
         .collect();
-    let mut h = GridHash::new();
-    for c in &cells {
-        h.write_u64(c.cell.timeline as u64);
-        h.write_u64(c.cell.dest.0 as u64);
-        h.write_u64(c.cell.seed);
-        for (p, m) in &c.metrics {
-            h.write_u64(*p as u64);
-            h.write_metrics(m);
-        }
-    }
     Ok(CampaignReport {
         n_ases: g.n(),
         timeline_names: timelines.iter().map(|t| t.name().to_string()).collect(),
+        hash: report_hash(&cells),
         cells,
-        hash: h.0,
     })
 }
 
@@ -1052,29 +1039,105 @@ mod tests {
     /// without RCI), STAMP.
     const KINDS: usize = 3;
 
+    /// A grid's baselines are its `(dest, seed)` pairs times its
+    /// protocols, so a first pass converges one per key on its first
+    /// timeline and forks it on every later one; `populate_baselines`
+    /// converges the same keys, and an empty grid has none.
+    #[test]
+    fn a_pass_converges_each_baseline_once_and_forks_it_for_every_other_timeline() {
+        let (g, mut timelines, dests) = grid(25);
+        timelines.push(Timeline::from_events("quiet", Vec::new()));
+        let mut cfg = CampaignConfig::fast(5);
+        cfg.protocols = vec![Protocol::Bgp, Protocol::Stamp];
+        cfg.seeds = vec![1, 2];
+        cfg.threads = 1;
+        let (t, d, s, p) = (
+            timelines.len(),
+            dests.len(),
+            cfg.seeds.len(),
+            cfg.protocols.len(),
+        );
+        assert_eq!((t, d, s, p), (3, 2, 2, 2));
+        let keys = d * s * p;
+        let cache = BaselineCache::new();
+        let rep = run_campaign_with_cache(&g, &timelines, &dests, &cfg, Some(&cache)).unwrap();
+        let stats = cache.stats();
+        assert_eq!((stats.len, stats.misses), (keys, keys as u64));
+        assert_eq!(stats.hits, ((t - 1) * keys) as u64);
+        assert_eq!(
+            rep.cells,
+            run_campaign(&g, &timelines, &dests, &cfg).unwrap().cells
+        );
+
+        let populated = BaselineCache::new();
+        populate_baselines(&g, 0, &dests, &cfg, &populated);
+        assert!(populated.is_empty(), "an empty grid has no baseline");
+        populate_baselines(&g, t, &dests, &cfg, &populated);
+        let stats = populated.stats();
+        assert_eq!(
+            (stats.len, stats.misses, stats.hits),
+            (keys, keys as u64, 0)
+        );
+    }
+
+    /// The hash folds how each run ended, not only its metrics.
+    #[test]
+    fn cells_that_differ_only_in_their_outcome_hash_apart() {
+        let one_cell = |outcome| {
+            let metrics = InstanceMetrics {
+                outcome,
+                ..InstanceMetrics::default()
+            };
+            vec![CellResult {
+                cell: CampaignCell {
+                    timeline: 0,
+                    dest: AsId(1),
+                    seed: 2,
+                },
+                metrics: vec![(Protocol::Bgp, metrics)],
+                observer: vec![ObserverWork::default()],
+            }]
+        };
+        let hash = |outcome| report_hash(&one_cell(outcome));
+        let diverged = RunOutcome::Diverged {
+            period: SimDuration::from_secs(1),
+            churn: 3,
+        };
+        let converged = hash(RunOutcome::Converged);
+        assert_ne!(converged, hash(RunOutcome::BudgetExhausted));
+        assert_ne!(converged, hash(diverged));
+        assert_ne!(hash(RunOutcome::BudgetExhausted), hash(diverged));
+    }
+
+    /// One seed, so the grid's keys are its destinations times its
+    /// protocols, and the first pass already forks: its first timeline
+    /// converges every key, its second runs on engines recycled by the
+    /// forks before.
     #[test]
     fn scratch_engines_are_bounded_by_engine_kinds_times_workers() {
         let (g, timelines, dests) = grid(29);
         let mut cfg = CampaignConfig::fast(3);
         cfg.protocols = vec![Protocol::Bgp, Protocol::Rbgp, Protocol::Stamp];
         cfg.threads = 1;
-        let keys = (timelines.len() * dests.len() * cfg.protocols.len()) as u64;
+        let keys = (dests.len() * cfg.protocols.len()) as u64;
+        let forks_per_pass = (timelines.len() as u64 - 1) * keys;
         let cache = BaselineCache::new();
         let run = |cfg: &CampaignConfig| {
             run_campaign_with_cache(&g, &timelines, &dests, cfg, Some(&cache)).unwrap()
         };
-        // All misses: the sessions that converged are never recycled.
+        // Misses, then hits: the sessions that converged are never
+        // recycled, and one scratch engine per kind serves the forks.
         let cold = run(&cfg);
-        assert_eq!(scratch_len(&cache), 0);
-        // All hits: one scratch engine per kind serves the whole pass, and
-        // the cache's own books read as they always did.
+        assert_eq!(scratch_len(&cache), KINDS);
+        // All hits: the same engines serve the whole pass, and the
+        // cache's own books read as they always did.
         let warm = run(&cfg);
         assert_eq!(cold.cells, warm.cells);
         assert_eq!(scratch_len(&cache), KINDS);
         let want = CacheStats {
             capacity: None,
             len: keys as usize,
-            hits: keys,
+            hits: forks_per_pass + timelines.len() as u64 * keys,
             misses: keys,
             evictions: 0,
         };
