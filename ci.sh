@@ -218,7 +218,7 @@ echo "one-adjacency-table / one-protocol-match / one-hash guard passed"
 # for the rule catalog and the suppression syntax.
 # Warn-level findings (index-panic) are a ratchet: the total may fall, never
 # rise. Lower the ceiling when it does.
-SIMLINT_WARN_CEILING=212
+SIMLINT_WARN_CEILING=210
 simlint_out=$(cargo run --release --offline -q -p simlint 2>&1) || {
     printf '%s\n' "$simlint_out" >&2
     exit 1

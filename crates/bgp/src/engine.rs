@@ -13,6 +13,7 @@
 
 use crate::feed::{FeedCursor, TouchFeed, Touched};
 use crate::patharena::PathArena;
+use crate::rib::row_mut;
 use crate::router::{OutMsg, RouterCtx, RouterLogic, SessionView, StateFingerprint};
 use crate::types::{CauseInfo, PrefixId, ProcId, RootCause, Route, UpdateKind, UpdateMsg};
 use stamp_eventsim::rng::{tags, Rng};
@@ -675,8 +676,11 @@ impl<R: RouterLogic> Engine<R> {
 
     /// The MRAI slot for one `(session, process, prefix)`, growing the
     /// table (to its full `n_chans` rows, in one allocation) and the dense
-    /// prefix row on first touch. A static method over the `mrai` field so
-    /// callers can keep disjoint borrows of the rest of `self`.
+    /// prefix row on first touch — exactly, so a row armed for one prefix
+    /// holds one slot, not the four a first `resize` rounds up to. `None`
+    /// only for a channel outside the table. A static method over the
+    /// `mrai` field so callers can keep disjoint borrows of the rest of
+    /// `self`.
     // simlint::hot
     #[inline]
     fn mrai_slot(
@@ -685,15 +689,11 @@ impl<R: RouterLogic> Engine<R> {
         sess: SessId,
         proc: ProcId,
         prefix: PrefixId,
-    ) -> &mut MraiSlot {
+    ) -> Option<&mut MraiSlot> {
         if mrai.len() < n_chans {
             mrai.resize_with(n_chans, Default::default);
         }
-        let row = &mut mrai[chan_idx(sess, proc)];
-        if row.len() <= prefix.index() {
-            row.resize(prefix.index() + 1, MraiSlot::default());
-        }
-        &mut row[prefix.index()]
+        row_mut(mrai.get_mut(chan_idx(sess, proc))?, prefix.index())
     }
 
     /// Handle one event; returns whether any FIB changed.
@@ -769,7 +769,10 @@ impl<R: RouterLogic> Engine<R> {
                         // pending slot says what an empty row says
                         // (`mrai_slot` grows rows with idle slots), so
                         // empty it: a quiescent engine then holds no MRAI
-                        // state, and a copy of one allocates none.
+                        // state, and a copy of one allocates none. `clear`
+                        // keeps the row's buffer (one slot per prefix
+                        // ever armed) on purpose: a re-armed timer
+                        // allocates nothing.
                         slot.armed = false;
                         if row.iter().all(|s| !s.armed && s.pending.is_none()) {
                             row.clear();
@@ -1108,7 +1111,12 @@ impl<R: RouterLogic> Engine<R> {
             let interval = self.fixed.mrai_interval[sess.index()];
             let epoch = self.link_epoch[link.index()];
             let n_chans = self.channels.len();
-            let slot = Self::mrai_slot(&mut self.mrai, n_chans, sess, proc, msg.prefix);
+            let Some(slot) = Self::mrai_slot(&mut self.mrai, n_chans, sess, proc, msg.prefix)
+            else {
+                // Every session's channels are in the table: unreachable.
+                self.transmit(sess, proc, msg);
+                continue;
+            };
             if slot.armed {
                 if slot.pending.replace(msg).is_some() {
                     self.stats.coalesced += 1;
@@ -1793,7 +1801,9 @@ mod more_tests {
     /// MRAI rows hold slots only while a timer is armed: mid-convergence
     /// some do, at quiescence none does — with two prefixes sharing every
     /// row, after cold convergence and after a link fails and recovers —
-    /// so a copy of a quiescent engine allocates no rows.
+    /// so a copy of a quiescent engine allocates no rows. The engine that
+    /// converged keeps each lapsed row's buffer, grown exactly: at most
+    /// one slot per prefix.
     #[test]
     fn a_quiescent_engine_holds_no_mrai_slots() {
         let g = diamond();
@@ -1816,11 +1826,14 @@ mod more_tests {
         assert!(e.mrai.iter().any(|row| row.len() == 2), "rows are shared");
         assert!(e.run_to_quiescence(None).is_converged());
         assert_eq!(live(&e), 0);
+        let per_prefix = |e: &Engine<BgpRouter>| e.mrai.iter().all(|row| row.capacity() <= 2);
+        assert!(per_prefix(&e), "lapsed rows keep one slot per prefix");
         let id = g.link_between(AsId(4), AsId(2)).unwrap();
         e.inject_after(SimDuration::from_secs(1), ScenarioEvent::FailLink(id));
         e.inject_after(SimDuration::from_secs(5), ScenarioEvent::RecoverLink(id));
         assert!(e.run_to_quiescence(None).is_converged());
         assert_eq!(live(&e), 0);
+        assert!(per_prefix(&e));
         assert!(e.clone().mrai.iter().all(|row| row.capacity() == 0));
     }
 

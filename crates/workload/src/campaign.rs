@@ -5,23 +5,27 @@
 //! seed)` on which every requested protocol runs the *identical* scenario
 //! (the paper's whole evaluation method). [`run_cells`] is the one runner:
 //! it validates every cell's timeline, computes each cell's post-timeline
-//! reachability mask ([`Timeline::reachable_after`]), fans the list across
+//! reachability mask ([`Timeline::reachable_after`]), fans the work across
 //! scoped worker threads and returns the per-cell metrics **in input
-//! order**. Each cell runs one session per protocol — converged fresh, or
-//! with a warm-start [`BaselineCache`] a recycled session rewound onto the
-//! cached converged baseline (a session is its own checkpoint; sessions
-//! share the topology and nothing else) — plays its timeline and measures
-//! the paper's disruption/recovery metrics ([`run_protocol_cell`]).
+//! order**. A work item is a *baseline key* `(protocol, dest, seed)` with
+//! every cell that shares it: the key's converged baseline comes from a
+//! warm-start [`BaselineCache`] or is converged once, and each cell plays
+//! its timeline on a session rewound onto it (a session is its own
+//! checkpoint; sessions share the topology and nothing else) and measures
+//! the paper's disruption/recovery metrics. With no cache a worker holds
+//! one baseline at a time. A single cell is a one-cell key
+//! ([`run_protocol_cell`]), measured on the session that converged.
 //!
 //! Everything above is a way of *listing* cells: [`run_campaign`] lists the
 //! `(timeline × destination × seed)` cross product and hashes the result;
 //! the figure experiments (`stamp_experiments::failure`) list `instances`
-//! sampled canned workloads. Workers claim indices from one atomic counter
+//! sampled canned workloads. Workers claim items from one atomic counter
 //! and hand their `(index, result)` pairs back through their join handles,
-//! merged by index — so a report (and its [`CampaignReport::hash`]) is
-//! byte-identical at any worker count. That is the whole determinism
-//! argument: randomness is derived per cell from the cell's coordinates,
-//! never from worker identity or wall-clock.
+//! written back by cell index — so a report (and its
+//! [`CampaignReport::hash`]) is byte-identical at any worker count. That is
+//! the whole determinism argument: randomness is derived per cell from the
+//! cell's coordinates, never from worker identity or wall-clock, and a fork
+//! replays bit-identically to the session it was copied from.
 
 use crate::canned::destination_candidates;
 use crate::sim::{ScratchEngines, Sim};
@@ -69,7 +73,7 @@ pub fn run_protocol_cell(
     protocol: Protocol,
     seed: u64,
 ) -> InstanceMetrics {
-    run_protocol_cell_inner(g, params, timeline, dest, reachable, protocol, seed, None).0
+    one_cell(g, params, protocol, dest, seed, (timeline, reachable), None)
 }
 
 /// [`run_protocol_cell`] with a warm-start cache: if `cache` holds the
@@ -91,17 +95,15 @@ pub fn run_protocol_cell_warm(
     seed: u64,
     cache: &BaselineCache,
 ) -> InstanceMetrics {
-    run_protocol_cell_inner(
+    one_cell(
         g,
         params,
-        timeline,
-        dest,
-        reachable,
         protocol,
+        dest,
         seed,
+        (timeline, reachable),
         Some(cache),
     )
-    .0
 }
 
 /// A fresh, unconverged session for `(protocol, dest, seed)`.
@@ -124,49 +126,104 @@ fn fresh_session(
 
 /// The miss path: converge `sim` cold and deposit a copy for the next
 /// taker. The copy, not the session that did the converging: a clone's
-/// buffers are sized to what they hold, the original's to its peak
-/// (measured: 3.3 MB against 5.5 MB a baseline at 2000 ASes) — which is
-/// also why the converging session's engine stays its own and never joins
-/// the cache's scratch engines.
-fn deposit_converged(sim: &mut Sim, cache: &BaselineCache) {
+/// buffers are sized to what they hold, the original's to its peak. A
+/// counting allocator at 2000 ASes read converged against copy as 3.05
+/// against 1.54 MiB (BGP), 3.63 against 1.86 MiB (R-BGP) and 5.16 against
+/// 2.24 MiB (STAMP) while MRAI rows grew by `resize`: the difference was
+/// lapsed MRAI rows, cleared but keeping a four-slot buffer, and the
+/// drained scheduler heap. With rows grown exactly the converged side
+/// reads 2.46 / 2.85 / 3.98 MiB. That is also why the converging
+/// session's engine stays its own and never joins the cache's scratch
+/// engines.
+fn deposit_converged(sim: &mut Sim, cache: &BaselineCache) -> Arc<Sim> {
     sim.converge();
     let fp = sim.params().policy.fingerprint();
-    cache.put(sim.protocol(), sim.dest(), sim.seed(), fp, sim.checkpoint());
+    cache.put(sim.protocol(), sim.dest(), sim.seed(), fp, sim.checkpoint())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_protocol_cell_inner(
-    g: &AsGraph,
-    params: &RunParams,
-    timeline: &Timeline,
-    dest: AsId,
-    reachable: &[bool],
-    protocol: Protocol,
-    seed: u64,
-    cache: Option<&BaselineCache>,
-) -> (InstanceMetrics, ObserverWork) {
-    // A cold cell starts fresh and `measure` converges it. A warm one is
-    // restored from the cached baseline before it has built an engine of
-    // its own, so it runs on one of the cache's scratch engines, rewound
-    // (under the caller's per-phase knobs), and returns it on drop.
-    let mut sim = fresh_session(g, params, dest, protocol, seed);
-    if let Some(cache) = cache {
-        let fp = params.policy.fingerprint();
-        match cache.get(protocol, dest, seed, fp) {
-            Some(baseline) => {
-                sim.restore(&baseline)
-                    // simlint::allow(panic, "the cache key names the protocol")
-                    .expect("a baseline cached under this protocol runs it");
-                sim.set_phase_knobs(params);
-            }
-            None => deposit_converged(&mut sim, cache),
-        }
-    }
+/// A timeline and its post-timeline reachability mask.
+type Play<'a> = (&'a Timeline, &'a [bool]);
+
+/// Measure `sim` on one play: its metrics and what observing them cost.
+fn measure(sim: &mut Sim, (timeline, reachable): Play<'_>) -> (InstanceMetrics, ObserverWork) {
     let metrics = sim
         .measure(timeline, reachable)
         // simlint::allow(panic, "timelines are generated against this same graph")
         .expect("timeline must resolve against the cell topology");
     (metrics, sim.observer_work())
+}
+
+/// A single cell: [`run_key`] with one play.
+fn one_cell(
+    g: &AsGraph,
+    params: &RunParams,
+    protocol: Protocol,
+    dest: AsId,
+    seed: u64,
+    play: Play<'_>,
+    cache: Option<&BaselineCache>,
+) -> InstanceMetrics {
+    let mut results = run_key(g, params, protocol, dest, seed, &[play], cache);
+    // simlint::allow(panic, "run_key returns one result per play")
+    results.pop().expect("one play, one result").0
+}
+
+/// Every play of one baseline key `(protocol, dest, seed)`, in order,
+/// each from the key's converged baseline — a work item of
+/// [`run_cells`].
+///
+/// The baseline comes from `cache`, or is converged here once. A key with
+/// one play and no cached baseline measures on the session that
+/// converged, as a cold cell always has (depositing a copy first if there
+/// is a cache). Otherwise the converged session leaves a copy — into
+/// `cache` if there is one — and is dropped, and every play runs on one
+/// working session rewound onto that copy ([`Sim::restore`]): a session
+/// restored from a cached baseline borrows one of the cache's scratch
+/// engines, under the caller's per-phase knobs, and hands it back on
+/// drop. Results are bit-identical either way (the fork contract).
+fn run_key(
+    g: &AsGraph,
+    params: &RunParams,
+    protocol: Protocol,
+    dest: AsId,
+    seed: u64,
+    plays: &[Play<'_>],
+    cache: Option<&BaselineCache>,
+) -> Vec<(InstanceMetrics, ObserverWork)> {
+    let mut sim = fresh_session(g, params, dest, protocol, seed);
+    let hit = cache.and_then(|c| c.get(protocol, dest, seed, params.policy.fingerprint()));
+    let baseline = match (hit, plays) {
+        (Some(baseline), _) => baseline,
+        (None, &[play]) => {
+            if let Some(cache) = cache {
+                deposit_converged(&mut sim, cache);
+            }
+            return vec![measure(&mut sim, play)];
+        }
+        (None, _) => {
+            let copy = match cache {
+                Some(cache) => deposit_converged(&mut sim, cache),
+                None => {
+                    sim.converge();
+                    Arc::new(sim.checkpoint())
+                }
+            };
+            // The converged session, sized to its peak, goes before any
+            // play runs: the copy is the one baseline this worker holds.
+            sim = fresh_session(g, params, dest, protocol, seed);
+            copy
+        }
+    };
+    plays
+        .iter()
+        .map(|&play| {
+            sim.restore(&baseline)
+                // simlint::allow(panic, "the key names the protocol")
+                .expect("a baseline of this key runs its protocol");
+            sim.set_phase_knobs(params);
+            measure(&mut sim, play)
+        })
+        .collect()
 }
 
 /// Point-in-time occupancy and traffic counters of a [`BaselineCache`]
@@ -688,8 +745,8 @@ fn par_map<I: Sync, T: Send>(threads: usize, items: &[I], f: impl Fn(&I) -> T + 
     done.into_iter().map(|(_, r)| r).collect()
 }
 
-/// One unit of work for [`run_cells`]: a timeline played against one
-/// destination under one engine seed.
+/// One cell for [`run_cells`]: a timeline played against one destination
+/// under one engine seed.
 #[derive(Debug, Clone, Copy)]
 pub struct Cell<'a> {
     /// The scenario every protocol replays.
@@ -710,9 +767,16 @@ pub struct Cell<'a> {
 /// (an unresolvable one is the typed error, and nothing has run) and its
 /// reachability mask computed: a run of adjacent cells on one timeline
 /// shares that timeline's after-graph, and within it cells that differ
-/// only in seed share the mask. With a `cache`, cells fork cached
-/// baselines and deposit the ones they had to converge; results are
-/// bit-identical either way.
+/// only in seed share the mask.
+///
+/// A work item is a baseline key `(protocol, dest, seed)` with every cell
+/// that shares it, wherever they sit in the list: the key converges once
+/// (or comes from `cache`, which receives what had to converge) and each
+/// of its cells forks it (`run_key`). Items are claimed in order of first
+/// appearance of their `(dest, seed)`, STAMP's first — two processes per
+/// AS make its item the longest. With no cache, a worker holds one
+/// baseline at a time. Results are bit-identical either way and are
+/// written back by index.
 pub fn run_cells(
     g: &AsGraph,
     params: &RunParams,
@@ -738,7 +802,7 @@ fn run_cells_counted(
     cells: &[Cell<'_>],
     cache: Option<&BaselineCache>,
 ) -> Result<Vec<CountedCell>, TimelineError> {
-    let mut jobs: Vec<(&Cell<'_>, Arc<[bool]>)> = Vec::with_capacity(cells.len());
+    let mut masks: Vec<Arc<[bool]>> = Vec::with_capacity(cells.len());
     for run in cells.chunk_by(|a, b| a.timeline == b.timeline) {
         let Some(first) = run.first() else { continue }; // chunks are never empty
         first.timeline.resolve(g)?;
@@ -747,20 +811,56 @@ fn run_cells_counted(
             let mut mask: Option<Arc<[bool]>> = None;
             for c in to_dest {
                 let mask = mask.get_or_insert_with(|| reachability_mask(&g_after, c.dest).into());
-                jobs.push((c, mask.clone()));
+                masks.push(mask.clone());
             }
         }
     }
-    Ok(par_map(threads, &jobs, |(c, mask)| {
-        protocols
-            .iter()
-            .map(|&p| {
-                let (m, w) =
-                    run_protocol_cell_inner(g, params, c.timeline, c.dest, mask, p, c.seed, cache);
-                ((p, m), w)
-            })
-            .unzip()
-    }))
+    // Each `(dest, seed)` in order of first appearance, with its cells'
+    // indices and plays.
+    let mut group_of: FxHashMap<(AsId, u64), usize> = FxHashMap::default();
+    let mut groups: Vec<(AsId, u64, Vec<usize>, Vec<Play<'_>>)> = Vec::new();
+    for (i, (c, mask)) in cells.iter().zip(&masks).enumerate() {
+        let play = (c.timeline, &**mask);
+        let at = *group_of.entry((c.dest, c.seed)).or_insert(groups.len());
+        match groups.get_mut(at) {
+            Some((_, _, members, plays)) => {
+                members.push(i);
+                plays.push(play);
+            }
+            None => groups.push((c.dest, c.seed, vec![i], vec![play])),
+        }
+    }
+    // The items: per group, one key per protocol, STAMP's first, each
+    // with the result column it fills.
+    let mut by_cost: Vec<(usize, Protocol)> = protocols.iter().copied().enumerate().collect();
+    by_cost.sort_by_key(|&(_, p)| p != Protocol::Stamp);
+    let items: Vec<_> = groups
+        .iter()
+        .flat_map(|(dest, seed, members, plays)| {
+            by_cost
+                .iter()
+                .map(move |&(column, protocol)| (protocol, *dest, *seed, column, members, plays))
+        })
+        .collect();
+    let done = par_map(threads, &items, |&(protocol, dest, seed, _, _, plays)| {
+        run_key(g, params, protocol, dest, seed, plays, cache)
+    });
+    let blank = (InstanceMetrics::default(), ObserverWork::default());
+    let mut rows: Vec<Vec<_>> = vec![vec![blank; protocols.len()]; cells.len()];
+    for ((.., column, members, _), results) in items.iter().zip(done) {
+        for (&i, result) in members.iter().zip(results) {
+            if let Some(slot) = rows.get_mut(i).and_then(|row| row.get_mut(*column)) {
+                *slot = result;
+            }
+        }
+    }
+    Ok(rows
+        .into_iter()
+        .map(|row| {
+            let (metrics, work): (Vec<_>, _) = row.into_iter().unzip();
+            (protocols.iter().copied().zip(metrics).collect(), work)
+        })
+        .collect())
 }
 
 // ---------------------------------------------------------------------
@@ -984,12 +1084,13 @@ mod tests {
     }
 
     /// Two seeds of every `(timeline, dest)` of `grid`, shuffled out of
-    /// grid order.
+    /// grid order. Every timeline uses the same two seeds, so each
+    /// baseline key has a cell per timeline, scattered through the list.
     fn shuffled_cells<'a>(timelines: &'a [Timeline], dests: &[AsId]) -> Vec<Cell<'a>> {
         let mut cells = Vec::new();
-        for (t, timeline) in timelines.iter().enumerate() {
+        for timeline in timelines {
             for &dest in dests {
-                for seed in [derive_seed(3, t as u64), derive_seed(4, t as u64)] {
+                for seed in [3, 4] {
                     cells.push(Cell {
                         timeline,
                         dest,
@@ -1008,6 +1109,12 @@ mod tests {
         let params = RunParams::fast();
         let protocols = [Protocol::Bgp, Protocol::Stamp];
         let cells = shuffled_cells(&timelines, &dests);
+        let key = |c: &Cell<'_>| (c.dest, c.seed);
+        let apart = |(i, a): (usize, &Cell<'_>)| cells.iter().skip(i + 2).any(|b| key(a) == key(b));
+        assert!(
+            cells.iter().enumerate().any(apart),
+            "some key's cells sit apart, so the runner gathers them"
+        );
         // The reference: each cell on its own, through the single-cell API.
         let want: Vec<Vec<(Protocol, InstanceMetrics)>> = cells
             .iter()
@@ -1027,8 +1134,14 @@ mod tests {
             assert_eq!(run(None), want, "cold, threads = {threads}");
             assert_eq!(run(Some(&cache)), want, "cached, threads = {threads}");
         }
+        // One lookup per key and pass: the first deposits, the other two
+        // fork.
+        let keys = dests.len() * 2 * protocols.len();
         let stats = cache.stats();
-        assert!(stats.misses > 0 && stats.hits > 0, "deposit, then fork");
+        assert_eq!(
+            (stats.len, stats.misses, stats.hits),
+            (keys, keys as u64, 2 * keys as u64)
+        );
     }
 
     fn scratch_len(cache: &BaselineCache) -> usize {
@@ -1040,9 +1153,10 @@ mod tests {
     const KINDS: usize = 3;
 
     /// A grid's baselines are its `(dest, seed)` pairs times its
-    /// protocols, so a first pass converges one per key on its first
-    /// timeline and forks it on every later one; `populate_baselines`
-    /// converges the same keys, and an empty grid has none.
+    /// protocols, and a pass looks each up once: the first pass converges
+    /// and deposits every key and forks it for each of its timelines, the
+    /// second finds every key; `populate_baselines` converges the same
+    /// keys, and an empty grid has none.
     #[test]
     fn a_pass_converges_each_baseline_once_and_forks_it_for_every_other_timeline() {
         let (g, mut timelines, dests) = grid(25);
@@ -1060,24 +1174,23 @@ mod tests {
         assert_eq!((t, d, s, p), (3, 2, 2, 2));
         let keys = d * s * p;
         let cache = BaselineCache::new();
-        let rep = run_campaign_with_cache(&g, &timelines, &dests, &cfg, Some(&cache)).unwrap();
-        let stats = cache.stats();
-        assert_eq!((stats.len, stats.misses), (keys, keys as u64));
-        assert_eq!(stats.hits, ((t - 1) * keys) as u64);
+        let pass = || run_campaign_with_cache(&g, &timelines, &dests, &cfg, Some(&cache)).unwrap();
+        let counts = |c: CacheStats| (c.len, c.misses, c.hits);
+        let rep = pass();
+        let k = keys as u64;
+        assert_eq!(counts(cache.stats()), (keys, k, 0));
         assert_eq!(
             rep.cells,
             run_campaign(&g, &timelines, &dests, &cfg).unwrap().cells
         );
+        assert_eq!(pass().cells, rep.cells);
+        assert_eq!(counts(cache.stats()), (keys, k, k));
 
         let populated = BaselineCache::new();
         populate_baselines(&g, 0, &dests, &cfg, &populated);
         assert!(populated.is_empty(), "an empty grid has no baseline");
         populate_baselines(&g, t, &dests, &cfg, &populated);
-        let stats = populated.stats();
-        assert_eq!(
-            (stats.len, stats.misses, stats.hits),
-            (keys, keys as u64, 0)
-        );
+        assert_eq!(counts(populated.stats()), (keys, k, 0));
     }
 
     /// The hash folds how each run ended, not only its metrics.
@@ -1110,9 +1223,9 @@ mod tests {
     }
 
     /// One seed, so the grid's keys are its destinations times its
-    /// protocols, and the first pass already forks: its first timeline
-    /// converges every key, its second runs on engines recycled by the
-    /// forks before.
+    /// protocols, and the first pass already forks: each key converges,
+    /// deposits, and plays every timeline on one engine, handed back for
+    /// the next key of its kind.
     #[test]
     fn scratch_engines_are_bounded_by_engine_kinds_times_workers() {
         let (g, timelines, dests) = grid(29);
@@ -1120,24 +1233,23 @@ mod tests {
         cfg.protocols = vec![Protocol::Bgp, Protocol::Rbgp, Protocol::Stamp];
         cfg.threads = 1;
         let keys = (dests.len() * cfg.protocols.len()) as u64;
-        let forks_per_pass = (timelines.len() as u64 - 1) * keys;
         let cache = BaselineCache::new();
         let run = |cfg: &CampaignConfig| {
             run_campaign_with_cache(&g, &timelines, &dests, cfg, Some(&cache)).unwrap()
         };
-        // Misses, then hits: the sessions that converged are never
-        // recycled, and one scratch engine per kind serves the forks.
+        // All misses: the sessions that converged are never recycled, and
+        // one scratch engine per kind serves the forks.
         let cold = run(&cfg);
         assert_eq!(scratch_len(&cache), KINDS);
-        // All hits: the same engines serve the whole pass, and the
-        // cache's own books read as they always did.
+        // All hits, one per key: the same engines serve the whole pass,
+        // and the cache's own books read as they always did.
         let warm = run(&cfg);
         assert_eq!(cold.cells, warm.cells);
         assert_eq!(scratch_len(&cache), KINDS);
         let want = CacheStats {
             capacity: None,
             len: keys as usize,
-            hits: forks_per_pass + timelines.len() as u64 * keys,
+            hits: keys,
             misses: keys,
             evictions: 0,
         };
