@@ -43,15 +43,17 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "hermeticity guards passed"
 
-# --- Guard 3: one worker pool ----------------------------------------------
-# Cells run in parallel in exactly one place (`run_cells` in
+# --- Guard 3: one worker pool, one way to run cells --------------------------
+# Cells run in exactly one place (`run_cells` in
 # crates/workload/src/campaign.rs): figures and campaigns hand it a cell list
-# instead of growing their own pool, and a what-if has no pool at all
-# (`QueryEngine::whatif` calls `run_protocol_cell_warm` serially, one
-# protocol after the other). So a `thread::scope(` call and an
-# `available_parallelism(` call (the "0 = all cores" resolution, and the one
-# simlint `ambient-env` allow) may each occur in exactly one file of the
-# crates that run simulations.
+# instead of growing their own pool, and a what-if is a one-worker cell list
+# through it too (`QueryEngine::whatif`: one cell per served destination;
+# `par_map` runs a one-item list on the calling thread). So a
+# `thread::scope(` call and an `available_parallelism(` call (the "0 = all
+# cores" resolution, and the one simlint `ambient-env` allow) may each occur
+# in exactly one file of the crates that run simulations, and the daemon may
+# not call the single-cell entry points (`run_protocol_cell[_warm]`) beside
+# the runner.
 for pat in 'thread::scope(' 'available_parallelism('; do
     files=$(grep -rlF "$pat" crates/workload/src crates/experiments/src crates/queryd/src || true)
     if [ "$(printf '%s' "$files" | grep -c .)" -ne 1 ]; then
@@ -60,7 +62,11 @@ for pat in 'thread::scope(' 'available_parallelism('; do
         exit 1
     fi
 done
-echo "one-worker-pool guard passed"
+if grep -rnF 'run_protocol_cell' crates/queryd/src; then
+    echo "POOL VIOLATION: a what-if is a cell list through run_cells; run_protocol_cell may not occur under crates/queryd/src" >&2
+    exit 1
+fi
+echo "one-worker-pool / one-cell-runner guard passed"
 
 # --- Guard 4: one tokenizer ------------------------------------------------
 # Every line-oriented text surface — .scn, .pol, queryd requests and

@@ -9,8 +9,8 @@
 //! at random. For a single-homed destination, Φ equals that of its first
 //! multi-homed (direct or indirect) provider.
 //!
-//! Exact enumeration is used while λ stays below a cap; above it, paths are
-//! sampled *uniformly* (count-weighted walks, see
+//! Exact enumeration is used while λ stays below `EXACT_CAP` (2000 paths);
+//! above it, paths are sampled *uniformly* (count-weighted walks, see
 //! [`stamp_topology::uphill`]) and Φ is estimated, matching the paper's
 //! uniform-over-paths definition.
 //!
@@ -27,12 +27,14 @@ use stamp_topology::disjoint::good_locked_path;
 use stamp_topology::graph::{AsGraph, AsId};
 use stamp_topology::uphill::UphillDag;
 
+/// Φ is computed exactly, by enumerating every uphill path, when λ is at
+/// most this many paths, and sampled above it.
+const EXACT_CAP: usize = 2_000;
+
 /// Configuration of the Φ computation.
 #[derive(Debug, Clone)]
 pub struct PhiConfig {
-    /// Enumerate exactly when λ ≤ this cap.
-    pub exact_cap: usize,
-    /// Monte-Carlo samples when λ exceeds the cap.
+    /// Monte-Carlo samples when λ exceeds `EXACT_CAP`.
     pub samples: usize,
     /// RNG seed for sampling.
     pub seed: u64,
@@ -43,7 +45,6 @@ pub struct PhiConfig {
 impl Default for PhiConfig {
     fn default() -> Self {
         PhiConfig {
-            exact_cap: 2_000,
             samples: 300,
             seed: 0xF1,
             smart: false,
@@ -110,8 +111,8 @@ pub fn phi_for_destination(
     if lambda <= 0.0 {
         return 0.0;
     }
-    if lambda <= cfg.exact_cap as f64 {
-        if let Some(paths) = dag.enumerate_paths(g, m, cfg.exact_cap) {
+    if lambda <= EXACT_CAP as f64 {
+        if let Some(paths) = dag.enumerate_paths(g, m, EXACT_CAP) {
             return phi_from_paths(g, &paths, cfg.smart);
         }
     }
@@ -194,8 +195,8 @@ pub fn smart_lock_choices(
             continue;
         }
         let lambda = dag.path_count(m);
-        let paths: Vec<Vec<AsId>> = if lambda <= cfg.exact_cap as f64 {
-            dag.enumerate_paths(g, m, cfg.exact_cap).unwrap_or_default()
+        let paths: Vec<Vec<AsId>> = if lambda <= EXACT_CAP as f64 {
+            dag.enumerate_paths(g, m, EXACT_CAP).unwrap_or_default()
         } else {
             (0..cfg.samples)
                 .filter_map(|_| dag.sample_path(g, m, &mut rng))

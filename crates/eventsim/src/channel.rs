@@ -9,10 +9,6 @@
 use crate::rng::Rng;
 use crate::time::{SimDuration, SimTime};
 
-/// Identifier of a directed channel (one per ordered neighbour pair).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ChannelId(pub u32);
-
 /// Uniform random delay in `[min, max]` — the paper models the combined
 /// processing + transmission delay as U[10 ms, 20 ms].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -40,7 +40,7 @@ pub mod rng;
 pub mod textfmt;
 pub mod time;
 
-pub use channel::{ChannelId, DelayModel, FifoChannel, LossModel};
+pub use channel::{DelayModel, FifoChannel, LossModel};
 pub use fxhash::{Fnv1a, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use queue::Scheduler;
 pub use rng::{derive_seed, rng_stream, Rng};

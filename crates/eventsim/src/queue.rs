@@ -40,7 +40,6 @@ pub struct Scheduler<E> {
     heap: BinaryHeap<Entry<E>>,
     now: SimTime,
     seq: u64,
-    scheduled_total: u64,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -58,7 +57,6 @@ impl<E: Clone> Clone for Scheduler<E> {
             heap: self.heap.clone(),
             now: self.now,
             seq: self.seq,
-            scheduled_total: self.scheduled_total,
         }
     }
 
@@ -68,7 +66,6 @@ impl<E: Clone> Clone for Scheduler<E> {
         self.heap.clone_from(&source.heap);
         self.now = source.now;
         self.seq = source.seq;
-        self.scheduled_total = source.scheduled_total;
     }
 }
 
@@ -79,7 +76,6 @@ impl<E> Scheduler<E> {
             heap: BinaryHeap::new(),
             now: SimTime::ZERO,
             seq: 0,
-            scheduled_total: 0,
         }
     }
 
@@ -101,12 +97,6 @@ impl<E> Scheduler<E> {
         self.heap.is_empty()
     }
 
-    /// Total number of events ever scheduled (metric).
-    #[inline]
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
-
     /// Schedule `event` at absolute time `at` (must not precede `now`).
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
         assert!(
@@ -117,7 +107,6 @@ impl<E> Scheduler<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.scheduled_total += 1;
         self.heap.push(Entry {
             time: at,
             seq,
@@ -206,7 +195,6 @@ mod tests {
             s.schedule_at(SimTime::from_millis(i), i);
         }
         s.pop();
-        assert_eq!(s.scheduled_total(), 5);
         assert_eq!(s.len(), 4);
     }
 }

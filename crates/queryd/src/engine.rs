@@ -1,26 +1,29 @@
 //! The resident query engine: converge every `(protocol, destination)`
 //! baseline once at startup, keep the converged sessions resident — each
 //! held once, shared between the listing verbs and the cache — and answer
-//! what-if queries by cloning them, never by re-converging a warm cell.
+//! what-if queries by forking them, never by re-converging a warm cell.
 //!
-//! Determinism contract: a `WHATIF` row is produced by
-//! [`stamp_workload::run_protocol_cell_warm`] with the daemon's engine
-//! seed, forking from the resident [`BaselineCache`] — the exact code
-//! path the campaign runner's warm pass takes, whose bit-identity to the
-//! cold path is pinned by `tests/warmstart.rs` and the campaign binary's
-//! hash assertions. `tests/queryd.rs` closes the loop by comparing query
-//! rows against `run_protocol_cell` cold, bit for bit.
+//! Determinism contract: a `WHATIF` is a cell list — one
+//! [`Cell`] per selected destination, under the daemon's engine seed —
+//! handed to [`stamp_workload::run_cells`] on one worker with the resident
+//! [`BaselineCache`]: the campaign runner's own path, whose bit-identity
+//! to the cold path is pinned by `tests/warmstart.rs` and the campaign
+//! binary's hash assertions. Baselines are made by
+//! [`BaselineCache::deposit`] under the same [`RunParams`] every fork
+//! runs (the deadline is clamped once, at startup), so a fork is an exact
+//! copy of its baseline. `tests/queryd.rs` closes the loop by comparing
+//! query rows against cold single cells with no cache, bit for bit.
 
 use crate::protocol::{
-    BaselineRow, PolicyRow, Request, RequestError, Response, RouteRow, WhatIfRow, WhatIfShape,
+    BaselineRow, PolicyRow, Request, Response, RouteRow, WhatIfRow, WhatIfShape,
 };
 use stamp_eventsim::SimDuration;
 use stamp_topology::disjoint::{max_disjoint_uphill_paths, two_disjoint_uphill_paths};
 use stamp_topology::{AsGraph, AsId};
 use stamp_workload::sim::{Sim, SimError};
 use stamp_workload::{
-    node_drain, reachability_mask, run_protocol_cell_warm, single_link_failure, BaselineCache,
-    CacheStats, PolicyRegime, Protocol, RunParams, Timeline, TimelineError, PREFIX,
+    node_drain, run_cells, single_link_failure, BaselineCache, CacheStats, Cell, PolicyRegime,
+    Protocol, RunParams, Timeline, TimelineError, PREFIX,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -38,40 +41,37 @@ pub struct QuerydConfig {
     pub params: RunParams,
     /// Engine seed shared by every baseline (part of the cache key).
     pub seed: u64,
-    /// How long `WHATIF DRAIN-NODE` keeps the node down.
-    pub drain: SimDuration,
     /// Baseline cache bound (`None` = unbounded). A bound below
     /// `protocols × dests` still answers correctly — evicted baselines
     /// re-converge cold on demand — it just stops being warm.
     pub cache_capacity: Option<usize>,
-    /// Per-query ceiling on each convergence phase's simulated time
-    /// (clamps [`RunParams::phase_deadline`] for `WHATIF` runs). Together
-    /// with the engine's convergence watchdog this is why a query over a
-    /// divergent regime answers with a `DIVERGED` frame instead of
-    /// wedging the daemon.
+    /// Ceiling on each convergence phase's simulated time: the engine
+    /// clamps [`RunParams::phase_deadline`] to it once, before it
+    /// converges anything, so baselines and queries run one params set.
+    /// Together with the engine's convergence watchdog this is why a
+    /// query over a divergent regime answers with a `DIVERGED` frame
+    /// instead of wedging the daemon.
     pub query_deadline: SimDuration,
 }
 
 impl QuerydConfig {
-    /// Paper parameters, a 60 s drain window, unbounded cache.
+    /// Paper parameters, unbounded cache.
     pub fn new(protocols: Vec<Protocol>, dests: Vec<AsId>) -> QuerydConfig {
         QuerydConfig {
             protocols,
             dests,
             params: RunParams::paper(),
             seed: 0xCA4A16,
-            drain: SimDuration::from_secs(60),
             cache_capacity: None,
             query_deadline: SimDuration::from_secs(3600),
         }
     }
 }
 
-/// Typed refusal of a query (the `ERR code=` vocabulary).
+/// Typed refusal of a query (the `ERR code=` vocabulary; a request line
+/// that fails to parse answers through `RequestError::to_response`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryError {
-    /// The request line failed to parse.
-    Parse(RequestError),
     /// The timeline names a link or node absent from the served topology,
     /// or carries an offset the clock cannot hold.
     Timeline(TimelineError),
@@ -90,7 +90,6 @@ pub enum QueryError {
 impl fmt::Display for QueryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            QueryError::Parse(e) => write!(f, "{e}"),
             QueryError::Timeline(e) => write!(f, "{e}"),
             QueryError::UnservedProtocol(p) => write!(
                 f,
@@ -116,7 +115,6 @@ impl QueryError {
     /// The stable `ERR code=` token of this refusal.
     pub fn code(&self) -> &'static str {
         match self {
-            QueryError::Parse(_) => "parse",
             QueryError::Timeline(TimelineError::NoSuchLink(..)) => "no-such-link",
             QueryError::Timeline(TimelineError::NoSuchNode(_)) => "no-such-node",
             QueryError::Timeline(TimelineError::OffsetTooLarge(_)) => "offset-too-large",
@@ -158,15 +156,16 @@ pub struct QueryEngine {
 }
 
 impl QueryEngine {
-    /// Converge every `(protocol, dest)` pair of `cfg` on `g` and deposit
-    /// the sessions. Startup is the expensive step by design — queries
-    /// then fork instead of converging.
-    pub fn new(g: AsGraph, cfg: QuerydConfig) -> Result<QueryEngine, QueryError> {
+    /// Clamp `cfg`'s phase deadline to its query deadline, then converge
+    /// every `(protocol, dest)` pair of `cfg` on `g` and deposit the
+    /// sessions. Startup is the expensive step by design — queries then
+    /// fork instead of converging.
+    pub fn new(g: AsGraph, mut cfg: QuerydConfig) -> Result<QueryEngine, QueryError> {
+        cfg.params.phase_deadline = cfg.params.phase_deadline.min(cfg.query_deadline);
         let cache = match cfg.cache_capacity {
             Some(cap) => BaselineCache::with_capacity(cap),
             None => BaselineCache::new(),
         };
-        let policy_fp = cfg.params.policy.fingerprint();
         let mut baselines = Vec::with_capacity(cfg.dests.len() * cfg.protocols.len());
         for &dest in &cfg.dests {
             for &proto in &cfg.protocols {
@@ -177,10 +176,7 @@ impl QueryEngine {
                     .params(cfg.params.clone())
                     .build()
                     .map_err(QueryError::Sim)?;
-                sim.converge();
-                debug_assert!(sim.converged());
-                // The copy is sized to what it holds, `sim` to its peak.
-                let sim = cache.put(proto, dest, cfg.seed, policy_fp, sim.checkpoint());
+                let sim = cache.deposit(&mut sim);
                 baselines.push(Baseline { proto, dest, sim });
             }
         }
@@ -235,6 +231,9 @@ impl QueryEngine {
         )
     }
 
+    /// How long `WHATIF DRAIN-NODE` keeps the node down.
+    const DRAIN: SimDuration = SimDuration::from_secs(60);
+
     /// Materialise a query shape as the [`Timeline`] the engine plays —
     /// public so tests can prove query-equals-timeline equivalence.
     pub fn timeline_of(&self, shape: &WhatIfShape) -> Timeline {
@@ -245,7 +244,7 @@ impl QueryEngine {
             ),
             WhatIfShape::DrainNode(v) => Timeline::from_events(
                 format!("whatif-drain-node-{}", v.0),
-                node_drain(*v, self.cfg.drain),
+                node_drain(*v, Self::DRAIN),
             ),
             WhatIfShape::Scn(t) => t.clone(),
         }
@@ -254,6 +253,12 @@ impl QueryEngine {
     /// Answer a `WHATIF`: play the shape's timeline against every selected
     /// `(dest, protocol)` baseline (all served combinations when
     /// unspecified) and report the paper's disruption metrics per row.
+    ///
+    /// The request's shape is checked first (regime, protocol,
+    /// destination); then the query is one cell per destination through
+    /// [`run_cells`] on one worker, which refuses a timeline that does not
+    /// resolve against the served topology, or whose offsets overflow the
+    /// clock, before any cell runs or the cache is consulted.
     ///
     /// `policy` swaps every router onto a named built-in regime for this
     /// query. Non-default cells miss the resident baselines the first
@@ -267,7 +272,7 @@ impl QueryEngine {
         dest: Option<AsId>,
         policy: Option<&str>,
     ) -> Result<Response, QueryError> {
-        let mut params = match policy {
+        let params = match policy {
             Some(name) => {
                 let regime = PolicyRegime::by_name(name)
                     .ok_or_else(|| QueryError::NoSuchPolicy(name.to_string()))?;
@@ -277,19 +282,6 @@ impl QueryEngine {
             }
             None => self.cfg.params.clone(),
         };
-        // The per-query deadline: a cell that neither quiesces nor trips
-        // the watchdog still hands control back (as `BudgetExhausted`)
-        // within bounded simulated time, so one bad query cannot wedge
-        // the daemon. Converging cells never see the clamp.
-        params.phase_deadline = params.phase_deadline.min(self.cfg.query_deadline);
-        let timeline = self.timeline_of(shape);
-        // The refusal point: every event resolves against the served
-        // topology and every offset fits the clock, or no cell runs (the
-        // cell runner itself treats an unresolvable timeline as a bug).
-        timeline.resolve(&self.g).map_err(QueryError::Timeline)?;
-        let g_after = timeline
-            .graph_after(&self.g)
-            .map_err(QueryError::Timeline)?;
         let protos: Vec<Protocol> = match proto {
             Some(p) if !self.cfg.protocols.contains(&p) => {
                 return Err(QueryError::UnservedProtocol(p))
@@ -302,32 +294,27 @@ impl QueryEngine {
             Some(d) => vec![d],
             None => self.cfg.dests.clone(),
         };
+        let timeline = self.timeline_of(shape);
+        let cells: Vec<Cell<'_>> = dests
+            .iter()
+            .map(|&dest| Cell {
+                timeline: &timeline,
+                dest,
+                seed: self.cfg.seed,
+            })
+            .collect();
+        let results = run_cells(&self.g, &params, &protos, 1, &cells, Some(&self.cache))
+            .map_err(QueryError::Timeline)?;
         let mut rows = Vec::with_capacity(dests.len() * protos.len());
-        for &d in &dests {
-            let reachable = reachability_mask(&g_after, d);
-            let unreachable = reachable.iter().filter(|r| !**r).count();
-            let mut base_affected: Option<i64> = None;
-            for &p in &protos {
-                let metrics = run_protocol_cell_warm(
-                    &self.g,
-                    &params,
-                    &timeline,
-                    d,
-                    &reachable,
-                    p,
-                    self.cfg.seed,
-                    &self.cache,
-                );
-                let affected = metrics.affected as i64;
-                let base = *base_affected.get_or_insert(affected);
-                rows.push(WhatIfRow {
-                    dest: d,
-                    proto: p,
-                    unreachable,
-                    metrics,
-                    delta_affected: affected - base,
-                });
-            }
+        for (dest, row) in dests.into_iter().zip(results) {
+            // Deltas are against the destination's first protocol row.
+            let base = row.first().map_or(0, |(_, m)| m.affected as i64);
+            rows.extend(row.into_iter().map(|(proto, metrics)| WhatIfRow {
+                dest,
+                proto,
+                delta_affected: metrics.affected as i64 - base,
+                metrics,
+            }));
         }
         Ok(Response::WhatIf {
             scenario: timeline.name().to_string(),

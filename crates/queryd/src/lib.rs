@@ -17,9 +17,9 @@
 //!   byte-for-byte), and typed rejection of junk;
 //! * [`engine`] — the resident [`engine::QueryEngine`]: owns the
 //!   topology, the converged sessions and the [`stamp_workload`]
-//!   baseline cache, and maps each request to the proven
-//!   `run_protocol_cell_warm` path so every answer is bit-identical to a
-//!   cold batch run of the same cell;
+//!   baseline cache, and answers each what-if as a cell list through the
+//!   campaign runner's own `run_cells`, so every answer is bit-identical
+//!   to a cold batch run of the same cell;
 //! * [`server`] — serving loops over any `BufRead`/`Write` pair (stdin,
 //!   TCP, in-memory buffers for tests).
 //!

@@ -65,8 +65,8 @@ pub fn proto_token(p: Protocol) -> &'static str {
 pub enum WhatIfShape {
     /// `FAIL-LINK a b`: the link fails at the epoch and stays down.
     FailLink(AsId, AsId),
-    /// `DRAIN-NODE v`: the node fails at the epoch and restores after the
-    /// daemon's configured drain window.
+    /// `DRAIN-NODE v`: the node fails at the epoch and restores 60 s
+    /// later.
     DrainNode(AsId),
     /// `SCN …`: an arbitrary inline `.scn` timeline.
     Scn(Timeline),
@@ -354,15 +354,13 @@ impl FromStr for Request {
 
 /// One `(dest, protocol)` row of a `WHATIF` answer. `metrics` is exactly
 /// the [`InstanceMetrics`] of the matching campaign cell (the bit-identity
-/// contract); `delta_affected` is `affected` relative to the destination's
-/// first protocol row (the per-protocol delta the paper's bars compare).
+/// contract), `unreachable` included; `delta_affected` is `affected`
+/// relative to the destination's first protocol row (the per-protocol
+/// delta the paper's bars compare).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WhatIfRow {
     pub dest: AsId,
     pub proto: Protocol,
-    /// ASes with no path to `dest` once the timeline has fully played out
-    /// (ground truth from static routing, not a protocol artifact).
-    pub unreachable: usize,
     pub metrics: InstanceMetrics,
     pub delta_affected: i64,
 }
@@ -605,7 +603,7 @@ impl Walk for WhatIfRow {
         let m = &mut self.metrics;
         io.f("dest", &mut self.dest)?;
         io.f("proto", &mut self.proto)?;
-        io.f("unreachable", &mut self.unreachable)?;
+        io.f("unreachable", &mut m.unreachable)?;
         io.f("affected", &mut m.affected)?;
         io.f("loops", &mut m.affected_loops)?;
         io.f("blackholes", &mut m.affected_blackholes)?;
@@ -1013,6 +1011,7 @@ mod tests {
             convergence_delay_s: 31.0625,
             data_recovery_s: 0.10000000000000009,
             interned_paths: 812,
+            unreachable: 5,
             outcome: RunOutcome::Converged,
         };
         let diverged = InstanceMetrics {
@@ -1030,14 +1029,12 @@ mod tests {
                     WhatIfRow {
                         dest: AsId(4),
                         proto: Protocol::Bgp,
-                        unreachable: 0,
                         metrics: m,
                         delta_affected: 0,
                     },
                     WhatIfRow {
                         dest: AsId(4),
                         proto: Protocol::Stamp,
-                        unreachable: 0,
                         metrics: m,
                         delta_affected: -12,
                     },
@@ -1052,14 +1049,12 @@ mod tests {
                     WhatIfRow {
                         dest: AsId(4),
                         proto: Protocol::Bgp,
-                        unreachable: 0,
                         metrics: diverged,
                         delta_affected: 0,
                     },
                     WhatIfRow {
                         dest: AsId(4),
                         proto: Protocol::Stamp,
-                        unreachable: 0,
                         metrics: InstanceMetrics {
                             outcome: RunOutcome::BudgetExhausted,
                             ..m

@@ -14,14 +14,17 @@
 //! checkpoint; sessions share the topology and nothing else) and measures
 //! the paper's disruption/recovery metrics. With no cache a worker holds
 //! one baseline at a time. A single cell is a one-cell key
-//! ([`run_protocol_cell`]), measured on the session that converged.
+//! ([`run_protocol_cell`]), measured on the session that converged. Every
+//! baseline is made by [`BaselineCache::deposit`], which files it under
+//! the key the converged session names.
 //!
 //! Everything above is a way of *listing* cells: [`run_campaign`] lists the
 //! `(timeline × destination × seed)` cross product and hashes the result;
 //! the figure experiments (`stamp_experiments::failure`) list `instances`
-//! sampled canned workloads. Workers claim items from one atomic counter
-//! and hand their `(index, result)` pairs back through their join handles,
-//! written back by cell index — so a report (and its
+//! sampled canned workloads; a queryd what-if lists one cell per served
+//! destination, on one worker. Workers claim items from one atomic
+//! counter and hand their `(index, result)` pairs back through their join
+//! handles, written back by cell index — so a report (and its
 //! [`CampaignReport::hash`]) is byte-identical at any worker count. That is
 //! the whole determinism argument: randomness is derived per cell from the
 //! cell's coordinates, never from worker identity or wall-clock, and a fork
@@ -83,7 +86,9 @@ pub fn run_protocol_cell(
 /// copy for the next taker. Either way the returned metrics are
 /// bit-identical to the cold path (the fork contract, proven by
 /// `tests/warmstart.rs` and the campaign binary's cold-vs-warm hash
-/// assertion).
+/// assertion). A cached baseline is copied exactly, so `cache` must have
+/// been filled under `params` ([`BaselineCache`]'s contract): its params,
+/// not the caller's, are the ones a warm cell runs.
 #[allow(clippy::too_many_arguments)]
 pub fn run_protocol_cell_warm(
     g: &AsGraph,
@@ -124,23 +129,6 @@ fn fresh_session(
         .expect("cell destinations are in range")
 }
 
-/// The miss path: converge `sim` cold and deposit a copy for the next
-/// taker. The copy, not the session that did the converging: a clone's
-/// buffers are sized to what they hold, the original's to its peak. A
-/// counting allocator at 2000 ASes read converged against copy as 3.05
-/// against 1.54 MiB (BGP), 3.63 against 1.86 MiB (R-BGP) and 5.16 against
-/// 2.24 MiB (STAMP) while MRAI rows grew by `resize`: the difference was
-/// lapsed MRAI rows, cleared but keeping a four-slot buffer, and the
-/// drained scheduler heap. With rows grown exactly the converged side
-/// reads 2.46 / 2.85 / 3.98 MiB. That is also why the converging
-/// session's engine stays its own and never joins the cache's scratch
-/// engines.
-fn deposit_converged(sim: &mut Sim, cache: &BaselineCache) -> Arc<Sim> {
-    sim.converge();
-    let fp = sim.params().policy.fingerprint();
-    cache.put(sim.protocol(), sim.dest(), sim.seed(), fp, sim.checkpoint())
-}
-
 /// A timeline and its post-timeline reachability mask.
 type Play<'a> = (&'a Timeline, &'a [bool]);
 
@@ -177,10 +165,10 @@ fn one_cell(
 /// converged, as a cold cell always has (depositing a copy first if there
 /// is a cache). Otherwise the converged session leaves a copy — into
 /// `cache` if there is one — and is dropped, and every play runs on one
-/// working session rewound onto that copy ([`Sim::restore`]): a session
-/// restored from a cached baseline borrows one of the cache's scratch
-/// engines, under the caller's per-phase knobs, and hands it back on
-/// drop. Results are bit-identical either way (the fork contract).
+/// working session rewound onto that copy ([`Sim::restore`], an exact
+/// copy): a session restored from a cached baseline borrows one of the
+/// cache's scratch engines and hands it back on drop. Results are
+/// bit-identical either way (the fork contract).
 fn run_key(
     g: &AsGraph,
     params: &RunParams,
@@ -193,16 +181,25 @@ fn run_key(
     let mut sim = fresh_session(g, params, dest, protocol, seed);
     let hit = cache.and_then(|c| c.get(protocol, dest, seed, params.policy.fingerprint()));
     let baseline = match (hit, plays) {
-        (Some(baseline), _) => baseline,
+        (Some(baseline), _) => {
+            // A fork is an exact copy, so it runs the knobs its baseline
+            // converged under: one cache, one params set.
+            let knobs = |p: &RunParams| (p.inject_delay, p.observe_interval, p.phase_deadline);
+            debug_assert!(
+                knobs(baseline.params()) == knobs(params),
+                "a cached baseline runs the params it converged under"
+            );
+            baseline
+        }
         (None, &[play]) => {
             if let Some(cache) = cache {
-                deposit_converged(&mut sim, cache);
+                cache.deposit(&mut sim);
             }
             return vec![measure(&mut sim, play)];
         }
         (None, _) => {
             let copy = match cache {
-                Some(cache) => deposit_converged(&mut sim, cache),
+                Some(cache) => cache.deposit(&mut sim),
                 None => {
                     sim.converge();
                     Arc::new(sim.checkpoint())
@@ -220,7 +217,6 @@ fn run_key(
             sim.restore(&baseline)
                 // simlint::allow(panic, "the key names the protocol")
                 .expect("a baseline of this key runs its protocol");
-            sim.set_phase_knobs(params);
             measure(&mut sim, play)
         })
         .collect()
@@ -394,6 +390,27 @@ impl BaselineCache {
             }
         }
         sim
+    }
+
+    /// Converge `sim` and deposit a copy under the key the session itself
+    /// names — its protocol, destination, engine seed and policy
+    /// fingerprint — so no baseline is filed under a key it does not
+    /// match. Every baseline the product makes is made here.
+    ///
+    /// The copy, not the session that did the converging: a clone's
+    /// buffers are sized to what they hold, the original's to its peak. A
+    /// counting allocator at 2000 ASes read converged against copy as 3.05
+    /// against 1.54 MiB (BGP), 3.63 against 1.86 MiB (R-BGP) and 5.16
+    /// against 2.24 MiB (STAMP) while MRAI rows grew by `resize`: the
+    /// difference was lapsed MRAI rows, cleared but keeping a four-slot
+    /// buffer, and the drained scheduler heap. With rows grown exactly the
+    /// converged side reads 2.46 / 2.85 / 3.98 MiB. That is also why the
+    /// converging session's engine stays its own and never joins the
+    /// cache's scratch engines.
+    pub fn deposit(&self, sim: &mut Sim) -> Arc<Sim> {
+        sim.converge();
+        let fp = sim.params().policy.fingerprint();
+        self.put(sim.protocol(), sim.dest(), sim.seed(), fp, sim.checkpoint())
     }
 }
 
@@ -712,8 +729,17 @@ impl CampaignReport {
 /// pool of the simulation crates: workers claim indices from an atomic
 /// counter, keep their own `(index, result)` pairs and return them through
 /// their join handles, so there is no shared result state to lock. A
-/// panicking worker's panic resumes on the caller.
+/// panicking worker's panic resumes on the caller. A one-item list runs
+/// on the calling thread, so a one-cell what-if spawns nothing (a spawn
+/// per query cost `query_hit` some 7 % of its throughput). A longer list
+/// spawns its workers even when there is one: inline, a one-worker
+/// `campaign_warm` pass read 78 MB peak RSS against 68 MB, its forks'
+/// allocations interleaved with the resident baselines on the caller's
+/// heap.
 fn par_map<I: Sync, T: Send>(threads: usize, items: &[I], f: impl Fn(&I) -> T + Sync) -> Vec<T> {
+    if items.len() == 1 {
+        return items.iter().map(f).collect();
+    }
     let threads = match threads {
         // simlint::allow(ambient-env, "thread count only partitions work; results are merged by index and never depend on it")
         0 => std::thread::available_parallelism().map_or(1, |c| c.get()),
@@ -776,7 +802,9 @@ pub struct Cell<'a> {
 /// appearance of their `(dest, seed)`, STAMP's first — two processes per
 /// AS make its item the longest. With no cache, a worker holds one
 /// baseline at a time. Results are bit-identical either way and are
-/// written back by index.
+/// written back by index. A cached baseline is copied exactly, so a
+/// `cache` must have been filled under `params`: where they differ, the
+/// baseline's params win (debug builds assert the phase knobs agree).
 pub fn run_cells(
     g: &AsGraph,
     params: &RunParams,
@@ -951,8 +979,7 @@ pub fn populate_baselines(
             let seed = cell_seed(dest, seed);
             for &p in &cfg.protocols {
                 if cache.get(p, dest, seed, fp).is_none() {
-                    let mut sim = fresh_session(g, &cfg.params, dest, p, seed);
-                    deposit_converged(&mut sim, cache);
+                    cache.deposit(&mut fresh_session(g, &cfg.params, dest, p, seed));
                 }
             }
         }
@@ -1373,6 +1400,26 @@ mod tests {
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cell(&timelines[0], &cache), cold);
         assert_eq!(scratch_len(&cache), 1);
+    }
+
+    /// One cache, one params set: a fork copies its baseline exactly, so a
+    /// debug build refuses to fork one under other phase knobs.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a cached baseline runs the params it converged under")]
+    fn forking_under_other_phase_knobs_than_the_baselines_is_refused() {
+        let (g, timelines, dests) = grid(37);
+        let mask = timelines[0].reachable_after(&g, dests[0]).unwrap();
+        let cache = BaselineCache::new();
+        let cell = |params: &RunParams| {
+            let (timeline, dest) = (&timelines[0], dests[0]);
+            run_protocol_cell_warm(&g, params, timeline, dest, &mask, Protocol::Bgp, 5, &cache)
+        };
+        cell(&RunParams::fast());
+        cell(&RunParams {
+            inject_delay: SimDuration::from_secs(2),
+            ..RunParams::fast()
+        });
     }
 
     #[test]

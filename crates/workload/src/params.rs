@@ -41,6 +41,12 @@ pub struct InstanceMetrics {
     /// whole run — deterministic (intern order is event order), so it
     /// participates in the byte-identical regression checks.
     pub interned_paths: usize,
+    /// ASes with no path to the destination once the timeline has fully
+    /// played out: the `false` entries of the cell's reachability mask
+    /// (ground truth from static routing, not a protocol artifact). A
+    /// property of the cell's inputs, so [`InstanceMetrics::words`] does
+    /// not fold it.
+    pub unreachable: usize,
     /// How the cell's run ended: the first non-`Converged` outcome of its
     /// phases (initial convergence, then the timeline phase). A diverging
     /// cell is a *result*, not an error — campaigns keep running and the
@@ -50,8 +56,8 @@ pub struct InstanceMetrics {
 
 impl InstanceMetrics {
     /// The nine counters as `u64` words in declaration order, f64s by bit
-    /// pattern (`outcome` is not a counter) — what aggregate hashes fold
-    /// and bit-exact comparisons compare.
+    /// pattern (`unreachable` and `outcome` are not counters of the run) —
+    /// what aggregate hashes fold and bit-exact comparisons compare.
     pub fn words(&self) -> [u64; 9] {
         [
             self.affected as u64,
@@ -172,6 +178,7 @@ mod tests {
             convergence_delay_s,
             data_recovery_s: 0.0,
             interned_paths: 0,
+            unreachable: 0,
             outcome: RunOutcome::Converged,
         };
         let cells = [cell(2, 0.1), cell(4, 0.2), cell(9, 0.3)];

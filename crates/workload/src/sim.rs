@@ -1071,6 +1071,7 @@ impl Sim {
                 .map(|t| t.since(played.settle).as_secs_f64())
                 .unwrap_or(0.0),
             interned_paths: self.interned_paths(),
+            unreachable: reachable.iter().filter(|r| !**r).count(),
         })
     }
 
@@ -1083,12 +1084,13 @@ impl Sim {
     }
 
     /// Rewind this session to `ck` in place: `clone_from` behind a
-    /// protocol check. Everything is overwritten — the engine's run state
-    /// down to the live policy regime, the facade's convergence
-    /// bookkeeping, and the destination, prefix and params `ck` was built
-    /// with — so replay after a restore is bit-identical to replay from
-    /// the instant `ck` was taken, whatever this session ran before
-    /// (DESIGN.md §12 has the argument). The engine's flat tables,
+    /// protocol check. The copy is exact. Everything is overwritten — the
+    /// engine's run state down to the live policy regime, the facade's
+    /// convergence bookkeeping, and the destination, prefix and params
+    /// `ck` was built with, per-phase knobs included — so replay after a
+    /// restore is bit-identical to replay from the instant `ck` was taken,
+    /// whatever this session ran or was built with before (DESIGN.md §12
+    /// has the argument). The engine's flat tables,
     /// scheduler heap and path arena keep their buffers, and so do the
     /// routers' RIBs and books: rewinding onto a session of the same shape
     /// allocates nothing. `ck` must be a session of the same protocol
@@ -1132,17 +1134,6 @@ impl Sim {
     /// is: sessions restored from it borrow their engines there.
     pub(crate) fn share_scratch(&mut self, home: Arc<ScratchEngines>) {
         self.scratch = Some(home);
-    }
-
-    /// Take the knobs of `params` that [`Sim::play`] reads per phase —
-    /// injection delay, observation interval, phase deadline. The rest of
-    /// a session's params went into its engine at build. For a fork that
-    /// runs under a caller's knobs and not its baseline's (queryd clamps
-    /// the deadline per query).
-    pub(crate) fn set_phase_knobs(&mut self, params: &RunParams) {
-        self.params.inject_delay = params.inject_delay;
-        self.params.observe_interval = params.observe_interval;
-        self.params.phase_deadline = params.phase_deadline;
     }
 }
 

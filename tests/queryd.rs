@@ -11,8 +11,8 @@ use stamp_repro::queryd::{
 };
 use stamp_repro::topology::{generate, AsId, GenConfig};
 use stamp_repro::workload::{
-    destination_candidates, parse_scn, run_protocol_cell, InstanceMetrics, NetEvent, Protocol,
-    RunOutcome, RunParams, Timeline, TimelineEvent,
+    destination_candidates, parse_scn, run_cells, run_protocol_cell, Cell, InstanceMetrics,
+    NetEvent, Protocol, RunOutcome, RunParams, Timeline, TimelineEvent,
 };
 
 fn engine(seed: u64) -> QueryEngine {
@@ -149,6 +149,119 @@ fn policy_query_answers_match_cold_runs_under_that_regime() {
                 &format!("{} / {} under {}", row.dest.0, row.proto.label(), name),
             );
         }
+    }
+}
+
+/// A what-if that cuts ASes off: the only provider link of a single-homed
+/// AS fails, so the AS (and whatever hangs below it) has no path to either
+/// served destination afterwards. Every row reports that count — the
+/// `false` entries of the reachability mask — and is still the cold cell,
+/// bit for bit; a batch cell list over the same timeline reports the same
+/// count in every protocol column.
+#[test]
+fn a_whatif_that_cuts_ases_off_reports_them_unreachable() {
+    let e = engine(73);
+    let g = e.topology().clone();
+    let cfg = e.config().clone();
+    let cut_off = |v: AsId| {
+        let shape = WhatIfShape::FailLink(v, g.providers(v)[0]);
+        let timeline = e.timeline_of(&shape);
+        let lost = |d: AsId| {
+            let mask = timeline.reachable_after(&g, d).unwrap();
+            mask.iter().filter(|r| !**r).count()
+        };
+        cfg.dests.iter().all(|&d| lost(d) > 0).then_some(shape)
+    };
+    let shape = g
+        .ases()
+        .filter(|&v| g.providers(v).len() == 1)
+        .find_map(cut_off)
+        .expect("the generated topology has a single-homed AS that the failure cuts off");
+    let timeline = e.timeline_of(&shape);
+    let rows = match e.execute(&Request::WhatIf {
+        shape,
+        proto: None,
+        dest: None,
+        policy: None,
+    }) {
+        Response::WhatIf { rows, .. } => rows,
+        other => panic!("expected WHATIF rows, got {other:?}"),
+    };
+    assert_eq!(rows.len(), cfg.protocols.len() * cfg.dests.len());
+    let cells: Vec<Cell<'_>> = cfg
+        .dests
+        .iter()
+        .map(|&dest| Cell {
+            timeline: &timeline,
+            dest,
+            seed: cfg.seed,
+        })
+        .collect();
+    let batch = run_cells(&g, &cfg.params, &cfg.protocols, 2, &cells, None).unwrap();
+    for (row, (proto, cell)) in rows.iter().zip(batch.iter().flatten()) {
+        let what = format!("dest {} / {}", row.dest.0, row.proto.label());
+        let reachable = timeline.reachable_after(&g, row.dest).unwrap();
+        let lost = reachable.iter().filter(|r| !**r).count();
+        assert!(row.metrics.unreachable > 0, "{what}");
+        assert_eq!(row.metrics.unreachable, lost, "{what}");
+        let cold = run_protocol_cell(
+            &g,
+            &cfg.params,
+            &timeline,
+            row.dest,
+            &reachable,
+            row.proto,
+            cfg.seed,
+        );
+        assert_bit_identical(&row.metrics, &cold, &what);
+        assert_eq!(*proto, row.proto, "{what}");
+        assert_eq!(cell.unreachable, lost, "{what}: the batch column");
+        assert_bit_identical(cell, &row.metrics, &format!("{what}: the batch cell"));
+    }
+}
+
+/// A what-if whose timeline does not resolve is refused before any cache
+/// lookup, as the cell runner refuses a cell list; a request wrong in two
+/// ways answers for its shape (protocol, destination) first.
+#[test]
+fn an_unresolvable_whatif_is_refused_before_any_lookup() {
+    let e = engine(79);
+    let dests = &e.config().dests;
+    let dest = dests[0];
+    let unserved = e.topology().ases().find(|v| !dests.contains(v));
+    let at = SimDuration::from_micros(u64::MAX);
+    let wraps = Timeline::from_events(
+        "wraps",
+        vec![TimelineEvent {
+            at,
+            ev: NetEvent::NodeDown(dest),
+        }],
+    );
+    let no_link = WhatIfShape::FailLink(dest, AsId(1999));
+    let refusals = [
+        (no_link.clone(), None, None, "no-such-link"),
+        (WhatIfShape::Scn(wraps), None, None, "offset-too-large"),
+        (
+            no_link.clone(),
+            Some(Protocol::RbgpNoRci),
+            None,
+            "unserved-protocol",
+        ),
+        (no_link, None, unserved, "unserved-dest"),
+    ];
+    let before = e.cache_stats();
+    for (shape, proto, dest, want) in refusals {
+        let resp = e.execute(&Request::WhatIf {
+            shape,
+            proto,
+            dest,
+            policy: None,
+        });
+        match resp {
+            Response::Error { code, .. } => assert_eq!(code, want),
+            other => panic!("expected ERR {want}, got {other:?}"),
+        }
+        assert_eq!(e.cache_stats(), before, "{want}: no lookup");
     }
 }
 
