@@ -18,7 +18,7 @@ use crate::router::{OutMsg, RouterCtx, RouterLogic, SessionView, StateFingerprin
 use crate::types::{CauseInfo, PrefixId, ProcId, RootCause, Route, UpdateKind, UpdateMsg};
 use stamp_eventsim::rng::{tags, Rng};
 use stamp_eventsim::{
-    rng_stream, DelayModel, FifoChannel, LossModel, Scheduler, SimDuration, SimTime,
+    clone_in_place, rng_stream, DelayModel, FifoChannel, LossModel, Scheduler, SimDuration, SimTime,
 };
 use stamp_policy::CompiledRegime;
 use stamp_topology::{AsGraph, AsId, LinkId, SessEntry, SessId};
@@ -263,11 +263,13 @@ pub struct RunStats {
 }
 
 /// Liveness of links and nodes.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct LinkState {
     link_up: Vec<bool>,
     node_up: Vec<bool>,
 }
+
+clone_in_place!(LinkState { link_up, node_up });
 
 impl LinkState {
     fn new(g: &AsGraph) -> LinkState {
@@ -1222,12 +1224,11 @@ impl<R: RouterLogic + Clone> Clone for Engine<R> {
 
     /// Existing buffers are reused (`clone_from` down the flat `Vec`
     /// state; the routers' own tables are whatever `R::clone_from` makes
-    /// of them) and nothing of this engine's timeline survives. When this
-    /// engine's arena is an append-only extension of `source`'s it is
-    /// truncated instead of copied ([`PathArena::clone_from`]); either way
-    /// paths interned after `source` was taken are forgotten and a replay
-    /// re-interns them in identical order, so a rewound run can never
-    /// observe ids a sibling fork interned.
+    /// of them) and nothing of this engine's timeline survives. The path
+    /// arena is copied like the rest, so paths interned after `source`
+    /// was taken are forgotten and a replay re-interns them in identical
+    /// order: a rewound run can never observe ids a sibling fork
+    /// interned.
     ///
     /// The touched feed ([`Engine::touched_since`]) is invalidated, not
     /// copied: every observer's next look reports the whole table dirty.
@@ -1256,8 +1257,7 @@ impl<R: RouterLogic + Clone> Clone for Engine<R> {
         self.routers.clone_from(routers);
         self.paths.clone_from(paths);
         self.sched.clone_from(sched);
-        self.state.link_up.clone_from(&state.link_up);
-        self.state.node_up.clone_from(&state.node_up);
+        self.state.clone_from(state);
         self.channels.clone_from(channels);
         self.mrai.clone_from(mrai);
         self.link_epoch.clone_from(link_epoch);
@@ -1646,8 +1646,7 @@ mod tests {
 
     /// The fork contract at the engine level: copy → mutate → rewind →
     /// mutate replays bit-identically, whether the rewind target is the
-    /// donor engine (arena truncation path) or a fresh
-    /// identically-constructed engine (arena copy path).
+    /// donor engine or a fresh identically-constructed engine.
     #[test]
     fn clone_and_clone_from_replay_bit_identically() {
         let g = diamond();
@@ -1675,19 +1674,18 @@ mod tests {
             "replay only appends to the arena"
         );
 
-        // Same-lineage rewind: the arena extends the copy's, so the
-        // rewind is a truncation back to its length.
+        // Rewind onto the copy: the arena forgets what the play interned.
         e.clone_from(&ck);
         assert_eq!(
             e.paths().node_count(),
             arena_at_ck,
-            "arena truncated to the mark"
+            "arena rewound to the copy's"
         );
         let second = play(&mut e);
         assert_eq!(first, second, "same-engine replay diverged");
 
-        // Cross-lineage rewind: a fresh engine with an empty arena adopts
-        // the copy's wholesale (copy path) and replays identically.
+        // A fresh engine with an empty arena adopts the copy's and
+        // replays identically.
         let mut f = engine(g.clone(), AsId(4), 11);
         f.clone_from(&ck);
         assert_eq!(

@@ -18,7 +18,7 @@
 //! deterministic scheduler fixes. Equal seeds therefore produce identical
 //! arenas — the invariant the determinism regression suite pins down.
 
-use stamp_eventsim::FxHashMap;
+use stamp_eventsim::{clone_in_place, FxHashMap};
 use stamp_topology::AsId;
 
 /// Handle to an interned AS path. `PathId::NONE` is the empty path (used
@@ -75,36 +75,10 @@ pub struct PathArena {
     index: FxHashMap<(AsId, PathId), PathId>,
 }
 
-impl Clone for PathArena {
-    fn clone(&self) -> PathArena {
-        PathArena {
-            nodes: self.nodes.clone(),
-            index: self.index.clone(),
-        }
-    }
-
-    /// Rewind to (or adopt) `source`, keeping both containers' buffers.
-    /// When this arena is an append-only extension of `source` — same
-    /// nodes in the same order up to `source`'s length, one contiguous
-    /// compare over plain-`Copy` nodes — every node interned past that
-    /// length is popped and evicted from the intern index, no copying;
-    /// otherwise `source` is copied wholesale. Either way a later
-    /// re-intern of the same path content is assigned ids purely by
-    /// intern order from `source`'s length again, which is what keeps a
-    /// rewound run byte-identical to a cold one: it can never observe
-    /// path ids a sibling interned after `source` was taken.
-    fn clone_from(&mut self, source: &PathArena) {
-        let keep = source.nodes.len();
-        if self.nodes.len() >= keep && self.nodes[..keep] == source.nodes {
-            for node in self.nodes.drain(keep..) {
-                self.index.remove(&(node.head, node.tail));
-            }
-        } else {
-            self.nodes.clone_from(&source.nodes);
-            self.index.clone_from(&source.index);
-        }
-    }
-}
+// A rewind adopts the source's nodes and intern index exactly, so a
+// replay re-interns its paths with the ids a cold run assigns (DESIGN.md
+// §12).
+clone_in_place!(PathArena { nodes, index });
 
 impl PathArena {
     /// Empty arena.
@@ -346,12 +320,12 @@ mod tests {
     }
 
     #[test]
-    fn truncate_to_mark_restores_intern_order() {
+    fn rewind_restores_intern_order() {
         let mut a = PathArena::new();
         let base = a.intern_slice(&ids(&[2, 1]));
         let mark = a.clone();
         // Two divergent futures interned after the mark must produce
-        // identical ids once the first is rolled back.
+        // identical ids once the first is rewound.
         let x = a.intern(AsId(9), base);
         let x2 = a.intern(AsId(8), x);
         a.clone_from(&mark);
@@ -359,15 +333,15 @@ mod tests {
         let y = a.intern(AsId(7), base);
         assert_eq!(y, x, "post-mark ids restart at the mark");
         assert_eq!(a.as_vec(y), ids(&[7, 2, 1]));
-        // The evicted (9, base) entry really left the index: re-interning
-        // the old content allocates a fresh node instead of resurrecting x.
+        // The rewound index no longer holds (9, base): re-interning the
+        // old content allocates a fresh node instead of resurrecting x.
         let z = a.intern(AsId(9), base);
         assert_eq!(z, x2);
         assert_eq!(a.as_vec(z), ids(&[9, 2, 1]));
         // Pre-mark nodes survive untouched.
         assert_eq!(a.as_vec(base), ids(&[2, 1]));
-        // An arena of another lineage is not a mark to truncate to: it is
-        // adopted whole, index included.
+        // A rewind onto an arena of another lineage adopts it whole,
+        // index included.
         let mut other = PathArena::new();
         let p = other.intern_slice(&ids(&[5, 1]));
         a.clone_from(&other);
@@ -382,13 +356,49 @@ mod tests {
     }
 
     #[test]
-    fn truncate_to_mark_noop_at_current_length() {
+    fn rewind_onto_an_equal_arena_changes_nothing() {
         let mut a = PathArena::new();
         a.intern_slice(&ids(&[3, 1]));
         let mark = a.clone();
         a.clone_from(&mark);
         assert_eq!(a.node_count(), 2);
         assert_eq!(a.intern_slice(&ids(&[3, 1])), PathId(1));
+    }
+
+    #[test]
+    fn rewind_after_the_index_outgrew_the_source_interns_like_a_cold_arena() {
+        let baseline = || {
+            let mut a = PathArena::new();
+            a.intern_slice(&ids(&[2, 1]));
+            a.intern_slice(&ids(&[3, 2, 1]));
+            a
+        };
+        let source = baseline();
+        let mut a = source.clone();
+        // A play that grows the intern index far past the source's
+        // bucket count.
+        let mut last = PathId::NONE;
+        for i in 0..1000u32 {
+            last = a.intern(AsId(i % 40), last);
+        }
+        assert!(a.index.capacity() > source.index.capacity());
+        a.clone_from(&source);
+        assert_eq!(a.node_count(), source.node_count());
+        // Re-interning, the play's first paths among others, assigns the
+        // ids a cold arena assigns.
+        let replay = |a: &mut PathArena| {
+            let mut got: Vec<PathId> = [&[0][..], &[7, 3, 2, 1], &[1, 0], &[2, 1], &[5, 1]]
+                .iter()
+                .map(|p| a.intern_slice(&ids(p)))
+                .collect();
+            let mut last = PathId::NONE;
+            for i in 0..100u32 {
+                last = a.intern(AsId(i % 13), last);
+                got.push(last);
+            }
+            got
+        };
+        assert_eq!(replay(&mut a), replay(&mut baseline()));
     }
 
     #[test]

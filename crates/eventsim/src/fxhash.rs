@@ -25,13 +25,16 @@
 //! tests and CI, so it must be — and is tested to be — the standard
 //! function.
 
+// simlint::allow(default-hasher, "defines the FxHashMap/FxHashSet aliases over std's HashMap/HashSet with the deterministic hasher plugged in")
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// `HashMap` with the [`FxHasher`] (drop-in for `std::collections::HashMap`).
+// simlint::allow(default-hasher, "defines the FxHashMap/FxHashSet aliases over std's HashMap/HashSet with the deterministic hasher plugged in")
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 /// `HashSet` with the [`FxHasher`].
+// simlint::allow(default-hasher, "defines the FxHashMap/FxHashSet aliases over std's HashMap/HashSet with the deterministic hasher plugged in")
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 /// Zero-sized builder producing [`FxHasher`]s (fixed, stateless seed).

@@ -47,26 +47,27 @@ pub use rng::{derive_seed, rng_stream, Rng};
 pub use time::{SimDuration, SimTime};
 
 /// `impl Clone` for a struct whose copy is purely field-wise, from one
-/// field list: `clone_in_place!(Type { a, b, c });`.
+/// field list: `clone_in_place!(Type { a, b, c });`, or for a generic
+/// struct `clone_in_place!(Type<E> { a, b });` (each parameter bound by
+/// `Clone`).
 ///
 /// `clone_from` rewinds `self` onto `source` in place — every field goes
 /// through its own `clone_from`, so `Vec`s and hash maps keep their buffers
-/// and a map takes `source`'s bucket layout (it then iterates exactly as a
-/// `clone` of `source` would). Both methods destructure without `..`: a
-/// field missing from the list does not compile, so a new field cannot be
-/// added without a copy decision. Types that special-case a field (`Engine`,
-/// `PathArena`, `Scheduler`, …) write their impl by hand.
+/// where they can. Both methods destructure without `..`: a field missing
+/// from the list does not compile, so a new field cannot be added without
+/// a copy decision. Types that share, drop or replace a field (`Engine`,
+/// `EngineKind`, `Sim`) write their impl by hand.
 #[macro_export]
 macro_rules! clone_in_place {
-    ($ty:ident { $($field:ident),+ $(,)? }) => {
-        impl Clone for $ty {
-            fn clone(&self) -> $ty {
+    ($ty:ident $(<$($p:ident),+>)? { $($field:ident),+ $(,)? }) => {
+        impl $(<$($p: Clone),+>)? Clone for $ty $(<$($p),+>)? {
+            fn clone(&self) -> Self {
                 let $ty { $($field),+ } = self;
                 $ty { $($field: Clone::clone($field)),+ }
             }
 
             // simlint::hot
-            fn clone_from(&mut self, source: &$ty) {
+            fn clone_from(&mut self, source: &Self) {
                 let $ty { $($field),+ } = source;
                 $(Clone::clone_from(&mut self.$field, $field);)+
             }

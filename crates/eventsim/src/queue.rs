@@ -48,26 +48,8 @@ impl<E> Default for Scheduler<E> {
     }
 }
 
-/// Hand-written so `clone_from` reuses the heap's backing allocation — the
-/// engine's checkpoint/restore path restores schedulers in place, and the
-/// derived impl would rebuild the heap from scratch on every restore.
-impl<E: Clone> Clone for Scheduler<E> {
-    fn clone(&self) -> Self {
-        Scheduler {
-            heap: self.heap.clone(),
-            now: self.now,
-            seq: self.seq,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        // BinaryHeap's clone_from delegates to Vec's, which keeps the
-        // existing allocation when capacity suffices.
-        self.heap.clone_from(&source.heap);
-        self.now = source.now;
-        self.seq = source.seq;
-    }
-}
+// A rewind keeps the heap's buffer (`BinaryHeap::clone_from` is `Vec`'s).
+crate::clone_in_place!(Scheduler<E> { heap, now, seq });
 
 impl<E> Scheduler<E> {
     /// Empty scheduler at time zero.

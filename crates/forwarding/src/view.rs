@@ -3,7 +3,9 @@
 //! A [`ForwardingView`] reduces a protocol's data plane to a deterministic
 //! successor function over `(AS, packet context)` states, where the context
 //! is a small integer encoding the per-packet bits the protocol carries
-//! (STAMP: colour + switched flag; R-BGP: the escape flag; BGP: nothing).
+//! (STAMP: colour + switched flag; BGP and R-BGP: nothing — an R-BGP
+//! packet that loses its primary walks the failover circuit within one
+//! step).
 //! Determinism makes the state space a functional graph, so loop/blackhole
 //! classification is exact and O(states) — no packet sampling involved.
 

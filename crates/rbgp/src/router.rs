@@ -11,17 +11,15 @@
 //! speaker's: the failover paths received, each with the session entry of
 //! the neighbour that advertised it, and the one advertisement sent, with
 //! its target's. Liveness, relation and id of either end are reads of the
-//! entry. Only the root-cause records stay a map: they are keyed by
-//! network element, not by neighbour.
+//! entry. The root-cause records are a row too: the newest record per
+//! network element, found by a linear scan.
 
 use stamp_bgp::patharena::PathArena;
 use stamp_bgp::rib::{row_mut, DecisionOutcome};
 use stamp_bgp::router::{route_attr_word, RouterCtx, RouterLogic, Selection, StateFingerprint};
 use stamp_bgp::speaker::Speaker;
-use stamp_bgp::types::{
-    CauseInfo, PrefixId, ProcId, RootCause, Route, UpdateKind, UpdateMsg, WithdrawInfo,
-};
-use stamp_eventsim::{clone_in_place, FxHashMap};
+use stamp_bgp::types::{CauseInfo, PrefixId, ProcId, Route, UpdateKind, UpdateMsg, WithdrawInfo};
+use stamp_eventsim::clone_in_place;
 use stamp_topology::{AsId, SessEntry};
 
 /// R-BGP configuration.
@@ -51,8 +49,9 @@ pub struct RbgpRouter {
     cfg: RbgpConfig,
     /// Per dense prefix: the failover paths received and sent.
     rows: Vec<Row>,
-    /// Newest cause record per element (RCI mode): element -> (seq, up).
-    known_causes: FxHashMap<RootCause, (u32, bool)>,
+    /// The newest cause record per network element (RCI mode), found by
+    /// a linear scan, as `path_invalidated` walks every record anyway.
+    known_causes: Vec<CauseInfo>,
 }
 
 // A rewind carries the configuration too: an R-BGP session re-targets onto
@@ -117,7 +116,7 @@ impl RbgpRouter {
             speaker: Speaker::new(me, own, 1),
             cfg,
             rows: Vec::new(),
-            known_causes: FxHashMap::default(),
+            known_causes: Vec::new(),
         }
     }
 
@@ -213,8 +212,9 @@ impl RbgpRouter {
         row.is_some_and(|row| row.retain(|e, _| e.neighbor != neighbor))
     }
 
-    /// Newest cause record per element (RCI mode): element → (seq, up).
-    pub fn known_causes(&self) -> &FxHashMap<RootCause, (u32, bool)> {
+    /// Newest cause record per element (RCI mode), one per element, in
+    /// the order the elements were first heard of.
+    pub fn known_causes(&self) -> &[CauseInfo] {
         &self.known_causes
     }
 
@@ -223,7 +223,7 @@ impl RbgpRouter {
     fn path_invalidated(&self, arena: &PathArena, route: &Route) -> bool {
         self.known_causes
             .iter()
-            .any(|(rc, (_, up))| !up && rc.invalidates_path(arena, route.path))
+            .any(|k| !k.up && k.cause.invalidates_path(arena, route.path))
     }
 
     // ------------------------------------------------------------------
@@ -237,12 +237,12 @@ impl RbgpRouter {
         if !self.cfg.rci {
             return Vec::new();
         }
-        match self.known_causes.get(&info.cause) {
-            Some((seq, up)) if *seq >= info.seq && *up == info.up => return Vec::new(),
-            Some((seq, _)) if *seq > info.seq => return Vec::new(), // stale record
-            _ => {}
+        match self.known_causes.iter_mut().find(|k| k.cause == info.cause) {
+            Some(k) if k.seq >= info.seq && k.up == info.up => return Vec::new(),
+            Some(k) if k.seq > info.seq => return Vec::new(), // stale record
+            Some(k) => *k = info,
+            None => self.known_causes.push(info),
         }
-        self.known_causes.insert(info.cause, (info.seq, info.up));
         if info.up {
             // Recovery unblocks future paths; nothing stored needs purging.
             return Vec::new();
@@ -576,6 +576,7 @@ impl RouterLogic for RbgpRouter {
 mod tests {
     use super::*;
     use stamp_bgp::engine::{Engine, EngineConfig, ScenarioEvent};
+    use stamp_bgp::types::RootCause;
     use stamp_eventsim::SimDuration;
     use stamp_topology::{AsGraph, GraphBuilder};
 
@@ -657,7 +658,10 @@ mod tests {
         // unaffected (3, on the surviving side) legitimately may not.
         for v in [0u32, 2] {
             assert!(
-                matches!(e.router(AsId(v)).known_causes().get(&rc), Some((_, false))),
+                e.router(AsId(v))
+                    .known_causes()
+                    .iter()
+                    .any(|k| k.cause == rc && !k.up),
                 "AS{v} missing root cause"
             );
         }
@@ -765,7 +769,7 @@ mod tests {
 mod continuity_tests {
     use super::*;
     use stamp_bgp::router::{RouterCtx, SessionView};
-    use stamp_bgp::types::PathAttrs;
+    use stamp_bgp::types::{PathAttrs, RootCause};
     use stamp_topology::GraphBuilder;
 
     struct AllUp;

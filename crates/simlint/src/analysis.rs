@@ -8,10 +8,9 @@
 //! 3. mark `#[cfg(test)]` / `#[test]` regions (every rule skips them) and
 //!    `simlint::hot` function bodies (the hot-path rules fire only there);
 //! 4. run the matchers for every rule in scope for the file's crate;
-//! 5. drop findings covered by a justified inline allow or an allowlist
-//!    entry, and report stale allows.
+//! 5. drop findings covered by a justified inline allow, and report
+//!    stale allows.
 
-use crate::allowlist::Allowlist;
 use crate::config::{self, Severity};
 use crate::lexer::{lex, Tok, TokKind};
 
@@ -43,9 +42,8 @@ struct Allow {
 }
 
 /// Analyze one file's source. `rel_path` is repo-relative (it selects the
-/// crate scope and the id-module exemption). `allowlist` entries matching
-/// this path suppress whole-file rule findings.
-pub fn analyze_source(rel_path: &str, src: &str, allowlist: &mut Allowlist) -> Vec<Finding> {
+/// crate scope and the id-module exemption).
+pub fn analyze_source(rel_path: &str, src: &str) -> Vec<Finding> {
     let crate_name = config::crate_of(rel_path);
     let toks = lex(src);
     let mut findings: Vec<Finding> = Vec::new();
@@ -100,9 +98,6 @@ pub fn analyze_source(rel_path: &str, src: &str, allowlist: &mut Allowlist) -> V
                 .find(|a| a.line == f.line && a.rule == f.rule)
             {
                 a.used = true;
-                continue;
-            }
-            if allowlist.covers(f.rule, rel_path) {
                 continue;
             }
         }

@@ -14,11 +14,9 @@
 //! Built in the same hermetic spirit as the in-repo RNG, bench and
 //! property harnesses: a hand-rolled lexer and zero dependencies.
 
-pub mod allowlist;
 pub mod analysis;
 pub mod config;
 pub mod lexer;
 
-pub use allowlist::Allowlist;
 pub use analysis::{analyze_source, Finding};
 pub use config::{Severity, RULES};

@@ -12,7 +12,7 @@
 //! `--warn` lists warn-severity findings individually instead of as
 //! summary counts; `--list` prints the rule catalog.
 
-use simlint::{analyze_source, Allowlist, Finding, Severity, RULES};
+use simlint::{analyze_source, Finding, Severity, RULES};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -63,15 +63,6 @@ fn run() -> Result<bool, String> {
         }
     }
 
-    let allow_path = root.join("simlint.allow");
-    let mut allowlist = if allow_path.exists() {
-        let text = std::fs::read_to_string(&allow_path)
-            .map_err(|e| format!("read {}: {e}", allow_path.display()))?;
-        Allowlist::parse(&text)?
-    } else {
-        Allowlist::default()
-    };
-
     let files = workspace_files(&root)?;
     if files.is_empty() {
         return Err(format!(
@@ -84,7 +75,7 @@ fn run() -> Result<bool, String> {
     for rel in &files {
         let path = root.join(rel);
         let src = std::fs::read_to_string(&path).map_err(|e| format!("read {rel}: {e}"))?;
-        findings.extend(analyze_source(rel, &src, &mut allowlist));
+        findings.extend(analyze_source(rel, &src));
     }
     findings.sort_by(|a, b| (&a.rel_path, a.line, a.rule).cmp(&(&b.rel_path, b.line, b.rule)));
 
@@ -111,12 +102,6 @@ fn run() -> Result<bool, String> {
                 );
             }
         }
-    }
-    for stale in allowlist.unused() {
-        println!(
-            "simlint: unused allowlist entry `{} {}` — delete it",
-            stale.rule, stale.path
-        );
     }
 
     println!(
@@ -157,8 +142,8 @@ fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<String>) -> Result<(), Stri
             let rel = path
                 .strip_prefix(root)
                 .map_err(|e| format!("{}: {e}", path.display()))?;
-            // Normalize to forward slashes so allowlist entries and the
-            // id-module list match on every platform.
+            // Normalize to forward slashes so the id-module list matches
+            // on every platform.
             let rel = rel
                 .components()
                 .map(|c| c.as_os_str().to_string_lossy())

@@ -8,7 +8,7 @@
 //! must produce nothing. Because valid `simlint::allow` directives sit on
 //! marker-free lines, the same comparison proves suppression works.
 
-use simlint::{analyze_source, Allowlist, RULES};
+use simlint::{analyze_source, RULES};
 use std::collections::BTreeMap;
 
 const MARKER: &str = "//~";
@@ -52,9 +52,9 @@ fn expected(name: &str, src: &str) -> BTreeMap<(u32, String), usize> {
 }
 
 /// Actual `(line, rule) -> count` from an analysis run.
-fn actual(rel_path: &str, src: &str, allowlist: &mut Allowlist) -> BTreeMap<(u32, String), usize> {
+fn actual(rel_path: &str, src: &str) -> BTreeMap<(u32, String), usize> {
     let mut out = BTreeMap::new();
-    for f in analyze_source(rel_path, src, allowlist) {
+    for f in analyze_source(rel_path, src) {
         *out.entry((f.line, f.rule.to_string())).or_insert(0) += 1;
     }
     out
@@ -65,11 +65,7 @@ fn fixtures_match_their_markers() {
     let mut report = String::new();
     for (name, src) in FIXTURES {
         let want = expected(name, src);
-        let got = actual(
-            &format!("crates/bgp/src/{name}"),
-            src,
-            &mut Allowlist::default(),
-        );
+        let got = actual(&format!("crates/bgp/src/{name}"), src);
         for ((line, rule), n) in &want {
             let have = got.get(&(*line, rule.clone())).copied().unwrap_or(0);
             if have != *n {
@@ -93,11 +89,7 @@ fn fixtures_match_their_markers() {
 fn every_rule_is_proven_to_fire() {
     let mut seen: Vec<&str> = Vec::new();
     for (name, src) in FIXTURES {
-        for f in analyze_source(
-            &format!("crates/bgp/src/{name}"),
-            src,
-            &mut Allowlist::default(),
-        ) {
+        for f in analyze_source(&format!("crates/bgp/src/{name}"), src) {
             if !seen.contains(&f.rule) {
                 seen.push(f.rule);
             }
@@ -113,31 +105,6 @@ fn every_rule_is_proven_to_fire() {
 }
 
 #[test]
-fn allowlist_entries_suppress_per_file() {
-    let (name, src) = FIXTURES
-        .iter()
-        .find(|(n, _)| *n == "panics.rs")
-        .expect("panics fixture present");
-    let rel = format!("crates/bgp/src/{name}");
-    let mut allowlist =
-        Allowlist::parse(&format!("panic {rel} fixture: file-wide panic exemption")).unwrap();
-    let got = actual(&rel, src, &mut allowlist);
-    assert!(
-        !got.keys().any(|(_, rule)| rule == "panic"),
-        "file-wide allowlist entry failed to suppress `panic`: {got:?}"
-    );
-    assert!(
-        got.keys().any(|(_, rule)| rule == "index-panic"),
-        "allowlist entry for `panic` must not swallow `index-panic`"
-    );
-    assert_eq!(
-        allowlist.unused().count(),
-        0,
-        "the entry must count as used"
-    );
-}
-
-#[test]
 fn out_of_scope_crates_are_silent() {
     // bench is outside the determinism perimeter with one exception: the
     // same seeded source analyzed under crates/bench/ fires exactly its
@@ -145,11 +112,7 @@ fn out_of_scope_crates_are_silent() {
     // and every rule bench is out of scope for stays silent (`ambient-env`
     // included: the binaries read argv).
     for (name, src) in FIXTURES.iter().filter(|(n, _)| *n != "suppressions.rs") {
-        let mut got = actual(
-            &format!("crates/bench/src/bin/{name}"),
-            src,
-            &mut Allowlist::default(),
-        );
+        let mut got = actual(&format!("crates/bench/src/bin/{name}"), src);
         got.retain(|(_, rule), _| rule != "bad-allow" && rule != "unused-allow");
         let mut want = expected(name, src);
         want.retain(|(_, rule), _| rule == "wall-clock");
@@ -165,7 +128,7 @@ fn id_modules_may_construct_ids() {
         .expect("lossy fixture present");
     // The same source under an id-defining module path is exempt from
     // lossy-cast (that module's whole job is building ids from integers).
-    let got = actual("crates/bgp/src/types.rs", src, &mut Allowlist::default());
+    let got = actual("crates/bgp/src/types.rs", src);
     assert!(
         got.is_empty(),
         "lossy-cast fired inside an ID_MODULES path: {got:?}"
@@ -178,7 +141,6 @@ fn directive_edge_cases() {
     let f = analyze_source(
         "crates/bgp/src/x.rs",
         "fn f(x: Option<u32>) -> u32 {\n    // simlint::allow(panic, \"\")\n    x.unwrap()\n}\n",
-        &mut Allowlist::default(),
     );
     assert!(f.iter().any(|f| f.rule == "bad-allow"), "{f:?}");
     assert!(f.iter().any(|f| f.rule == "panic"), "{f:?}");
@@ -187,7 +149,6 @@ fn directive_edge_cases() {
     let f = analyze_source(
         "crates/bgp/src/x.rs",
         "// simlint::allow(no-such-rule, \"reason\")\nfn f() {}\n",
-        &mut Allowlist::default(),
     );
     assert_eq!(f.len(), 1, "{f:?}");
     assert_eq!(f[0].rule, "bad-allow");
@@ -196,17 +157,12 @@ fn directive_edge_cases() {
     let f = analyze_source(
         "crates/bgp/src/x.rs",
         "fn f() {}\n// simlint::allow(panic, \"reason\")\n",
-        &mut Allowlist::default(),
     );
     assert_eq!(f.len(), 1, "{f:?}");
     assert_eq!(f[0].rule, "bad-allow");
 
     // A hot marker at end of file with no code after it.
-    let f = analyze_source(
-        "crates/bgp/src/x.rs",
-        "fn f() {}\n// simlint::hot\n",
-        &mut Allowlist::default(),
-    );
+    let f = analyze_source("crates/bgp/src/x.rs", "fn f() {}\n// simlint::hot\n");
     assert_eq!(f.len(), 1, "{f:?}");
     assert_eq!(f[0].rule, "bad-allow");
 
@@ -214,7 +170,6 @@ fn directive_edge_cases() {
     let f = analyze_source(
         "crates/bgp/src/x.rs",
         "// simlint::allow(bad-allow, \"nice try\")\n// simlint::frobnicate\nfn f() {}\n",
-        &mut Allowlist::default(),
     );
     assert!(
         f.iter().any(|f| f.rule == "bad-allow"),

@@ -53,8 +53,8 @@ pub use canned::{destination_candidates, sample_canned, CannedWorkload, FailureS
 pub use dsl::{parse_scn, ScnError, ScnErrorKind};
 pub use params::{InstanceMetrics, RunParams, PREFIX};
 pub use sim::{
-    MetricsProbe, NullProbe, ParseProtocolError, Phase, Played, Probe, Protocol, Sim, SimBuilder,
-    SimError, SimEvent, SnapshotCause,
+    NullProbe, ParseProtocolError, Phase, Played, Probe, Protocol, Sim, SimBuilder, SimError,
+    SimEvent, SnapshotCause,
 };
 pub use stamp_bgp::engine::{RunOutcome, SessionModel, WatchdogConfig};
 pub use stamp_forwarding::ObserverWork;

@@ -22,8 +22,9 @@
 //!   `Snapshot { view }`, `PhaseSettled`) with **static dispatch**: the
 //!   forwarding view is built on the stack per observation (no
 //!   per-observation `Box<dyn ForwardingView>`), and the probe's
-//!   `on_event` is monomorphised per protocol. [`MetricsProbe`] — the
-//!   paper's transient-problem bookkeeping — is just an ordinary probe.
+//!   `on_event` is monomorphised per protocol. The paper's
+//!   transient-problem bookkeeping is a private probe behind
+//!   [`Sim::measure`], the one way to measure.
 //!
 //! Determinism: a [`Sim`] owns its engine and path arena; every random
 //! stream derives from the builder's seed; probes only *read* engine
@@ -40,9 +41,10 @@
 //! regime, the facade's convergence bookkeeping) and share the topology,
 //! the jitter table and the classification of the session's reset state
 //! (filled by the first [`Sim::measure`] from it) by reference count. A
-//! rewind keeps every buffer down to the routers' tables, so rewinding a
-//! session onto a baseline of its own shape allocates nothing. There is
-//! no separate checkpoint type (DESIGN.md §12).
+//! rewind keeps every buffer down to the routers' tables; it allocates
+//! only where a buffer is too small for the source, and for the arena's
+//! intern index when a play grew it past the source's bucket count.
+//! There is no separate checkpoint type (DESIGN.md §12).
 //!
 //! Steady-state cost: with the flat engine hot path (DESIGN.md §10) the
 //! whole drive loop is allocation-free per event — dense session-indexed
@@ -391,8 +393,9 @@ impl Probe for NullProbe {
 /// The paper's transient-problem bookkeeping as an ordinary probe: feeds
 /// periodic/final snapshots into a [`TransientTracker`] seeded at the
 /// baseline snapshot, and timestamps the last observation that still saw a
-/// forwarding problem (the data-plane recovery metric).
-pub struct MetricsProbe {
+/// forwarding problem (the data-plane recovery metric). Built only by
+/// [`Sim::measure`].
+struct MetricsProbe {
     dest: AsId,
     /// Post-timeline reachability and root causes, until the tracker is
     /// seeded with them.
@@ -403,47 +406,9 @@ pub struct MetricsProbe {
     baseline: Arc<OnceLock<Classification>>,
     /// Seeded at the first snapshot, a play's `Baseline`.
     tracker: Option<TransientTracker>,
-    last_problem: Option<SimTime>,
-}
-
-impl MetricsProbe {
-    /// Probe for `dest`; `reachable[v]` holds post-timeline reachability,
-    /// `causes` the timeline's root-cause records (see
-    /// [`Timeline::root_causes`]). The baseline is classified when the
-    /// probe sees it.
-    pub fn new(dest: AsId, reachable: Vec<bool>, causes: Vec<RootCause>) -> MetricsProbe {
-        MetricsProbe::classified(dest, reachable, causes, Arc::default())
-    }
-
-    /// [`MetricsProbe::new`] with the baseline's classification in
-    /// `baseline`, or to be put there by this probe if it is empty.
-    fn classified(
-        dest: AsId,
-        reachable: Vec<bool>,
-        causes: Vec<RootCause>,
-        baseline: Arc<OnceLock<Classification>>,
-    ) -> MetricsProbe {
-        MetricsProbe {
-            dest,
-            reachable,
-            causes,
-            baseline,
-            tracker: None,
-            last_problem: None,
-        }
-    }
-
-    /// The accumulated tracker state (`None` until the probe has seen a
-    /// snapshot).
-    pub fn tracker(&self) -> Option<&TransientTracker> {
-        self.tracker.as_ref()
-    }
-
     /// Last periodic observation instant that still saw any loop or
     /// blackhole (`None` = never disrupted).
-    pub fn last_problem(&self) -> Option<SimTime> {
-        self.last_problem
-    }
+    last_problem: Option<SimTime>,
 }
 
 impl Probe for MetricsProbe {
@@ -451,10 +416,7 @@ impl Probe for MetricsProbe {
         let SimEvent::Snapshot { at, cause, view } = event else {
             return;
         };
-        // Only the *first* snapshot — a play's baseline — seeds the
-        // tracker: a probe reused across several plays keeps measuring
-        // against its original pre-event state instead of silently
-        // resampling mid-measurement.
+        // The first snapshot, the play's baseline, seeds the tracker.
         let tracker = self.tracker.get_or_insert_with(|| {
             let baseline = self.baseline.get_or_init(|| Classification::of(view));
             TransientTracker::seeded(
@@ -1010,7 +972,7 @@ impl Sim {
     }
 
     /// The one-stop paper measurement: converge, reset measurement state,
-    /// play `timeline` under a [`MetricsProbe`], and assemble
+    /// play `timeline` under the transient-problem probe, and assemble
     /// [`InstanceMetrics`]. `reachable[v]` must hold each AS's
     /// post-timeline reachability (see [`Timeline::reachable_after`]);
     /// a mask of another length is [`SimError::MaskLength`].
@@ -1044,16 +1006,18 @@ impl Sim {
             let s = self.stats();
             s.announcements_sent + s.withdrawals_sent
         };
-        let mut probe = MetricsProbe::classified(
-            self.dest,
-            reachable.to_vec(),
-            timeline.root_causes(),
-            Arc::clone(&self.classified),
-        );
+        let mut probe = MetricsProbe {
+            dest: self.dest,
+            reachable: reachable.to_vec(),
+            causes: timeline.root_causes(),
+            baseline: Arc::clone(&self.classified),
+            tracker: None,
+            last_problem: None,
+        };
         let played = self.play(timeline, &mut probe)?;
         // `play` snapshots its baseline before anything else, so the
         // tracker exists; an empty answer is what observing nothing is.
-        let tracker = probe.tracker();
+        let tracker = probe.tracker.as_ref();
         let count = |f: fn(&TransientTracker) -> usize| tracker.map_or(0, f);
         self.observer_work = tracker.map_or_else(ObserverWork::default, TransientTracker::work);
         let s = self.stats();
@@ -1067,7 +1031,7 @@ impl Sim {
             updates_failure: s.announcements_sent + s.withdrawals_sent - sent_before,
             convergence_delay_s: s.last_fib_change.since(played.settle).as_secs_f64(),
             data_recovery_s: probe
-                .last_problem()
+                .last_problem
                 .map(|t| t.since(played.settle).as_secs_f64())
                 .unwrap_or(0.0),
             interned_paths: self.interned_paths(),
@@ -1090,10 +1054,10 @@ impl Sim {
     /// `ck` was built with, per-phase knobs included — so replay after a
     /// restore is bit-identical to replay from the instant `ck` was taken,
     /// whatever this session ran or was built with before (DESIGN.md §12
-    /// has the argument). The engine's flat tables,
-    /// scheduler heap and path arena keep their buffers, and so do the
-    /// routers' RIBs and books: rewinding onto a session of the same shape
-    /// allocates nothing. `ck` must be a session of the same protocol
+    /// has the argument). The engine's flat tables, scheduler heap and
+    /// path arena keep their buffers, and so do the routers' RIBs and
+    /// books (the arena's intern index is reallocated when a play grew it
+    /// past `ck`'s bucket count). `ck` must be a session of the same protocol
     /// (typed error otherwise; `clone_from` itself has no such limit).
     ///
     /// A session that has not run yet has no state worth rewinding into —

@@ -7,7 +7,7 @@
 use stamp_repro::bgp::types::{Color, PrefixId};
 use stamp_repro::eventsim::SimDuration;
 use stamp_repro::forwarding::{classify_all, Outcome};
-use stamp_repro::sim::{MetricsProbe, Sim};
+use stamp_repro::sim::Sim;
 use stamp_repro::topology::path::downhill_node_disjoint;
 use stamp_repro::topology::{generate, AsId, GenConfig, StaticRoutes};
 use stamp_repro::workload::{
@@ -221,13 +221,11 @@ fn lemma_3_1_additions_strictly_gentler_than_withdrawals() {
         .unwrap();
 
     // Withdrawal episode: converge fully, then fail the link.
-    let mut fail_probe = MetricsProbe::new(dest, reachable_after, fail.root_causes());
-    sim.play(&fail, &mut fail_probe).unwrap();
+    sim.measure(&fail, &reachable_after).unwrap();
 
-    // Addition episode: recover it.
+    // Addition episode: recover it, on the same session.
     let recover = link_up(dest, provider);
-    let mut add_probe = MetricsProbe::new(dest, reachable_full, recover.root_causes());
-    sim.play(&recover, &mut add_probe).unwrap();
+    let addition = sim.measure(&recover, &reachable_full).unwrap();
 
     // The sound invariant at message level: additions never create
     // forwarding *loops* (Lemma 3.1's loop half). The failure half does
@@ -236,15 +234,9 @@ fn lemma_3_1_additions_strictly_gentler_than_withdrawals() {
     // blackholing even large regions until MRAI lets corrections through —
     // one of the reproduction's findings (EXPERIMENTS.md).
     assert_eq!(
-        add_probe.tracker().expect("a play snapshots").loop_count(),
-        0,
+        addition.affected_loops, 0,
         "additions must never create forwarding loops"
     );
-    // Keep the withdrawal tracker alive as documentation of the contrast.
-    let _ = fail_probe
-        .tracker()
-        .expect("a play snapshots")
-        .affected_count();
 }
 
 /// After any convergence, every protocol's data plane delivers from every

@@ -1526,14 +1526,15 @@ mod rewinds {
     }
 
     /// `a.clone_from(&b)` leaves nothing of `a` behind: fed any further
-    /// events it sends what `b.clone()` sends, in the same order (the
-    /// export loops walk hash maps, so this is the bucket-layout claim),
-    /// and fingerprints the same — whether `a` was larger than `b`,
-    /// smaller, empty, or another AS's router with other neighbours.
+    /// events it sends what `b.clone()` sends, in the same order, and
+    /// fingerprints the same — whether `a` was larger than `b`, smaller,
+    /// empty, or another AS's router with other neighbours. `seen` is
+    /// shown each `(a, b)` before the rewind.
     fn rewind_equals_clone<R: RouterLogic + Clone>(
         seed: u64,
         procs: u8,
         make: impl Fn(AsId, u64) -> R,
+        mut seen: impl FnMut(&R, &R),
     ) {
         cases(24, seed, |rng| {
             let g = generate(&arb_gen_config(rng)).expect("valid");
@@ -1544,6 +1545,7 @@ mod rewinds {
             let b = grown(rng, &g, &mut arena, me, procs, 40, &make);
             let stale_ops = [0, 3, 40, 160][rng.gen_range(0usize..4)];
             let mut a = grown(rng, &g, &mut arena, other, procs, stale_ops, &make);
+            seen(&a, &b);
             a.clone_from(&b);
             let mut c = b.clone();
             let (mut arena_a, mut arena_c) = (arena.clone(), arena);
@@ -1560,22 +1562,40 @@ mod rewinds {
 
     #[test]
     fn bgp_router_rewind_equals_clone() {
-        rewind_equals_clone(0xC10E1, 1, |v, _| BgpRouter::new(v, vec![]));
+        rewind_equals_clone(0xC10E1, 1, |v, _| BgpRouter::new(v, vec![]), |_, _| {});
     }
 
     #[test]
     fn rbgp_router_rewind_equals_clone() {
-        rewind_equals_clone(0xC10E2, 1, |v, salt| {
-            let cfg = RbgpConfig { rci: salt & 1 == 0 };
-            RbgpRouter::new(v, vec![], cfg)
-        });
+        // Rewinds between RCI routers that both hold cause records, in
+        // rows of different lengths.
+        let mut both = 0;
+        rewind_equals_clone(
+            0xC10E2,
+            1,
+            |v, salt| {
+                let cfg = RbgpConfig { rci: salt & 1 == 0 };
+                RbgpRouter::new(v, vec![], cfg)
+            },
+            |a, b| {
+                let (na, nb) = (a.known_causes().len(), b.known_causes().len());
+                both += usize::from(na > 0 && nb > 0 && na != nb);
+            },
+        );
+        assert!(
+            both > 0,
+            "no case rewound between two rows of cause records"
+        );
     }
 
     #[test]
     fn stamp_router_rewind_equals_clone() {
-        rewind_equals_clone(0xC10E3, 2, |v, salt| {
-            StampRouter::new(v, vec![], LockStrategy::Random { seed: salt })
-        });
+        rewind_equals_clone(
+            0xC10E3,
+            2,
+            |v, salt| StampRouter::new(v, vec![], LockStrategy::Random { seed: salt }),
+            |_, _| {},
+        );
     }
 }
 
