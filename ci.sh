@@ -187,7 +187,9 @@ echo "one-view / one-session-model / seeded-observation guard passed"
 # validation. `Protocol` is a closed enum served by exhaustive matches, not
 # by a run-time registry. What only its own unit test called stays gone.
 # Results are fingerprinted by one hash: the FNV-1a offset basis is written
-# only in crates/eventsim/src/fxhash.rs, beside the one `Fnv1a`.
+# only in crates/eventsim/src/fxhash.rs, beside the one `Fnv1a`; and seeds
+# are mixed by one SplitMix64: its multiplier is written only in
+# crates/eventsim/src/rng.rs, beside the one `splitmix64`.
 graph=crates/topology/src/graph.rs
 if grep -nF 'Vec<Vec<AsId>>' "$graph"; then
     echo "ADJACENCY VIOLATION: $graph must not hold a per-AS Vec of neighbour lists" >&2
@@ -200,7 +202,7 @@ if awk '/pub fn without_links/ { on = 1; next } on && /pub fn / { exit } on' "$g
 fi
 for pat in ProtocolSpec REGISTRY ProtocolEngine rebuild_index tier_depth tier_members \
         sample_random_walk_path escape_via own_failover_next has_active_cause uphill_range \
-        is_adversarial extend_with GridHash; do
+        is_adversarial extend_with GridHash SimEvent PhaseSettled FibChanged; do
     if grep -rnF "$pat" crates src tests examples; then
         echo "REMOVED-NAME VIOLATION: '$pat' was deleted and may not come back" >&2
         exit 1
@@ -212,7 +214,13 @@ if [ "$files" != crates/eventsim/src/fxhash.rs ]; then
     printf '%s\n' "${files:-<none>}" >&2
     exit 1
 fi
-echo "one-adjacency-table / one-protocol-match / one-hash guard passed"
+files=$(grep -rliE '0xbf58_?476d_?1ce4_?e5b9' crates || true)
+if [ "$files" != crates/eventsim/src/rng.rs ]; then
+    echo "ONE-MIXER VIOLATION: the SplitMix64 multiplier may occur under crates/ only in crates/eventsim/src/rng.rs, found:" >&2
+    printf '%s\n' "${files:-<none>}" >&2
+    exit 1
+fi
+echo "one-adjacency-table / one-protocol-match / one-hash / one-mixer guard passed"
 
 # --- simlint: determinism & hot-path lints -------------------------------
 # The in-repo lint engine (crates/simlint): zero findings at Deny severity

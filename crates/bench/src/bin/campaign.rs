@@ -26,7 +26,7 @@ use stamp_eventsim::Rng;
 use stamp_topology::{AsGraph, AsId};
 use stamp_workload::{
     adversarial_grid, grid_axes, run_campaign, standard_families, CampaignConfig, CampaignReport,
-    InstanceMetrics, PolicyRegime, Protocol, RunParams, Timeline,
+    InstanceMetrics, PolicyRegime, Protocol, RunParams, Timeline, GRID_SEED,
 };
 
 /// Default protocol set (the R-BGP variant runs with RCI); override with
@@ -37,9 +37,6 @@ const PROTOCOLS: [Protocol; 3] = [Protocol::Bgp, Protocol::Rbgp, Protocol::Stamp
 /// The tracked results document, relative to the repo root the gate runs
 /// from.
 const TRACKED: &str = "BENCH_campaign.json";
-
-/// The master seed the tracked document is generated from.
-const DEFAULT_SEED: u64 = 0xCA4A16;
 
 /// Workers of the parallel pass unless `--threads` says otherwise.
 const THREADS_N: usize = 4;
@@ -280,7 +277,7 @@ fn main() {
             check: a.flag("--check"),
         })
     });
-    let seed = args.seed.unwrap_or(DEFAULT_SEED);
+    let seed = args.seed.unwrap_or(GRID_SEED);
     let regimes = &args.regimes;
     // `--policy gao-rexford` is the default spelled out: it must not
     // change grid selection (the CI golden gate runs `--check` that way).

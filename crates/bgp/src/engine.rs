@@ -824,8 +824,7 @@ impl<R: RouterLogic> Engine<R> {
 
     /// Inject a route leak (see [`ScenarioEvent::Leak`]): the leaker's
     /// current best route goes to every live neighbour except its sender,
-    /// export gate ignored. Protocols whose logic doesn't expose a
-    /// selected route (`RouterLogic::selected_route` default) cannot leak.
+    /// export gate ignored.
     fn leak(&mut self, leaker: AsId, prefix: PrefixId) -> bool {
         if !self.state.node_ok(leaker) {
             return false;

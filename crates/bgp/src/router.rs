@@ -170,8 +170,8 @@ impl<'a> RouterCtx<'a> {
 ///
 /// Routers fold one FNV-1a digest per selection record via
 /// [`StateFingerprint::mix`]; `mix` is a wrapping add, so the fingerprint
-/// is identical no matter what order a router's internal hash maps iterate
-/// in. Two semantically equal global states therefore always produce equal
+/// is identical no matter in what order a router visits its records. Two
+/// semantically equal global states therefore always produce equal
 /// fingerprints, which is the property the oscillation detector rests on.
 /// The empty fingerprint is `0`; the engine treats `0` as "no data" and
 /// never declares divergence from it.
@@ -205,7 +205,7 @@ impl StateFingerprint {
 
     /// Digest of one `(prefix, proc)` selection at router `me`, or `None`
     /// for [`Selection::None`] (absent and explicitly-empty selections must
-    /// fingerprint identically — hash maps may keep tombstone entries).
+    /// fingerprint identically — a row keeps the slot of a route it lost).
     /// Covers everything externally visible about the selection: the
     /// winning neighbour, the interned path identity and the attribute
     /// word, so any routing change moves the fingerprint.
@@ -270,23 +270,13 @@ pub trait RouterLogic {
 
     /// Fold a digest of this router's externally visible route selections
     /// into the convergence watchdog's fingerprint. Must be read-only and
-    /// order-independent (mix per-record digests; never hash map iteration
-    /// order). The default contributes nothing — a protocol that opts out
-    /// this way is still bounded by the engine's event/deadline budget,
-    /// just without typed oscillation detection.
-    fn fingerprint(&self, fp: &mut StateFingerprint) {
-        let _ = fp;
-    }
+    /// order-independent (mix per-record digests).
+    fn fingerprint(&self, fp: &mut StateFingerprint);
 
     /// The route this router currently forwards on for `prefix`, with the
     /// neighbour it was learned from — what a route leak re-exports. `None`
-    /// when the router has no learned route (own/no selection), or by
-    /// default for protocols that don't expose one (such routers simply
-    /// cannot be picked as leakers).
-    fn selected_route(&self, prefix: PrefixId) -> Option<(AsId, Route)> {
-        let _ = prefix;
-        None
-    }
+    /// when the router has no learned route (own/no selection).
+    fn selected_route(&self, prefix: PrefixId) -> Option<(AsId, Route)>;
 }
 
 /// Current selection for one `(prefix, proc)` at a router.

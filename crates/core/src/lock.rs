@@ -9,6 +9,7 @@
 
 use stamp_bgp::PrefixId;
 use stamp_eventsim::fxhash::FxHashMap;
+use stamp_eventsim::rng::splitmix64;
 use stamp_topology::AsId;
 
 /// How an AS picks its locked blue provider for a prefix.
@@ -60,12 +61,7 @@ impl LockStrategy {
 
 /// Hash-based uniform pick — stable across runs and platforms.
 fn pick(seed: u64, me: AsId, prefix: PrefixId, live: &[AsId]) -> AsId {
-    let mut z = seed ^ (u64::from(me.0) << 32) ^ u64::from(prefix.0);
-    // SplitMix64 finalizer.
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
+    let z = splitmix64(seed ^ (u64::from(me.0) << 32) ^ u64::from(prefix.0));
     live[(z % live.len() as u64) as usize]
 }
 

@@ -21,9 +21,10 @@
 //!   problem). It keeps the classification up to date incrementally
 //!   (`classifier`): one observation re-examines the rows the engine's
 //!   touched feed reports and the states that reach a changed one. A
-//!   tracker can start from a baseline's [`Classification`] instead of
-//!   from nothing, so that even its first observation costs only what
-//!   changed since the baseline.
+//!   tracker can start from a copy of a baseline's [`Classification`] —
+//!   the classifier that settled the baseline — instead of from nothing,
+//!   so that even its first observation costs only what changed since
+//!   the baseline.
 
 #![forbid(unsafe_code)]
 

@@ -175,7 +175,8 @@ impl TransientTracker {
 
     /// Tracker that starts at a baseline: `view` is the pre-event state and
     /// `baseline` its classification ([`Classification::of`] — computed
-    /// once per converged baseline and shared by every fork of it).
+    /// once per converged baseline; every fork's tracker takes a copy of
+    /// its classifier).
     /// `causes` enables the control-plane companion metric against the
     /// baseline's selections (empty = off), as
     /// [`TransientTracker::with_control_metric`] does for an unseeded one.
@@ -193,7 +194,7 @@ impl TransientTracker {
         causes: Vec<RootCause>,
     ) -> TransientTracker {
         let mut t = TransientTracker::new(dest, reachable);
-        t.classifier.install(baseline);
+        t.classifier.clone_from(&baseline.classifier);
         view.touched_since(&mut t.cursor);
         debug_assert_eq!(
             t.classifier.verdicts(),
@@ -378,7 +379,7 @@ impl TransientTracker {
 mod tests {
     use super::*;
     use crate::trace::classify_all;
-    use crate::view::{StaticView, Step};
+    use crate::view::{StaticView, Step, Touched};
 
     fn v(next: Vec<Option<u32>>, origin: u32) -> StaticView {
         StaticView {
@@ -527,6 +528,50 @@ mod tests {
             assert_eq!(cold.affected_count(), 2 + usize::from(counted_3));
             assert_eq!(cold.loop_count(), 0);
         }
+    }
+
+    /// A static table whose touched feed reports nothing: the view of a
+    /// baseline no event has changed yet.
+    struct Untouched(StaticView);
+
+    impl ForwardingView for Untouched {
+        fn n(&self) -> usize {
+            self.0.n()
+        }
+        fn n_ctx(&self) -> u8 {
+            self.0.n_ctx()
+        }
+        fn start_ctx(&self, src: AsId) -> u8 {
+            self.0.start_ctx(src)
+        }
+        fn step(&self, at: AsId, ctx: u8) -> Step {
+            self.0.step(at, ctx)
+        }
+        fn selection_paths(&self, v: AsId) -> Vec<Vec<AsId>> {
+            self.0.selection_paths(v)
+        }
+        fn touched_since(&self, _cursor: &mut FeedCursor) -> Touched<'_> {
+            Touched::Rows(&[], &[])
+        }
+    }
+
+    /// Seeding copies the baseline's classifier and no work: the tracker
+    /// counts from zero, and a first tick on which nothing was touched
+    /// asks the view for no row — yet still counts what the baseline left
+    /// broken.
+    #[test]
+    fn a_seeded_tracker_starts_from_a_copy_of_the_memo_and_counts_from_zero() {
+        let base = Untouched(v(vec![None, Some(0), Some(1), None], 0));
+        let baseline = Classification::of(&base);
+        let mut t = TransientTracker::seeded(AsId(0), vec![true; 4], &baseline, &base, vec![]);
+        assert_eq!(t.classifier, baseline.classifier);
+        assert_eq!(t.work(), ObserverWork::default());
+        t.observe(&base);
+        let work = t.work();
+        assert_eq!((work.observations, work.rows_recompiled), (1, 0));
+        assert_eq!(work.states_rewalked, 0);
+        assert_eq!(t.outcomes(), classify_all(&base));
+        assert_eq!((t.affected_count(), t.blackhole_count()), (1, 1));
     }
 
     /// Two packet contexts per AS: context 0 forwards along `next`,

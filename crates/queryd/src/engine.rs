@@ -23,7 +23,7 @@ use stamp_topology::{AsGraph, AsId};
 use stamp_workload::sim::{Sim, SimError};
 use stamp_workload::{
     node_drain, run_cells, single_link_failure, BaselineCache, CacheStats, Cell, PolicyRegime,
-    Protocol, RunParams, Timeline, TimelineError, PREFIX,
+    Protocol, RunParams, Timeline, TimelineError, GRID_SEED, PREFIX,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -61,7 +61,7 @@ impl QuerydConfig {
             protocols,
             dests,
             params: RunParams::paper(),
-            seed: 0xCA4A16,
+            seed: GRID_SEED,
             cache_capacity: None,
             query_deadline: SimDuration::from_secs(3600),
         }

@@ -13,7 +13,7 @@
 use crate::engine::{QueryEngine, QuerydConfig};
 use crate::protocol::{Request, RequestError, MAX_REQUEST_LINE};
 use stamp_eventsim::textfmt::Args;
-use stamp_workload::{grid_axes, Protocol, RunParams};
+use stamp_workload::{grid_axes, Protocol, RunParams, GRID_SEED};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::time::Duration;
@@ -163,7 +163,7 @@ impl DaemonArgs {
             smoke: flags.flag("--smoke"),
             fast: flags.flag("--fast"),
             ases: flags.value("--ases")?,
-            seed: flags.value("--seed")?.unwrap_or(0xCA4A16),
+            seed: flags.value("--seed")?.unwrap_or(GRID_SEED),
             dests: flags.value("--dests")?,
             protocols: protocols.unwrap_or(vec![Protocol::Bgp, Protocol::Rbgp, Protocol::Stamp]),
             cache_cap: flags.value("--cache-cap")?,

@@ -475,6 +475,12 @@ pub fn standard_families(g: &AsGraph, rng: &mut Rng, dests: &[AsId], smoke: bool
     vec![flap, stagger, outage, maint, churn]
 }
 
+/// The master seed of the tracked grid (`BENCH_campaign.json`): the
+/// `campaign` binary's default and the daemon's (`stamp_queryd`). The
+/// daemon's resident baselines are cells that grid measures only while
+/// both draw their [`grid_axes`] from this one value.
+pub const GRID_SEED: u64 = 0xCA4A16;
+
 /// A seed's grid axes, drawn in this one place: the
 /// `GenConfig { n_ases, ..GenConfig::small(seed) }` topology, `n_dests` of
 /// its multi-homed [`destination_candidates`] chosen on `rng_stream(seed, tags::TIMELINE)`, and that stream, left

@@ -28,8 +28,8 @@
 //!   [`RunParams`], [`InstanceMetrics`];
 //! * [`sim`] — the unified session facade every consumer goes through:
 //!   the fluent [`sim::Sim`] builder, the closed [`sim::Protocol`]
-//!   axis and the typed [`sim::Probe`] observation API (structured [`sim::SimEvent`]s, statically
-//!   dispatched, allocation-free snapshots).
+//!   axis and the typed [`sim::Probe`] observation API (one snapshot
+//!   callback, statically dispatched, allocation-free).
 //!
 //! See DESIGN.md §8 for the model, grammar and determinism argument, and
 //! §9 for the sim facade.
@@ -47,14 +47,14 @@ pub use campaign::{
     adversarial_families, adversarial_grid, grid_axes, populate_baselines, run_campaign,
     run_campaign_with_cache, run_cells, run_protocol_cell, run_protocol_cell_warm, smoke_grid,
     standard_families, Aggregate, BaselineCache, CacheStats, CampaignCell, CampaignConfig,
-    CampaignReport, Cell, CellResult,
+    CampaignReport, Cell, CellResult, GRID_SEED,
 };
 pub use canned::{destination_candidates, sample_canned, CannedWorkload, FailureScenario};
 pub use dsl::{parse_scn, ScnError, ScnErrorKind};
 pub use params::{InstanceMetrics, RunParams, PREFIX};
 pub use sim::{
-    NullProbe, ParseProtocolError, Phase, Played, Probe, Protocol, Sim, SimBuilder, SimError,
-    SimEvent, SnapshotCause,
+    NullProbe, ParseProtocolError, Played, Probe, Protocol, Sim, SimBuilder, SimError,
+    SnapshotCause,
 };
 pub use stamp_bgp::engine::{RunOutcome, SessionModel, WatchdogConfig};
 pub use stamp_forwarding::ObserverWork;

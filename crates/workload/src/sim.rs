@@ -17,12 +17,14 @@
 //!   `EngineKind` arm and the matches the compiler then reports as
 //!   non-exhaustive; every consumer — the campaign runner, the figure
 //!   experiments, examples, tests — picks it up through [`Protocol::ALL`].
-//! * [`Probe`] — the typed observation API. The driver emits structured
-//!   [`SimEvent`]s (`FibChanged`, `SessionReset`, periodic/final
-//!   `Snapshot { view }`, `PhaseSettled`) with **static dispatch**: the
-//!   forwarding view is built on the stack per observation (no
-//!   per-observation `Box<dyn ForwardingView>`), and the probe's
-//!   `on_event` is monomorphised per protocol. The paper's
+//! * [`Probe`] — the typed observation API: one callback,
+//!   [`Probe::snapshot`]`(at, cause, view)`, hearing one `Baseline`
+//!   snapshot per play, throttled `Periodic` ones while a phase runs and
+//!   one `Final` one at its end, with **static dispatch**: the forwarding
+//!   view is built on the stack per observation (no per-observation
+//!   `Box<dyn ForwardingView>`), and the callback is monomorphised per
+//!   protocol. The scenario events a play applied are its timeline's
+//!   resolved schedule, offset by [`Played::epoch`]. The paper's
 //!   transient-problem bookkeeping is a private probe behind
 //!   [`Sim::measure`], the one way to measure.
 //!
@@ -57,7 +59,7 @@
 
 use crate::params::{InstanceMetrics, RunParams};
 use crate::timeline::{Timeline, TimelineError};
-use stamp_bgp::engine::{Engine, EngineConfig, RunOutcome, RunStats, ScenarioEvent};
+use stamp_bgp::engine::{Engine, EngineConfig, RunOutcome, RunStats};
 use stamp_bgp::router::BgpRouter;
 use stamp_bgp::types::{PrefixId, RootCause};
 use stamp_core::{LockStrategy, StampRouter};
@@ -67,7 +69,6 @@ use stamp_forwarding::{
 };
 use stamp_rbgp::{RbgpConfig, RbgpRouter};
 use stamp_topology::{AsGraph, AsId};
-use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -334,16 +335,7 @@ fn make_engine(
 // The probe API
 // ---------------------------------------------------------------------
 
-/// Which convergence phase a [`SimEvent::PhaseSettled`] closes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// Cold-start convergence (before any timeline).
-    Initial,
-    /// Re-convergence after a played timeline.
-    Timeline,
-}
-
-/// Why a [`SimEvent::Snapshot`] was taken.
+/// Why a snapshot was taken.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotCause {
     /// Pre-injection state, once per [`Sim::play`] (control-metric
@@ -355,39 +347,19 @@ pub enum SnapshotCause {
     Final,
 }
 
-/// A structured observation delivered to a [`Probe`]. Generic over the
-/// concrete view type so snapshot handling is statically dispatched and
-/// allocation-free.
-pub enum SimEvent<'a, V: ForwardingView + ?Sized> {
-    /// A batch of simultaneous events changed at least one FIB at `at`.
-    FibChanged { at: SimTime },
-    /// An injected scenario event (which tears or resets BGP sessions) has
-    /// been applied. Emitted at the first observation at or after its
-    /// scheduled instant `at`.
-    SessionReset { at: SimTime, event: ScenarioEvent },
-    /// A data-plane snapshot: the protocol's forwarding view, built on the
-    /// stack for this observation (never boxed).
-    Snapshot {
-        at: SimTime,
-        cause: SnapshotCause,
-        view: &'a V,
-    },
-    /// A convergence phase reached quiescence (or its deadline).
-    PhaseSettled { at: SimTime, phase: Phase },
-}
-
-/// A typed observer of one simulation. Monomorphised per protocol — no
-/// `dyn` in the observation hot loop.
+/// A typed observer of one simulation: it hears data-plane snapshots.
+/// Monomorphised per protocol — no `dyn` in the observation hot loop.
 pub trait Probe {
-    /// Receive one event. `V` is the protocol's concrete view type.
-    fn on_event<V: ForwardingView + ?Sized>(&mut self, event: SimEvent<'_, V>);
+    /// One snapshot at `at`: the protocol's forwarding view (concrete type
+    /// `V`), built on the stack for this observation (never boxed).
+    fn snapshot<V: ForwardingView + ?Sized>(&mut self, at: SimTime, cause: SnapshotCause, view: &V);
 }
 
 /// The do-nothing probe (`converge()` and unobserved replays use it).
 pub struct NullProbe;
 
 impl Probe for NullProbe {
-    fn on_event<V: ForwardingView + ?Sized>(&mut self, _event: SimEvent<'_, V>) {}
+    fn snapshot<V: ForwardingView + ?Sized>(&mut self, _: SimTime, _: SnapshotCause, _: &V) {}
 }
 
 /// The paper's transient-problem bookkeeping as an ordinary probe: feeds
@@ -412,10 +384,12 @@ struct MetricsProbe {
 }
 
 impl Probe for MetricsProbe {
-    fn on_event<V: ForwardingView + ?Sized>(&mut self, event: SimEvent<'_, V>) {
-        let SimEvent::Snapshot { at, cause, view } = event else {
-            return;
-        };
+    fn snapshot<V: ForwardingView + ?Sized>(
+        &mut self,
+        at: SimTime,
+        cause: SnapshotCause,
+        view: &V,
+    ) {
         // The first snapshot, the play's baseline, seeds the tracker.
         let tracker = self.tracker.get_or_insert_with(|| {
             let baseline = self.baseline.get_or_init(|| Classification::of(view));
@@ -447,54 +421,31 @@ impl Probe for MetricsProbe {
 // The generic phase driver
 // ---------------------------------------------------------------------
 
-/// Run one convergence phase with structured observation. The cadence is
-/// the determinism-pinned contract: `FibChanged` per changed batch, a
-/// `Periodic` snapshot when `observe_interval` has elapsed since the last
-/// one (the first changed batch always observes), one unthrottled `Final`
-/// snapshot at quiescence, then `PhaseSettled`.
+/// Run one convergence phase with observation. The cadence is the
+/// determinism-pinned contract: a `Periodic` snapshot at a batch that
+/// changed a FIB when `observe_interval` has elapsed since the last one
+/// (the first changed batch always observes), then one unthrottled
+/// `Final` snapshot at quiescence.
 fn run_phase<R: DataPlane, P: Probe>(
     e: &mut Engine<R>,
     prefix: PrefixId,
-    phase: Phase,
     deadline: Option<SimTime>,
     observe_interval: SimDuration,
-    mut pending: VecDeque<(SimTime, ScenarioEvent)>,
     probe: &mut P,
 ) -> RunOutcome {
     let mut last_obs: Option<SimTime> = None;
     let outcome = e.run_until_quiescent(deadline, |engine, t| {
-        while pending.front().is_some_and(|&(at, _)| at <= t) {
-            // simlint::allow(panic, "front checked non-empty by the while condition")
-            let (at, event) = pending.pop_front().expect("front checked");
-            probe.on_event::<EngineView<'_, R>>(SimEvent::SessionReset { at, event });
-        }
-        probe.on_event::<EngineView<'_, R>>(SimEvent::FibChanged { at: t });
         let due = match last_obs {
             None => true,
             Some(prev) => t.since(prev) >= observe_interval,
         };
         if due {
-            let view = EngineView { engine, prefix };
-            probe.on_event(SimEvent::Snapshot {
-                at: t,
-                cause: SnapshotCause::Periodic,
-                view: &view,
-            });
+            probe.snapshot(t, SnapshotCause::Periodic, &EngineView { engine, prefix });
             last_obs = Some(t);
         }
     });
-    // Scenario events whose batch never changed a FIB still happened.
-    while let Some((at, event)) = pending.pop_front() {
-        probe.on_event::<EngineView<'_, R>>(SimEvent::SessionReset { at, event });
-    }
     let now = e.now();
-    let view = EngineView { engine: e, prefix };
-    probe.on_event(SimEvent::Snapshot {
-        at: now,
-        cause: SnapshotCause::Final,
-        view: &view,
-    });
-    probe.on_event::<EngineView<'_, R>>(SimEvent::PhaseSettled { at: now, phase });
+    probe.snapshot(now, SnapshotCause::Final, &EngineView { engine: e, prefix });
     outcome
 }
 
@@ -537,15 +488,6 @@ impl<'g> SimBuilder<'g> {
     /// Engine and measurement knobs (see [`RunParams`]).
     pub fn params(mut self, params: RunParams) -> Self {
         self.params = params;
-        self
-    }
-
-    /// Which policy regime every router runs (default: `gao-rexford`).
-    /// Shorthand for setting [`RunParams::policy`]; call after
-    /// [`SimBuilder::params`]/[`SimBuilder::fast`] or the regime is
-    /// overwritten with theirs.
-    pub fn policy(mut self, regime: stamp_policy::PolicyRegime) -> Self {
-        self.params.policy = regime;
         self
     }
 
@@ -903,7 +845,7 @@ impl Sim {
             let prefix = self.prefix;
             let outcome = with_engine!(self.engine_mut(), e => {
                 e.start();
-                run_phase(e, prefix, Phase::Initial, deadline, interval, VecDeque::new(), probe)
+                run_phase(e, prefix, deadline, interval, probe)
             });
             self.record_outcome(outcome);
             let s = self.stats();
@@ -948,20 +890,11 @@ impl Sim {
         let interval = self.params.observe_interval;
         let prefix = self.prefix;
         let outcome = with_engine!(self.engine_mut(), e => {
-            let mut pending = VecDeque::with_capacity(schedule.len());
             for (at, ev) in schedule {
                 e.inject_at(epoch + at, ev);
-                pending.push_back((epoch + at, ev));
             }
-            {
-                let view = EngineView { engine: e, prefix };
-                probe.on_event(SimEvent::Snapshot {
-                    at: e.now(),
-                    cause: SnapshotCause::Baseline,
-                    view: &view,
-                });
-            }
-            run_phase(e, prefix, Phase::Timeline, deadline, interval, pending, probe)
+            probe.snapshot(e.now(), SnapshotCause::Baseline, &EngineView { engine: e, prefix });
+            run_phase(e, prefix, deadline, interval, probe)
         });
         self.record_outcome(outcome);
         Ok(Played {
@@ -1240,33 +1173,28 @@ mod tests {
     }
 
     #[test]
-    fn probe_receives_the_documented_event_cadence() {
+    fn probe_receives_the_documented_snapshot_cadence() {
+        #[derive(Default)]
         struct Recorder {
-            fib: usize,
-            resets: usize,
             baseline: usize,
             periodic: usize,
-            finals: Vec<Phase>,
+            finals: usize,
             last_at: SimTime,
         }
         impl Probe for Recorder {
-            fn on_event<V: ForwardingView + ?Sized>(&mut self, event: SimEvent<'_, V>) {
-                match event {
-                    SimEvent::FibChanged { at } => {
-                        assert!(at >= self.last_at, "time went backwards");
-                        self.last_at = at;
-                        self.fib += 1;
-                    }
-                    SimEvent::SessionReset { .. } => self.resets += 1,
-                    SimEvent::Snapshot { cause, view, .. } => {
-                        assert!(view.n() > 0);
-                        match cause {
-                            SnapshotCause::Baseline => self.baseline += 1,
-                            SnapshotCause::Periodic => self.periodic += 1,
-                            SnapshotCause::Final => {}
-                        }
-                    }
-                    SimEvent::PhaseSettled { phase, .. } => self.finals.push(phase),
+            fn snapshot<V: ForwardingView + ?Sized>(
+                &mut self,
+                at: SimTime,
+                cause: SnapshotCause,
+                view: &V,
+            ) {
+                assert!(view.n() > 0);
+                assert!(at >= self.last_at, "time went backwards");
+                self.last_at = at;
+                match cause {
+                    SnapshotCause::Baseline => self.baseline += 1,
+                    SnapshotCause::Periodic => self.periodic += 1,
+                    SnapshotCause::Final => self.finals += 1,
                 }
             }
         }
@@ -1278,17 +1206,10 @@ mod tests {
             .fast()
             .build()
             .unwrap();
-        let mut rec = Recorder {
-            fib: 0,
-            resets: 0,
-            baseline: 0,
-            periodic: 0,
-            finals: Vec::new(),
-            last_at: SimTime::ZERO,
-        };
+        let mut rec = Recorder::default();
         sim.converge_with(&mut rec);
-        assert!(rec.fib > 0, "initial convergence changes FIBs");
-        assert_eq!(rec.finals, vec![Phase::Initial]);
+        assert!(rec.periodic > 0, "initial convergence changes FIBs");
+        assert_eq!((rec.baseline, rec.finals), (0, 1), "one final per phase");
         let p = g.providers(AsId(4))[0];
         let t = Timeline::from_events(
             "flap",
@@ -1301,11 +1222,11 @@ mod tests {
                 2,
             ),
         );
+        let periodic = rec.periodic;
         sim.play(&t, &mut rec).unwrap();
         assert_eq!(rec.baseline, 1, "exactly one baseline per play");
-        assert_eq!(rec.resets, 4, "two down + two up events applied");
-        assert!(rec.periodic > 0);
-        assert_eq!(rec.finals, vec![Phase::Initial, Phase::Timeline]);
+        assert!(rec.periodic > periodic);
+        assert_eq!(rec.finals, 2, "one final per phase");
     }
 
     #[test]

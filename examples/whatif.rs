@@ -16,12 +16,15 @@ use stamp_repro::eventsim::rng::tags;
 use stamp_repro::eventsim::rng_stream;
 use stamp_repro::queryd::{QueryEngine, QuerydConfig, Request};
 use stamp_repro::topology::{generate, GenConfig};
-use stamp_repro::workload::{choose_k, destination_candidates, Protocol, RunParams};
+use stamp_repro::workload::{choose_k, destination_candidates, Protocol, RunParams, GRID_SEED};
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let n: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(500);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(0xCA4A16);
+    let seed: u64 = args
+        .next()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(GRID_SEED);
 
     let g = generate(&GenConfig {
         n_ases: n,

@@ -22,10 +22,10 @@
 
 use stamp_repro::bgp::types::PrefixId;
 use stamp_repro::eventsim::rng::tags;
-use stamp_repro::eventsim::{rng_stream, DelayModel, Fnv1a, SimDuration};
+use stamp_repro::eventsim::{rng_stream, DelayModel, Fnv1a, SimDuration, SimTime};
 use stamp_repro::experiments::{run_failure_experiment, FailureConfig, FailureScenario, Protocol};
 use stamp_repro::forwarding::{Classification, ForwardingView, TransientTracker};
-use stamp_repro::sim::{NullProbe, Probe, Sim, SimEvent, SnapshotCause};
+use stamp_repro::sim::{NullProbe, Probe, Sim, SnapshotCause};
 use stamp_repro::topology::{generate, AsId, GenConfig};
 use stamp_repro::workload::{
     adversarial_grid, destination_candidates, flap_train, run_campaign, run_protocol_cell,
@@ -327,10 +327,12 @@ fn observer_rewalks_a_sliver_of_the_state_space_at_2000_ases() {
         tracker: Option<TransientTracker>,
     }
     impl Probe for Ledger {
-        fn on_event<V: ForwardingView + ?Sized>(&mut self, event: SimEvent<'_, V>) {
-            let SimEvent::Snapshot { cause, view, .. } = event else {
-                return;
-            };
+        fn snapshot<V: ForwardingView + ?Sized>(
+            &mut self,
+            _: SimTime,
+            cause: SnapshotCause,
+            view: &V,
+        ) {
             match (cause, &mut self.tracker) {
                 (SnapshotCause::Baseline, t) => {
                     let baseline = Classification::of(view);

@@ -1838,7 +1838,7 @@ mod seeded_observation {
     use stamp_repro::eventsim::{SimDuration, SimTime};
     use stamp_repro::forwarding::{Classification, ForwardingView, Outcome, TransientTracker};
     use stamp_repro::policy::PolicyRegime;
-    use stamp_repro::sim::{Probe, SimEvent, SnapshotCause};
+    use stamp_repro::sim::{Probe, SnapshotCause};
     use stamp_repro::topology::{AsGraph, GraphBuilder};
     use stamp_repro::workload::{
         InstanceMetrics, NetEvent, Protocol, RunParams, Timeline, TimelineEvent, WatchdogConfig,
@@ -1883,10 +1883,12 @@ mod seeded_observation {
     }
 
     impl Probe for Twin {
-        fn on_event<V: ForwardingView + ?Sized>(&mut self, event: SimEvent<'_, V>) {
-            let SimEvent::Snapshot { at, cause, view } = event else {
-                return;
-            };
+        fn snapshot<V: ForwardingView + ?Sized>(
+            &mut self,
+            at: SimTime,
+            cause: SnapshotCause,
+            view: &V,
+        ) {
             let (warm, cold) = self.trackers.get_or_insert_with(|| {
                 let (reachable, causes) = (self.reachable.clone(), self.causes.clone());
                 let baseline = Classification::of(view);
