@@ -105,7 +105,11 @@ echo "one-tokenizer guard passed"
 # relation or slot looked up by id); the liveness a router reads is the one
 # predicate the engine implements (only engine.rs writes a `session_up`);
 # and the engine's dispatch reads the session an update names instead of
-# searching for it.
+# searching for it. The decision order is one value (`Criterion`, with
+# `Rank` its one comparison, in rib.rs): no router picks a route by a
+# key tuple of its own (`min_by_key` / `max_by_key`), and a router's BGP
+# state is reached one way, `RouterLogic::speaker` — the data plane
+# writes no accessor of its own.
 speaker_crates="crates/bgp/src crates/rbgp/src crates/core/src"
 one_speaker() { # pattern, then the files that may hold it
     local pat=$1 files extra
@@ -139,6 +143,10 @@ done
 no_speaker 'FxHashMap' crates/bgp/src/router.rs crates/bgp/src/speaker.rs \
     crates/bgp/src/rib.rs crates/core/src/router.rs crates/rbgp/src/router.rs
 no_speaker 'entry_between(' crates/bgp/src/engine.rs
+for pat in 'min_by_key' 'max_by_key'; do
+    no_speaker "$pat" crates/bgp/src/router.rs crates/rbgp/src/router.rs crates/core/src/router.rs
+done
+no_speaker 'fn speaker(' crates/forwarding/src/view.rs
 echo "one-speaker guard passed"
 
 # --- Guard 6: one engine view, one session model ---------------------------
@@ -185,7 +193,9 @@ echo "one-view / one-session-model / seeded-observation guard passed"
 # filters the link list and calls it, with no builder and nothing to
 # `expect`, because a sub-graph of a validated graph needs no second
 # validation. `Protocol` is a closed enum served by exhaustive matches, not
-# by a run-time registry. What only its own unit test called stays gone.
+# by a run-time registry. What only its own unit test called stays gone,
+# and so does the per-router `selected_route(&self, prefix)` every router
+# answered from its speaker (a leak reads `Speaker::selected_route`).
 # Results are fingerprinted by one hash: the FNV-1a offset basis is written
 # only in crates/eventsim/src/fxhash.rs, beside the one `Fnv1a`; and seeds
 # are mixed by one SplitMix64: its multiplier is written only in
@@ -202,7 +212,8 @@ if awk '/pub fn without_links/ { on = 1; next } on && /pub fn / { exit } on' "$g
 fi
 for pat in ProtocolSpec REGISTRY ProtocolEngine rebuild_index tier_depth tier_members \
         sample_random_walk_path escape_via own_failover_next has_active_cause uphill_range \
-        is_adversarial extend_with GridHash SimEvent PhaseSettled FibChanged; do
+        is_adversarial extend_with GridHash SimEvent PhaseSettled FibChanged \
+        'fn selected_route(&self, prefix: PrefixId)'; do
     if grep -rnF "$pat" crates src tests examples; then
         echo "REMOVED-NAME VIOLATION: '$pat' was deleted and may not come back" >&2
         exit 1

@@ -77,20 +77,24 @@ fn print_overhead(rep: &FailureReport) {
         "== Protocol message overhead (Sec. 6.3) — {} ASes, {} instances ==\n",
         rep.n_ases, rep.instances
     );
-    let ratio = stamp.updates_initial_mean() / bgp.updates_initial_mean().max(1.0);
-    let row = |name: &str, r: &ProtocolResult, ratio: String| {
+    // Both phases against BGP's: the paper's < 2x claim names no phase,
+    // and the failure phase is the transient it is about.
+    let ratio = |r: &ProtocolResult| {
+        let initial = r.updates_initial_mean() / bgp.updates_initial_mean().max(1.0);
+        let failure = r.updates_failure_mean() / bgp.updates_failure_mean().max(1.0);
+        [format!("{initial:.2}x"), format!("{failure:.2}x")]
+    };
+    let row = |name: &str, r: &ProtocolResult| {
         let (initial, failure) = (r.updates_initial_mean(), r.updates_failure_mean());
-        vec![
+        let mut row = vec![
             name.to_string(),
             format!("{initial:.0}"),
             format!("{failure:.0}"),
-            ratio,
-        ]
+        ];
+        row.extend(ratio(r));
+        row
     };
-    let rows = vec![
-        row("BGP", bgp, "1.00x".into()),
-        row("STAMP (two processes)", stamp, format!("{ratio:.2}x")),
-    ];
+    let rows = vec![row("BGP", bgp), row("STAMP (two processes)", stamp)];
     println!(
         "{}",
         table(
@@ -99,7 +103,8 @@ fn print_overhead(rep: &FailureReport) {
                 "protocol",
                 "initial convergence",
                 "failure phase",
-                "initial ratio"
+                "initial ratio",
+                "failure ratio"
             ],
             &rows,
         )

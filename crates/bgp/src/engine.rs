@@ -13,7 +13,7 @@
 
 use crate::feed::{FeedCursor, TouchFeed, Touched};
 use crate::patharena::PathArena;
-use crate::rib::row_mut;
+use crate::rib::{row_mut, Explanation};
 use crate::router::{OutMsg, RouterCtx, RouterLogic, SessionView, StateFingerprint};
 use crate::types::{CauseInfo, PrefixId, ProcId, RootCause, Route, UpdateKind, UpdateMsg};
 use stamp_eventsim::rng::{tags, Rng};
@@ -82,7 +82,10 @@ pub enum ScenarioEvent {
     /// `prefix` to *every* live neighbour except the one it learned the
     /// route from, ignoring the policy regime's export gate — the classic
     /// Gao–Rexford violation (provider route leaked to other providers and
-    /// peers). A no-op if the leaker holds no learned route.
+    /// peers). A no-op if the leaker holds no learned route. The route is
+    /// process 0's: under STAMP the red process, the paper's "ordinary
+    /// BGP" side, the one a misconfigured exporter would re-advertise
+    /// from.
     Leak { leaker: AsId, prefix: PrefixId },
     /// Mid-run policy misconfiguration: replace the engine's compiled
     /// regime with `PolicyRegime::named()[index]` (see
@@ -484,6 +487,19 @@ impl<R: RouterLogic> Engine<R> {
         &mut self.routers[v.index()]
     }
 
+    /// Why `v` selects what it selects for `prefix`: one [`Explanation`]
+    /// per process of its speaker, in process order, judged against the
+    /// engine's own liveness and arena. Read-only; an AS outside the
+    /// topology explains nothing.
+    pub fn explain(&self, v: AsId, prefix: PrefixId) -> Vec<Explanation> {
+        let Some(r) = self.routers.get(v.index()) else {
+            return Vec::new();
+        };
+        let (s, nbrs) = (r.speaker(), self.fixed.g.neighbor_entries(v));
+        let why = |proc| s.explain(&self.paths, nbrs, &self.state, prefix, proc);
+        ProcId::first_n(s.procs()).map(why).collect()
+    }
+
     /// Is the session between `a` and `b` up (adjacent, both nodes up,
     /// link up)?
     pub fn session_up(&self, a: AsId, b: AsId) -> bool {
@@ -829,8 +845,8 @@ impl<R: RouterLogic> Engine<R> {
         if !self.state.node_ok(leaker) {
             return false;
         }
-        let Some((learned_from, route)) = self.routers[leaker.index()].selected_route(prefix)
-        else {
+        let speaker = self.routers[leaker.index()].speaker();
+        let Some((learned_from, route)) = speaker.selected_route(prefix, ProcId::ONLY) else {
             return false;
         };
         let adv = route.prepend(&mut self.paths, leaker);

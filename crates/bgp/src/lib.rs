@@ -10,9 +10,9 @@
 //!   root-cause information, and update messages;
 //! * [`patharena`] — hash-consed AS-path storage: every path is interned
 //!   once, routes are `Copy` handles, prepend is an O(1) child intern;
-//! * [`rib`] — Adj-RIB-In storage and the BGP decision process
-//!   (local-pref ↓, AS-path length ↑, lowest neighbour id), with AS-path
-//!   loop rejection;
+//! * [`rib`] — Adj-RIB-In storage and the BGP decision process, whose
+//!   order is one value ([`rib::Criterion`]) and whose one walk can say why
+//!   each stored route lost;
 //! * [`speaker`] — the [`Speaker`]: everything that is BGP about one AS
 //!   (Adj-RIB-In, selections, Adj-RIB-Out, learn → decide → install →
 //!   export → advertise), written once and keyed by process, so R-BGP and

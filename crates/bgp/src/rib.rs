@@ -14,16 +14,24 @@
 //! The keyed API ([`RibIn::insert`], [`RibIn::remove`], [`RibIn::get`],
 //! [`RibIn::routes`], [`RibIn::decide`], …) addresses the same table with
 //! the neighbour's dense id as its slot, so there slot order is id order.
-//! A speaker's slot order is not: the decision process breaks ties
-//! explicitly — highest local-pref, then shortest path, then lowest
-//! neighbour id.
+//! A speaker's slot order is not: the decision process breaks every tie
+//! explicitly, by the order [`Criterion`] names.
+//!
+//! **One order, one walk.** [`Criterion`] is the decision order and
+//! [`Rank`]'s `Ord` is its one comparison; R-BGP's escape choice compares
+//! through it too. `RibIn::decide_slots` is the one walk: it tells a sink
+//! the caller chooses why each stored route was rejected or how it ranks.
+//! Deciding passes a sink that does nothing, and explaining
+//! (`RibIn::explain_slots`) one that records, then names each loser's
+//! criterion against the final winner. Nothing is stored per route
+//! or per selection to say why.
 
 use crate::engine::N_PROCS;
 use crate::patharena::PathArena;
 use crate::types::{PrefixId, ProcId, Route};
 use stamp_eventsim::clone_in_place;
 use stamp_topology::{AsId, Relation};
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 
 /// One stored route plus the relation it was learned over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,6 +82,128 @@ impl Default for RibIn {
     fn default() -> RibIn {
         RibIn::new()
     }
+}
+
+/// The decision order: the variants in the order the decision process
+/// applies them. A stored route is first rejected — its session is down,
+/// then its AS path already holds this AS — or else ranked, and among
+/// ranked routes the highest local-pref wins, then the shortest AS path,
+/// then the lowest neighbour id (explicitly, since slot order is not id
+/// order). `Ord` is that order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Criterion {
+    /// Rejected: the session the route was learned over is down.
+    SessionDown,
+    /// Rejected: the route's AS path already contains this AS.
+    Loop,
+    /// Ranked: higher local preference wins.
+    LocalPref,
+    /// Ranked: shorter AS path wins.
+    PathLength,
+    /// Ranked: lower neighbour id wins.
+    NeighborId,
+}
+
+impl Criterion {
+    /// Every criterion, in decision order.
+    pub const ALL: [Criterion; 5] = [
+        Criterion::SessionDown,
+        Criterion::Loop,
+        Criterion::LocalPref,
+        Criterion::PathLength,
+        Criterion::NeighborId,
+    ];
+
+    /// The criterion's wire token.
+    pub fn token(self) -> &'static str {
+        match self {
+            Criterion::SessionDown => "session-down",
+            Criterion::Loop => "loop",
+            Criterion::LocalPref => "local-pref",
+            Criterion::PathLength => "path-length",
+            Criterion::NeighborId => "neighbor-id",
+        }
+    }
+
+    /// The criterion whose [`token`](Criterion::token) is `t`.
+    pub fn from_token(t: &str) -> Option<Criterion> {
+        Criterion::ALL.into_iter().find(|c| c.token() == t)
+    }
+}
+
+/// Where a route that survived both rejections stands in the decision
+/// order: its `Ord` compares criterion by criterion, in [`Criterion`]
+/// order, and the greater rank wins.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rank {
+    /// Import-time local preference.
+    pub pref: u32,
+    /// AS-path length (hops, receiver not on the path).
+    pub len: u32,
+    /// The announcing neighbour.
+    pub neighbor: AsId,
+}
+
+impl Rank {
+    /// How `self` fares against `other` on `c` alone (`Greater` is
+    /// better); a ranked route passed both rejections, so they tie.
+    #[inline]
+    fn on(&self, other: &Rank, c: Criterion) -> Ordering {
+        match c {
+            Criterion::SessionDown | Criterion::Loop => Ordering::Equal,
+            Criterion::LocalPref => self.pref.cmp(&other.pref),
+            Criterion::PathLength => other.len.cmp(&self.len),
+            Criterion::NeighborId => other.neighbor.cmp(&self.neighbor),
+        }
+    }
+
+    /// The first criterion on which `self` loses to `winner`, or `None`
+    /// when it does not lose (it is the winner).
+    pub fn loses_on(&self, winner: &Rank) -> Option<Criterion> {
+        let worse = |&c: &Criterion| self.on(winner, c).is_lt();
+        Criterion::ALL.into_iter().find(worse)
+    }
+}
+
+impl Ord for Rank {
+    #[inline]
+    fn cmp(&self, other: &Rank) -> Ordering {
+        let by = |c| self.on(other, c);
+        Criterion::ALL
+            .into_iter()
+            .map(by)
+            .fold(Ordering::Equal, Ordering::then)
+    }
+}
+
+impl PartialOrd for Rank {
+    #[inline]
+    fn partial_cmp(&self, other: &Rank) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// One stored route as the decision walk judged it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Candidate {
+    /// The neighbour that announced it.
+    pub neighbor: AsId,
+    /// Its import-time local preference.
+    pub pref: u32,
+    /// Its AS-path length.
+    pub len: u32,
+    /// `None` for the winner; else the first criterion on which the route
+    /// loses — a rejection, or the first ranking criterion on which it is
+    /// worse than the final winner.
+    pub lost_on: Option<Criterion>,
+}
+
+/// Why one process selects what it selects: the walk's winner and every
+/// stored route with its verdict, in slot order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Explanation {
+    pub winner: Option<DecisionOutcome>,
+    pub candidates: Vec<Candidate>,
 }
 
 /// Result of running the decision process.
@@ -203,58 +333,97 @@ impl RibIn {
     }
 
     /// The decision process over the routes of `(prefix, proc)` at router
-    /// `me`. `live(slot)` names the slot's neighbour while its session is
-    /// up and `None` otherwise:
-    ///
-    /// 1. reject routes from slots `live` refuses (session down),
-    /// 2. reject routes whose AS path already contains `me` (loop),
-    /// 3. highest local-pref (assigned by the policy regime at import,
-    ///    stored in the entry — prefer-customer under the default),
-    /// 4. shortest AS path,
-    /// 5. lowest neighbour id — explicitly, since slot order is not id
-    ///    order.
+    /// `me`: the one walk, in [`Criterion`] order. `live(slot)` names the
+    /// slot's neighbour while its session is up and `None` otherwise.
+    /// `sink` hears every stored route once, in slot order, with its slot
+    /// and entry: the criterion that rejected it, or its [`Rank`].
     // simlint::hot
     #[inline]
-    pub(crate) fn decide_slots<L>(
+    pub(crate) fn decide_slots<L, S>(
         &self,
         arena: &PathArena,
         me: AsId,
         prefix: PrefixId,
         proc: ProcId,
         live: L,
+        mut sink: S,
     ) -> Option<DecisionOutcome>
     where
         L: Fn(usize) -> Option<AsId>,
+        S: FnMut(usize, &RibEntry, Result<Rank, Criterion>),
     {
         let first = self.cell_index(0, proc)?;
         let row = self.rows.get(prefix.index())?;
-        let mut best: Option<(u32, u32, DecisionOutcome)> = None;
+        let mut best: Option<(Rank, DecisionOutcome)> = None;
         let cells = row.iter().skip(first).step_by(self.procs);
         for (slot, cell) in cells.enumerate() {
             let Some(e) = cell else {
                 continue;
             };
             let Some(neighbor) = live(slot) else {
+                sink(slot, e, Err(Criterion::SessionDown));
                 continue;
             };
             if e.route.contains(arena, me) {
+                sink(slot, e, Err(Criterion::Loop));
                 continue;
             }
             let len = e.route.len(arena);
-            if let Some((pref, best_len, d)) = &best {
-                let cand = (e.pref, Reverse(len), Reverse(neighbor));
-                if cand <= (*pref, Reverse(*best_len), Reverse(d.neighbor)) {
-                    continue;
-                }
+            let rank = Rank {
+                pref: e.pref,
+                len,
+                neighbor,
+            };
+            sink(slot, e, Ok(rank));
+            if best.as_ref().is_some_and(|(b, _)| rank <= *b) {
+                continue;
             }
             let d = DecisionOutcome {
                 neighbor,
                 route: e.route,
                 learned_from: e.learned_from,
             };
-            best = Some((e.pref, len, d));
+            best = Some((rank, d));
         }
-        best.map(|(_, _, d)| d)
+        best.map(|(_, d)| d)
+    }
+
+    /// [`RibIn::decide_slots`] told: its winner, and every stored route
+    /// with its neighbour (`id(slot)`, asked whether or not the session is
+    /// up) and its verdict. A loser is labelled after the walk, against
+    /// the final winner — not against whichever route was best when the
+    /// walk passed it.
+    pub(crate) fn explain_slots<L, I>(
+        &self,
+        arena: &PathArena,
+        me: AsId,
+        prefix: PrefixId,
+        proc: ProcId,
+        live: L,
+        id: I,
+    ) -> Explanation
+    where
+        L: Fn(usize) -> Option<AsId>,
+        I: Fn(usize) -> AsId,
+    {
+        let mut heard = Vec::new();
+        let sink = |slot, e: &RibEntry, verdict| heard.push((slot, *e, verdict));
+        let winner = self.decide_slots(arena, me, prefix, proc, live, sink);
+        let won = |r: &Rank| Some(r.neighbor) == winner.map(|d| d.neighbor);
+        let best = heard.iter().find_map(|(_, _, v)| v.ok().filter(won));
+        let candidates = heard
+            .into_iter()
+            .map(|(slot, e, verdict)| Candidate {
+                neighbor: id(slot),
+                pref: e.pref,
+                len: e.route.len(arena),
+                lost_on: match verdict {
+                    Err(c) => Some(c),
+                    Ok(rank) => best.and_then(|b| rank.loses_on(&b)),
+                },
+            })
+            .collect();
+        Explanation { winner, candidates }
     }
 
     // ------------------------------------------------------------------
@@ -349,7 +518,7 @@ impl RibIn {
         F: Fn(AsId) -> bool,
     {
         let live = |slot: usize| Some(AsId::from_usize(slot)).filter(|&n| usable(n));
-        self.decide_slots(arena, me, prefix, proc, live)
+        self.decide_slots(arena, me, prefix, proc, live, |_, _, _| {})
     }
 }
 
@@ -523,6 +692,45 @@ mod tests {
         learn(&mut rib, &g, ME, P, PR, r1, AsId(1));
         let d = rib.decide(&a, ME, P, PR, |_| true).unwrap();
         assert_eq!(d.neighbor, AsId(1));
+    }
+
+    /// A walk in slot order meets A (pref 100, len 3), then B (pref 100,
+    /// len 2), which displaces it, then C (pref 300, len 5), which wins.
+    /// Both losers lose to C on local preference: A's verdict names the
+    /// final winner, not B, which beat it on path length along the way.
+    #[test]
+    fn explain_names_losses_against_the_final_winner() {
+        let mut a = PathArena::new();
+        let mut rib = RibIn::new();
+        let ra = route(&mut a, &[1, 5, 6]);
+        let rb = route(&mut a, &[2, 6]);
+        let rc = route(&mut a, &[3, 7, 8, 9, 6]);
+        rib.insert(P, PR, AsId(1), ra, Relation::Provider, 100);
+        rib.insert(P, PR, AsId(2), rb, Relation::Provider, 100);
+        rib.insert(P, PR, AsId(3), rc, Relation::Customer, 300);
+        let why = rib.explain_slots(
+            &a,
+            ME,
+            P,
+            PR,
+            |s| Some(AsId::from_usize(s)),
+            AsId::from_usize,
+        );
+        assert_eq!(why.winner, rib.decide(&a, ME, P, PR, |_| true));
+        assert_eq!(why.winner.map(|d| d.neighbor), Some(AsId(3)));
+        let verdicts: Vec<_> = why
+            .candidates
+            .iter()
+            .map(|c| (c.neighbor, c.pref, c.len, c.lost_on))
+            .collect();
+        assert_eq!(
+            verdicts,
+            vec![
+                (AsId(1), 100, 3, Some(Criterion::LocalPref)),
+                (AsId(2), 100, 2, Some(Criterion::LocalPref)),
+                (AsId(3), 300, 5, None),
+            ]
+        );
     }
 
     #[test]

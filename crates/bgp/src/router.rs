@@ -273,10 +273,9 @@ pub trait RouterLogic {
     /// order-independent (mix per-record digests).
     fn fingerprint(&self, fp: &mut StateFingerprint);
 
-    /// The route this router currently forwards on for `prefix`, with the
-    /// neighbour it was learned from — what a route leak re-exports. `None`
-    /// when the router has no learned route (own/no selection).
-    fn selected_route(&self, prefix: PrefixId) -> Option<(AsId, Route)>;
+    /// The BGP state of this AS — RIBs, selections, Adj-RIB-Out: the one
+    /// way the engine, the data plane and any "why" read it from outside.
+    fn speaker(&self) -> &Speaker;
 }
 
 /// Current selection for one `(prefix, proc)` at a router.
@@ -341,11 +340,6 @@ impl BgpRouter {
         BgpRouter {
             speaker: Speaker::new(me, own, 1),
         }
-    }
-
-    /// The BGP state of this AS (RIBs, selections, Adj-RIB-Out).
-    pub fn speaker(&self) -> &Speaker {
-        &self.speaker
     }
 
     /// Current selection for a prefix.
@@ -425,8 +419,8 @@ impl RouterLogic for BgpRouter {
         self.speaker.fingerprint(fp);
     }
 
-    fn selected_route(&self, prefix: PrefixId) -> Option<(AsId, Route)> {
-        self.speaker.selected_route(prefix, ProcId::ONLY)
+    fn speaker(&self) -> &Speaker {
+        &self.speaker
     }
 }
 

@@ -24,12 +24,17 @@
 //! serves every process of its AS — the rows are keyed by [`ProcId`], with
 //! `procs` 1 for BGP and R-BGP and 2 for STAMP — and copying a speaker
 //! copies a few flat `Vec`s. Slot order is not id order: the decision
-//! process breaks ties explicitly, and so does every reader of
+//! process breaks ties by [`Criterion`](crate::rib::Criterion), and so does every reader of
 //! [`Speaker::routes`], which walks the slots.
+//!
+//! [`decide`](Speaker::decide) and [`explain`](Speaker::explain) are the
+//! one decision walk (`RibIn::decide_slots`) with two sinks: one that
+//! does nothing, and one that records why each stored route lost.
 
 use crate::engine::N_PROCS;
-use crate::rib::{grow_exact, row_mut, RibEntry, RibIn};
-use crate::router::{RouterCtx, Selection, StateFingerprint};
+use crate::patharena::PathArena;
+use crate::rib::{grow_exact, row_mut, Explanation, RibEntry, RibIn};
+use crate::router::{RouterCtx, Selection, SessionView, StateFingerprint};
 use crate::types::{PrefixId, ProcId, Route, UpdateKind, UpdateMsg, WithdrawInfo};
 use stamp_eventsim::clone_in_place;
 use stamp_topology::{AsId, Relation, SessEntry};
@@ -93,6 +98,11 @@ impl Speaker {
         self.own.contains(&prefix)
     }
 
+    /// Processes this speaker runs.
+    pub fn procs(&self) -> usize {
+        self.rib.procs()
+    }
+
     /// Current selection of one process.
     #[inline]
     pub fn selection(&self, prefix: PrefixId, proc: ProcId) -> &Selection {
@@ -102,7 +112,7 @@ impl Speaker {
     }
 
     /// The selected learned route with the neighbour it came from — what a
-    /// route leak re-exports ([`crate::RouterLogic::selected_route`]).
+    /// route leak re-exports ([`crate::ScenarioEvent::Leak`]).
     pub fn selected_route(&self, prefix: PrefixId, proc: ProcId) -> Option<(AsId, Route)> {
         match self.selection(prefix, proc) {
             Selection::Learned(d) => Some((d.neighbor, d.route)),
@@ -186,14 +196,50 @@ impl Speaker {
         if self.originates(prefix) {
             return Selection::Own;
         }
-        let (me, nbrs, sessions) = (self.me, ctx.neighbors, ctx.sessions);
-        let live = |slot: usize| {
-            let e = nbrs.get(slot)?;
-            sessions.session_entry_up(me, e).then_some(e.neighbor)
-        };
-        match self.rib.decide_slots(ctx.arena, me, prefix, proc, live) {
+        let live = self.live(ctx.neighbors, ctx.sessions);
+        let walk = self
+            .rib
+            .decide_slots(ctx.arena, self.me, prefix, proc, live, |_, _, _| {});
+        match walk {
             Some(d) => Selection::Learned(d),
             None => Selection::None,
+        }
+    }
+
+    /// Why [`decide`](Speaker::decide) selects what it selects, from
+    /// outside a router event: the same walk over the session slice `nbrs`
+    /// with liveness from `sessions`, every stored route with its verdict.
+    /// An originated prefix is never walked, so it explains nothing.
+    pub fn explain(
+        &self,
+        arena: &PathArena,
+        nbrs: &[SessEntry],
+        sessions: &dyn SessionView,
+        prefix: PrefixId,
+        proc: ProcId,
+    ) -> Explanation {
+        if self.originates(prefix) {
+            return Explanation::default();
+        }
+        let live = self.live(nbrs, sessions);
+        // `learn` stores nothing outside the slice, so the fallback is
+        // never read.
+        let id = |slot: usize| nbrs.get(slot).map_or(AsId(u32::MAX), |e| e.neighbor);
+        self.rib
+            .explain_slots(arena, self.me, prefix, proc, live, id)
+    }
+
+    /// The neighbour in a slot while its session is up.
+    #[inline]
+    fn live<'a>(
+        &self,
+        nbrs: &'a [SessEntry],
+        sessions: &'a dyn SessionView,
+    ) -> impl Fn(usize) -> Option<AsId> + 'a {
+        let me = self.me;
+        move |slot| {
+            let e = nbrs.get(slot)?;
+            sessions.session_entry_up(me, e).then_some(e.neighbor)
         }
     }
 

@@ -119,11 +119,6 @@ impl StampRouter {
     // Read-side API (data plane, tests, experiments)
     // ------------------------------------------------------------------
 
-    /// The BGP state of this AS (RIBs, selections, Adj-RIB-Out).
-    pub fn speaker(&self) -> &Speaker {
-        &self.speaker
-    }
-
     /// Current selection of one colour.
     pub fn selection(&self, prefix: PrefixId, c: Color) -> &Selection {
         self.speaker.selection(prefix, c.proc())
@@ -447,10 +442,8 @@ impl RouterLogic for StampRouter {
         }
     }
 
-    fn selected_route(&self, prefix: PrefixId) -> Option<(AsId, Route)> {
-        // A leak comes from the red process — the paper's "ordinary BGP"
-        // side, the one a misconfigured exporter would re-advertise from.
-        self.speaker.selected_route(prefix, Color::Red.proc())
+    fn speaker(&self) -> &Speaker {
+        &self.speaker
     }
 }
 

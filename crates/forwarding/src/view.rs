@@ -11,7 +11,6 @@
 
 use stamp_bgp::engine::Engine;
 use stamp_bgp::router::{BgpRouter, RouterLogic};
-use stamp_bgp::speaker::Speaker;
 use stamp_bgp::types::{Color, PrefixId, ProcId};
 use stamp_bgp::PathId;
 pub use stamp_bgp::{FeedCursor, Touched};
@@ -103,8 +102,9 @@ pub trait ForwardingView {
 
 /// What a protocol adds to the shared engine view: its forwarding rule,
 /// and the few constants that size the state space around it. Everything
-/// else a [`ForwardingView`] answers is read off the router's [`Speaker`]
-/// and the engine, once, in [`EngineView`]'s impl.
+/// else a [`ForwardingView`] answers is read off the router's speaker
+/// ([`RouterLogic::speaker`]) and the engine, once, in [`EngineView`]'s
+/// impl.
 pub trait DataPlane: RouterLogic + Sized {
     /// Packet-context states the protocol's packets can be in.
     const N_CTX: u8 = 1;
@@ -113,9 +113,6 @@ pub trait DataPlane: RouterLogic + Sized {
     const WIDE_LIVENESS: bool = false;
     /// Routing processes whose selections make up an AS's selection set.
     const PROCS: usize = 1;
-
-    /// The BGP state of this AS.
-    fn speaker(&self) -> &Speaker;
 
     /// Initial context for traffic this AS originates towards `prefix`.
     fn start_ctx(&self, _prefix: PrefixId) -> u8 {
@@ -194,10 +191,6 @@ impl<R: DataPlane> ForwardingView for EngineView<'_, R> {
 pub type BgpView<'a> = EngineView<'a, BgpRouter>;
 
 impl DataPlane for BgpRouter {
-    fn speaker(&self) -> &Speaker {
-        self.speaker()
-    }
-
     fn step(view: &BgpView<'_>, at: AsId, _ctx: u8) -> Step {
         match view.engine.router(at).next_hop(view.prefix) {
             Some(nh) if view.engine.session_up(at, nh) => Step::Hop { to: nh, ctx: 0 },
@@ -220,10 +213,6 @@ pub type RbgpView<'a> = EngineView<'a, RbgpRouter>;
 impl DataPlane for RbgpRouter {
     /// The escape circuit reads the liveness of links far from `at`.
     const WIDE_LIVENESS: bool = true;
-
-    fn speaker(&self) -> &Speaker {
-        self.speaker()
-    }
 
     fn step(view: &RbgpView<'_>, at: AsId, _ctx: u8) -> Step {
         let r = view.engine.router(at);
@@ -285,10 +274,6 @@ impl DataPlane for StampRouter {
     const N_CTX: u8 = 4;
     /// Red then blue: [`Color::proc`] order.
     const PROCS: usize = 2;
-
-    fn speaker(&self) -> &Speaker {
-        self.speaker()
-    }
 
     fn start_ctx(&self, prefix: PrefixId) -> u8 {
         // The source assigns the initial colour: its active process if that

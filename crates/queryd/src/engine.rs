@@ -15,7 +15,7 @@
 //! query rows against cold single cells with no cache, bit for bit.
 
 use crate::protocol::{
-    BaselineRow, PolicyRow, Request, Response, RouteRow, WhatIfRow, WhatIfShape,
+    BaselineRow, CandidateRow, PolicyRow, Request, Response, RouteRow, WhatIfRow, WhatIfShape,
 };
 use stamp_eventsim::SimDuration;
 use stamp_topology::disjoint::{max_disjoint_uphill_paths, two_disjoint_uphill_paths};
@@ -365,14 +365,8 @@ impl QueryEngine {
     /// read from the resident converged sessions (STAMP reports one row
     /// per colour).
     pub fn show_route(&self, dest: AsId, from: AsId) -> Result<Response, QueryError> {
-        if from.index() >= self.g.n() {
-            return Err(QueryError::NoSuchAs(from));
-        }
-        if !self.cfg.dests.contains(&dest) {
-            return Err(QueryError::UnservedDest(dest));
-        }
         let mut rows = Vec::new();
-        for b in self.baselines.iter().filter(|b| b.dest == dest) {
+        for b in self.route_baselines(dest, from)? {
             let paths = b.sim.with_view(|v| v.selection_paths(from));
             if paths.is_empty() {
                 rows.push(RouteRow {
@@ -389,6 +383,42 @@ impl QueryEngine {
             }
         }
         Ok(Response::Route { dest, from, rows })
+    }
+
+    /// `SHOW ROUTE dest FROM from EXPLAIN`: why `from` selects what it
+    /// selects in each resident converged session towards `dest` — every
+    /// stored route of every process with its verdict, per protocol.
+    pub fn explain_route(&self, dest: AsId, from: AsId) -> Result<Response, QueryError> {
+        let mut rows = Vec::new();
+        for b in self.route_baselines(dest, from)? {
+            for (proc, why) in (0..).zip(b.sim.explain(from)) {
+                rows.extend(why.candidates.iter().map(|c| CandidateRow {
+                    proto: b.proto,
+                    proc,
+                    neighbor: c.neighbor,
+                    pref: c.pref,
+                    len: c.len,
+                    verdict: c.lost_on,
+                }));
+            }
+        }
+        Ok(Response::Explain { dest, from, rows })
+    }
+
+    /// The resident baselines a `SHOW ROUTE` towards `dest` reads at
+    /// `from`, or the refusal both of its forms give.
+    fn route_baselines(
+        &self,
+        dest: AsId,
+        from: AsId,
+    ) -> Result<impl Iterator<Item = &Baseline>, QueryError> {
+        if from.index() >= self.g.n() {
+            return Err(QueryError::NoSuchAs(from));
+        }
+        if !self.cfg.dests.contains(&dest) {
+            return Err(QueryError::UnservedDest(dest));
+        }
+        Ok(self.baselines.iter().filter(move |b| b.dest == dest))
     }
 
     /// `SHOW DISJOINTNESS dest`: the topology-level bound STAMP's
@@ -418,6 +448,7 @@ impl QueryEngine {
             Request::ShowCache => Ok(Response::Cache(self.cache.stats())),
             Request::ShowPolicies => Ok(self.show_policies()),
             Request::ShowRoute { dest, from } => self.show_route(*dest, *from),
+            Request::ExplainRoute { dest, from } => self.explain_route(*dest, *from),
             Request::ShowDisjointness { dest } => self.show_disjointness(*dest),
             Request::Quit => Ok(Response::Bye),
         };
@@ -727,6 +758,75 @@ mod tests {
                 assert!(max_disjoint >= 2);
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// At every AS of every resident baseline — all four protocols, both
+    /// STAMP colours — the EXPLAIN winner of each process that holds a
+    /// learned selection is the first hop of the path `SHOW ROUTE` reports
+    /// for it, one `won` row per such process and none for the rest.
+    #[test]
+    fn explain_winners_are_show_route_first_hops() {
+        let g = generate(&GenConfig::small(43)).unwrap();
+        let dests: Vec<AsId> = destination_candidates(&g).into_iter().take(2).collect();
+        let mut cfg = QuerydConfig::new(Protocol::ALL.to_vec(), dests.clone());
+        cfg.params = RunParams::fast();
+        cfg.seed = 43;
+        let e = QueryEngine::new(g, cfg).unwrap();
+        let (mut learned, mut losers) = (0, 0);
+        for &dest in &dests {
+            for from in e.topology().ases() {
+                let Response::Route { rows: paths, .. } = e.show_route(dest, from).unwrap() else {
+                    panic!("SHOW ROUTE answers a route frame");
+                };
+                let Response::Explain { rows, .. } = e.explain_route(dest, from).unwrap() else {
+                    panic!("EXPLAIN answers an explain frame");
+                };
+                for proto in Protocol::ALL {
+                    let hops: Vec<AsId> = paths
+                        .iter()
+                        .filter(|r| r.proto == proto)
+                        .filter_map(|r| r.hops.first().copied())
+                        .collect();
+                    let mine = rows.iter().filter(|r| r.proto == proto);
+                    let won: Vec<AsId> = mine
+                        .clone()
+                        .filter(|r| r.verdict.is_none())
+                        .map(|r| r.neighbor)
+                        .collect();
+                    assert_eq!(won, hops, "{proto:?} at {from} towards {dest}");
+                    learned += won.len();
+                    losers += mine.filter(|r| r.verdict.is_some()).count();
+                }
+            }
+        }
+        assert!(
+            learned > 0 && losers > 0,
+            "{learned} winners, {losers} losers"
+        );
+        // The same refusals as SHOW ROUTE.
+        let served = dests[0];
+        let refusals = [
+            (
+                Request::ExplainRoute {
+                    dest: served,
+                    from: AsId(20_000),
+                },
+                "no-such-as",
+            ),
+            (
+                Request::ExplainRoute {
+                    dest: AsId(199),
+                    from: served,
+                },
+                "unserved-dest",
+            ),
+        ];
+        for (req, want) in refusals {
+            match e.execute(&req) {
+                Response::Error { code, .. } => assert_eq!(code, want),
+                other => panic!("expected ERR {want}, got {other:?}"),
+            }
         }
     }
 

@@ -12,14 +12,17 @@
 //! SHOW BASELINES
 //! SHOW CACHE
 //! SHOW POLICIES
-//! SHOW ROUTE <dest> FROM <from>
+//! SHOW ROUTE <dest> FROM <from> [EXPLAIN]
 //! SHOW DISJOINTNESS <dest>
 //! QUIT
 //! ```
 //!
 //! Responses are a header line, zero or more body rows of space-separated
 //! `key=value` fields in a fixed order, and a closing `END` line — so a
-//! client can frame a response without knowing its kind. Floats print via
+//! client can frame a response without knowing its kind. `EXPLAIN` answers
+//! why `<from>` selects what it selects: one `candidate` row per stored
+//! route and process, its verdict `won` or the first decision criterion
+//! it lost on (`stamp_workload::Criterion`). Floats print via
 //! Rust's shortest-round-trip `Display`, which is why format→parse→format
 //! is byte-identical (the same guarantee the `.scn` DSL makes, proven by
 //! the property suite in `tests/queryd.rs`).
@@ -28,7 +31,7 @@ use stamp_eventsim::textfmt::{comma_list, Cursor};
 use stamp_eventsim::SimDuration;
 use stamp_topology::AsId;
 use stamp_workload::{
-    parse_scn, CacheStats, InstanceMetrics, Protocol, RunOutcome, ScnError, Timeline,
+    parse_scn, CacheStats, Criterion, InstanceMetrics, Protocol, RunOutcome, ScnError, Timeline,
 };
 use std::fmt::{self, Write as _};
 use std::str::FromStr;
@@ -95,6 +98,9 @@ pub enum Request {
     ShowPolicies,
     /// The selected AS path(s) from `from` towards `dest`, per protocol.
     ShowRoute { dest: AsId, from: AsId },
+    /// Why `from` selects what it selects towards `dest`: every stored
+    /// route of every process, per protocol, with its verdict.
+    ExplainRoute { dest: AsId, from: AsId },
     /// Topology-level disjointness of `dest`'s uphill paths.
     ShowDisjointness { dest: AsId },
     /// Close the session (the server answers `BYE` and stops reading).
@@ -223,6 +229,9 @@ impl fmt::Display for Request {
             Request::ShowRoute { dest, from } => {
                 return write!(f, "SHOW ROUTE {} FROM {}", dest.0, from.0)
             }
+            Request::ExplainRoute { dest, from } => {
+                return write!(f, "SHOW ROUTE {} FROM {} EXPLAIN", dest.0, from.0)
+            }
             Request::ShowDisjointness { dest } => return write!(f, "SHOW DISJOINTNESS {}", dest.0),
             Request::Quit => return write!(f, "QUIT"),
         };
@@ -316,7 +325,13 @@ fn parse_show(c: &mut Cursor<'_>) -> Result<Request, RequestError> {
                     return Err(RequestError::MissingArg("FROM keyword"));
                 }
                 let from = as_id(c, "ROUTE source")?;
-                Request::ShowRoute { dest, from }
+                match c.peek().is_some_and(|t| t.eq_ignore_ascii_case("EXPLAIN")) {
+                    true => {
+                        c.next();
+                        Request::ExplainRoute { dest, from }
+                    }
+                    false => Request::ShowRoute { dest, from },
+                }
             }
             "DISJOINTNESS" => Request::ShowDisjointness {
                 dest: as_id(c, "DISJOINTNESS destination")?,
@@ -395,6 +410,20 @@ pub struct RouteRow {
     pub hops: Vec<AsId>,
 }
 
+/// One stored route of `SHOW ROUTE … EXPLAIN`: the process it is stored
+/// for (STAMP's colours are processes 0 and 1), who announced it, what the
+/// decision process ranks it by, and its verdict — `None` (`won`) for the
+/// process's winner, else the first [`Criterion`] it lost on.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct CandidateRow {
+    pub proto: Protocol,
+    pub proc: u8,
+    pub neighbor: AsId,
+    pub pref: u32,
+    pub len: u32,
+    pub verdict: Option<Criterion>,
+}
+
 /// One framed response. Every variant serializes as a header line, body
 /// rows, and a closing `END` line.
 #[derive(Debug, Clone, PartialEq)]
@@ -418,6 +447,11 @@ pub enum Response {
         dest: AsId,
         from: AsId,
         rows: Vec<RouteRow>,
+    },
+    Explain {
+        dest: AsId,
+        from: AsId,
+        rows: Vec<CandidateRow>,
     },
     Disjointness {
         dest: AsId,
@@ -470,7 +504,7 @@ macro_rules! values {
 }
 
 values! {
-    u32, u64, usize, i64, bool, String => |s| s, |v| v.parse().ok();
+    u8, u32, u64, usize, i64, bool, String => |s| s, |v| v.parse().ok();
     // Shortest-round-trip `Display`: format→parse→format is byte-exact. A
     // non-finite number is refused (`NaN != NaN` has no fixed point).
     f64 => |s| s, |v| v.parse().ok().filter(|x: &f64| x.is_finite());
@@ -496,6 +530,11 @@ values! {
         _ => Some(comma_list(v).ok()?.into_iter().map(AsId).collect()),
     };
     Hex => |s| format_args!("{:016x}", s.0), |v| u64::from_str_radix(v, 16).ok().map(Hex);
+    // A verdict: the winner, or the criterion a loser lost on.
+    Option<Criterion> => |s| s.map_or("won", Criterion::token), |v| match v {
+        "won" => Some(None),
+        _ => Criterion::from_token(v).map(Some),
+    };
 }
 
 /// A fingerprint: sixteen hex digits.
@@ -657,6 +696,17 @@ impl Walk for RouteRow {
     }
 }
 
+impl Walk for CandidateRow {
+    fn walk(&mut self, io: &mut Io<'_>) -> Walked {
+        io.f("proto", &mut self.proto)?;
+        io.f("proc", &mut self.proc)?;
+        io.f("neighbor", &mut self.neighbor)?;
+        io.f("pref", &mut self.pref)?;
+        io.f("len", &mut self.len)?;
+        io.f("verdict", &mut self.verdict)
+    }
+}
+
 /// The header line after its keyword (which [`Response::keywords`] owns)
 /// and, through [`Io::rows`], the body.
 impl Walk for Response {
@@ -695,6 +745,11 @@ impl Walk for Response {
                 io.f("from", from)?;
                 io.rows("path", rows)
             }
+            Response::Explain { dest, from, rows } => {
+                io.f("dest", dest)?;
+                io.f("from", from)?;
+                io.rows("candidate", rows)
+            }
             Response::Disjointness {
                 dest,
                 two_disjoint,
@@ -732,6 +787,7 @@ impl Response {
             Response::Cache(_) => &["CACHE"],
             Response::Policies { .. } => &["POLICIES"],
             Response::Route { .. } => &["ROUTE"],
+            Response::Explain { .. } => &["EXPLAIN"],
             Response::Disjointness { .. } => &["DISJOINTNESS"],
             Response::Error { .. } => &["ERR"],
             Response::Bye => &["BYE"],
@@ -739,13 +795,14 @@ impl Response {
     }
 
     /// One empty frame of every kind, for the parser to fill.
-    fn blanks() -> [Response; 8] {
+    fn blanks() -> [Response; 9] {
         [
             blank!(WhatIf: scenario, events, rows),
             blank!(Baselines: ases, links, seed, rows),
             Response::Cache(CacheStats::default()),
             blank!(Policies: rows),
             blank!(Route: dest, from, rows),
+            blank!(Explain: dest, from, rows),
             blank!(Disjointness: dest, two_disjoint, max_disjoint),
             blank!(Error: code, message),
             Response::Bye,
@@ -835,6 +892,10 @@ mod tests {
             dest: AsId(5),
             from: AsId(17),
         });
+        roundtrip_request(&Request::ExplainRoute {
+            dest: AsId(5),
+            from: AsId(17),
+        });
         roundtrip_request(&Request::ShowDisjointness { dest: AsId(5) });
         roundtrip_request(&Request::Quit);
     }
@@ -865,6 +926,15 @@ mod tests {
                 from: AsId(9)
             }
         );
+        let r: Request = "show route 4 from 9 explain".parse().unwrap();
+        assert_eq!(
+            r,
+            Request::ExplainRoute {
+                dest: AsId(4),
+                from: AsId(9)
+            }
+        );
+        assert_eq!(r.to_string(), "SHOW ROUTE 4 FROM 9 EXPLAIN");
     }
 
     #[test]
@@ -939,6 +1009,14 @@ mod tests {
                 RequestError::MissingArg("inline .scn timeline"),
             ),
             ("SHOW ROUTE 4", RequestError::MissingArg("FROM keyword")),
+            (
+                "SHOW ROUTE 4 FROM 9 EXPLAIN X",
+                RequestError::Trailing("X".to_string()),
+            ),
+            (
+                "SHOW ROUTE 4 FROM 9 WHY",
+                RequestError::Trailing("WHY".to_string()),
+            ),
             ("QUIT now", RequestError::Trailing("now".to_string())),
         ];
         for (text, want) in cases {
@@ -1112,6 +1190,41 @@ mod tests {
                     },
                 ],
             },
+            Response::Explain {
+                dest: AsId(4),
+                from: AsId(9),
+                rows: vec![
+                    CandidateRow {
+                        proto: Protocol::Bgp,
+                        proc: 0,
+                        neighbor: AsId(7),
+                        pref: 300,
+                        len: 2,
+                        verdict: None,
+                    },
+                    CandidateRow {
+                        proto: Protocol::Stamp,
+                        proc: 1,
+                        neighbor: AsId(2),
+                        pref: 100,
+                        len: 4,
+                        verdict: Some(Criterion::LocalPref),
+                    },
+                    CandidateRow {
+                        proto: Protocol::Stamp,
+                        proc: 1,
+                        neighbor: AsId(3),
+                        pref: 300,
+                        len: 3,
+                        verdict: Some(Criterion::Loop),
+                    },
+                ],
+            },
+            Response::Explain {
+                dest: AsId(4),
+                from: AsId(4),
+                rows: Vec::new(),
+            },
             Response::Disjointness {
                 dest: AsId(4),
                 two_disjoint: true,
@@ -1123,7 +1236,19 @@ mod tests {
             },
             Response::Bye,
         ];
-        for r in &cases {
+        // Every verdict token, on the wire and back.
+        let verdicts = Criterion::ALL.into_iter().map(Some).chain([None]);
+        let every_verdict = Response::Explain {
+            dest: AsId(4),
+            from: AsId(9),
+            rows: verdicts
+                .map(|verdict| CandidateRow {
+                    verdict,
+                    ..CandidateRow::default()
+                })
+                .collect(),
+        };
+        for r in cases.iter().chain([&every_verdict]) {
             let text = r.to_string();
             assert!(text.ends_with("END\n"), "{text:?}");
             let back = assert_fixed_point(&text, Response::parse, Response::to_string);
@@ -1155,5 +1280,11 @@ mod tests {
             .is_err(),
             "trailing field"
         );
+        let err = Response::parse(
+            "EXPLAIN dest=4 from=9 rows=1\n\
+             candidate proto=bgp proc=0 neighbor=1 pref=1 len=1 verdict=maybe\nEND\n",
+        )
+        .unwrap_err();
+        assert_eq!(err.msg, "bad value \"maybe\" for field verdict");
     }
 }

@@ -15,7 +15,7 @@
 //! network element, found by a linear scan.
 
 use stamp_bgp::patharena::PathArena;
-use stamp_bgp::rib::{row_mut, DecisionOutcome};
+use stamp_bgp::rib::{row_mut, DecisionOutcome, Rank};
 use stamp_bgp::router::{route_attr_word, RouterCtx, RouterLogic, Selection, StateFingerprint};
 use stamp_bgp::speaker::Speaker;
 use stamp_bgp::types::{CauseInfo, PrefixId, ProcId, Route, UpdateKind, UpdateMsg, WithdrawInfo};
@@ -124,11 +124,6 @@ impl RbgpRouter {
     // Read-side API (data plane, tests)
     // ------------------------------------------------------------------
 
-    /// The BGP state of this AS (RIBs, selections, Adj-RIB-Out).
-    pub fn speaker(&self) -> &Speaker {
-        &self.speaker
-    }
-
     /// Current best selection.
     pub fn selection(&self, prefix: PrefixId) -> &Selection {
         self.speaker.selection(prefix, ONLY)
@@ -157,8 +152,9 @@ impl RbgpRouter {
 
     /// Escape route when the primary is gone: the failover path some
     /// neighbour whose session `live` accepts advertised us, not through
-    /// `me` and (with RCI) not through any known root cause. Deterministic
-    /// choice: shortest advertised path, lowest advertiser id. Returns
+    /// `me` and (with RCI) not through any known root cause. Chosen by the
+    /// decision order ([`Criterion`](stamp_bgp::rib::Criterion)) with one
+    /// local preference for every advertised path. Returns
     /// `(advertiser, advertised path)` — R-BGP forwards escape packets
     /// along that path as a pinned virtual circuit, so the data plane needs
     /// the full path, not just the next hop.
@@ -183,10 +179,13 @@ impl RbgpRouter {
         let usable = |(e, r): &&(SessEntry, Route)| {
             live(e) && !r.contains(arena, me) && !self.path_invalidated(arena, r)
         };
+        let rank = |(e, r): &&(SessEntry, Route)| Rank {
+            pref: 0,
+            len: r.len(arena),
+            neighbor: e.neighbor,
+        };
         let candidates = self.received(prefix).iter().filter(usable);
-        candidates
-            .min_by_key(|(e, r)| (r.len(arena), e.neighbor))
-            .copied()
+        candidates.max_by(|a, b| rank(a).cmp(&rank(b))).copied()
     }
 
     /// The failover paths received for `prefix`.
@@ -567,8 +566,8 @@ impl RouterLogic for RbgpRouter {
         }
     }
 
-    fn selected_route(&self, prefix: PrefixId) -> Option<(AsId, Route)> {
-        self.speaker.selected_route(prefix, ONLY)
+    fn speaker(&self) -> &Speaker {
+        &self.speaker
     }
 }
 

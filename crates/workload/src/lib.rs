@@ -57,6 +57,7 @@ pub use sim::{
     SnapshotCause,
 };
 pub use stamp_bgp::engine::{RunOutcome, SessionModel, WatchdogConfig};
+pub use stamp_bgp::rib::{Criterion, Explanation};
 pub use stamp_forwarding::ObserverWork;
 pub use stamp_policy::PolicyRegime;
 pub use timeline::{

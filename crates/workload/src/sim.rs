@@ -60,6 +60,7 @@
 use crate::params::{InstanceMetrics, RunParams};
 use crate::timeline::{Timeline, TimelineError};
 use stamp_bgp::engine::{Engine, EngineConfig, RunOutcome, RunStats};
+use stamp_bgp::rib::Explanation;
 use stamp_bgp::router::BgpRouter;
 use stamp_bgp::types::{PrefixId, RootCause};
 use stamp_core::{LockStrategy, StampRouter};
@@ -805,6 +806,14 @@ impl Sim {
     pub fn with_view<T>(&self, f: impl FnOnce(&dyn ForwardingView) -> T) -> T {
         let prefix = self.prefix;
         with_engine!(self.engine(), engine => f(&EngineView { engine, prefix }))
+    }
+
+    /// Why `v` selects what it selects towards this session's prefix: one
+    /// explanation per process, in process order
+    /// ([`Engine::explain`]).
+    pub fn explain(&self, v: AsId) -> Vec<Explanation> {
+        let prefix = self.prefix;
+        with_engine!(self.engine(), e => e.explain(v, prefix))
     }
 
     /// The concrete engine when this session runs plain BGP.

@@ -965,7 +965,7 @@ mod decide_ties {
     use super::regimes::arb_regime;
     use super::rewinds::Down;
     use super::*;
-    use stamp_repro::bgp::rib::{DecisionOutcome, RibIn};
+    use stamp_repro::bgp::rib::{Candidate, Criterion, DecisionOutcome, RibIn};
     use stamp_repro::bgp::router::{RouterCtx, Selection};
     use stamp_repro::bgp::types::ProcId;
     use stamp_repro::bgp::Speaker;
@@ -983,11 +983,16 @@ mod decide_ties {
     /// what the keyed `RibIn::decide` picks from the same imports, and both
     /// pick the winner of (local-pref ↓, length ↑, neighbour id ↑) — under
     /// the four built-in regimes (`shortest-path` ties every class) and
-    /// random `.pol` regimes.
+    /// random `.pol` regimes. The speaker's `explain` walks to the same
+    /// winner and judges every stored route: a rejected one is named
+    /// `SessionDown`, or `Loop` when its session is up, and a ranked loser
+    /// ties the winner on every criterion before the one named and is
+    /// worse on that one.
     #[test]
     fn slot_decide_breaks_ties_like_keyed_decide() {
         let builtins = PolicyRegime::builtins();
         let mut order_matters = 0;
+        let mut verdicts = [0usize; Criterion::ALL.len()];
         cases(128, 0xDEC1DE, |rng| {
             let g = generate(&arb_gen_config(rng)).expect("valid");
             let mixed: Vec<AsId> = g
@@ -1099,6 +1104,43 @@ mod decide_ties {
                 };
                 assert_eq!(keyed, want, "keyed decide at {me} under {}", regime.name);
                 assert_eq!(slotted, want, "slot decide at {me} under {}", regime.name);
+                let why = speaker.explain(arena, nbrs, &down, prefix, proc);
+                assert_eq!(why.winner, want, "explain at {me} under {}", regime.name);
+                let mut by_id = why.candidates.clone();
+                by_id.sort_by_key(|c| c.neighbor);
+                let stored = reference.range((proc, AsId(0))..=(proc, AsId(u32::MAX)));
+                let stored: Vec<AsId> = stored.map(|(&(_, n), _)| n).collect();
+                let judged: Vec<AsId> = by_id.iter().map(|c| c.neighbor).collect();
+                assert_eq!(judged, stored, "every stored route is judged once");
+                let winner = by_id.iter().find(|c| c.lost_on.is_none());
+                assert_eq!(winner.map(|c| c.neighbor), want.map(|d| d.neighbor));
+                for c in &by_id {
+                    let (pref, r, _) = reference[&(proc, c.neighbor)];
+                    assert_eq!((c.pref, c.len), (pref, r.len(arena)));
+                    let up = !down.0.contains(&c.neighbor);
+                    let Some(named) = c.lost_on else {
+                        continue;
+                    };
+                    verdicts[named as usize] += 1;
+                    match named {
+                        Criterion::SessionDown => assert!(!up, "{c:?}"),
+                        Criterion::Loop => assert!(up && r.contains(arena, me), "{c:?}"),
+                        _ => {
+                            assert!(up && !r.contains(arena, me), "{c:?}");
+                            let w: &Candidate = winner.expect("a ranked loser implies a winner");
+                            let ties = [c.pref == w.pref, c.len == w.len, c.neighbor == w.neighbor];
+                            let worse = [c.pref < w.pref, c.len > w.len, c.neighbor > w.neighbor];
+                            let ranked = [
+                                Criterion::LocalPref,
+                                Criterion::PathLength,
+                                Criterion::NeighborId,
+                            ];
+                            let k = ranked.iter().position(|&x| x == named).expect("ranked");
+                            assert!(ties[..k].iter().all(|&t| t), "{c:?} vs {w:?}");
+                            assert!(worse[k], "{c:?} vs {w:?}");
+                        }
+                    }
+                }
                 // Would "first in slot order wins" have picked another
                 // neighbour of equal (pref, len)?
                 if let Some(w) = want {
@@ -1112,6 +1154,10 @@ mod decide_ties {
         assert!(
             order_matters >= 16,
             "only {order_matters} slot-order ties drawn"
+        );
+        assert!(
+            verdicts.iter().all(|&n| n >= 8),
+            "verdicts drawn: {verdicts:?}"
         );
     }
 }

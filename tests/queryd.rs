@@ -335,7 +335,7 @@ fn arb_request(rng: &mut Rng) -> Request {
             WhatIfShape::Scn(Timeline::from_events("prop-scn", events))
         }
     };
-    match rng.gen_range(0u32..7) {
+    match rng.gen_range(0u32..8) {
         0 | 1 => Request::WhatIf {
             shape,
             proto: gen::option(rng, |rng| *rng.choose(&protos).expect("non-empty")),
@@ -351,6 +351,10 @@ fn arb_request(rng: &mut Rng) -> Request {
             from: as_id(rng),
         },
         5 => Request::ShowPolicies,
+        6 => Request::ExplainRoute {
+            dest: as_id(rng),
+            from: as_id(rng),
+        },
         _ => Request::ShowDisjointness { dest: as_id(rng) },
     }
 }
@@ -384,6 +388,7 @@ fn mutated_response_frames_are_rejected_or_round_trip() {
         "SHOW POLICIES".to_string(),
         format!("SHOW ROUTE {dest} FROM {from}"),
         format!("SHOW DISJOINTNESS {dest}"),
+        format!("SHOW ROUTE {dest} FROM {from} EXPLAIN"),
         "WHATIF FAIL-LINK 1 1".to_string(),
         "QUIT".to_string(),
     ]
@@ -396,7 +401,8 @@ fn mutated_response_frames_are_rejected_or_round_trip() {
         rows[0].metrics.outcome = RunOutcome::Diverged { period, churn };
     }
     frames.push(diverged.to_string());
-    assert!(frames[8].starts_with("DIVERGED ") && frames[6].starts_with("ERR "));
+    assert!(frames[9].starts_with("DIVERGED ") && frames[7].starts_with("ERR "));
+    assert!(frames[6].starts_with("EXPLAIN ") && frames[6].contains("\ncandidate "));
     cases(600, 0x9E47F, |rng| {
         let frame = rng.choose(&frames).expect("non-empty");
         assert_fixed_point(frame, Response::parse, Response::to_string);
@@ -414,8 +420,8 @@ fn mutated_response_frames_are_rejected_or_round_trip() {
 /// an `ERR` frame. Never a panic, and nothing in between.
 #[test]
 fn random_junk_is_rejected_with_typed_errors() {
-    let words: Vec<&str> = "WHATIF SHOW FAIL-LINK DRAIN-NODE SCN BASELINES ROUTE FROM PROTO \
-                            DEST bgp xyzzy 3 -7 1e9 scenario at 0s ;"
+    let words: Vec<&str> = "WHATIF SHOW FAIL-LINK DRAIN-NODE SCN BASELINES ROUTE FROM EXPLAIN \
+                            PROTO DEST bgp xyzzy 3 -7 1e9 scenario at 0s ;"
         .split(' ')
         .collect();
     cases(800, 0xA11CE, |rng| {
