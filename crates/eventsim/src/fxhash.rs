@@ -78,7 +78,7 @@ impl Hasher for FxHasher {
         let rest = chunks.remainder();
         if !rest.is_empty() {
             let mut word = [0u8; 8];
-            word[..rest.len()].copy_from_slice(rest);
+            word.iter_mut().zip(rest).for_each(|(w, &b)| *w = b);
             self.fold(u64::from_le_bytes(word));
         }
     }

@@ -47,7 +47,7 @@ impl Rng {
         // The all-zero state is the one forbidden state; the SplitMix64
         // stream cannot produce four zeros in a row, but guard anyway.
         if s == [0, 0, 0, 0] {
-            s[0] = 0x9E37_79B9_7F4A_7C15;
+            s = [0x9E37_79B9_7F4A_7C15, 0, 0, 0];
         }
         Rng { s }
     }
@@ -55,7 +55,9 @@ impl Rng {
     /// Next raw 64-bit output (xoshiro256++ step).
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        let [s0, s1, s2, s3] = self.s;
+        let Rng {
+            s: [s0, s1, s2, s3],
+        } = *self;
         let result = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
         let t = s1 << 17;
         let mut s2 = s2 ^ s0;
@@ -108,6 +110,7 @@ impl Rng {
     }
 
     /// Fisher–Yates shuffle in place.
+    // simlint::allow(index-panic, "`&mut [T]` is a slice type, not an index")
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
             let j = self.next_below(i as u64 + 1) as usize;
@@ -120,7 +123,7 @@ impl Rng {
         if xs.is_empty() {
             None
         } else {
-            Some(&xs[self.next_below(xs.len() as u64) as usize])
+            xs.get(self.next_below(xs.len() as u64) as usize)
         }
     }
 }

@@ -118,7 +118,9 @@ pub fn analyze_source(rel_path: &str, src: &str) -> Vec<Finding> {
 }
 
 fn finding(rel_path: &str, line: u32, rule: &'static str, message: String) -> Finding {
-    let severity = config::rule(rule).map_or(Severity::Deny, |r| r.severity);
+    let severity = config::rule(rule).map_or(Severity::Deny, |r| {
+        config::severity_in(r, config::crate_of(rel_path))
+    });
     Finding {
         rel_path: rel_path.to_string(),
         line,

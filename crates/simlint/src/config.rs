@@ -22,6 +22,9 @@ pub struct Rule {
     /// Crate names the rule applies to (a file's crate is derived from its
     /// path: `crates/<name>/…`, or the facade for root `src/`).
     pub crates: &'static [&'static str],
+    /// Crates where a Warn rule fails the run anyway: one that reached zero
+    /// findings of it, so its count cannot creep back.
+    pub deny_in: &'static [&'static str],
     pub desc: &'static str,
 }
 
@@ -92,6 +95,7 @@ pub const RULES: &[Rule] = &[
         name: "default-hasher",
         severity: Severity::Deny,
         crates: SIM_CRATES,
+        deny_in: &[],
         desc: "std HashMap/HashSet use SipHash with per-process random keys; \
                use eventsim::fxhash::{FxHashMap, FxHashSet} or BTreeMap",
     },
@@ -103,6 +107,7 @@ pub const RULES: &[Rule] = &[
         // golden is a diff on every run. Wall time has one owner,
         // `benchmark/`, which this pass does not scan.
         crates: ALL_CRATES,
+        deny_in: &[],
         desc: "std::time::{Instant, SystemTime} read wall-clock state; \
                sim crates use SimTime only, and bench prints goldens — \
                timing belongs to benchmark/",
@@ -111,6 +116,7 @@ pub const RULES: &[Rule] = &[
         name: "ambient-env",
         severity: Severity::Deny,
         crates: SIM_CRATES,
+        deny_in: &[],
         desc: "environment/thread-identity reads (std::env, thread::current, \
                available_parallelism) make results machine-dependent",
     },
@@ -118,6 +124,7 @@ pub const RULES: &[Rule] = &[
         name: "float-hash-aggregate",
         severity: Severity::Deny,
         crates: SIM_CRATES,
+        deny_in: &[],
         desc: "float values in a hashed container invite iteration-order-\
                dependent accumulation; aggregate in grid order or use BTreeMap",
     },
@@ -125,6 +132,7 @@ pub const RULES: &[Rule] = &[
         name: "hot-collect",
         severity: Severity::Deny,
         crates: SIM_CRATES,
+        deny_in: &[],
         desc: ".collect() allocates inside a `// simlint::hot` function; \
                reuse a scratch buffer or iterate in place",
     },
@@ -132,6 +140,7 @@ pub const RULES: &[Rule] = &[
         name: "hot-clone",
         severity: Severity::Deny,
         crates: SIM_CRATES,
+        deny_in: &[],
         desc: "clone/to_vec/to_owned/to_string inside a `// simlint::hot` \
                function; arena-backed state is Copy — pass handles",
     },
@@ -139,6 +148,7 @@ pub const RULES: &[Rule] = &[
         name: "hot-alloc",
         severity: Severity::Deny,
         crates: SIM_CRATES,
+        deny_in: &[],
         desc: "per-message allocation (Vec::new, vec!, Box::new, String \
                construction, format!) inside a `// simlint::hot` function",
     },
@@ -146,6 +156,7 @@ pub const RULES: &[Rule] = &[
         name: "panic",
         severity: Severity::Deny,
         crates: LIB_CRATES,
+        deny_in: &[],
         desc: "unwrap/expect/panic!/unreachable!/todo!/unimplemented! in \
                library code outside tests; return a typed error or justify \
                with simlint::allow",
@@ -154,14 +165,17 @@ pub const RULES: &[Rule] = &[
         name: "index-panic",
         severity: Severity::Warn,
         crates: LIB_CRATES,
+        deny_in: &["eventsim", "rbgp"],
         desc: "slice/map indexing can panic; dense CSR-indexed state is this \
                engine's core idiom, so this rule only warns (see DESIGN.md \
-               §11) — prefer .get() on non-hot paths",
+               §11), except in crates that reached zero — prefer .get() on \
+               non-hot paths",
     },
     Rule {
         name: "lossy-cast",
         severity: Severity::Deny,
         crates: SIM_CRATES,
+        deny_in: &[],
         desc: "narrowing `as` cast (u8/u16/u32/i8/i16/i32) outside the id \
                modules; use the checked id constructors or justify",
     },
@@ -169,6 +183,7 @@ pub const RULES: &[Rule] = &[
         name: "bad-allow",
         severity: Severity::Deny,
         crates: ALL_CRATES,
+        deny_in: &[],
         desc: "malformed simlint directive: unknown rule, missing or empty \
                justification, or a simlint::hot with no following fn",
     },
@@ -176,6 +191,7 @@ pub const RULES: &[Rule] = &[
         name: "unused-allow",
         severity: Severity::Warn,
         crates: ALL_CRATES,
+        deny_in: &[],
         desc: "a simlint::allow that suppressed nothing — stale after a fix; \
                delete it",
     },
@@ -184,6 +200,15 @@ pub const RULES: &[Rule] = &[
 /// Look up a rule row by name.
 pub fn rule(name: &str) -> Option<&'static Rule> {
     RULES.iter().find(|r| r.name == name)
+}
+
+/// How a finding of `rule` in `crate_name` gates CI.
+pub fn severity_in(rule: &Rule, crate_name: &str) -> Severity {
+    if rule.deny_in.contains(&crate_name) {
+        Severity::Deny
+    } else {
+        rule.severity
+    }
 }
 
 /// Does `rule` apply to files of `crate_name`?
@@ -216,6 +241,9 @@ mod tests {
     fn catalog_is_well_formed() {
         for r in RULES {
             assert!(!r.crates.is_empty(), "{} has no scope", r.name);
+            // A promotion is for a Warn rule, inside its own scope.
+            assert!(r.deny_in.is_empty() || r.severity == Severity::Warn);
+            assert!(r.deny_in.iter().all(|c| r.crates.contains(c)));
             assert!(rule(r.name).is_some());
         }
         // Names are unique.

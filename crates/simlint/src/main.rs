@@ -52,6 +52,9 @@ fn run() -> Result<bool, String> {
                         Severity::Warn => "warn",
                     };
                     println!("{:<22} {:<5} {}", r.name, sev, r.desc);
+                    if !r.deny_in.is_empty() {
+                        println!("{:<28} deny in: {}", "", r.deny_in.join(", "));
+                    }
                 }
                 return Ok(true);
             }
@@ -94,7 +97,10 @@ fn run() -> Result<bool, String> {
         // Summarize warn-severity rules as counts: index-panic alone would
         // otherwise drown the gate's signal (see DESIGN.md §11).
         for r in RULES.iter().filter(|r| r.severity == Severity::Warn) {
-            let n = findings.iter().filter(|f| f.rule == r.name).count();
+            let n = findings
+                .iter()
+                .filter(|f| f.rule == r.name && f.severity == Severity::Warn)
+                .count();
             if n > 0 {
                 println!(
                     "simlint: {n} {} warning(s) — rerun with --warn to list",

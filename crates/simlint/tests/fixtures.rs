@@ -8,7 +8,7 @@
 //! must produce nothing. Because valid `simlint::allow` directives sit on
 //! marker-free lines, the same comparison proves suppression works.
 
-use simlint::{analyze_source, RULES};
+use simlint::{analyze_source, Severity, RULES};
 use std::collections::BTreeMap;
 
 const MARKER: &str = "//~";
@@ -117,6 +117,23 @@ fn out_of_scope_crates_are_silent() {
         let mut want = expected(name, src);
         want.retain(|(_, rule), _| rule == "wall-clock");
         assert_eq!(got, want, "{name} under crates/bench/");
+    }
+}
+
+#[test]
+fn index_panic_denies_only_where_promoted() {
+    // A planted index fails the run in a crate promoted to zero
+    // (`deny_in`), and stays a counted warning everywhere else.
+    let src = "pub fn first(xs: &[u32]) -> u32 {\n    xs[0]\n}\n";
+    for (krate, want) in [
+        ("eventsim", Severity::Deny),
+        ("rbgp", Severity::Deny),
+        ("bgp", Severity::Warn),
+        ("topology", Severity::Warn),
+    ] {
+        let got = analyze_source(&format!("crates/{krate}/src/x.rs"), src);
+        let sev: Vec<_> = got.iter().map(|f| (f.line, f.rule, f.severity)).collect();
+        assert_eq!(sev, [(2, "index-panic", want)], "under crates/{krate}/");
     }
 }
 

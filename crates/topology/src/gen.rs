@@ -153,9 +153,7 @@ pub fn generate(cfg: &GenConfig) -> Result<AsGraph, TopologyError> {
     // validate() bounds n_ases far below u32::MAX, so the saturation is
     // unreachable and only exists to keep the conversion total.
     let asn = |i: usize| u32::try_from(i).unwrap_or(u32::MAX);
-    for rank in 0..cfg.n_ases {
-        b.ensure_as(asn(rank));
-    }
+    b.preregister(asn(cfg.n_ases));
 
     let n = cfg.n_ases;
     let t1 = cfg.n_tier1.min(n);

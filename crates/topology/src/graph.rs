@@ -607,8 +607,14 @@ impl GraphBuilder {
 
     /// Pre-register ASes `0..n` so dense ids equal external numbers
     /// regardless of the order links are added in. Handy in tests and for
-    /// generated topologies.
+    /// generated topologies. Reserves room for `n` ASes and about two links
+    /// per AS (a generated graph's density), so building one never rehashes.
     pub fn preregister(&mut self, n: u32) {
+        let ases = n as usize;
+        self.ids.reserve(ases);
+        self.external.reserve(ases);
+        self.links.reserve(2 * ases);
+        self.link_keys.reserve(2 * ases);
         for asn in 0..n {
             self.ensure_as(asn);
         }
