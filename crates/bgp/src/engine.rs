@@ -24,24 +24,10 @@ use stamp_policy::CompiledRegime;
 use stamp_topology::{AsGraph, AsId, LinkId, SessEntry, SessId};
 use std::sync::Arc;
 
-/// Maximum routing processes per AS the engine provisions per-session
-/// state for (STAMP's red + blue; BGP and R-BGP use process 0 only).
+/// The most routing processes any protocol runs per AS (STAMP's red +
+/// blue): the bound of a speaker's per-prefix selection array. An engine
+/// sizes its own tables by its protocol's [`RouterLogic::PROCS`].
 pub const N_PROCS: usize = 2;
-
-/// Flat index of one `(directed session, process)` pair. Hard bound
-/// check: an out-of-range `ProcId` would silently alias the *next*
-/// session's process-0 state otherwise (the old tuple-keyed maps accepted
-/// any `ProcId`, so a future >2-process protocol must widen `N_PROCS`,
-/// not wrap).
-#[inline]
-fn chan_idx(sess: SessId, proc: ProcId) -> usize {
-    assert!(
-        (proc.0 as usize) < N_PROCS,
-        "ProcId {} out of range: engine provisions {N_PROCS} processes per session",
-        proc.0
-    );
-    sess.index() * N_PROCS + proc.0 as usize
-}
 
 /// A routing event injected into a running simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -383,7 +369,8 @@ pub struct Engine<R: RouterLogic> {
     paths: PathArena,
     sched: Scheduler<Event>,
     state: LinkState,
-    /// FIFO channel per `(directed session, process)`, see [`chan_idx`].
+    /// FIFO channel per `(directed session, process)`, see
+    /// [`Engine::chan_idx`]: `n_sessions × R::PROCS` of them.
     channels: Vec<FifoChannel>,
     /// MRAI slots per `(directed session, process)`, inner `Vec` indexed
     /// by dense prefix id (one entry in the common single-prefix
@@ -422,6 +409,7 @@ impl<R: RouterLogic> Engine<R> {
     where
         F: FnMut(AsId) -> R,
     {
+        const { assert!(R::PROCS <= N_PROCS) };
         // Jitter factors are sampled in link order, (a→b) before (b→a) —
         // the exact draw sequence of the original per-pair map, so equal
         // seeds keep producing identical timers.
@@ -444,7 +432,7 @@ impl<R: RouterLogic> Engine<R> {
             paths: PathArena::new(),
             sched: Scheduler::new(),
             state: LinkState::new(&g),
-            channels: vec![FifoChannel::new(); n_sessions * N_PROCS],
+            channels: vec![FifoChannel::new(); n_sessions * R::PROCS],
             mrai: Vec::new(),
             link_epoch: vec![0; g.n_links()],
             scenario_seq: 0,
@@ -479,12 +467,14 @@ impl<R: RouterLogic> Engine<R> {
         &self.routers[v.index()]
     }
 
-    /// Mutable router access for experiment harnesses (e.g. resetting
-    /// STAMP's instability flags between the initial convergence and the
-    /// injected failure). The engine itself never needs this.
-    pub fn router_mut(&mut self, v: AsId) -> &mut R {
-        self.feed.touch(v);
-        &mut self.routers[v.index()]
+    /// Run every router's [`RouterLogic::reset_measurement`], marking for
+    /// observers exactly the ASes whose reset cleared something.
+    pub fn reset_measurement(&mut self) {
+        for (v, router) in self.routers.iter_mut().enumerate() {
+            if router.reset_measurement() {
+                self.feed.touch(AsId::from_usize(v));
+            }
+        }
     }
 
     /// Why `v` selects what it selects for `prefix`: one [`Explanation`]
@@ -517,8 +507,8 @@ impl<R: RouterLogic> Engine<R> {
     /// The ASes whose forwarding behaviour — selections, and the liveness
     /// of their own sessions — may have changed since `cursor` last looked
     /// here, and move `cursor` to now. A superset: an AS is marked whenever
-    /// its router runs an event (or is handed out by
-    /// [`Engine::router_mut`]) and whenever a session of its own goes up
+    /// its router runs an event (or clears something in
+    /// [`Engine::reset_measurement`]) and whenever a session of its own goes up
     /// or down; [`Touched::All`] after a `clone_from`, on a
     /// cursor's first look, or when the observer fell a whole ring behind.
     ///
@@ -692,6 +682,16 @@ impl<R: RouterLogic> Engine<R> {
     // Internals
     // ------------------------------------------------------------------
 
+    /// Flat index of one `(directed session, process)` pair: sessions
+    /// stride by the protocol's process count. Hard bound check: an
+    /// out-of-range `ProcId` would silently alias the *next* session's
+    /// process-0 state otherwise.
+    #[inline]
+    fn chan_idx(sess: SessId, proc: ProcId) -> usize {
+        assert!(usize::from(proc.0) < R::PROCS, "{proc:?} out of range");
+        sess.index() * R::PROCS + usize::from(proc.0)
+    }
+
     /// The MRAI slot for one `(session, process, prefix)`, growing the
     /// table (to its full `n_chans` rows, in one allocation) and the dense
     /// prefix row on first touch — exactly, so a row armed for one prefix
@@ -711,7 +711,7 @@ impl<R: RouterLogic> Engine<R> {
         if mrai.len() < n_chans {
             mrai.resize_with(n_chans, Default::default);
         }
-        row_mut(mrai.get_mut(chan_idx(sess, proc))?, prefix.index())
+        row_mut(mrai.get_mut(Self::chan_idx(sess, proc))?, prefix.index())
     }
 
     /// Handle one event; returns whether any FIB changed.
@@ -761,7 +761,7 @@ impl<R: RouterLogic> Engine<R> {
                 }
                 // An armed slot is in its row until this expiry: rows are
                 // emptied only on a session reset (caught above) or below.
-                let Some(row) = self.mrai.get_mut(chan_idx(sess, proc)) else {
+                let Some(row) = self.mrai.get_mut(Self::chan_idx(sess, proc)) else {
                     return false;
                 };
                 let Some(slot) = row.get_mut(prefix.index()) else {
@@ -1062,8 +1062,8 @@ impl<R: RouterLogic> Engine<R> {
             return;
         };
         for sess in [ab, g.sess_reverse(ab)] {
-            for proc in ProcId::first_n(N_PROCS) {
-                if let Some(row) = self.mrai.get_mut(chan_idx(sess, proc)) {
+            for proc in ProcId::first_n(R::PROCS) {
+                if let Some(row) = self.mrai.get_mut(Self::chan_idx(sess, proc)) {
                     row.clear();
                 }
             }
@@ -1167,7 +1167,7 @@ impl<R: RouterLogic> Engine<R> {
         }
         let epoch = self.link_epoch[self.fixed.g.sess_ends(sess).link.index()];
         let now = self.sched.now();
-        let at = self.channels[chan_idx(sess, proc)].delivery_time(
+        let at = self.channels[Self::chan_idx(sess, proc)].delivery_time(
             now,
             &self.fixed.sessions.delay,
             &mut self.delay_rng,
@@ -2296,9 +2296,12 @@ mod more_tests {
         e.handle_scenario(ScenarioEvent::FailLink(l42));
         assert_eq!(marked(&e, &mut narrow, false), vec![2, 4]);
         assert_eq!(e.touched_since(&mut wide, true), Touched::All);
-        // `router_mut` hands out a router to rewrite: marked.
-        e.router_mut(AsId(1));
-        assert_eq!(marked(&e, &mut wide, true), vec![1]);
+        // Plain BGP clears nothing between phases: nothing marked.
+        e.reset_measurement();
+        assert!(marked(&e, &mut wide, true).is_empty());
+        // The withdrawals in flight mark whoever processes them.
+        e.run_to_quiescence(None);
+        assert!(!marked(&e, &mut wide, true).is_empty());
         // A fork taken now honours cursors advanced on the original.
         let (fork, mut on_fork) = (e.clone(), wide);
         assert!(marked(&fork, &mut on_fork, true).is_empty());
@@ -2306,5 +2309,69 @@ mod more_tests {
         e.clone_from(&ck);
         assert_eq!(e.touched_since(&mut narrow, false), Touched::All);
         assert_eq!(e.touched_since(&mut wide, true), Touched::All);
+    }
+
+    /// Plain BGP declaring a second process it never runs: the engine
+    /// sizes its tables by what a router declares.
+    struct TwoProcs(BgpRouter);
+
+    impl RouterLogic for TwoProcs {
+        const PROCS: usize = 2;
+
+        fn on_start(&mut self, ctx: &mut RouterCtx) {
+            self.0.on_start(ctx);
+        }
+        fn on_update(&mut self, ctx: &mut RouterCtx, from: usize, proc: ProcId, msg: UpdateMsg) {
+            self.0.on_update(ctx, from, proc, msg);
+        }
+        fn on_link_down(&mut self, ctx: &mut RouterCtx, slot: usize, cause: CauseInfo) {
+            self.0.on_link_down(ctx, slot, cause);
+        }
+        fn on_link_up(&mut self, ctx: &mut RouterCtx, slot: usize, cause: CauseInfo) {
+            self.0.on_link_up(ctx, slot, cause);
+        }
+        fn fingerprint(&self, fp: &mut StateFingerprint) {
+            self.0.fingerprint(fp);
+        }
+        fn speaker(&self) -> &crate::speaker::Speaker {
+            self.0.speaker()
+        }
+    }
+
+    /// Channel and MRAI rows after a converge, a failure and a repair
+    /// under the paper's MRAI, which arms the table.
+    fn table_rows<R: RouterLogic>(g: &AsGraph, make: fn(AsId, Vec<PrefixId>) -> R) -> [usize; 2] {
+        let cfg = EngineConfig {
+            seed: 5,
+            ..EngineConfig::default()
+        };
+        let origin = AsId(4);
+        let mut e = Engine::new(g.clone(), cfg, |v| {
+            make(
+                v,
+                if v == origin {
+                    vec![PrefixId(0)]
+                } else {
+                    vec![]
+                },
+            )
+        });
+        e.start();
+        e.run_to_quiescence(None);
+        let l42 = g.link_between(AsId(4), AsId(2)).unwrap();
+        e.handle_scenario(ScenarioEvent::FailLink(l42));
+        e.run_to_quiescence(None);
+        e.handle_scenario(ScenarioEvent::RecoverLink(l42));
+        e.run_to_quiescence(None);
+        [e.channels.len(), e.mrai.len()]
+    }
+
+    #[test]
+    fn an_engine_holds_one_channel_per_session_and_declared_process() {
+        let g = diamond();
+        let n = g.n_sessions();
+        assert_eq!(table_rows(&g, BgpRouter::new), [n, n]);
+        let two = |v, own| TwoProcs(BgpRouter::new(v, own));
+        assert_eq!(table_rows(&g, two), [2 * n, 2 * n]);
     }
 }

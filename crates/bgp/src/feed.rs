@@ -82,11 +82,13 @@ impl TouchFeed {
     // simlint::hot
     #[inline]
     pub(crate) fn touch(&mut self, v: AsId) {
-        let at = &mut self.marked_at[v.index()];
-        if *at > *self.fence.get_mut() {
+        let fence = *self.fence.get_mut();
+        let Some(at) = self.marked_at.get_mut(v.index()).filter(|at| **at <= fence) else {
             return;
+        };
+        if let Some(slot) = self.ring.get_mut(self.pos) {
+            *slot = v;
         }
-        self.ring[self.pos] = v;
         self.pos += 1;
         if self.pos == self.ring.len() {
             self.pos = 0;
@@ -131,15 +133,18 @@ impl TouchFeed {
             return Touched::All;
         }
         let cap = self.ring.len();
-        match self
+        let (older, newer) = match self
             .head
             .checked_sub(seen.seq)
             .and_then(|k| usize::try_from(k).ok())
         {
-            Some(k) if k <= self.pos => Touched::Rows(&self.ring[self.pos - k..self.pos], &[]),
-            Some(k) if k <= cap => {
-                Touched::Rows(&self.ring[cap - (k - self.pos)..], &self.ring[..self.pos])
-            }
+            Some(k) if k <= self.pos => (self.pos - k..self.pos, 0..0),
+            Some(k) if k <= cap => (cap - (k - self.pos)..cap, 0..self.pos),
+            _ => return Touched::All,
+        };
+        match (self.ring.get(older), self.ring.get(newer)) {
+            (Some(a), Some(b)) => Touched::Rows(a, b),
+            // A slice that cannot be formed: cannot tell.
             _ => Touched::All,
         }
     }

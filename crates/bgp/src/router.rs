@@ -250,6 +250,10 @@ pub fn route_attr_word(r: &Route) -> u64 {
 /// compares protocol A's network against protocol B's network on identical
 /// scenarios).
 pub trait RouterLogic {
+    /// Routing processes this protocol runs per AS: what its speaker and
+    /// the engine's per-session tables are sized by.
+    const PROCS: usize = 1;
+
     /// Called once at simulation start, after all routers exist.
     /// Originate own prefixes here.
     fn on_start(&mut self, ctx: &mut RouterCtx);
@@ -276,6 +280,13 @@ pub trait RouterLogic {
     /// The BGP state of this AS — RIBs, selections, Adj-RIB-Out: the one
     /// way the engine, the data plane and any "why" read it from outside.
     fn speaker(&self) -> &Speaker;
+
+    /// Clear what only measures the run so far, between convergence and
+    /// the event under measurement; `true` iff anything was cleared (the
+    /// engine marks the AS for observers). Default: nothing to clear.
+    fn reset_measurement(&mut self) -> bool {
+        false
+    }
 }
 
 /// Current selection for one `(prefix, proc)` at a router.
@@ -338,7 +349,7 @@ impl BgpRouter {
     #[inline]
     pub fn new(me: AsId, own: Vec<PrefixId>) -> BgpRouter {
         BgpRouter {
-            speaker: Speaker::new(me, own, 1),
+            speaker: Speaker::new(me, own, Self::PROCS),
         }
     }
 
@@ -635,7 +646,7 @@ mod tests {
         );
         assert_eq!(ctx.out.len(), 1);
         assert_eq!(ctx.out[0].to, AsId(2));
-        assert!(ctx.out[0].msg.is_announce());
+        assert!(matches!(ctx.out[0].msg.kind, UpdateKind::Announce(_)));
     }
 
     #[test]

@@ -34,7 +34,7 @@ impl ProcId {
     /// The single process of an unreplicated protocol.
     pub const ONLY: ProcId = ProcId(0);
 
-    /// The first `n` process ids (engines iterate `first_n(N_PROCS)` instead
+    /// The first `n` process ids (engines iterate `first_n(R::PROCS)` instead
     /// of casting loop counters). Saturates deterministically above u8::MAX,
     /// which no engine configuration approaches.
     pub fn first_n(n: usize) -> impl Iterator<Item = ProcId> {
@@ -298,13 +298,6 @@ pub enum UpdateKind {
 pub struct UpdateMsg {
     pub prefix: PrefixId,
     pub kind: UpdateKind,
-}
-
-impl UpdateMsg {
-    /// Is this an announcement?
-    pub fn is_announce(&self) -> bool {
-        matches!(self.kind, UpdateKind::Announce(_))
-    }
 }
 
 #[cfg(test)]

@@ -109,7 +109,7 @@ impl StampRouter {
     #[inline]
     pub fn new(me: AsId, own: Vec<PrefixId>, lock_strategy: LockStrategy) -> StampRouter {
         StampRouter {
-            speaker: Speaker::new(me, own, Color::ALL.len()),
+            speaker: Speaker::new(me, own, Self::PROCS),
             rows: Vec::new(),
             lock_strategy,
         }
@@ -166,19 +166,6 @@ impl StampRouter {
         let heard =
             |c: Color| slot.is_some_and(|s| self.speaker.heard(s, prefix, c.proc()).is_some());
         (heard(Color::Red), heard(Color::Blue))
-    }
-
-    /// Clear all instability flags (harness calls this between the initial
-    /// convergence and the injected failure, so flags reflect only the
-    /// event under measurement).
-    pub fn reset_instability(&mut self) {
-        for (p, row) in self.rows.iter_mut().enumerate() {
-            row.unstable = [false; 2];
-            // Re-derive active colours from route availability.
-            if row.active.is_some() {
-                row.switch_active(&self.speaker, PrefixId::from_usize(p));
-            }
-        }
     }
 
     /// The row of `prefix`, if it has one.
@@ -369,6 +356,9 @@ impl StampRouter {
 }
 
 impl RouterLogic for StampRouter {
+    /// Red then blue: [`Color::proc`] order.
+    const PROCS: usize = 2;
+
     fn on_start(&mut self, ctx: &mut RouterCtx) {
         // No allocation unless this AS originates something.
         for prefix in self.speaker.own().to_vec() {
@@ -444,6 +434,14 @@ impl RouterLogic for StampRouter {
 
     fn speaker(&self) -> &Speaker {
         &self.speaker
+    }
+
+    /// Pre-event churn must not count against the event (§5.2). The active
+    /// colour stays: every event's `switch_active` leaves it holding a route
+    /// if the other does, which with no flags set is its condition to stay.
+    fn reset_measurement(&mut self) -> bool {
+        let held = |row: &mut Row| std::mem::take(&mut row.unstable) != [false; 2];
+        self.rows.iter_mut().map(held).fold(false, |a, b| a | b)
     }
 }
 
@@ -879,7 +877,7 @@ mod et_tests {
     }
 
     #[test]
-    fn reset_instability_rederives_active() {
+    fn reset_measurement_reports_then_clears() {
         let g = g();
         let mut a = PathArena::new();
         let mut r = StampRouter::new(AsId(3), vec![], LockStrategy::Random { seed: 5 });
@@ -889,8 +887,12 @@ mod et_tests {
         r.on_update(&mut ctx, slot(&g, 3, 1), Color::Red.proc(), red);
         r.on_update(&mut ctx, slot(&g, 3, 2), Color::Blue.proc(), blue);
         assert!(r.is_unstable(P, Color::Blue));
-        r.reset_instability();
+        let active = r.active_color(P);
+        assert!(r.reset_measurement());
         assert!(!r.is_unstable(P, Color::Blue));
         assert!(!r.is_unstable(P, Color::Red));
+        assert_eq!(r.active_color(P), active);
+        // Nothing left to clear: a second reset reports so.
+        assert!(!r.reset_measurement());
     }
 }

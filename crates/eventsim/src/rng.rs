@@ -110,7 +110,6 @@ impl Rng {
     }
 
     /// Fisher–Yates shuffle in place.
-    // simlint::allow(index-panic, "`&mut [T]` is a slice type, not an index")
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
             let j = self.next_below(i as u64 + 1) as usize;

@@ -8,6 +8,8 @@
 //! step).
 //! Determinism makes the state space a functional graph, so loop/blackhole
 //! classification is exact and O(states) — no packet sampling involved.
+//! A protocol says here only how it forwards ([`DataPlane`]); what a router
+//! states about itself is on [`RouterLogic`], read by one [`EngineView`].
 
 use stamp_bgp::engine::Engine;
 use stamp_bgp::router::{BgpRouter, RouterLogic};
@@ -100,19 +102,17 @@ pub trait ForwardingView {
     }
 }
 
-/// What a protocol adds to the shared engine view: its forwarding rule,
-/// and the few constants that size the state space around it. Everything
-/// else a [`ForwardingView`] answers is read off the router's speaker
-/// ([`RouterLogic::speaker`]) and the engine, once, in [`EngineView`]'s
-/// impl.
+/// What a protocol adds to the shared engine view: how it forwards — its
+/// forwarding rule and the packet contexts around it — and nothing else.
+/// Everything else a [`ForwardingView`] answers is read off the router
+/// ([`RouterLogic::speaker`], [`RouterLogic::PROCS`]) and the engine,
+/// once, in [`EngineView`]'s impl.
 pub trait DataPlane: RouterLogic + Sized {
     /// Packet-context states the protocol's packets can be in.
     const N_CTX: u8 = 1;
     /// Does `step` read liveness beyond the AS's own sessions? Then any
     /// link or node flip dirties every row (see `Engine::touched_since`).
     const WIDE_LIVENESS: bool = false;
-    /// Routing processes whose selections make up an AS's selection set.
-    const PROCS: usize = 1;
 
     /// Initial context for traffic this AS originates towards `prefix`.
     fn start_ctx(&self, _prefix: PrefixId) -> u8 {
@@ -122,10 +122,6 @@ pub trait DataPlane: RouterLogic + Sized {
     /// One forwarding step at `at`, which does not originate the prefix
     /// (the view delivers there itself), for a packet in context `ctx`.
     fn step(view: &EngineView<'_, Self>, at: AsId, ctx: u8) -> Step;
-
-    /// Clear data-plane measurement state between initial convergence and
-    /// timeline injection. Default: nothing to clear.
-    fn reset_measurement(_engine: &mut Engine<Self>) {}
 }
 
 /// The data plane of a converging engine towards one prefix, for any
@@ -272,8 +268,6 @@ fn switched(ctx: u8) -> bool {
 
 impl DataPlane for StampRouter {
     const N_CTX: u8 = 4;
-    /// Red then blue: [`Color::proc`] order.
-    const PROCS: usize = 2;
 
     fn start_ctx(&self, prefix: PrefixId) -> u8 {
         // The source assigns the initial colour: its active process if that
@@ -334,15 +328,6 @@ impl DataPlane for StampRouter {
             }
         }
         Step::Drop
-    }
-
-    /// The instability flags `step` reads are §5.2 data-plane state: churn
-    /// from before the event must not count against it.
-    fn reset_measurement(engine: &mut Engine<Self>) {
-        let g = engine.topology().clone();
-        for v in g.ases() {
-            engine.router_mut(v).reset_instability();
-        }
     }
 }
 

@@ -113,7 +113,6 @@ pub struct CompiledRegime {
     rules: Vec<CRule>,
     /// Sorted distinct community values; a value's index is its bit.
     communities: Vec<u32>,
-    default: bool,
 }
 
 impl CompiledRegime {
@@ -173,7 +172,6 @@ impl CompiledRegime {
             deny_mask,
             rules,
             communities,
-            default: regime.is_default(),
         })
     }
 
@@ -200,11 +198,6 @@ impl CompiledRegime {
     /// different regimes.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// True when this is the compiled default regime.
-    pub fn is_default(&self) -> bool {
-        self.default
     }
 
     /// Local preference of locally originated routes.
@@ -303,7 +296,6 @@ mod tests {
     fn default_static_is_gao_rexford() {
         let d = CompiledRegime::default_static();
         assert_eq!(d.name(), "gao-rexford");
-        assert!(d.is_default());
         assert_eq!(d.origin_pref(), 1000);
         assert_eq!(d.base_pref(Relation::Customer), 300);
         assert_eq!(d.base_pref(Relation::Peer), 200);

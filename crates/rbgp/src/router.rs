@@ -113,7 +113,7 @@ impl RbgpRouter {
     #[inline]
     pub fn new(me: AsId, own: Vec<PrefixId>, cfg: RbgpConfig) -> RbgpRouter {
         RbgpRouter {
-            speaker: Speaker::new(me, own, 1),
+            speaker: Speaker::new(me, own, Self::PROCS),
             cfg,
             rows: Vec::new(),
             known_causes: Vec::new(),
@@ -865,7 +865,7 @@ mod continuity_tests {
         let to_customer = ctx
             .out
             .iter()
-            .find(|m| m.to == AsId(2) && m.msg.is_announce())
+            .find(|m| m.to == AsId(2) && matches!(m.msg.kind, UpdateKind::Announce(_)))
             .expect("customer receives the failover-based replacement");
         match &to_customer.msg.kind {
             UpdateKind::Announce(route) => {

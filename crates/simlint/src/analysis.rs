@@ -117,6 +117,15 @@ pub fn analyze_source(rel_path: &str, src: &str) -> Vec<Finding> {
     kept
 }
 
+/// Keywords after which a `[` opens an array, a slice type or a pattern
+/// (`self`, `Self` and `.await` yield values, which index).
+const KEYWORDS: &[&str] = &[
+    "as", "box", "break", "const", "continue", "crate", "dyn", "else", "enum", "extern", "false",
+    "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub", "ref",
+    "return", "static", "struct", "super", "trait", "true", "type", "unsafe", "use", "where",
+    "while", "yield",
+];
+
 fn finding(rel_path: &str, line: u32, rule: &'static str, message: String) -> Finding {
     let severity = config::rule(rule).map_or(Severity::Deny, |r| {
         config::severity_in(r, config::crate_of(rel_path))
@@ -559,15 +568,18 @@ impl MatchCtx<'_> {
                 }
             }
             if indexing && self.punct(i, b'[') {
+                let prev = i.wrapping_sub(1);
+                let keyword = KEYWORDS.contains(&self.txt(prev));
                 let prev_indexable = matches!(
-                    self.code.get(i.wrapping_sub(1)),
-                    Some((_, t)) if t.kind == TokKind::Ident
+                    self.code.get(prev),
+                    Some((_, t)) if (t.kind == TokKind::Ident && !keyword)
                         || t.kind == TokKind::Punct(b')')
                         || t.kind == TokKind::Punct(b']')
                 );
                 // `ident [` directly after `#` is an attribute, after `!`
                 // a macro — both already excluded by the previous-token
-                // kinds above.
+                // kinds above; so is a `[` after a keyword (`in [a, b]`,
+                // `&mut [T]`, `let [x, y] = p`).
                 if prev_indexable {
                     self.emit(
                         out,

@@ -254,7 +254,7 @@ fn default_regime_reproduces_the_hardwired_paper_policy() {
     let compiled = PolicyRegime::gao_rexford()
         .compile()
         .expect("default compiles");
-    assert!(compiled.is_default());
+    assert_eq!(compiled.name(), "gao-rexford");
     assert_eq!(compiled.origin_pref(), 1000);
     for (rel, pref) in [(Customer, 300), (Peer, 200), (Provider, 100)] {
         assert_eq!(compiled.base_pref(rel), pref, "base pref drift at {rel:?}");

@@ -1478,7 +1478,7 @@ mod rewinds {
     /// every attribute the three protocols read (paths drawn from a small
     /// id space, so they collide, loop through `me` and cross root
     /// causes), withdrawals, session resets.
-    pub(super) fn arb_op(rng: &mut Rng, g: &AsGraph, me: AsId, procs: u8) -> Op {
+    pub(super) fn arb_op(rng: &mut Rng, g: &AsGraph, me: AsId, procs: usize) -> Op {
         let n = g.n() as u32;
         let neighbors = g.neighbor_entries(me);
         let from = neighbors[rng.gen_range(0..neighbors.len())].neighbor;
@@ -1501,7 +1501,7 @@ mod rewinds {
                     et: arb_et(rng),
                     failover: rng.gen_bool(0.3),
                 };
-                let proc = ProcId(rng.gen_range(0u32..u32::from(procs)) as u8);
+                let proc = ProcId(rng.gen_range(0u32..procs as u32) as u8);
                 Op::Update(from, proc, PrefixId(rng.gen_range(0u32..2)), announce, info)
             }
             7..=8 => Op::LinkDown(from, arb_cause(rng, n)),
@@ -1558,14 +1558,13 @@ mod rewinds {
         g: &AsGraph,
         arena: &mut PathArena,
         me: AsId,
-        procs: u8,
         ops: usize,
         make: &impl Fn(AsId, u64) -> R,
     ) -> R {
         let mut r = make(me, rng.next_u64());
         let mut down = Down(Vec::new());
         for _ in 0..ops {
-            let op = arb_op(rng, g, me, procs);
+            let op = arb_op(rng, g, me, R::PROCS);
             apply(&mut r, g, me, arena, &mut down, &op);
         }
         r
@@ -1578,7 +1577,6 @@ mod rewinds {
     /// shown each `(a, b)` before the rewind.
     fn rewind_equals_clone<R: RouterLogic + Clone>(
         seed: u64,
-        procs: u8,
         make: impl Fn(AsId, u64) -> R,
         mut seen: impl FnMut(&R, &R),
     ) {
@@ -1588,16 +1586,16 @@ mod rewinds {
             let me = busy[rng.gen_range(0..busy.len())];
             let other = busy[rng.gen_range(0..busy.len())];
             let mut arena = PathArena::new();
-            let b = grown(rng, &g, &mut arena, me, procs, 40, &make);
+            let b = grown(rng, &g, &mut arena, me, 40, &make);
             let stale_ops = [0, 3, 40, 160][rng.gen_range(0usize..4)];
-            let mut a = grown(rng, &g, &mut arena, other, procs, stale_ops, &make);
+            let mut a = grown(rng, &g, &mut arena, other, stale_ops, &make);
             seen(&a, &b);
             a.clone_from(&b);
             let mut c = b.clone();
             let (mut arena_a, mut arena_c) = (arena.clone(), arena);
             let (mut down_a, mut down_c) = (Down(Vec::new()), Down(Vec::new()));
             for step in 0..60 {
-                let op = arb_op(rng, &g, me, procs);
+                let op = arb_op(rng, &g, me, R::PROCS);
                 let got = apply(&mut a, &g, me, &mut arena_a, &mut down_a, &op);
                 let want = apply(&mut c, &g, me, &mut arena_c, &mut down_c, &op);
                 assert_eq!(got, want, "step {step}: {op:?}");
@@ -1608,7 +1606,7 @@ mod rewinds {
 
     #[test]
     fn bgp_router_rewind_equals_clone() {
-        rewind_equals_clone(0xC10E1, 1, |v, _| BgpRouter::new(v, vec![]), |_, _| {});
+        rewind_equals_clone(0xC10E1, |v, _| BgpRouter::new(v, vec![]), |_, _| {});
     }
 
     #[test]
@@ -1618,7 +1616,6 @@ mod rewinds {
         let mut both = 0;
         rewind_equals_clone(
             0xC10E2,
-            1,
             |v, salt| {
                 let cfg = RbgpConfig { rci: salt & 1 == 0 };
                 RbgpRouter::new(v, vec![], cfg)
@@ -1638,7 +1635,6 @@ mod rewinds {
     fn stamp_router_rewind_equals_clone() {
         rewind_equals_clone(
             0xC10E3,
-            2,
             |v, salt| StampRouter::new(v, vec![], LockStrategy::Random { seed: salt }),
             |_, _| {},
         );
@@ -1679,7 +1675,6 @@ mod speaker_contract {
     /// the event for an announcement, before it for a retraction.
     fn adj_rib_out_is_what_was_told<R: RouterLogic>(
         seed: u64,
-        procs: u8,
         make: impl Fn(AsId, u64) -> R,
         books: fn(&R) -> &Speaker,
         holder: fn(&R, PrefixId) -> Option<AsId>,
@@ -1690,10 +1685,11 @@ mod speaker_contract {
             let me = busy[rng.gen_range(0..busy.len())];
             let mut arena = PathArena::new();
             let mut r = make(me, rng.next_u64());
+            assert_eq!(books(&r).procs(), R::PROCS, "runs what it declares");
             let mut down = Down(Vec::new());
             let mut model: BTreeMap<(AsId, ProcId, PrefixId), Route> = BTreeMap::new();
             for step in 0..120 {
-                let op = arb_op(rng, &g, me, procs);
+                let op = arb_op(rng, &g, me, R::PROCS);
                 let held_before = PREFIXES.map(|p| holder(&r, p));
                 let (out, _, _) = apply(&mut r, &g, me, &mut arena, &mut down, &op);
                 if let Op::LinkDown(n, _) | Op::LinkUp(n, _) = &op {
@@ -1723,7 +1719,7 @@ mod speaker_contract {
                 }
                 for (slot, e) in g.neighbor_entries(me).iter().enumerate() {
                     for p in PREFIXES {
-                        for proc in ProcId::first_n(usize::from(procs)) {
+                        for proc in ProcId::first_n(R::PROCS) {
                             let told = model.get(&(e.neighbor, proc, p));
                             let heard = books(&r).heard(slot, p, proc);
                             assert_eq!(heard, told, "step {step}: {op:?}");
@@ -1737,7 +1733,7 @@ mod speaker_contract {
     #[test]
     fn bgp_adj_rib_out_is_what_was_told() {
         let make = |v, _| BgpRouter::new(v, vec![PrefixId(1)]);
-        adj_rib_out_is_what_was_told(0xAD1, 1, make, BgpRouter::speaker, |_, _| None);
+        adj_rib_out_is_what_was_told(0xAD1, make, BgpRouter::speaker, |_, _| None);
     }
 
     #[test]
@@ -1747,13 +1743,13 @@ mod speaker_contract {
             RbgpRouter::new(v, vec![], cfg)
         };
         let (books, holder) = (RbgpRouter::speaker, RbgpRouter::failover_target);
-        adj_rib_out_is_what_was_told(0xAD2, 1, make, books, holder);
+        adj_rib_out_is_what_was_told(0xAD2, make, books, holder);
     }
 
     #[test]
     fn stamp_adj_rib_out_is_what_was_told() {
         let make = |v, seed| StampRouter::new(v, vec![], LockStrategy::Random { seed });
-        adj_rib_out_is_what_was_told(0xAD3, 2, make, StampRouter::speaker, |_, _| None);
+        adj_rib_out_is_what_was_told(0xAD3, make, StampRouter::speaker, |_, _| None);
     }
 
     /// Before any event is injected R-BGP adds nothing to BGP's choice: on
@@ -2006,7 +2002,7 @@ mod seeded_observation {
 
     /// Link and node failures and recoveries at overlapping instants, on
     /// elements of `g` (never the destination itself).
-    fn arb_timeline(g: &AsGraph, dest: AsId, rng: &mut Rng) -> Timeline {
+    pub(super) fn arb_timeline(g: &AsGraph, dest: AsId, rng: &mut Rng) -> Timeline {
         let mut at = SimDuration::ZERO;
         let mut events = Vec::new();
         for _ in 0..rng.gen_range(1usize..6) {
@@ -2136,6 +2132,110 @@ mod seeded_observation {
             let m = baseline.clone().measure(&mend, &everyone).unwrap();
             assert_eq!((m.affected, m.affected_blackholes), (1, 1), "{p}: only 0");
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// STAMP's phase reset clears flags and nothing else
+// ---------------------------------------------------------------------
+
+mod stamp_reset {
+    use super::seeded_observation::arb_timeline;
+    use super::*;
+    use stamp_repro::bgp::types::Color;
+    use stamp_repro::bgp::{FeedCursor, Touched};
+    use stamp_repro::stamp::StampRouter;
+    use stamp_repro::workload::{Protocol, RunParams, PREFIX};
+    use stamp_repro::Sim;
+
+    fn engine(sim: &Sim) -> &stamp_repro::bgp::Engine<StampRouter> {
+        sim.stamp().expect("built as STAMP")
+    }
+
+    /// At a quiescent point every AS's active colour holds a route
+    /// whenever the other colour does — exactly the condition under which
+    /// `switch_active`, with the flags cleared, keeps the active colour.
+    /// So the reset needs to clear the flags and nothing else.
+    fn assert_active_holds_a_route(sim: &Sim, what: &str) {
+        let e = engine(sim);
+        for v in e.topology().ases() {
+            let r = e.router(v);
+            let a = r.active_color(PREFIX);
+            let has = |c: Color| r.selection(PREFIX, c).is_some();
+            assert!(!has(a.other()) || has(a), "{what}: AS {v:?} active {a:?}");
+        }
+    }
+
+    /// The ASes holding an instability flag, ascending.
+    fn flagged(sim: &Sim) -> Vec<AsId> {
+        let e = engine(sim);
+        let any = |v: &AsId| {
+            Color::ALL
+                .iter()
+                .any(|&c| e.router(*v).is_unstable(PREFIX, c))
+        };
+        e.topology().ases().filter(any).collect()
+    }
+
+    /// Reset `sim` and return the ASes the reset marked, ascending.
+    fn reset_marks(sim: &mut Sim) -> Vec<AsId> {
+        let mut cursor = FeedCursor::default();
+        engine(sim).touched_since(&mut cursor, false);
+        sim.reset_measurement();
+        match engine(sim).touched_since(&mut cursor, false) {
+            Touched::All => panic!("a reset marks rows, not the table"),
+            Touched::Rows(a, b) => {
+                let mut v: Vec<AsId> = a.iter().chain(b).copied().collect();
+                v.sort_unstable();
+                v
+            }
+        }
+    }
+
+    /// The invariant, then a reset marks exactly the flagged ASes and
+    /// clears them, and a second reset marks none.
+    fn check_quiescent(sim: &mut Sim, what: &str) -> usize {
+        assert_active_holds_a_route(sim, what);
+        let held = flagged(sim);
+        assert_eq!(reset_marks(sim), held, "{what}");
+        assert!(flagged(sim).is_empty(), "{what}");
+        assert!(reset_marks(sim).is_empty(), "{what}: second reset");
+        assert_active_holds_a_route(sim, what);
+        held.len()
+    }
+
+    /// Random STAMP timelines under the paper's delays and MRAI, played
+    /// on a converged session, then again after a rewind to it.
+    #[test]
+    fn the_reset_marks_exactly_the_flagged_ases() {
+        let mut held = 0;
+        cases(16, 0x5E7F1A, |rng| {
+            let seed = rng.next_u64();
+            let g = generate(&GenConfig {
+                n_ases: rng.gen_range(40usize..90),
+                ..GenConfig::small(seed)
+            })
+            .expect("valid");
+            let dest = AsId(rng.gen_range(0u32..g.n() as u32));
+            let mut sim = Sim::on(&g)
+                .protocol(Protocol::Stamp)
+                .originate(dest, PREFIX)
+                .seed(seed)
+                .params(RunParams::paper())
+                .build()
+                .expect("dest drawn from g");
+            sim.converge();
+            held += check_quiescent(&mut sim, "converged");
+            let ck = sim.checkpoint();
+            for round in 0..2 {
+                let t = arb_timeline(&g, dest, rng);
+                sim.play(&t, &mut stamp_repro::sim::NullProbe)
+                    .expect("drawn on g");
+                held += check_quiescent(&mut sim, &format!("round {round}: {t:?}"));
+                sim.restore(&ck).expect("same protocol");
+            }
+        });
+        assert!(held > 0, "some timeline must leave a flag to clear");
     }
 }
 
