@@ -379,7 +379,9 @@ pub struct Engine<R: RouterLogic> {
     /// that never armed a timer — MRAI off, or built and not yet started —
     /// holds no table at all. A row is
     /// non-empty only while one of its timers is armed: the expiry that
-    /// finds every slot idle empties it.
+    /// finds every slot idle empties it. A copy takes the table only up to
+    /// its last non-empty row, so a copy of a quiescent engine holds none
+    /// (see the [`Clone`] impl).
     mrai: Vec<Vec<MraiSlot>>,
     /// Per-link session epoch: bumped whenever the sessions over a link
     /// reset (the link fails, or an endpoint node fails while the link is
@@ -1195,6 +1197,12 @@ impl<R: RouterLogic> Engine<R> {
 ///
 /// Both destructure the source without `..`: a field added to [`Engine`]
 /// does not compile until someone decides here whether a fork copies it.
+///
+/// The MRAI table is copied up to its last non-empty row only: a missing
+/// row reads as idle, so a copy of a quiescent engine carries no table.
+/// `clone_from` empties the rows its source lacks instead of dropping
+/// them, so an engine that keeps rewinding keeps every row buffer and
+/// re-arms without allocating.
 impl<R: RouterLogic + Clone> Clone for Engine<R> {
     fn clone(&self) -> Self {
         let Engine {
@@ -1223,7 +1231,7 @@ impl<R: RouterLogic + Clone> Clone for Engine<R> {
             sched: sched.clone(),
             state: state.clone(),
             channels: channels.clone(),
-            mrai: mrai.clone(),
+            mrai: live_rows(mrai).to_vec(),
             link_epoch: link_epoch.clone(),
             scenario_seq: *scenario_seq,
             delay_rng: delay_rng.clone(),
@@ -1274,7 +1282,16 @@ impl<R: RouterLogic + Clone> Clone for Engine<R> {
         self.sched.clone_from(sched);
         self.state.clone_from(state);
         self.channels.clone_from(channels);
-        self.mrai.clone_from(mrai);
+        let live = live_rows(mrai);
+        for (i, row) in self.mrai.iter_mut().enumerate() {
+            match live.get(i) {
+                Some(src) => row.clone_from(src),
+                None => row.clear(),
+            }
+        }
+        if let Some(rest) = live.get(self.mrai.len()..) {
+            self.mrai.extend_from_slice(rest);
+        }
         self.link_epoch.clone_from(link_epoch);
         self.scenario_seq = *scenario_seq;
         self.delay_rng.clone_from(delay_rng);
@@ -1283,6 +1300,15 @@ impl<R: RouterLogic + Clone> Clone for Engine<R> {
         self.started = *started;
         self.feed.invalidate(self.fixed.g.n());
     }
+}
+
+/// The MRAI rows a copy needs: those up to the last non-empty one.
+fn live_rows(mrai: &[Vec<MraiSlot>]) -> &[Vec<MraiSlot>] {
+    let n = mrai
+        .iter()
+        .rposition(|row| !row.is_empty())
+        .map_or(0, |i| i + 1);
+    mrai.get(..n).unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -1811,6 +1837,23 @@ mod more_tests {
         }
     }
 
+    /// What every resident baseline holds per route, and what every
+    /// queued message costs: a route is two 4-byte arena handles (path,
+    /// root cause) plus its attribute bits.
+    #[test]
+    fn a_route_and_what_carries_it_stay_compact() {
+        use crate::rib::RibEntry;
+        use crate::router::Selection;
+        use std::mem::size_of;
+        assert_eq!(size_of::<Option<crate::patharena::CauseId>>(), 4);
+        assert_eq!(size_of::<Route>(), 24);
+        assert_eq!(size_of::<RibEntry>(), 32);
+        assert_eq!(size_of::<Selection>(), 32);
+        assert_eq!(size_of::<UpdateMsg>(), 32);
+        assert_eq!(size_of::<MraiSlot>(), 40);
+        assert!(size_of::<Event>() <= 48, "{} B", size_of::<Event>());
+    }
+
     /// MRAI rows hold slots only while a timer is armed: mid-convergence
     /// some do, at quiescence none does — with two prefixes sharing every
     /// row, after cold convergence and after a link fails and recovers —
@@ -1847,7 +1890,34 @@ mod more_tests {
         assert!(e.run_to_quiescence(None).is_converged());
         assert_eq!(live(&e), 0);
         assert!(per_prefix(&e));
-        assert!(e.clone().mrai.iter().all(|row| row.capacity() == 0));
+        assert!(e.clone().mrai.is_empty(), "a quiescent copy takes no table");
+        // A rewind onto a quiescent copy empties every row and keeps its
+        // buffer; replaying the same events from there re-arms the same
+        // rows in those buffers, so no row is allocated or grown.
+        let quiet = e.clone();
+        let buffers = |e: &Engine<BgpRouter>| -> Vec<(usize, *const MraiSlot)> {
+            e.mrai
+                .iter()
+                .map(|row| (row.capacity(), row.as_ptr()))
+                .collect()
+        };
+        let before = buffers(&e);
+        assert_eq!(before.len(), e.channels.len());
+        assert!(before.iter().any(|&(cap, _)| cap > 0));
+        e.clone_from(&quiet);
+        assert_eq!(live(&e), 0);
+        assert_eq!(buffers(&e), before, "rows are emptied, not dropped");
+        e.inject_after(SimDuration::from_secs(1), ScenarioEvent::FailLink(id));
+        e.run_to_quiescence(Some(e.now() + SimDuration::from_secs(3)));
+        assert!(live(&e) > 0, "the replay re-armed timers");
+        assert_eq!(buffers(&e), before, "re-arming allocated no row");
+        // A rewind onto an armed source takes its rows, still in place.
+        let armed = e.clone();
+        assert_eq!(live(&armed), live(&e));
+        e.clone_from(&quiet);
+        e.clone_from(&armed);
+        assert_eq!(live(&e), live(&armed));
+        assert_eq!(buffers(&e), before);
     }
 
     /// A BGP session reset (§2.2's "routing event" example): the link drops

@@ -13,13 +13,20 @@
 //! the hash-consing dedupes, and a stable population is exactly what makes
 //! `PathId` comparisons sound for the whole run.
 //!
+//! R-BGP's root-cause records sit beside the paths, interned by value the
+//! same way: a route or withdrawal cites its cause as a 4-byte [`CauseId`]
+//! rather than carrying the 20-byte record, so the attribute costs every
+//! route of every protocol no padding.
+//!
 //! **Determinism.** Ids are assigned sequentially in intern order, and
 //! interning happens only while routers process events, whose order the
 //! deterministic scheduler fixes. Equal seeds therefore produce identical
 //! arenas — the invariant the determinism regression suite pins down.
 
+use crate::types::CauseInfo;
 use stamp_eventsim::{clone_in_place, FxHashMap};
 use stamp_topology::AsId;
+use std::num::NonZeroU32;
 
 /// Handle to an interned AS path. `PathId::NONE` is the empty path (used
 /// only as the terminal `tail` of origin nodes — no [`crate::types::Route`]
@@ -43,6 +50,12 @@ impl PathId {
         self.0
     }
 }
+
+/// Handle to an interned root-cause record ([`PathArena::intern_cause`]).
+/// Records are interned by value, so handle equality is record equality.
+/// Non-zero, so an `Option<CauseId>` is four bytes too.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct CauseId(NonZeroU32);
 
 /// One cons cell of the path DAG. `len`, `origin` and the membership
 /// `mask` are denormalised at intern time so the common accessors are O(1).
@@ -73,12 +86,19 @@ pub struct PathArena {
     /// keys are simulator-generated ids, never untrusted input, and one
     /// multiply beats SipHash rounds on the prepend-heavy intern path.
     index: FxHashMap<(AsId, PathId), PathId>,
+    /// Root-cause records, `CauseId` `i + 1` at `i`. Found by a linear
+    /// scan: a run holds one record per scenario event.
+    causes: Vec<CauseInfo>,
 }
 
-// A rewind adopts the source's nodes and intern index exactly, so a
-// replay re-interns its paths with the ids a cold run assigns (DESIGN.md
-// §12).
-clone_in_place!(PathArena { nodes, index });
+// A rewind adopts the source's nodes, intern index and cause records
+// exactly, so a replay re-interns its paths and causes with the ids a cold
+// run assigns (DESIGN.md §12).
+clone_in_place!(PathArena {
+    nodes,
+    index,
+    causes
+});
 
 impl PathArena {
     /// Empty arena.
@@ -138,6 +158,27 @@ impl PathArena {
             id = self.intern(asn, id);
         }
         id
+    }
+
+    /// The handle of `info`, interning it on first sight.
+    pub fn intern_cause(&mut self, info: CauseInfo) -> CauseId {
+        let i = match self.causes.iter().position(|c| *c == info) {
+            Some(i) => i,
+            None => {
+                self.causes.push(info);
+                self.causes.len() - 1
+            }
+        };
+        let raw = u32::try_from(i + 1).ok().and_then(NonZeroU32::new);
+        // simlint::allow(panic, "interning beyond u32::MAX causes is unrepresentable; fail loudly, not silently")
+        CauseId(raw.expect("cause table capacity exceeded"))
+    }
+
+    /// The record behind a handle this arena (or the one it was copied
+    /// from) handed out; `None` for a handle of another lineage.
+    #[inline]
+    pub fn cause(&self, id: CauseId) -> Option<CauseInfo> {
+        self.causes.get(id.0.get() as usize - 1).copied()
     }
 
     /// First AS of the path (the announcing neighbour / next hop).
@@ -399,6 +440,37 @@ mod tests {
             got
         };
         assert_eq!(replay(&mut a), replay(&mut baseline()));
+    }
+
+    #[test]
+    fn causes_intern_by_value_and_rewind_like_paths() {
+        use crate::types::RootCause;
+        let info = |seq, up| CauseInfo {
+            cause: RootCause::link(AsId(4), AsId(2)),
+            seq,
+            up,
+        };
+        let mut a = PathArena::new();
+        let down = a.intern_cause(info(1, false));
+        assert_eq!(
+            a.intern_cause(info(1, false)),
+            down,
+            "equal records, one handle"
+        );
+        let mark = a.clone();
+        let up = a.intern_cause(info(2, true));
+        assert_ne!(up, down);
+        assert_eq!(
+            (a.cause(down), a.cause(up)),
+            (Some(info(1, false)), Some(info(2, true)))
+        );
+        a.clone_from(&mark);
+        assert_eq!(a.cause(up), None, "a rewind forgets later records");
+        assert_eq!(
+            a.intern_cause(info(3, true)),
+            up,
+            "and hands their handles out again"
+        );
     }
 
     #[test]

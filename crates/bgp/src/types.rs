@@ -1,6 +1,6 @@
 //! Core protocol types shared by BGP, R-BGP and STAMP.
 
-use crate::patharena::{PathArena, PathId};
+use crate::patharena::{CauseId, PathArena, PathId};
 use stamp_topology::AsId;
 use std::fmt;
 
@@ -156,6 +156,19 @@ impl RootCause {
         }
     }
 
+    /// [`Self::invalidates_with_head`] on an interned path: chain walks
+    /// plus the holder→first-hop link, no allocation.
+    pub fn invalidates_path_with_head(&self, arena: &PathArena, head: AsId, path: PathId) -> bool {
+        match *self {
+            RootCause::Node(x) => head == x || arena.contains(path, x),
+            RootCause::Link(a, b) => {
+                let first = (!path.is_none()).then(|| arena.head(path));
+                first.is_some_and(|f| (head == a && f == b) || (head == b && f == a))
+                    || arena.traverses_link(path, a, b)
+            }
+        }
+    }
+
     /// Does `head · path` (a stored path with its holder prepended)
     /// traverse this cause? Avoids materialising the joined sequence.
     pub fn invalidates_with_head(&self, head: AsId, path: &[AsId]) -> bool {
@@ -182,8 +195,9 @@ pub struct PathAttrs {
     pub lock: bool,
     /// STAMP ET attribute (§5.2). `None` on protocols that don't set it.
     pub et: Option<EventType>,
-    /// R-BGP root-cause information attached to this update.
-    pub root_cause: Option<CauseInfo>,
+    /// R-BGP root-cause information attached to this update: a handle
+    /// into the engine's [`PathArena`], whose record R-BGP resolves.
+    pub root_cause: Option<CauseId>,
     /// R-BGP: this is a failover (backup) path, not the sender's best.
     pub failover: bool,
     /// Community tags, as bits of the active policy regime's community
@@ -196,8 +210,9 @@ pub struct PathAttrs {
 /// A route as stored in a RIB or carried in an announcement.
 ///
 /// The AS path lives in the engine's [`PathArena`]; the route itself is a
-/// `Copy` handle plus attributes, so installing, re-exporting and queueing
-/// routes never allocates. The path's first AS is the one that announced
+/// `Copy` handle plus attributes (R-BGP's root cause a second arena
+/// handle), 24 bytes, so installing, re-exporting and queueing routes
+/// never allocates. The path's first AS is the one that announced
 /// the route to us (the next hop); its last is the origin AS. A route
 /// announced by the origin itself has path `[origin]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -254,8 +269,8 @@ impl Route {
 /// Reasons a withdrawal (or loss-triggered update) cites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct WithdrawInfo {
-    /// Root cause if the sender runs RCI.
-    pub root_cause: Option<CauseInfo>,
+    /// Root cause if the sender runs RCI (a [`PathArena`] handle).
+    pub root_cause: Option<CauseId>,
     /// STAMP ET attribute on withdrawals: a withdrawal caused by an actual
     /// route loss carries `Lost`; STAMP's selective-announcement
     /// "backtracking" (a provider stops hearing blue because red now takes
@@ -395,8 +410,10 @@ mod tests {
     #[test]
     fn invalidates_with_head_matches_joined_slice() {
         let head = AsId(7);
+        let mut a = PathArena::new();
         for rest in [&[5u32, 2, 1][..], &[2, 5], &[]] {
             let rest = ids(rest);
+            let id = a.intern_slice(&rest);
             let mut joined = vec![head];
             joined.extend_from_slice(&rest);
             for rc in [
@@ -410,6 +427,11 @@ mod tests {
                     rc.invalidates_with_head(head, &rest),
                     rc.invalidates(&joined),
                     "{rc:?} on {joined:?}"
+                );
+                assert_eq!(
+                    rc.invalidates_path_with_head(&a, head, id),
+                    rc.invalidates(&joined),
+                    "{rc:?} on interned {joined:?}"
                 );
             }
         }

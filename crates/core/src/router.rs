@@ -260,10 +260,18 @@ impl StampRouter {
             Selection::Learned(d) => d.route.attrs.lock,
             Selection::None => false,
         });
-        let mut providers: Vec<AsId> = Vec::new();
+        // The live providers, in session order: the session slice's last
+        // class, listed as often as needed and never collected (liveness
+        // cannot change within one event).
+        let (nbrs, me, sessions) = (ctx.neighbors, ctx.me, ctx.sessions);
+        let first = nbrs.partition_point(|e| e.rel != Relation::Provider);
+        let providers = nbrs
+            .iter()
+            .skip(first)
+            .filter(move |e| sessions.session_entry_up(me, e))
+            .map(|e| e.neighbor);
         for (slot, e) in ctx.live_neighbors() {
             if e.rel == Relation::Provider {
-                providers.push(e.neighbor);
                 continue;
             }
             for c in Color::ALL {
@@ -280,16 +288,16 @@ impl StampRouter {
         let red_up = self.up_route(ctx, prefix, Color::Red, false);
         let blue_up = self.up_route(ctx, prefix, Color::Blue, lock_eligible);
         let locked_blue = blue_up.filter(|r| r.attrs.lock);
-        let sole = providers.len() == 1;
+        let sole = providers.clone().count() == 1;
         let lock_target = if sole {
             providers
-                .first()
-                .copied()
+                .clone()
+                .next()
                 .filter(|_| blue_up.is_some() && lock_eligible)
         } else if locked_blue.is_some() {
             let current = self.lock_target(prefix);
             self.lock_strategy
-                .choose(self.speaker.me(), prefix, &providers, current)
+                .choose(self.speaker.me(), prefix, providers, current)
         } else {
             None
         };

@@ -313,21 +313,14 @@ impl TransientTracker {
         self.control_evals += 1;
         let v = AsId::from_usize(i);
         // Key equality is path equality, so an unchanged selection set
-        // materialises no path; on a mismatch the set *definitely* changed
-        // and the invalidation check below needs only the current paths.
+        // walks no path; on a mismatch the set *definitely* changed and the
+        // invalidation check below needs only the current paths.
         // A view without a control plane has no key and flags nobody.
         let key = view.selection_key(v);
         if key.is_none() || self.baseline_keys.get(i) == Some(&key) {
             return;
         }
-        let paths = view.selection_paths(v);
-        let all_bad = paths.is_empty()
-            || paths.iter().all(|p| {
-                // The stored path excludes the holder itself; the first
-                // hop's link is (v, path[0]).
-                self.causes.iter().any(|c| c.invalidates_with_head(v, p))
-            });
-        if all_bad {
+        if view.selections_invalidated(v, &self.causes) {
             self.control_affected.raise(i);
         }
     }

@@ -13,7 +13,7 @@
 
 use stamp_bgp::engine::Engine;
 use stamp_bgp::router::{BgpRouter, RouterLogic};
-use stamp_bgp::types::{Color, PrefixId, ProcId};
+use stamp_bgp::types::{Color, PrefixId, ProcId, RootCause};
 use stamp_bgp::PathId;
 pub use stamp_bgp::{FeedCursor, Touched};
 use stamp_core::StampRouter;
@@ -100,6 +100,17 @@ pub trait ForwardingView {
     fn selection_key(&self, _v: AsId) -> Option<SelectionKey> {
         None
     }
+
+    /// Is every path of [`ForwardingView::selection_paths`] invalidated by
+    /// one of `causes` (vacuously so when `v` holds none)? A stored path
+    /// excludes `v`, so `v`'s first-hop link counts too. The default
+    /// materialises the paths; an engine view walks its arena instead.
+    fn selections_invalidated(&self, v: AsId, causes: &[RootCause]) -> bool {
+        let paths = self.selection_paths(v);
+        paths
+            .iter()
+            .all(|p| causes.iter().any(|c| c.invalidates_with_head(v, p)))
+    }
 }
 
 /// What a protocol adds to the shared engine view: how it forwards — its
@@ -180,6 +191,16 @@ impl<R: DataPlane> ForwardingView for EngineView<'_, R> {
     #[inline]
     fn selection_key(&self, v: AsId) -> Option<SelectionKey> {
         Some(self.key(v))
+    }
+
+    fn selections_invalidated(&self, v: AsId, causes: &[RootCause]) -> bool {
+        let paths = self.engine.paths();
+        let bad = |&p: &PathId| {
+            causes
+                .iter()
+                .any(|c| c.invalidates_path_with_head(paths, v, p))
+        };
+        self.key(v).ids().iter().all(bad)
     }
 }
 

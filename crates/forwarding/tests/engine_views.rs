@@ -355,6 +355,25 @@ fn assert_view_contract<R: DataPlane>(v: &EngineView<'_, R>) -> usize {
         assert_eq!(key.ids(), held, "selection_key({a})");
         let paths: Vec<_> = held.iter().map(|p| v.engine.paths().as_vec(*p)).collect();
         assert_eq!(v.selection_paths(a), paths, "selection_paths({a})");
+        // The arena walk answers what the materialised paths answer, for
+        // causes on the first-hop link, on the path and off it.
+        let first = paths.first().and_then(|p| p.first().copied());
+        let last = paths.last().and_then(|p| p.last().copied());
+        let on = [
+            first.map(|f| RootCause::link(a, f)),
+            last.map(RootCause::Node),
+            first.zip(last).map(|(f, l)| RootCause::link(f, l)),
+        ];
+        let mut causes: Vec<RootCause> = on.into_iter().flatten().collect();
+        causes.push(RootCause::Node(a));
+        for k in 0..=causes.len() {
+            let cs = &causes[..k];
+            assert_eq!(
+                v.selections_invalidated(a, cs),
+                NoFeed(v).selections_invalidated(a, cs),
+                "selections_invalidated({a}, {cs:?})"
+            );
+        }
         partial += usize::from(!held.is_empty() && held.len() < R::PROCS);
     }
     partial

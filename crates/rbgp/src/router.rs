@@ -12,9 +12,11 @@
 //! the neighbour that advertised it, and the one advertisement sent, with
 //! its target's. Liveness, relation and id of either end are reads of the
 //! entry. The root-cause records are a row too: the newest record per
-//! network element, found by a linear scan.
+//! network element, found by a linear scan. On the wire a cause is a
+//! [`CauseId`], a handle into the engine's arena: R-BGP interns the records
+//! of its own link events there and resolves the ones it hears.
 
-use stamp_bgp::patharena::PathArena;
+use stamp_bgp::patharena::{CauseId, PathArena};
 use stamp_bgp::rib::{row_mut, DecisionOutcome, Rank};
 use stamp_bgp::router::{route_attr_word, RouterCtx, RouterLogic, Selection, StateFingerprint};
 use stamp_bgp::speaker::Speaker;
@@ -95,7 +97,7 @@ impl Row {
 
 /// R-BGP's stamp on an outgoing update: the root cause, and withdrawals
 /// cite a loss (the speaker already set the retracted route's failover flag).
-fn wire(rc: Option<CauseInfo>) -> impl FnOnce(&mut UpdateKind) {
+fn wire(rc: Option<CauseId>) -> impl FnOnce(&mut UpdateKind) {
     move |kind| match kind {
         UpdateKind::Announce(r) => r.attrs.root_cause = rc,
         UpdateKind::Withdraw(w) => {
@@ -342,7 +344,7 @@ impl RbgpRouter {
         &mut self,
         ctx: &mut RouterCtx,
         prefix: PrefixId,
-        cause: Option<CauseInfo>,
+        cause: Option<CauseId>,
     ) {
         let new = match self.speaker.decide(ctx, prefix, ONLY) {
             Selection::None => self.pseudo_best(ctx, prefix, *self.selection(prefix)),
@@ -366,7 +368,7 @@ impl RbgpRouter {
     }
 
     /// The root cause to cite on the wire: `cause`, in RCI mode.
-    fn cited(&self, cause: Option<CauseInfo>) -> Option<CauseInfo> {
+    fn cited(&self, cause: Option<CauseId>) -> Option<CauseId> {
         cause.filter(|_| self.cfg.rci)
     }
 
@@ -381,7 +383,7 @@ impl RbgpRouter {
         ctx: &mut RouterCtx,
         prefix: PrefixId,
         slot: usize,
-        cause: Option<CauseInfo>,
+        cause: Option<CauseId>,
     ) {
         let mut want = self.speaker.export(ctx, prefix, ONLY, slot);
         if let (Some(r), Selection::Learned(d)) = (&mut want, self.selection(prefix)) {
@@ -399,7 +401,7 @@ impl RbgpRouter {
         &mut self,
         ctx: &mut RouterCtx,
         prefix: PrefixId,
-        cause: Option<CauseInfo>,
+        cause: Option<CauseId>,
     ) {
         let desired = self.compute_failover(ctx, prefix);
         let current = self.sent(prefix);
@@ -439,7 +441,7 @@ impl RbgpRouter {
         &mut self,
         ctx: &mut RouterCtx,
         mut touched: Vec<PrefixId>,
-        cause: Option<CauseInfo>,
+        cause: Option<CauseId>,
     ) {
         touched.sort_unstable();
         touched.dedup();
@@ -469,11 +471,10 @@ impl RouterLogic for RbgpRouter {
             UpdateKind::Announce(route) => route.attrs.root_cause,
             UpdateKind::Withdraw(info) => info.root_cause,
         };
-        let mut touched = match cause {
-            Some(rc) => self.learn_cause(ctx.arena, rc),
+        let mut touched = match cause.and_then(|id| ctx.arena.cause(id)) {
+            Some(info) => self.learn_cause(ctx.arena, info),
             None => Vec::new(),
         };
-        touched.push(prefix);
         match msg.kind {
             UpdateKind::Announce(route) => {
                 let stale = self.cfg.rci && self.path_invalidated(ctx.arena, &route);
@@ -507,7 +508,14 @@ impl RouterLogic for RbgpRouter {
                 }
             }
         }
-        self.reselect_all(ctx, touched, cause);
+        // The message's own prefix alone, unless the cause purged others:
+        // then all of them, the message's among them, in ascending order.
+        if touched.is_empty() {
+            self.reselect_and_export(ctx, prefix, cause);
+        } else {
+            touched.push(prefix);
+            self.reselect_all(ctx, touched, cause);
+        }
     }
 
     fn on_link_down(&mut self, ctx: &mut RouterCtx, slot: usize, cause: CauseInfo) {
@@ -523,17 +531,19 @@ impl RouterLogic for RbgpRouter {
             }
         }
         touched.extend(self.learn_cause(ctx.arena, cause));
-        self.reselect_all(ctx, touched, Some(cause));
+        let id = ctx.arena.intern_cause(cause);
+        self.reselect_all(ctx, touched, Some(id));
     }
 
     fn on_link_up(&mut self, ctx: &mut RouterCtx, slot: usize, cause: CauseInfo) {
         // Record the recovery; the up-state record rides on the
         // re-advertisement wave and unblocks the element at remote ASes.
         self.learn_cause(ctx.arena, cause);
+        let id = ctx.arena.intern_cause(cause);
         // Fresh session: the neighbour has none of our state.
         self.speaker.forget_heard(slot);
         for prefix in self.speaker.known_prefixes() {
-            self.advertise_best(ctx, prefix, slot, Some(cause));
+            self.advertise_best(ctx, prefix, slot, Some(id));
         }
     }
 
@@ -925,6 +935,11 @@ mod continuity_tests {
         assert_eq!(escape_target(&r, ctx.arena), Some(AsId(3)));
         drop(ctx);
         // Learn that link 8-9 died: the peer's failover is invalid too.
+        let down = a.intern_cause(CauseInfo {
+            cause: RootCause::link(AsId(8), AsId(9)),
+            seq: 1,
+            up: false,
+        });
         let mut ctx = RouterCtx::new(AsId(1), &g, &AllUp, &mut a);
         r.on_update(
             &mut ctx,
@@ -933,11 +948,7 @@ mod continuity_tests {
             UpdateMsg {
                 prefix: P,
                 kind: UpdateKind::Withdraw(WithdrawInfo {
-                    root_cause: Some(CauseInfo {
-                        cause: RootCause::link(AsId(8), AsId(9)),
-                        seq: 1,
-                        up: false,
-                    }),
+                    root_cause: Some(down),
                     ..WithdrawInfo::loss()
                 }),
             },

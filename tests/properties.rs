@@ -1217,9 +1217,9 @@ mod failover_ties {
             self.deliver(slot, UpdateMsg { prefix: P, kind })
         }
 
-        fn withdraw(&mut self, slot: usize, prefix: PrefixId, root_cause: Option<CauseInfo>) {
+        fn withdraw(&mut self, slot: usize, prefix: PrefixId, cause: Option<CauseInfo>) {
             let info = WithdrawInfo {
-                root_cause,
+                root_cause: cause.map(|c| self.arena.intern_cause(c)),
                 ..WithdrawInfo::default()
             };
             let kind = UpdateKind::Withdraw(info);
@@ -1438,14 +1438,18 @@ mod rewinds {
         }
     }
 
+    /// A root-cause record an update cites, interned into the receiver's
+    /// arena when the update is applied.
+    type Cited = Option<CauseInfo>;
+
     #[derive(Debug, Clone)]
     pub(super) enum Op {
         Update(
             AsId,
             ProcId,
             PrefixId,
-            Option<(Vec<AsId>, PathAttrs)>,
-            WithdrawInfo,
+            Option<(Vec<AsId>, PathAttrs, Cited)>,
+            (WithdrawInfo, Cited),
         ),
         LinkDown(AsId, CauseInfo),
         LinkUp(AsId, CauseInfo),
@@ -1487,22 +1491,30 @@ mod rewinds {
                 let announce = gen::option(rng, |rng| {
                     let mut path = vec![from];
                     path.extend(gen::vec(rng, 0..5, |r| AsId(r.gen_range(0..n.min(24)))));
+                    let (lock, et) = (gen::bool(rng), arb_et(rng));
+                    let cause = gen::option(rng, |r| arb_cause(r, n));
                     let attrs = PathAttrs {
-                        lock: gen::bool(rng),
-                        et: arb_et(rng),
-                        root_cause: gen::option(rng, |r| arb_cause(r, n)),
+                        lock,
+                        et,
                         failover: rng.gen_bool(0.3),
                         ..PathAttrs::default()
                     };
-                    (path, attrs)
+                    (path, attrs, cause)
                 });
+                let cause = gen::option(rng, |r| arb_cause(r, n));
                 let info = WithdrawInfo {
-                    root_cause: gen::option(rng, |r| arb_cause(r, n)),
                     et: arb_et(rng),
                     failover: rng.gen_bool(0.3),
+                    ..WithdrawInfo::default()
                 };
                 let proc = ProcId(rng.gen_range(0u32..procs as u32) as u8);
-                Op::Update(from, proc, PrefixId(rng.gen_range(0u32..2)), announce, info)
+                Op::Update(
+                    from,
+                    proc,
+                    PrefixId(rng.gen_range(0u32..2)),
+                    announce,
+                    (info, cause),
+                )
             }
             7..=8 => Op::LinkDown(from, arb_cause(rng, n)),
             _ => Op::LinkUp(from, arb_cause(rng, n)),
@@ -1528,13 +1540,19 @@ mod rewinds {
             let slot = |n: &AsId| g.slot_between(me, *n).expect("arb_op draws a neighbour");
             let mut ctx = RouterCtx::new(me, g, &*down, arena);
             match op {
-                Op::Update(from, proc, prefix, announce, info) => {
+                Op::Update(from, proc, prefix, announce, (info, cause)) => {
                     let kind = match announce {
-                        Some((path, attrs)) => UpdateKind::Announce(Route {
+                        Some((path, attrs, cause)) => UpdateKind::Announce(Route {
                             path: ctx.arena.intern_slice(path),
-                            attrs: *attrs,
+                            attrs: PathAttrs {
+                                root_cause: cause.map(|c| ctx.arena.intern_cause(c)),
+                                ..*attrs
+                            },
                         }),
-                        None => UpdateKind::Withdraw(*info),
+                        None => UpdateKind::Withdraw(WithdrawInfo {
+                            root_cause: cause.map(|c| ctx.arena.intern_cause(c)),
+                            ..*info
+                        }),
                     };
                     let msg = UpdateMsg {
                         prefix: *prefix,
@@ -1798,6 +1816,51 @@ mod speaker_contract {
                         }
                     }
                 }
+            }
+        });
+    }
+
+    /// Root-cause information acts only on a cause, and converging from
+    /// cold injects none: on random topologies, under the paper's MRAI or
+    /// none, R-BGP with and without RCI converge to the identical state —
+    /// every selection (path ids included) and failover target, the
+    /// arena's path count, every run counter.
+    #[test]
+    fn rbgp_converges_identically_with_and_without_rci() {
+        cases(24, 0x2C1, |rng| {
+            let g = generate(&arb_gen_config(rng)).expect("valid");
+            let Some(&dest) = rng.choose(&destination_candidates(&g)) else {
+                return;
+            };
+            let seed = rng.next_u64();
+            let params = match gen::bool(rng) {
+                true => RunParams::paper(),
+                false => RunParams::fast(),
+            };
+            let converged = |p: Protocol| {
+                let mut sim = Sim::on(&g)
+                    .protocol(p)
+                    .originate(dest, PREFIX)
+                    .seed(seed)
+                    .params(params.clone())
+                    .build()
+                    .expect("in range");
+                sim.converge();
+                sim
+            };
+            let (with, without) = (converged(Protocol::Rbgp), converged(Protocol::RbgpNoRci));
+            assert_eq!(with.stats(), without.stats(), "towards {dest}");
+            let (a, b) = (with.rbgp().expect("rbgp"), without.rbgp().expect("rbgp"));
+            assert_eq!(a.paths().node_count(), b.paths().node_count());
+            for v in g.ases() {
+                let (ra, rb) = (a.router(v), b.router(v));
+                assert_eq!(ra.selection(PREFIX), rb.selection(PREFIX), "{v}");
+                assert_eq!(
+                    ra.failover_target(PREFIX),
+                    rb.failover_target(PREFIX),
+                    "{v}"
+                );
+                assert!(ra.known_causes().is_empty() && rb.known_causes().is_empty());
             }
         });
     }
