@@ -1656,6 +1656,90 @@ mod tests {
         assert!(e.stats().withdrawals_sent > 0);
     }
 
+    /// An event that falls on an MRAI timer's exact deadline meets the
+    /// expiry in `(time, seq)` order. On the diamond, 4–2 fails and AS 0
+    /// falls back to its peer route, arming its timer towards 2; at that
+    /// timer's deadline the peering 0–1 fails and recovers. Scheduled
+    /// before the timer was armed, the failure runs first: 0's withdrawal
+    /// to 2 waits, and the expiry at the same instant flushes it after
+    /// the recovery's announcement from 1 drew its delay. Scheduled after,
+    /// the timer has lapsed and the withdrawal goes out at once, drawing
+    /// first. Pinned: the instant 2 loses its route, both ways.
+    #[test]
+    fn an_event_on_a_timer_deadline_meets_it_in_scheduling_order() {
+        let g = diamond();
+        let cfg = EngineConfig {
+            seed: 9,
+            ..EngineConfig::default()
+        };
+        let mut base: Engine<BgpRouter> = Engine::new(g.clone(), cfg, |v| {
+            let own = if v == AsId(4) {
+                vec![PrefixId(0)]
+            } else {
+                vec![]
+            };
+            BgpRouter::new(v, own)
+        });
+        base.start();
+        assert!(base.run_to_quiescence(None).is_converged());
+        let hop = |e: &Engine<BgpRouter>, v: u32| e.router(AsId(v)).next_hop(PrefixId(0));
+        let down = g.link_between(AsId(4), AsId(2)).unwrap();
+        let peering = g.link_between(AsId(0), AsId(1)).unwrap();
+        let t1 = base.now() + SimDuration::from_secs(1);
+
+        // When 0 switches to its peer route, it announces it to 2 and arms
+        // the timer of 0→2.
+        let mut probe = base.clone();
+        probe.inject_at(t1, ScenarioEvent::FailLink(down));
+        let mut armed = None;
+        probe.run_until_quiescent(None, |e, t| {
+            if armed.is_none() && hop(e, 0) == Some(AsId(1)) {
+                armed = Some(t);
+            }
+        });
+        let sess = g.sess_between(AsId(0), AsId(2)).unwrap();
+        let deadline = armed.unwrap() + base.fixed.mrai_interval[sess.index()];
+
+        let run = |before: bool| {
+            let mut e = base.clone();
+            e.inject_at(t1, ScenarioEvent::FailLink(down));
+            if !before {
+                let just_before = SimTime::from_micros(deadline.as_micros() - 1);
+                let outcome = e.run_to_quiescence(Some(just_before));
+                assert_eq!(
+                    outcome,
+                    RunOutcome::BudgetExhausted,
+                    "the expiry lies ahead"
+                );
+            }
+            e.inject_at(deadline, ScenarioEvent::FailLink(peering));
+            e.inject_at(deadline, ScenarioEvent::RecoverLink(peering));
+            let mut lost = None;
+            let outcome = e.run_until_quiescent(None, |e, t| {
+                if t >= deadline && lost.is_none() && hop(e, 2).is_none() {
+                    lost = Some(t);
+                }
+            });
+            assert!(outcome.is_converged());
+            (lost.unwrap().since(deadline), e.stats().events, e.now())
+        };
+        let (parked, flushed_events, flushed_end) = run(true);
+        let (at_once, lapsed_events, lapsed_end) = run(false);
+        assert_ne!(
+            parked, at_once,
+            "the two orders draw the delays differently"
+        );
+        assert_eq!(
+            (parked.as_micros(), at_once.as_micros()),
+            (17_274, 16_673),
+            "delivery after the deadline, µs"
+        );
+        assert_eq!(
+            (flushed_events, flushed_end.as_micros()),
+            (lapsed_events, lapsed_end.as_micros())
+        );
+    }
+
     #[test]
     fn messages_in_flight_on_failed_link_are_dropped() {
         let g = diamond();
@@ -2061,6 +2145,10 @@ mod more_tests {
     }
 
     fn naive_engine(seed: u64) -> Engine<BgpRouter> {
+        naive_engine_with(seed, SessionModel::fast())
+    }
+
+    fn naive_engine_with(seed: u64, sessions: SessionModel) -> Engine<BgpRouter> {
         let cfg = EngineConfig {
             policy: stamp_policy::PolicyRegime::by_name("naive-prefer-peer")
                 .unwrap()
@@ -2071,6 +2159,7 @@ mod more_tests {
                 sample_every: SimDuration::from_secs(1),
                 max_events: 10_000_000,
             },
+            sessions,
             ..EngineConfig::fast(seed)
         };
         Engine::new(gadget(), cfg, |v| {
@@ -2097,6 +2186,24 @@ mod more_tests {
         }
         // Bounded sim time: detection well before the deadline.
         assert!(e.now() < SimTime::from_secs(60));
+    }
+
+    /// Under the paper's jittered delays and MRAI the wheel still turns:
+    /// most timers carry an update, and those that lapse do not hide the
+    /// cycle from the watchdog.
+    #[test]
+    fn bad_gadget_diverges_under_the_paper_session_model() {
+        for seed in [7, 8] {
+            let mut e = naive_engine_with(seed, SessionModel::paper());
+            e.start();
+            match e.run_to_quiescence(Some(SimTime::from_secs(3600))) {
+                RunOutcome::Diverged { period, churn } => {
+                    assert!(period > SimDuration::ZERO);
+                    assert!(churn > 0, "a cycle with no events is impossible");
+                }
+                other => panic!("seed {seed}: expected Diverged, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod time;
 
 pub use channel::{DelayModel, FifoChannel, LossModel};
 pub use fxhash::{Fnv1a, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use queue::Scheduler;
+pub use queue::{Scheduler, Ticket};
 pub use rng::{derive_seed, rng_stream, Rng};
 pub use time::{SimDuration, SimTime};
 

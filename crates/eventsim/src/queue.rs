@@ -3,6 +3,9 @@
 //! The heap orders 16-byte keys, `(time_us, seq << 24 | slot)` packed into
 //! one `u128`; the events themselves wait in a slab of 1024-slot chunks
 //! beside it, so a sift moves and compares a key and never a payload.
+//! A place in that order can be reserved ahead of its event ([`Ticket`]):
+//! the event enters the heap only if it is ever scheduled, and pops where it
+//! would have popped had it been scheduled when its place was reserved.
 //! DESIGN.md §10.5 has the layout and its bounds.
 
 use crate::time::SimTime;
@@ -22,13 +25,34 @@ const MAX_SEQ: u64 = 1 << (64 - SLOT_BITS);
 const CHUNK_BITS: u32 = 10;
 const CHUNK: usize = 1 << CHUNK_BITS;
 
+/// A place in the scheduler's `(time, seq)` order: a heap key without its
+/// slot. Tickets compare in pop order, and the default ticket precedes
+/// every place a scheduler hands out.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Ticket(u128);
+
+impl Ticket {
+    /// The place of sequence number `seq` at `at`.
+    #[inline]
+    fn new(at: SimTime, seq: u64) -> Ticket {
+        Ticket(u128::from(at.as_micros()) << 64 | u128::from(seq) << SLOT_BITS)
+    }
+
+    /// The instant this place falls on.
+    #[inline]
+    pub fn time(self) -> SimTime {
+        time_of(self.0)
+    }
+}
+
 /// A deterministic future-event list.
 ///
 /// The scheduler tracks the current simulation time: it advances to an
 /// event's timestamp when the event is popped. Scheduling in the past is a
 /// logic error and panics (it would silently reorder causality otherwise).
 /// Events at equal times pop in insertion order: a key's sequence number is
-/// unique, so the slot in its low bits never decides.
+/// unique, so the slot in its low bits never decides. An event scheduled
+/// into a [`Scheduler::reserve`]d place pops in reservation order instead.
 pub struct Scheduler<E> {
     /// Min-heap of keys `time_us << 64 | seq << SLOT_BITS | slot`: one
     /// integer compare orders `(time, seq)`.
@@ -38,7 +62,12 @@ pub struct Scheduler<E> {
     chunks: Vec<Vec<Option<E>>>,
     /// Freed slots; the last one freed is reused first.
     free: Vec<u32>,
-    now: SimTime,
+    /// The place of the last event popped (or the one
+    /// [`Scheduler::advance_to`] moved to); its time is the clock.
+    cursor: Ticket,
+    /// The next sequence number. It starts at 1: the default ticket,
+    /// sequence 0 at time zero, is never handed out, so it precedes every
+    /// place that is.
     seq: u64,
 }
 
@@ -51,7 +80,7 @@ impl<E> Default for Scheduler<E> {
 // A rewind keeps the buffers of the chunks both sides hold (`Vec::clone_from`
 // copies element-wise into the target's own), and a drained source's chunks
 // are empty, so copying it allocates no payload.
-crate::clone_in_place!(Scheduler<E> { heap, chunks, free, now, seq });
+crate::clone_in_place!(Scheduler<E> { heap, chunks, free, cursor, seq });
 
 impl<E> Scheduler<E> {
     /// Empty scheduler at time zero.
@@ -60,15 +89,22 @@ impl<E> Scheduler<E> {
             heap: BinaryHeap::new(),
             chunks: Vec::new(),
             free: Vec::new(),
-            now: SimTime::ZERO,
-            seq: 0,
+            cursor: Ticket::default(),
+            seq: 1,
         }
     }
 
     /// Current simulation time (timestamp of the last popped event).
     #[inline]
     pub fn now(&self) -> SimTime {
-        self.now
+        self.cursor.time()
+    }
+
+    /// The place of the event being handled: the last one popped. A
+    /// reserved place after it has not been reached yet.
+    #[inline]
+    pub fn cursor(&self) -> Ticket {
+        self.cursor
     }
 
     /// Number of pending events.
@@ -85,35 +121,61 @@ impl<E> Scheduler<E> {
 
     /// Schedule `event` at absolute time `at` (must not precede `now`).
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
+        let ticket = self.reserve(at);
+        self.schedule_reserved(ticket, event);
+    }
+
+    /// Take the place an event scheduled at `at` now would take, without
+    /// scheduling one: it uses up a sequence number exactly as
+    /// [`Scheduler::schedule_at`] does. A place never scheduled into costs
+    /// nothing more.
+    pub fn reserve(&mut self, at: SimTime) -> Ticket {
         assert!(
-            at >= self.now,
+            at >= self.now(),
             "scheduling into the past: at={at} < now={now}",
             at = at.as_micros(),
-            now = self.now.as_micros()
+            now = self.now().as_micros()
         );
         assert!(
             self.seq < MAX_SEQ,
             "scheduler sequence exhausted: {MAX_SEQ} events inserted"
         );
-        let slot = self.park(event);
-        let order = self.seq << SLOT_BITS | u64::from(slot);
-        self.heap.push(Reverse(
-            u128::from(at.as_micros()) << 64 | u128::from(order),
-        ));
+        let ticket = Ticket::new(at, self.seq);
         self.seq += 1;
+        ticket
+    }
+
+    /// Schedule `event` into a place [`Scheduler::reserve`] handed out and
+    /// the clock has not passed. At most one event may fill a place.
+    pub fn schedule_reserved(&mut self, ticket: Ticket, event: E) {
+        assert!(
+            ticket > self.cursor,
+            "scheduling into the past: a reserved place at={at} the clock has passed",
+            at = ticket.time().as_micros()
+        );
+        let slot = self.park(event);
+        self.heap.push(Reverse(ticket.0 | u128::from(slot)));
     }
 
     /// Schedule `event` after a delay from the current time.
     pub fn schedule_after(&mut self, delay: crate::time::SimDuration, event: E) {
-        self.schedule_at(self.now + delay, event);
+        self.schedule_at(self.now() + delay, event);
+    }
+
+    /// Move the clock of a drained scheduler to `at`, past every place
+    /// reserved so far: where popping events scheduled into the places
+    /// reserved up to `at` would have left it.
+    pub fn advance_to(&mut self, at: SimTime) {
+        assert!(at >= self.now(), "advancing into the past");
+        assert!(self.is_empty(), "advancing past a pending event");
+        self.cursor = Ticket::new(at, self.seq - 1).max(self.cursor);
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let Reverse(key) = self.heap.pop()?;
-        let time = time_of(key);
-        debug_assert!(time >= self.now);
-        self.now = time;
+        debug_assert!(key > self.cursor.0);
+        self.cursor = Ticket(key & !SLOT_MASK);
         // The mask keeps 24 bits, so the conversion cannot fail.
         let slot = u32::try_from(key & SLOT_MASK).unwrap_or(u32::MAX);
         let event = self.cell(slot).and_then(Option::take);
@@ -124,6 +186,7 @@ impl<E> Scheduler<E> {
         } else {
             self.free.push(slot);
         }
+        let time = self.now();
         // simlint::allow(panic, "a key in the heap names a slot its event still fills")
         Some((time, event.expect("a pending key names a filled slot")))
     }
@@ -214,6 +277,8 @@ mod tests {
     struct Reference<E> {
         heap: BinaryHeap<Entry<E>>,
         now: SimTime,
+        /// The sequence number of the last entry popped.
+        popped: u64,
         seq: u64,
     }
 
@@ -222,8 +287,15 @@ mod tests {
             Reference {
                 heap: BinaryHeap::new(),
                 now: SimTime::ZERO,
-                seq: 0,
+                popped: 0,
+                seq: 1,
             }
+        }
+
+        /// Use up a sequence number, as a place reserved and never filled
+        /// does.
+        fn skip(&mut self) {
+            self.seq += 1;
         }
 
         fn schedule_at(&mut self, at: SimTime, event: E) {
@@ -239,7 +311,13 @@ mod tests {
         fn pop(&mut self) -> Option<(SimTime, E)> {
             let e = self.heap.pop()?;
             self.now = e.time;
+            self.popped = e.seq;
             Some((e.time, e.event))
+        }
+
+        /// The place of the next entry.
+        fn next(&self) -> Option<Ticket> {
+            self.heap.peek().map(|e| Ticket::new(e.time, e.seq))
         }
     }
 
@@ -321,6 +399,59 @@ mod tests {
     }
 
     #[test]
+    fn a_reserved_place_pops_in_reservation_order() {
+        let mut s = Scheduler::new();
+        let t = SimTime::from_millis(5);
+        let early = s.reserve(t);
+        s.schedule_at(t, "second");
+        let lapsed = s.reserve(t);
+        s.schedule_at(t, "third");
+        s.schedule_reserved(early, "first");
+        assert!(early < lapsed && early.time() == t);
+        assert_eq!(s.len(), 3);
+        let order: Vec<_> = std::iter::from_fn(|| s.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec!["first", "second", "third"]);
+        assert!(s.cursor() > lapsed, "the last pop passed the lapsed place");
+    }
+
+    #[test]
+    fn advance_to_passes_every_reserved_place() {
+        let mut s = Scheduler::new();
+        assert!(Ticket::default() < s.reserve(SimTime::ZERO));
+        s.schedule_at(SimTime::from_millis(1), 0);
+        let late = s.reserve(SimTime::from_millis(9));
+        let later = s.reserve(SimTime::from_millis(9));
+        s.pop();
+        assert!(s.cursor() < late);
+        s.advance_to(SimTime::from_millis(9));
+        assert_eq!(s.now(), SimTime::from_millis(9));
+        assert!(s.cursor() > late && s.cursor() >= later);
+        // A place reserved afterwards lies ahead of the cursor again.
+        let next = s.reserve(SimTime::from_millis(9));
+        assert!(s.cursor() < next);
+        s.schedule_reserved(next, 1);
+        assert_eq!(s.pop(), Some((SimTime::from_millis(9), 1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduling into the past")]
+    fn rejects_a_reserved_place_the_clock_has_passed() {
+        let mut s = Scheduler::new();
+        let t = s.reserve(SimTime::from_millis(2));
+        s.schedule_at(SimTime::from_millis(3), 0);
+        s.pop();
+        s.schedule_reserved(t, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "advancing past a pending event")]
+    fn advance_to_rejects_a_pending_event() {
+        let mut s = Scheduler::new();
+        s.schedule_at(SimTime::from_millis(2), ());
+        s.advance_to(SimTime::from_millis(1));
+    }
+
+    #[test]
     fn a_drained_copy_holds_no_payload_and_a_rewind_keeps_its_chunks() {
         let mut s = Scheduler::new();
         for i in 0..3 * CHUNK as u64 {
@@ -369,6 +500,14 @@ mod tests {
         },
         /// One event hours ahead.
         FarFuture,
+        /// `n` places at `now + 0..spread` µs, each either filled later
+        /// (the reference schedules its event now) or never (a lapse).
+        Reserve {
+            n: usize,
+            spread: u64,
+        },
+        /// Fill every reserved place now, ahead of its turn.
+        FillAll,
         Pop {
             n: usize,
         },
@@ -384,7 +523,12 @@ mod tests {
     }
 
     fn step(rng: &mut crate::rng::Rng) -> Step {
-        match rng.gen_range(0u32..16) {
+        match rng.gen_range(0u32..19) {
+            16 | 17 => Step::Reserve {
+                n: rng.gen_range(1usize..CHUNK),
+                spread: rng.gen_range(1u64..40_000_000),
+            },
+            18 => Step::FillAll,
             0..=4 => Step::Schedule {
                 n: rng.gen_range(1usize..2 * CHUNK),
                 spread: rng.gen_range(1u64..40_000_000),
@@ -407,27 +551,49 @@ mod tests {
         }
     }
 
-    fn assert_same(s: &Scheduler<u64>, r: &Reference<u64>, at: &str) {
+    /// Places reserved in the scheduler whose events the reference already
+    /// holds, with their payloads.
+    type Held = Vec<(Ticket, u64)>;
+
+    fn assert_same(s: &Scheduler<u64>, r: &Reference<u64>, held: &Held, at: &str) {
         assert_eq!(s.now(), r.now, "{at}: now");
-        assert_eq!(s.len(), r.heap.len(), "{at}: len");
-        assert_eq!(s.is_empty(), r.heap.is_empty(), "{at}: is_empty");
-        assert_eq!(
-            s.peek_time(),
-            r.heap.peek().map(|e| e.time),
-            "{at}: peek_time"
-        );
+        assert_eq!(s.cursor(), Ticket::new(r.now, r.popped), "{at}: cursor");
+        assert_eq!(s.len() + held.len(), r.heap.len(), "{at}: len");
+        let next_held = held.iter().map(|&(t, _)| t.time()).min();
+        let next = match (s.peek_time(), next_held) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        assert_eq!(next, r.heap.peek().map(|e| e.time), "{at}: peek_time");
+    }
+
+    /// Pop both queues once and compare, first filling the reserved
+    /// place whose turn it is, as the engine fills an MRAI timer's place
+    /// before the clock reaches it. Returns whether an event popped.
+    fn pop_both(s: &mut Scheduler<u64>, r: &mut Reference<u64>, held: &mut Held, at: &str) -> bool {
+        if let Some(next) = r.next() {
+            if let Some(i) = held.iter().position(|&(t, _)| t == next) {
+                let (ticket, payload) = held.swap_remove(i);
+                s.schedule_reserved(ticket, payload);
+            }
+        }
+        let want = r.pop();
+        assert_eq!(s.pop(), want, "{at}");
+        want.is_some()
     }
 
     #[test]
     fn keys_and_slab_pop_exactly_as_the_reference() {
         let (mut chunks_above, mut chunks_below) = (0, 0);
-        check::cases(48, 0x5c4e_d01e, |rng| {
+        let (mut filled, mut lapsed) = (0, 0);
+        check::cases(96, 0x5c4e_d01e, |rng| {
             let mut s: Scheduler<u64> = Scheduler::new();
             let mut r: Reference<u64> = Reference::new();
+            let mut held: Held = Vec::new();
             // Snapshots taken at different depths, so a rewind lands on a
             // source holding more chunks than the target, or fewer.
-            let mut saved: [(Scheduler<u64>, Reference<u64>); 3] =
-                std::array::from_fn(|_| (Scheduler::new(), Reference::new()));
+            let mut saved: [(Scheduler<u64>, Reference<u64>, Held); 3] =
+                std::array::from_fn(|_| (Scheduler::new(), Reference::new(), Vec::new()));
             let mut payload = 0u64;
             for k in 0..rng.gen_range(20usize..60) {
                 let st = step(rng);
@@ -457,22 +623,44 @@ mod tests {
                         r.schedule_at(t, payload);
                         payload += 1;
                     }
+                    Step::Reserve { n, spread } => {
+                        for _ in 0..n {
+                            let t = SimTime::from_micros(
+                                s.now().as_micros() + rng.gen_range(0..spread),
+                            );
+                            let ticket = s.reserve(t);
+                            if rng.gen_range(0u32..3) == 0 {
+                                r.skip();
+                                lapsed += 1;
+                            } else {
+                                r.schedule_at(t, payload);
+                                held.push((ticket, payload));
+                                payload += 1;
+                                filled += 1;
+                            }
+                        }
+                    }
+                    Step::FillAll => {
+                        for (ticket, payload) in held.drain(..) {
+                            s.schedule_reserved(ticket, payload);
+                        }
+                    }
                     Step::Pop { n } => {
                         for _ in 0..n {
-                            assert_eq!(s.pop(), r.pop(), "{at}");
-                            assert_same(&s, &r, &at);
+                            pop_both(&mut s, &mut r, &mut held, &at);
+                            assert_same(&s, &r, &held, &at);
                         }
                     }
                     Step::Drain => {
-                        while let Some(e) = r.pop() {
-                            assert_eq!(s.pop(), Some(e), "{at}");
-                        }
-                        assert_eq!(s.pop(), None, "{at}");
+                        while pop_both(&mut s, &mut r, &mut held, &at) {}
+                        assert!(held.is_empty());
                         assert!(s.free.is_empty() && s.chunks.iter().all(Vec::is_empty));
                     }
-                    Step::Checkpoint { into } => saved[into] = (s.clone(), r.clone()),
+                    Step::Checkpoint { into } => {
+                        saved[into] = (s.clone(), r.clone(), held.clone());
+                    }
                     Step::Rewind { from } => {
-                        let (saved_s, saved_r) = &saved[from];
+                        let (saved_s, saved_r, saved_held) = &saved[from];
                         match s.chunks.len().cmp(&saved_s.chunks.len()) {
                             Ordering::Greater => chunks_above += 1,
                             Ordering::Less => chunks_below += 1,
@@ -480,19 +668,20 @@ mod tests {
                         }
                         s.clone_from(saved_s);
                         r.clone_from(saved_r);
+                        held.clone_from(saved_held);
                     }
                 }
-                assert_same(&s, &r, &at);
+                assert_same(&s, &r, &held, &at);
             }
-            while let Some(e) = r.pop() {
-                assert_eq!(s.pop(), Some(e));
-            }
-            assert!(s.is_empty());
+            while pop_both(&mut s, &mut r, &mut held, "final drain") {}
+            assert!(s.is_empty() && held.is_empty());
         });
-        // Both rewind directions were exercised, more than a few times.
+        // Both rewind directions were exercised, more than a few times,
+        // and reserved places were both filled and left to lapse.
         assert!(
             chunks_above >= 8 && chunks_below >= 8,
             "{chunks_above} / {chunks_below}"
         );
+        assert!(filled >= 1000 && lapsed >= 500, "{filled} / {lapsed}");
     }
 }

@@ -2310,15 +2310,16 @@ mod idle_state {
     use super::*;
     use stamp_repro::bgp::engine::{Engine, EngineConfig, RunStats, ScenarioEvent};
     use stamp_repro::bgp::router::BgpRouter;
-    use stamp_repro::eventsim::{Fnv1a, SimDuration};
+    use stamp_repro::eventsim::{Fnv1a, SimDuration, SimTime};
     use stamp_repro::topology::{AsGraph, GraphBuilder, LinkId};
     use stamp_repro::workload::{
         adversarial_families, destination_candidates, flap_train, reachability_mask,
         standard_families, NullProbe, Protocol, RunParams, Sim, Timeline, PREFIX,
     };
 
-    fn fold(h: &mut Fnv1a, s: RunStats, selections: u64) {
+    fn fold(h: &mut Fnv1a, s: RunStats, now: SimTime, selections: u64) {
         for w in [
+            now.as_micros(),
             s.announcements_sent,
             s.withdrawals_sent,
             s.delivered,
@@ -2336,9 +2337,11 @@ mod idle_state {
     /// An MRAI row is emptied when its last timer lapses, and an empty row
     /// reads as idle slots — so emptying one changes no event. Pinned
     /// against the engine that kept idle rows (the digest below was
-    /// computed at the commit before rows were emptied): every counter of
-    /// `RunStats` and every selection (path ids included, so intern order
-    /// too) after convergence and after a sub-MRAI flap train, for all
+    /// computed at the commit before rows were emptied, and re-pinned at
+    /// the commit before lapsing timers left the heap, with the clock
+    /// added): every counter of `RunStats`, the clock, and every selection
+    /// (path ids included, so intern order too) after convergence and
+    /// after a sub-MRAI flap train, for all
     /// four protocols with MRAI on and off, and for three prefixes
     /// converging at once, where a row holds several slots and empties
     /// only when all of them are idle.
@@ -2377,7 +2380,7 @@ mod idle_state {
                             }
                             Protocol::Stamp => sim.stamp().expect("stamp").fingerprint(),
                         };
-                        fold(&mut h, sim.stats(), selections.value());
+                        fold(&mut h, sim.stats(), sim.now(), selections.value());
                     }
                 }
             }
@@ -2394,18 +2397,18 @@ mod idle_state {
             });
             e.start();
             e.run_to_quiescence(None);
-            fold(&mut h, *e.stats(), e.fingerprint().value());
+            fold(&mut h, *e.stats(), e.now(), e.fingerprint().value());
             let link = g
                 .link_between(origins[0], g.providers(origins[0])[0])
                 .expect("adjacent");
             e.inject_after(s(1), ScenarioEvent::FailLink(link));
             e.inject_after(s(8), ScenarioEvent::RecoverLink(link));
             e.run_to_quiescence(None);
-            fold(&mut h, *e.stats(), e.fingerprint().value());
+            fold(&mut h, *e.stats(), e.now(), e.fingerprint().value());
         });
         assert_eq!(
             h.finish(),
-            0xb615_9a62_5475_7acc,
+            0x2bae_6e05_6baa_f358,
             "got {:#018x}",
             h.finish()
         );
