@@ -18,7 +18,8 @@ use crate::router::{OutMsg, RouterCtx, RouterLogic, SessionView, StateFingerprin
 use crate::types::{CauseInfo, PrefixId, ProcId, RootCause, Route, UpdateKind, UpdateMsg};
 use stamp_eventsim::rng::{tags, Rng};
 use stamp_eventsim::{
-    clone_in_place, rng_stream, DelayModel, FifoChannel, LossModel, Scheduler, SimDuration, SimTime,
+    clone_in_place, rng_stream, DelayModel, FifoChannel, LossModel, Scheduler, SimDuration,
+    SimTime, Ticket,
 };
 use stamp_policy::CompiledRegime;
 use stamp_topology::{AsGraph, AsId, LinkId, SessEntry, SessId};
@@ -312,11 +313,13 @@ enum Event {
         /// updates, even if a new session is up by delivery time.
         epoch: u64,
     },
+    /// A timer's expiry with an update parked behind it: it enters the
+    /// heap, in the place its slot reserved, only when that update does.
     MraiExpire {
         sess: SessId,
         proc: ProcId,
         prefix: PrefixId,
-        /// Session epoch when the timer was armed; an expiry whose epoch
+        /// Session epoch when the update was parked; an expiry whose epoch
         /// no longer matches belongs to a session that has since reset
         /// (its rate-limiter state died with it) and is ignored — the
         /// fresh session armed its own timers.
@@ -328,10 +331,37 @@ enum Event {
 /// Per-(session, process, prefix) MRAI state.
 #[derive(Debug, Clone, Default)]
 struct MraiSlot {
-    /// An expiry event is pending in the scheduler.
-    armed: bool,
-    /// Latest announcement waiting for the timer.
+    /// The place of the timer's expiry in the scheduler's order, reserved
+    /// when the timer was armed: the timer runs while the clock has not
+    /// reached it. The default place precedes every clock, so a new slot
+    /// is idle.
+    ticket: Ticket,
+    /// Latest announcement waiting for the timer. Only with one does the
+    /// expiry enter the heap.
     pending: Option<UpdateMsg>,
+}
+
+/// The MRAI expiries reserved and never scheduled since the engine was
+/// last quiescent: timers that lapsed, or will, with nothing to send.
+/// Each would have been one event of no work; the engine counts them and
+/// moves its clock to the last one when the heap drains.
+#[derive(Debug, Clone, Copy, Default)]
+struct Lapses {
+    /// Reserved expiries not in the heap.
+    count: u64,
+    /// The latest deadline reserved.
+    until: SimTime,
+}
+
+impl Lapses {
+    /// Arm a timer expiring at `at`: reserve its place, and count it as a
+    /// lapse until an update is parked behind it.
+    #[inline]
+    fn arm(&mut self, sched: &mut Scheduler<Event>, at: SimTime) -> Ticket {
+        self.count += 1;
+        self.until = self.until.max(at);
+        sched.reserve(at)
+    }
 }
 
 /// What no run can change — the topology, the per-session MRAI jitter
@@ -377,12 +407,14 @@ pub struct Engine<R: RouterLogic> {
     /// workloads). The table (one row per channel) and each row are built
     /// on first use and a missing row or slot reads as idle, so an engine
     /// that never armed a timer — MRAI off, or built and not yet started —
-    /// holds no table at all. A row is
-    /// non-empty only while one of its timers is armed: the expiry that
-    /// finds every slot idle empties it. A copy takes the table only up to
-    /// its last non-empty row, so a copy of a quiescent engine holds none
-    /// (see the [`Clone`] impl).
+    /// holds no table at all. A row is non-empty from its first timer to
+    /// the next quiescence, which empties every row (every timer has
+    /// lapsed by then). A copy takes the table only up to its last
+    /// non-empty row, so a copy of a quiescent engine holds none (see the
+    /// [`Clone`] impl).
     mrai: Vec<Vec<MraiSlot>>,
+    /// Timers that lapse outside the heap, settled at quiescence.
+    lapses: Lapses,
     /// Per-link session epoch: bumped whenever the sessions over a link
     /// reset (the link fails, or an endpoint node fails while the link is
     /// up). In-flight messages carry the epoch they were sent under and
@@ -436,6 +468,7 @@ impl<R: RouterLogic> Engine<R> {
             state: LinkState::new(&g),
             channels: vec![FifoChannel::new(); n_sessions * R::PROCS],
             mrai: Vec::new(),
+            lapses: Lapses::default(),
             link_epoch: vec![0; g.n_links()],
             scenario_seq: 0,
             delay_rng: rng_stream(cfg.seed, tags::DELAYS),
@@ -598,6 +631,14 @@ impl<R: RouterLogic> Engine<R> {
     /// executes bit-identically to one under an engine without the
     /// watchdog, and every scenario event resets the window, so converging
     /// runs are typically never even sampled.
+    ///
+    /// An MRAI timer that lapses with nothing to send is not an event
+    /// here (DESIGN.md §10.2): when the heap drains, the run counts each
+    /// such lapse in [`RunStats::events`] and moves the clock to the last
+    /// one, so a converged run reads as if each had popped in its turn. A
+    /// deadline that falls before that last lapse ends the run
+    /// [`RunOutcome::BudgetExhausted`], as the lapse's own batch did; the
+    /// watchdog and the event budget see only the events that remain.
     // simlint::hot
     pub fn run_until_quiescent<F>(
         &mut self,
@@ -672,6 +713,25 @@ impl<R: RouterLogic> Engine<R> {
                 }
             }
         }
+        self.settle_lapses(deadline)
+    }
+
+    /// The drained heap's end of a run: every timer still running lapses
+    /// in its turn, unless `deadline` falls before the last of them.
+    fn settle_lapses(&mut self, deadline: Option<SimTime>) -> RunOutcome {
+        let Lapses { count, until } = self.lapses;
+        if deadline.is_some_and(|d| until > d.max(self.now())) {
+            return RunOutcome::BudgetExhausted;
+        }
+        self.stats.events += count;
+        if until > self.now() {
+            self.sched.advance_to(until);
+        }
+        // Every timer has lapsed: the rows say what empty rows say.
+        // `clear` keeps each row's buffer (one slot per prefix ever armed)
+        // on purpose: a re-armed timer allocates nothing.
+        self.mrai.iter_mut().for_each(Vec::clear);
+        self.lapses = Lapses::default();
         RunOutcome::Converged
     }
 
@@ -761,44 +821,23 @@ impl<R: RouterLogic> Engine<R> {
                 if self.link_epoch[ends.link.index()] != epoch {
                     return false;
                 }
-                // An armed slot is in its row until this expiry: rows are
-                // emptied only on a session reset (caught above) or below.
-                let Some(row) = self.mrai.get_mut(Self::chan_idx(sess, proc)) else {
+                // Only a parked update brings an expiry into the heap, and
+                // only a session reset (caught above) or quiescence (which
+                // this pending event forbids) empties its row.
+                let slot = self
+                    .mrai
+                    .get_mut(Self::chan_idx(sess, proc))
+                    .and_then(|row| row.get_mut(prefix.index()));
+                let Some(slot) = slot else {
                     return false;
                 };
-                let Some(slot) = row.get_mut(prefix.index()) else {
+                let Some(msg) = slot.pending.take() else {
                     return false;
                 };
-                match slot.pending.take() {
-                    Some(msg) => {
-                        // Keep the timer armed for another interval.
-                        let interval = self.fixed.mrai_interval[sess.index()];
-                        self.sched.schedule_after(
-                            interval,
-                            Event::MraiExpire {
-                                sess,
-                                proc,
-                                prefix,
-                                epoch,
-                            },
-                        );
-                        self.transmit(sess, proc, msg);
-                    }
-                    None => {
-                        // The timer lapses. A row left with no armed or
-                        // pending slot says what an empty row says
-                        // (`mrai_slot` grows rows with idle slots), so
-                        // empty it: a quiescent engine then holds no MRAI
-                        // state, and a copy of one allocates none. `clear`
-                        // keeps the row's buffer (one slot per prefix
-                        // ever armed) on purpose: a re-armed timer
-                        // allocates nothing.
-                        slot.armed = false;
-                        if row.iter().all(|s| !s.armed && s.pending.is_none()) {
-                            row.clear();
-                        }
-                    }
-                }
+                // Keep the timer armed for another interval.
+                let expires = self.sched.now() + self.fixed.mrai_interval[sess.index()];
+                slot.ticket = self.lapses.arm(&mut self.sched, expires);
+                self.transmit(sess, proc, msg);
                 false
             }
             Event::Scenario(s) => self.handle_scenario(s),
@@ -1127,30 +1166,32 @@ impl<R: RouterLogic> Engine<R> {
                 self.transmit(sess, proc, msg);
                 continue;
             }
-            let interval = self.fixed.mrai_interval[sess.index()];
-            let epoch = self.link_epoch[link.index()];
+            let prefix = msg.prefix;
+            let expires = self.sched.now() + self.fixed.mrai_interval[sess.index()];
             let n_chans = self.channels.len();
-            let Some(slot) = Self::mrai_slot(&mut self.mrai, n_chans, sess, proc, msg.prefix)
-            else {
+            let Some(slot) = Self::mrai_slot(&mut self.mrai, n_chans, sess, proc, prefix) else {
                 // Every session's channels are in the table: unreachable.
                 self.transmit(sess, proc, msg);
                 continue;
             };
-            if slot.armed {
+            if self.sched.cursor() < slot.ticket {
+                // The timer runs: the update waits for its expiry, which
+                // enters the heap with the first update that does.
                 if slot.pending.replace(msg).is_some() {
                     self.stats.coalesced += 1;
-                }
-            } else {
-                slot.armed = true;
-                self.sched.schedule_after(
-                    interval,
-                    Event::MraiExpire {
+                } else {
+                    let epoch = self.link_epoch[link.index()];
+                    let expiry = Event::MraiExpire {
                         sess,
                         proc,
-                        prefix: msg.prefix,
+                        prefix,
                         epoch,
-                    },
-                );
+                    };
+                    self.sched.schedule_reserved(slot.ticket, expiry);
+                    self.lapses.count -= 1;
+                }
+            } else {
+                slot.ticket = self.lapses.arm(&mut self.sched, expires);
                 self.transmit(sess, proc, msg);
             }
         }
@@ -1214,6 +1255,7 @@ impl<R: RouterLogic + Clone> Clone for Engine<R> {
             state,
             channels,
             mrai,
+            lapses,
             link_epoch,
             scenario_seq,
             delay_rng,
@@ -1232,6 +1274,7 @@ impl<R: RouterLogic + Clone> Clone for Engine<R> {
             state: state.clone(),
             channels: channels.clone(),
             mrai: live_rows(mrai).to_vec(),
+            lapses: *lapses,
             link_epoch: link_epoch.clone(),
             scenario_seq: *scenario_seq,
             delay_rng: delay_rng.clone(),
@@ -1266,6 +1309,7 @@ impl<R: RouterLogic + Clone> Clone for Engine<R> {
             state,
             channels,
             mrai,
+            lapses,
             link_epoch,
             scenario_seq,
             delay_rng,
@@ -1292,6 +1336,7 @@ impl<R: RouterLogic + Clone> Clone for Engine<R> {
         if let Some(rest) = live.get(self.mrai.len()..) {
             self.mrai.extend_from_slice(rest);
         }
+        self.lapses = *lapses;
         self.link_epoch.clone_from(link_epoch);
         self.scenario_seq = *scenario_seq;
         self.delay_rng.clone_from(delay_rng);
@@ -1923,7 +1968,9 @@ mod more_tests {
 
     /// What every resident baseline holds per route, and what every
     /// queued message costs: a route is two 4-byte arena handles (path,
-    /// root cause) plus its attribute bits.
+    /// root cause) plus its attribute bits. An MRAI slot is a parked
+    /// message beside its timer's 16-byte scheduler place; a quiescent
+    /// engine holds none (`a_quiescent_engine_holds_no_mrai_slots`).
     #[test]
     fn a_route_and_what_carries_it_stay_compact() {
         use crate::rib::RibEntry;
@@ -1934,12 +1981,13 @@ mod more_tests {
         assert_eq!(size_of::<RibEntry>(), 32);
         assert_eq!(size_of::<Selection>(), 32);
         assert_eq!(size_of::<UpdateMsg>(), 32);
-        assert_eq!(size_of::<MraiSlot>(), 40);
+        assert_eq!(size_of::<MraiSlot>(), 48);
         assert!(size_of::<Event>() <= 48, "{} B", size_of::<Event>());
     }
 
-    /// MRAI rows hold slots only while a timer is armed: mid-convergence
-    /// some do, at quiescence none does — with two prefixes sharing every
+    /// MRAI rows hold slots only between a timer's arming and the next
+    /// quiescence: mid-convergence some do, at quiescence none does — with
+    /// two prefixes sharing every
     /// row, after cold convergence and after a link fails and recovers —
     /// so a copy of a quiescent engine allocates no rows. The engine that
     /// converged keeps each lapsed row's buffer, grown exactly: at most
