@@ -176,16 +176,20 @@ impl Speaker {
         self.rib.take(prefix, proc, from);
     }
 
-    /// Drop every stored route failing `keep`; the `(prefix, proc)` keys
-    /// that lost one, ascending.
-    pub fn purge(&mut self, keep: impl FnMut(&Route) -> bool) -> Vec<(PrefixId, ProcId)> {
-        let mut dropped = Vec::new();
+    /// Drop every stored route failing `keep`, and hand `lost` each
+    /// `(prefix, proc)` key that lost one: once, ascending.
+    pub fn purge(
+        &mut self,
+        keep: impl FnMut(&Route) -> bool,
+        mut lost: impl FnMut(PrefixId, ProcId),
+    ) {
+        let mut last = None;
         self.rib.purge_slots(keep, |p, proc, _| {
-            if dropped.last() != Some(&(p, proc)) {
-                dropped.push((p, proc));
+            if last != Some((p, proc)) {
+                last = Some((p, proc));
+                lost(p, proc);
             }
         });
-        dropped
     }
 
     /// What the process would select now: own, else the decision process

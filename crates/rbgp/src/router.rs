@@ -54,6 +54,10 @@ pub struct RbgpRouter {
     /// The newest cause record per network element (RCI mode), found by
     /// a linear scan, as `path_invalidated` walks every record anyway.
     known_causes: Vec<CauseInfo>,
+    /// Scratch: the prefixes one router event must reselect. Empty
+    /// between events, so a copy takes nothing and a rewind keeps the
+    /// buffer.
+    touched: Vec<PrefixId>,
 }
 
 // A rewind carries the configuration too: an R-BGP session re-targets onto
@@ -62,7 +66,8 @@ clone_in_place!(RbgpRouter {
     speaker,
     cfg,
     rows,
-    known_causes
+    known_causes,
+    touched
 });
 
 /// R-BGP's failover books for one prefix.
@@ -119,6 +124,7 @@ impl RbgpRouter {
             cfg,
             rows: Vec::new(),
             known_causes: Vec::new(),
+            touched: Vec::new(),
         }
     }
 
@@ -232,35 +238,31 @@ impl RbgpRouter {
     // ------------------------------------------------------------------
 
     /// Learn a cause record: keep only the newest per element; purge every
-    /// stored path through a newly-down element. Returns the prefixes whose
-    /// state changed (unsorted).
-    fn learn_cause(&mut self, arena: &PathArena, info: CauseInfo) -> Vec<PrefixId> {
+    /// stored path through a newly-down element, adding the prefixes whose
+    /// state changed to `touched` (unsorted).
+    fn learn_cause(&mut self, arena: &PathArena, info: CauseInfo) {
         if !self.cfg.rci {
-            return Vec::new();
+            return;
         }
         match self.known_causes.iter_mut().find(|k| k.cause == info.cause) {
-            Some(k) if k.seq >= info.seq && k.up == info.up => return Vec::new(),
-            Some(k) if k.seq > info.seq => return Vec::new(), // stale record
+            Some(k) if k.seq >= info.seq && k.up == info.up => return,
+            Some(k) if k.seq > info.seq => return, // stale record
             Some(k) => *k = info,
             None => self.known_causes.push(info),
         }
         if info.up {
             // Recovery unblocks future paths; nothing stored needs purging.
-            return Vec::new();
+            return;
         }
         let rc = info.cause;
-        let mut touched: Vec<PrefixId> = self
-            .speaker
-            .purge(|r| !rc.invalidates_path(arena, r.path))
-            .into_iter()
-            .map(|(p, _)| p)
-            .collect();
+        let touched = &mut self.touched;
+        let keep = |r: &Route| !rc.invalidates_path(arena, r.path);
+        self.speaker.purge(keep, |p, _| touched.push(p));
         for (p, row) in self.rows.iter_mut().enumerate() {
             if row.retain(|_, r| !rc.invalidates_path(arena, r.path)) {
                 touched.push(PrefixId::from_usize(p));
             }
         }
-        touched
     }
 
     /// The failover advertisement we owe: the most disjoint usable
@@ -436,18 +438,17 @@ impl RbgpRouter {
         }
     }
 
-    /// Re-run selection for each of `touched` once, in ascending order.
-    fn reselect_all(
-        &mut self,
-        ctx: &mut RouterCtx,
-        mut touched: Vec<PrefixId>,
-        cause: Option<CauseId>,
-    ) {
+    /// Re-run selection for each prefix in `touched` once, in ascending
+    /// order, and empty it.
+    fn reselect_touched(&mut self, ctx: &mut RouterCtx, cause: Option<CauseId>) {
+        let mut touched = std::mem::take(&mut self.touched);
         touched.sort_unstable();
         touched.dedup();
-        for p in touched {
+        for &p in &touched {
             self.reselect_and_export(ctx, p, cause);
         }
+        touched.clear();
+        self.touched = touched;
     }
 }
 
@@ -471,10 +472,9 @@ impl RouterLogic for RbgpRouter {
             UpdateKind::Announce(route) => route.attrs.root_cause,
             UpdateKind::Withdraw(info) => info.root_cause,
         };
-        let mut touched = match cause.and_then(|id| ctx.arena.cause(id)) {
-            Some(info) => self.learn_cause(ctx.arena, info),
-            None => Vec::new(),
-        };
+        if let Some(info) = cause.and_then(|id| ctx.arena.cause(id)) {
+            self.learn_cause(ctx.arena, info);
+        }
         match msg.kind {
             UpdateKind::Announce(route) => {
                 let stale = self.cfg.rci && self.path_invalidated(ctx.arena, &route);
@@ -510,34 +510,35 @@ impl RouterLogic for RbgpRouter {
         }
         // The message's own prefix alone, unless the cause purged others:
         // then all of them, the message's among them, in ascending order.
-        if touched.is_empty() {
+        if self.touched.is_empty() {
             self.reselect_and_export(ctx, prefix, cause);
         } else {
-            touched.push(prefix);
-            self.reselect_all(ctx, touched, cause);
+            self.touched.push(prefix);
+            self.reselect_touched(ctx, cause);
         }
     }
 
     fn on_link_down(&mut self, ctx: &mut RouterCtx, slot: usize, cause: CauseInfo) {
         let lost = self.speaker.session_down(slot);
-        let mut touched: Vec<PrefixId> = lost.into_iter().map(|(p, _)| p).collect();
+        self.touched.extend(lost.into_iter().map(|(p, _)| p));
         // Failover paths it advertised, and ours if it was the target.
         if let Some(dead) = ctx.neighbors.get(slot) {
             for (p, row) in self.rows.iter_mut().enumerate() {
                 let target = row.sent.take_if(|(t, _)| t.neighbor == dead.neighbor);
                 if row.retain(|e, _| e.neighbor != dead.neighbor) || target.is_some() {
-                    touched.push(PrefixId::from_usize(p));
+                    self.touched.push(PrefixId::from_usize(p));
                 }
             }
         }
-        touched.extend(self.learn_cause(ctx.arena, cause));
+        self.learn_cause(ctx.arena, cause);
         let id = ctx.arena.intern_cause(cause);
-        self.reselect_all(ctx, touched, Some(id));
+        self.reselect_touched(ctx, Some(id));
     }
 
     fn on_link_up(&mut self, ctx: &mut RouterCtx, slot: usize, cause: CauseInfo) {
         // Record the recovery; the up-state record rides on the
         // re-advertisement wave and unblocks the element at remote ASes.
+        // An up-record purges nothing, so it touches no prefix.
         self.learn_cause(ctx.arena, cause);
         let id = ctx.arena.intern_cause(cause);
         // Fresh session: the neighbour has none of our state.
