@@ -212,9 +212,11 @@ echo "one-view / one-session-model / seeded-observation guard passed"
 # answered from its speaker (a leak reads `Speaker::selected_route`), the
 # `router_mut` that rewrote routers behind the engine's back with STAMP's
 # `reset_instability` (a reset is `RouterLogic::reset_measurement`),
-# `converge_with` (convergence runs unobserved), and the inline
+# `converge_with` (convergence runs unobserved), the inline
 # `root_cause: Option<CauseInfo>` that padded every route by 16 bytes (a
-# route cites its cause as a `CauseId` arena handle).
+# route cites its cause as a `CauseId` arena handle), and the MRAI slot's
+# `armed` flag (a slot holds its expiry's reserved scheduler place, and a
+# timer that lapses never enters the heap).
 # Results are fingerprinted by one hash: the FNV-1a offset basis is written
 # only in crates/eventsim/src/fxhash.rs, beside the one `Fnv1a`; and seeds
 # are mixed by one SplitMix64: its multiplier is written only in
@@ -241,7 +243,7 @@ for pat in ProtocolSpec REGISTRY ProtocolEngine rebuild_index tier_depth tier_me
         sample_random_walk_path escape_via own_failover_next has_active_cause uphill_range \
         is_adversarial extend_with GridHash SimEvent PhaseSettled FibChanged \
         'fn selected_route(&self, prefix: PrefixId)' 'fn router_mut' 'fn reset_instability' \
-        'fn converge_with' 'root_cause: Option<CauseInfo>'; do
+        'fn converge_with' 'root_cause: Option<CauseInfo>' 'slot.armed'; do
     if grep -rnF "$pat" crates src tests examples; then
         echo "REMOVED-NAME VIOLATION: '$pat' was deleted and may not come back" >&2
         exit 1

@@ -40,7 +40,7 @@ impl Ticket {
 
     /// The instant this place falls on.
     #[inline]
-    pub fn time(self) -> SimTime {
+    fn time(self) -> SimTime {
         time_of(self.0)
     }
 }
@@ -396,22 +396,6 @@ mod tests {
         s.pop();
         assert_eq!(s.len(), 4);
         assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn a_reserved_place_pops_in_reservation_order() {
-        let mut s = Scheduler::new();
-        let t = SimTime::from_millis(5);
-        let early = s.reserve(t);
-        s.schedule_at(t, "second");
-        let lapsed = s.reserve(t);
-        s.schedule_at(t, "third");
-        s.schedule_reserved(early, "first");
-        assert!(early < lapsed && early.time() == t);
-        assert_eq!(s.len(), 3);
-        let order: Vec<_> = std::iter::from_fn(|| s.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec!["first", "second", "third"]);
-        assert!(s.cursor() > lapsed, "the last pop passed the lapsed place");
     }
 
     #[test]
