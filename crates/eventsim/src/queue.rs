@@ -168,7 +168,7 @@ impl<E> Scheduler<E> {
     pub fn advance_to(&mut self, at: SimTime) {
         assert!(at >= self.now(), "advancing into the past");
         assert!(self.is_empty(), "advancing past a pending event");
-        self.cursor = Ticket::new(at, self.seq - 1).max(self.cursor);
+        self.cursor = Ticket::new(at, self.seq - 1);
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
