@@ -60,7 +60,7 @@ fn outcome_token(o: RunOutcome) -> &'static str {
 /// (lower-case, no spaces — labels like "R-BGP without RCI" would not
 /// survive whitespace tokenization).
 pub fn proto_token(p: Protocol) -> &'static str {
-    p.aliases()[0]
+    p.aliases().first().copied().unwrap_or_default()
 }
 
 /// The failure shape of a `WHATIF` query.
@@ -861,6 +861,12 @@ mod tests {
         let text = r.to_string();
         let back = assert_fixed_point(&text, str::parse::<Request>, Request::to_string);
         assert_eq!(&back, r, "{text:?}");
+    }
+
+    #[test]
+    fn proto_tokens_are_pinned() {
+        let tokens = Protocol::ALL.map(proto_token);
+        assert_eq!(tokens, ["bgp", "rbgp-norci", "rbgp", "stamp"]);
     }
 
     #[test]

@@ -40,14 +40,14 @@ fn read_line_capped<R: BufRead>(input: &mut R) -> io::Result<Option<(String, usi
         saw_any = true;
         if let Some(p) = chunk.iter().position(|&b| b == b'\n') {
             let keep = (MAX_REQUEST_LINE + 1).saturating_sub(buf.len()).min(p);
-            buf.extend_from_slice(&chunk[..keep]);
+            buf.extend(chunk.iter().take(keep));
             total += p;
             input.consume(p + 1);
             break;
         }
         let n = chunk.len();
         let keep = (MAX_REQUEST_LINE + 1).saturating_sub(buf.len()).min(n);
-        buf.extend_from_slice(&chunk[..keep]);
+        buf.extend(chunk.iter().take(keep));
         total += n;
         input.consume(n);
     }

@@ -126,7 +126,9 @@ const KEYWORDS: &[&str] = &[
     "while", "yield",
 ];
 
-fn finding(rel_path: &str, line: u32, rule: &'static str, message: String) -> Finding {
+/// A finding at the severity its rule has in the path's crate (Deny for
+/// a name no rule has: a fence's).
+pub(crate) fn finding(rel_path: &str, line: u32, rule: &'static str, message: String) -> Finding {
     let severity = config::rule(rule).map_or(Severity::Deny, |r| {
         config::severity_in(r, config::crate_of(rel_path))
     });

@@ -92,6 +92,12 @@ impl Lexer<'_> {
         self.i += 1;
     }
 
+    fn eat_while(&mut self, keep: impl Fn(u8) -> bool) {
+        while self.peek(0).is_some_and(&keep) {
+            self.bump();
+        }
+    }
+
     fn push(&mut self, kind: TokKind, start: usize, line: u32) {
         self.toks.push(Tok {
             kind,
@@ -108,12 +114,7 @@ impl Lexer<'_> {
             match c {
                 b' ' | b'\t' | b'\r' | b'\n' => self.bump(),
                 b'/' if self.peek(1) == Some(b'/') => {
-                    while let Some(c) = self.peek(0) {
-                        if c == b'\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
+                    self.eat_while(|c| c != b'\n');
                     self.push(TokKind::LineComment, start, line);
                 }
                 b'/' if self.peek(1) == Some(b'*') => {
@@ -143,12 +144,7 @@ impl Lexer<'_> {
                     // raw identifier) and pushed its token.
                 }
                 _ if is_ident_start(c) => {
-                    while let Some(c) = self.peek(0) {
-                        if !is_ident_continue(c) {
-                            break;
-                        }
-                        self.bump();
-                    }
+                    self.eat_while(is_ident_continue);
                     self.push(TokKind::Ident, start, line);
                 }
                 _ if c.is_ascii_digit() => {
@@ -156,7 +152,7 @@ impl Lexer<'_> {
                     self.push(TokKind::Num, start, line);
                 }
                 b'"' => {
-                    self.string_body();
+                    self.quoted(b'"');
                     self.push(TokKind::Str, start, line);
                 }
                 b'\'' => self.quote(start, line),
@@ -217,14 +213,14 @@ impl Lexer<'_> {
                         }
                     }
                 } else {
-                    self.string_body();
+                    self.quoted(b'"');
                 }
                 self.push(TokKind::Str, start, line);
                 true
             }
             Some(b'\'') if j == 1 && hashes == 0 && self.peek(0) == Some(b'b') => {
                 self.bump(); // b
-                self.char_body();
+                self.quoted(b'\'');
                 self.push(TokKind::Char, start, line);
                 true
             }
@@ -232,12 +228,7 @@ impl Lexer<'_> {
                 // Raw identifier `r#ident`.
                 self.bump(); // r
                 self.bump(); // #
-                while let Some(c) = self.peek(0) {
-                    if !is_ident_continue(c) {
-                        break;
-                    }
-                    self.bump();
-                }
+                self.eat_while(is_ident_continue);
                 self.push(TokKind::Ident, start, line);
                 true
             }
@@ -245,9 +236,9 @@ impl Lexer<'_> {
         }
     }
 
-    /// Consume a `"…"` body including the opening quote, honoring `\`
-    /// escapes.
-    fn string_body(&mut self) {
+    /// Consume a `"…"` or `'…'` body from its opening quote through
+    /// `close`, honoring `\` escapes.
+    fn quoted(&mut self, close: u8) {
         self.bump(); // opening quote
         loop {
             match self.peek(0) {
@@ -256,26 +247,7 @@ impl Lexer<'_> {
                     self.bump();
                     self.bump();
                 }
-                Some(b'"') => {
-                    self.bump();
-                    break;
-                }
-                Some(_) => self.bump(),
-            }
-        }
-    }
-
-    /// Consume a `'…'` body including the opening quote.
-    fn char_body(&mut self) {
-        self.bump(); // opening quote
-        loop {
-            match self.peek(0) {
-                None => break,
-                Some(b'\\') => {
-                    self.bump();
-                    self.bump();
-                }
-                Some(b'\'') => {
+                Some(c) if c == close => {
                     self.bump();
                     break;
                 }
@@ -302,7 +274,7 @@ impl Lexer<'_> {
                 }
             }
         }
-        self.char_body();
+        self.quoted(b'\'');
         self.push(TokKind::Char, start, line);
     }
 

@@ -3,28 +3,26 @@
 // output format.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 //! The `simlint` binary: scan the workspace, print
-//! `file:line:rule: message` findings, exit nonzero on deny findings.
+//! `file:line:rule: message` findings, exit nonzero on a deny finding or
+//! on more warn-level findings than `config::WARN_CEILING`.
 //!
 //! Usage: `cargo run -p simlint --offline [-- --root DIR] [--warn] [--list]`
 //!
-//! Scans `crates/*/src/**/*.rs` and the facade's `src/` (tests/ and
-//! examples/ are outside the lint perimeter — see DESIGN.md §11).
-//! `--warn` lists warn-severity findings individually instead of as
-//! summary counts; `--list` prints the rule catalog.
+//! Reads every file under `crates/`, `src/`, `tests/` and `examples/`. The
+//! rules lint `crates/*/src/**/*.rs` and the facade's `src/` (tests/ and
+//! examples/ are outside their perimeter); the fences read every file
+//! (DESIGN.md §11). `--warn` lists warn-severity findings individually
+//! instead of as summary counts; `--list` prints the rules and the fences.
 
-use simlint::{analyze_source, Finding, Severity, RULES};
+use simlint::config::{self, FENCES, ROOTS, WARN_CEILING};
+use simlint::{analyze_source, fence, Finding, Severity, RULES};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     match run() {
-        Ok(clean) => {
-            if clean {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
         Err(msg) => {
             eprintln!("simlint: {msg}");
             ExitCode::from(2)
@@ -56,6 +54,12 @@ fn run() -> Result<bool, String> {
                         println!("{:<28} deny in: {}", "", r.deny_in.join(", "));
                     }
                 }
+                for f in FENCES {
+                    println!("{:<22} fence {}", f.name, f.why);
+                    let (pats, only) = (fence::list(f.patterns), fence::list(f.only));
+                    let within = fence::list(f.within);
+                    println!("{:<28} {pats} in {within}, only in {only}", "");
+                }
                 return Ok(true);
             }
             other => {
@@ -66,27 +70,35 @@ fn run() -> Result<bool, String> {
         }
     }
 
-    let files = workspace_files(&root)?;
-    if files.is_empty() {
+    let mut files = Vec::new();
+    for dir in ROOTS
+        .iter()
+        .map(|p| root.join(p.path))
+        .filter(|d| d.is_dir())
+    {
+        collect(&root, &dir, &mut files)?;
+    }
+    let linted: Vec<_> = files
+        .iter()
+        .filter(|(rel, _)| config::linted(rel))
+        .collect();
+    if linted.is_empty() {
         return Err(format!(
             "no Rust sources under {} — run from the repo root or pass --root",
             root.display()
         ));
     }
 
-    let mut findings: Vec<Finding> = Vec::new();
-    for rel in &files {
-        let path = root.join(rel);
-        let src = std::fs::read_to_string(&path).map_err(|e| format!("read {rel}: {e}"))?;
-        findings.extend(analyze_source(rel, &src));
-    }
+    let mut findings: Vec<Finding> = linted
+        .iter()
+        .flat_map(|(rel, src)| analyze_source(rel, src))
+        .collect();
+    findings.extend(fence::check(FENCES, &files));
     findings.sort_by(|a, b| (&a.rel_path, a.line, a.rule).cmp(&(&b.rel_path, b.line, b.rule)));
 
-    let denies = findings
-        .iter()
-        .filter(|f| f.severity == Severity::Deny)
-        .count();
-    let warns = findings.len() - denies;
+    let warns = findings.iter().filter(|f| f.severity == Severity::Warn);
+    let warns = warns.count();
+    let denies = findings.len() - warns;
 
     for f in &findings {
         if f.severity == Severity::Deny || show_warns {
@@ -111,40 +123,25 @@ fn run() -> Result<bool, String> {
     }
 
     println!(
-        "simlint: {} files scanned, {denies} deny finding(s), {warns} warning(s)",
+        "simlint: {} files linted, {} fenced, {denies} deny finding(s), {warns} warning(s)",
+        linted.len(),
         files.len()
     );
-    Ok(denies == 0)
+    if warns > WARN_CEILING {
+        println!("simlint: {warns} warnings exceed the ceiling of {WARN_CEILING}");
+    }
+    Ok(simlint::passes(&findings))
 }
 
-/// Repo-relative paths of every lintable source file, sorted for
-/// deterministic output: `crates/*/src/**/*.rs` plus the facade's `src/`.
-fn workspace_files(root: &Path) -> Result<Vec<String>, String> {
-    let mut out = Vec::new();
-    let crates_dir = root.join("crates");
-    if let Ok(entries) = std::fs::read_dir(&crates_dir) {
-        for entry in entries.flatten() {
-            let src = entry.path().join("src");
-            if src.is_dir() {
-                collect_rs(root, &src, &mut out)?;
-            }
-        }
-    }
-    let facade = root.join("src");
-    if facade.is_dir() {
-        collect_rs(root, &facade, &mut out)?;
-    }
-    out.sort();
-    Ok(out)
-}
-
-fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<String>) -> Result<(), String> {
+/// Every file under `dir` as (repo-relative path, text), invalid UTF-8
+/// replaced: a fence reads data and binaries as well as sources.
+fn collect(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) -> Result<(), String> {
     let entries = std::fs::read_dir(dir).map_err(|e| format!("read {}: {e}", dir.display()))?;
     for entry in entries.flatten() {
         let path = entry.path();
         if path.is_dir() {
-            collect_rs(root, &path, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
+            collect(root, &path, out)?;
+        } else {
             let rel = path
                 .strip_prefix(root)
                 .map_err(|e| format!("{}: {e}", path.display()))?;
@@ -155,7 +152,8 @@ fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<String>) -> Result<(), Stri
                 .map(|c| c.as_os_str().to_string_lossy())
                 .collect::<Vec<_>>()
                 .join("/");
-            out.push(rel);
+            let bytes = std::fs::read(&path).map_err(|e| format!("read {rel}: {e}"))?;
+            out.push((rel, String::from_utf8_lossy(&bytes).into_owned()));
         }
     }
     Ok(())

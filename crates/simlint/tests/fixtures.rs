@@ -1,6 +1,8 @@
 //! The fixture self-test: every rule in the catalog is proven to fire,
 //! and to respect suppressions, against the seeded-violation corpus in
-//! `fixtures/`.
+//! `fixtures/`; every fence row is proven to fire, and to notice drift,
+//! on in-memory trees built from the table (never from a literal here,
+//! which the fence would read).
 //!
 //! Each fixture line may end with a marker comment — two slashes, a
 //! tilde, then a space-separated list of rule names — giving the exact
@@ -8,7 +10,8 @@
 //! must produce nothing. Because valid `simlint::allow` directives sit on
 //! marker-free lines, the same comparison proves suppression works.
 
-use simlint::{analyze_source, Severity, RULES};
+use simlint::config::{Fence, Part, Pat, Place, FENCES, WARN_CEILING};
+use simlint::{analyze_source, fence, Finding, Severity, RULES};
 use std::collections::BTreeMap;
 
 const MARKER: &str = "//~";
@@ -128,6 +131,7 @@ fn index_panic_denies_only_where_promoted() {
     for (krate, want) in [
         ("eventsim", Severity::Deny),
         ("rbgp", Severity::Deny),
+        ("queryd", Severity::Deny),
         ("bgp", Severity::Warn),
         ("topology", Severity::Warn),
     ] {
@@ -192,4 +196,210 @@ fn directive_edge_cases() {
         f.iter().any(|f| f.rule == "bad-allow"),
         "bad-allow was suppressed: {f:?}"
     );
+}
+
+#[test]
+fn a_tree_above_the_warn_ceiling_fails() {
+    let index = "pub fn first(xs: &[u32]) -> u32 {\n    xs[0]\n}\n";
+    let tree = |files: usize| -> Vec<Finding> {
+        (0..files)
+            .flat_map(|i| analyze_source(&format!("crates/bgp/src/f{i}.rs"), index))
+            .collect()
+    };
+    assert!(simlint::passes(&tree(WARN_CEILING)));
+    assert!(!simlint::passes(&tree(WARN_CEILING + 1)));
+}
+
+// ---------------------------------------------------------------------
+// Fences
+// ---------------------------------------------------------------------
+
+/// Lines that each hold `pat` exactly once, in every spelling it covers.
+fn samples(pat: &Pat) -> Vec<String> {
+    match *pat {
+        Pat::Text(t) => vec![format!("x {t} x")],
+        Pat::Hex(h) => {
+            let digits = h.trim_start_matches("0x").to_uppercase();
+            let grouped: Vec<String> = digits
+                .as_bytes()
+                .chunks(4)
+                .map(|c| String::from_utf8_lossy(c).into_owned())
+                .collect();
+            vec![format!("{h};"), format!("(0X{})", grouped.join("_"))]
+        }
+        Pat::Word(w, then) => then.iter().map(|t| format!("x({w} {t} }})")).collect(),
+    }
+}
+
+/// The file a place reads: the path itself, or a file in the directory.
+fn file_of(place: &Place) -> String {
+    match place.path.rsplit('/').next() {
+        Some(last) if last.contains('.') => place.path.to_string(),
+        _ => format!("{}/planted.rs", place.path),
+    }
+}
+
+/// A tree on which `fence` holds: every `only` place holds each pattern
+/// (as often as it must, leaving out `drop`), and every `within` place
+/// reads a file that declares the part it means.
+fn clean_tree(fence: &Fence, drop: Option<(usize, usize)>) -> BTreeMap<String, Vec<String>> {
+    let mut tree: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    for place in fence.within {
+        let lines = tree.entry(file_of(place)).or_default();
+        match place.part {
+            Part::Fn(name) => lines.extend([format!("pub fn {name}() {{"), "}".into()]),
+            Part::AboveTests => lines.extend(["#[cfg(test)]".into(), "mod tests {}".into()]),
+            Part::Whole | Part::Times(_) => {}
+        }
+        lines.push("pub fn tail() {}".into());
+    }
+    for (k, place) in fence.only.iter().enumerate() {
+        let times = match place.part {
+            Part::Times(n) => n,
+            _ => 1,
+        };
+        for (p, pat) in fence.patterns.iter().enumerate() {
+            if drop != Some((k, p)) {
+                let line = samples(pat).swap_remove(0);
+                let lines = tree.entry(file_of(place)).or_default();
+                lines.extend(std::iter::repeat_n(line, times));
+            }
+        }
+    }
+    tree
+}
+
+fn check(fence: &Fence, tree: &BTreeMap<String, Vec<String>>) -> Vec<Finding> {
+    let files: Vec<(String, String)> = tree
+        .iter()
+        .map(|(path, lines)| (path.clone(), lines.join("\n")))
+        .collect();
+    fence::check(std::slice::from_ref(fence), &files)
+}
+
+/// Insert `line` into the part of `file` that `place` reads.
+fn plant(tree: &mut BTreeMap<String, Vec<String>>, place: &Place, line: &str) -> String {
+    let file = file_of(place);
+    let lines = tree.entry(file.clone()).or_default();
+    lines.insert(
+        usize::from(matches!(place.part, Part::Fn(_))),
+        line.to_string(),
+    );
+    file
+}
+
+#[test]
+fn every_fence_holds_on_its_clean_tree() {
+    for fence in FENCES {
+        let got = check(fence, &clean_tree(fence, None));
+        assert!(got.is_empty(), "{}: {got:?}", fence.name);
+    }
+}
+
+#[test]
+fn every_fence_pattern_is_caught_where_it_is_planted() {
+    for fence in FENCES {
+        for pat in fence.patterns {
+            for line in samples(pat) {
+                assert_eq!(pat.hits(&line), 1, "{}: sample {line:?}", fence.name);
+                for place in fence.within {
+                    let mut tree = clean_tree(fence, None);
+                    let file = plant(&mut tree, place, &line);
+                    let got = check(fence, &tree);
+                    assert!(
+                        got.iter()
+                            .any(|f| f.rel_path == file && f.rule == fence.name),
+                        "{}: {line:?} planted in {file} went unseen: {got:?}",
+                        fence.name
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn every_only_place_that_loses_a_pattern_drifts() {
+    for fence in FENCES {
+        for (k, place) in fence.only.iter().enumerate() {
+            for (p, pat) in fence.patterns.iter().enumerate() {
+                let got = check(fence, &clean_tree(fence, Some((k, p))));
+                assert!(
+                    got.iter().any(|f| f.rel_path == place.path),
+                    "{}: {pat} gone from {} went unseen: {got:?}",
+                    fence.name,
+                    place.path
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_part_reads_only_its_lines_and_a_lost_part_drifts() {
+    for fence in FENCES {
+        for place in fence.within.iter().filter(|w| w.part != Part::Whole) {
+            let file = file_of(place);
+            let line = samples(&fence.patterns[0]).swap_remove(0);
+            // Below the part (after the fn's next `pub fn`, under the
+            // tests) the pattern is not read.
+            let mut tree = clean_tree(fence, None);
+            tree.entry(file.clone()).or_default().push(line);
+            assert!(check(fence, &tree).is_empty(), "{}", fence.name);
+            // A file that no longer declares the part reads nothing.
+            let mut tree = clean_tree(fence, None);
+            tree.insert(file.clone(), vec![]);
+            if let Part::Fn(_) = place.part {
+                let got = check(fence, &tree);
+                assert!(got.iter().any(|f| f.rel_path == place.path), "{got:?}");
+            }
+            tree.remove(&file);
+            let got = check(fence, &tree);
+            assert!(got.iter().any(|f| f.rel_path == place.path), "{got:?}");
+        }
+    }
+}
+
+#[test]
+fn a_decision_walk_split_by_rustfmt_is_caught() {
+    // A router crate's stand-in speaker.rs calling the walk as rustfmt
+    // lays out a long chain: `self` / `.rib` / `.walk(` on three lines.
+    let fence = FENCES
+        .iter()
+        .find(|f| f.name == "one-decision-walk")
+        .expect("the decision-walk fence");
+    for pat in fence.patterns {
+        let Pat::Text(walk) = *pat else {
+            panic!("{pat} is not a name")
+        };
+        let mut tree = clean_tree(fence, None);
+        let chain = [
+            "let best = self",
+            "    .rib",
+            &format!("    .{walk}(arena, me)"),
+        ];
+        let file = "crates/core/src/speaker.rs".to_string();
+        tree.insert(file.clone(), chain.map(String::from).to_vec());
+        let got = check(fence, &tree);
+        assert!(
+            got.iter().any(|f| f.rel_path == file && f.line == 3),
+            "{got:?}"
+        );
+    }
+}
+
+#[test]
+fn a_fence_cannot_be_allowed_away() {
+    // An allow naming a fence is a directive for an unknown rule, and the
+    // fence fires regardless.
+    let fence = &FENCES[0];
+    let mut tree = clean_tree(fence, None);
+    let line = samples(&fence.patterns[0]).swap_remove(0);
+    let allow = format!("// simlint::allow({}, \"reason\")", fence.name);
+    let file = plant(&mut tree, &fence.within[0], &line);
+    plant(&mut tree, &fence.within[0], &allow);
+    assert!(check(fence, &tree).iter().any(|f| f.rel_path == file));
+    let src = tree[&file].join("\n");
+    let rules: Vec<_> = analyze_source(&file, &src).iter().map(|f| f.rule).collect();
+    assert!(rules.contains(&"bad-allow"), "{rules:?}");
 }
