@@ -63,11 +63,12 @@ cargo build --examples --offline
 cargo test -q --offline
 # The crate-level doctest is the sim-facade quickstart — a gate of its own.
 cargo test --doc --offline
-# The eight figures share one binary, and the daemon is one binary; run
-# each once so neither can rot built but unrun (~1 s each). What they
-# print is pinned by the tests, not here (tests/queryd.rs holds the
-# daemon's transcript golden).
+# The eight figures share one binary, `calibrate` is another, and the
+# daemon is one more; run each once so none can rot built but unrun
+# (~1 s each). What they print is pinned by the tests, not here
+# (tests/queryd.rs holds the daemon's transcript golden).
 cargo run --release --offline -q -p stamp_bench --bin figure -- fig2 --ases 200 --instances 2 --seed 9 >/dev/null
+cargo run --release --offline -q -p stamp_bench --bin calibrate -- --ases 200 --instances 1 >/dev/null
 cargo run --release --offline -q -p stamp_queryd -- --smoke <crates/queryd/transcripts/smoke.in >/dev/null
 # Debug-vs-release: every golden tests/determinism.rs pins (the smoke and
 # adversarial hashes, the figure runner, the canned rows, ObserverWork)
@@ -78,7 +79,7 @@ cargo test --release --offline -q --test determinism
 # Allocations per delivered update on a warm fork's replay, for all three
 # protocols: release only (debug runs allocating oracles), so it runs here.
 cargo test --release --offline -q -p stamp_bench --test allocations
-echo "tier-1 gate passed (offline, incl. doctests, one figure and one daemon run, release determinism and allocations)"
+echo "tier-1 gate passed (offline, incl. doctests, one figure, calibrate and daemon run each, release determinism and allocations)"
 
 # --- Warm-start results-golden gate ---------------------------------------
 # The full default run: campaign at 500 ASes, campaign_2000 at 2000 and the

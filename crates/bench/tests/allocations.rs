@@ -16,7 +16,7 @@
 //! `cargo test --release --offline -q -p stamp_bench --test allocations`.
 //! The ignored test prints the live bytes of one converged 2000-AS
 //! baseline per protocol (`-- --ignored --nocapture`), the measurement
-//! EXPERIMENTS.md records.
+//! EXPERIMENTS.md records ("Allocations and baseline bytes").
 #![cfg(not(debug_assertions))]
 // The counting allocator is the one `unsafe` in the workspace: the crate
 // denies `unsafe_code` instead of forbidding it for this file only.
@@ -132,8 +132,8 @@ fn replay_allocs_per_delivery(protocol: Protocol) -> (f64, u64) {
 /// (BGP 0.06, R-BGP 0.06, STAMP 0.02) and what it allocates with any one
 /// of the per-event `Vec`s back: per R-BGP delivery 1.07, per R-BGP cause
 /// purge 0.60, per STAMP reconcile 0.64, per control-metric evaluation
-/// 1.10 under BGP (EXPERIMENTS.md has the profile). What is left is per
-/// measurement: the tracker's tables.
+/// 1.10 under BGP (EXPERIMENTS.md, "Allocations and baseline bytes"). What
+/// is left is per measurement: the tracker's tables.
 #[test]
 fn a_warm_replay_allocates_next_to_nothing_per_delivered_update() {
     for (protocol, ceiling) in [

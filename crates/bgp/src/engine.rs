@@ -2179,7 +2179,7 @@ mod more_tests {
     /// customer with plain valley-free export) and the `fast` config's
     /// synchronous dynamics (fixed delay, no MRAI) the triangle announces,
     /// adopts and withdraws peer routes in perfect lockstep forever —
-    /// Griffin's BAD GADGET, the exact regime PR 9 had to back out.
+    /// Griffin's BAD GADGET, which has no stable state.
     fn gadget() -> AsGraph {
         let mut b = GraphBuilder::new();
         b.preregister(4);

@@ -116,8 +116,9 @@ pub fn render_failure_report(r: &FailureReport) -> String {
     // Headline bars: the control-plane metric (ASes that adopted a
     // selection invalidated by the event or emptied their table during
     // convergence). This is the metric that reproduces the paper's bar
-    // orderings across Figures 2, 3(a) and 3(b) — see EXPERIMENTS.md for
-    // the metric discussion; the forwarding metric appears in the table.
+    // orderings across Figures 2, 3(a) and 3(b) (EXPERIMENTS.md, "Two
+    // metrics of an affected AS"); the forwarding metric appears in the
+    // table.
     let bars: Vec<(String, f64)> = r
         .results
         .iter()

@@ -52,7 +52,7 @@ pub fn rel_from_name(s: &str) -> Option<Relation> {
 }
 
 /// Up to 64 communities carried on a route as a fixed bitset, so
-/// `Route`/`UpdateMsg` stay `Copy` (PR 2's invariant). Bit positions are
+/// `Route`/`UpdateMsg` stay `Copy` (DESIGN.md §7.1). Bit positions are
 /// assigned per-regime at compile time — see
 /// [`crate::CompiledRegime::community_bit`] — which is sound because one
 /// engine runs exactly one compiled regime for its whole lifetime.

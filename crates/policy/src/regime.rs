@@ -172,8 +172,8 @@ impl PolicyRegime {
     /// Deliberately **not** a builtin: it must never ride into default
     /// campaign sweeps or the policy-sweep hash. It is resolvable through
     /// [`PolicyRegime::by_name`] as the tracked known-diverging fixture the
-    /// convergence watchdog is pinned against (the exact regime PR 9 had
-    /// to back out because it hung the simulator).
+    /// convergence watchdog is pinned against (without the watchdog, a
+    /// run under it never ends).
     pub fn naive_prefer_peer() -> PolicyRegime {
         PolicyRegime {
             name: "naive-prefer-peer".to_string(),

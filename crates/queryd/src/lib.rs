@@ -1,9 +1,9 @@
 //! queryd — a resident what-if query service over warm baselines.
 //!
 //! The campaign runner answers "how does protocol P handle scenario S?"
-//! by converging a fresh instance per cell; PR 7's warm-start cache
-//! already proved a converged baseline can be checkpointed once and
-//! forked per cell, bit-identically. This crate completes that thought:
+//! by converging a fresh instance per cell; its warm-start cache
+//! (DESIGN.md §12) checkpoints a converged baseline once and forks it
+//! per cell, bit-identically. This crate completes that thought:
 //! instead of a batch that converges, measures and exits, a *daemon*
 //! converges every `(protocol, destination)` baseline once at startup,
 //! keeps the checkpoints resident, and answers an open-ended stream of

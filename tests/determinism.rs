@@ -270,10 +270,11 @@ fn canned_workload_metrics_match_pre_redesign_goldens() {
 /// pre-redesign path produced the metrics behind it; the value was last
 /// re-pinned when a cell's engine seed stopped depending on its timeline
 /// and the fold became plain FNV-1a with every outcome tagged
-/// (EXPERIMENTS.md, "One re-pin"). The hash folds in every metric of every
-/// cell, so this is a byte-identity check over the whole grid. This test
-/// is the hash's one gate: ci.sh runs this file again under `--release`,
-/// so a result that depends on the build profile fails here too.
+/// (EXPERIMENTS.md, "Golden re-pins"). The hash folds in every metric of
+/// every cell, so this is a byte-identity check over the whole grid. This
+/// test is the hash's one gate: ci.sh runs this file again under
+/// `--release`, so a result that depends on the build profile fails here
+/// too.
 #[test]
 fn smoke_campaign_hash_matches_pre_redesign_golden() {
     let (g, timelines, dests, cfg) = smoke_grid(0xCA4A16);

@@ -197,9 +197,9 @@ fn stamp_network_wide_disjointness_invariants() {
 /// transient problems at all. Full message-level BGP is subtler — an
 /// implicit update can replace a neighbour's route with one that now
 /// contains the receiver (loop-rejected), transiently demoting it — so the
-/// executable invariants are: (a) additions never cause forwarding
-/// *loops*, and (b) they disrupt strictly fewer ASes than the withdrawal
-/// of the very same link. See EXPERIMENTS.md for the discussion.
+/// executable invariant is the loop half: a link recovery, measured on the
+/// session that just measured the same link's failure, never causes
+/// forwarding *loops* (EXPERIMENTS.md, "Lemma 3.1 at message level").
 #[test]
 fn lemma_3_1_additions_strictly_gentler_than_withdrawals() {
     let g = topo(150, 109);
@@ -232,7 +232,8 @@ fn lemma_3_1_additions_strictly_gentler_than_withdrawals() {
     // not survive message-level dynamics: implicit updates can replace a
     // neighbour's valid route with a loop-rejected one, transiently
     // blackholing even large regions until MRAI lets corrections through —
-    // one of the reproduction's findings (EXPERIMENTS.md).
+    // one of the reproduction's findings (EXPERIMENTS.md, "Lemma 3.1 at
+    // message level").
     assert_eq!(
         addition.affected_loops, 0,
         "additions must never create forwarding loops"

@@ -1,4 +1,4 @@
-//! Property suite for the `stamp_policy` subsystem (PR 9).
+//! Property suite for the `stamp_policy` subsystem.
 //!
 //! Three pins, in dependency order:
 //!
