@@ -273,16 +273,18 @@ impl LinkState {
     /// and the link itself? The one session-liveness predicate.
     #[inline]
     fn up(&self, from: AsId, to: AsId, link: LinkId) -> bool {
-        self.node_up[from.index()] && self.node_up[to.index()] && self.link_up[link.index()]
+        self.node_ok(from) && self.node_ok(to) && self.link_ok(link)
     }
 
-    /// Is the node up?
+    /// Is the node up (`false` for an id that names no AS)?
+    #[inline]
     fn node_ok(&self, v: AsId) -> bool {
-        self.node_up[v.index()]
+        self.node_up.get(v.index()).is_some_and(|&up| up)
     }
 
     /// Is the link itself up, whatever its endpoints (`false` for an id
     /// that names no link)?
+    #[inline]
     fn link_ok(&self, id: LinkId) -> bool {
         self.link_up.get(id.index()).is_some_and(|&up| up)
     }
@@ -547,15 +549,15 @@ impl<R: RouterLogic> Engine<R> {
     /// or down; [`Touched::All`] after a `clone_from`, on a
     /// cursor's first look, or when the observer fell a whole ring behind.
     ///
-    /// `wide_liveness` is for views whose rows read liveness *beyond* the
+    /// When `R::WIDE_LIVENESS` says the rows read liveness *beyond* the
     /// AS's own sessions (R-BGP escape circuits walk every hop of a pinned
-    /// path): for them any link or node flip since the cursor dirties the
-    /// whole table. The feed is bookkeeping for observers only; it never
-    /// feeds a golden hash and costs one compare per router event when
-    /// nobody looks.
+    /// path), a link or node flip is [`Touched::All`] for every cursor
+    /// that predates it, as a rewind is. The feed is bookkeeping for
+    /// observers only; it never feeds a golden hash and costs one compare
+    /// per router event when nobody looks.
     #[inline]
-    pub fn touched_since(&self, cursor: &mut FeedCursor, wide_liveness: bool) -> Touched<'_> {
-        self.feed.since(cursor, wide_liveness)
+    pub fn touched_since(&self, cursor: &mut FeedCursor) -> Touched<'_> {
+        self.feed.since(cursor)
     }
 
     /// Current simulation time.
@@ -1069,9 +1071,11 @@ impl<R: RouterLogic> Engine<R> {
 
     /// `id`'s `link_up` flag flipped: the rows that read it are its two
     /// endpoints' — unless one of them is down, in which case the session
-    /// was down before and still is.
+    /// was down before and still is. Under `R::WIDE_LIVENESS`, every row.
     fn mark_link_flip(&mut self, id: LinkId) {
-        self.feed.liveness_flipped();
+        if R::WIDE_LIVENESS {
+            self.feed.invalidate(self.fixed.g.n());
+        }
         let l = self.fixed.g.link(id);
         if self.state.node_ok(l.a) && self.state.node_ok(l.b) {
             self.feed.touch(l.a);
@@ -1081,9 +1085,11 @@ impl<R: RouterLogic> Engine<R> {
 
     /// `v`'s `node_up` flag flipped: the rows that read it are `v`'s own
     /// and those of the neighbours whose session to `v` it decides (link
-    /// up, neighbour alive).
+    /// up, neighbour alive). Under `R::WIDE_LIVENESS`, every row.
     fn mark_node_flip(&mut self, v: AsId) {
-        self.feed.liveness_flipped();
+        if R::WIDE_LIVENESS {
+            self.feed.invalidate(self.fixed.g.n());
+        }
         self.feed.touch(v);
         let g = self.fixed.g.clone();
         for e in g.neighbor_entries(v) {
@@ -1887,21 +1893,18 @@ mod tests {
         wide.start();
         wide.run_to_quiescence(None);
         let mut c = FeedCursor::default();
-        wide.touched_since(&mut c, false);
+        wide.touched_since(&mut c);
         let mut b = GraphBuilder::new();
         b.preregister(2);
         b.customer_of(1, 0).unwrap();
         let narrow = engine(b.build().unwrap(), AsId(1), 3);
         wide.clone_from(&narrow);
         assert_eq!(wide.topology().n(), 2);
-        assert_eq!(wide.touched_since(&mut c, false), Touched::All);
+        assert_eq!(wide.touched_since(&mut c), Touched::All);
         wide.start();
         assert_eq!(wide.run_to_quiescence(None), RunOutcome::Converged);
         assert_eq!(wide.router(AsId(0)).next_hop(PrefixId(0)), Some(AsId(1)));
-        assert!(matches!(
-            wide.touched_since(&mut c, false),
-            Touched::Rows(..)
-        ));
+        assert!(matches!(wide.touched_since(&mut c), Touched::Rows(..)));
     }
 
     /// The live policy regime is run state: a flip is rewound with the
@@ -2460,8 +2463,8 @@ mod more_tests {
     }
 
     /// The ASes marked since `c` last looked, sorted; panics on "all".
-    fn marked(e: &Engine<BgpRouter>, c: &mut FeedCursor, wide: bool) -> Vec<u32> {
-        match e.touched_since(c, wide) {
+    fn marked<R: RouterLogic>(e: &Engine<R>, c: &mut FeedCursor) -> Vec<u32> {
+        match e.touched_since(c) {
             Touched::All => panic!("expected a row list, got the whole table"),
             Touched::Rows(a, b) => {
                 let mut v: Vec<u32> = a.iter().chain(b).map(|x| x.0).collect();
@@ -2479,69 +2482,42 @@ mod more_tests {
         e.start();
         e.run_to_quiescence(None);
         let mut c = FeedCursor::default();
-        assert_eq!(e.touched_since(&mut c, false), Touched::All);
-        assert!(marked(&e, &mut c, false).is_empty());
+        assert_eq!(e.touched_since(&mut c), Touched::All);
+        assert!(marked(&e, &mut c).is_empty());
 
         // A link failure: its two endpoints (both also run `on_link_down`).
         e.handle_scenario(ScenarioEvent::FailLink(l42));
-        assert_eq!(marked(&e, &mut c, false), vec![2, 4]);
+        assert_eq!(marked(&e, &mut c), vec![2, 4]);
         // An already-down link: nothing.
         e.handle_scenario(ScenarioEvent::FailLink(l42));
-        assert!(marked(&e, &mut c, false).is_empty());
-        // The withdrawals now in flight mark whoever processes them — and
-        // a delivery is not a liveness event, even for a wide view.
+        assert!(marked(&e, &mut c).is_empty());
+        // The withdrawals now in flight mark whoever processes them.
         e.run_to_quiescence(None);
-        assert!(!marked(&e, &mut c, true).is_empty());
+        assert!(!marked(&e, &mut c).is_empty());
 
         // A node failure: the node and its live neighbours. 2's link to 4
         // is down, so only 0 still had a session with it.
         e.handle_scenario(ScenarioEvent::FailNode(AsId(2)));
-        assert_eq!(marked(&e, &mut c, false), vec![0, 2]);
+        assert_eq!(marked(&e, &mut c), vec![0, 2]);
         e.run_to_quiescence(None);
-        marked(&e, &mut c, false);
+        marked(&e, &mut c);
         // Repairing a link whose endpoint is dead establishes no session.
         e.handle_scenario(ScenarioEvent::RecoverLink(l42));
-        assert!(marked(&e, &mut c, false).is_empty());
+        assert!(marked(&e, &mut c).is_empty());
         // The node returns: itself and both neighbours, 4 included now.
         e.handle_scenario(ScenarioEvent::RecoverNode(AsId(2)));
-        assert_eq!(marked(&e, &mut c, false), vec![0, 2, 4]);
+        assert_eq!(marked(&e, &mut c), vec![0, 2, 4]);
     }
 
-    #[test]
-    fn a_wide_view_loses_the_table_on_liveness_flips_and_restores_only() {
-        let g = diamond();
-        let l42 = g.link_between(AsId(4), AsId(2)).unwrap();
-        let mut e = engine(g, AsId(4), 3);
-        e.start();
-        e.run_to_quiescence(None);
-        let ck = e.clone();
-        let (mut narrow, mut wide) = (FeedCursor::default(), FeedCursor::default());
-        e.touched_since(&mut narrow, false);
-        e.touched_since(&mut wide, true);
-        e.handle_scenario(ScenarioEvent::FailLink(l42));
-        assert_eq!(marked(&e, &mut narrow, false), vec![2, 4]);
-        assert_eq!(e.touched_since(&mut wide, true), Touched::All);
-        // Plain BGP clears nothing between phases: nothing marked.
-        e.reset_measurement();
-        assert!(marked(&e, &mut wide, true).is_empty());
-        // The withdrawals in flight mark whoever processes them.
-        e.run_to_quiescence(None);
-        assert!(!marked(&e, &mut wide, true).is_empty());
-        // A fork taken now honours cursors advanced on the original.
-        let (fork, mut on_fork) = (e.clone(), wide);
-        assert!(marked(&fork, &mut on_fork, true).is_empty());
-        // A rewind rewrites every router behind the feed's back.
-        e.clone_from(&ck);
-        assert_eq!(e.touched_since(&mut narrow, false), Touched::All);
-        assert_eq!(e.touched_since(&mut wide, true), Touched::All);
-    }
+    /// Plain BGP declaring what it does not do: `P` processes, of which it
+    /// runs one, and, when `WIDE`, rows that read liveness beyond their own
+    /// sessions.
+    #[derive(Clone)]
+    struct Declares<const P: usize, const WIDE: bool>(BgpRouter);
 
-    /// Plain BGP declaring a second process it never runs: the engine
-    /// sizes its tables by what a router declares.
-    struct TwoProcs(BgpRouter);
-
-    impl RouterLogic for TwoProcs {
-        const PROCS: usize = 2;
+    impl<const P: usize, const WIDE: bool> RouterLogic for Declares<P, WIDE> {
+        const PROCS: usize = P;
+        const WIDE_LIVENESS: bool = WIDE;
 
         fn on_start(&mut self, ctx: &mut RouterCtx) {
             self.0.on_start(ctx);
@@ -2561,6 +2537,50 @@ mod more_tests {
         fn speaker(&self) -> &crate::speaker::Speaker {
             self.0.speaker()
         }
+    }
+
+    #[test]
+    fn a_wide_router_loses_every_cursor_on_liveness_flips_and_restores_only() {
+        let g = diamond();
+        let l42 = g.link_between(AsId(4), AsId(2)).unwrap();
+        let mut e = Engine::new(g, EngineConfig::fast(3), |v| {
+            let own = if v == AsId(4) {
+                vec![PrefixId(0)]
+            } else {
+                vec![]
+            };
+            Declares::<1, true>(BgpRouter::new(v, own))
+        });
+        e.start();
+        e.run_to_quiescence(None);
+        let ck = e.clone();
+        let (mut c, mut other) = (FeedCursor::default(), FeedCursor::default());
+        e.touched_since(&mut c);
+        e.touched_since(&mut other);
+        // A link flip loses every cursor, not only its endpoints' rows.
+        e.handle_scenario(ScenarioEvent::FailLink(l42));
+        assert_eq!(e.touched_since(&mut c), Touched::All);
+        assert_eq!(e.touched_since(&mut other), Touched::All);
+        // An already-down link flips nothing.
+        e.handle_scenario(ScenarioEvent::FailLink(l42));
+        assert!(marked(&e, &mut c).is_empty());
+        // Plain BGP clears nothing between phases: nothing marked.
+        e.reset_measurement();
+        assert!(marked(&e, &mut c).is_empty());
+        // The withdrawals in flight mark whoever processes them.
+        e.run_to_quiescence(None);
+        assert!(!marked(&e, &mut c).is_empty());
+        // So does a node flip, and the deliveries after it report rows.
+        e.handle_scenario(ScenarioEvent::FailNode(AsId(3)));
+        assert_eq!(e.touched_since(&mut c), Touched::All);
+        e.run_to_quiescence(None);
+        marked(&e, &mut c);
+        // A fork taken now honours cursors advanced on the original.
+        let (fork, mut on_fork) = (e.clone(), c);
+        assert!(marked(&fork, &mut on_fork).is_empty());
+        // A rewind rewrites every router behind the feed's back.
+        e.clone_from(&ck);
+        assert_eq!(e.touched_since(&mut c), Touched::All);
     }
 
     /// Channel and MRAI rows after a converge, a failure and a repair
@@ -2596,7 +2616,7 @@ mod more_tests {
         let g = diamond();
         let n = g.n_sessions();
         assert_eq!(table_rows(&g, BgpRouter::new), [n, n]);
-        let two = |v, own| TwoProcs(BgpRouter::new(v, own));
+        let two = |v, own| Declares::<2, false>(BgpRouter::new(v, own));
         assert_eq!(table_rows(&g, two), [2 * n, 2 * n]);
     }
 }

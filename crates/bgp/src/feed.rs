@@ -11,8 +11,11 @@
 //! cursor was handed out is not marked again (one compare), so between two
 //! looks at most `n` entries are written and an observer that looks at
 //! every tick never loses its place. An observer that fell more than a
-//! ring behind, or whose cursor predates a rewind (`Engine::clone_from`
-//! rewrites every router behind the feed's back), is told "everything".
+//! ring behind is told "everything", and so is every observer whose cursor
+//! predates a new epoch: the engine starts one when every row may have
+//! changed at once — a rewind (`Engine::clone_from` rewrites every router
+//! behind the feed's back), or a link or node flip under a router whose
+//! rows read liveness beyond its own sessions (`RouterLogic::WIDE_LIVENESS`).
 
 use stamp_topology::AsId;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,16 +31,14 @@ pub struct FeedCursor {
     epoch: u64,
     /// Entries the feed had written when the cursor was taken.
     seq: u64,
-    /// Liveness flips the engine had applied when the cursor was taken.
-    liveness: u64,
 }
 
 /// What changed since a cursor last looked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Touched<'a> {
-    /// Every row may have changed (first look, lost cursor, rewind, or a
-    /// liveness flip under a view that reads liveness beyond its own
-    /// sessions).
+    /// Every row may have changed: a first look, a cursor a ring behind,
+    /// or one from an earlier epoch (a rewind, or a liveness flip under a
+    /// router whose rows read liveness beyond its own sessions).
     All,
     /// Only these ASes' rows may have changed: the two halves of the ring,
     /// oldest first. An AS appears at most once unless another observer
@@ -61,7 +62,6 @@ pub(crate) struct TouchFeed {
     /// move it; writers hold `&mut` and use `get_mut`.
     fence: AtomicU64,
     epoch: u64,
-    liveness: u64,
 }
 
 impl TouchFeed {
@@ -73,7 +73,6 @@ impl TouchFeed {
             marked_at: vec![0; n],
             fence: AtomicU64::new(0),
             epoch: 1,
-            liveness: 0,
         }
     }
 
@@ -97,14 +96,9 @@ impl TouchFeed {
         *at = self.head;
     }
 
-    /// A link or node went up or down.
-    pub(crate) fn liveness_flipped(&mut self) {
-        self.liveness += 1;
-    }
-
-    /// Every row was rewritten behind the feed's back (the engine was
-    /// overwritten by a copy of another, now `n` ASes wide): all
-    /// outstanding cursors are lost.
+    /// Every row may have changed behind the feed's back (the engine is
+    /// now `n` ASes wide): a new epoch, and every outstanding cursor is
+    /// lost.
     pub(crate) fn invalidate(&mut self, n: usize) {
         if self.marked_at.len() != n {
             *self = TouchFeed {
@@ -116,20 +110,17 @@ impl TouchFeed {
     }
 
     /// The marks made since `cursor` last looked, and move `cursor` to now.
-    /// `wide_liveness` is the view saying its rows read liveness beyond
-    /// their own sessions: any flip since the cursor then dirties the table.
     // simlint::hot
-    pub(crate) fn since(&self, cursor: &mut FeedCursor, wide_liveness: bool) -> Touched<'_> {
+    pub(crate) fn since(&self, cursor: &mut FeedCursor) -> Touched<'_> {
         let seen = *cursor;
         *cursor = FeedCursor {
             epoch: self.epoch,
             seq: self.head,
-            liveness: self.liveness,
         };
         // Relaxed: the fence is only ever read through `&mut self`, and
         // handing a `&mut Engine` to another thread already synchronises.
         self.fence.store(self.head, Ordering::Relaxed);
-        if seen.epoch != self.epoch || (wide_liveness && seen.liveness != self.liveness) {
+        if seen.epoch != self.epoch {
             return Touched::All;
         }
         let cap = self.ring.len();
@@ -159,7 +150,6 @@ impl Clone for TouchFeed {
             marked_at: self.marked_at.clone(),
             fence: AtomicU64::new(self.fence.load(Ordering::Relaxed)),
             epoch: self.epoch,
-            liveness: self.liveness,
         }
     }
 }
@@ -180,13 +170,13 @@ mod tests {
         let mut f = TouchFeed::new(4);
         f.touch(AsId(2));
         let mut c = FeedCursor::default();
-        assert_eq!(f.since(&mut c, false), Touched::All);
-        assert_eq!(rows(f.since(&mut c, false)), Some(vec![]));
+        assert_eq!(f.since(&mut c), Touched::All);
+        assert_eq!(rows(f.since(&mut c)), Some(vec![]));
         f.touch(AsId(1));
         f.touch(AsId(3));
         f.touch(AsId(1));
-        assert_eq!(rows(f.since(&mut c, false)), Some(vec![1, 3]));
-        assert_eq!(rows(f.since(&mut c, false)), Some(vec![]));
+        assert_eq!(rows(f.since(&mut c)), Some(vec![1, 3]));
+        assert_eq!(rows(f.since(&mut c)), Some(vec![]));
     }
 
     #[test]
@@ -204,11 +194,11 @@ mod tests {
     fn an_as_touched_again_after_a_look_is_reported_again() {
         let mut f = TouchFeed::new(3);
         let mut c = FeedCursor::default();
-        f.since(&mut c, false);
+        f.since(&mut c);
         for round in 0..10 {
             f.touch(AsId(round % 3));
             f.touch(AsId(round % 3));
-            assert_eq!(rows(f.since(&mut c, false)), Some(vec![round % 3]));
+            assert_eq!(rows(f.since(&mut c)), Some(vec![round % 3]));
         }
     }
 
@@ -216,32 +206,30 @@ mod tests {
     fn the_ring_wraps_and_a_reader_a_ring_behind_is_lost() {
         let mut f = TouchFeed::new(3);
         let (mut slow, mut fast) = (FeedCursor::default(), FeedCursor::default());
-        f.since(&mut slow, false);
+        f.since(&mut slow);
         f.touch(AsId(0));
         f.touch(AsId(1));
-        f.since(&mut fast, false);
+        f.since(&mut fast);
         f.touch(AsId(1));
         f.touch(AsId(2));
         // Four entries in a ring of three: `fast` reads across the wrap,
         // `slow` fell off the end.
-        assert_eq!(rows(f.since(&mut fast, false)), Some(vec![1, 2]));
-        assert_eq!(f.since(&mut slow, false), Touched::All);
-        assert_eq!(rows(f.since(&mut slow, false)), Some(vec![]));
+        assert_eq!(rows(f.since(&mut fast)), Some(vec![1, 2]));
+        assert_eq!(f.since(&mut slow), Touched::All);
+        assert_eq!(rows(f.since(&mut slow)), Some(vec![]));
     }
 
     #[test]
-    fn invalidate_loses_every_cursor_and_liveness_only_the_wide_ones() {
+    fn invalidate_loses_every_cursor() {
         let mut f = TouchFeed::new(2);
-        let (mut narrow, mut wide) = (FeedCursor::default(), FeedCursor::default());
-        f.since(&mut narrow, false);
-        f.since(&mut wide, true);
-        f.liveness_flipped();
+        let (mut a, mut b) = (FeedCursor::default(), FeedCursor::default());
+        f.since(&mut a);
+        f.since(&mut b);
         f.touch(AsId(1));
-        assert_eq!(rows(f.since(&mut narrow, false)), Some(vec![1]));
-        assert_eq!(f.since(&mut wide, true), Touched::All);
-        assert_eq!(rows(f.since(&mut wide, true)), Some(vec![]));
+        assert_eq!(rows(f.since(&mut a)), Some(vec![1]));
         f.invalidate(2);
-        assert_eq!(f.since(&mut narrow, false), Touched::All);
-        assert_eq!(f.since(&mut wide, true), Touched::All);
+        assert_eq!(f.since(&mut a), Touched::All);
+        assert_eq!(f.since(&mut b), Touched::All);
+        assert_eq!(rows(f.since(&mut b)), Some(vec![]));
     }
 }

@@ -254,6 +254,10 @@ pub trait RouterLogic {
     /// the engine's per-session tables are sized by.
     const PROCS: usize = 1;
 
+    /// Do forwarding rows read liveness beyond their AS's own sessions?
+    /// Then a link or node flip dirties every row (`Engine::touched_since`).
+    const WIDE_LIVENESS: bool = false;
+
     /// Called once at simulation start, after all routers exist.
     /// Originate own prefixes here.
     fn on_start(&mut self, ctx: &mut RouterCtx);

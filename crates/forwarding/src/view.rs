@@ -121,9 +121,6 @@ pub trait ForwardingView {
 pub trait DataPlane: RouterLogic + Sized {
     /// Packet-context states the protocol's packets can be in.
     const N_CTX: u8 = 1;
-    /// Does `step` read liveness beyond the AS's own sessions? Then any
-    /// link or node flip dirties every row (see `Engine::touched_since`).
-    const WIDE_LIVENESS: bool = false;
 
     /// Initial context for traffic this AS originates towards `prefix`.
     fn start_ctx(&self, _prefix: PrefixId) -> u8 {
@@ -185,7 +182,7 @@ impl<R: DataPlane> ForwardingView for EngineView<'_, R> {
     }
 
     fn touched_since(&self, cursor: &mut FeedCursor) -> Touched<'_> {
-        self.engine.touched_since(cursor, R::WIDE_LIVENESS)
+        self.engine.touched_since(cursor)
     }
 
     #[inline]
@@ -228,9 +225,6 @@ impl DataPlane for BgpRouter {
 pub type RbgpView<'a> = EngineView<'a, RbgpRouter>;
 
 impl DataPlane for RbgpRouter {
-    /// The escape circuit reads the liveness of links far from `at`.
-    const WIDE_LIVENESS: bool = true;
-
     fn step(view: &RbgpView<'_>, at: AsId, _ctx: u8) -> Step {
         let r = view.engine.router(at);
         let session_ok = |n: AsId| view.engine.session_up(at, n);

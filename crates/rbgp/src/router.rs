@@ -453,6 +453,9 @@ impl RbgpRouter {
 }
 
 impl RouterLogic for RbgpRouter {
+    /// An escape circuit reads the liveness of every link of its path.
+    const WIDE_LIVENESS: bool = true;
+
     fn on_start(&mut self, ctx: &mut RouterCtx) {
         // No allocation unless this AS originates something.
         for prefix in self.speaker.own().to_vec() {

@@ -326,7 +326,9 @@ impl Timeline {
 /// `mask[v]`: does AS `v` have a policy-compliant route to `dest` in `g`?
 /// The workspace's one reachability-mask implementation — cells, what-ifs
 /// and tests all get theirs here (usually via
-/// [`Timeline::reachable_after`]).
+/// [`Timeline::reachable_after`]). The one exception is the forwarding
+/// crate's own tests (`engine_views.rs`' `reachable_after`): this crate
+/// depends on that one, so those tests cannot call this.
 pub fn reachability_mask(g: &AsGraph, dest: AsId) -> Vec<bool> {
     let truth = StaticRoutes::compute(g, dest);
     g.ases().map(|v| truth.reachable(v)).collect()

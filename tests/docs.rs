@@ -11,6 +11,11 @@
 //! quoted experiments heading must be one of that file's headings, word
 //! for word.
 //!
+//! The design document also cites itself by a bare `§N, "Subsection"`.
+//! A bare `§N` with no quoted subsection after it may name a section of
+//! the paper (§6.2, §4.1), so only the quoted form is read there: the
+//! paper's sections are never cited with a quoted title.
+//!
 //! Comment lines are joined before matching (their `//`, `//!`, `///` or
 //! `#` stripped), and so are a string's `\`-continued lines, because a
 //! citation can wrap. CHANGES.md is an append-only log and is not read;
@@ -151,6 +156,19 @@ fn citations(text: &str) -> Vec<(usize, Cite)> {
     found
 }
 
+/// Every bare `§N, "Subsection"` in `text`, with the byte offset where
+/// it starts: the design document citing one of its own subsections.
+fn own_citations(text: &str) -> Vec<(usize, Cite)> {
+    text.match_indices('§')
+        .filter_map(|(at, _)| {
+            let (section, rest) = section(&text[at..])?;
+            let (sub, _) = rest.strip_prefix(", ").and_then(quoted)?;
+            let sub = Some(sub);
+            Some((at, Cite::Design { section, sub }))
+        })
+        .collect()
+}
+
 /// A markdown heading: its level (the number of `#`) and its text.
 fn headings(doc: &str) -> Vec<(usize, String)> {
     doc.lines()
@@ -198,14 +216,62 @@ fn read(root: &Path, name: &str) -> String {
     fs::read_to_string(root.join(name)).unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
+/// The headings citations are checked against.
+struct Headings {
+    design: Vec<(usize, String)>,
+    experiments: Vec<String>,
+}
+
+impl Headings {
+    fn of(design: &str, experiments: &str) -> Headings {
+        let experiments = headings(experiments).into_iter().map(|(_, t)| t).collect();
+        Headings {
+            design: headings(design),
+            experiments,
+        }
+    }
+
+    /// Check `source`'s citations — and, when `own`, its bare ones too —
+    /// counting them into `found`, and return the dangling ones, each
+    /// shown as `shown:line: citation`.
+    fn dangling(
+        &self,
+        shown: &str,
+        source: &str,
+        own: bool,
+        found: &mut [usize; 3],
+    ) -> Vec<String> {
+        let joined = Joined::of(source);
+        let mut cites = citations(&joined.text);
+        if own {
+            let bare = own_citations(&joined.text);
+            found[2] += bare.len();
+            cites.extend(bare);
+        }
+        let mut dangling = Vec::new();
+        for (at, cite) in cites {
+            let ok = match &cite {
+                Cite::Design { section, sub } => {
+                    found[0] += 1;
+                    design_has(&self.design, section, sub.as_deref())
+                }
+                Cite::Experiments { heading } => {
+                    found[1] += 1;
+                    self.experiments.contains(heading)
+                }
+            };
+            if !ok {
+                dangling.push(format!("{shown}:{}: {cite:?}", joined.line_of(at)));
+            }
+        }
+        dangling
+    }
+}
+
 #[test]
 fn every_document_reference_names_a_heading_that_exists() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let design = headings(&read(root, DESIGN));
-    let experiments: Vec<String> = headings(&read(root, EXPERIMENTS))
-        .into_iter()
-        .map(|(_, t)| t)
-        .collect();
+    let known = Headings::of(&read(root, DESIGN), &read(root, EXPERIMENTS));
 
     let mut sources = Vec::new();
     for tree in TREES {
@@ -213,27 +279,14 @@ fn every_document_reference_names_a_heading_that_exists() {
     }
     sources.extend(FILES.iter().map(|f| root.join(f)));
 
-    let (mut design_cites, mut experiments_cites) = (0, 0);
+    let mut found = [0; 3];
     let mut dangling = Vec::new();
     for path in &sources {
         let bytes = fs::read(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let joined = Joined::of(&String::from_utf8_lossy(&bytes));
-        for (at, cite) in citations(&joined.text) {
-            let ok = match &cite {
-                Cite::Design { section, sub } => {
-                    design_cites += 1;
-                    design_has(&design, section, sub.as_deref())
-                }
-                Cite::Experiments { heading } => {
-                    experiments_cites += 1;
-                    experiments.contains(heading)
-                }
-            };
-            if !ok {
-                let shown = path.strip_prefix(root).unwrap_or(path).display();
-                dangling.push(format!("{shown}:{}: {cite:?}", joined.line_of(at)));
-            }
-        }
+        let shown = path.strip_prefix(root).unwrap_or(path);
+        let own = shown == Path::new(DESIGN);
+        let source = String::from_utf8_lossy(&bytes);
+        dangling.extend(known.dangling(&shown.display().to_string(), &source, own, &mut found));
     }
     assert!(
         dangling.is_empty(),
@@ -242,10 +295,33 @@ fn every_document_reference_names_a_heading_that_exists() {
         dangling.join("\n")
     );
     // A scanner that silently stopped matching would pass the check above.
+    let [design_cites, experiments_cites, own_cites] = found;
     assert!(
-        design_cites >= 10 && experiments_cites >= 10,
-        "only {design_cites} design and {experiments_cites} experiments citations found"
+        design_cites >= 10 && experiments_cites >= 10 && own_cites >= 5,
+        "only {design_cites} design ({own_cites} bare) and {experiments_cites} experiments \
+         citations found"
     );
+}
+
+#[test]
+fn the_design_document_s_bare_citations_resolve_and_paper_sections_stay_unread() {
+    let design = "# T\n## §1 One\n### Alpha\n## §2 Two\n### Gamma\n";
+    let known = Headings::of(design, "");
+    let mut found = [0; 3];
+    let body = "as §1, \"Alpha\" and the paper's §6.2 say;\nsee (§2,\n\"Gamma\").\n";
+    assert!(known.dangling("D", body, true, &mut found).is_empty());
+    assert_eq!(found, [2, 0, 2]);
+    // A quoted subsection under the wrong section dangles, wrapped or not.
+    let planted = format!("{body}as §2, \"Alpha\";\nand §1,\n\"Beta\".\n");
+    assert_eq!(
+        known.dangling("D", &planted, true, &mut found),
+        [
+            "D:4: Design { section: \"2\", sub: Some(\"Alpha\") }",
+            "D:5: Design { section: \"1\", sub: Some(\"Beta\") }",
+        ]
+    );
+    // Another file's bare `§` is not read.
+    assert!(known.dangling("F", &planted, false, &mut found).is_empty());
 }
 
 #[test]

@@ -2243,9 +2243,9 @@ mod stamp_reset {
     /// Reset `sim` and return the ASes the reset marked, ascending.
     fn reset_marks(sim: &mut Sim) -> Vec<AsId> {
         let mut cursor = FeedCursor::default();
-        engine(sim).touched_since(&mut cursor, false);
+        engine(sim).touched_since(&mut cursor);
         sim.reset_measurement();
-        match engine(sim).touched_since(&mut cursor, false) {
+        match engine(sim).touched_since(&mut cursor) {
             Touched::All => panic!("a reset marks rows, not the table"),
             Touched::Rows(a, b) => {
                 let mut v: Vec<AsId> = a.iter().chain(b).copied().collect();
