@@ -79,7 +79,11 @@ cargo test --release --offline -q --test determinism
 # Allocations per delivered update on a warm fork's replay, for all three
 # protocols: release only (debug runs allocating oracles), so it runs here.
 cargo test --release --offline -q -p stamp_bench --test allocations
-echo "tier-1 gate passed (offline, incl. doctests, one figure, calibrate and daemon run each, release determinism and allocations)"
+# The incremental observer against the from-scratch oracle at every
+# observation, with real asserts: the tracker's own oracle check is a
+# debug_assert, which the release build compiles out.
+cargo test --release --offline -q --test properties incremental_verdicts_equal_the_oracle
+echo "tier-1 gate passed (offline, incl. doctests, one figure, calibrate and daemon run each, release determinism, allocations and observer oracle)"
 
 # --- Warm-start results-golden gate ---------------------------------------
 # The full default run: campaign at 500 ASes, campaign_2000 at 2000 and the
@@ -113,10 +117,22 @@ echo "warm-start results-golden gate passed (BENCH_campaign.json byte-identical)
 # Cargo refreshes benchmark/Cargo.lock in place when a workspace crate's
 # dependency edges changed; that file belongs to benchmark PRs, so put it
 # back afterwards instead of leaving the tree dirty.
+#
+# The smoke run's report goes to a temporary file rather than the log; when
+# the run fails, the report's workload headings and FAILED lines (which name
+# each failed operation or check) and its last lines are printed before the
+# gate fails.
 bench_lock=$(mktemp)
+bench_out=$(mktemp)
 cp benchmark/Cargo.lock "$bench_lock"
-trap 'cp "$bench_lock" benchmark/Cargo.lock; rm -f "$bench_lock"' EXIT
+trap 'cp "$bench_lock" benchmark/Cargo.lock; rm -f "$bench_lock" "$bench_out"' EXIT
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
-cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- run all --smoke >/dev/null
+if ! cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- run all --smoke >"$bench_out"; then
+    echo "FAIL: reference benchmark smoke run (run all --smoke); from its report:"
+    grep -E '^== |FAILED' "$bench_out" || true
+    echo "..."
+    tail -n 5 "$bench_out"
+    exit 1
+fi
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 echo "reference benchmark gate passed (offline build, run all --smoke, unit tests)"

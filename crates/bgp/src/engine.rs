@@ -23,6 +23,7 @@ use stamp_eventsim::{
 };
 use stamp_policy::CompiledRegime;
 use stamp_topology::{AsGraph, AsId, LinkId, SessEntry, SessId};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The most routing processes any protocol runs per AS (STAMP's red +
@@ -379,6 +380,87 @@ struct Fixed {
     watchdog: WatchdogConfig,
 }
 
+impl Fixed {
+    /// The jittered MRAI interval of `sess` (zero, no timer, for a session
+    /// outside the table).
+    #[inline]
+    fn mrai_interval(&self, sess: SessId) -> SimDuration {
+        let interval = self.mrai_interval.get(sess.index()).copied();
+        interval.unwrap_or(SimDuration::ZERO)
+    }
+}
+
+/// Engine instances ever made: each draws its own number, so the versions
+/// two instances draw never coincide.
+static INSTANCES: AtomicU64 = AtomicU64::new(1);
+
+/// A name for the contents of an engine's routers: the instance that drew
+/// it, and how many it had drawn. Equal versions name equal routers.
+type Version = (u64, u64);
+
+/// Which routers an engine wrote since it was last copied onto, and from
+/// what: what lets `clone_from` onto the same unchanged source rewind only
+/// those routers (see the [`Clone`] impl).
+///
+/// An engine draws a new [`Version`] whenever its routers may be about to
+/// change while something could already have copied them: on entering
+/// every method that can write a router, and after handing itself to a
+/// run's observer. A copy carries its source's version, for it holds the
+/// same routers. So an engine whose version equals the one its last copy
+/// came from holds the routers that copy took.
+#[derive(Debug)]
+struct Journal {
+    /// This instance's number.
+    instance: u64,
+    /// Versions this instance has drawn.
+    drawn: u64,
+    /// The version of this engine's routers.
+    version: Version,
+    /// The version of the source this engine's routers were last copied
+    /// from (`None`: built, not copied).
+    from: Option<Version>,
+    /// Per AS: has its router been written since that copy?
+    written: Vec<bool>,
+}
+
+impl Journal {
+    /// The journal of a new instance holding `n` routers of its own.
+    fn new(n: usize) -> Journal {
+        let instance = INSTANCES.fetch_add(1, Ordering::Relaxed);
+        Journal {
+            instance,
+            drawn: 0,
+            version: (instance, 0),
+            from: None,
+            written: vec![false; n],
+        }
+    }
+
+    /// The journal of a new instance holding a copy of this one's routers.
+    fn fork(&self) -> Journal {
+        Journal {
+            version: self.version,
+            from: Some(self.version),
+            ..Journal::new(self.written.len())
+        }
+    }
+
+    /// The routers may change from here on.
+    #[inline]
+    fn refresh(&mut self) {
+        self.drawn += 1;
+        self.version = (self.instance, self.drawn);
+    }
+
+    /// `v`'s router was written.
+    #[inline]
+    fn write(&mut self, v: AsId) {
+        if let Some(w) = self.written.get_mut(v.index()) {
+            *w = true;
+        }
+    }
+}
+
 /// The simulation engine: one router per AS, FIFO sessions, MRAI, failures.
 ///
 /// All per-session state lives in flat `Vec`s indexed by the topology's
@@ -436,6 +518,14 @@ pub struct Engine<R: RouterLogic> {
     /// remember where they last looked — see [`Engine::touched_since`].
     /// Not simulation state: `clone_from` invalidates it.
     feed: TouchFeed,
+    /// Per AS: does a forwarding row of it read the liveness of sessions
+    /// beyond its own ([`RouterLogic::reads_remote_liveness`], asked
+    /// whenever the engine marks the AS)? Every link or node flip marks
+    /// these ASes too.
+    far_readers: Vec<bool>,
+    /// Which routers were written since the last copy onto this engine.
+    /// Not simulation state: a copy starts its own.
+    journal: Journal,
 }
 
 impl<R: RouterLogic> Engine<R> {
@@ -459,7 +549,9 @@ impl<R: RouterLogic> Engine<R> {
             };
             for sess in [ab, g.sess_reverse(ab)] {
                 let f: f64 = 0.75 + 0.25 * mrai_rng.gen_f64();
-                mrai_interval[sess.index()] = cfg.sessions.mrai_base.mul_f64(f);
+                if let Some(interval) = mrai_interval.get_mut(sess.index()) {
+                    *interval = cfg.sessions.mrai_base.mul_f64(f);
+                }
             }
         }
         Engine {
@@ -479,6 +571,8 @@ impl<R: RouterLogic> Engine<R> {
             started: false,
             out_scratch: Vec::new(),
             feed: TouchFeed::new(g.n()),
+            far_readers: vec![false; g.n()],
+            journal: Journal::new(g.n()),
             fixed: Arc::new(Fixed {
                 g,
                 sessions: cfg.sessions,
@@ -500,16 +594,24 @@ impl<R: RouterLogic> Engine<R> {
     }
 
     /// Router of one AS (immutable — data-plane snapshots).
+    ///
+    /// # Panics
+    ///
+    /// On an AS outside the topology.
     pub fn router(&self, v: AsId) -> &R {
-        &self.routers[v.index()]
+        // simlint::allow(panic, "an AS outside the topology is the caller's bug; every caller walks this engine's topology")
+        self.routers.get(v.index()).expect("an AS of this topology")
     }
 
     /// Run every router's [`RouterLogic::reset_measurement`], marking for
     /// observers exactly the ASes whose reset cleared something.
     pub fn reset_measurement(&mut self) {
+        self.journal.refresh();
         for (v, router) in self.routers.iter_mut().enumerate() {
             if router.reset_measurement() {
-                self.feed.touch(AsId::from_usize(v));
+                let v = AsId::from_usize(v);
+                self.journal.write(v);
+                self.feed.touch(v);
             }
         }
     }
@@ -541,20 +643,20 @@ impl<R: RouterLogic> Engine<R> {
         &self.stats
     }
 
-    /// The ASes whose forwarding behaviour — selections, and the liveness
-    /// of their own sessions — may have changed since `cursor` last looked
-    /// here, and move `cursor` to now. A superset: an AS is marked whenever
-    /// its router runs an event (or clears something in
-    /// [`Engine::reset_measurement`]) and whenever a session of its own goes up
-    /// or down; [`Touched::All`] after a `clone_from`, on a
-    /// cursor's first look, or when the observer fell a whole ring behind.
-    ///
-    /// When `R::WIDE_LIVENESS` says the rows read liveness *beyond* the
-    /// AS's own sessions (R-BGP escape circuits walk every hop of a pinned
-    /// path), a link or node flip is [`Touched::All`] for every cursor
-    /// that predates it, as a rewind is. The feed is bookkeeping for
-    /// observers only; it never feeds a golden hash and costs one compare
-    /// per router event when nobody looks.
+    /// The ASes whose forwarding rows — selections, what the data plane
+    /// reads beside them, and the liveness of their sessions — may have
+    /// changed since `cursor` last looked here, and move `cursor` to now.
+    /// A superset, reporting rows that changed rather than routers that
+    /// ran: an AS is marked when its router's event set `fib_changed` or
+    /// `row_changed` (or its [`Engine::reset_measurement`] cleared
+    /// something), when a session of its own goes up or down, and — on
+    /// every link or node flip — when its rows read liveness beyond its
+    /// own sessions ([`RouterLogic::reads_remote_liveness`]: an R-BGP row
+    /// on an escape circuit walks every hop of a pinned path).
+    /// [`Touched::All`] after a `clone_from`, on a cursor's first look, or
+    /// when the observer fell a whole ring behind. The feed is bookkeeping
+    /// for observers only; it never feeds a golden hash and costs one
+    /// compare per marked row when nobody looks.
     #[inline]
     pub fn touched_since(&self, cursor: &mut FeedCursor) -> Touched<'_> {
         self.feed.since(cursor)
@@ -570,6 +672,7 @@ impl<R: RouterLogic> Engine<R> {
     pub fn start(&mut self) {
         assert!(!self.started, "engine already started");
         self.started = true;
+        self.journal.refresh();
         for v in 0..self.fixed.g.n() {
             let v = AsId::from_usize(v);
             self.with_router_ctx(v, |router, ctx| router.on_start(ctx));
@@ -651,6 +754,7 @@ impl<R: RouterLogic> Engine<R> {
         F: FnMut(&Engine<R>, SimTime),
     {
         assert!(self.started, "call start() first");
+        self.journal.refresh();
         let wd = self.fixed.watchdog;
         // Fingerprint history as (fingerprint, sample time, events-so-far):
         // fixed-size window, newest last — no allocation on the run path.
@@ -678,6 +782,9 @@ impl<R: RouterLogic> Engine<R> {
             if fib_changed {
                 self.stats.last_fib_change = t;
                 observer(self, t);
+                // The observer may have copied the engine: what the run
+                // writes from here on is under a version no copy holds.
+                self.journal.refresh();
             }
             if run_events >= wd.max_events {
                 return RunOutcome::BudgetExhausted;
@@ -695,9 +802,8 @@ impl<R: RouterLogic> Engine<R> {
                         next_sample = Some(t + wd.sample_every);
                         let fp = self.fingerprint().value();
                         if fp != 0 {
-                            if let Some(&(_, pt, pe)) =
-                                history[..n_hist].iter().find(|&&(f, _, _)| f == fp)
-                            {
+                            let seen = history.get(..n_hist).unwrap_or_default();
+                            if let Some(&(_, pt, pe)) = seen.iter().find(|&&(f, _, _)| f == fp) {
                                 return RunOutcome::Diverged {
                                     period: t.since(pt),
                                     churn: run_events - pe,
@@ -707,8 +813,10 @@ impl<R: RouterLogic> Engine<R> {
                                 history.copy_within(1.., 0);
                                 n_hist -= 1;
                             }
-                            history[n_hist] = (fp, t, run_events);
-                            n_hist += 1;
+                            if let Some(slot) = history.get_mut(n_hist) {
+                                *slot = (fp, t, run_events);
+                                n_hist += 1;
+                            }
                         }
                     }
                     Some(_) => {}
@@ -795,7 +903,7 @@ impl<R: RouterLogic> Engine<R> {
                 // is already up again. All O(1) array reads.
                 let ends = self.fixed.g.sess_ends(sess);
                 if !self.state.up(ends.from, ends.to, ends.link)
-                    || self.link_epoch[ends.link.index()] != epoch
+                    || self.link_epoch.get(ends.link.index()) != Some(&epoch)
                 {
                     self.stats.dropped += 1;
                     return false;
@@ -820,7 +928,7 @@ impl<R: RouterLogic> Engine<R> {
                 // stale expiry would flush the new session's pending
                 // update early, violating the MRAI interval.
                 let ends = self.fixed.g.sess_ends(sess);
-                if self.link_epoch[ends.link.index()] != epoch {
+                if self.link_epoch.get(ends.link.index()) != Some(&epoch) {
                     return false;
                 }
                 // Only a parked update brings an expiry into the heap, and
@@ -837,7 +945,7 @@ impl<R: RouterLogic> Engine<R> {
                     return false;
                 };
                 // Keep the timer armed for another interval.
-                let expires = self.sched.now() + self.fixed.mrai_interval[sess.index()];
+                let expires = self.sched.now() + self.fixed.mrai_interval(sess);
                 slot.ticket = self.lapses.arm(&mut self.sched, expires);
                 self.transmit(sess, proc, msg);
                 false
@@ -847,6 +955,9 @@ impl<R: RouterLogic> Engine<R> {
     }
 
     fn handle_scenario(&mut self, s: ScenarioEvent) -> bool {
+        // Reached from a run, which drew a version already — and directly
+        // from this module's tests, which then write routers too.
+        self.journal.refresh();
         self.scenario_seq += 1;
         match s {
             ScenarioEvent::FailLink(id) => self.fail_link(id),
@@ -888,8 +999,11 @@ impl<R: RouterLogic> Engine<R> {
         if !self.state.node_ok(leaker) {
             return false;
         }
-        let speaker = self.routers[leaker.index()].speaker();
-        let Some((learned_from, route)) = speaker.selected_route(prefix, ProcId::ONLY) else {
+        let Some(router) = self.routers.get(leaker.index()) else {
+            return false;
+        };
+        let Some((learned_from, route)) = router.speaker().selected_route(prefix, ProcId::ONLY)
+        else {
             return false;
         };
         let adv = route.prepend(&mut self.paths, leaker);
@@ -1071,30 +1185,37 @@ impl<R: RouterLogic> Engine<R> {
 
     /// `id`'s `link_up` flag flipped: the rows that read it are its two
     /// endpoints' — unless one of them is down, in which case the session
-    /// was down before and still is. Under `R::WIDE_LIVENESS`, every row.
+    /// was down before and still is — and the far readers'.
     fn mark_link_flip(&mut self, id: LinkId) {
-        if R::WIDE_LIVENESS {
-            self.feed.invalidate(self.fixed.g.n());
-        }
         let l = self.fixed.g.link(id);
         if self.state.node_ok(l.a) && self.state.node_ok(l.b) {
             self.feed.touch(l.a);
             self.feed.touch(l.b);
         }
+        self.mark_far_readers();
     }
 
-    /// `v`'s `node_up` flag flipped: the rows that read it are `v`'s own
-    /// and those of the neighbours whose session to `v` it decides (link
-    /// up, neighbour alive). Under `R::WIDE_LIVENESS`, every row.
+    /// `v`'s `node_up` flag flipped: the rows that read it are `v`'s own,
+    /// those of the neighbours whose session to `v` it decides (link up,
+    /// neighbour alive), and the far readers'.
     fn mark_node_flip(&mut self, v: AsId) {
-        if R::WIDE_LIVENESS {
-            self.feed.invalidate(self.fixed.g.n());
-        }
         self.feed.touch(v);
         let g = self.fixed.g.clone();
         for e in g.neighbor_entries(v) {
             if self.state.link_ok(e.link) && self.state.node_ok(e.neighbor) {
                 self.feed.touch(e.neighbor);
+            }
+        }
+        self.mark_far_readers();
+    }
+
+    /// Some liveness flag flipped: mark every AS whose rows read liveness
+    /// beyond its own sessions. One pass over a byte per AS; no router is
+    /// read.
+    fn mark_far_readers(&mut self) {
+        for (v, &far) in self.far_readers.iter().enumerate() {
+            if far {
+                self.feed.touch(AsId::from_usize(v));
             }
         }
     }
@@ -1123,13 +1244,13 @@ impl<R: RouterLogic> Engine<R> {
     where
         F: FnOnce(&mut R, &mut RouterCtx),
     {
-        // Any router event may change the router's selections: mark its
-        // forwarding row for observers (bookkeeping only, never hashed).
-        self.feed.touch(v);
+        // Any router event may write the router: journal it for the next
+        // rewind (bookkeeping only, never hashed).
+        self.journal.write(v);
         // Destructure to borrow `routers` and the arena mutably while
         // `g`/`state` stay shared — the ctx reads topology and liveness and
         // interns paths.
-        let (out, fib_changed) = {
+        let (out, fib_changed, row_changed) = {
             let Engine {
                 routers,
                 fixed,
@@ -1143,9 +1264,21 @@ impl<R: RouterLogic> Engine<R> {
             // Lend the engine's scratch buffer: `Vec::new()` above never
             // allocated, and the swap hands routers a warm buffer.
             ctx.out = std::mem::take(out_scratch);
-            f(&mut routers[v.index()], &mut ctx);
-            (ctx.out, ctx.fib_changed)
+            if let Some(router) = routers.get_mut(v.index()) {
+                f(router, &mut ctx);
+            }
+            (ctx.out, ctx.fib_changed, ctx.row_changed)
         };
+        // Only an event that changed what the row reads marks it for
+        // observers, and only then can the AS start or stop reading
+        // liveness beyond its own sessions.
+        if fib_changed || row_changed {
+            self.feed.touch(v);
+            let far = self.routers.get(v.index()).map(R::reads_remote_liveness);
+            if let (Some(mark), Some(far)) = (self.far_readers.get_mut(v.index()), far) {
+                *mark = far;
+            }
+        }
         self.dispatch(v, out);
         fib_changed
     }
@@ -1173,7 +1306,7 @@ impl<R: RouterLogic> Engine<R> {
                 continue;
             }
             let prefix = msg.prefix;
-            let expires = self.sched.now() + self.fixed.mrai_interval[sess.index()];
+            let expires = self.sched.now() + self.fixed.mrai_interval(sess);
             let n_chans = self.channels.len();
             let Some(slot) = Self::mrai_slot(&mut self.mrai, n_chans, sess, proc, prefix) else {
                 // Every session's channels are in the table: unreachable.
@@ -1186,7 +1319,11 @@ impl<R: RouterLogic> Engine<R> {
                 if slot.pending.replace(msg).is_some() {
                     self.stats.coalesced += 1;
                 } else {
-                    let epoch = self.link_epoch[link.index()];
+                    let epoch = self
+                        .link_epoch
+                        .get(link.index())
+                        .copied()
+                        .unwrap_or_default();
                     let expiry = Event::MraiExpire {
                         sess,
                         proc,
@@ -1204,6 +1341,13 @@ impl<R: RouterLogic> Engine<R> {
         self.out_scratch = out;
     }
 
+    /// Does `clone_from(source)` copy only the routers written since this
+    /// engine's last copy? It does when that copy came from the version of
+    /// the routers `source` holds now.
+    fn rewinds_by_journal(&self, source: &Self) -> bool {
+        self.journal.from == Some(source.journal.version)
+    }
+
     /// Hand a message to the FIFO channel and schedule its delivery.
     fn transmit(&mut self, sess: SessId, proc: ProcId, msg: UpdateMsg) {
         if self.fixed.sessions.loss.drops(&mut self.loss_rng) {
@@ -1214,13 +1358,19 @@ impl<R: RouterLogic> Engine<R> {
             UpdateKind::Announce(_) => self.stats.announcements_sent += 1,
             UpdateKind::Withdraw(_) => self.stats.withdrawals_sent += 1,
         }
-        let epoch = self.link_epoch[self.fixed.g.sess_ends(sess).link.index()];
+        let link = self.fixed.g.sess_ends(sess).link;
+        let epoch = self
+            .link_epoch
+            .get(link.index())
+            .copied()
+            .unwrap_or_default();
         let now = self.sched.now();
-        let at = self.channels[Self::chan_idx(sess, proc)].delivery_time(
-            now,
-            &self.fixed.sessions.delay,
-            &mut self.delay_rng,
-        );
+        let Some(channel) = self.channels.get_mut(Self::chan_idx(sess, proc)) else {
+            // Every session's channels are in the table: unreachable.
+            self.stats.dropped += 1;
+            return;
+        };
+        let at = channel.delivery_time(now, &self.fixed.sessions.delay, &mut self.delay_rng);
         self.sched.schedule_at(
             at,
             Event::Deliver {
@@ -1250,6 +1400,15 @@ impl<R: RouterLogic> Engine<R> {
 /// `clone_from` empties the rows its source lacks instead of dropping
 /// them, so an engine that keeps rewinding keeps every row buffer and
 /// re-arms without allocating.
+///
+/// A rewind copies only the routers it must. An engine journals which
+/// routers it wrote since it was last copied onto, and every engine names
+/// its routers' contents by a version that a copy carries and a write
+/// replaces (`Journal`). `clone_from` onto an engine whose last copy
+/// came from the version `source` still holds copies the journaled
+/// routers alone — a warm cell rewinds the 10–150 routers it touched, not
+/// the whole table; any other source takes every router. Everything else
+/// is copied whole either way.
 impl<R: RouterLogic + Clone> Clone for Engine<R> {
     fn clone(&self) -> Self {
         let Engine {
@@ -1270,6 +1429,8 @@ impl<R: RouterLogic + Clone> Clone for Engine<R> {
             started,
             out_scratch: _,
             feed,
+            far_readers,
+            journal,
         } = self;
         Engine {
             fixed: Arc::clone(fixed),
@@ -1291,6 +1452,9 @@ impl<R: RouterLogic + Clone> Clone for Engine<R> {
             out_scratch: Vec::new(),
             // Cursors advanced on the original stay good on the fork.
             feed: feed.clone(),
+            far_readers: far_readers.clone(),
+            // A fork holds its source's routers and has written none.
+            journal: journal.fork(),
         }
     }
 
@@ -1324,10 +1488,30 @@ impl<R: RouterLogic + Clone> Clone for Engine<R> {
             started,
             out_scratch: _,
             feed: _,
+            far_readers,
+            journal,
         } = source;
         self.fixed.clone_from(fixed);
         self.policy.clone_from(policy);
-        self.routers.clone_from(routers);
+        let by_journal = self.rewinds_by_journal(source);
+        let mine = &mut self.journal;
+        if by_journal {
+            // Every router not written since the last copy still is the
+            // copy of the one `source` holds.
+            let routers = self.routers.iter_mut().zip(routers);
+            for ((to, from), written) in routers.zip(&mut mine.written) {
+                if std::mem::take(written) {
+                    to.clone_from(from);
+                }
+            }
+        } else {
+            self.routers.clone_from(routers);
+            mine.written.clear();
+            mine.written.resize(routers.len(), false);
+        }
+        mine.from = Some(journal.version);
+        mine.version = journal.version;
+        self.far_readers.clone_from(far_readers);
         self.paths.clone_from(paths);
         self.sched.clone_from(sched);
         self.state.clone_from(state);
@@ -2510,46 +2694,59 @@ mod more_tests {
     }
 
     /// Plain BGP declaring what it does not do: `P` processes, of which it
-    /// runs one, and, when `WIDE`, rows that read liveness beyond their own
+    /// runs one, and, when `far`, rows that read liveness beyond their own
     /// sessions.
     #[derive(Clone)]
-    struct Declares<const P: usize, const WIDE: bool>(BgpRouter);
+    struct Declares<const P: usize> {
+        bgp: BgpRouter,
+        far: bool,
+    }
 
-    impl<const P: usize, const WIDE: bool> RouterLogic for Declares<P, WIDE> {
+    impl<const P: usize> RouterLogic for Declares<P> {
         const PROCS: usize = P;
-        const WIDE_LIVENESS: bool = WIDE;
 
         fn on_start(&mut self, ctx: &mut RouterCtx) {
-            self.0.on_start(ctx);
+            self.bgp.on_start(ctx);
         }
         fn on_update(&mut self, ctx: &mut RouterCtx, from: usize, proc: ProcId, msg: UpdateMsg) {
-            self.0.on_update(ctx, from, proc, msg);
+            self.bgp.on_update(ctx, from, proc, msg);
         }
         fn on_link_down(&mut self, ctx: &mut RouterCtx, slot: usize, cause: CauseInfo) {
-            self.0.on_link_down(ctx, slot, cause);
+            self.bgp.on_link_down(ctx, slot, cause);
         }
         fn on_link_up(&mut self, ctx: &mut RouterCtx, slot: usize, cause: CauseInfo) {
-            self.0.on_link_up(ctx, slot, cause);
+            self.bgp.on_link_up(ctx, slot, cause);
         }
         fn fingerprint(&self, fp: &mut StateFingerprint) {
-            self.0.fingerprint(fp);
+            self.bgp.fingerprint(fp);
         }
         fn speaker(&self) -> &crate::speaker::Speaker {
-            self.0.speaker()
+            self.bgp.speaker()
+        }
+        fn reads_remote_liveness(&self) -> bool {
+            self.far
         }
     }
 
+    /// Liveness flips mark their own rows and every far reader's, whatever
+    /// the cursor; what follows a flip reports rows, and only a rewind
+    /// loses the cursors.
     #[test]
-    fn a_wide_router_loses_every_cursor_on_liveness_flips_and_restores_only() {
+    fn flips_mark_far_readers_and_only_a_rewind_loses_the_cursors() {
         let g = diamond();
         let l42 = g.link_between(AsId(4), AsId(2)).unwrap();
+        // AS 1's rows read liveness beyond its own sessions.
         let mut e = Engine::new(g, EngineConfig::fast(3), |v| {
             let own = if v == AsId(4) {
                 vec![PrefixId(0)]
             } else {
                 vec![]
             };
-            Declares::<1, true>(BgpRouter::new(v, own))
+            let bgp = BgpRouter::new(v, own);
+            Declares::<1> {
+                bgp,
+                far: v == AsId(1),
+            }
         });
         e.start();
         e.run_to_quiescence(None);
@@ -2557,30 +2754,166 @@ mod more_tests {
         let (mut c, mut other) = (FeedCursor::default(), FeedCursor::default());
         e.touched_since(&mut c);
         e.touched_since(&mut other);
-        // A link flip loses every cursor, not only its endpoints' rows.
+        // A link flip marks its endpoints and the far reader, for every
+        // cursor.
         e.handle_scenario(ScenarioEvent::FailLink(l42));
-        assert_eq!(e.touched_since(&mut c), Touched::All);
-        assert_eq!(e.touched_since(&mut other), Touched::All);
+        assert_eq!(marked(&e, &mut c), vec![1, 2, 4]);
+        assert_eq!(marked(&e, &mut other), vec![1, 2, 4]);
         // An already-down link flips nothing.
         e.handle_scenario(ScenarioEvent::FailLink(l42));
         assert!(marked(&e, &mut c).is_empty());
         // Plain BGP clears nothing between phases: nothing marked.
         e.reset_measurement();
         assert!(marked(&e, &mut c).is_empty());
-        // The withdrawals in flight mark whoever processes them.
+        // The withdrawals in flight mark the rows they change.
         e.run_to_quiescence(None);
         assert!(!marked(&e, &mut c).is_empty());
-        // So does a node flip, and the deliveries after it report rows.
+        // A node flip: the node, its live neighbours and the far reader.
         e.handle_scenario(ScenarioEvent::FailNode(AsId(3)));
-        assert_eq!(e.touched_since(&mut c), Touched::All);
+        assert_eq!(marked(&e, &mut c), vec![1, 3, 4]);
         e.run_to_quiescence(None);
         marked(&e, &mut c);
         // A fork taken now honours cursors advanced on the original.
         let (fork, mut on_fork) = (e.clone(), c);
         assert!(marked(&fork, &mut on_fork).is_empty());
-        // A rewind rewrites every router behind the feed's back.
+        // A rewind rewrites routers behind the feed's back.
         e.clone_from(&ck);
         assert_eq!(e.touched_since(&mut c), Touched::All);
+    }
+
+    /// A router that runs an event and keeps its selection changes no row:
+    /// 3 leaks the route 1 already holds from it, 1 re-imports the same
+    /// path, and nothing is marked — though the journal records the write.
+    #[test]
+    fn a_router_event_that_changes_no_fib_marks_nothing() {
+        let mut e = engine(diamond(), AsId(4), 3);
+        e.start();
+        e.run_to_quiescence(None);
+        // A rewind restarts the journal: what it records next is the leak's.
+        let ck = e.clone();
+        e.clone_from(&ck);
+        assert!(e.journal.written.iter().all(|w| !w));
+        let mut c = FeedCursor::default();
+        e.touched_since(&mut c);
+        let delivered = e.stats().delivered;
+        let leak = ScenarioEvent::Leak {
+            leaker: AsId(3),
+            prefix: PrefixId(0),
+        };
+        e.inject_after(SimDuration::from_secs(1), leak);
+        assert!(e.run_to_quiescence(None).is_converged());
+        assert!(e.stats().delivered > delivered, "1 ran an update");
+        assert!(e.journal.written[1], "and its router was written");
+        assert!(marked(&e, &mut c).is_empty());
+        // An event that does move a selection marks its row.
+        let l43 = e.topology().link_between(AsId(4), AsId(3)).unwrap();
+        e.inject_after(SimDuration::from_secs(1), ScenarioEvent::FailLink(l43));
+        e.run_to_quiescence(None);
+        assert!(marked(&e, &mut c).contains(&1));
+    }
+
+    /// Every router of `a` is `b`'s, down to its RIBs (`Debug` prints
+    /// every table a router holds).
+    fn same_routers(a: &Engine<BgpRouter>, b: &Engine<BgpRouter>) -> bool {
+        let same = |(x, y): (&BgpRouter, &BgpRouter)| format!("{x:?}") == format!("{y:?}");
+        a.routers.len() == b.routers.len() && a.routers.iter().zip(&b.routers).all(same)
+    }
+
+    /// What a replay of one failure ends in.
+    fn replay(e: &mut Engine<BgpRouter>) -> (Vec<Option<AsId>>, RunStats, SimTime, usize) {
+        let id = e.topology().link_between(AsId(4), AsId(2)).unwrap();
+        e.inject_after(SimDuration::from_secs(1), ScenarioEvent::FailLink(id));
+        e.run_to_quiescence(None);
+        let hops = e
+            .topology()
+            .ases()
+            .map(|v| e.router(v).next_hop(PrefixId(0)));
+        (hops.collect(), *e.stats(), e.now(), e.paths().node_count())
+    }
+
+    /// A rewind onto the routers its last copy came from copies only the
+    /// routers written since, and ends where a full copy ends: the same
+    /// routers, and the same replay after. The source may be the engine
+    /// first copied, a fork of a fork of it, or — after a replay that
+    /// started from that fork of a fork — the first engine again.
+    #[test]
+    fn a_journaled_rewind_equals_a_full_copy() {
+        let g = diamond();
+        let mut base = engine(g.clone(), AsId(4), 11);
+        base.start();
+        base.run_to_quiescence(None);
+        let fork = base.clone();
+        let fork2 = fork.clone();
+        let expected = replay(&mut base.clone());
+
+        let mut w = engine(g.clone(), AsId(4), 99);
+        assert!(!w.rewinds_by_journal(&base), "a built engine copies all");
+        w.clone_from(&base);
+        assert_eq!(replay(&mut w), expected);
+        let written = w.journal.written.iter().filter(|w| **w).count();
+        assert!(0 < written && written < g.n(), "{written} routers written");
+        for source in [&fork2, &base, &fork] {
+            assert!(w.rewinds_by_journal(source));
+            w.clone_from(source);
+            assert!(same_routers(&w, source));
+            assert!(w.journal.written.iter().all(|w| !w), "the journal restarts");
+            assert_eq!(replay(&mut w), expected);
+        }
+
+        // A fork of a fork replays, then rewinds onto the first engine.
+        let mut w2 = fork2.clone();
+        assert_eq!(replay(&mut w2), expected);
+        assert!(w2.rewinds_by_journal(&base));
+        w2.clone_from(&base);
+        assert!(same_routers(&w2, &base));
+        assert_eq!(replay(&mut w2), expected);
+    }
+
+    /// A source that ran since the last copy, or another engine, is copied
+    /// whole.
+    #[test]
+    fn a_moved_or_different_source_takes_the_full_copy() {
+        let g = diamond();
+        let mut base = engine(g.clone(), AsId(4), 11);
+        base.start();
+        base.run_to_quiescence(None);
+        let mut w = base.clone();
+        replay(&mut w);
+        let mut moved = base.clone();
+        assert!(w.rewinds_by_journal(&moved));
+        replay(&mut moved);
+        assert!(!w.rewinds_by_journal(&moved), "the source ran");
+        w.clone_from(&moved);
+        assert!(same_routers(&w, &moved));
+        // Between phases, too: a reset may write routers.
+        replay(&mut w);
+        moved.reset_measurement();
+        assert!(!w.rewinds_by_journal(&moved));
+
+        let mut other = engine(g, AsId(3), 11);
+        other.start();
+        other.run_to_quiescence(None);
+        assert!(!w.rewinds_by_journal(&other));
+        w.clone_from(&other);
+        assert!(same_routers(&w, &other));
+        assert_eq!(replay(&mut w), replay(&mut other.clone()));
+    }
+
+    /// A copy an observer takes mid-run holds the routers of that instant;
+    /// the run writes on under another version, so rewinding the copy onto
+    /// the engine afterwards copies every router.
+    #[test]
+    fn a_copy_taken_mid_run_is_rewound_in_full() {
+        let mut e = engine(diamond(), AsId(4), 3);
+        e.start();
+        let mut first = None;
+        e.run_until_quiescent(None, |e, _| {
+            first.get_or_insert_with(|| e.clone());
+        });
+        let mut first = first.expect("convergence changes FIBs");
+        assert!(!first.rewinds_by_journal(&e));
+        first.clone_from(&e);
+        assert!(same_routers(&first, &e));
     }
 
     /// Channel and MRAI rows after a converge, a failure and a repair
@@ -2616,7 +2949,10 @@ mod more_tests {
         let g = diamond();
         let n = g.n_sessions();
         assert_eq!(table_rows(&g, BgpRouter::new), [n, n]);
-        let two = |v, own| Declares::<2, false>(BgpRouter::new(v, own));
+        let two = |v, own| Declares::<2> {
+            bgp: BgpRouter::new(v, own),
+            far: false,
+        };
         assert_eq!(table_rows(&g, two), [2 * n, 2 * n]);
     }
 }

@@ -1,11 +1,15 @@
 //! The touched feed: which ASes' forwarding rows *may* have changed since
 //! an observer last looked.
 //!
-//! The engine marks an AS every time something its forwarding row reads is
-//! written — its router ran an event, or the liveness of one of its own
-//! sessions flipped — and an observer that remembers a [`FeedCursor`] asks
-//! for the marks made since. Observing therefore costs what the event
-//! touched, not what the topology holds (DESIGN.md §12).
+//! The engine marks an AS when something its forwarding rows read was
+//! written: its router's event changed what the data plane or the control
+//! metric reads (the router set `fib_changed` or `row_changed`), a session
+//! of its own went up or down, or — on any link or node flip — its rows
+//! read liveness beyond its own sessions (an R-BGP row on an escape
+//! circuit, `RouterLogic::reads_remote_liveness`). A router that ran and
+//! changed nothing is not marked. An observer that remembers a
+//! [`FeedCursor`] asks for the marks made since. Observing therefore costs
+//! what the event changed, not what the topology holds (DESIGN.md §12).
 //!
 //! The feed is a ring of `n` AS ids. An AS already marked since the newest
 //! cursor was handed out is not marked again (one compare), so between two
@@ -13,9 +17,8 @@
 //! every tick never loses its place. An observer that fell more than a
 //! ring behind is told "everything", and so is every observer whose cursor
 //! predates a new epoch: the engine starts one when every row may have
-//! changed at once — a rewind (`Engine::clone_from` rewrites every router
-//! behind the feed's back), or a link or node flip under a router whose
-//! rows read liveness beyond its own sessions (`RouterLogic::WIDE_LIVENESS`).
+//! changed at once — a rewind (`Engine::clone_from` rewrites routers
+//! behind the feed's back).
 
 use stamp_topology::AsId;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,8 +40,7 @@ pub struct FeedCursor {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Touched<'a> {
     /// Every row may have changed: a first look, a cursor a ring behind,
-    /// or one from an earlier epoch (a rewind, or a liveness flip under a
-    /// router whose rows read liveness beyond its own sessions).
+    /// or one from an earlier epoch (a rewind).
     All,
     /// Only these ASes' rows may have changed: the two halves of the ring,
     /// oldest first. An AS appears at most once unless another observer

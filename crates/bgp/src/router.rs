@@ -59,8 +59,16 @@ pub struct RouterCtx<'a> {
     /// never allocates.
     pub out: Vec<OutMsg>,
     /// Set by the router whenever its forwarding state changed — the engine
-    /// batches these to know when to re-run data-plane checks.
+    /// batches these to know when to re-run data-plane checks, and marks
+    /// the AS in its touched feed.
     pub fib_changed: bool,
+    /// Set by a router when something its forwarding rows read changed
+    /// without a FIB change to report it — R-BGP's received failover paths,
+    /// which its escape circuits read. The engine marks the AS in its
+    /// touched feed, as for `fib_changed`, and calls no observer: only
+    /// `fib_changed` decides when observers run, so a router never sets it
+    /// for this (that would move every golden observed since).
+    pub row_changed: bool,
     /// The compiled policy regime every import and export decision goes
     /// through (dense tables — see `stamp_policy`). The engine hands in
     /// its configured regime via [`RouterCtx::with_policy`];
@@ -96,6 +104,7 @@ impl<'a> RouterCtx<'a> {
             arena,
             out: Vec::new(),
             fib_changed: false,
+            row_changed: false,
             policy,
         }
     }
@@ -254,10 +263,6 @@ pub trait RouterLogic {
     /// the engine's per-session tables are sized by.
     const PROCS: usize = 1;
 
-    /// Do forwarding rows read liveness beyond their AS's own sessions?
-    /// Then a link or node flip dirties every row (`Engine::touched_since`).
-    const WIDE_LIVENESS: bool = false;
-
     /// Called once at simulation start, after all routers exist.
     /// Originate own prefixes here.
     fn on_start(&mut self, ctx: &mut RouterCtx);
@@ -289,6 +294,16 @@ pub trait RouterLogic {
     /// the event under measurement; `true` iff anything was cleared (the
     /// engine marks the AS for observers). Default: nothing to clear.
     fn reset_measurement(&mut self) -> bool {
+        false
+    }
+
+    /// Does a forwarding row of this AS read, right now, the liveness of
+    /// sessions other than its own? Then the engine marks the AS on every
+    /// link or node flip (`Engine::touched_since`). The engine asks after
+    /// each event that set `fib_changed` or `row_changed`, so the answer
+    /// may change only with one of them. Default: never — a row reads its
+    /// own sessions, whose flips the engine marks anyway.
+    fn reads_remote_liveness(&self) -> bool {
         false
     }
 }

@@ -480,9 +480,7 @@ macro_rules! equivalence_test {
                 assert_eq!(partial > 0, procs(&e) > 1);
                 assert!(inc.affected_count() > 0, "and must actually hurt someone");
                 // And the incremental tracker did not get there by
-                // re-examining every row every tick (R-BGP does on the
-                // ticks that carry a liveness flip, which these timelines
-                // are full of).
+                // re-examining every row every tick.
                 assert_eq!(scratch.work().rows_recompiled, ticks * n as u64);
                 assert!(inc.work().rows_recompiled < scratch.work().rows_recompiled);
             }
@@ -563,44 +561,84 @@ equivalence_test!(
     StampView
 );
 
-/// R-BGP's escape circuits read the liveness of links far from the AS
-/// that uses them, so its engine gives up the whole table on a liveness
-/// flip — and only then: the deliveries that follow report rows.
-#[test]
-fn rbgp_view_falls_back_to_the_whole_table_on_liveness_events_only() {
-    let g = diamond();
+/// The rows marked since `c` last looked at `e`, sorted; `None` for the
+/// whole table.
+fn marked(e: &Engine<RbgpRouter>, c: &mut FeedCursor) -> Option<Vec<u32>> {
+    match e.touched_since(c) {
+        Touched::All => None,
+        Touched::Rows(a, b) => {
+            let mut v: Vec<u32> = a.iter().chain(b).map(|x| x.0).collect();
+            v.sort_unstable();
+            Some(v)
+        }
+    }
+}
+
+fn rbgp_diamond(cfg: EngineConfig) -> Engine<RbgpRouter> {
     let dest = AsId(4);
-    // 2 loses its customer route; 0 hears the withdrawal and moves to its
-    // peer — FIB changes in the failure's batch and in later ones.
-    let failed = g.link_between(AsId(4), AsId(2)).unwrap();
-    let mut e: Engine<RbgpRouter> = Engine::new(g, EngineConfig::default(), |v| {
+    Engine::new(diamond(), cfg, |v| {
         RbgpRouter::new(
             v,
             if v == dest { vec![P] } else { vec![] },
             RbgpConfig::default(),
         )
-    });
+    })
+}
+
+/// R-BGP's escape circuits read the liveness of links far from the AS
+/// that uses them, yet its engine keeps reporting rows through a liveness
+/// flip: the flip marks the ASes that escape, not the whole table. The
+/// failure's own batch marks its two ends — 2, which loses its route and
+/// escapes, and the origin 4 — and every batch after reports rows too.
+#[test]
+fn rbgp_view_reports_rows_on_liveness_events_too() {
+    let failed = diamond().link_between(AsId(4), AsId(2)).unwrap();
+    let mut e = rbgp_diamond(EngineConfig::default());
     e.start();
     e.run_to_quiescence(None);
     let mut rbgp = FeedCursor::default();
-    fn view(engine: &Engine<RbgpRouter>) -> RbgpView<'_> {
-        RbgpView { engine, prefix: P }
-    }
-    assert_eq!(view(&e).touched_since(&mut rbgp), Touched::All);
+    assert_eq!(marked(&e, &mut rbgp), None, "a first look reads everything");
 
     e.inject_after(SimDuration::from_secs(5), ScenarioEvent::FailLink(failed));
-    let mut lost = Vec::new();
-    e.run_until_quiescent(None, |eng, _| {
-        lost.push(view(eng).touched_since(&mut rbgp) == Touched::All);
-    });
-    // The failure's own batch loses the R-BGP table; the update batches
-    // that follow are plain deliveries.
-    assert!(lost[0]);
-    assert!(lost.len() > 1, "the failure must cause updates");
-    assert!(lost[1..].iter().all(|l| !l));
+    let mut ticks = Vec::new();
+    e.run_until_quiescent(None, |eng, _| ticks.push(marked(eng, &mut rbgp)));
+    assert!(ticks.len() > 1, "the failure must cause updates");
+    assert_eq!(ticks[0], Some(vec![2, 4]));
+    assert!(ticks.iter().all(Option::is_some), "no tick reads the table");
 }
 
-/// Why R-BGP needs that fallback. 2 loses its link to the origin and puts
+/// What R-BGP's flips mark. 2 loses its link to the origin and escapes
+/// over the failover circuit 0 advertised it, 2 → 0 → 1 → 3 → 4; before
+/// any update is delivered, the circuit's far link 1–3 fails. That flip
+/// marks its two ends and 2, the one AS escaping — not 0, whose real route
+/// still stands, nor the origin, which escapes nowhere.
+#[test]
+fn a_flip_on_a_remote_link_of_an_escape_circuit_marks_the_escaping_as() {
+    let g = diamond();
+    let l42 = g.link_between(AsId(4), AsId(2)).unwrap();
+    let l13 = g.link_between(AsId(1), AsId(3)).unwrap();
+    let mut e = rbgp_diamond(EngineConfig::fast(3));
+    e.start();
+    e.run_to_quiescence(None);
+    // The failure's batch alone: fast sessions deliver a millisecond on.
+    let t = e.now() + SimDuration::from_secs(1);
+    e.inject_at(t, ScenarioEvent::FailLink(l42));
+    e.run_to_quiescence(Some(t));
+    let r2 = e.router(AsId(2));
+    assert_eq!(r2.primary_next(P), None);
+    let live = |s: &stamp_topology::SessEntry| e.session_up(AsId(2), s.neighbor);
+    let escape = r2.escape_route(e.paths(), P, live).map(|(via, _)| via);
+    assert_eq!(escape, Some(AsId(0)), "2 escapes over 0's circuit");
+    let mut c = FeedCursor::default();
+    e.touched_since(&mut c);
+
+    let t2 = t + SimDuration::from_micros(100);
+    e.inject_at(t2, ScenarioEvent::FailLink(l13));
+    e.run_to_quiescence(Some(t2));
+    assert_eq!(marked(&e, &mut c), Some(vec![1, 2, 3]));
+}
+
+/// Why R-BGP's flips mark the escaping ASes. 2 loses its link to the origin and puts
 /// its packets on the failover circuit 0 advertised it, 2 → 0 → 1 → 3 → 4;
 /// a millisecond later — before any update has been delivered — the
 /// circuit's far link 1–3 fails. 2's router runs no event and none of its

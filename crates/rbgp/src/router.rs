@@ -239,30 +239,47 @@ impl RbgpRouter {
 
     /// Learn a cause record: keep only the newest per element; purge every
     /// stored path through a newly-down element, adding the prefixes whose
-    /// state changed to `touched` (unsorted).
-    fn learn_cause(&mut self, arena: &PathArena, info: CauseInfo) {
+    /// state changed to `touched` (unsorted). Returns whether a received
+    /// failover path was purged: the caller flags the row
+    /// (`RouterCtx::row_changed`).
+    ///
+    /// Why the flag, and why only then. `escape` filters the received
+    /// paths by `known_causes`, but that filter never rejects a stored
+    /// path: a path through a down element is refused when it arrives
+    /// (`stale` in `on_update`) or purged here when the element's record
+    /// arrives, and an up record only relaxes the filter for paths that are
+    /// no longer stored. So a cause moves an escape choice only through
+    /// this purge. The purge need not move a selection, and so need not
+    /// set `fib_changed`: a pseudo-best is sticky, and the escape the data
+    /// plane takes (`escape_route`, the best-ranked usable path) can be a
+    /// later, better path than the one the selection holds — the very path
+    /// purged here.
+    fn learn_cause(&mut self, arena: &PathArena, info: CauseInfo) -> bool {
         if !self.cfg.rci {
-            return;
+            return false;
         }
         match self.known_causes.iter_mut().find(|k| k.cause == info.cause) {
-            Some(k) if k.seq >= info.seq && k.up == info.up => return,
-            Some(k) if k.seq > info.seq => return, // stale record
+            Some(k) if k.seq >= info.seq && k.up == info.up => return false,
+            Some(k) if k.seq > info.seq => return false, // stale record
             Some(k) => *k = info,
             None => self.known_causes.push(info),
         }
         if info.up {
             // Recovery unblocks future paths; nothing stored needs purging.
-            return;
+            return false;
         }
         let rc = info.cause;
         let touched = &mut self.touched;
         let keep = |r: &Route| !rc.invalidates_path(arena, r.path);
         self.speaker.purge(keep, |p, _| touched.push(p));
+        let mut purged = false;
         for (p, row) in self.rows.iter_mut().enumerate() {
             if row.retain(|_, r| !rc.invalidates_path(arena, r.path)) {
                 touched.push(PrefixId::from_usize(p));
+                purged = true;
             }
         }
+        purged
     }
 
     /// The failover advertisement we owe: the most disjoint usable
@@ -453,9 +470,6 @@ impl RbgpRouter {
 }
 
 impl RouterLogic for RbgpRouter {
-    /// An escape circuit reads the liveness of every link of its path.
-    const WIDE_LIVENESS: bool = true;
-
     fn on_start(&mut self, ctx: &mut RouterCtx) {
         // No allocation unless this AS originates something.
         for prefix in self.speaker.own().to_vec() {
@@ -476,7 +490,7 @@ impl RouterLogic for RbgpRouter {
             UpdateKind::Withdraw(info) => info.root_cause,
         };
         if let Some(info) = cause.and_then(|id| ctx.arena.cause(id)) {
-            self.learn_cause(ctx.arena, info);
+            ctx.row_changed |= self.learn_cause(ctx.arena, info);
         }
         match msg.kind {
             UpdateKind::Announce(route) => {
@@ -488,7 +502,7 @@ impl RouterLogic for RbgpRouter {
                     // would freeze stale selections here.
                     self.speaker.unlearn(from, ONLY, prefix);
                     if stale {
-                        self.forget_received(prefix, sender.neighbor);
+                        ctx.row_changed |= self.forget_received(prefix, sender.neighbor);
                     } else if let Some(row) = row_mut(&mut self.rows, prefix.index()) {
                         // Failover paths change the data plane, not the RIB.
                         ctx.fib_changed = true;
@@ -528,12 +542,14 @@ impl RouterLogic for RbgpRouter {
         if let Some(dead) = ctx.neighbors.get(slot) {
             for (p, row) in self.rows.iter_mut().enumerate() {
                 let target = row.sent.take_if(|(t, _)| t.neighbor == dead.neighbor);
-                if row.retain(|e, _| e.neighbor != dead.neighbor) || target.is_some() {
+                let forgot = row.retain(|e, _| e.neighbor != dead.neighbor);
+                ctx.row_changed |= forgot;
+                if forgot || target.is_some() {
                     self.touched.push(PrefixId::from_usize(p));
                 }
             }
         }
-        self.learn_cause(ctx.arena, cause);
+        ctx.row_changed |= self.learn_cause(ctx.arena, cause);
         let id = ctx.arena.intern_cause(cause);
         self.reselect_touched(ctx, Some(id));
     }
@@ -582,6 +598,17 @@ impl RouterLogic for RbgpRouter {
 
     fn speaker(&self) -> &Speaker {
         &self.speaker
+    }
+
+    /// A row forwards over an escape circuit, and so reads the liveness of
+    /// every link of it, when the AS does not originate the prefix, holds
+    /// no real best (a real best's session is up: its loss is an event
+    /// here) and has received a failover path.
+    fn reads_remote_liveness(&self) -> bool {
+        self.rows.iter().enumerate().any(|(p, row)| {
+            let p = PrefixId::from_usize(p);
+            !row.received.is_empty() && self.real_best(p).is_none() && !self.originates(p)
+        })
     }
 }
 
@@ -888,6 +915,54 @@ mod continuity_tests {
             }
             _ => unreachable!(),
         }
+    }
+
+    /// A root cause can move the escape the data plane takes while the
+    /// selection stays put: 1 rides a sticky pseudo-best over 0's circuit
+    /// while a shorter one from 3 is what `escape_route` picks; the cause
+    /// that kills 3's circuit purges it, and 1's escape falls back to 0's
+    /// with no FIB change — so the router flags the row itself.
+    #[test]
+    fn a_purged_escape_flags_the_row_without_a_fib_change() {
+        let g = g();
+        let mut a = PathArena::new();
+        let mut r = RbgpRouter::new(AsId(1), vec![], RbgpConfig::default());
+        let deliver = |r: &mut RbgpRouter, a: &mut PathArena, from: u32, msg: UpdateMsg| {
+            let mut ctx = RouterCtx::new(AsId(1), &g, &AllUp, a);
+            r.on_update(&mut ctx, slot(&g, 1, from), ProcId::ONLY, msg);
+            (ctx.fib_changed, ctx.row_changed)
+        };
+        let real = announce(&mut a, &[2, 9], false);
+        deliver(&mut r, &mut a, 2, real);
+        let via_0 = announce(&mut a, &[0, 7, 9], true);
+        deliver(&mut r, &mut a, 0, via_0);
+        let loss = UpdateMsg {
+            prefix: P,
+            kind: UpdateKind::Withdraw(WithdrawInfo::loss()),
+        };
+        deliver(&mut r, &mut a, 2, loss);
+        assert_eq!(escape_target(&r, &a), Some(AsId(0)), "the pseudo-best");
+        let via_3 = announce(&mut a, &[3, 9], true);
+        assert_eq!(deliver(&mut r, &mut a, 3, via_3), (true, false));
+        assert_eq!(escape_target(&r, &a), Some(AsId(3)), "the shorter circuit");
+        assert!(
+            matches!(r.selection(P), Selection::Learned(d) if d.neighbor == AsId(0)),
+            "the pseudo-best is sticky"
+        );
+        let down = a.intern_cause(CauseInfo {
+            cause: RootCause::link(AsId(3), AsId(9)),
+            seq: 1,
+            up: false,
+        });
+        let cited = UpdateMsg {
+            prefix: P,
+            kind: UpdateKind::Withdraw(WithdrawInfo {
+                root_cause: Some(down),
+                ..WithdrawInfo::loss()
+            }),
+        };
+        assert_eq!(deliver(&mut r, &mut a, 2, cited), (false, true));
+        assert_eq!(escape_target(&r, &a), Some(AsId(0)));
     }
 
     /// Without any failover, losing everything withdraws normally.

@@ -121,7 +121,7 @@ pub const RULES: &[Rule] = &[
 /// Warn-level findings the tree may hold, summed over every rule: a
 /// ratchet that may fall, never rise. Lower it when the count drops; a
 /// crate that reaches zero of a Warn rule goes into its `deny_in`.
-pub const WARN_CEILING: usize = 185;
+pub const WARN_CEILING: usize = 172;
 
 /// A pattern a fence looks for in raw text, line by line: comments and
 /// strings count.
@@ -244,10 +244,11 @@ pub const FENCES: &[Fence] = &[
         why: "the decision order is one value, `Criterion`, and `Rank` its one comparison" },
     Fence { name: "router-states-itself",
         patterns: &[Text("fn speaker("), Text("const PROCS"), Text("fn reset_measurement"),
-            Text("const WIDE_LIVENESS")],
+            Text("fn reads_remote_liveness")],
         within: &[at(VIEW)], only: &[],
-        why: "a router's speaker, process count, reset and wide liveness are on \
-              `RouterLogic`, where the engine reads them; the data plane declares none of them" },
+        why: "a router's speaker, process count, reset and whether its rows read liveness \
+              beyond its own sessions are on `RouterLogic`, where the engine reads them; the \
+              data plane declares none of them" },
     Fence { name: "one-engine-view", patterns: &[Text("ForwardingView for")],
         within: &[at(VIEW), at("crates/workload/src")], only: &[part(VIEW, Part::Times(2))],
         why: "a protocol says only its `DataPlane` step; a view is written once for \
@@ -291,13 +292,13 @@ pub const FENCES: &[Fence] = &[
             Text("fn router_mut"), Text("fn reset_instability"), Text("fn converge_with"),
             Text("root_cause: Option<CauseInfo>"), Text("slot.armed"),
             Text("mrai_enabled"), Text("mrai_withdrawals"), Text("relaxed_failover_export"),
-            Text("liveness_flipped"), Text("wide_liveness")],
+            Text("liveness_flipped"), Text("wide_liveness"), Text("WIDE_LIVENESS")],
         within: ROOTS, only: &[],
         why: "deleted, and may not come back: `Protocol` is a closed enum, a leak reads \
               `Speaker::selected_route`, a reset is `RouterLogic::reset_measurement`, a route \
               cites a `CauseId`, an MRAI slot holds a reserved scheduler place, three options \
-              had one value at every site, and a wide router's flip starts a feed epoch that \
-              no observer can opt out of" },
+              had one value at every site, and a liveness flip marks the rows that read it \
+              (`RouterLogic::reads_remote_liveness`), never the whole table" },
     Fence { name: "one-hash", patterns: &[Hex("0xcbf29ce484222325")],
         within: &[at("crates")], only: &[at("crates/eventsim/src/fxhash.rs")],
         why: "results are fingerprinted by one FNV-1a; its offset basis sits beside `Fnv1a`" },

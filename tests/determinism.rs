@@ -294,8 +294,9 @@ fn smoke_campaign_hash_matches_pre_redesign_golden() {
     // feed's marking rule, the classifier's cone or what a tracker starts
     // from changes. (Trackers start from their baseline's classification,
     // so the baseline's own classification is not counted: no cell pays an
-    // all-rows first tick, except R-BGP's, whose first tick follows a
-    // liveness flip.)
+    // all-rows first tick. A router event marks its row only when it
+    // changed what the data plane or the control metric reads, and a flip
+    // under R-BGP marks its escaping ASes, not the table.)
     let work =
         |observations, rows_recompiled, states_rewalked, ases_folded, control_evals| ObserverWork {
             observations,
@@ -305,9 +306,9 @@ fn smoke_campaign_hash_matches_pre_redesign_golden() {
             control_evals,
         };
     for (p, pinned) in [
-        (Protocol::Bgp, work(97, 2370, 1712, 656, 1686)),
-        (Protocol::Rbgp, work(139, 9103, 1672, 410, 7965)),
-        (Protocol::Stamp, work(143, 4031, 8038, 92, 2486)),
+        (Protocol::Bgp, work(97, 1460, 1712, 656, 1004)),
+        (Protocol::Rbgp, work(139, 1744, 1672, 410, 1249)),
+        (Protocol::Stamp, work(143, 2578, 8038, 92, 1548)),
     ] {
         assert_eq!(rep.observer_work(p), pinned, "{p} observer work moved");
     }

@@ -1941,7 +1941,10 @@ mod seeded_observation {
     use super::*;
     use stamp_repro::bgp::types::RootCause;
     use stamp_repro::eventsim::{SimDuration, SimTime};
-    use stamp_repro::forwarding::{Classification, ForwardingView, Outcome, TransientTracker};
+    use stamp_repro::forwarding::view::SelectionKey;
+    use stamp_repro::forwarding::{
+        classify_all, Classification, ForwardingView, Outcome, Step, TransientTracker,
+    };
     use stamp_repro::policy::PolicyRegime;
     use stamp_repro::sim::{Probe, SnapshotCause};
     use stamp_repro::topology::{AsGraph, GraphBuilder};
@@ -2142,6 +2145,149 @@ mod seeded_observation {
         });
         assert!(ticks > 1000, "the timelines must actually be observed");
         assert!(affected > 0, "and must actually hurt someone");
+    }
+
+    /// Failures and recoveries packed into a few hundred milliseconds, so
+    /// that links flip while the network is still converging from the
+    /// flips before: R-BGP's escape circuits are in use only then.
+    fn arb_burst(g: &AsGraph, dest: AsId, rng: &mut Rng) -> Timeline {
+        let mut at = SimDuration::ZERO;
+        let mut events = Vec::new();
+        for _ in 0..rng.gen_range(2usize..9) {
+            at = at + SimDuration::from_micros(rng.gen_range(0u64..60_000));
+            let back = at + SimDuration::from_micros(rng.gen_range(1u64..300_000));
+            let (down, up) = if rng.gen_bool(0.2) {
+                let v = AsId(rng.gen_range(0u32..g.n() as u32));
+                if v == dest {
+                    continue;
+                }
+                (NetEvent::NodeDown(v), NetEvent::NodeUp(v))
+            } else {
+                let l = g.links()[rng.gen_range(0usize..g.n_links())];
+                (NetEvent::LinkDown(l.a, l.b), NetEvent::LinkUp(l.a, l.b))
+            };
+            events.push(TimelineEvent { at, ev: down });
+            if rng.gen_bool(0.5) {
+                events.push(TimelineEvent { at: back, ev: up });
+            }
+        }
+        events.sort_by_key(|e| e.at);
+        Timeline::from_events("burst", events)
+    }
+
+    /// A view with its touched feed hidden: a tracker fed through it
+    /// re-examines every row at every observation.
+    struct EveryRow<'a, V: ?Sized>(&'a V);
+
+    impl<V: ForwardingView + ?Sized> ForwardingView for EveryRow<'_, V> {
+        fn n(&self) -> usize {
+            self.0.n()
+        }
+        fn n_ctx(&self) -> u8 {
+            self.0.n_ctx()
+        }
+        fn start_ctx(&self, src: AsId) -> u8 {
+            self.0.start_ctx(src)
+        }
+        fn step(&self, at: AsId, ctx: u8) -> Step {
+            self.0.step(at, ctx)
+        }
+        fn selection_paths(&self, v: AsId) -> Vec<Vec<AsId>> {
+            self.0.selection_paths(v)
+        }
+        fn selection_key(&self, v: AsId) -> Option<SelectionKey> {
+            self.0.selection_key(v)
+        }
+    }
+
+    /// A tracker seeded at the baseline, checked at every observation: its
+    /// verdicts are the from-scratch classification of the view, and
+    /// everything it reports — the control metric included — is what a
+    /// tracker that re-examines every row reports. Real `assert!`s, so the
+    /// check runs in a release build too.
+    struct Oracle {
+        dest: AsId,
+        reachable: Vec<bool>,
+        causes: Vec<RootCause>,
+        trackers: Option<(TransientTracker, TransientTracker)>,
+        ticks: usize,
+    }
+
+    impl Probe for Oracle {
+        fn snapshot<V: ForwardingView + ?Sized>(
+            &mut self,
+            _at: SimTime,
+            cause: SnapshotCause,
+            view: &V,
+        ) {
+            let (inc, every_row) = self.trackers.get_or_insert_with(|| {
+                let (reachable, causes) = (self.reachable.clone(), self.causes.clone());
+                let baseline = Classification::of(view);
+                let inc =
+                    TransientTracker::seeded(self.dest, reachable.clone(), &baseline, view, causes);
+                let mut every_row = TransientTracker::new(self.dest, reachable);
+                every_row.with_control_metric(self.causes.clone(), &EveryRow(view));
+                (inc, every_row)
+            });
+            if cause == SnapshotCause::Baseline {
+                return;
+            }
+            inc.observe(view);
+            every_row.observe(&EveryRow(view));
+            assert_eq!(inc.outcomes(), classify_all(view), "tick {}", self.ticks);
+            assert_eq!(report(inc), report(every_row), "tick {}", self.ticks);
+            self.ticks += 1;
+        }
+    }
+
+    /// The touched feed is the only thing that tells a tracker which rows
+    /// to look at, so it must report every row that changed — through
+    /// liveness flips on R-BGP escape circuits, STAMP's resets, and
+    /// rewinds that copy only the routers a play wrote. BGP, R-BGP with
+    /// and without RCI, and STAMP replay random timelines, each from a
+    /// session rewound in place onto one checkpoint (the second and later
+    /// rewinds copy by journal), observed at every batch.
+    #[test]
+    fn incremental_verdicts_equal_the_oracle_at_every_observation() {
+        let (mut ticks, mut hurt) = (0, 0);
+        cases(48, 0x0BAC1E, |rng| {
+            let seed = rng.next_u64();
+            let g = generate(&GenConfig {
+                n_ases: rng.gen_range(40usize..90),
+                ..GenConfig::small(seed)
+            })
+            .expect("valid");
+            let dest = AsId(rng.gen_range(0u32..g.n() as u32));
+            let regime = rng.choose(&PolicyRegime::builtins()).expect("some").clone();
+            let timelines = [arb_burst(&g, dest, rng), arb_timeline(&g, dest, rng)];
+            for p in Protocol::ALL {
+                let mut sim = Sim::on(&g)
+                    .protocol(p)
+                    .originate(dest, PREFIX)
+                    .seed(seed)
+                    .params(params(regime.clone()))
+                    .build()
+                    .expect("dest drawn from g");
+                sim.converge();
+                let ck = sim.checkpoint();
+                for timeline in [&timelines[0], &timelines[1], &timelines[0]] {
+                    sim.restore(&ck).expect("same protocol");
+                    sim.reset_measurement();
+                    let mut oracle = Oracle {
+                        dest,
+                        reachable: timeline.reachable_after(&g, dest).expect("drawn on g"),
+                        causes: timeline.root_causes(),
+                        trackers: None,
+                        ticks: 0,
+                    };
+                    sim.play(timeline, &mut oracle).expect("resolves");
+                    let (inc, _) = oracle.trackers.expect("a play snapshots its baseline");
+                    (ticks, hurt) = (ticks + oracle.ticks, hurt + inc.affected_count());
+                }
+            }
+        });
+        assert!(ticks > 1000, "the timelines must actually be observed");
+        assert!(hurt > 0, "and must actually hurt someone");
     }
 
     /// A baseline that already blackholes counted ASes: the origin 2 hangs
