@@ -16,9 +16,8 @@
 //! 2. clear measurement state (STAMP instability flags),
 //! 3. play the instance's timeline (for the paper's shapes: all failures
 //!    at one instant),
-//! 4. observe the data plane during re-convergence (throttled to one
-//!    observation per `observe_interval` of simulated time — transients
-//!    shorter than the throttle can be missed, equally for all protocols),
+//! 4. observe the data plane during re-convergence, at every batch of
+//!    simultaneous events that changed a FIB and once at the end,
 //! 5. report the number of ASes with transient problems, message counts
 //!    and convergence delay (the §6.3 metrics fall out of the same runs).
 
@@ -43,7 +42,7 @@ pub struct FailureConfig {
     /// Master seed.
     pub seed: u64,
     /// Engine/measurement knobs shared by every instance (delay model,
-    /// MRAI, injection guard, observation throttle, phase deadline).
+    /// MRAI, injection guard, phase deadline).
     pub params: RunParams,
     /// Worker threads (0 = all available).
     pub threads: usize,

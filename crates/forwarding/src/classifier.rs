@@ -176,8 +176,12 @@ impl Classifier {
         self.rows_recompiled += 1;
         let v = AsId::from_usize(a);
         let start = view.start_ctx(v);
-        if self.starts[a] != start {
-            self.starts[a] = start;
+        let Some(stored) = self.starts.get_mut(a) else {
+            debug_assert!(false, "AS {a} is outside the classifier's shape");
+            return;
+        };
+        if *stored != start {
+            *stored = start;
             self.restarted.push(v.0);
         }
         for ctx in 0..self.n_ctx {
@@ -190,7 +194,10 @@ impl Classifier {
                     u32::try_from(to.index() * self.n_ctx + usize::from(nctx)).unwrap_or(DROP)
                 }
             };
-            let old = self.succ[s];
+            let Some(&old) = self.succ.get(s) else {
+                debug_assert!(false, "state {s} is outside the classifier's shape");
+                return;
+            };
             if new == old {
                 continue;
             }
@@ -201,38 +208,57 @@ impl Classifier {
             if new < DROP {
                 self.link(s32, new);
             }
-            self.succ[s] = new;
-            if self.marks[s] != Mark::Unknown {
-                self.marks[s] = Mark::Unknown;
+            // `succ` and `marks` have a slot per state.
+            let (Some(succ), Some(mark)) = (self.succ.get_mut(s), self.marks.get_mut(s)) else {
+                debug_assert!(false, "state {s} has no mark");
+                return;
+            };
+            *succ = new;
+            if *mark != Mark::Unknown {
+                *mark = Mark::Unknown;
                 self.cone.push(s32);
             }
         }
     }
 
-    /// Take `p` out of `q`'s predecessor list.
+    /// Take `p` out of `q`'s predecessor list. A link that reads `NIL`
+    /// (the end of a list) indexes nothing: `NIL` is above every state.
     #[inline]
     fn unlink(&mut self, p: u32, q: u32) {
-        let (prev, next) = (self.pred_prev[p as usize], self.pred_next[p as usize]);
-        if prev == NIL {
-            self.pred_head[q as usize] = next;
-        } else {
-            self.pred_next[prev as usize] = next;
+        let p = p as usize;
+        let (Some(&prev), Some(&next)) = (self.pred_prev.get(p), self.pred_next.get(p)) else {
+            debug_assert!(false, "state {p} is outside the classifier's shape");
+            return;
+        };
+        let before = match prev {
+            NIL => self.pred_head.get_mut(q as usize),
+            prev => self.pred_next.get_mut(prev as usize),
+        };
+        match before {
+            Some(before) => *before = next,
+            None => debug_assert!(false, "{p}'s predecessor link is outside the shape"),
         }
-        if next != NIL {
-            self.pred_prev[next as usize] = prev;
+        if let Some(after) = self.pred_prev.get_mut(next as usize) {
+            *after = prev;
         }
     }
 
     /// Put `p` at the head of `q`'s predecessor list.
     #[inline]
     fn link(&mut self, p: u32, q: u32) {
-        let next = self.pred_head[q as usize];
-        self.pred_next[p as usize] = next;
-        self.pred_prev[p as usize] = NIL;
-        if next != NIL {
-            self.pred_prev[next as usize] = p;
+        let (Some(head), Some(p_next), Some(p_prev)) = (
+            self.pred_head.get_mut(q as usize),
+            self.pred_next.get_mut(p as usize),
+            self.pred_prev.get_mut(p as usize),
+        ) else {
+            debug_assert!(false, "state {p} or {q} is outside the classifier's shape");
+            return;
+        };
+        let next = std::mem::replace(head, p);
+        (*p_next, *p_prev) = (next, NIL);
+        if let Some(after) = self.pred_prev.get_mut(next as usize) {
+            *after = p;
         }
-        self.pred_head[q as usize] = p;
     }
 
     /// Re-classify the reverse cone of the queued seeds and call
@@ -240,33 +266,39 @@ impl Classifier {
     // simlint::hot
     pub(crate) fn settle(&mut self, mut moved: impl FnMut(usize, Outcome, Outcome)) {
         // The cone: everything that reaches a seed, breadth first over the
-        // reverse edges. `Unknown` doubles as the visited flag.
+        // reverse edges. `Unknown` doubles as the visited flag, and a list
+        // ends at `NIL`, which is above every state.
         let mut i = 0;
-        while i < self.cone.len() {
-            let mut p = self.pred_head[self.cone[i] as usize];
-            while p != NIL {
-                if self.marks[p as usize] != Mark::Unknown {
-                    self.marks[p as usize] = Mark::Unknown;
+        while let Some(&q) = self.cone.get(i) {
+            let mut p = self.pred_head.get(q as usize).copied().unwrap_or(NIL);
+            while let Some(mark) = self.marks.get_mut(p as usize) {
+                if *mark != Mark::Unknown {
+                    *mark = Mark::Unknown;
                     self.cone.push(p);
                 }
-                p = self.pred_next[p as usize];
+                p = self.pred_next.get(p as usize).copied().unwrap_or(NIL);
             }
             i += 1;
         }
         self.states_rewalked += self.cone.len() as u64;
 
-        for i in 0..self.cone.len() {
+        debug_assert_eq!(self.marks.len(), self.succ.len(), "a mark per state");
+        for &seed in &self.cone {
             // Walk the functional graph from the state, marking the path.
             self.path.clear();
-            let mut cur = self.cone[i];
+            let mut cur = seed;
             let outcome = loop {
-                match self.marks[cur as usize] {
+                let Some(mark) = self.marks.get_mut(cur as usize) else {
+                    debug_assert!(false, "state {cur} is outside the classifier's shape");
+                    break Outcome::Blackhole;
+                };
+                match *mark {
                     Mark::Done(o) => break o,
                     Mark::OnPath => break Outcome::Loop,
                     Mark::Unknown => {
-                        self.marks[cur as usize] = Mark::OnPath;
+                        *mark = Mark::OnPath;
                         self.path.push(cur);
-                        match self.succ[cur as usize] {
+                        match self.succ.get(cur as usize).copied().unwrap_or(DROP) {
                             DELIVER => break Outcome::Delivered,
                             DROP => break Outcome::Blackhole,
                             next => cur = next,
@@ -277,35 +309,37 @@ impl Classifier {
             // Every state on the walked path shares the outcome (it leads
             // there deterministically).
             for &s in &self.path {
-                self.marks[s as usize] = Mark::Done(outcome);
+                if let Some(mark) = self.marks.get_mut(s as usize) {
+                    *mark = Mark::Done(outcome);
+                }
             }
         }
 
         // An AS's verdict can only have moved if its start state was
-        // re-walked or it starts somewhere else now.
-        for i in 0..self.cone.len() {
-            let s = self.cone[i] as usize;
+        // re-walked or it starts somewhere else now. (The order in which
+        // ASes are folded is not observable: each is folded on its own.)
+        while let Some(s) = self.cone.pop() {
+            let s = s as usize;
             let a = s / self.n_ctx;
-            if s - a * self.n_ctx == usize::from(self.starts[a]) {
+            if self.starts.get(a).map(|&c| usize::from(c)) == Some(s - a * self.n_ctx) {
                 self.fold(a, &mut moved);
             }
         }
-        for i in 0..self.restarted.len() {
-            self.fold(self.restarted[i] as usize, &mut moved);
+        while let Some(a) = self.restarted.pop() {
+            self.fold(a as usize, &mut moved);
         }
-        self.cone.clear();
-        self.restarted.clear();
     }
 
     #[inline]
     fn fold(&mut self, a: usize, moved: &mut impl FnMut(usize, Outcome, Outcome)) {
-        let Mark::Done(new) = self.marks[a * self.n_ctx + usize::from(self.starts[a])] else {
+        let start = self.starts.get(a).map(|&c| a * self.n_ctx + usize::from(c));
+        let mark = start.and_then(|s| self.marks.get(s));
+        let (Some(&Mark::Done(new)), Some(verdict)) = (mark, self.verdict.get_mut(a)) else {
             debug_assert!(false, "settle leaves every state classified");
             return;
         };
-        let old = self.verdict[a];
+        let old = std::mem::replace(verdict, new);
         if new != old {
-            self.verdict[a] = new;
             self.ases_folded += 1;
             moved(a, old, new);
         }

@@ -126,10 +126,6 @@ pub struct TransientTracker {
     baseline_keys: Vec<Option<SelectionKey>>,
     control_affected: Flags,
     control_evals: u64,
-    /// Total observations in which at least one AS looped.
-    pub observations_with_loops: u64,
-    /// Total observations in which at least one AS blackholed.
-    pub observations_with_blackholes: u64,
     /// Number of observation points recorded.
     pub observations: u64,
     /// Whether the most recent observation saw any loop or blackhole
@@ -164,8 +160,6 @@ impl TransientTracker {
             baseline_keys: vec![None; n],
             control_affected: Flags::new(n),
             control_evals: 0,
-            observations_with_loops: 0,
-            observations_with_blackholes: 0,
             observations: 0,
             last_observation_had_problems: false,
             cursor: FeedCursor::default(),
@@ -285,8 +279,6 @@ impl TransientTracker {
             crate::trace::classify_all(view),
             "incremental classification drifted from the from-scratch oracle"
         );
-        self.observations_with_loops += u64::from(self.now_looping > 0);
-        self.observations_with_blackholes += u64::from(self.now_blackholed > 0);
         self.last_observation_had_problems = self.now_looping + self.now_blackholed > 0;
     }
 
@@ -395,8 +387,6 @@ mod tests {
         t.observe(&v(vec![None, Some(0), Some(1), Some(2)], 0));
         assert_eq!(t.affected_count(), 3);
         assert_eq!(t.observations, 3);
-        assert_eq!(t.observations_with_loops, 1);
-        assert_eq!(t.observations_with_blackholes, 1);
     }
 
     #[test]
@@ -443,7 +433,6 @@ mod tests {
         let t = replay(&[chain, cycle.clone(), broken.clone()]);
         assert_eq!(t.outcomes(), [Delivered; 6]);
         assert_eq!((t.affected_count(), t.loop_count()), (4, 4));
-        assert_eq!(t.observations_with_loops, 1);
         assert!(!t.last_observation_had_problems);
         // Only the state that turned and what reaches it is re-walked:
         // 1..=5 on the all-dirty first tick (0 delivers, as a fresh
@@ -464,7 +453,6 @@ mod tests {
         live[3] = Some(1);
         let t = replay(&[dead.clone(), live, dead]);
         assert_eq!((t.affected_count(), t.blackhole_count()), (3, 3));
-        assert_eq!(t.observations_with_blackholes, 3);
         // First tick: 1, 2, 3, 4. Then {3, 4} twice; 2 is never re-walked
         // again.
         assert_eq!(t.work().states_rewalked, 4 + 2 + 2);
@@ -501,16 +489,6 @@ mod tests {
                 assert_eq!(
                     (warm.loop_count(), warm.blackhole_count()),
                     (cold.loop_count(), cold.blackhole_count())
-                );
-                assert_eq!(
-                    (
-                        warm.observations_with_loops,
-                        warm.observations_with_blackholes
-                    ),
-                    (
-                        cold.observations_with_loops,
-                        cold.observations_with_blackholes
-                    )
                 );
                 assert_eq!(
                     warm.last_observation_had_problems,

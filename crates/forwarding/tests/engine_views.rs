@@ -311,7 +311,7 @@ impl<V: ForwardingView> ForwardingView for NoFeed<'_, V> {
 }
 
 /// Everything a tracker reports, for comparing two of them.
-fn report(t: &TransientTracker) -> (Vec<bool>, [usize; 4], [u64; 3], bool) {
+fn report(t: &TransientTracker) -> (Vec<bool>, [usize; 4], u64, bool) {
     (
         t.affected().to_vec(),
         [
@@ -320,11 +320,7 @@ fn report(t: &TransientTracker) -> (Vec<bool>, [usize; 4], [u64; 3], bool) {
             t.blackhole_count(),
             t.control_affected_count(),
         ],
-        [
-            t.observations,
-            t.observations_with_loops,
-            t.observations_with_blackholes,
-        ],
+        t.observations,
         t.last_observation_had_problems,
     )
 }

@@ -121,7 +121,7 @@ pub const RULES: &[Rule] = &[
 /// Warn-level findings the tree may hold, summed over every rule: a
 /// ratchet that may fall, never rise. Lower it when the count drops; a
 /// crate that reaches zero of a Warn rule goes into its `deny_in`.
-pub const WARN_CEILING: usize = 172;
+pub const WARN_CEILING: usize = 139;
 
 /// A pattern a fence looks for in raw text, line by line: comments and
 /// strings count.
@@ -292,13 +292,16 @@ pub const FENCES: &[Fence] = &[
             Text("fn router_mut"), Text("fn reset_instability"), Text("fn converge_with"),
             Text("root_cause: Option<CauseInfo>"), Text("slot.armed"),
             Text("mrai_enabled"), Text("mrai_withdrawals"), Text("relaxed_failover_export"),
-            Text("liveness_flipped"), Text("wide_liveness"), Text("WIDE_LIVENESS")],
+            Text("liveness_flipped"), Text("wide_liveness"), Text("WIDE_LIVENESS"),
+            Text("observe_interval"), Text("SnapshotCause::Periodic")],
         within: ROOTS, only: &[],
         why: "deleted, and may not come back: `Protocol` is a closed enum, a leak reads \
               `Speaker::selected_route`, a reset is `RouterLogic::reset_measurement`, a route \
               cites a `CauseId`, an MRAI slot holds a reserved scheduler place, three options \
-              had one value at every site, and a liveness flip marks the rows that read it \
-              (`RouterLogic::reads_remote_liveness`), never the whole table" },
+              had one value at every site, a liveness flip marks the rows that read it \
+              (`RouterLogic::reads_remote_liveness`), never the whole table, and a measured \
+              phase observes every batch that changed a FIB: the observation throttle had \
+              one tested value, every batch, and its 100 ms paper default hid transients" },
     Fence { name: "one-hash", patterns: &[Hex("0xcbf29ce484222325")],
         within: &[at("crates")], only: &[at("crates/eventsim/src/fxhash.rs")],
         why: "results are fingerprinted by one FNV-1a; its offset basis sits beside `Fnv1a`" },

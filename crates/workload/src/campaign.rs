@@ -184,7 +184,7 @@ fn run_key(
         (Some(baseline), _) => {
             // A fork is an exact copy, so it runs the knobs its baseline
             // converged under: one cache, one params set.
-            let knobs = |p: &RunParams| (p.inject_delay, p.observe_interval, p.phase_deadline);
+            let knobs = |p: &RunParams| (p.inject_delay, p.phase_deadline);
             debug_assert!(
                 knobs(baseline.params()) == knobs(params),
                 "a cached baseline runs the params it converged under"

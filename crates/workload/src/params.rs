@@ -102,8 +102,6 @@ pub struct RunParams {
     pub sessions: SessionModel,
     /// Delay between reaching quiescence and the timeline's epoch.
     pub inject_delay: SimDuration,
-    /// Data-plane observation throttle (simulated time).
-    pub observe_interval: SimDuration,
     /// Safety deadline per convergence phase (simulated time).
     pub phase_deadline: SimDuration,
     /// Policy regime every router runs (default: `gao-rexford`, the
@@ -120,7 +118,6 @@ impl Default for RunParams {
         RunParams {
             sessions: SessionModel::paper(),
             inject_delay: SimDuration::from_secs(5),
-            observe_interval: SimDuration::from_millis(100),
             phase_deadline: SimDuration::from_secs(4 * 3600),
             policy: PolicyRegime::gao_rexford(),
             watchdog: WatchdogConfig::default(),
@@ -141,7 +138,6 @@ impl RunParams {
         RunParams {
             sessions: SessionModel::fast(),
             inject_delay: SimDuration::from_secs(1),
-            observe_interval: SimDuration::from_micros(1),
             phase_deadline: SimDuration::from_secs(3600),
             ..RunParams::default()
         }

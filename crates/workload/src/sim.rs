@@ -20,14 +20,14 @@
 //!   experiments, examples, tests — picks it up through [`Protocol::ALL`].
 //! * [`Probe`] — the typed observation API: one callback,
 //!   [`Probe::snapshot`]`(at, cause, view)`, hearing one `Baseline`
-//!   snapshot per play, throttled `Periodic` ones while a phase runs and
-//!   one `Final` one at its end, with **static dispatch**: the forwarding
-//!   view is built on the stack per observation (no per-observation
-//!   `Box<dyn ForwardingView>`), and the callback is monomorphised per
-//!   protocol. The scenario events a play applied are its timeline's
-//!   resolved schedule, offset by [`Played::epoch`]. The paper's
-//!   transient-problem bookkeeping is a private probe behind
-//!   [`Sim::measure`], the one way to measure.
+//!   snapshot per play, one `Batch` snapshot per batch of events that
+//!   changed a FIB and one `Final` one at its end, with **static
+//!   dispatch**: the forwarding view is built on the stack per
+//!   observation (no per-observation `Box<dyn ForwardingView>`), and the
+//!   callback is monomorphised per protocol. The scenario events a play
+//!   applied are its timeline's resolved schedule, offset by
+//!   [`Played::epoch`]. The paper's transient-problem bookkeeping is a
+//!   private probe behind [`Sim::measure`], the one way to measure.
 //!
 //! Determinism: a [`Sim`] owns its engine and path arena; every random
 //! stream derives from the builder's seed; probes only *read* engine
@@ -65,9 +65,9 @@ use stamp_bgp::rib::Explanation;
 use stamp_bgp::router::BgpRouter;
 use stamp_bgp::types::{PrefixId, RootCause};
 use stamp_core::{LockStrategy, StampRouter};
-use stamp_eventsim::{SimDuration, SimTime};
+use stamp_eventsim::SimTime;
 use stamp_forwarding::{
-    Classification, DataPlane, EngineView, ForwardingView, ObserverWork, TransientTracker,
+    Classification, EngineView, ForwardingView, ObserverWork, TransientTracker,
 };
 use stamp_rbgp::{RbgpConfig, RbgpRouter};
 use stamp_topology::{AsGraph, AsId};
@@ -228,7 +228,7 @@ impl FromStr for Protocol {
 
 /// One engine, protocol erased. The single place the workspace matches on
 /// router types; everything below the match is generic over
-/// [`DataPlane`].
+/// [`stamp_forwarding::DataPlane`].
 enum EngineKind {
     Bgp(Engine<BgpRouter>),
     Rbgp(Engine<RbgpRouter>),
@@ -343,9 +343,10 @@ pub enum SnapshotCause {
     /// Pre-injection state, once per [`Sim::play`] (control-metric
     /// baselines sample here).
     Baseline,
-    /// Periodic observation, throttled by [`RunParams::observe_interval`].
-    Periodic,
-    /// The quiescent end state of a phase (always emitted, unthrottled).
+    /// A batch of simultaneous events that changed a FIB: one per such
+    /// batch, while the phase runs.
+    Batch,
+    /// The quiescent (or cut-off) end state of the phase.
     Final,
 }
 
@@ -357,7 +358,7 @@ pub trait Probe {
     fn snapshot<V: ForwardingView + ?Sized>(&mut self, at: SimTime, cause: SnapshotCause, view: &V);
 }
 
-/// The do-nothing probe (`converge()` and unobserved replays use it).
+/// The do-nothing probe (unobserved replays use it).
 pub struct NullProbe;
 
 impl Probe for NullProbe {
@@ -365,7 +366,7 @@ impl Probe for NullProbe {
 }
 
 /// The paper's transient-problem bookkeeping as an ordinary probe: feeds
-/// periodic/final snapshots into a [`TransientTracker`] seeded at the
+/// batch and final snapshots into a [`TransientTracker`] seeded at the
 /// baseline snapshot, and timestamps the last observation that still saw a
 /// forwarding problem (the data-plane recovery metric). Built only by
 /// [`Sim::measure`].
@@ -380,7 +381,7 @@ struct MetricsProbe {
     baseline: Arc<OnceLock<Classification>>,
     /// Seeded at the first snapshot, a play's `Baseline`.
     tracker: Option<TransientTracker>,
-    /// Last periodic observation instant that still saw any loop or
+    /// Last batch observation instant that still saw any loop or
     /// blackhole (`None` = never disrupted).
     last_problem: Option<SimTime>,
 }
@@ -405,7 +406,7 @@ impl Probe for MetricsProbe {
         });
         match cause {
             SnapshotCause::Baseline => {}
-            SnapshotCause::Periodic => {
+            SnapshotCause::Batch => {
                 tracker.observe(view);
                 if tracker.last_observation_had_problems {
                     self.last_problem = Some(at);
@@ -417,38 +418,6 @@ impl Probe for MetricsProbe {
             SnapshotCause::Final => tracker.observe(view),
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// The generic phase driver
-// ---------------------------------------------------------------------
-
-/// Run one convergence phase with observation. The cadence is the
-/// determinism-pinned contract: a `Periodic` snapshot at a batch that
-/// changed a FIB when `observe_interval` has elapsed since the last one
-/// (the first changed batch always observes), then one unthrottled
-/// `Final` snapshot at quiescence.
-fn run_phase<R: DataPlane, P: Probe>(
-    e: &mut Engine<R>,
-    prefix: PrefixId,
-    deadline: Option<SimTime>,
-    observe_interval: SimDuration,
-    probe: &mut P,
-) -> RunOutcome {
-    let mut last_obs: Option<SimTime> = None;
-    let outcome = e.run_until_quiescent(deadline, |engine, t| {
-        let due = match last_obs {
-            None => true,
-            Some(prev) => t.since(prev) >= observe_interval,
-        };
-        if due {
-            probe.snapshot(t, SnapshotCause::Periodic, &EngineView { engine, prefix });
-            last_obs = Some(t);
-        }
-    });
-    let now = e.now();
-    probe.snapshot(now, SnapshotCause::Final, &EngineView { engine: e, prefix });
-    outcome
 }
 
 // ---------------------------------------------------------------------
@@ -851,11 +820,9 @@ impl Sim {
             self.converged = true;
             self.classified = Arc::default();
             let deadline = Some(SimTime::ZERO + self.params.phase_deadline);
-            let interval = self.params.observe_interval;
-            let prefix = self.prefix;
             let outcome = with_engine!(self.engine_mut(), e => {
                 e.start();
-                run_phase(e, prefix, deadline, interval, &mut NullProbe)
+                e.run_until_quiescent(deadline, |_, _| {})
             });
             self.record_outcome(outcome);
             let s = self.stats();
@@ -876,10 +843,12 @@ impl Sim {
 
     /// Inject `timeline` at an epoch [`RunParams::inject_delay`] after the
     /// current instant and run to quiescence under `probe` (converging
-    /// first if [`Sim::converge`] has not run). Emits one `Baseline`
-    /// snapshot before anything is applied, then the standard cadence (see
-    /// [`run_phase`]); the run is bounded by the timeline's settle point
-    /// plus [`RunParams::phase_deadline`].
+    /// first if [`Sim::converge`] has not run). The cadence is the
+    /// determinism-pinned contract: one `Baseline` snapshot before
+    /// anything is applied, one `Batch` snapshot at every batch of
+    /// simultaneous events that changed a FIB, and one `Final` snapshot at
+    /// the end. The run is bounded by the timeline's settle point plus
+    /// [`RunParams::phase_deadline`].
     pub fn play<P: Probe>(
         &mut self,
         timeline: &Timeline,
@@ -893,14 +862,17 @@ impl Sim {
         let epoch = self.now() + self.params.inject_delay;
         let settle = epoch + timeline.end();
         let deadline = Some(settle + self.params.phase_deadline);
-        let interval = self.params.observe_interval;
         let prefix = self.prefix;
         let outcome = with_engine!(self.engine_mut(), e => {
             for (at, ev) in schedule {
                 e.inject_at(epoch + at, ev);
             }
             probe.snapshot(e.now(), SnapshotCause::Baseline, &EngineView { engine: e, prefix });
-            run_phase(e, prefix, deadline, interval, probe)
+            let outcome = e.run_until_quiescent(deadline, |engine, t| {
+                probe.snapshot(t, SnapshotCause::Batch, &EngineView { engine, prefix });
+            });
+            probe.snapshot(e.now(), SnapshotCause::Final, &EngineView { engine: e, prefix });
+            outcome
         });
         self.record_outcome(outcome);
         Ok(Played {
@@ -1058,6 +1030,7 @@ mod tests {
     use super::*;
     use crate::params::PREFIX;
     use crate::timeline::{flap_train, single_link_failure};
+    use stamp_eventsim::SimDuration;
     use stamp_topology::gen::{generate, GenConfig};
     use stamp_topology::GraphBuilder;
 
@@ -1180,12 +1153,12 @@ mod tests {
 
     #[test]
     fn probe_receives_the_documented_snapshot_cadence() {
+        /// The instant of every snapshot, by cause.
         #[derive(Default)]
         struct Recorder {
-            baseline: usize,
-            periodic: usize,
-            finals: usize,
-            last_at: SimTime,
+            baseline: Vec<SimTime>,
+            batches: Vec<SimTime>,
+            finals: Vec<SimTime>,
         }
         impl Probe for Recorder {
             fn snapshot<V: ForwardingView + ?Sized>(
@@ -1195,12 +1168,10 @@ mod tests {
                 view: &V,
             ) {
                 assert!(view.n() > 0);
-                assert!(at >= self.last_at, "time went backwards");
-                self.last_at = at;
                 match cause {
-                    SnapshotCause::Baseline => self.baseline += 1,
-                    SnapshotCause::Periodic => self.periodic += 1,
-                    SnapshotCause::Final => self.finals += 1,
+                    SnapshotCause::Baseline => self.baseline.push(at),
+                    SnapshotCause::Batch => self.batches.push(at),
+                    SnapshotCause::Final => self.finals.push(at),
                 }
             }
         }
@@ -1212,7 +1183,6 @@ mod tests {
             .fast()
             .build()
             .unwrap();
-        let mut rec = Recorder::default();
         sim.converge();
         let p = g.providers(AsId(4))[0];
         let t = Timeline::from_events(
@@ -1226,10 +1196,37 @@ mod tests {
                 2,
             ),
         );
+        // The reference: the same schedule on a copy, driven by hand,
+        // noting every instant at which the engine reports a batch that
+        // changed a FIB.
+        let mut twin = sim.clone();
+        let start = twin.now();
+        let epoch = start + twin.params.inject_delay;
+        let schedule = t.resolve(&g).unwrap();
+        let changed = with_engine!(twin.engine_mut(), e => {
+            for (at, ev) in schedule {
+                e.inject_at(epoch + at, ev);
+            }
+            let mut changed = Vec::new();
+            e.run_until_quiescent(None, |_, at| changed.push(at));
+            changed
+        });
+        let mut rec = Recorder::default();
         sim.play(&t, &mut rec).unwrap();
-        assert_eq!(rec.baseline, 1, "exactly one baseline per play");
-        assert!(rec.periodic > 0, "a flap train changes FIBs");
-        assert_eq!(rec.finals, 1, "one final per phase");
+        assert_eq!(
+            rec.baseline,
+            [start],
+            "one baseline per play, before injection"
+        );
+        assert!(
+            changed.len() > 1,
+            "a flap train changes FIBs more than once"
+        );
+        assert_eq!(
+            rec.batches, changed,
+            "one batch snapshot per FIB-changing batch"
+        );
+        assert_eq!(rec.finals, [sim.now()], "one final per phase, at its end");
     }
 
     #[test]

@@ -62,11 +62,10 @@ fn main() {
         println!("fault injection: dropping {drop_pct}% of protocol messages");
     }
 
-    // Paper parameters, but observe every FIB-changing batch (no
-    // throttle), inject 5 s after quiescence, and apply the loss knob.
+    // Paper parameters, but inject 5 s after quiescence and apply the
+    // loss knob.
     let params = RunParams {
         inject_delay: SimDuration::from_secs(5),
-        observe_interval: SimDuration::ZERO,
         sessions: SessionModel {
             loss: LossModel {
                 drop_probability: drop_pct / 100.0,

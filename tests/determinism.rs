@@ -137,7 +137,6 @@ fn flap_campaign_identical_across_worker_counts() {
                 ..SessionModel::paper()
             },
             inject_delay: SimDuration::from_secs(1),
-            observe_interval: SimDuration::from_millis(100),
             ..RunParams::default()
         },
         protocols: vec![Protocol::Bgp, Protocol::Stamp],

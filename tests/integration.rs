@@ -209,14 +209,10 @@ fn lemma_3_1_additions_strictly_gentler_than_withdrawals() {
     let reachable_full = reachability_mask(&g, dest);
     let reachable_after = fail.reachable_after(&g, dest).unwrap();
 
-    // Paper parameters, every FIB-changing batch observed.
     let mut sim = Sim::on(&g)
         .originate(dest, P)
         .seed(1)
-        .params(RunParams {
-            observe_interval: SimDuration::ZERO,
-            ..RunParams::paper()
-        })
+        .params(RunParams::paper())
         .build()
         .unwrap();
 
@@ -274,7 +270,6 @@ fn miniature_figure2_ordering() {
     cfg.gen.n_ases = 300;
     // Paper delay/MRAI model at small scale.
     cfg.params.sessions = stamp_repro::workload::SessionModel::paper();
-    cfg.params.observe_interval = SimDuration::from_millis(100);
     let rep = run_failure_experiment(&cfg, FailureScenario::SingleLink, &Protocol::ALL);
     let bgp = rep.of(Protocol::Bgp);
     let stamp = rep.of(Protocol::Stamp);

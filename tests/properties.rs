@@ -1939,14 +1939,19 @@ mod speaker_contract {
 
 mod seeded_observation {
     use super::*;
+    use stamp_repro::bgp::engine::Engine;
+    use stamp_repro::bgp::router::BgpRouter;
     use stamp_repro::bgp::types::RootCause;
     use stamp_repro::eventsim::{SimDuration, SimTime};
     use stamp_repro::forwarding::view::SelectionKey;
     use stamp_repro::forwarding::{
-        classify_all, Classification, ForwardingView, Outcome, Step, TransientTracker,
+        classify_all, Classification, DataPlane, EngineView, ForwardingView, Outcome, Step,
+        TransientTracker,
     };
     use stamp_repro::policy::PolicyRegime;
+    use stamp_repro::rbgp::{RbgpConfig, RbgpRouter};
     use stamp_repro::sim::{Probe, SnapshotCause};
+    use stamp_repro::stamp::{LockStrategy, StampRouter};
     use stamp_repro::topology::{AsGraph, GraphBuilder};
     use stamp_repro::workload::{
         InstanceMetrics, NetEvent, Protocol, RunParams, Timeline, TimelineEvent, WatchdogConfig,
@@ -1955,7 +1960,7 @@ mod seeded_observation {
     use stamp_repro::Sim;
 
     /// Everything a tracker reports.
-    type Report = (Vec<Outcome>, Vec<bool>, [usize; 4], [u64; 3], bool);
+    type Report = (Vec<Outcome>, Vec<bool>, [usize; 4], u64, bool);
 
     fn report(t: &TransientTracker) -> Report {
         (
@@ -1967,11 +1972,7 @@ mod seeded_observation {
                 t.blackhole_count(),
                 t.control_affected_count(),
             ],
-            [
-                t.observations,
-                t.observations_with_loops,
-                t.observations_with_blackholes,
-            ],
+            t.observations,
             t.last_observation_had_problems,
         )
     }
@@ -1985,7 +1986,7 @@ mod seeded_observation {
         reachable: Vec<bool>,
         causes: Vec<RootCause>,
         trackers: Option<(TransientTracker, TransientTracker)>,
-        /// The cold tracker's last periodic tick with a problem.
+        /// The cold tracker's last batch tick with a problem.
         last_problem: Option<SimTime>,
         ticks: usize,
     }
@@ -2012,7 +2013,7 @@ mod seeded_observation {
             warm.observe(view);
             cold.observe(view);
             assert_eq!(report(warm), report(cold), "tick {}", self.ticks);
-            if cause == SnapshotCause::Periodic && cold.last_observation_had_problems {
+            if cause == SnapshotCause::Batch && cold.last_observation_had_problems {
                 self.last_problem = Some(at);
             }
             self.ticks += 1;
@@ -2093,11 +2094,10 @@ mod seeded_observation {
         Timeline::from_events("random", events)
     }
 
-    /// Every observation, under the paper's delays and MRAI; a watchdog
-    /// tight enough that a random regime's dispute wheel ends the run.
+    /// The paper's delays and MRAI; a watchdog tight enough that a random
+    /// regime's dispute wheel ends the run.
     fn params(policy: PolicyRegime) -> RunParams {
         RunParams {
-            observe_interval: SimDuration::ZERO,
             policy,
             watchdog: WatchdogConfig {
                 arm_after: SimDuration::from_secs(120),
@@ -2288,6 +2288,110 @@ mod seeded_observation {
         });
         assert!(ticks > 1000, "the timelines must actually be observed");
         assert!(hurt > 0, "and must actually hurt someone");
+    }
+
+    /// What `Sim::measure` must count, worked out without the facade or
+    /// the tracker: the engine driven by hand as `measure` drives it
+    /// (converge, reset, inject the resolved timeline, run), every batch
+    /// that changed a FIB classified from scratch, and the end state once
+    /// more. Returns `[affected, looped, blackholed]` over the counted
+    /// ASes (reachable after the timeline, and not the destination).
+    fn exact_affected<R: DataPlane>(
+        g: &AsGraph,
+        params: &RunParams,
+        seed: u64,
+        dest: AsId,
+        timeline: &Timeline,
+        reachable: &[bool],
+        router: impl FnMut(AsId) -> R,
+    ) -> [usize; 3] {
+        let mut e = Engine::new(g.clone(), params.engine_config(seed), router);
+        e.start();
+        e.run_until_quiescent(Some(SimTime::ZERO + params.phase_deadline), |_, _| {});
+        e.reset_measurement();
+        let epoch = e.now() + params.inject_delay;
+        for (at, ev) in timeline.resolve(g).expect("drawn on g") {
+            e.inject_at(epoch + at, ev);
+        }
+        let counted = |a: usize| reachable[a] && a != dest.index();
+        let (mut looped, mut blackholed) = (vec![false; g.n()], vec![false; g.n()]);
+        let mut classify = |engine: &Engine<R>| {
+            let view = EngineView {
+                engine,
+                prefix: PREFIX,
+            };
+            for (a, o) in classify_all(&view).into_iter().enumerate() {
+                match o {
+                    Outcome::Delivered => {}
+                    Outcome::Loop => looped[a] |= counted(a),
+                    Outcome::Blackhole => blackholed[a] |= counted(a),
+                }
+            }
+        };
+        let deadline = epoch + timeline.end() + params.phase_deadline;
+        e.run_until_quiescent(Some(deadline), |engine, _| classify(engine));
+        classify(&e);
+        let either: Vec<bool> = looped.iter().zip(&blackholed).map(|(l, b)| l | b).collect();
+        let count = |ever: &[bool]| ever.iter().filter(|&&x| x).count();
+        [count(&either), count(&looped), count(&blackholed)]
+    }
+
+    /// Under the paper's parameters a measurement counts every AS that
+    /// loops or blackholes at any batch that changed a FIB: BGP, R-BGP
+    /// with and without RCI, and STAMP on random timelines, each against
+    /// the engine driven by hand and classified from scratch at every
+    /// such batch. A sampling throttle fails this wherever it skips a
+    /// batch with a transient problem nothing else saw.
+    #[test]
+    fn a_measurement_counts_every_batch_that_changed_a_fib() {
+        let (mut ticks, mut affected) = (0, 0);
+        cases(64, 0xEAC7, |rng| {
+            let seed = rng.next_u64();
+            let g = generate(&GenConfig {
+                n_ases: rng.gen_range(40usize..90),
+                ..GenConfig::small(seed)
+            })
+            .expect("valid");
+            let dest = AsId(rng.gen_range(0u32..g.n() as u32));
+            let timeline = arb_timeline(&g, dest, rng);
+            let reachable = timeline.reachable_after(&g, dest).expect("drawn on g");
+            let params = RunParams::paper();
+            let own = |v: AsId| if v == dest { vec![PREFIX] } else { vec![] };
+            for p in Protocol::ALL {
+                let (t, r) = (&timeline, reachable.as_slice());
+                let exact = match p {
+                    Protocol::Bgp => {
+                        exact_affected(&g, &params, seed, dest, t, r, |v| BgpRouter::new(v, own(v)))
+                    }
+                    Protocol::RbgpNoRci | Protocol::Rbgp => {
+                        let rci = p == Protocol::Rbgp;
+                        exact_affected(&g, &params, seed, dest, t, r, |v| {
+                            RbgpRouter::new(v, own(v), RbgpConfig { rci })
+                        })
+                    }
+                    Protocol::Stamp => exact_affected(&g, &params, seed, dest, t, r, |v| {
+                        StampRouter::new(v, own(v), LockStrategy::Random { seed })
+                    }),
+                };
+                let mut sim = Sim::on(&g)
+                    .protocol(p)
+                    .originate(dest, PREFIX)
+                    .seed(seed)
+                    .params(params.clone())
+                    .build()
+                    .expect("dest drawn from g");
+                let m = sim.measure(&timeline, &reachable).expect("drawn on g");
+                assert_eq!(
+                    [m.affected, m.affected_loops, m.affected_blackholes],
+                    exact,
+                    "{p} on {timeline:?}"
+                );
+                ticks += sim.observer_work().observations;
+                affected += m.affected;
+            }
+        });
+        assert!(ticks > 1000, "the timelines must actually be observed");
+        assert!(affected > 0, "and must actually hurt someone");
     }
 
     /// A baseline that already blackholes counted ASes: the origin 2 hangs
