@@ -1153,12 +1153,14 @@ mod tests {
 
     #[test]
     fn probe_receives_the_documented_snapshot_cadence() {
-        /// The instant of every snapshot, by cause.
+        /// The instant of every snapshot, by cause, and the latest instant
+        /// seen across all causes.
         #[derive(Default)]
         struct Recorder {
             baseline: Vec<SimTime>,
             batches: Vec<SimTime>,
             finals: Vec<SimTime>,
+            last_at: SimTime,
         }
         impl Probe for Recorder {
             fn snapshot<V: ForwardingView + ?Sized>(
@@ -1168,6 +1170,8 @@ mod tests {
                 view: &V,
             ) {
                 assert!(view.n() > 0);
+                assert!(at >= self.last_at, "time went backwards");
+                self.last_at = at;
                 match cause {
                     SnapshotCause::Baseline => self.baseline.push(at),
                     SnapshotCause::Batch => self.batches.push(at),
